@@ -1,13 +1,17 @@
 //! Criterion benchmarks for the sharded engine's batch paths:
-//! `write_batch`/`read_batch` fan a batch out across the 8 shards' op
-//! queues on scoped worker threads, versus the same ops routed one at a
-//! time through the thread-safe handle.
+//! `write_batch`/`read_batch` split a batch into 8 per-shard runs that the
+//! calling thread drains itself, versus the same ops routed one at a time
+//! through the thread-safe handle. The `handoff` group is the reason
+//! there is no worker pool behind those batches: what handing a shard's
+//! run to another thread costs, beside what the run itself costs
+//! (EXPERIMENTS.md, PR 12).
 
 // audit: allow-file(panic, bench setup: aborting on a broken harness is the right failure mode)
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use std::sync::mpsc::sync_channel;
 use toleo_core::config::ToleoConfig;
-use toleo_core::engine::Block;
+use toleo_core::engine::{Block, ProtectionEngine};
 use toleo_core::sharded::ShardedEngine;
 
 /// Blocks per batch (one per page across 256 pages, 32 pages per shard).
@@ -57,5 +61,54 @@ fn bench_sharded(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_sharded);
+/// The two ways a shard's run could reach another thread — a scoped thread
+/// spawned for it, or a wake-up of a parked one — and the run itself: one
+/// shard's share of a [`BATCH`]-op batch through the engine's batch path.
+/// A hand-off pays only for runs that outlast it.
+fn bench_handoff(c: &mut Criterion) {
+    let mut g = c.benchmark_group("handoff");
+    println!(
+        "handoff/available_parallelism {}",
+        std::thread::available_parallelism().map_or(0, usize::from)
+    );
+
+    g.bench_function("scoped_spawn_join", |b| {
+        b.iter(|| std::thread::scope(|s| s.spawn(|| std::hint::black_box(1u64)).join()))
+    });
+
+    // A worker parked on a rendezvous channel, as a pool's would be: one
+    // iteration is a wake-up with the work and a wake-up with the answer.
+    let (to_worker, from_caller) = sync_channel::<u64>(0);
+    let (to_caller, from_worker) = sync_channel::<u64>(0);
+    let worker = std::thread::spawn(move || {
+        for work in from_caller {
+            if to_caller.send(work + 1).is_err() {
+                break;
+            }
+        }
+    });
+    g.bench_function("sync_channel_ping_pong", |b| {
+        b.iter(|| {
+            to_worker.send(std::hint::black_box(1)).expect("worker up");
+            from_worker.recv().expect("worker up")
+        })
+    });
+    drop(to_worker);
+    worker.join().expect("worker exits once its channel closes");
+
+    let run: Vec<(u64, Block)> = (0..(BATCH / SHARDS) as u64)
+        .map(|i| (i * 4096, [i as u8; 64]))
+        .collect();
+    let mut engine = ProtectionEngine::try_new(ToleoConfig::small(), [0x42u8; 48]).unwrap();
+    g.bench_function("shard_run_32_write_batch", |b| {
+        b.iter(|| {
+            engine
+                .write_batch(std::hint::black_box(&run))
+                .expect("protected write batch")
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_sharded, bench_handoff);
 criterion_main!(benches);

@@ -9,9 +9,10 @@
 //!   the lock to install the fresh engine, and finally clears the bit
 //!   and bumps the epoch to re-admit. If the recovery budget is
 //!   exhausted it must escalate to the world-kill instead.
-//! - **thread 1, batch worker on a peer shard**: serves ops in chunks,
-//!   polling the kill flag and quarantine epoch at every chunk
-//!   boundary — the dynamic twin of the static `blocking-in-poll` rule.
+//! - **thread 1, a peer caller draining a batch on another shard**
+//!   (`ShardedEngine::drain_shard`): serves ops in chunks, polling the
+//!   kill flag and quarantine epoch at every chunk boundary — the
+//!   dynamic twin of the static `blocking-in-poll` rule.
 //! - **thread 2, caller on the quarantined shard**: tries to serve one
 //!   op; on seeing the quarantine bit it parks, using the epoch as its
 //!   wake condition, and retries when the epoch moves. A re-admission
@@ -26,7 +27,7 @@
 
 use crate::sched::{Program, Step};
 
-/// Ops the peer-shard batch worker serves in total, and per chunk.
+/// Ops the peer caller's batch drain serves in total, and per chunk.
 const PEER_OPS: u8 = 4;
 const CHUNK: u8 = 2;
 
@@ -41,13 +42,13 @@ pub enum Bug {
     /// Re-admit (clear the bit) without bumping the epoch: a parked
     /// caller waiting on the epoch never wakes.
     SkipReadmitEpochBump,
-    /// Exhausted recovery budget but no world-kill: workers are left
-    /// running (or parked forever) against a dead shard.
+    /// Exhausted recovery budget but no world-kill: callers are left
+    /// draining (or parked forever) against a dead shard.
     SkipKillOnBudget,
     /// The caller skips the quarantine check and serves anyway,
     /// observing the re-keyed shard's old-generation data.
     ServeDuringRekey,
-    /// The batch worker stops polling at chunk boundaries, exceeding
+    /// The batch drain stops polling at chunk boundaries, exceeding
     /// the declared `kill_poll_ops` bound (dynamic twin of the static
     /// `blocking-in-poll` finding).
     SkipChunkPoll,
@@ -81,7 +82,7 @@ pub struct Handshake {
     // Thread 0: recovery program counter.
     rec_pc: u8,
 
-    // Thread 1: batch worker on a peer shard.
+    // Thread 1: a peer caller draining a batch on another shard.
     peer_pc: u8,
     peer_done_ops: u8,
     peer_since_poll: u8,

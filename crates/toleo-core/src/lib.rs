@@ -21,8 +21,8 @@
 //!   re-encryption on reset, and the kill switch.
 //! * [`sharded`] — the concurrent scale-out layer: page-wise sharding
 //!   across N independent engines behind a thread-safe handle, with
-//!   batched reads/writes fanned out on scoped workers, per-shard
-//!   quarantine on tamper detection (healthy shards keep serving), and
+//!   batched reads/writes drained shard by shard on the calling thread,
+//!   per-shard quarantine on tamper detection (healthy shards keep serving), and
 //!   a world-kill escalation for device-level failures.
 //! * [`channel`] / [`fault`] — the device fault plane: a [`channel`]
 //!   layer that absorbs transient link faults with bounded exponential

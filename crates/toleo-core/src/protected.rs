@@ -113,10 +113,11 @@ impl From<ToleoError> for MemoryError {
 ///
 /// For sequential schemes, operations before `index` completed and
 /// operations after it were not attempted. Schemes that execute a batch
-/// concurrently (e.g. the sharded Toleo engine's per-shard workers)
-/// still report the smallest failing index by severity, but operations
-/// *after* it that landed on other workers may have completed — treat
-/// `index` as identifying the failing op, not as a safe resume point.
+/// out of batch order (e.g. the sharded Toleo engine, which drains it
+/// shard by shard and attempts every shard) still report the smallest
+/// failing index by severity, but operations *after* it that landed on
+/// other shards may have completed — treat `index` as identifying the
+/// failing op, not as a safe resume point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryBatchError {
     /// Zero-based index of the failing operation within the batch.

@@ -8,14 +8,16 @@
 //! schedule derived per-shard from the root key material — so shards share
 //! **no** mutable state except the kill/quarantine flags. That makes the
 //! decomposition embarrassingly parallel: on a host with enough cores,
-//! throughput scales with the shard-worker count until memory bandwidth
-//! saturates.
+//! throughput scales with the number of caller threads until memory
+//! bandwidth saturates.
 //!
-//! [`ShardedEngine`] is the thread-safe handle. Single operations route to
-//! the owning shard under its mutex; [`read_batch`](ShardedEngine::read_batch)
-//! and [`write_batch`](ShardedEngine::write_batch) split a batch into
-//! per-shard op queues and drain them with [`std::thread::scope`] workers,
-//! one per occupied shard.
+//! [`ShardedEngine`] is the thread-safe handle; it never spawns a thread.
+//! Single operations route to the owning shard under its mutex;
+//! [`read_batch`](ShardedEngine::read_batch) and
+//! [`write_batch`](ShardedEngine::write_batch) split a batch into per-shard
+//! runs that the calling thread drains itself, in ascending shard order,
+//! one shard lock at a time. Parallelism comes from several callers on the
+//! `&self` handle, which contend only when they meet on one shard's mutex.
 //!
 //! Failure containment is an escalation ladder:
 //!
@@ -25,9 +27,9 @@
 //!   flips in the quarantine bitmap, and subsequent operations routed to
 //!   it refuse with [`ToleoError::ShardQuarantined`] carrying that frozen
 //!   snapshot. Healthy shards keep serving — one hostile tenant cannot
-//!   deny service to every other tenant in the pool. In-flight batch
-//!   workers on healthy shards observe the quarantine within one
-//!   kill-poll interval and simply keep draining their own queues.
+//!   deny service to every other tenant in the pool. A caller draining a
+//!   batch run on a healthy shard observes the quarantine within one
+//!   kill-poll interval and simply keeps draining.
 //! * **Recover** — a quarantined shard can be scrubbed, re-keyed under a
 //!   fresh key generation, and re-admitted to service by
 //!   [`ShardedEngine::recover_shard`] (see the [`recovery`] module);
@@ -37,10 +39,10 @@
 //!   unreachable after the [`DeviceChannel`](crate::channel::DeviceChannel)
 //!   retry budget), or a shard tampered *again* after exhausting its
 //!   per-shard recovery budget, means containment is over: the global
-//!   flag flips, in-flight batch workers abort, and every peer shard is
+//!   flag flips, in-flight batch drains abort, and every peer shard is
 //!   force-killed so each is individually inert thereafter.
 
-// audit: allow-file(indexing, shard and queue indices come from shard_of_addr and the queue builder, bounded by the shard count)
+// audit: allow-file(indexing, shard and run indices come from shard_of_addr and run_batch's per-shard runs, bounded by the shard count and batch length)
 
 use crate::channel::{ChannelStats, RetryPolicy};
 use crate::config::{ToleoConfig, CACHE_BLOCK_BYTES, PAGE_BYTES};
@@ -49,6 +51,7 @@ use crate::engine::{Block, EngineStats, KillSnapshot, ProtectionEngine, Untruste
 use crate::error::{BatchError, Result, ToleoError};
 use crate::fault::FaultPlanConfig;
 use crate::layout;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use toleo_crypto::aes::Aes128;
@@ -59,8 +62,8 @@ pub use recovery::{RecoveryOutcome, RecoveryStats, DEFAULT_RECOVERY_BUDGET};
 
 use recovery::RecoveryPlane;
 
-// The shards are driven from scoped worker threads; this fails to compile
-// if `ProtectionEngine` ever grows a non-Send member.
+// Whichever caller thread takes a shard's lock drives that shard; this
+// fails to compile if `ProtectionEngine` ever grows a non-Send member.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<ProtectionEngine>();
@@ -71,7 +74,7 @@ const _: fn() = || {
 /// any plausible worker fleet while keeping the routing modulus cheap.
 pub const MAX_SHARDS: usize = 4096;
 
-/// Default ops a batch worker hands to the engine's batched entry points
+/// Default ops a batch drain hands to the engine's batched entry points
 /// between kill/quarantine polls. Large enough that run-grouping and
 /// pipelined tweak precompute inside [`ProtectionEngine::read_batch`] pay
 /// off; small enough that a peer shard's failure is still observed
@@ -80,7 +83,7 @@ pub const MAX_SHARDS: usize = 4096;
 pub const DEFAULT_KILL_POLL_OPS: usize = 64;
 
 /// Lock-free per-shard quarantine state: one bit per shard, plus a
-/// monotonically increasing epoch that batch workers poll to learn that
+/// monotonically increasing epoch that batch drains poll to learn that
 /// *some* peer's quarantine state changed without scanning the bitmap.
 /// Marking is a `fetch_or`, so the shard that detects tampering can flip
 /// its own bit while still holding its engine lock — no lock ordering
@@ -90,7 +93,7 @@ pub const DEFAULT_KILL_POLL_OPS: usize = 64;
 /// are `guard`/`epoch` roles, so writers publish with the release half
 /// of an `AcqRel` RMW and pollers observe with `Acquire` loads — the
 /// epoch bump that follows a bit flip is what carries the bit to a
-/// worker that only polls the epoch. Nothing here needs the single
+/// drain that only polls the epoch. Nothing here needs the single
 /// total order `SeqCst` buys; `toleo-model` explores the handshake's
 /// interleavings to back that claim.
 ///
@@ -134,7 +137,7 @@ impl QuarantineMap {
 
     /// Clears `shard`'s bit after a completed recovery; returns `true` if
     /// it was set. Bumps the epoch just like [`mark`](Self::mark), so
-    /// in-flight batch workers observe the re-admission at their next
+    /// in-flight batch drains observe the re-admission at their next
     /// poll — the only thing peers ever see of a recovery.
     #[doc(hidden)]
     pub fn clear(&self, shard: usize) -> bool {
@@ -155,7 +158,7 @@ impl QuarantineMap {
         quarantine_word.load(Ordering::Acquire) & bit != 0
     }
 
-    /// Bumped on every new quarantine; workers poll it between chunks.
+    /// Bumped on every quarantine change; batch drains poll it per chunk.
     #[doc(hidden)]
     pub fn epoch(&self) -> u64 {
         let quarantine_epoch = &self.epoch;
@@ -173,7 +176,7 @@ impl QuarantineMap {
 
 /// Aggregated robustness telemetry for a sharded engine: what the device
 /// fault plane absorbed, what the quarantine layer contained, and how
-/// fast in-flight workers observed it. Feeds the bench `availability`
+/// fast in-flight batches observed it. Feeds the bench `availability`
 /// section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RobustnessStats {
@@ -191,7 +194,7 @@ pub struct RobustnessStats {
     /// quarantine — together with the current value, the detection-to-now
     /// op distance.
     pub ops_at_last_quarantine: u64,
-    /// Largest number of ops any in-flight batch worker executed between
+    /// Largest number of ops any in-flight batch drain executed between
     /// the poll that preceded a peer's quarantine and the poll that
     /// observed it — the realized detection latency, bounded by
     /// [`kill_poll_ops`](ShardedEngine::kill_poll_ops).
@@ -225,13 +228,13 @@ pub struct RobustnessStats {
 #[derive(Debug)]
 pub struct ShardedEngine {
     shards: Box<[Mutex<ProtectionEngine>]>,
-    /// Set only by the world-kill escalation (device unreachable, worker
-    /// panic); checked on every entry and between batch ops so workers
-    /// abort promptly.
+    /// Set only by the world-kill escalation (device unreachable, a panic
+    /// inside a batch drain); checked on every entry and between batch
+    /// chunks so drains abort promptly.
     killed: AtomicBool,
     /// Per-shard quarantine bitmap: tamper on shard *k* freezes only *k*.
     quarantine: QuarantineMap,
-    /// Ops between kill/quarantine polls in batch workers.
+    /// Ops between kill/quarantine polls while draining a batch.
     kill_poll_ops: usize,
     /// Successful ops served (telemetry; see [`RobustnessStats`]).
     ops_served: AtomicU64,
@@ -323,12 +326,12 @@ impl ShardedEngine {
         self.shards.len()
     }
 
-    /// Ops a batch worker executes between kill/quarantine polls.
+    /// Ops a batch drain executes between kill/quarantine polls.
     pub fn kill_poll_ops(&self) -> usize {
         self.kill_poll_ops
     }
 
-    /// Sets the batch-worker poll interval (clamped to at least 1).
+    /// Sets the batch poll interval (clamped to at least 1).
     /// Smaller values bound the latency until an in-flight batch observes
     /// a peer shard's quarantine or a world-kill, at the cost of more
     /// frequent polls and smaller run-grouped chunks; `&mut self` proves
@@ -350,11 +353,11 @@ impl ShardedEngine {
     }
 
     /// Whether the world-kill switch has engaged (device-level failure or
-    /// worker panic). Per-shard tamper detections quarantine instead; see
+    /// a panic inside a batch drain). Per-shard tamper detections quarantine instead; see
     /// [`is_shard_quarantined`](Self::is_shard_quarantined).
     pub fn is_killed(&self) -> bool {
         // Acquire pairs with the Release stores in trip_kill and the
-        // batch workers: seeing the flag also sees the state that
+        // batch drains: seeing the flag also sees the state that
         // justified it. The flag only latches, so no total order is
         // needed (protocol role `flag` in AUDIT.json).
         self.killed.load(Ordering::Acquire)
@@ -521,14 +524,16 @@ impl ShardedEngine {
         })
     }
 
-    /// Writes a batch of blocks, fanned out across shards with one scoped
-    /// worker thread per occupied shard. Each worker drains its queue
-    /// through [`ProtectionEngine::write_batch`] in
+    /// Writes a batch of blocks. The calling thread splits the batch into
+    /// per-shard runs and drains them itself, in ascending shard order,
+    /// one shard lock at a time: each run goes through
+    /// [`ProtectionEngine::write_batch`] in
     /// [`kill_poll_ops`](Self::kill_poll_ops)-op chunks, polling the
     /// world-kill flag and the quarantine epoch between chunks. Within a
     /// shard, ops execute in batch order (so a later write to the same
-    /// address wins, exactly as in a sequential replay); across shards
-    /// there is no ordering, which is safe because shards share no state.
+    /// address wins, exactly as in a sequential replay); ops on different
+    /// shards may execute out of batch order, which is safe because
+    /// shards share no state.
     ///
     /// # Errors
     ///
@@ -538,7 +543,7 @@ impl ShardedEngine {
     /// [`ToleoError::DeviceUnavailable`]) anywhere in the batch always
     /// wins over benign failures (a security event must not be masked by
     /// a retryable error). A tamper detection quarantines only its shard:
-    /// workers on healthy shards drain their queues to completion around
+    /// the healthy shards' runs are still drained to completion around
     /// the quarantined member.
     pub fn write_batch(&self, ops: &[(u64, Block)]) -> Result<()> {
         self.write_batch_indexed(ops).map_err(|e| e.error)
@@ -546,9 +551,10 @@ impl ShardedEngine {
 
     /// [`write_batch`](Self::write_batch) variant that also reports the
     /// smallest failing batch index (security-relevant failures still
-    /// take precedence over earlier benign failures). Because shard
-    /// workers run concurrently, ops *after* the index on **other**
-    /// shards may have completed; on the failing op's own shard, ops
+    /// take precedence over earlier benign failures). Shards are drained
+    /// in ascending order and *all* occupied shards are still attempted
+    /// after a failure on one, so ops on **other** shards may have
+    /// completed whatever their index; on the failing op's own shard, ops
     /// before it completed and ops after it were not attempted.
     ///
     /// # Errors
@@ -558,26 +564,21 @@ impl ShardedEngine {
         let mut scratch: Vec<(u64, Block)> = Vec::new();
         self.run_batch(
             ops.len(),
-            (),
             Access::Write,
             |i| ops[i].0,
-            move |engine, chunk| {
+            |engine, chunk| {
                 scratch.clear();
                 scratch.extend(chunk.iter().map(|&i| ops[i]));
-                engine
-                    .write_batch(&scratch)
-                    .map(|()| vec![(); chunk.len()])
-                    .map_err(|e| (e.index, e.error))
+                engine.write_batch(&scratch).map_err(|e| (e.index, e.error))
             },
         )
-        .map(|_: Vec<()>| ())
     }
 
-    /// Reads a batch of blocks, fanned out across shards with one scoped
-    /// worker thread per occupied shard, each draining its queue through
-    /// [`ProtectionEngine::read_batch`] (run-grouped version fetches and
-    /// pipelined tweak precompute) in kill-polled chunks. Results are
-    /// returned in batch order.
+    /// Reads a batch of blocks: the calling thread drains each occupied
+    /// shard's run through [`ProtectionEngine::read_batch`] (run-grouped
+    /// version fetches and pipelined tweak precompute) in kill-polled
+    /// chunks, shard by shard as in [`write_batch`](Self::write_batch).
+    /// Results are returned in batch order.
     ///
     /// # Errors
     ///
@@ -589,230 +590,212 @@ impl ShardedEngine {
     }
 
     /// [`read_batch`](Self::read_batch) variant that also reports the
-    /// smallest failing batch index, with the same concurrent-completion
+    /// smallest failing batch index, with the same cross-shard completion
     /// caveat as [`write_batch_indexed`](Self::write_batch_indexed).
     ///
     /// # Errors
     ///
     /// [`BatchError`] with the failing index and underlying error.
     pub fn read_batch_indexed(&self, addrs: &[u64]) -> std::result::Result<Vec<Block>, BatchError> {
+        let mut out: Vec<Block> = Vec::new();
         let mut scratch: Vec<u64> = Vec::new();
         self.run_batch(
             addrs.len(),
-            [0u8; CACHE_BLOCK_BYTES],
             Access::Read,
             |i| addrs[i],
-            move |engine, chunk| {
+            |engine, chunk| {
                 scratch.clear();
                 scratch.extend(chunk.iter().map(|&i| addrs[i]));
-                engine.read_batch(&scratch).map_err(|e| (e.index, e.error))
+                let blocks = engine
+                    .read_batch(&scratch)
+                    .map_err(|e| (e.index, e.error))?;
+                // Sized once a chunk has been served, not up front: a batch
+                // that is refused outright never pays for it, and a huge
+                // one reaches its first kill/epoch poll without zero-filling
+                // its whole result first.
+                out.resize(addrs.len(), [0u8; CACHE_BLOCK_BYTES]);
+                for (&i, block) in chunk.iter().zip(blocks) {
+                    out[i] = block;
+                }
+                Ok(())
             },
-        )
+        )?;
+        Ok(out)
     }
 
-    /// Shared batch executor: partitions op indices `0..len` into
-    /// per-shard queues by `addr_of`, drains each queue on a scoped worker
-    /// under the shard lock via `exec_chunk` (which maps a chunk of op
-    /// indices through the engine's batched entry points and reports a
-    /// failure as its chunk-local index), and scatters per-op payloads
-    /// back into batch order (`fill` seeds the output vector). Returns the
-    /// payload vector (unit-cost for writes), or the smallest failing
-    /// batch index with its error.
-    fn run_batch<T: Clone + Send>(
+    /// Shared batch executor: splits op indices `0..len` into per-shard
+    /// runs by `addr_of`, then drains every occupied shard's run
+    /// on the calling thread ([`drain_shard`](Self::drain_shard)), in
+    /// ascending shard order, whatever the earlier ones returned. No run
+    /// is handed to another thread: a spawn or a wake-up costs more than
+    /// the ~32-op run it would hand off (EXPERIMENTS.md, PR 12). Returns
+    /// the smallest failing batch index with its error.
+    fn run_batch(
         &self,
         len: usize,
-        fill: T,
         access: Access,
-        addr_of: impl Fn(usize) -> u64 + Sync,
-        exec_chunk: impl FnMut(
-                &mut ProtectionEngine,
-                &[usize],
-            ) -> std::result::Result<Vec<T>, (usize, ToleoError)>
-            + Clone
-            + Send
-            + Sync,
-    ) -> std::result::Result<Vec<T>, BatchError> {
+        addr_of: impl Fn(usize) -> u64,
+        mut exec_chunk: impl FnMut(&mut ProtectionEngine, &[usize]) -> ChunkResult,
+    ) -> std::result::Result<(), BatchError> {
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         self.check_alive(addr_of(0))
             .map_err(|error| BatchError { index: 0, error })?;
-        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        let mut runs: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for i in 0..len {
-            queues[self.shard_of_addr(addr_of(i))].push(i);
+            runs[self.shard_of_addr(addr_of(i))].push(i);
         }
-        let poll_ops = self.kill_poll_ops;
 
-        type ShardOutcome<T> = std::result::Result<Vec<(usize, T)>, (usize, ToleoError)>;
-        let outcomes: Vec<ShardOutcome<T>> = std::thread::scope(|s| {
-            let handles: Vec<_> = queues
-                .iter()
-                .enumerate()
-                .filter(|(_, queue)| !queue.is_empty())
-                .map(|(shard, queue)| {
-                    let addr_of = &addr_of;
-                    let mut exec_chunk = exec_chunk.clone();
-                    let first = queue.first().copied().unwrap_or(0);
-                    let handle = s.spawn(move || -> ShardOutcome<T> {
-                        let mut engine = self.lock_shard(shard);
-                        if self.quarantine.is_quarantined(shard) {
-                            // This whole queue is addressed to a frozen
-                            // shard: refuse it with the forensic snapshot.
-                            return Err((
-                                first,
-                                Self::quarantine_refusal(shard, addr_of(first), &engine),
-                            ));
-                        }
-                        let mut done = Vec::with_capacity(queue.len());
-                        // Quarantine-epoch polling: healthy workers do NOT
-                        // abort when a peer is quarantined (that is the
-                        // whole point of containment) but they must
-                        // *observe* it within one poll interval — the lag
-                        // telemetry proves the bound.
-                        let mut epoch_seen = self.quarantine.epoch();
-                        let mut ops_since_poll = 0usize;
-                        for chunk in queue.chunks(poll_ops) {
-                            // A device-level failure on any shard trips the
-                            // world-kill while this queue was draining:
-                            // abort promptly. Acquire is the hot half of
-                            // the flag protocol — on x86 it costs nothing
-                            // over Relaxed, and on ARM it avoids the full
-                            // fence a SeqCst load would issue every chunk.
-                            if self.killed.load(Ordering::Acquire) {
-                                return Err((
-                                    chunk[0],
-                                    ToleoError::IntegrityViolation {
-                                        address: addr_of(chunk[0]),
-                                    },
-                                ));
-                            }
-                            let epoch_now = self.quarantine.epoch();
-                            if epoch_now != epoch_seen {
-                                epoch_seen = epoch_now;
-                                self.max_poll_lag_ops
-                                    .fetch_max(ops_since_poll as u64, Ordering::Relaxed);
-                            }
-                            // Recovery may have left lost-block markers on
-                            // this shard: a read chunk stops at the first
-                            // lost address (ops before it are served,
-                            // exactly as op-at-a-time) and a write chunk
-                            // clears the markers it repopulates.
-                            let mut chunk = chunk;
-                            let mut lost_hit: Option<usize> = None;
-                            if matches!(access, Access::Read) {
-                                if let Some(pos) = chunk
-                                    .iter()
-                                    .position(|&i| self.recovery.is_lost(shard, addr_of(i)))
-                                {
-                                    lost_hit = Some(chunk[pos]);
-                                    chunk = &chunk[..pos];
-                                }
-                            }
-                            if !chunk.is_empty() {
-                                match exec_chunk(&mut engine, chunk) {
-                                    Ok(values) => {
-                                        self.ops_served
-                                            .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-                                        if matches!(access, Access::Write) {
-                                            for &i in chunk {
-                                                self.recovery.clear_lost(shard, addr_of(i));
-                                            }
-                                        }
-                                        done.extend(chunk.iter().copied().zip(values));
-                                        ops_since_poll = chunk.len();
-                                    }
-                                    Err((local, e)) => {
-                                        if engine.is_killed()
-                                            && !self.is_killed()
-                                            && self.escalate_after_kill(shard, &e)
-                                        {
-                                            // Only the flag here: trip_kill()
-                                            // locks every shard and we hold
-                                            // this one. The coordinator
-                                            // finishes the kill after join.
-                                            self.killed.store(true, Ordering::Release);
-                                        }
-                                        return Err((chunk[local], e));
-                                    }
-                                }
-                            }
-                            if let Some(index) = lost_hit {
-                                return Err((
-                                    index,
-                                    ToleoError::PageLost {
-                                        shard,
-                                        address: addr_of(index),
-                                    },
-                                ));
-                            }
-                        }
-                        // Tail poll: a quarantine landing during the final
-                        // chunk still gets its observation lag recorded.
-                        if self.quarantine.epoch() != epoch_seen {
-                            self.max_poll_lag_ops
-                                .fetch_max(ops_since_poll as u64, Ordering::Relaxed);
-                        }
-                        Ok(done)
-                    });
-                    (first, handle)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(first, h)| match h.join() {
-                    Ok(outcome) => outcome,
-                    // A panicked worker is an engine bug, not tampering,
-                    // but the response is the same fail-closed one: kill
-                    // the world and fail the shard's whole queue rather
-                    // than silently dropping its ops.
-                    Err(_) => {
-                        self.killed.store(true, Ordering::Release);
-                        Err((
-                            first,
-                            ToleoError::IntegrityViolation {
-                                address: addr_of(first),
-                            },
-                        ))
-                    }
-                })
-                .collect()
-        });
-
-        let mut out = vec![fill; len];
         // Smallest-index failure, tracked separately per severity: a
         // security-relevant failure (tamper, quarantine, unreachable
         // device) must never be masked by a benign, retryable failure
         // (e.g. `DeviceFull`) that happens to sit earlier in the batch.
         let mut first_severe: Option<(usize, ToleoError)> = None;
         let mut first_other: Option<(usize, ToleoError)> = None;
-        for outcome in outcomes {
-            match outcome {
-                Ok(done) => {
-                    for (i, value) in done {
-                        out[i] = value;
-                    }
-                }
-                Err((i, e)) => {
-                    let slot = if error_is_severe(&e) {
-                        &mut first_severe
-                    } else {
-                        &mut first_other
-                    };
-                    if slot.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                        *slot = Some((i, e));
-                    }
+        for (shard, run) in runs.iter().enumerate() {
+            let Some(&first) = run.first() else {
+                continue;
+            };
+            let drained = catch_unwind(AssertUnwindSafe(|| {
+                self.drain_shard(shard, run, access, &addr_of, &mut exec_chunk)
+            }));
+            let outcome = drained.unwrap_or_else(|_| {
+                // A panicked run is an engine bug, not tampering, but the
+                // response is the same fail-closed one: kill the world and
+                // fail the shard's whole run rather than silently dropping
+                // its ops. (`lock_shard` recovers the poisoned lock.)
+                self.killed.store(true, Ordering::Release);
+                Err((
+                    first,
+                    ToleoError::IntegrityViolation {
+                        address: addr_of(first),
+                    },
+                ))
+            });
+            if let Err((i, e)) = outcome {
+                let slot = if error_is_severe(&e) {
+                    &mut first_severe
+                } else {
+                    &mut first_other
+                };
+                if slot.as_ref().is_none_or(|(fi, _)| i < *fi) {
+                    *slot = Some((i, e));
                 }
             }
         }
-        // No locks held now: finish propagating a worker-detected
-        // world-kill to every shard so each is individually inert.
+        // No locks held now: finish propagating a world-kill flagged
+        // during a drain, so every shard is individually inert.
         if self.is_killed() {
             self.trip_kill();
         }
         match first_severe.or(first_other) {
             Some((index, error)) => Err(BatchError { index, error }),
-            None => Ok(out),
+            None => Ok(()),
         }
+    }
+
+    /// Drains `run` — the batch indices `shard` owns, in batch order —
+    /// under that shard's lock, [`kill_poll_ops`](Self::kill_poll_ops)
+    /// indices at a time through `exec_chunk` (which calls the engine's
+    /// batched entry point and reports a failure by chunk-local index).
+    /// Returns the failing batch index; ops after it are not attempted.
+    fn drain_shard(
+        &self,
+        shard: usize,
+        run: &[usize],
+        access: Access,
+        addr_of: &impl Fn(usize) -> u64,
+        exec_chunk: &mut impl FnMut(&mut ProtectionEngine, &[usize]) -> ChunkResult,
+    ) -> ChunkResult {
+        let poll_ops = self.kill_poll_ops;
+        let mut engine = self.lock_shard(shard);
+        if self.quarantine.is_quarantined(shard) {
+            // This whole run is addressed to a frozen shard: refuse it
+            // with the forensic snapshot.
+            let refusal = Self::quarantine_refusal(shard, addr_of(run[0]), &engine);
+            return Err((run[0], refusal));
+        }
+        // Quarantine-epoch polling: a drain on a healthy shard does NOT
+        // abort when a peer is quarantined (that is the whole point of
+        // containment) but it must *observe* it within one poll interval
+        // — the lag telemetry proves the bound.
+        let mut epoch_seen = self.quarantine.epoch();
+        let mut ops_since_poll = 0usize;
+        for chunk in run.chunks(poll_ops) {
+            // A device-level failure seen by another caller trips the
+            // world-kill while this run was draining: abort promptly.
+            // Acquire is the hot half of the flag protocol — on x86 it
+            // costs nothing over Relaxed, and on ARM it avoids the full
+            // fence a SeqCst load would issue every chunk.
+            if self.killed.load(Ordering::Acquire) {
+                return Err((
+                    chunk[0],
+                    ToleoError::IntegrityViolation {
+                        address: addr_of(chunk[0]),
+                    },
+                ));
+            }
+            let epoch_now = self.quarantine.epoch();
+            if epoch_now != epoch_seen {
+                epoch_seen = epoch_now;
+                self.max_poll_lag_ops
+                    .fetch_max(ops_since_poll as u64, Ordering::Relaxed);
+            }
+            // Recovery may have left lost-block markers on this shard: a
+            // read chunk stops at the first lost address (ops before it
+            // are served, exactly as op-at-a-time) and a write chunk
+            // clears the markers it repopulates.
+            let mut chunk = chunk;
+            let mut lost_hit: Option<usize> = None;
+            if matches!(access, Access::Read) {
+                if let Some(pos) = chunk
+                    .iter()
+                    .position(|&i| self.recovery.is_lost(shard, addr_of(i)))
+                {
+                    lost_hit = Some(chunk[pos]);
+                    chunk = &chunk[..pos];
+                }
+            }
+            if !chunk.is_empty() {
+                if let Err((local, e)) = exec_chunk(&mut engine, chunk) {
+                    if engine.is_killed()
+                        && !self.is_killed()
+                        && self.escalate_after_kill(shard, &e)
+                    {
+                        // Only the flag here: trip_kill() locks every
+                        // shard and we hold this one. `run_batch`
+                        // finishes the kill once no lock is held.
+                        self.killed.store(true, Ordering::Release);
+                    }
+                    return Err((chunk[local], e));
+                }
+                self.ops_served
+                    .fetch_add(chunk.len() as u64, Ordering::Relaxed);
+                if matches!(access, Access::Write) {
+                    for &i in chunk {
+                        self.recovery.clear_lost(shard, addr_of(i));
+                    }
+                }
+                ops_since_poll = chunk.len();
+            }
+            if let Some(index) = lost_hit {
+                return Err((
+                    index,
+                    ToleoError::PageLost {
+                        shard,
+                        address: addr_of(index),
+                    },
+                ));
+            }
+        }
+        // Tail poll: a quarantine landing during the final chunk still
+        // gets its observation lag recorded.
+        if self.quarantine.epoch() != epoch_seen {
+            self.max_poll_lag_ops
+                .fetch_max(ops_since_poll as u64, Ordering::Relaxed);
+        }
+        Ok(())
     }
 
     /// Aggregated engine counters across all shards. Quarantined (and
@@ -904,7 +887,7 @@ impl ShardedEngine {
     }
 
     /// Exclusive access to one shard's engine (tests and tooling; `&mut
-    /// self` proves no worker is running).
+    /// self` proves no caller is inside the handle).
     pub fn shard_engine_mut(&mut self, index: usize) -> &mut ProtectionEngine {
         self.shards[index]
             .get_mut()
@@ -921,6 +904,10 @@ enum Access {
     Write,
     Free,
 }
+
+/// A drain's failure: the failing index (chunk-local from `exec_chunk`,
+/// batch-wide from `drain_shard`) with its error.
+type ChunkResult = std::result::Result<(), (usize, ToleoError)>;
 
 /// Whether `e` is security-relevant (must never be masked by a benign
 /// failure earlier in a batch): tampering, a quarantined shard, an
@@ -1227,6 +1214,30 @@ mod tests {
         }
     }
 
+    /// A panic inside a shard's run (here: the engine's alignment assert
+    /// on the batch's last address) must not reach the caller or drop the
+    /// run's ops silently: it fails closed into the world-kill.
+    #[test]
+    fn panicked_shard_run_fails_closed_into_world_kill() {
+        let e = sharded(4);
+        let b = [9u8; 64];
+        // Index 0 -> shard 0; indices 1 and 2 -> shard 1, whose run panics
+        // at index 2 and is failed whole, from its first batch index.
+        let err = e
+            .write_batch_indexed(&[(0, b), (4096 + 64, b), (4096 + 3, b)])
+            .unwrap_err();
+        assert_eq!(err.index, 1);
+        assert!(matches!(
+            err.error,
+            ToleoError::IntegrityViolation { address } if address == 4096 + 64
+        ));
+        assert!(e.is_killed(), "a panicked run must world-kill");
+        for page in 0..4u64 {
+            assert!(e.read(page * 4096).is_err(), "page {page}");
+            assert!(e.write_batch(&[(page * 4096, b)]).is_err(), "page {page}");
+        }
+    }
+
     #[test]
     fn kill_poll_ops_knob_clamps_and_batches_still_work() {
         let mut e = sharded(2);
@@ -1416,6 +1427,50 @@ mod tests {
         let per_shard = e.per_shard_stats();
         let active: Vec<usize> = (0..4).filter(|&s| per_shard[s].writes > 0).collect();
         assert_eq!(active, vec![e.shard_of_addr(0x2000)]);
+    }
+
+    /// Two callers draining batches over the same shards at once: each
+    /// convoys on the shard locks the other holds, and neither may lose,
+    /// reorder or double-count an op. The barrier releases both into
+    /// every round together, so the drains overlap by construction.
+    #[test]
+    fn two_callers_batching_over_the_same_shards_stay_isolated() {
+        const ROUNDS: u64 = 64;
+        const BATCH: u64 = 256;
+        let e = sharded(8);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (e, barrier) = (&e, &barrier);
+                s.spawn(move || {
+                    // Both callers touch the same 32 pages (4 per shard),
+                    // on disjoint lines: caller `t` owns lines 8t..8t+8.
+                    let addrs: Vec<u64> = (0..BATCH)
+                        .map(|i| (i % 32) * PAGE_BYTES as u64 + (8 * t + i / 32) * 64)
+                        .collect();
+                    for round in 0..ROUNDS {
+                        let writes: Vec<(u64, Block)> = addrs
+                            .iter()
+                            .zip(0u64..)
+                            .map(|(&a, i)| (a, [(round * 2 + t + i) as u8; 64]))
+                            .collect();
+                        barrier.wait();
+                        e.write_batch(&writes).unwrap();
+                        let blocks = e.read_batch(&addrs).unwrap();
+                        for (block, (addr, written)) in blocks.iter().zip(&writes) {
+                            assert_eq!(block, written, "caller {t} round {round} addr {addr:#x}");
+                        }
+                    }
+                });
+            }
+        });
+        let issued = 2 * ROUNDS * BATCH;
+        let stats = e.stats();
+        assert_eq!(stats.writes, issued);
+        assert_eq!(stats.reads, issued);
+        assert_eq!(e.robustness_stats().ops_served, 2 * issued);
+        assert!(!e.is_killed());
+        assert_eq!(e.quarantined_shard_count(), 0);
     }
 
     #[test]

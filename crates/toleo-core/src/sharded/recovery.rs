@@ -21,7 +21,7 @@
 //!    closed (as it does for a device-level failure at any rung).
 //!
 //! The whole recovery cycle runs under the quarantined shard's own engine
-//! lock: healthy shards never block on it, and in-flight batch workers
+//! lock: healthy shards never block on it, and in-flight batch drains
 //! observe nothing but the quarantine-epoch bump when the shard is
 //! re-admitted.
 
@@ -281,7 +281,7 @@ impl ShardedEngine {
     }
 
     /// Sets the per-shard recovery budget, clamped to
-    /// `1..=`[`MAX_RECOVERY_BUDGET`]. `&mut self` proves no worker is
+    /// `1..=`[`MAX_RECOVERY_BUDGET`]. `&mut self` proves no caller is
     /// mid-flight while the ladder's last rung moves.
     pub fn set_recovery_budget(&mut self, budget: u64) {
         self.recovery.budget = budget.clamp(1, MAX_RECOVERY_BUDGET);
