@@ -9,8 +9,8 @@
 //! * [`backend`] — pluggable AES-128 backends: the portable T-table
 //!   software cipher plus hardware AES (x86_64 AES-NI / aarch64 crypto
 //!   extensions) selected by runtime feature detection, all exposing a
-//!   pipelined multi-block API so hardware instruction-level parallelism
-//!   is actually exploited.
+//!   pipelined multi-block API and a one-call 64-byte XTS line so
+//!   hardware instruction-level parallelism is actually exploited.
 //! * [`modes`] — AES-CTR (client-SGX MEE style) and AES-XTS (scalable-SGX /
 //!   Toleo style, with a `(version, address)` tweak).
 //! * [`mac`] — 56-bit truncated SipHash-2-4 tags, as packed eight-per-block

@@ -6,10 +6,17 @@
 //!   (we only need whole 16-byte blocks, so no stealing is implemented).
 //!   Scalable SGX uses XTS with an address tweak only; Toleo uses XTS with a
 //!   (version, address) tweak so freshness is bound into the ciphertext.
+//!   Its unit of work is the 64-byte cache line:
+//!   [`encrypt_line`](AesXts::encrypt_line) /
+//!   [`decrypt_line`](AesXts::decrypt_line) are one backend call each
+//!   ([`Aes128Backend::xts_line`](crate::backend::Aes128Backend::xts_line)),
+//!   and the slice API walks its input as whole lines through that same
+//!   call, then any sub-line tail sector by sector.
 
 // audit: allow-file(indexing, lane indices are bounded by the 8-block pipeline width)
 
 use crate::aes::Aes128;
+use crate::backend::{gf128_mul_alpha, xor16, LineTweak};
 
 /// A 128-bit XTS tweak: in Toleo it encodes the 64-bit full version number
 /// and the 64-bit physical address of the cache-block sector.
@@ -70,17 +77,31 @@ impl AesCtr {
     /// `(nonce, address, block_index)`. Same parameters -> same keystream,
     /// so calling twice round-trips.
     ///
+    /// The counter block is `nonce` (64 bits) ‖ `address >> 4` (48 bits —
+    /// distinct for every 16-byte sector below 4 PiB, far past the paper's
+    /// 28 TB) ‖ block index (16 bits), so two lines share a pad only if
+    /// they share a nonce *and* an address.
+    ///
     /// The keystream is generated up to eight counter blocks at a time
     /// through the cipher's pipelined multi-block API — CTR blocks are
     /// independent by construction, the ideal shape for hardware AES.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is longer than 1 MiB (the 16-bit block index
+    /// would wrap and reuse keystream within the call).
     pub fn apply(&self, nonce: u64, address: u64, data: &mut [u8]) {
+        assert!(
+            data.len() <= 16 << 16,
+            "CTR call exceeds the 16-bit block index"
+        );
         let mut template = [0u8; 16];
         template[..8].copy_from_slice(&nonce.to_le_bytes());
-        template[8..12].copy_from_slice(&((address >> 4) as u32).to_le_bytes());
+        template[8..14].copy_from_slice(&(address >> 4).to_le_bytes()[..6]);
         ctr_keystream_xor(
             &self.cipher,
             template,
-            |block, i| block[12..].copy_from_slice(&i.to_le_bytes()),
+            |block, i| block[14..].copy_from_slice(&(i as u16).to_le_bytes()),
             data,
         );
     }
@@ -111,17 +132,6 @@ pub(crate) fn ctr_keystream_xor(
             xor_with(chunk, lane);
         }
     }
-}
-
-/// Multiply a 128-bit value by x (alpha) in GF(2^128) with the XTS
-/// polynomial x^128 + x^7 + x^2 + x + 1, as one little-endian u128 shift
-/// (byte i bit 7 carries into byte i+1 bit 0; the top bit folds back the
-/// reduction constant 0x87).
-#[inline]
-fn gf128_mul_alpha(block: &mut [u8; 16]) {
-    let v = u128::from_le_bytes(*block);
-    let folded = (v << 1) ^ ((v >> 127) * 0x87);
-    *block = folded.to_le_bytes();
 }
 
 /// AES-128-XTS for whole 16-byte sectors (IEEE 1619-2007 without ciphertext
@@ -182,10 +192,12 @@ impl AesXts {
     /// tweak encryption plus four data-block encryptions.
     ///
     /// The returned bundle can be precomputed (and batched via
-    /// [`tweak_blocks`](Self::tweak_blocks)) and replayed through
-    /// [`encrypt_with_tweak`](Self::encrypt_with_tweak) /
-    /// [`decrypt_with_tweak`](Self::decrypt_with_tweak), which is how the
-    /// protection engine amortizes tweak encryption across a page walk.
+    /// [`tweak_blocks`](Self::tweak_blocks)) and replayed through the
+    /// `_with_tweak` entry points, which is how the protection engine
+    /// amortizes tweak encryption across a page walk. For a single line
+    /// prefer [`encrypt_line`](Self::encrypt_line) /
+    /// [`decrypt_line`](Self::decrypt_line): they encrypt the tweak
+    /// inside the line kernel, saving a call and a trip through memory.
     pub fn tweak_block(&self, tweak: Tweak) -> [u8; 16] {
         self.tweak_cipher.encrypt_block(&tweak.to_bytes())
     }
@@ -226,9 +238,9 @@ impl AesXts {
     }
 
     /// Encrypts `data` in place under a precomputed
-    /// [`tweak_block`](Self::tweak_block) bundle, feeding consecutive
-    /// sectors through the cipher's multi-block pipeline (a 64-byte cache
-    /// block is one four-wide batch instead of four serial passes).
+    /// [`tweak_block`](Self::tweak_block) bundle: each whole 64-byte line
+    /// is one line-kernel call (four sectors in flight), a sub-line tail
+    /// goes one sector at a time.
     ///
     /// # Panics
     ///
@@ -246,37 +258,64 @@ impl AesXts {
         self.apply_with_tweak(tweak0, data, false);
     }
 
-    /// Shared XEX core: xor the per-sector tweak in, push up to eight
-    /// sectors through the block cipher at once, xor the tweak back out.
+    /// Encrypts one 64-byte cache line in place under `tweak`: tweak
+    /// encryption, α-multiples and the four sector XEXes are one
+    /// [`Aes128::xts_line`] call — on a hardware backend, one kernel.
+    #[inline]
+    pub fn encrypt_line(&self, tweak: Tweak, line: &mut [u8; 64]) {
+        self.xex_line(LineTweak::Raw(tweak.to_bytes()), true, line);
+    }
+
+    /// Decrypts one 64-byte cache line in place under `tweak`.
+    #[inline]
+    pub fn decrypt_line(&self, tweak: Tweak, line: &mut [u8; 64]) {
+        self.xex_line(LineTweak::Raw(tweak.to_bytes()), false, line);
+    }
+
+    /// [`encrypt_line`](Self::encrypt_line) under a precomputed
+    /// [`tweak_block`](Self::tweak_block) bundle.
+    #[inline]
+    pub fn encrypt_line_with_tweak(&self, tweak0: [u8; 16], line: &mut [u8; 64]) {
+        self.xex_line(LineTweak::Encrypted(tweak0), true, line);
+    }
+
+    /// [`decrypt_line`](Self::decrypt_line) under a precomputed tweak
+    /// bundle.
+    #[inline]
+    pub fn decrypt_line_with_tweak(&self, tweak0: [u8; 16], line: &mut [u8; 64]) {
+        self.xex_line(LineTweak::Encrypted(tweak0), false, line);
+    }
+
+    #[inline]
+    fn xex_line(&self, tweak: LineTweak, encrypt: bool, line: &mut [u8; 64]) {
+        self.data_cipher
+            .xts_line(&self.tweak_cipher, tweak, encrypt, line);
+    }
+
+    /// Walks `data` as whole 64-byte lines through the line kernel, then
+    /// any sub-line tail one sector at a time; `t` carries the running
+    /// α-multiple across both.
     fn apply_with_tweak(&self, tweak0: [u8; 16], data: &mut [u8], encrypt: bool) {
         assert_eq!(data.len() % 16, 0, "XTS data must be whole sectors");
         let mut t = tweak0;
-        let mut tweaks = [[0u8; 16]; 8];
-        let mut blocks = [[0u8; 16]; 8];
-        for chunks in data.chunks_mut(8 * 16) {
-            let lanes = chunks.len() / 16;
-            for (j, chunk) in chunks.as_chunks::<16>().0.iter().enumerate() {
-                tweaks[j] = t;
+        let (lines, tail) = data.as_chunks_mut::<64>();
+        for line in lines {
+            self.xex_line(LineTweak::Encrypted(t), encrypt, line);
+            for _ in 0..4 {
                 gf128_mul_alpha(&mut t);
-                blocks[j] = *chunk;
-                xor16(&mut blocks[j], &tweaks[j]);
-            }
-            if encrypt {
-                self.data_cipher.encrypt_blocks(&mut blocks[..lanes]);
-            } else {
-                self.data_cipher.decrypt_blocks(&mut blocks[..lanes]);
-            }
-            for (j, chunk) in chunks.chunks_exact_mut(16).enumerate() {
-                xor16(&mut blocks[j], &tweaks[j]);
-                chunk.copy_from_slice(&blocks[j]);
             }
         }
+        for sector in tail.as_chunks_mut::<16>().0 {
+            xor16(sector, &t);
+            *sector = if encrypt {
+                self.data_cipher.encrypt_block(sector)
+            } else {
+                self.data_cipher.decrypt_block(sector)
+            };
+            xor16(sector, &t);
+            gf128_mul_alpha(&mut t);
+        }
     }
-}
-
-#[inline]
-fn xor16(dst: &mut [u8; 16], src: &[u8; 16]) {
-    *dst = (u128::from_ne_bytes(*dst) ^ u128::from_ne_bytes(*src)).to_ne_bytes();
 }
 
 /// XORs `key` into `data` (which may be shorter on the final chunk of a
@@ -355,30 +394,69 @@ mod tests {
         }
 
         /// The optimized XTS agrees with XTS over the reference cipher on
-        /// random keys, tweaks and sector counts, both directions.
+        /// random keys and tweaks, both directions, on every backend, at
+        /// every length from 16 to 160 bytes: sector tails alone, whole
+        /// lines, and lines followed by a tail.
         #[test]
         fn xts_matches_reference(
             data_key in proptest::array::uniform16(any::<u8>()),
             tweak_key in proptest::array::uniform16(any::<u8>()),
             version in any::<u64>(),
             address in any::<u64>(),
-            sectors in 1usize..8,
+            sectors in 1usize..11,
             seed in any::<u8>(),
         ) {
             let tweak = Tweak { version, address };
-            let xts = AesXts::new(&data_key, &tweak_key);
             let data: Vec<u8> = (0..sectors * 16).map(|i| seed.wrapping_add(i as u8)).collect();
-
-            let mut fast = data.clone();
-            xts.encrypt(tweak, &mut fast);
             let mut slow = data.clone();
             ref_xts(&data_key, &tweak_key, tweak, &mut slow, true);
-            prop_assert_eq!(&fast, &slow);
-
-            xts.decrypt(tweak, &mut fast);
+            for kind in crate::backend::available_backends() {
+                let xts = AesXts::with_backend(&data_key, &tweak_key, kind);
+                let mut fast = data.clone();
+                xts.encrypt(tweak, &mut fast);
+                prop_assert!(fast == slow, "{} encrypt", kind.name());
+                xts.decrypt(tweak, &mut fast);
+                prop_assert!(fast == data, "{} decrypt", kind.name());
+            }
             ref_xts(&data_key, &tweak_key, tweak, &mut slow, false);
-            prop_assert_eq!(&fast, &data);
             prop_assert_eq!(&slow, &data);
+        }
+
+        /// The line kernel — raw tweak and precomputed bundle, both
+        /// directions — agrees with XTS over the reference cipher on
+        /// every backend.
+        #[test]
+        fn line_kernel_matches_reference(
+            data_key in proptest::array::uniform16(any::<u8>()),
+            tweak_key in proptest::array::uniform16(any::<u8>()),
+            version in any::<u64>(),
+            address in any::<u64>(),
+            seed in any::<u8>(),
+        ) {
+            let tweak = Tweak { version, address };
+            let plain: [u8; 64] = core::array::from_fn(|i| seed.wrapping_mul(i as u8 | 1));
+            let mut sealed = plain;
+            ref_xts(&data_key, &tweak_key, tweak, &mut sealed, true);
+            // Decryption of arbitrary bytes, not only of valid ciphertext.
+            let mut unsealed = plain;
+            ref_xts(&data_key, &tweak_key, tweak, &mut unsealed, false);
+            for kind in crate::backend::available_backends() {
+                let xts = AesXts::with_backend(&data_key, &tweak_key, kind);
+                let bundle = xts.tweak_block(tweak);
+                let mut line = plain;
+                xts.encrypt_line(tweak, &mut line);
+                prop_assert!(line == sealed, "{} encrypt_line", kind.name());
+                xts.decrypt_line(tweak, &mut line);
+                prop_assert!(line == plain, "{} decrypt_line roundtrip", kind.name());
+                xts.decrypt_line(tweak, &mut line);
+                prop_assert!(line == unsealed, "{} decrypt_line", kind.name());
+                let mut line = plain;
+                xts.encrypt_line_with_tweak(bundle, &mut line);
+                prop_assert!(line == sealed, "{} encrypt_line_with_tweak", kind.name());
+                let mut line = plain;
+                xts.decrypt_line_with_tweak(bundle, &mut line);
+                prop_assert!(line == unsealed, "{} decrypt_line_with_tweak", kind.name());
+            }
         }
 
         /// CTR over the optimized cipher matches a reference-cipher CTR.
@@ -397,8 +475,8 @@ mod tests {
             for (i, chunk) in slow.chunks_mut(16).enumerate() {
                 let mut ctr_block = [0u8; 16];
                 ctr_block[..8].copy_from_slice(&nonce.to_le_bytes());
-                ctr_block[8..12].copy_from_slice(&((address >> 4) as u32).to_le_bytes());
-                ctr_block[12..].copy_from_slice(&(i as u32).to_le_bytes());
+                ctr_block[8..14].copy_from_slice(&(address >> 4).to_le_bytes()[..6]);
+                ctr_block[14..].copy_from_slice(&(i as u16).to_le_bytes());
                 let ks = cipher.encrypt_block(&ctr_block);
                 for (d, k) in chunk.iter_mut().zip(ks.iter()) {
                     *d ^= k;
@@ -474,6 +552,105 @@ mod tests {
         }
     }
 
+    fn unhex<const N: usize>(hex: &str) -> [u8; N] {
+        assert_eq!(hex.len(), 2 * N);
+        core::array::from_fn(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap())
+    }
+
+    /// Every way of sealing one line must produce `expect`: the slice
+    /// API, the line kernel, and a precomputed bundle replayed through
+    /// the slice API. `pt` may be shorter than a line; the kernel then
+    /// runs on it zero-padded (sectors are independent without stealing).
+    fn assert_seals_to(xts: &AesXts, tweak: Tweak, pt: &[u8], expect: &[u8], what: &str) {
+        let mut via_slice = pt.to_vec();
+        xts.encrypt(tweak, &mut via_slice);
+        assert_eq!(via_slice, expect, "{what}: encrypt");
+        let mut line = [0u8; 64];
+        line[..pt.len()].copy_from_slice(pt);
+        xts.encrypt_line(tweak, &mut line);
+        assert_eq!(&line[..pt.len()], expect, "{what}: encrypt_line");
+        let mut via_bundle = pt.to_vec();
+        xts.encrypt_with_tweak(xts.tweak_block(tweak), &mut via_bundle);
+        assert_eq!(
+            via_bundle, expect,
+            "{what}: tweak_block + encrypt_with_tweak"
+        );
+        xts.decrypt(tweak, &mut via_bundle);
+        assert_eq!(via_bundle, pt, "{what}: decrypt");
+    }
+
+    /// IEEE 1619-2007 Annex B, XTS-AES-128 vectors 1-3 (32-byte data
+    /// units). The data-unit sequence number is the low 64 bits of the
+    /// little-endian tweak block, i.e. `version`; `address` is zero.
+    #[test]
+    fn ieee1619_xts_aes128_vectors_per_backend() {
+        let vectors: [(&str, &str, u64, &str, &str); 3] = [
+            (
+                "00000000000000000000000000000000",
+                "00000000000000000000000000000000",
+                0,
+                "0000000000000000000000000000000000000000000000000000000000000000",
+                "917cf69ebd68b2ec9b9fe9a3eadda692cd43d2f59598ed858c02c2652fbf922e",
+            ),
+            (
+                "11111111111111111111111111111111",
+                "22222222222222222222222222222222",
+                0x33_3333_3333,
+                "4444444444444444444444444444444444444444444444444444444444444444",
+                "c454185e6a16936e39334038acef838bfb186fff7480adc4289382ecd6d394f0",
+            ),
+            (
+                "fffefdfcfbfaf9f8f7f6f5f4f3f2f1f0",
+                "22222222222222222222222222222222",
+                0x33_3333_3333,
+                "4444444444444444444444444444444444444444444444444444444444444444",
+                "af85336b597afc1a900b2eb21ec949d292df4c047e0b21532186a5971a227a89",
+            ),
+        ];
+        for kind in crate::backend::available_backends() {
+            for (i, (key1, key2, seq, ptx, ctx)) in vectors.iter().enumerate() {
+                let xts = AesXts::with_backend(&unhex(key1), &unhex(key2), kind);
+                let tweak = Tweak {
+                    version: *seq,
+                    address: 0,
+                };
+                let what = format!("{} vector {}", kind.name(), i + 1);
+                assert_seals_to(&xts, tweak, &unhex::<32>(ptx), &unhex::<32>(ctx), &what);
+            }
+        }
+    }
+
+    /// One 64-byte line with its ciphertext and `Tag56` pinned from the
+    /// commit before the line kernel existed: the bytes an engine leaves
+    /// in untrusted memory did not change, on any backend.
+    #[test]
+    fn pinned_line_ciphertext_and_tag_per_backend() {
+        let data_key: [u8; 16] = core::array::from_fn(|i| 0x10 + i as u8);
+        let tweak_key: [u8; 16] = core::array::from_fn(|i| 0xa0 + i as u8);
+        let mac_key: [u8; 16] = core::array::from_fn(|i| 0x55 ^ (i as u8 * 7));
+        let tweak = Tweak {
+            version: 0x0123_4567_89ab_cdef,
+            address: 0x0000_19f3_c0de_0040,
+        };
+        let pt: [u8; 64] = core::array::from_fn(|i| (i as u8).wrapping_mul(3).wrapping_add(1));
+        let ct: [u8; 64] = unhex(
+            "9408dbe33203b60e8c73fe6befe1c2c3d3ac5515f65d1c92cbe8cb6d5f2ddad7\
+             262ef2fe0abc968ac0f912ff15a310f8588d7eb9177c34eba367d7b709225b1e",
+        );
+        for kind in crate::backend::available_backends() {
+            let xts = AesXts::with_backend(&data_key, &tweak_key, kind);
+            assert_eq!(
+                xts.tweak_block(tweak),
+                unhex("bd2bbbe60f49d4091920553d48abde9c"),
+                "{} tweak bundle",
+                kind.name()
+            );
+            assert_seals_to(&xts, tweak, &pt, &ct, kind.name());
+            let tag = crate::mac::MacKey::new(mac_key).mac(tweak.version, tweak.address, &ct);
+            assert_eq!(tag.as_raw(), 0xe3_97d1_67b4_27b9, "{} tag", kind.name());
+        }
+    }
+
     #[test]
     fn ctr_roundtrip_and_nonce_sensitivity() {
         let ctr = AesCtr::new(&[3u8; 16]);
@@ -495,6 +672,26 @@ mod tests {
         ctr.apply(1, 0x1000, &mut a);
         ctr.apply(1, 0x2000, &mut b);
         assert_ne!(a, b);
+    }
+
+    /// Regression: the counter block used to keep only 32 bits of
+    /// `address >> 4`, so lines 64 GiB apart shared a pad under one nonce.
+    #[test]
+    fn ctr_addresses_64_gib_apart_do_not_share_keystream() {
+        let ctr = AesCtr::new(&[3u8; 16]);
+        for a in [0u64, 0x1000, 27 << 40] {
+            let mut near = [0u8; 64];
+            let mut far = [0u8; 64];
+            ctr.apply(9, a, &mut near);
+            ctr.apply(9, a + (1 << 36), &mut far);
+            assert_ne!(near, far, "address {a:#x}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "16-bit block index")]
+    fn ctr_rejects_calls_that_would_wrap_the_block_index() {
+        AesCtr::new(&[3u8; 16]).apply(1, 0, &mut vec![0u8; (16 << 16) + 1]);
     }
 
     #[test]

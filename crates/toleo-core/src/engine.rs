@@ -428,9 +428,17 @@ impl ProtectionEngine {
                 for (k, &l) in resident[..n].iter().enumerate() {
                     let lbase = page_base + (l * CACHE_BLOCK_BYTES) as u64;
                     let old_fv = FullVersion::compose(uv, notice.old_stealth[l], stealth_bits);
-                    match unseal_line_with(&self.xts, &self.mac, slot, l, lbase, old_fv, old_t[k]) {
-                        Ok(pt) => seal_line_with(
-                            &self.xts, &self.mac, slot, l, lbase, new_fv, new_t[k], &pt,
+                    let old = Some(old_t[k]);
+                    match unseal_line(&self.xts, &self.mac, slot, l, lbase, old_fv, old) {
+                        Ok(pt) => seal_line(
+                            &self.xts,
+                            &self.mac,
+                            slot,
+                            l,
+                            lbase,
+                            new_fv,
+                            Some(new_t[k]),
+                            &pt,
                         ),
                         Err(fail) => {
                             failure = Some((lbase, fail));
@@ -461,6 +469,7 @@ impl ProtectionEngine {
             line,
             addr,
             fv,
+            None,
             plaintext,
         );
         Ok(())
@@ -503,7 +512,7 @@ impl ProtectionEngine {
         };
         let slot = self.dram.slot(id);
         let fv = FullVersion::compose(slot.uv(), stealth, self.cfg.stealth_bits);
-        match unseal_line(&self.xts, &self.mac, slot, line, addr, fv) {
+        match unseal_line(&self.xts, &self.mac, slot, line, addr, fv, None) {
             Ok(pt) => Ok(pt),
             Err(fail) => {
                 if fail == UnsealFail::BadTag {
@@ -655,14 +664,14 @@ impl ProtectionEngine {
                         continue;
                     }
                     let fv = FullVersion::compose(uv, versions[k].0, bits);
-                    match unseal_line_with(
+                    match unseal_line(
                         &self.xts,
                         &self.mac,
                         slot,
                         line,
                         addrs[i + k],
                         fv,
-                        bundles[resident],
+                        Some(bundles[resident]),
                     ) {
                         Ok(pt) => {
                             out.push(pt);
@@ -730,7 +739,7 @@ impl ProtectionEngine {
                 };
                 let slot = self.dram.slot(id);
                 let fv = FullVersion::compose(slot.uv(), stealth, bits);
-                match unseal_line(&self.xts, &self.mac, slot, line, addr, fv) {
+                match unseal_line(&self.xts, &self.mac, slot, line, addr, fv, None) {
                     Ok(pt) => out.intact.push((addr, pt)),
                     Err(_) => out.lost.push(addr),
                 }
@@ -744,8 +753,8 @@ impl ProtectionEngine {
     /// at the first error. Every write must still issue its own device
     /// UPDATE (each advances a distinct stealth version), so the per-run
     /// amortization here is the last-page slot cache plus the batched
-    /// crypto inside each op (four-wide XTS sectors, pipelined reset
-    /// walks).
+    /// crypto inside each op (one line-kernel call per block, pipelined
+    /// reset walks).
     ///
     /// # Errors
     ///
@@ -790,7 +799,11 @@ enum UnsealFail {
 }
 
 /// Encrypts `plaintext` under the `(full version, address)` tweak, MACs
-/// the ciphertext, and stores both in the page slot.
+/// the ciphertext, and stores both in the page slot. `bundle` is the tweak
+/// already encrypted by a pipelined `tweak_blocks` pass (the reset walk
+/// precomputes a whole page's worth); `None` leaves the tweak encryption
+/// to the line kernel.
+#[allow(clippy::too_many_arguments)]
 fn seal_line(
     xts: &AesXts,
     mac: &MacKey,
@@ -798,37 +811,23 @@ fn seal_line(
     line: usize,
     base: u64,
     fv: FullVersion,
-    plaintext: &Block,
-) {
-    let tweak0 = xts.tweak_block(Tweak {
-        version: fv.raw(),
-        address: base,
-    });
-    seal_line_with(xts, mac, slot, line, base, fv, tweak0, plaintext);
-}
-
-/// [`seal_line`] with the encrypted XTS tweak bundle already in hand —
-/// the batched paths (reset walk, `read_batch`) precompute bundles for a
-/// whole run of lines through the pipelined multi-block API.
-#[allow(clippy::too_many_arguments)]
-fn seal_line_with(
-    xts: &AesXts,
-    mac: &MacKey,
-    slot: &mut PageSlot,
-    line: usize,
-    base: u64,
-    fv: FullVersion,
-    tweak0: [u8; 16],
+    bundle: Option<[u8; 16]>,
     plaintext: &Block,
 ) {
     let mut ct = *plaintext;
-    xts.encrypt_with_tweak(tweak0, &mut ct);
+    match bundle {
+        Some(tweak0) => xts.encrypt_line_with_tweak(tweak0, &mut ct),
+        None => xts.encrypt_line(line_tweak(fv, base), &mut ct),
+    }
     let tag = mac.mac(fv.raw(), base, &ct);
     slot.set_block(line, ct);
     slot.set_tag(line, tag);
 }
 
 /// Verifies and decrypts the block at `line`; absent blocks read as zeros.
+/// `bundle` is as for [`seal_line`]. MAC verification gates decryption
+/// either way: no tweak or key touches the ciphertext until the stored
+/// tag checks out.
 fn unseal_line(
     xts: &AesXts,
     mac: &MacKey,
@@ -836,28 +835,7 @@ fn unseal_line(
     line: usize,
     base: u64,
     fv: FullVersion,
-) -> std::result::Result<Block, UnsealFail> {
-    if slot.block(line).is_none() {
-        return Ok([0u8; CACHE_BLOCK_BYTES]);
-    }
-    let tweak0 = xts.tweak_block(Tweak {
-        version: fv.raw(),
-        address: base,
-    });
-    unseal_line_with(xts, mac, slot, line, base, fv, tweak0)
-}
-
-/// [`unseal_line`] with the encrypted XTS tweak bundle already in hand.
-/// MAC verification still gates decryption: the bundle is only used after
-/// the stored tag checks out.
-fn unseal_line_with(
-    xts: &AesXts,
-    mac: &MacKey,
-    slot: &PageSlot,
-    line: usize,
-    base: u64,
-    fv: FullVersion,
-    tweak0: [u8; 16],
+    bundle: Option<[u8; 16]>,
 ) -> std::result::Result<Block, UnsealFail> {
     let ct = match slot.block(line) {
         Some(c) => *c,
@@ -869,8 +847,19 @@ fn unseal_line_with(
         return Err(UnsealFail::BadTag);
     }
     let mut pt = ct;
-    xts.decrypt_with_tweak(tweak0, &mut pt);
+    match bundle {
+        Some(tweak0) => xts.decrypt_line_with_tweak(tweak0, &mut pt),
+        None => xts.decrypt_line(line_tweak(fv, base), &mut pt),
+    }
     Ok(pt)
+}
+
+/// The XTS data-unit tweak of the line at `base` under version `fv`.
+fn line_tweak(fv: FullVersion, base: u64) -> Tweak {
+    Tweak {
+        version: fv.raw(),
+        address: base,
+    }
 }
 
 #[cfg(test)]
@@ -1245,6 +1234,66 @@ mod tests {
         let err = e.read_batch(&addrs).unwrap_err();
         assert_eq!(err.index, 0);
         assert_eq!(e.write_batch(&[(0, [0u8; 64])]).unwrap_err().index, 0);
+    }
+
+    /// A flipped ciphertext bit and a stale tag under fresh ciphertext are
+    /// each caught by the MAC check in front of every decryption path —
+    /// `read`, a `read_batch` run (failing index reported) and the reset
+    /// re-encryption walk — as `IntegrityViolation` at the victim's
+    /// address, with the engine killed afterwards.
+    #[test]
+    fn tamper_and_stale_tag_fail_closed_on_every_unseal_path() {
+        #[derive(Debug, Clone, Copy)]
+        enum Attack {
+            FlippedBit,
+            StaleTag,
+        }
+        #[derive(Debug, Clone, Copy)]
+        enum Path {
+            Read,
+            ReadBatch,
+            ResetWalk,
+        }
+        let base = 0x1000u64;
+        let victim = base + 5 * 64;
+        for attack in [Attack::FlippedBit, Attack::StaleTag] {
+            for path in [Path::Read, Path::ReadBatch, Path::ResetWalk] {
+                let mut cfg = ToleoConfig::small();
+                cfg.reset_log2 = 4; // frequent resets, so the walk runs soon
+                let mut e = ProtectionEngine::try_new(cfg, [4u8; 48]).unwrap();
+                for l in 0..8u64 {
+                    e.write(base + l * 64, &[l as u8 + 1; 64]).unwrap();
+                }
+                match attack {
+                    Attack::FlippedBit => e.adversary().corrupt_data(victim, 17, 0x04),
+                    Attack::StaleTag => {
+                        let id = e.dram.slot_id(layout::page_of(victim)).unwrap();
+                        let stale = e.dram.slot(id).tag(layout::line_of(victim)).unwrap();
+                        e.write(victim, &[0x77; 64]).unwrap();
+                        e.adversary().forge_mac(victim, stale);
+                    }
+                }
+                let error = match path {
+                    Path::Read => e.read(victim).unwrap_err(),
+                    Path::ReadBatch => {
+                        let addrs: Vec<u64> = (0..8u64).map(|l| base + l * 64).collect();
+                        let err = e.read_batch(&addrs).unwrap_err();
+                        assert_eq!(err.index, 5, "{attack:?} via {path:?}");
+                        err.error
+                    }
+                    // Hammer another line of the page until a reset's
+                    // walk over the resident lines reaches the victim.
+                    Path::ResetWalk => (0..2000)
+                        .find_map(|_| e.write(base + 9 * 64, &[0xee; 64]).err())
+                        .expect("a reset walk must reach the victim"),
+                };
+                assert!(
+                    matches!(error, ToleoError::IntegrityViolation { address } if address == victim),
+                    "{attack:?} via {path:?}: {error:?}"
+                );
+                assert!(e.is_killed(), "{attack:?} via {path:?} must kill");
+            }
+        }
     }
 
     #[test]
