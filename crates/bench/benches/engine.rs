@@ -1,8 +1,8 @@
 //! Criterion end-to-end benchmarks for the functional protection engine:
 //! blocks/second for the sequential, random and hot-line-reset-heavy
 //! workloads from `toleo_workloads::pattern`, replayed through
-//! `ProtectionEngine::{read,write}`. The `throughput` binary emits the
-//! same workloads into `BENCH_2.json`; this bench tracks them under
+//! `ProtectionEngine::{read,write}`. `reproduce --only throughput`
+//! reports the same workloads; this bench tracks them under
 //! `cargo bench`.
 
 // audit: allow-file(panic, bench setup: aborting on a broken harness is the right failure mode)

@@ -7,13 +7,13 @@
 //! ```
 //!
 //! produces `results/<name>.{json,md}` for all 18 experiments plus
-//! `summary.md`, `delta.md` and `trajectory.md`, compares every
-//! functional experiment against its `expected/<name>.json` reference
-//! (exact at matching scale, structural otherwise), checks the
-//! availability and recovery correctness invariants, and — with `--compare` — holds
-//! the wall-clock experiments to tolerance floors against a committed
-//! `BENCH_*.json` baseline. Any drift, missing reference, failed
-//! invariant or missed floor exits nonzero.
+//! `summary.md` and `delta.md`, compares every functional experiment
+//! against its `expected/<name>.json` reference (exact at matching
+//! scale, structural otherwise), and checks the availability and
+//! recovery correctness invariants whenever those experiments run. Any
+//! drift, missing reference or failed invariant exits nonzero. The
+//! wall-clock experiments are reported, not compared: a speed claim is
+//! judged by `benchmark/`'s paired parent/change compare.
 //!
 //! Flags:
 //!
@@ -22,9 +22,7 @@
 //! - `--out DIR`      results tree root (default `results`)
 //! - `--expected DIR` reference tree root (default `expected`)
 //! - `--update-expected`  rewrite the references from this run
-//! - `--compare FILE` gate wall-clock numbers against this baseline
-//! - `--tolerance T`  floor ratio for `--compare` (default 0.85)
-//! - `--render`       re-splice the generated blocks of EXPERIMENTS.md
+//! - `--render`       re-splice the `figures` block of EXPERIMENTS.md
 //! - `--list`         print the registry and exit
 
 // audit: allow-file(panic, reproduce harness: a reproduction run must abort loudly on bad arguments or unwritable output, never emit a partial results tree silently)
@@ -37,18 +35,15 @@ use toleo_bench::experiments::{self, Experiment, RunCtx};
 use toleo_bench::json;
 use toleo_bench::report::Report;
 use toleo_bench::repro::{
-    self, check_availability_invariants, check_perf_floors, check_recovery_invariants,
-    compare_reports, DeltaOutcome, DeltaStatus,
+    self, check_availability_invariants, check_recovery_invariants, compare_reports, DeltaOutcome,
+    DeltaStatus,
 };
-use toleo_bench::trajectory;
 
 struct Args {
     out: PathBuf,
     expected: PathBuf,
     only: Option<Vec<String>>,
     ops: Option<u64>,
-    compare: Option<PathBuf>,
-    tolerance: f64,
     update_expected: bool,
     render: bool,
     list: bool,
@@ -57,7 +52,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: reproduce [--only a,b,c] [--ops N] [--out DIR] [--expected DIR] \
-         [--update-expected] [--compare BENCH.json] [--tolerance T] [--render] [--list]"
+         [--update-expected] [--render] [--list]"
     );
     std::process::exit(2);
 }
@@ -68,8 +63,6 @@ fn parse_args() -> Args {
         expected: PathBuf::from("expected"),
         only: None,
         ops: None,
-        compare: None,
-        tolerance: 0.85,
         update_expected: false,
         render: false,
         list: false,
@@ -95,17 +88,6 @@ fn parse_args() -> Args {
                         .parse()
                         .unwrap_or_else(|e| panic!("--ops: {e}")),
                 )
-            }
-            "--compare" => args.compare = Some(PathBuf::from(value("--compare"))),
-            "--tolerance" => {
-                let t: f64 = value("--tolerance")
-                    .parse()
-                    .unwrap_or_else(|e| panic!("--tolerance: {e}"));
-                assert!(
-                    t > 0.0 && t <= 1.0,
-                    "--tolerance must be in (0, 1], got {t}"
-                );
-                args.tolerance = t;
             }
             "--update-expected" => args.update_expected = true,
             "--render" => args.render = true,
@@ -266,47 +248,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // 3. Wall-clock tolerance floors against the committed baseline.
-    let mut floor_lines = Vec::new();
-    if let Some(baseline_path) = &args.compare {
-        match reports.get("throughput") {
-            None => failures.push("--compare given but throughput was not run".to_string()),
-            Some(throughput) => {
-                let text = std::fs::read_to_string(baseline_path)
-                    .unwrap_or_else(|e| panic!("{}: {e}", baseline_path.display()));
-                match check_perf_floors(&text, args.tolerance, throughput) {
-                    Err(e) => failures.push(format!("perf floors: {e}")),
-                    Ok(rows) => {
-                        for r in &rows {
-                            floor_lines.push(format!(
-                                "| `{}` | {:.0} | {:.0} | {:.2}x | {} | {} |",
-                                r.name,
-                                r.measured,
-                                r.baseline,
-                                r.ratio,
-                                if r.higher_is_better { "≥" } else { "≤" },
-                                if r.pass { "pass" } else { "**FAIL**" }
-                            ));
-                            if !r.pass {
-                                failures.push(format!(
-                                    "floor {}: measured {:.0} vs baseline {:.0} (ratio {:.2}, tolerance {})",
-                                    r.name, r.measured, r.baseline, r.ratio, args.tolerance
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // 4. The lineage rendering (BENCH_2 → BENCH_6).
-    match trajectory::render_from_dir(Path::new(".")) {
-        Ok(section) => write(&args.out.join("trajectory.md"), &section),
-        Err(e) => eprintln!("reproduce: trajectory skipped ({e})"),
-    }
-
-    // 5. Summary and delta report.
+    // 3. Summary and delta report.
     let mut summary = String::from("# Reproduction summary\n\n");
     summary.push_str(&format!(
         "- experiments run: {} of {}\n- scale: mem_ops={}, perf_ops={}\n\n",
@@ -330,7 +272,7 @@ fn main() -> ExitCode {
     let mut delta_md = String::from("# Delta report\n\n");
     delta_md.push_str(
         "Functional experiments against `expected/` references; wall-clock \
-         experiments against tolerance floors.\n\n",
+         experiments reported, with their correctness invariants below.\n\n",
     );
     for d in &deltas {
         delta_md.push_str(&format!("## {} — {}\n\n", d.name, d.status.label()));
@@ -363,41 +305,23 @@ fn main() -> ExitCode {
         }
         delta_md.push('\n');
     }
-    if !floor_lines.is_empty() {
-        delta_md.push_str(&format!(
-            "## Wall-clock floors vs `{}` (tolerance {})\n\n\
-             | metric | measured | baseline | ratio | dir | verdict |\n|---|---|---|---|---|---|\n",
-            args.compare
-                .as_ref()
-                .map_or(String::new(), |p| p.display().to_string()),
-            args.tolerance
-        ));
-        for l in &floor_lines {
-            delta_md.push_str(l);
-            delta_md.push('\n');
-        }
-        delta_md.push('\n');
-    }
     write(&args.out.join("delta.md"), &delta_md);
 
-    // 6. --render: re-splice the generated blocks of EXPERIMENTS.md from
-    //    the committed references and lineage files.
+    // 4. --render: re-splice the generated `figures` block of
+    //    EXPERIMENTS.md from the committed references.
     if args.render {
         let doc_path = Path::new("EXPERIMENTS.md");
         let doc = std::fs::read_to_string(doc_path)
             .unwrap_or_else(|e| panic!("{}: {e}", doc_path.display()));
         let figures = repro::render_headline(&args.expected)
             .unwrap_or_else(|e| panic!("rendering headline figures: {e}"));
-        let lineage = trajectory::render_from_dir(Path::new("."))
-            .unwrap_or_else(|e| panic!("rendering trajectory: {e}"));
         let doc = repro::splice_generated(&doc, "figures", &figures)
-            .and_then(|d| repro::splice_generated(&d, "trajectory", &lineage))
             .unwrap_or_else(|e| panic!("splicing EXPERIMENTS.md: {e}"));
         write(doc_path, &doc);
         eprintln!("reproduce: EXPERIMENTS.md regenerated");
     }
 
-    // 7. Verdict.
+    // 5. Verdict.
     if failures.is_empty() {
         println!(
             "reproduce: OK — {} experiments, results in {}/",

@@ -97,6 +97,14 @@ pub fn run(ctx: &RunCtx) -> Report {
         Cell::text("refused (ShardQuarantined)"),
         Cell::int(q.refused_blocks),
     ]);
+    quarantine.row(vec![
+        Cell::text("ops served when the quarantine engaged"),
+        Cell::int(q.ops_at_quarantine),
+    ]);
+    quarantine.row(vec![
+        Cell::text("ops served in total"),
+        Cell::int(q.ops_served_total),
+    ]);
     report.tables.push(quarantine);
     report.metric("quarantine.quarantined_shards", q.quarantined_shards as f64);
     report.metric("quarantine.world_killed", u64::from(q.world_killed) as f64);

@@ -1,12 +1,10 @@
 //! The experiment registry: every paper figure/table plus the wall-clock
 //! harnesses as library entry points.
 //!
-//! Each `src/bin/*.rs` figure binary used to own its experiment logic;
-//! the logic now lives here as a module returning a structured
-//! [`Report`], and the binaries are thin wrappers over [`cli_main`].
-//! That gives the `reproduce` harness (and the test suite) the same
-//! entry points the binaries use: run one experiment, get back machine-
-//! comparable tables and metrics instead of stdout text.
+//! Each experiment is a module returning a structured [`Report`]. The
+//! `reproduce` binary (`--only <name>` for one experiment) and the test
+//! suite share these entry points: run one experiment, get back
+//! machine-comparable tables and metrics.
 //!
 //! A [`RunCtx`] carries the scale knobs and memoizes the expensive
 //! simulator sweeps: several experiments need "all 12 workloads under
@@ -60,17 +58,16 @@ use toleo_workloads::GenConfig;
 
 /// One registered experiment.
 pub struct Experiment {
-    /// Registry name; also the binary name and the `results/<name>.*`
-    /// stem.
+    /// Registry name; also the `reproduce --only` name and the
+    /// `results/<name>.*` stem.
     pub name: &'static str,
     /// Which paper element it reproduces ("Figure 6", "Table 2", …).
     pub paper_ref: &'static str,
     /// One-line description for `reproduce --list` and the summary.
     pub about: &'static str,
-    /// `true` for wall-clock measurements (throughput, availability):
-    /// their numbers vary run-to-run, so the delta report checks them
-    /// structurally and gates them with tolerance floors instead of
-    /// exact reference comparison.
+    /// `true` for wall-clock measurements (throughput, availability,
+    /// recovery): their numbers vary run-to-run, so the delta report
+    /// lists them as reported instead of comparing them to a reference.
     pub timing: bool,
     /// The entry point.
     pub run: fn(&RunCtx) -> Report,
@@ -259,21 +256,21 @@ pub static REGISTRY: [Experiment; 18] = [
     },
     Experiment {
         name: "throughput",
-        paper_ref: "BENCH_* lineage",
+        paper_ref: "wall-clock report",
         about: "wall-clock engine/AES/sharded/scheme throughput harness",
         timing: true,
         run: throughput::run,
     },
     Experiment {
         name: "availability",
-        paper_ref: "BENCH_6 availability section",
+        paper_ref: "wall-clock report",
         about: "goodput under injected faults + one-shard quarantine containment",
         timing: true,
         run: availability::run,
     },
     Experiment {
         name: "recovery",
-        paper_ref: "BENCH_7 availability section",
+        paper_ref: "wall-clock report",
         about: "adversary campaign: detection latency, MTTR, goodput during recovery",
         timing: true,
         run: recovery::run,
@@ -288,16 +285,6 @@ pub fn registry() -> &'static [Experiment] {
 /// Looks up one experiment by name.
 pub fn find(name: &str) -> Option<&'static Experiment> {
     REGISTRY.iter().find(|e| e.name == name)
-}
-
-/// Entry point for the thin figure binaries: run `name` at the
-/// environment-controlled scale and print the text rendering.
-pub fn cli_main(name: &str) {
-    // audit: allow(panic, figure binaries abort on a registry mismatch rather than print nothing)
-    let exp = find(name).unwrap_or_else(|| panic!("experiment {name:?} is not registered"));
-    let ctx = RunCtx::from_env();
-    let report = (exp.run)(&ctx);
-    print!("{}", report.render_text());
 }
 
 #[cfg(test)]

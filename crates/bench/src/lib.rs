@@ -1,7 +1,7 @@
 //! # toleo-bench
 //!
 //! Harness regenerating every table and figure of the Toleo paper's
-//! evaluation (Section 6), plus two wall-clock harnesses over the
+//! evaluation (Section 6), plus three wall-clock experiments over the
 //! functional engine. The single entry point is the `reproduce` binary:
 //!
 //! ```sh
@@ -9,12 +9,12 @@
 //! ```
 //!
 //! which runs every experiment in [`experiments::REGISTRY`], writes a
-//! `results/` tree (JSON + Markdown per experiment), diffs it against
-//! the committed `expected/` references and `BENCH_*.json` perf floors,
-//! and exits nonzero on any divergence. Each `src/bin/tableN.rs` /
-//! `src/bin/figN.rs` binary is a thin wrapper over the same registry
-//! entry via [`experiments::cli_main`], so a scoped single-figure run
-//! and the full reproduction can never disagree.
+//! `results/` tree (JSON + Markdown per experiment), diffs the
+//! functional experiments against the committed `expected/` references,
+//! checks the availability and recovery invariants, and exits nonzero on
+//! any divergence. `reproduce --only fig6` is the scoped single-figure
+//! run. Wall-clock numbers are reported, never gated here: a speed claim
+//! is judged by `benchmark/`'s paired parent/change compare.
 //!
 //! Module map:
 //!
@@ -23,39 +23,30 @@
 //!   with a shared memoizing [`experiments::RunCtx`].
 //! - [`report`] — the experiment output model (`toleo-experiment/v1`
 //!   schema): metrics + tables, deterministic 9-significant-digit JSON,
-//!   Markdown/text renderers.
+//!   Markdown renderer.
 //! - [`repro`] — delta machinery: exact or structural comparison vs
-//!   `expected/`, perf-floor checks vs a `BENCH_*.json` baseline,
-//!   availability invariants, and the `EXPERIMENTS.md` generated-block
-//!   splicer.
-//! - [`perf`] — the wall-clock throughput and availability harnesses
-//!   (engine workloads, AES backends, sharded scaling, scheme arena,
-//!   fault injection, quarantine).
-//! - [`trajectory`] — renders the committed `BENCH_2 → BENCH_6`
-//!   performance lineage.
+//!   `expected/`, availability and recovery invariants, and the
+//!   `EXPERIMENTS.md` generated-block splicer.
+//! - [`perf`] — the wall-clock throughput, availability and recovery
+//!   measurements (engine workloads, AES backends, sharded scaling,
+//!   scheme arena, fault injection, quarantine, adversary campaign).
 //! - [`harness`] — shared trace machinery: generate all 12 workload
 //!   traces once, run them under any protection configuration (in
 //!   parallel across workloads).
-//! - [`json`] / [`gate`] — minimal JSON reader (the workspace vendors no
-//!   `serde_json`) and the baseline readers built on it: `BENCH_*.json`
-//!   is parsed *structurally* and keyed by workload/scheme/backend name,
-//!   so reordered rows or adjacent `batch_blocks_per_sec` /
-//!   `wall_blocks_per_sec` keys can never mis-pair a floor with the
-//!   wrong measurement.
+//! - [`json`] — minimal JSON reader (the workspace vendors no
+//!   `serde_json`) that `expected/` references are read back with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod gate;
 pub mod json;
 pub mod perf;
 pub mod report;
 pub mod repro;
-pub mod trajectory;
 
 pub mod harness {
-    //! Shared run-everything machinery for the per-figure binaries.
+    //! Shared run-everything machinery for the figure experiments.
 
     use toleo_sim::config::{Protection, SimConfig};
     use toleo_sim::system::{RunStats, System};
@@ -64,8 +55,8 @@ pub mod harness {
     /// Standard generation config for the figures (bigger than unit-test
     /// traces, still seconds to run). The `TOLEO_BENCH_OPS` environment
     /// variable overrides the per-trace op count — the CI smoke job uses
-    /// it to drive every fig/table binary end-to-end in seconds, so the
-    /// binaries cannot bit-rot without a paper-scale run.
+    /// it to drive every experiment end-to-end in seconds, so none can
+    /// bit-rot without a paper-scale run.
     pub fn gen_config() -> GenConfig {
         let mut cfg = GenConfig::default();
         if let Some(ops) = std::env::var("TOLEO_BENCH_OPS")
@@ -121,16 +112,6 @@ pub mod harness {
             return 0.0;
         }
         xs.iter().sum::<f64>() / xs.len() as f64
-    }
-
-    /// Formats a row of cells with the given column widths.
-    pub fn row(cells: &[String], widths: &[usize]) -> String {
-        cells
-            .iter()
-            .zip(widths)
-            .map(|(c, w)| format!("{c:>w$}", w = w))
-            .collect::<Vec<_>>()
-            .join("  ")
     }
 
     #[cfg(test)]

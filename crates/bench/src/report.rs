@@ -1,13 +1,11 @@
 //! The structured experiment-output model every figure/table experiment
 //! returns.
 //!
-//! A [`Report`] is one experiment's complete result: a set of [`Table`]s
-//! (what the old per-figure binaries printed as text), a flat map of
-//! named scalar [`Report::metrics`] (what the delta/gate tooling
-//! compares), and free-form notes. One report renders three ways:
+//! A [`Report`] is one experiment's complete result: a set of
+//! [`Table`]s, a flat map of named scalar [`Report::metrics`] (what the
+//! delta and invariant tooling compares), and free-form notes. One
+//! report renders two ways:
 //!
-//! * [`Report::render_text`] — the aligned-column console output the
-//!   `fig*`/`table*` binaries print;
 //! * [`Report::render_markdown`] — the `results/<name>.md` artifact;
 //! * [`Report::to_json`] — the machine-readable `results/<name>.json`
 //!   artifact (schema [`EXPERIMENT_SCHEMA`]), parseable by
@@ -138,12 +136,12 @@ impl Table {
 pub struct Report {
     /// Registry name (`fig6`, `table2`, `throughput`, …).
     pub name: String,
-    /// Human title (the old binary's headline line).
+    /// Human title (the headline line of the rendered report).
     pub title: String,
     /// Memory operations per generated trace for this run (the scale
     /// knob); reference comparisons only apply between equal scales.
     pub mem_ops: u64,
-    /// Named scalar results — the delta/gate comparison surface.
+    /// Named scalar results — the delta/invariant comparison surface.
     pub metrics: Vec<(String, f64)>,
     /// The rendered tables.
     pub tables: Vec<Table>,
@@ -184,50 +182,6 @@ impl Report {
     /// Appends a note line.
     pub fn note(&mut self, s: impl Into<String>) {
         self.notes.push(s.into());
-    }
-
-    /// Aligned-column console rendering (what the thin binaries print).
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.title);
-        out.push('\n');
-        for t in &self.tables {
-            if !t.title.is_empty() {
-                out.push_str(&format!("\n== {} ==\n", t.title));
-            } else {
-                out.push('\n');
-            }
-            let mut widths: Vec<usize> = t.columns.iter().map(|c| c.len()).collect();
-            for row in &t.rows {
-                for (w, c) in widths.iter_mut().zip(row) {
-                    *w = (*w).max(c.text.len());
-                }
-            }
-            let header: Vec<String> = t
-                .columns
-                .iter()
-                .zip(&widths)
-                .map(|(c, w)| format!("{c:>w$}"))
-                .collect();
-            out.push_str(&header.join("  "));
-            out.push('\n');
-            for row in &t.rows {
-                let line: Vec<String> = row
-                    .iter()
-                    .zip(&widths)
-                    .map(|(c, w)| format!("{:>w$}", c.text))
-                    .collect();
-                out.push_str(&line.join("  "));
-                out.push('\n');
-            }
-        }
-        if !self.notes.is_empty() {
-            out.push('\n');
-            for n in &self.notes {
-                out.push_str(&format!("({n})\n"));
-            }
-        }
-        out
     }
 
     /// Markdown rendering — the `results/<name>.md` artifact.
@@ -536,11 +490,8 @@ mod tests {
 
     #[test]
     fn renders_are_nonempty_and_aligned() {
-        let r = sample();
-        let text = r.render_text();
-        assert!(text.contains("bsw"));
-        assert!(text.starts_with("Figure 0."));
-        let md = r.render_markdown();
+        let md = sample().render_markdown();
+        assert!(md.starts_with("# Figure 0."));
         assert!(md.contains("| bench | value | share |"));
         assert!(md.contains("| bsw | 1.50 | 50.0% |"));
     }

@@ -1,14 +1,16 @@
 //! End-to-end tests of the `reproduce` binary: the results tree is
-//! written, a clean run exits zero, and a doctored reference or a
-//! doctored perf baseline exits nonzero.
+//! written, a clean run exits zero, a doctored or missing reference
+//! exits nonzero, the retired floor-gate flags are rejected, and the
+//! availability and recovery invariants gate every run that includes
+//! them.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn reproduce() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_reproduce"));
-    // Run from the repo root so `--compare BENCH_6.json`-style relative
-    // paths behave exactly as documented.
+    // Run from the repo root so the default `expected/` path resolves
+    // exactly as documented.
     cmd.current_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."));
     cmd
 }
@@ -123,68 +125,44 @@ fn missing_reference_fails_the_run() {
 }
 
 #[test]
-fn perf_floor_gate_fails_on_inflated_baseline() {
-    let dir = scratch("floors");
-    let out = dir.join("results");
-
-    // A baseline no host can match vs one any host clears.
-    let impossible = dir.join("impossible.json");
-    std::fs::write(
-        &impossible,
-        r#"{"pr": 99, "engine": [
-            {"workload": "sequential", "blocks_per_sec": 1e15},
-            {"workload": "random", "blocks_per_sec": 1e15},
-            {"workload": "hot-reset", "blocks_per_sec": 1e15}
-        ]}"#,
-    )
-    .expect("write baseline");
-    let trivial = dir.join("trivial.json");
-    std::fs::write(
-        &trivial,
-        r#"{"pr": 99, "engine": [
-            {"workload": "sequential", "blocks_per_sec": 1.0},
-            {"workload": "random", "blocks_per_sec": 1.0},
-            {"workload": "hot-reset", "blocks_per_sec": 1.0}
-        ]}"#,
-    )
-    .expect("write baseline");
-
-    let run = |baseline: &Path| {
-        reproduce()
-            .args(["--ops", "2000", "--only", "throughput"])
-            .arg("--out")
-            .arg(&out)
-            .arg("--compare")
-            .arg(baseline)
-            .status()
-            .expect("spawn reproduce")
-    };
-    assert!(
-        !run(&impossible).success(),
-        "an unreachable baseline floor must fail the gate"
-    );
-    let delta = std::fs::read_to_string(out.join("delta.md")).expect("delta.md");
-    assert!(delta.contains("FAIL"), "{delta}");
-    assert!(run(&trivial).success(), "a trivial floor must pass");
+fn retired_gate_flags_are_rejected() {
+    // The absolute-floor gate is gone; a stale CI or doc invocation must
+    // fail loudly instead of running ungated.
+    for stale in [["--compare", "x.json"], ["--tolerance", "0.85"]] {
+        let output = reproduce().args(stale).output().expect("spawn reproduce");
+        assert_eq!(output.status.code(), Some(2), "{stale:?}");
+        let stderr = String::from_utf8(output.stderr).expect("utf8");
+        assert!(stderr.contains("usage: reproduce"), "{stale:?}: {stderr}");
+    }
 }
 
-#[test]
-fn availability_invariants_are_always_gated() {
-    // No --compare needed: the correctness invariants (zero false kills,
-    // matching observations, single-shard quarantine) gate every run
-    // that includes the availability experiment.
-    let dir = scratch("invariants");
+/// No flag needed: the correctness invariants gate every run that
+/// includes `experiment`, and `delta.md` carries their table.
+fn assert_invariants_gated(experiment: &str, heading: &str, invariants: usize) {
+    let dir = scratch(&format!("{experiment}-invariants"));
     let out = dir.join("results");
     let status = reproduce()
-        .args(["--ops", "2000", "--only", "availability"])
+        .args(["--ops", "2000", "--only", experiment])
         .arg("--out")
         .arg(&out)
         .status()
         .expect("spawn reproduce");
     assert!(status.success());
     let delta = std::fs::read_to_string(out.join("delta.md")).expect("delta.md");
-    assert!(delta.contains("Availability invariants"), "{delta}");
-    assert_eq!(delta.matches("| pass |").count(), 4, "{delta}");
+    assert!(delta.contains(heading), "{delta}");
+    assert_eq!(delta.matches("| pass |").count(), invariants, "{delta}");
+}
+
+#[test]
+fn availability_invariants_are_always_gated() {
+    // Zero false kills, matching observations, single-shard quarantine,
+    // no world-kill.
+    assert_invariants_gated("availability", "Availability invariants", 4);
+}
+
+#[test]
+fn recovery_invariants_are_always_gated() {
+    assert_invariants_gated("recovery", "Recovery invariants", 8);
 }
 
 #[test]

@@ -135,25 +135,10 @@ pub(crate) fn split_key_material(key_material: &[u8; 48]) -> [[u8; 16]; 3] {
 
 impl ProtectionEngine {
     /// Creates an engine. `key_material` supplies the XTS data key, XTS
-    /// tweak key and MAC key (16 bytes each).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid (see [`ToleoConfig::validate`]) — which
-    /// is why this path is deprecated: a malformed host configuration is
-    /// an operational error, not a programming bug, and must surface as
-    /// [`ToleoError::InvalidConfig`] instead of tearing the process down.
-    #[deprecated(note = "use try_new: a bad ToleoConfig is a recoverable error, not a panic")]
-    pub fn new(cfg: ToleoConfig, key_material: [u8; 48]) -> Self {
-        Self::try_new(cfg, key_material)
-            // audit: allow(panic, deprecated shim documented to panic; try_new is the error path)
-            .unwrap_or_else(|e| panic!("ProtectionEngine construction failed: {e}"))
-    }
-
-    /// Creates an engine, reporting a bad configuration as an error
-    /// instead of panicking. If the `TOLEO_FAULT_PLAN` environment
-    /// variable is set (see [`FaultPlanConfig::parse`]), the device
-    /// channel is armed with that fault campaign — how the CI
+    /// tweak key and MAC key (16 bytes each). A bad configuration is
+    /// reported as an error, never a panic. If the `TOLEO_FAULT_PLAN`
+    /// environment variable is set (see [`FaultPlanConfig::parse`]), the
+    /// device channel is armed with that fault campaign — how the CI
     /// `fault-smoke` job runs the whole suite under injected link faults.
     ///
     /// # Errors
@@ -918,19 +903,10 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "ProtectionEngine construction failed")]
-    fn new_panics_on_invalid_config() {
-        let mut cfg = ToleoConfig::small();
-        cfg.stealth_bits = 0;
-        #[allow(deprecated)]
-        let _ = ProtectionEngine::new(cfg, [0u8; 48]);
-    }
-
     /// Regression test for the de-panicked construction path: every
-    /// non-deprecated constructor — engine and sharded — must report a
-    /// bad configuration as `InvalidConfig`, never panic. Each mutation
-    /// here fails `ToleoConfig::validate` a different way.
+    /// constructor — engine and sharded — must report a bad
+    /// configuration as `InvalidConfig`, never panic. Each mutation here
+    /// fails `ToleoConfig::validate` a different way.
     #[test]
     fn no_constructor_panics_on_bad_config() {
         let bad_configs: Vec<ToleoConfig> = vec![
