@@ -12,13 +12,13 @@
 //! the audit can tell the user to run `--fix-inventory`, which
 //! persists the migration.
 
-use crate::json::{parse, Json};
 use crate::rules::atomics::{AtomicPolicy, Role};
 use crate::rules::locks::LockClass;
 use crate::rules::poll::PollPolicy;
 use crate::source::Allowance;
 use std::collections::BTreeMap;
 use std::path::Path;
+use toleo_json::{parse, pretty, Value};
 
 pub const SCHEMA: &str = "toleo-audit/v2";
 pub const SCHEMA_V1: &str = "toleo-audit/v1";
@@ -70,10 +70,10 @@ pub struct Baseline {
     pub migrated_from_v1: bool,
 }
 
-fn str_list(entry: &Json, key: &str) -> Vec<String> {
+fn str_list(entry: &Value, key: &str) -> Vec<String> {
     entry
         .get(key)
-        .and_then(Json::as_arr)
+        .and_then(Value::as_array)
         .map(|items| {
             items
                 .iter()
@@ -83,10 +83,10 @@ fn str_list(entry: &Json, key: &str) -> Vec<String> {
         .unwrap_or_default()
 }
 
-fn why_of(entry: &Json, what: &str) -> Result<String, String> {
+fn why_of(entry: &Value, what: &str) -> Result<String, String> {
     let why = entry
         .get("why")
-        .and_then(Json::as_str)
+        .and_then(Value::as_str)
         .unwrap_or_default()
         .to_string();
     if why.is_empty() {
@@ -109,7 +109,7 @@ impl Baseline {
             Err(e) => return Err(format!("{}: {e}", path.display())),
         };
         let doc = parse(&text).map_err(|e| format!("{}: malformed JSON: {e}", path.display()))?;
-        let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
+        let schema = doc.get("schema").and_then(Value::as_str).unwrap_or("");
         if schema != SCHEMA && schema != SCHEMA_V1 {
             return Err(format!(
                 "{}: schema `{schema}` (expected `{SCHEMA}`, or `{SCHEMA_V1}` for migration)",
@@ -121,7 +121,7 @@ impl Baseline {
             migrated_from_v1: schema == SCHEMA_V1,
             ..Baseline::default()
         };
-        if let Some(pairs) = doc.get("unsafe").and_then(Json::as_obj) {
+        if let Some(pairs) = doc.get("unsafe").and_then(Value::as_object) {
             for (file, count) in pairs {
                 let count = count
                     .as_u32()
@@ -129,11 +129,11 @@ impl Baseline {
                 baseline.unsafe_counts.insert(file.clone(), count);
             }
         }
-        if let Some(items) = doc.get("allow").and_then(Json::as_arr) {
+        if let Some(items) = doc.get("allow").and_then(Value::as_array) {
             for item in items {
                 let field = |k: &str| {
                     item.get(k)
-                        .and_then(Json::as_str)
+                        .and_then(Value::as_str)
                         .map(str::to_string)
                         .ok_or_else(|| format!("allow entry missing string field `{k}`"))
                 };
@@ -145,7 +145,7 @@ impl Baseline {
                 });
             }
         }
-        if let Some(pairs) = doc.get("atomics").and_then(Json::as_obj) {
+        if let Some(pairs) = doc.get("atomics").and_then(Value::as_object) {
             for (atomic, entry) in pairs {
                 let why = why_of(entry, &format!("atomic `{atomic}`"))?;
                 baseline.atomic_why.insert(atomic.clone(), why);
@@ -156,7 +156,10 @@ impl Baseline {
                     }
                     migrate_v1_row(atomic, orderings)
                 } else {
-                    let role_name = entry.get("role").and_then(Json::as_str).unwrap_or_default();
+                    let role_name = entry
+                        .get("role")
+                        .and_then(Value::as_str)
+                        .unwrap_or_default();
                     let role = Role::parse(role_name).ok_or_else(|| {
                         format!(
                             "atomic `{atomic}` has unknown role `{role_name}` (expected \
@@ -178,11 +181,11 @@ impl Baseline {
                 baseline.atomics.push(row);
             }
         }
-        if let Some(items) = doc.get("locks").and_then(Json::as_arr) {
+        if let Some(items) = doc.get("locks").and_then(Value::as_array) {
             for item in items {
                 let class = item
                     .get("class")
-                    .and_then(Json::as_str)
+                    .and_then(Value::as_str)
                     .ok_or("locks entry missing string field `class`")?
                     .to_string();
                 let why = why_of(item, &format!("locks class `{class}`"))?;
@@ -198,16 +201,16 @@ impl Baseline {
                 });
             }
         }
-        if let Some(items) = doc.get("polls").and_then(Json::as_arr) {
+        if let Some(items) = doc.get("polls").and_then(Value::as_array) {
             for item in items {
                 let file = item
                     .get("file")
-                    .and_then(Json::as_str)
+                    .and_then(Value::as_str)
                     .ok_or("polls entry missing string field `file`")?
                     .to_string();
                 let chunker = item
                     .get("chunker")
-                    .and_then(Json::as_str)
+                    .and_then(Value::as_str)
                     .ok_or("polls entry missing string field `chunker`")?
                     .to_string();
                 let why = why_of(item, &format!("polls row for `{file}`"))?;
@@ -232,74 +235,74 @@ impl Baseline {
     pub fn render(&self, unsafe_counts: &BTreeMap<String, u32>, allow: &[BaselineAllow]) -> String {
         let mut allow = allow.to_vec();
         allow.sort();
-        let allow_json: Vec<Json> = allow
+        let allow_json: Vec<Value> = allow
             .iter()
             .map(|a| {
-                Json::Obj(vec![
-                    ("file".into(), Json::Str(a.file.clone())),
-                    ("rule".into(), Json::Str(a.rule.clone())),
-                    ("scope".into(), Json::Str(a.scope.clone())),
-                    ("reason".into(), Json::Str(a.reason.clone())),
+                Value::Obj(vec![
+                    ("file".into(), Value::Str(a.file.clone())),
+                    ("rule".into(), Value::Str(a.rule.clone())),
+                    ("scope".into(), Value::Str(a.scope.clone())),
+                    ("reason".into(), Value::Str(a.reason.clone())),
                 ])
             })
             .collect();
-        let unsafe_json: Vec<(String, Json)> = unsafe_counts
+        let unsafe_json: Vec<(String, Value)> = unsafe_counts
             .iter()
-            .map(|(file, count)| (file.clone(), Json::Num(*count as f64)))
+            .map(|(file, count)| (file.clone(), Value::Num(*count as f64)))
             .collect();
-        let list = |v: &[String]| Json::Arr(v.iter().cloned().map(Json::Str).collect());
-        let atomics_json: Vec<(String, Json)> = self
+        let list = |v: &[String]| Value::Arr(v.iter().cloned().map(Value::Str).collect());
+        let atomics_json: Vec<(String, Value)> = self
             .atomics
             .iter()
             .map(|p| {
                 (
                     p.atomic.clone(),
-                    Json::Obj(vec![
-                        ("role".into(), Json::Str(p.role.as_str().into())),
+                    Value::Obj(vec![
+                        ("role".into(), Value::Str(p.role.as_str().into())),
                         ("load".into(), list(&p.load)),
                         ("store".into(), list(&p.store)),
                         ("rmw".into(), list(&p.rmw)),
                         (
                             "why".into(),
-                            Json::Str(self.atomic_why.get(&p.atomic).cloned().unwrap_or_default()),
+                            Value::Str(self.atomic_why.get(&p.atomic).cloned().unwrap_or_default()),
                         ),
                     ]),
                 )
             })
             .collect();
-        let locks_json: Vec<Json> = self
+        let locks_json: Vec<Value> = self
             .locks
             .iter()
             .map(|c| {
-                Json::Obj(vec![
-                    ("class".into(), Json::Str(c.class.clone())),
+                Value::Obj(vec![
+                    ("class".into(), Value::Str(c.class.clone())),
                     ("acquire".into(), list(&c.acquire)),
                     ("forbid".into(), list(&c.forbid)),
-                    ("why".into(), Json::Str(c.why.clone())),
+                    ("why".into(), Value::Str(c.why.clone())),
                 ])
             })
             .collect();
-        let polls_json: Vec<Json> = self
+        let polls_json: Vec<Value> = self
             .polls
             .iter()
             .map(|p| {
-                Json::Obj(vec![
-                    ("file".into(), Json::Str(p.file.clone())),
-                    ("chunker".into(), Json::Str(p.chunker.clone())),
+                Value::Obj(vec![
+                    ("file".into(), Value::Str(p.file.clone())),
+                    ("chunker".into(), Value::Str(p.chunker.clone())),
                     ("probes".into(), list(&p.probes)),
-                    ("why".into(), Json::Str(p.why.clone())),
+                    ("why".into(), Value::Str(p.why.clone())),
                 ])
             })
             .collect();
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(SCHEMA.into())),
-            ("unsafe".into(), Json::Obj(unsafe_json)),
-            ("allow".into(), Json::Arr(allow_json)),
-            ("atomics".into(), Json::Obj(atomics_json)),
-            ("locks".into(), Json::Arr(locks_json)),
-            ("polls".into(), Json::Arr(polls_json)),
-        ])
-        .pretty()
+        let doc = Value::Obj(vec![
+            ("schema".into(), Value::Str(SCHEMA.into())),
+            ("unsafe".into(), Value::Obj(unsafe_json)),
+            ("allow".into(), Value::Arr(allow_json)),
+            ("atomics".into(), Value::Obj(atomics_json)),
+            ("locks".into(), Value::Arr(locks_json)),
+            ("polls".into(), Value::Arr(polls_json)),
+        ]);
+        pretty(&doc, &[])
     }
 }
 

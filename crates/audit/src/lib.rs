@@ -17,7 +17,6 @@
 //! exception explicit, justified and diff-reviewed.
 
 pub mod baseline;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 pub mod source;
@@ -27,6 +26,7 @@ use rules::{tier, Finding, Tier};
 use source::{Allowance, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
+use toleo_json::{pretty, Value};
 
 /// Directories scanned, relative to the workspace root.
 const SCAN_ROOTS: [&str; 3] = ["crates", "src", "tests"];
@@ -51,54 +51,51 @@ pub struct Report {
 impl Report {
     /// Renders the report as JSON (`--json`).
     pub fn to_json(&self) -> String {
-        let findings: Vec<json::Json> = self
+        let findings: Vec<Value> = self
             .findings
             .iter()
             .map(|f| {
-                json::Json::Obj(vec![
-                    ("rule".into(), json::Json::Str(f.rule.to_string())),
-                    ("file".into(), json::Json::Str(f.file.clone())),
-                    ("line".into(), json::Json::Num(f.line as f64)),
-                    ("col".into(), json::Json::Num(f.col as f64)),
-                    ("message".into(), json::Json::Str(f.message.clone())),
+                Value::Obj(vec![
+                    ("rule".into(), Value::Str(f.rule.to_string())),
+                    ("file".into(), Value::Str(f.file.clone())),
+                    ("line".into(), Value::Num(f.line as f64)),
+                    ("col".into(), Value::Num(f.col as f64)),
+                    ("message".into(), Value::Str(f.message.clone())),
                 ])
             })
             .collect();
-        let allowances: Vec<json::Json> = self
+        let allowances: Vec<Value> = self
             .allowances
             .iter()
             .map(|a| {
-                json::Json::Obj(vec![
-                    ("file".into(), json::Json::Str(a.file.clone())),
-                    ("line".into(), json::Json::Num(a.line as f64)),
-                    ("rule".into(), json::Json::Str(a.rule.clone())),
+                Value::Obj(vec![
+                    ("file".into(), Value::Str(a.file.clone())),
+                    ("line".into(), Value::Num(a.line as f64)),
+                    ("rule".into(), Value::Str(a.rule.clone())),
                     (
                         "scope".into(),
-                        json::Json::Str(if a.file_level { "file" } else { "line" }.to_string()),
+                        Value::Str(if a.file_level { "file" } else { "line" }.to_string()),
                     ),
-                    ("reason".into(), json::Json::Str(a.reason.clone())),
+                    ("reason".into(), Value::Str(a.reason.clone())),
                 ])
             })
             .collect();
-        let unsafe_inv: Vec<(String, json::Json)> = self
+        let unsafe_inv: Vec<(String, Value)> = self
             .unsafe_inventory
             .iter()
-            .map(|(file, count)| (file.clone(), json::Json::Num(*count as f64)))
+            .map(|(file, count)| (file.clone(), Value::Num(*count as f64)))
             .collect();
-        json::Json::Obj(vec![
-            (
-                "schema".into(),
-                json::Json::Str("toleo-audit-report/v1".into()),
-            ),
+        let doc = Value::Obj(vec![
+            ("schema".into(), Value::Str("toleo-audit-report/v1".into())),
             (
                 "files_scanned".into(),
-                json::Json::Num(self.files_scanned as f64),
+                Value::Num(self.files_scanned as f64),
             ),
-            ("findings".into(), json::Json::Arr(findings)),
-            ("allow".into(), json::Json::Arr(allowances)),
-            ("unsafe".into(), json::Json::Obj(unsafe_inv)),
-        ])
-        .pretty()
+            ("findings".into(), Value::Arr(findings)),
+            ("allow".into(), Value::Arr(allowances)),
+            ("unsafe".into(), Value::Obj(unsafe_inv)),
+        ]);
+        pretty(&doc, &[])
     }
 }
 

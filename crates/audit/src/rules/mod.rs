@@ -105,8 +105,8 @@ mod tests {
         assert_eq!(tier("crates/toleo-core/src/engine.rs"), Tier::Policy);
         assert_eq!(tier("crates/crypto/src/backend.rs"), Tier::Policy);
         assert_eq!(tier("crates/baselines/src/vault.rs"), Tier::Policy);
-        assert_eq!(tier("crates/bench/src/bin/throughput.rs"), Tier::Other);
-        assert_eq!(tier("crates/bench/benches/engine.rs"), Tier::Other);
+        assert_eq!(tier("crates/bench/src/bin/reproduce.rs"), Tier::Other);
+        assert_eq!(tier("crates/json/src/json.rs"), Tier::Other);
         assert_eq!(tier("src/lib.rs"), Tier::Other);
         assert_eq!(tier("tests/security.rs"), Tier::Test);
         assert_eq!(tier("crates/crypto/tests/proptests.rs"), Tier::Test);

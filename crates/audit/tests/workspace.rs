@@ -26,3 +26,13 @@ fn workspace_is_audit_clean() {
     );
     assert!(report.files_scanned > 50, "discovery lost the workspace");
 }
+
+/// `--fix-inventory` rewrites `AUDIT.json` through `toleo_json::pretty`:
+/// printing the parsed file must give the file back byte for byte, or
+/// every regeneration would bury its real change in layout noise.
+#[test]
+fn audit_json_reserialises_byte_identically() {
+    let text = std::fs::read_to_string(repo_root().join("AUDIT.json")).expect("AUDIT.json");
+    let doc = toleo_json::parse(&text).expect("AUDIT.json parses");
+    assert_eq!(toleo_json::pretty(&doc, &[]), text);
+}

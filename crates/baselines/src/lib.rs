@@ -20,8 +20,8 @@
 //!
 //! Every engine implements
 //! [`ProtectedMemory`](toleo_core::protected::ProtectedMemory), so the
-//! throughput harness and the security suite drive Toleo and the
-//! baselines through one interface — same workloads, same batch entry
+//! benchmark and the security suite drive Toleo and the baselines
+//! through one interface — same workloads, same batch entry
 //! points, same tamper/replay corpus.
 //!
 //! The timing-level comparison (CI and InvisiMem configurations) lives in

@@ -6,7 +6,7 @@
 //! cargo run --release -p toleo-bench --bin reproduce
 //! ```
 //!
-//! produces `results/<name>.{json,md}` for all 18 experiments plus
+//! produces `results/<name>.{json,md}` for all 17 experiments plus
 //! `summary.md` and `delta.md`, compares every functional experiment
 //! against its `expected/<name>.json` reference (exact at matching
 //! scale, structural otherwise), and checks the availability and
@@ -32,7 +32,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use toleo_bench::experiments::{self, Experiment, RunCtx};
-use toleo_bench::json;
 use toleo_bench::report::Report;
 use toleo_bench::repro::{
     self, check_availability_invariants, check_recovery_invariants, compare_reports, DeltaOutcome,
@@ -110,6 +109,14 @@ fn select(only: &Option<Vec<String>>) -> Vec<&'static Experiment> {
             .iter()
             .map(|n| {
                 experiments::find(n).unwrap_or_else(|| {
+                    if n == "throughput" {
+                        eprintln!(
+                            "reproduce: the `throughput` experiment is retired; wall-clock \
+                             numbers come from `benchmark/` (README, \"Where a wall-clock \
+                             number comes from\")"
+                        );
+                        std::process::exit(2);
+                    }
                     let known: Vec<_> = registry.iter().map(|e| e.name).collect();
                     panic!("unknown experiment {n:?}; known: {known:?}")
                 })
@@ -130,7 +137,7 @@ fn load_expected(dir: &Path, name: &str) -> Option<Result<Report, String>> {
     let path = dir.join(format!("{name}.json"));
     let text = std::fs::read_to_string(&path).ok()?;
     Some(
-        json::parse(&text)
+        toleo_json::parse(&text)
             .map_err(|e| format!("{}: {e}", path.display()))
             .and_then(|doc| Report::from_json(&doc).map_err(|e| format!("{name}: {e}"))),
     )

@@ -24,7 +24,7 @@
 //! assert_eq!(report.name, "fig10");
 //! assert!(report.get_metric("overall.flat_fraction").is_some());
 //! // Machine-readable form parses under the workspace JSON reader.
-//! assert!(toleo_bench::json::parse(&report.to_json()).is_ok());
+//! assert!(toleo_json::parse(&report.to_json()).is_ok());
 //! ```
 
 pub mod ablations;
@@ -44,7 +44,6 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 pub mod table4;
-pub mod throughput;
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -65,9 +64,9 @@ pub struct Experiment {
     pub paper_ref: &'static str,
     /// One-line description for `reproduce --list` and the summary.
     pub about: &'static str,
-    /// `true` for wall-clock measurements (throughput, availability,
-    /// recovery): their numbers vary run-to-run, so the delta report
-    /// lists them as reported instead of comparing them to a reference.
+    /// `true` for the experiments with wall-clock cells (availability,
+    /// recovery): those cells vary run-to-run, so the delta report lists
+    /// them as reported instead of comparing them to a reference.
     pub timing: bool,
     /// The entry point.
     pub run: fn(&RunCtx) -> Report,
@@ -80,8 +79,6 @@ pub struct RunCtx {
     pub gen: GenConfig,
     /// Ops per workload for the wall-clock harnesses.
     pub perf_ops: u64,
-    /// Iterations per AES timing window (reduced in smoke mode).
-    pub aes_iters: u32,
     cache: RefCell<HashMap<&'static str, Rc<Vec<RunStats>>>>,
 }
 
@@ -122,12 +119,6 @@ impl RunCtx {
         RunCtx {
             gen,
             perf_ops,
-            // Full AES windows take ~seconds; smoke runs shrink them.
-            aes_iters: if perf_ops < 50_000 {
-                2_000
-            } else {
-                perf::AES_ITERS
-            },
             cache: RefCell::new(HashMap::new()),
         }
     }
@@ -148,7 +139,7 @@ impl RunCtx {
 /// Every experiment, in reporting order: the paper's tables, its
 /// figures, the security analysis and ablations, the raw simulator
 /// summary, then the wall-clock harnesses.
-pub static REGISTRY: [Experiment; 18] = [
+pub static REGISTRY: [Experiment; 17] = [
     Experiment {
         name: "table1",
         paper_ref: "Table 1",
@@ -253,13 +244,6 @@ pub static REGISTRY: [Experiment; 18] = [
         about: "raw modeled cycles/traffic for all 12 workloads x 5 protections",
         timing: false,
         run: sim_summary::run,
-    },
-    Experiment {
-        name: "throughput",
-        paper_ref: "wall-clock report",
-        about: "wall-clock engine/AES/sharded/scheme throughput harness",
-        timing: true,
-        run: throughput::run,
     },
     Experiment {
         name: "availability",

@@ -1,8 +1,9 @@
 //! # toleo-bench
 //!
 //! Harness regenerating every table and figure of the Toleo paper's
-//! evaluation (Section 6), plus three wall-clock experiments over the
-//! functional engine. The single entry point is the `reproduce` binary:
+//! evaluation (Section 6), plus the availability and recovery
+//! experiments over the functional engine. The single entry point is
+//! the `reproduce` binary:
 //!
 //! ```sh
 //! cargo run --release -p toleo-bench --bin reproduce
@@ -13,8 +14,10 @@
 //! functional experiments against the committed `expected/` references,
 //! checks the availability and recovery invariants, and exits nonzero on
 //! any divergence. `reproduce --only fig6` is the scoped single-figure
-//! run. Wall-clock numbers are reported, never gated here: a speed claim
-//! is judged by `benchmark/`'s paired parent/change compare.
+//! run. The blocks/s cells beside the availability and recovery
+//! invariants are reported, never compared: the stopwatch is
+//! `benchmark/`, and a speed claim is judged by its paired
+//! parent/change compare.
 //!
 //! Module map:
 //!
@@ -27,20 +30,20 @@
 //! - [`repro`] — delta machinery: exact or structural comparison vs
 //!   `expected/`, availability and recovery invariants, and the
 //!   `EXPERIMENTS.md` generated-block splicer.
-//! - [`perf`] — the wall-clock throughput, availability and recovery
-//!   measurements (engine workloads, AES backends, sharded scaling,
-//!   scheme arena, fault injection, quarantine, adversary campaign).
+//! - [`perf`] — the availability and recovery runs (fault injection,
+//!   quarantine containment, adversary campaign) and the invariants
+//!   they assert.
 //! - [`harness`] — shared trace machinery: generate all 12 workload
 //!   traces once, run them under any protection configuration (in
 //!   parallel across workloads).
-//! - [`json`] — minimal JSON reader (the workspace vendors no
-//!   `serde_json`) that `expected/` references are read back with.
+//!
+//! JSON goes through `toleo-json`, the workspace's one value tree,
+//! parser and printer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod json;
 pub mod perf;
 pub mod report;
 pub mod repro;

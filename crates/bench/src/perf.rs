@@ -1,71 +1,46 @@
-//! The wall-clock measurement machinery behind the `reproduce` harness's
-//! timing experiments: engine workloads, per-backend AES
-//! microbenchmarks, the sharded scaling sweep, the five-scheme
-//! head-to-head arena, and the availability, quarantine and recovery
-//! experiments.
+//! The machinery behind the `reproduce` harness's two timing
+//! experiments: the availability sweep with its quarantine containment
+//! run, and the adversary-campaign recovery experiment.
 //!
-//! Unlike the modeled-cycles experiments, every number here is a real
-//! `Instant`-clocked measurement on the current host: results vary run
-//! to run and host to host, so `reproduce` reports them without
-//! comparing them to anything. The correctness invariants the
-//! availability and recovery runs assert are gated on every run; a
-//! wall-clock *claim* is judged only by `benchmark/`'s paired
+//! What they gate is correctness — zero false kills, bit-identical
+//! observations, one frozen shard, detection within the kill poll,
+//! every step re-admitted — asserted here and gated on every run. The
+//! blocks/s and latency cells beside the invariants are real
+//! `Instant`-clocked measurements on the current host: they vary run to
+//! run, so `reproduce` reports them without comparing them to anything.
+//! A wall-clock *claim* is judged only by `benchmark/`'s paired
 //! parent/change compare, on one host in one session.
 
 // audit: allow-file(panic, perf harness: abort on setup/serialization failure rather than emit bad data)
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
-use toleo_baselines::{MorphEngine, SgxEngine, VaultEngine};
 use toleo_core::channel::RetryPolicy;
 use toleo_core::config::ToleoConfig;
-use toleo_core::engine::ProtectionEngine;
 use toleo_core::error::ToleoError;
 use toleo_core::fault::FaultPlanConfig;
-use toleo_core::protected::ProtectedMemory;
 use toleo_core::sharded::ShardedEngine;
-use toleo_crypto::aes::Aes128;
-use toleo_crypto::backend::{
-    available_backends, default_backend, set_default_backend, BackendKind,
-};
 use toleo_workloads::campaign::{
     same_shard_campaign, tamper_schedule, AdversaryStep, FAULT_RATE_SWEEP,
 };
-use toleo_workloads::concurrent::{multi_tenant, partition_by_page};
-use toleo_workloads::pattern::{engine_pattern, homogeneous_runs, EnginePattern};
+use toleo_workloads::concurrent::multi_tenant;
+use toleo_workloads::pattern::{engine_pattern, EnginePattern};
 use toleo_workloads::{Op, Trace};
-
-/// Engine blocks/sec measured on the seed (pre-T-table, pre-arena)
-/// implementation at 200k ops, recorded when this harness was introduced.
-/// Keys are `EnginePattern::name()` order: sequential, random, hot-reset.
-pub const SEED_ENGINE_BLOCKS_PER_SEC: [f64; 3] = [606_917.0, 734_070.0, 355_539.0];
 
 /// Default memory operations replayed per workload.
 pub const DEFAULT_OPS: u64 = 200_000;
 /// Footprint each pattern is confined to (1024 pages).
 pub const FOOTPRINT_BYTES: u64 = 4 << 20;
-/// Shard count for the sharded-engine sweep.
+/// Shard count of every engine the experiments build.
 pub const SHARDS: usize = 8;
-/// Worker-thread sweep for the scaling curve.
-pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// Tenants in the multi-tenant workload (each runs its pattern in its own
 /// footprint window).
 pub const TENANTS: usize = 8;
-/// Max ops handed to one engine-batch call during batched replay.
-pub const BATCH_OPS: usize = 256;
-/// Timed iterations per AES measurement window at full scale.
-pub const AES_ITERS: u32 = 50_000;
-
-/// Every scheme in the head-to-head arena, in reporting order. Names are
-/// the [`ProtectedMemory::scheme`] identifiers.
-pub const SCHEMES: [&str; 5] = ["toleo", "toleo-sharded", "sgx-tree", "vault", "morph"];
-
-/// Repeats for the headline wall-clock cells (engine and scheme
-/// single-op replays) and for the recovery goodput ratio, the one
-/// wall-clock number an invariant gates. The fastest repeat is reported,
-/// so one scheduler hiccup on a shared host cannot fail the 0.9 goodput
-/// floor, and the relative spread across repeats is reported beside it
-/// so a flaky host is visible.
+/// Repeats for the recovery goodput ratio, the one wall-clock number an
+/// invariant gates. The fastest repeat is reported, so one scheduler
+/// hiccup on a shared host cannot fail the 0.9 goodput floor, and the
+/// relative spread across repeats is reported beside it so a flaky host
+/// is visible.
 pub const GATE_TIMING_REPEATS: usize = 3;
 
 /// Tamper steps the recovery campaign mounts against one shard: two
@@ -87,230 +62,6 @@ pub fn best_of_repeats(n: usize, mut f: impl FnMut() -> (u64, f64)) -> (u64, f64
         worst = worst.max(seconds);
     }
     (blocks, best, (worst - best) / best)
-}
-
-/// One engine workload's measured throughput, three ways.
-pub struct WorkloadResult {
-    /// `EnginePattern::name()` of the replayed pattern.
-    pub name: &'static str,
-    /// Blocks (reads + writes) replayed.
-    pub blocks: u64,
-    /// Single-op replay throughput on the selected backend.
-    pub blocks_per_sec: f64,
-    /// `blocks_per_sec` over the seed implementation's number.
-    pub speedup_vs_seed: f64,
-    /// Same trace replayed through `read_batch`/`write_batch` in
-    /// homogeneous runs of up to [`BATCH_OPS`] ops (selected backend).
-    pub batch_blocks_per_sec: f64,
-    /// Same trace, single ops, engine forced onto the software AES
-    /// fallback — the portable floor every host is guaranteed.
-    pub software_blocks_per_sec: f64,
-    /// Relative spread of the single-op cell across its
-    /// [`GATE_TIMING_REPEATS`] repeats: `(worst - best) / best`.
-    pub timing_spread: f64,
-}
-
-/// Per-backend AES-128 microbenchmark numbers.
-pub struct BackendAes {
-    /// Which backend was measured.
-    pub kind: BackendKind,
-    /// Single-block encrypt, ns/block.
-    pub encrypt_ns: f64,
-    /// Single-block decrypt, ns/block.
-    pub decrypt_ns: f64,
-    /// ns/block through the 8-wide pipelined `encrypt_blocks8` API.
-    pub encrypt8_ns: f64,
-    /// ns/block through the 8-wide pipelined `decrypt_blocks8` API.
-    pub decrypt8_ns: f64,
-}
-
-/// Runs `f` with the process-default AES backend pinned to `kind`,
-/// restoring the prior default afterwards (the harness is single-threaded,
-/// so this cannot race engine constructions).
-pub fn with_default_backend<T>(kind: BackendKind, f: impl FnOnce() -> T) -> T {
-    let prior = default_backend();
-    set_default_backend(Some(kind));
-    let out = f();
-    set_default_backend(Some(prior));
-    out
-}
-
-/// One thread count of a scaling curve.
-pub struct ScalePoint {
-    /// Worker-thread count.
-    pub threads: usize,
-    /// Blocks replayed across all workers.
-    pub blocks: u64,
-    /// Blocks over the longest worker-group replay — the modeled
-    /// throughput on >= threads cores.
-    pub blocks_per_sec: f64,
-    /// Blocks over the real `std::thread::scope` execution on this host.
-    pub wall_blocks_per_sec: f64,
-}
-
-/// One workload's thread-scaling curve over [`THREAD_SWEEP`].
-pub struct ScalingCurve {
-    /// Workload name.
-    pub workload: String,
-    /// One point per sweep thread count.
-    pub points: Vec<ScalePoint>,
-    /// Critical-path speedup of the 4-thread point over 1 thread.
-    pub speedup_4t_vs_1t: f64,
-}
-
-/// One scheme × workload cell of the head-to-head table.
-pub struct SchemeWorkload {
-    /// Workload name.
-    pub workload: &'static str,
-    /// Blocks replayed.
-    pub blocks: u64,
-    /// Single-op replay through the `ProtectedMemory` trait.
-    pub blocks_per_sec: f64,
-    /// Same trace through the trait's batch entry points in homogeneous
-    /// runs of up to [`BATCH_OPS`] ops.
-    pub batch_blocks_per_sec: f64,
-    /// Version-store traffic reported by the scheme for the single-op
-    /// replay (device READ/UPDATEs for Toleo; uncached tree-node fetches
-    /// for the Merkle schemes).
-    pub version_fetches: u64,
-    /// Bulk re-encryption events (stealth resets / overflow resets /
-    /// leaf re-bases) during the single-op replay.
-    pub reencryption_events: u64,
-    /// Relative spread of the single-op cell across its
-    /// [`GATE_TIMING_REPEATS`] repeats: `(worst - best) / best`.
-    pub timing_spread: f64,
-}
-
-/// One scheme's full row of the head-to-head table.
-pub struct SchemeResult {
-    /// `ProtectedMemory::scheme` identifier.
-    pub scheme: &'static str,
-    /// One cell per workload, in [`availability_workloads`] order.
-    pub workloads: Vec<SchemeWorkload>,
-}
-
-/// Constructs a fresh engine for `scheme`. Toleo engines take the
-/// workload-tuned config; the baseline engines protect the same
-/// footprint the traces are confined to.
-pub fn build_scheme(scheme: &'static str, cfg: &ToleoConfig) -> Box<dyn ProtectedMemory> {
-    match scheme {
-        "toleo" => {
-            Box::new(ProtectionEngine::try_new(cfg.clone(), [0x42u8; 48]).expect("valid config"))
-        }
-        "toleo-sharded" => {
-            Box::new(ShardedEngine::new(cfg.clone(), SHARDS, [0x42u8; 48]).expect("valid config"))
-        }
-        "sgx-tree" => Box::new(SgxEngine::new(FOOTPRINT_BYTES)),
-        "vault" => Box::new(VaultEngine::new(FOOTPRINT_BYTES)),
-        "morph" => Box::new(MorphEngine::new(FOOTPRINT_BYTES)),
-        other => unreachable!("unknown scheme {other}"),
-    }
-}
-
-/// Replays `trace` op-at-a-time through any scheme; returns
-/// (blocks, seconds).
-pub fn replay_single_dyn(trace: &Trace, mem: &mut dyn ProtectedMemory) -> (u64, f64) {
-    let start = Instant::now();
-    let mut blocks = 0u64;
-    let mut checksum = 0u64;
-    for op in &trace.ops {
-        match op {
-            Op::Write(addr) => {
-                let fill = (addr >> 6) as u8 ^ blocks as u8;
-                mem.write(*addr, &[fill; 64]).expect("protected write");
-                blocks += 1;
-            }
-            Op::Read(addr) => {
-                let block = mem.read(*addr).expect("protected read");
-                checksum = checksum.wrapping_add(block[0] as u64);
-                blocks += 1;
-            }
-            Op::Compute(_) => {}
-        }
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    std::hint::black_box(checksum);
-    (blocks, seconds)
-}
-
-/// Replays `trace` through any scheme's batch entry points in homogeneous
-/// runs of up to [`BATCH_OPS`] ops; returns (blocks, seconds).
-pub fn replay_batched_dyn(trace: &Trace, mem: &mut dyn ProtectedMemory) -> (u64, f64) {
-    let runs = homogeneous_runs(trace, BATCH_OPS);
-    let mut write_buf: Vec<(u64, [u8; 64])> = Vec::with_capacity(BATCH_OPS);
-    let start = Instant::now();
-    let mut blocks = 0u64;
-    let mut checksum = 0u64;
-    for (is_write, addrs) in &runs {
-        if *is_write {
-            write_buf.clear();
-            write_buf.extend(addrs.iter().map(|addr| {
-                let fill = (addr >> 6) as u8 ^ blocks as u8;
-                blocks += 1;
-                (*addr, [fill; 64])
-            }));
-            mem.write_batch(&write_buf).expect("protected write batch");
-        } else {
-            let out = mem.read_batch(addrs).expect("protected read batch");
-            for block in &out {
-                checksum = checksum.wrapping_add(block[0] as u64);
-            }
-            blocks += addrs.len() as u64;
-        }
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    std::hint::black_box(checksum);
-    (blocks, seconds)
-}
-
-/// The head-to-head sweep: every scheme replays the same four traces
-/// (same seeds, same footprint) through the shared trait, single-op and
-/// batched.
-pub fn run_scheme_sweep(ops: u64) -> Vec<SchemeResult> {
-    // (name, trace, toleo config) — baselines ignore the config.
-    let workloads = availability_workloads(ops);
-
-    SCHEMES
-        .iter()
-        .map(|&scheme| {
-            let rows = workloads
-                .iter()
-                .map(|(name, trace, cfg)| {
-                    // The single-op cell is best-of-N; the replay is
-                    // deterministic, so the stats of any repeat are the
-                    // stats of all of them.
-                    let mut stats = None;
-                    let (blocks, seconds, timing_spread) =
-                        best_of_repeats(GATE_TIMING_REPEATS, || {
-                            let mut single = build_scheme(scheme, cfg);
-                            let timed = replay_single_dyn(trace, single.as_mut());
-                            stats = Some(single.stats());
-                            timed
-                        });
-                    let stats = stats.expect("at least one repeat ran");
-                    let mut batched = build_scheme(scheme, cfg);
-                    let (batch_blocks, batch_seconds) = replay_batched_dyn(trace, batched.as_mut());
-                    assert_eq!(
-                        batch_blocks, blocks,
-                        "{scheme}/{name}: batched replay lost ops"
-                    );
-                    SchemeWorkload {
-                        workload: name,
-                        blocks,
-                        blocks_per_sec: blocks as f64 / seconds,
-                        batch_blocks_per_sec: batch_blocks as f64 / batch_seconds,
-                        version_fetches: stats.version_fetches,
-                        reencryption_events: stats.reencryption_events,
-                        timing_spread,
-                    }
-                })
-                .collect();
-            SchemeResult {
-                scheme,
-                workloads: rows,
-            }
-        })
-        .collect()
 }
 
 /// One fault rate of a workload's availability curve.
@@ -432,8 +183,8 @@ pub fn replay_sharded_faulted(
     }
 }
 
-/// The four workload traces the availability sweep (and the scheme sweep)
-/// replays, with their tuned configs.
+/// The four workload traces the availability sweep replays, with their
+/// tuned configs.
 pub fn availability_workloads(ops: u64) -> Vec<(&'static str, Trace, ToleoConfig)> {
     let mut workloads: Vec<(&'static str, Trace, ToleoConfig)> = EnginePattern::all()
         .iter()
@@ -1093,253 +844,4 @@ pub fn engine_cfg(pattern: Option<EnginePattern>) -> ToleoConfig {
         cfg.reset_log2 = 8;
     }
     cfg
-}
-
-/// Replays `trace` op-at-a-time through a fresh engine; returns
-/// (blocks, seconds).
-pub fn replay_single(trace: &Trace, cfg: &ToleoConfig) -> (u64, f64) {
-    let mut engine = ProtectionEngine::try_new(cfg.clone(), [0x42u8; 48]).unwrap();
-    replay_single_dyn(trace, &mut engine)
-}
-
-/// Replays `trace` through the engine's batched entry points in
-/// homogeneous runs of up to [`BATCH_OPS`] ops; returns (blocks, seconds).
-pub fn replay_batched(trace: &Trace, cfg: &ToleoConfig) -> (u64, f64) {
-    let mut engine = ProtectionEngine::try_new(cfg.clone(), [0x42u8; 48]).unwrap();
-    replay_batched_dyn(trace, &mut engine)
-}
-
-/// Measures one engine pattern three ways (single-op, batched, software
-/// fallback).
-pub fn run_workload(pattern: EnginePattern, idx: usize, ops: u64) -> WorkloadResult {
-    let trace = engine_pattern(pattern, ops, FOOTPRINT_BYTES, 0xBE2C + idx as u64);
-    let cfg = engine_cfg(Some(pattern));
-    // The headline single-op cell is best-of-N with the spread reported.
-    let (blocks, seconds, timing_spread) =
-        best_of_repeats(GATE_TIMING_REPEATS, || replay_single(&trace, &cfg));
-    let blocks_per_sec = blocks as f64 / seconds;
-    let (batch_blocks, batch_seconds) = replay_batched(&trace, &cfg);
-    assert_eq!(batch_blocks, blocks, "batched replay lost ops");
-    let (soft_blocks, soft_seconds) =
-        with_default_backend(BackendKind::Software, || replay_single(&trace, &cfg));
-    assert_eq!(soft_blocks, blocks, "software replay lost ops");
-    WorkloadResult {
-        name: pattern.name(),
-        blocks,
-        blocks_per_sec,
-        speedup_vs_seed: blocks_per_sec / SEED_ENGINE_BLOCKS_PER_SEC[idx],
-        batch_blocks_per_sec: batch_blocks as f64 / batch_seconds,
-        software_blocks_per_sec: soft_blocks as f64 / soft_seconds,
-        timing_spread,
-    }
-}
-
-/// Measures every engine pattern.
-pub fn run_engine_workloads(ops: u64) -> Vec<WorkloadResult> {
-    EnginePattern::all()
-        .iter()
-        .enumerate()
-        .map(|(i, p)| run_workload(*p, i, ops))
-        .collect()
-}
-
-/// Replays a set of per-shard sub-traces through the sharded handle,
-/// returning the block count.
-fn replay_parts(engine: &ShardedEngine, parts: &[&Trace]) -> u64 {
-    let mut blocks = 0u64;
-    let mut checksum = 0u64;
-    for part in parts {
-        for op in &part.ops {
-            match op {
-                Op::Write(addr) => {
-                    let fill = (addr >> 6) as u8;
-                    engine.write(*addr, &[fill; 64]).expect("protected write");
-                    blocks += 1;
-                }
-                Op::Read(addr) => {
-                    let block = engine.read(*addr).expect("protected read");
-                    checksum = checksum.wrapping_add(block[0] as u64);
-                    blocks += 1;
-                }
-                Op::Compute(_) => {}
-            }
-        }
-    }
-    std::hint::black_box(checksum);
-    blocks
-}
-
-/// Shards assigned to worker group `g` of `threads` (round-robin).
-fn group(parts: &[Trace], g: usize, threads: usize) -> Vec<&Trace> {
-    parts
-        .iter()
-        .enumerate()
-        .filter(|(s, _)| s % threads == g)
-        .map(|(_, t)| t)
-        .collect()
-}
-
-/// Measures one thread count of the scaling curve for a pre-partitioned
-/// trace: the per-group critical path (each group replayed in isolation on
-/// a fresh engine) plus the real scoped-thread execution.
-fn sweep_point(cfg: &ToleoConfig, parts: &[Trace], threads: usize) -> ScalePoint {
-    // Critical path: time each worker group's stream by itself. Groups
-    // touch disjoint shards, so their times compose as max() under true
-    // parallelism.
-    let engine = ShardedEngine::new(cfg.clone(), SHARDS, [0x42u8; 48]).expect("sharded engine");
-    let mut blocks = 0u64;
-    let mut critical = 0f64;
-    for g in 0..threads {
-        let members = group(parts, g, threads);
-        let start = Instant::now();
-        blocks += replay_parts(&engine, &members);
-        critical = critical.max(start.elapsed().as_secs_f64());
-    }
-
-    // Validation run: the same decomposition on real scoped threads (on a
-    // host with >= `threads` cores this is the headline number; on fewer
-    // cores the workers time-slice).
-    let engine = ShardedEngine::new(cfg.clone(), SHARDS, [0x42u8; 48]).expect("sharded engine");
-    let start = Instant::now();
-    let wall_blocks: u64 = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|g| {
-                let engine = &engine;
-                let members = group(parts, g, threads);
-                s.spawn(move || replay_parts(engine, &members))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker")).sum()
-    });
-    let wall_seconds = start.elapsed().as_secs_f64();
-    assert_eq!(wall_blocks, blocks, "threaded replay lost ops");
-
-    ScalePoint {
-        threads,
-        blocks,
-        blocks_per_sec: blocks as f64 / critical,
-        wall_blocks_per_sec: blocks as f64 / wall_seconds,
-    }
-}
-
-/// Measures one workload's full thread-scaling curve.
-pub fn sweep_curve(name: &str, cfg: &ToleoConfig, trace: &Trace) -> ScalingCurve {
-    let parts = partition_by_page(trace, SHARDS);
-    let points: Vec<ScalePoint> = THREAD_SWEEP
-        .iter()
-        .map(|&t| sweep_point(cfg, &parts, t))
-        .collect();
-    let at = |points: &[ScalePoint], threads: usize| {
-        points
-            .iter()
-            .find(|p| p.threads == threads)
-            .expect("sweep point")
-            .blocks_per_sec
-    };
-    let one_thread = at(&points, 1);
-    ScalingCurve {
-        workload: name.to_string(),
-        speedup_4t_vs_1t: at(&points, 4) / one_thread,
-        points,
-    }
-}
-
-/// Measures the thread-scaling curves for every workload (sequential,
-/// random, hot-reset, multi-tenant).
-pub fn run_scaling_curves(ops: u64) -> Vec<ScalingCurve> {
-    let mut curves = Vec::new();
-    for pattern in [EnginePattern::Sequential, EnginePattern::Random] {
-        let trace = engine_pattern(pattern, ops, FOOTPRINT_BYTES, 0xBE2C);
-        curves.push(sweep_curve(
-            pattern.name(),
-            &engine_cfg(Some(pattern)),
-            &trace,
-        ));
-    }
-    {
-        let trace = engine_pattern(EnginePattern::HotReset, ops, FOOTPRINT_BYTES, 0xBE2E);
-        curves.push(sweep_curve(
-            EnginePattern::HotReset.name(),
-            &engine_cfg(Some(EnginePattern::HotReset)),
-            &trace,
-        ));
-    }
-    {
-        let trace = multi_tenant(
-            TENANTS,
-            ops / TENANTS as u64,
-            FOOTPRINT_BYTES / TENANTS as u64,
-            0xBE2F,
-        );
-        curves.push(sweep_curve("multi-tenant", &engine_cfg(None), &trace));
-    }
-    curves
-}
-
-/// Micro-measures one AES block operation in ns (median of 5 windows of
-/// `iters` iterations). Eight independent lanes are processed per
-/// iteration, mirroring how the engine's XTS mode feeds the cipher
-/// independent sectors, so the number reflects achievable throughput
-/// rather than serial-chain latency.
-pub fn measure_aes_ns(aes: &Aes128, iters: u32, f: impl Fn(&Aes128, &[u8; 16]) -> [u8; 16]) -> f64 {
-    const LANES: usize = 8;
-    let mut lanes = [[0x5au8; 16]; LANES];
-    for (i, lane) in lanes.iter_mut().enumerate() {
-        lane[0] = i as u8;
-    }
-    let mut windows: Vec<f64> = (0..5)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                for lane in lanes.iter_mut() {
-                    *lane = f(aes, std::hint::black_box(lane));
-                }
-            }
-            start.elapsed().as_secs_f64() * 1e9 / (iters as f64 * LANES as f64)
-        })
-        .collect();
-    std::hint::black_box(lanes);
-    windows.sort_by(|a, b| a.total_cmp(b));
-    windows[windows.len() / 2]
-}
-
-/// Micro-measures the pipelined 8-wide multi-block API in ns/block
-/// (median of 5 windows of `iters` iterations): one `*_blocks8` call per
-/// iteration over eight independent lanes — the shape the XTS line path
-/// and the batched tweak precompute actually issue.
-pub fn measure_aes8_ns(aes: &Aes128, iters: u32, f: impl Fn(&Aes128, &mut [[u8; 16]; 8])) -> f64 {
-    let mut lanes = [[0x5au8; 16]; 8];
-    for (i, lane) in lanes.iter_mut().enumerate() {
-        lane[0] = i as u8;
-    }
-    let mut windows: Vec<f64> = (0..5)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f(aes, std::hint::black_box(&mut lanes));
-            }
-            start.elapsed().as_secs_f64() * 1e9 / (iters as f64 * 8.0)
-        })
-        .collect();
-    std::hint::black_box(lanes);
-    windows.sort_by(|a, b| a.total_cmp(b));
-    windows[windows.len() / 2]
-}
-
-/// Measures every backend this host can construct, `iters` iterations per
-/// timing window ([`AES_ITERS`] at full scale; smoke runs pass less).
-pub fn measure_backends(iters: u32) -> Vec<BackendAes> {
-    available_backends()
-        .into_iter()
-        .map(|kind| {
-            let aes = Aes128::with_backend(b"throughput-key!!", kind);
-            BackendAes {
-                kind,
-                encrypt_ns: measure_aes_ns(&aes, iters, |a, b| a.encrypt_block(b)),
-                decrypt_ns: measure_aes_ns(&aes, iters, |a, b| a.decrypt_block(b)),
-                encrypt8_ns: measure_aes8_ns(&aes, iters, |a, b| a.encrypt_blocks8(b)),
-                decrypt8_ns: measure_aes8_ns(&aes, iters, |a, b| a.decrypt_blocks8(b)),
-            }
-        })
-        .collect()
 }

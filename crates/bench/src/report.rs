@@ -9,7 +9,7 @@
 //! * [`Report::render_markdown`] — the `results/<name>.md` artifact;
 //! * [`Report::to_json`] — the machine-readable `results/<name>.json`
 //!   artifact (schema [`EXPERIMENT_SCHEMA`]), parseable by
-//!   [`crate::json`] and round-trippable via [`Report::from_json`] so
+//!   [`toleo_json::parse`] and round-trippable via [`Report::from_json`] so
 //!   `reproduce --render` can re-emit tables without re-running.
 //!
 //! Numeric cells carry both a display string (the exact formatting the
@@ -19,7 +19,7 @@
 
 // audit: allow-file(secret, `key` here is a metric name in a report, not key material)
 
-use crate::json::Value;
+use toleo_json::Value;
 
 /// Schema identifier emitted in every per-experiment JSON document.
 pub const EXPERIMENT_SCHEMA: &str = "toleo-experiment/v1";
@@ -134,7 +134,7 @@ impl Table {
 /// One experiment's complete structured result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
-    /// Registry name (`fig6`, `table2`, `throughput`, …).
+    /// Registry name (`fig6`, `table2`, `availability`, …).
     pub name: String,
     /// Human title (the headline line of the rendered report).
     pub title: String,
@@ -224,83 +224,40 @@ impl Report {
         out
     }
 
-    /// Machine-readable JSON (schema [`EXPERIMENT_SCHEMA`]).
+    /// Machine-readable JSON (schema [`EXPERIMENT_SCHEMA`]): one table
+    /// row per line, everything else one member per line.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{EXPERIMENT_SCHEMA}\",\n"));
-        out.push_str(&format!("  \"experiment\": \"{}\",\n", esc(&self.name)));
-        out.push_str(&format!("  \"title\": \"{}\",\n", esc(&self.title)));
-        out.push_str(&format!("  \"mem_ops\": {},\n", self.mem_ops));
-        out.push_str("  \"metrics\": {");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            out.push_str(&format!(
-                "\n    \"{}\": {}{}",
-                esc(k),
-                fmt_f64(*v),
-                if i + 1 == self.metrics.len() {
-                    "\n  "
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("},\n");
-        out.push_str("  \"tables\": [");
-        for (ti, t) in self.tables.iter().enumerate() {
-            out.push_str("\n    {\n");
-            out.push_str(&format!("      \"title\": \"{}\",\n", esc(&t.title)));
-            let cols: Vec<String> = t
-                .columns
-                .iter()
-                .map(|c| format!("\"{}\"", esc(c)))
-                .collect();
-            out.push_str(&format!("      \"columns\": [{}],\n", cols.join(", ")));
-            out.push_str("      \"rows\": [");
-            for (ri, row) in t.rows.iter().enumerate() {
-                let cells: Vec<String> = row
-                    .iter()
-                    .map(|c| match c.num {
-                        Some(n) => format!(
-                            "{{\"text\": \"{}\", \"num\": {}}}",
-                            esc(&c.text),
-                            fmt_f64(n)
-                        ),
-                        None => format!("{{\"text\": \"{}\"}}", esc(&c.text)),
-                    })
-                    .collect();
-                out.push_str(&format!(
-                    "\n        [{}]{}",
-                    cells.join(", "),
-                    if ri + 1 == t.rows.len() {
-                        "\n      "
-                    } else {
-                        ","
-                    }
-                ));
-            }
-            out.push_str("]\n");
-            out.push_str(if ti + 1 == self.tables.len() {
-                "    }\n  "
-            } else {
-                "    },"
-            });
-        }
-        out.push_str("],\n");
-        out.push_str("  \"notes\": [");
-        for (i, n) in self.notes.iter().enumerate() {
-            out.push_str(&format!(
-                "\n    \"{}\"{}",
-                esc(n),
-                if i + 1 == self.notes.len() {
-                    "\n  "
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("]\n}\n");
-        out
+        let texts = |items: &[String]| Value::Arr(items.iter().map(|s| text(s)).collect());
+        let cell = |c: &Cell| {
+            let mut members = vec![("text".to_string(), text(&c.text))];
+            members.extend(c.num.map(|n| ("num".to_string(), Value::Num(n))));
+            Value::Obj(members)
+        };
+        let row = |r: &Vec<Cell>| Value::Arr(r.iter().map(cell).collect());
+        let table = |t: &Table| {
+            object([
+                ("title", text(&t.title)),
+                ("columns", texts(&t.columns)),
+                ("rows", Value::Arr(t.rows.iter().map(row).collect())),
+            ])
+        };
+        let metric = |(k, v): &(String, f64)| (k.clone(), Value::Num(*v));
+        let doc = object([
+            ("schema", text(EXPERIMENT_SCHEMA)),
+            ("experiment", text(&self.name)),
+            ("title", text(&self.title)),
+            ("mem_ops", Value::Num(self.mem_ops as f64)),
+            (
+                "metrics",
+                Value::Obj(self.metrics.iter().map(metric).collect()),
+            ),
+            (
+                "tables",
+                Value::Arr(self.tables.iter().map(table).collect()),
+            ),
+            ("notes", texts(&self.notes)),
+        ]);
+        toleo_json::pretty(&doc, &["columns", "rows"])
     }
 
     /// Rebuilds a report from a parsed [`Value`] (the inverse of
@@ -406,41 +363,18 @@ impl Report {
     }
 }
 
-/// Formats an f64 as a JSON number (shortest round-trip decimal; the
-/// values are pre-rounded by [`sig9`], so no exponent forms appear that
-/// a strict reader would reject).
-fn fmt_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        let s = format!("{v}");
-        // Rust Display uses `e` notation for tiny/huge magnitudes, which
-        // is valid JSON; keep as-is.
-        s
-    }
+fn text(s: &str) -> Value {
+    Value::Str(s.to_string())
 }
 
-/// Escapes a string for JSON embedding.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+fn object<const N: usize>(members: [(&str, Value); N]) -> Value {
+    Value::Obj(members.map(|(k, v)| (k.to_string(), v)).into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use toleo_json as json;
 
     fn sample() -> Report {
         let mut r = Report::new("fig0", "Figure 0. A \"sample\"", 1234);

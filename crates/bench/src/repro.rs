@@ -13,8 +13,8 @@
 //!   CI smoke run at `TOLEO_BENCH_OPS=2000 `against full-scale references
 //!   — only the *shape* is checked: metric key set, table titles and
 //!   column headers.
-//! - **Timing experiments** (`throughput`, `availability`, `recovery`)
-//!   measure wall clock and vary by host and run; they are reported and
+//! - **Timing experiments** (`availability`, `recovery`) carry
+//!   wall-clock cells that vary by host and run; they are reported and
 //!   exempt from reference comparison. What gates them needs no
 //!   baseline: [`check_availability_invariants`] and
 //!   [`check_recovery_invariants`] run whenever the experiment does. A
@@ -39,7 +39,6 @@
 //! assert!(delta.details[0].contains("metric x"));
 //! ```
 
-use crate::json;
 use crate::report::{sig9, Report};
 
 /// Verdict of one experiment's delta check.
@@ -383,7 +382,7 @@ pub fn render_headline(expected_dir: &std::path::Path) -> Result<String, String>
         let path = expected_dir.join(format!("{name}.json"));
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let doc = json::parse(&text).map_err(|e| format!("{name}: {e}"))?;
+        let doc = toleo_json::parse(&text).map_err(|e| format!("{name}: {e}"))?;
         let report = Report::from_json(&doc).map_err(|e| format!("{name}: {e}"))?;
         out.push_str(&report.render_markdown());
         out.push('\n');

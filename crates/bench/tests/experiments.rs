@@ -6,9 +6,9 @@
 use std::path::Path;
 
 use toleo_bench::experiments::{self, RunCtx};
-use toleo_bench::json;
 use toleo_bench::report::{Report, EXPERIMENT_SCHEMA};
 use toleo_bench::repro;
+use toleo_json as json;
 
 /// Every registered experiment: JSON parses, schema matches, round-trip
 /// is lossless, and the Markdown renderer produces non-trivial output.
@@ -57,8 +57,9 @@ fn functional_experiments_are_deterministic() {
     }
 }
 
-/// The committed `expected/` references parse, declare the schema, and
-/// cover exactly the functional experiments.
+/// The committed `expected/` references parse, declare the schema,
+/// re-serialise byte-identically, and cover exactly the functional
+/// experiments.
 #[test]
 fn committed_references_cover_the_functional_registry() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -78,6 +79,7 @@ fn committed_references_cover_the_functional_registry() {
         let doc = json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", exp.name));
         let report = Report::from_json(&doc).unwrap_or_else(|e| panic!("{}: {e}", exp.name));
         assert_eq!(report.name, exp.name);
+        assert_eq!(report.to_json(), text, "{}: not byte-identical", exp.name);
     }
 }
 

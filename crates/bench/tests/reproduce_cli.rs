@@ -1,8 +1,8 @@
 //! End-to-end tests of the `reproduce` binary: the results tree is
 //! written, a clean run exits zero, a doctored or missing reference
-//! exits nonzero, the retired floor-gate flags are rejected, and the
-//! availability and recovery invariants gate every run that includes
-//! them.
+//! exits nonzero, the retired floor-gate flags and the retired
+//! `throughput` experiment are rejected, and the availability and
+//! recovery invariants gate every run that includes them.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -170,6 +170,7 @@ fn list_names_every_registered_experiment() {
     let output = reproduce().arg("--list").output().expect("spawn reproduce");
     assert!(output.status.success());
     let stdout = String::from_utf8(output.stdout).expect("utf8");
+    assert_eq!(stdout.lines().count(), 17, "{stdout}");
     for name in [
         "table1",
         "table4",
@@ -179,9 +180,23 @@ fn list_names_every_registered_experiment() {
         "ablations",
         "calibrate",
         "sim-summary",
-        "throughput",
         "availability",
+        "recovery",
     ] {
         assert!(stdout.contains(name), "--list lacks {name}:\n{stdout}");
     }
+    assert!(!stdout.contains("throughput"), "{stdout}");
+}
+
+#[test]
+fn retired_throughput_experiment_points_at_the_benchmark() {
+    // A stale `--only throughput` must not run the rest silently, and
+    // must say where wall-clock numbers come from now.
+    let output = reproduce()
+        .args(["--only", "fig10,throughput"])
+        .output()
+        .expect("spawn reproduce");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8(output.stderr).expect("utf8");
+    assert!(stderr.contains("benchmark/"), "{stderr}");
 }

@@ -14,9 +14,12 @@
 //!   kill flag and quarantine epoch at every chunk boundary — the
 //!   dynamic twin of the static `blocking-in-poll` rule.
 //! - **thread 2, caller on the quarantined shard**: tries to serve one
-//!   op; on seeing the quarantine bit it parks, using the epoch as its
-//!   wake condition, and retries when the epoch moves. A re-admission
-//!   that forgets the epoch bump strands it forever, which the explorer
+//!   op — in the shipped code a single op is `drain_shard` over a run
+//!   of one, the same ladder thread 1 walks, so under the lock it
+//!   re-checks the bit and the kill flag before the engine is touched.
+//!   On seeing the quarantine bit it parks, using the epoch as its wake
+//!   condition, and retries when the epoch moves. A re-admission that
+//!   forgets the epoch bump strands it forever, which the explorer
 //!   reports as a deadlock (the lost-wakeup invariant).
 //!
 //! [`Bug`] injects one protocol mistake at a time; the test suite
@@ -272,8 +275,9 @@ impl Handshake {
                     Step::Ran
                 }
             },
-            // Serve under the lock, re-checking quarantine first —
-            // the model of `run_on_shard`'s inner block.
+            // Serve under the lock — `drain_shard` with a run of one:
+            // the quarantine refusal and the chunk-boundary kill poll
+            // come first, then the run's single chunk is served.
             3 => {
                 if self.killed {
                     self.lock = None;

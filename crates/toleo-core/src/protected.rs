@@ -11,10 +11,9 @@
 //! [`ShardedEngine`]; `toleo-baselines`
 //! implements it for its SGX-style, VAULT and Morphable-Counters engines.
 //!
-//! The trait is deliberately object-safe: the throughput harness sweeps
-//! `Box<dyn ProtectedMemory>` values through identical replay loops, and
-//! the security suite drives one tamper/replay corpus through every
-//! scheme.
+//! The trait is deliberately object-safe: the security and property
+//! suites drive one tamper/replay corpus through
+//! `Box<dyn ProtectedMemory>` values of every scheme.
 //!
 //! # Example
 //!

@@ -393,6 +393,7 @@ impl ShardedEngine {
     /// Engages the world-kill: flips the flag and force-kills every shard
     /// so each is individually inert. Must not be called while holding a
     /// shard lock (it acquires all of them in turn).
+    #[cold]
     fn trip_kill(&self) {
         self.killed.store(true, Ordering::Release);
         for index in 0..self.shards.len() {
@@ -440,8 +441,11 @@ impl ShardedEngine {
         false
     }
 
-    /// Runs `f` on the shard owning `address`, then applies the
-    /// escalation ladder if the shard's engine died doing it. `access`
+    /// Runs `f` on the shard owning `address` as a batch run of one:
+    /// the single-op path is [`drain_shard_guarded`](Self::drain_shard_guarded)
+    /// over the one index `0`, so quarantine refusal, the lost-block
+    /// ledger, the escalation ladder and the fail-closed response to a
+    /// panic exist once, in [`drain_shard`](Self::drain_shard). `access`
     /// decides how the op interacts with the lost-block ledger a recovery
     /// may have left behind: reads refuse lost addresses with
     /// [`ToleoError::PageLost`], successful writes repopulate them
@@ -451,41 +455,30 @@ impl ShardedEngine {
         &self,
         address: u64,
         access: Access,
-        f: impl FnOnce(&mut ProtectionEngine) -> Result<R>,
+        mut f: impl FnMut(&mut ProtectionEngine) -> Result<R>,
     ) -> Result<R> {
         self.check_alive(address)?;
-        let shard = self.shard_of_addr(address);
-        let mut escalate_world = false;
-        let result = {
-            let mut engine = self.lock_shard(shard);
-            if self.quarantine.is_quarantined(shard) {
-                return Err(Self::quarantine_refusal(shard, address, &engine));
-            }
-            if matches!(access, Access::Read) && self.recovery.is_lost(shard, address) {
-                return Err(ToleoError::PageLost { shard, address });
-            }
-            let result = f(&mut engine);
-            if result.is_ok() {
-                match access {
-                    Access::Read => {}
-                    Access::Write => self.recovery.clear_lost(shard, address),
-                    Access::Free => self.recovery.clear_lost_page(shard, address),
+        let mut served = None;
+        let outcome = self.drain_shard_guarded(
+            self.shard_of_addr(address),
+            &[0],
+            access,
+            &|_| address,
+            &mut |engine, _| match f(engine) {
+                Ok(value) => {
+                    served = Some(value);
+                    Ok(())
                 }
-            }
-            if engine.is_killed() && !self.is_killed() {
-                if let Err(e) = &result {
-                    escalate_world = self.escalate_after_kill(shard, e);
-                }
-            }
-            result
-        };
-        if escalate_world {
-            self.trip_kill();
+                Err(e) => Err((0, e)),
+            },
+        );
+        self.finish_world_kill();
+        match outcome {
+            // A drained run of one has served its op; were that ever
+            // untrue, the answer is a violation, not a value.
+            Ok(()) => served.ok_or(ToleoError::IntegrityViolation { address }),
+            Err((_, e)) => Err(e),
         }
-        if result.is_ok() {
-            self.ops_served.fetch_add(1, Ordering::Relaxed);
-        }
-        result
     }
 
     /// Writes a 64-byte block at `addr` through the owning shard.
@@ -654,25 +647,10 @@ impl ShardedEngine {
         let mut first_severe: Option<(usize, ToleoError)> = None;
         let mut first_other: Option<(usize, ToleoError)> = None;
         for (shard, run) in runs.iter().enumerate() {
-            let Some(&first) = run.first() else {
+            if run.is_empty() {
                 continue;
-            };
-            let drained = catch_unwind(AssertUnwindSafe(|| {
-                self.drain_shard(shard, run, access, &addr_of, &mut exec_chunk)
-            }));
-            let outcome = drained.unwrap_or_else(|_| {
-                // A panicked run is an engine bug, not tampering, but the
-                // response is the same fail-closed one: kill the world and
-                // fail the shard's whole run rather than silently dropping
-                // its ops. (`lock_shard` recovers the poisoned lock.)
-                self.killed.store(true, Ordering::Release);
-                Err((
-                    first,
-                    ToleoError::IntegrityViolation {
-                        address: addr_of(first),
-                    },
-                ))
-            });
+            }
+            let outcome = self.drain_shard_guarded(shard, run, access, &addr_of, &mut exec_chunk);
             if let Err((i, e)) = outcome {
                 let slot = if error_is_severe(&e) {
                     &mut first_severe
@@ -684,15 +662,44 @@ impl ShardedEngine {
                 }
             }
         }
-        // No locks held now: finish propagating a world-kill flagged
-        // during a drain, so every shard is individually inert.
-        if self.is_killed() {
-            self.trip_kill();
-        }
+        self.finish_world_kill();
         match first_severe.or(first_other) {
             Some((index, error)) => Err(BatchError { index, error }),
             None => Ok(()),
         }
+    }
+
+    /// Finishes propagating a world-kill that a drain flagged while it
+    /// held a shard lock, so every shard is individually inert. Call it
+    /// with no lock held.
+    fn finish_world_kill(&self) {
+        if self.is_killed() {
+            self.trip_kill();
+        }
+    }
+
+    /// [`drain_shard`](Self::drain_shard) over a non-empty `run`, failing
+    /// closed if it panics. A panicked run is an engine bug, not
+    /// tampering, but the response is the same: flag the world-kill (the
+    /// caller finishes it) and fail the shard's whole run from its first
+    /// index rather than unwinding into the caller or silently dropping
+    /// ops. (`lock_shard` recovers the poisoned lock.)
+    fn drain_shard_guarded(
+        &self,
+        shard: usize,
+        run: &[usize],
+        access: Access,
+        addr_of: &impl Fn(usize) -> u64,
+        exec_chunk: &mut impl FnMut(&mut ProtectionEngine, &[usize]) -> ChunkResult,
+    ) -> ChunkResult {
+        catch_unwind(AssertUnwindSafe(|| {
+            self.drain_shard(shard, run, access, addr_of, exec_chunk)
+        }))
+        .unwrap_or_else(|_| {
+            self.killed.store(true, Ordering::Release);
+            let address = addr_of(run[0]);
+            Err((run[0], ToleoError::IntegrityViolation { address }))
+        })
     }
 
     /// Drains `run` — the batch indices `shard` owns, in batch order —
@@ -744,8 +751,8 @@ impl ShardedEngine {
             }
             // Recovery may have left lost-block markers on this shard: a
             // read chunk stops at the first lost address (ops before it
-            // are served, exactly as op-at-a-time) and a write chunk
-            // clears the markers it repopulates.
+            // are served, exactly as op-at-a-time), a write chunk clears
+            // the markers it repopulates, a page free those of its page.
             let mut chunk = chunk;
             let mut lost_hit: Option<usize> = None;
             if matches!(access, Access::Read) {
@@ -764,7 +771,7 @@ impl ShardedEngine {
                         && self.escalate_after_kill(shard, &e)
                     {
                         // Only the flag here: trip_kill() locks every
-                        // shard and we hold this one. `run_batch`
+                        // shard and we hold this one. The caller
                         // finishes the kill once no lock is held.
                         self.killed.store(true, Ordering::Release);
                     }
@@ -772,9 +779,17 @@ impl ShardedEngine {
                 }
                 self.ops_served
                     .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-                if matches!(access, Access::Write) {
-                    for &i in chunk {
-                        self.recovery.clear_lost(shard, addr_of(i));
+                match access {
+                    Access::Read => {}
+                    Access::Write => {
+                        for &i in chunk {
+                            self.recovery.clear_lost(shard, addr_of(i));
+                        }
+                    }
+                    Access::Free => {
+                        for &i in chunk {
+                            self.recovery.clear_lost_page(shard, addr_of(i));
+                        }
                     }
                 }
                 ops_since_poll = chunk.len();
@@ -811,9 +826,8 @@ impl ShardedEngine {
         total
     }
 
-    /// Per-shard engine counters, in shard order (load-balance telemetry
-    /// for the throughput harness). Quarantined shards report their
-    /// frozen snapshot.
+    /// Per-shard engine counters, in shard order (load-balance
+    /// telemetry). Quarantined shards report their frozen snapshot.
     pub fn per_shard_stats(&self) -> Vec<EngineStats> {
         (0..self.shards.len())
             .map(|index| self.lock_shard(index).stats())
@@ -1236,6 +1250,26 @@ mod tests {
             assert!(e.read(page * 4096).is_err(), "page {page}");
             assert!(e.write_batch(&[(page * 4096, b)]).is_err(), "page {page}");
         }
+    }
+
+    /// The same panic through the single-op entry points: they are runs
+    /// of one through the same guarded drain, so the caller gets an
+    /// error, not an unwind, and the poisoned shard serves nothing more.
+    #[test]
+    fn single_op_panic_fails_closed_into_world_kill() {
+        let e = sharded(4);
+        let b = [9u8; 64];
+        e.write(4096, &b).unwrap();
+        assert!(matches!(
+            e.write(4096 + 3, &b),
+            Err(ToleoError::IntegrityViolation { address }) if address == 4096 + 3
+        ));
+        assert!(e.is_killed(), "a panicked single op must world-kill");
+        for page in 0..4u64 {
+            assert!(e.read(page * 4096).is_err(), "page {page}");
+            assert!(e.write(page * 4096, &b).is_err(), "page {page}");
+        }
+        assert_eq!(e.robustness_stats().ops_served, 1, "only the first write");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Engine-level access patterns for the end-to-end throughput harness.
+//! Engine-level access patterns for the benchmark and the
+//! availability and recovery experiments.
 //!
 //! Unlike the Table-2 generators in [`gen`](crate::gen), which reproduce
 //! the *paper benchmarks'* locality profiles for the timing simulator,
