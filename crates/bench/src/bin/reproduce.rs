@@ -7,18 +7,19 @@
 //! ```
 //!
 //! produces `results/<name>.{json,md}` for all 17 experiments plus
-//! `summary.md` and `delta.md`, compares every functional experiment
-//! against its `expected/<name>.json` reference (exact at matching
-//! scale, structural otherwise), and checks the availability and
-//! recovery correctness invariants whenever those experiments run. Any
-//! drift, missing reference or failed invariant exits nonzero. The
-//! wall-clock experiments are reported, not compared: a speed claim is
-//! judged by `benchmark/`'s paired parent/change compare.
+//! `summary.md` and `delta.md`, compares every experiment against its
+//! `expected/<name>.json` reference (exact at matching scale, structural
+//! otherwise), and checks the availability and recovery correctness
+//! invariants whenever those experiments run. Any drift, missing
+//! reference or failed invariant exits nonzero. The output is a function
+//! of the tree and the flags alone — no clock, no environment variable:
+//! a speed claim is judged by `benchmark/`'s paired parent/change
+//! compare.
 //!
 //! Flags:
 //!
 //! - `--only a,b,c`   run a subset of experiments
-//! - `--ops N`        scale override (modeled traces AND wall-clock replay)
+//! - `--ops N`        scale override (modeled traces AND engine replay)
 //! - `--out DIR`      results tree root (default `results`)
 //! - `--expected DIR` reference tree root (default `expected`)
 //! - `--update-expected`  rewrite the references from this run
@@ -27,16 +28,12 @@
 
 // audit: allow-file(panic, reproduce harness: a reproduction run must abort loudly on bad arguments or unwritable output, never emit a partial results tree silently)
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use toleo_bench::experiments::{self, Experiment, RunCtx};
 use toleo_bench::report::Report;
-use toleo_bench::repro::{
-    self, check_availability_invariants, check_recovery_invariants, compare_reports, DeltaOutcome,
-    DeltaStatus,
-};
+use toleo_bench::repro::{self, check_invariants, compare_reports, DeltaOutcome, DeltaStatus};
 
 struct Args {
     out: PathBuf,
@@ -147,115 +144,79 @@ fn main() -> ExitCode {
     let args = parse_args();
     if args.list {
         for e in experiments::registry() {
-            let kind = if e.timing { "timing" } else { "exact" };
-            println!("{:<12} {:<28} [{kind}] {}", e.name, e.paper_ref, e.about);
+            println!("{:<12} {:<28} {}", e.name, e.paper_ref, e.about);
         }
         return ExitCode::SUCCESS;
     }
 
     let ctx = match args.ops {
         Some(ops) => RunCtx::with_ops(ops as usize, ops),
-        None => RunCtx::from_env(),
+        None => RunCtx::default(),
     };
     let selected = select(&args.only);
     let mut failures: Vec<String> = Vec::new();
-    let mut reports: BTreeMap<&'static str, Report> = BTreeMap::new();
     let mut deltas: Vec<DeltaOutcome> = Vec::new();
+    let mut invariant_lines: Vec<String> = Vec::new();
 
     // 1. Run everything, write the per-experiment results, diff vs the
-    //    committed references.
+    //    committed references, check the experiment's invariants.
     for exp in &selected {
         eprintln!("reproduce: running {} ({})", exp.name, exp.paper_ref);
         let report = (exp.run)(&ctx);
-        write(
-            &args.out.join(format!("{}.json", exp.name)),
-            &report.to_json(),
-        );
+        let json = report.to_json();
+        write(&args.out.join(format!("{}.json", exp.name)), &json);
         write(
             &args.out.join(format!("{}.md", exp.name)),
             &report.render_markdown(),
         );
-        if args.update_expected && !exp.timing {
-            write(
-                &args.expected.join(format!("{}.json", exp.name)),
-                &report.to_json(),
-            );
+        if args.update_expected {
+            write(&args.expected.join(format!("{}.json", exp.name)), &json);
         }
-        let delta = if exp.timing {
-            compare_reports(&report, &report, true)
-        } else {
-            match load_expected(&args.expected, exp.name) {
-                None => DeltaOutcome {
-                    name: exp.name.to_string(),
-                    status: DeltaStatus::MissingExpected,
-                    details: vec![format!(
-                        "no {}/{}.json — generate with --update-expected",
-                        args.expected.display(),
-                        exp.name
-                    )],
-                },
-                Some(Err(e)) => DeltaOutcome {
-                    name: exp.name.to_string(),
-                    status: DeltaStatus::Drift,
-                    details: vec![format!("reference unreadable: {e}")],
-                },
-                Some(Ok(expected)) => compare_reports(&expected, &report, false),
-            }
+        let delta = match load_expected(&args.expected, exp.name) {
+            None => DeltaOutcome {
+                name: exp.name.to_string(),
+                status: DeltaStatus::MissingExpected,
+                details: vec![format!(
+                    "no {}/{}.json — generate with --update-expected",
+                    args.expected.display(),
+                    exp.name
+                )],
+            },
+            Some(Err(e)) => DeltaOutcome {
+                name: exp.name.to_string(),
+                status: DeltaStatus::Drift,
+                details: vec![format!("reference unreadable: {e}")],
+            },
+            Some(Ok(expected)) => compare_reports(&expected, &report),
         };
         if delta.status.is_failure() {
             failures.push(format!("{}: {}", delta.name, delta.status.label()));
         }
         deltas.push(delta);
-        reports.insert(exp.name, report);
-    }
-
-    // 2. Correctness invariants from the availability and recovery runs.
-    let mut invariant_lines = Vec::new();
-    let mut recovery_invariant_lines = Vec::new();
-    {
-        // (experiment, checker, rendered-line sink) — both experiments
-        // share one invariant-table shape.
-        type Checker = fn(&Report) -> Result<Vec<repro::InvariantRow>, String>;
-        let suites: [(&str, Checker, &mut Vec<String>); 2] = [
-            (
-                "availability",
-                check_availability_invariants,
-                &mut invariant_lines,
-            ),
-            (
-                "recovery",
-                check_recovery_invariants,
-                &mut recovery_invariant_lines,
-            ),
-        ];
-        for (name, check, lines) in suites {
-            let Some(report) = reports.get(name) else {
-                continue;
-            };
-            match check(report) {
-                Ok(rows) => {
-                    for r in &rows {
-                        lines.push(format!(
-                            "| `{}` | {} | {} | {} |",
-                            r.name,
-                            r.required,
-                            r.actual,
-                            if r.pass { "pass" } else { "**FAIL**" }
+        match check_invariants(&report) {
+            Ok(rows) => {
+                for r in &rows {
+                    invariant_lines.push(format!(
+                        "| {} | `{}` | {} | {} | {} |",
+                        exp.name,
+                        r.name,
+                        r.required,
+                        r.actual,
+                        if r.pass { "pass" } else { "**FAIL**" }
+                    ));
+                    if !r.pass {
+                        failures.push(format!(
+                            "{} invariant {} = {} (required {})",
+                            exp.name, r.name, r.actual, r.required
                         ));
-                        if !r.pass {
-                            failures.push(format!(
-                                "{name} invariant {} = {} (required {})",
-                                r.name, r.actual, r.required
-                            ));
-                        }
                     }
                 }
-                Err(e) => failures.push(format!("{name} invariants unreadable: {e}")),
             }
+            Err(e) => failures.push(format!("invariants unreadable: {e}")),
         }
     }
 
-    // 3. Summary and delta report.
+    // 2. Summary and delta report.
     let mut summary = String::from("# Reproduction summary\n\n");
     summary.push_str(&format!(
         "- experiments run: {} of {}\n- scale: mem_ops={}, perf_ops={}\n\n",
@@ -278,8 +239,8 @@ fn main() -> ExitCode {
 
     let mut delta_md = String::from("# Delta report\n\n");
     delta_md.push_str(
-        "Functional experiments against `expected/` references; wall-clock \
-         experiments reported, with their correctness invariants below.\n\n",
+        "Every experiment against its `expected/` reference; the availability \
+         and recovery correctness invariants below.\n\n",
     );
     for d in &deltas {
         delta_md.push_str(&format!("## {} — {}\n\n", d.name, d.status.label()));
@@ -292,7 +253,8 @@ fn main() -> ExitCode {
     }
     if !invariant_lines.is_empty() {
         delta_md.push_str(
-            "## Availability invariants\n\n| invariant | required | actual | verdict |\n|---|---|---|---|\n",
+            "## Invariants\n\n| experiment | invariant | required | actual | verdict |\n\
+             |---|---|---|---|---|\n",
         );
         for l in &invariant_lines {
             delta_md.push_str(l);
@@ -300,21 +262,9 @@ fn main() -> ExitCode {
         }
         delta_md.push('\n');
     }
-    if !recovery_invariant_lines.is_empty() {
-        delta_md.push_str(
-            "## Recovery invariants (required is a minimum for \
-             `recoveries.completed` and the goodput ratio)\n\n\
-             | invariant | required | actual | verdict |\n|---|---|---|---|\n",
-        );
-        for l in &recovery_invariant_lines {
-            delta_md.push_str(l);
-            delta_md.push('\n');
-        }
-        delta_md.push('\n');
-    }
     write(&args.out.join("delta.md"), &delta_md);
 
-    // 4. --render: re-splice the generated `figures` block of
+    // 3. --render: re-splice the generated `figures` block of
     //    EXPERIMENTS.md from the committed references.
     if args.render {
         let doc_path = Path::new("EXPERIMENTS.md");
@@ -328,7 +278,7 @@ fn main() -> ExitCode {
         eprintln!("reproduce: EXPERIMENTS.md regenerated");
     }
 
-    // 5. Verdict.
+    // 4. Verdict.
     if failures.is_empty() {
         println!(
             "reproduce: OK — {} experiments, results in {}/",

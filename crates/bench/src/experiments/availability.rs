@@ -1,6 +1,7 @@
-//! Availability experiment: goodput vs injected transient-fault rate
-//! through the fault-injected device channel, plus the
-//! one-shard-tampered quarantine containment run.
+//! Availability experiment: what the fault-injected device channel
+//! injects and absorbs at each transient-fault rate, plus the
+//! one-shard-tampered quarantine containment run. Every cell is an exact
+//! count.
 //!
 //! The correctness invariants (zero false kills, bit-identical
 //! observations at every fault rate, exactly one quarantined shard, no
@@ -23,14 +24,15 @@ pub fn run(ctx: &RunCtx) -> Report {
 
     let availability = perf::run_availability(ops);
     let mut sweep = Table::new(
-        "goodput vs injected transient-fault rate (8 shards, retry/backoff channel)",
+        "injected transient faults absorbed by retry (8 shards, retry/backoff channel)",
         &[
             "workload",
             "fault rate",
-            "blocks/s",
-            "goodput",
+            "blocks",
             "faults",
+            "absorbed",
             "retries",
+            "backoff (virtual ns)",
             "observations",
             "false kills",
         ],
@@ -44,10 +46,11 @@ pub fn run(ctx: &RunCtx) -> Report {
             sweep.row(vec![
                 Cell::text(a.workload),
                 Cell::sci(p.fault_rate),
-                Cell::num(p.blocks_per_sec, 0),
-                Cell::num(p.goodput_vs_fault_free, 3),
-                Cell::int(p.faults_injected),
-                Cell::int(p.retries),
+                Cell::int(p.blocks),
+                Cell::int(p.link_stats.faults_injected),
+                Cell::int(p.link_stats.faults_absorbed),
+                Cell::int(p.link_stats.retries),
+                Cell::int(p.link_stats.backoff_nanos),
                 Cell::text(if p.observations_match {
                     "match"
                 } else {
@@ -55,14 +58,6 @@ pub fn run(ctx: &RunCtx) -> Report {
                 }),
                 Cell::int(p.false_kills),
             ]);
-        }
-        if let Some(worst) = a
-            .points
-            .iter()
-            .map(|p| p.goodput_vs_fault_free)
-            .min_by(|x, y| x.total_cmp(y))
-        {
-            report.metric(format!("goodput.{}.worst", a.workload), worst);
         }
     }
     report.tables.push(sweep);
@@ -90,10 +85,6 @@ pub fn run(ctx: &RunCtx) -> Report {
         Cell::int(q.healthy_blocks),
     ]);
     quarantine.row(vec![
-        Cell::text("healthy blocks/s"),
-        Cell::num(q.healthy_blocks_per_sec, 0),
-    ]);
-    quarantine.row(vec![
         Cell::text("refused (ShardQuarantined)"),
         Cell::int(q.refused_blocks),
     ]);
@@ -109,9 +100,5 @@ pub fn run(ctx: &RunCtx) -> Report {
     report.metric("quarantine.quarantined_shards", q.quarantined_shards as f64);
     report.metric("quarantine.world_killed", u64::from(q.world_killed) as f64);
     report.metric("quarantine.healthy_blocks", q.healthy_blocks as f64);
-    report.note(
-        "gate invariants: false_kills.total == 0, observations_match.all == 1, \
-         quarantine.quarantined_shards == 1, quarantine.world_killed == 0",
-    );
     report
 }

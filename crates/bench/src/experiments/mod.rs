@@ -1,5 +1,5 @@
-//! The experiment registry: every paper figure/table plus the wall-clock
-//! harnesses as library entry points.
+//! The experiment registry: every paper figure/table plus the
+//! availability and recovery experiments as library entry points.
 //!
 //! Each experiment is a module returning a structured [`Report`]. The
 //! `reproduce` binary (`--only <name>` for one experiment) and the test
@@ -64,10 +64,6 @@ pub struct Experiment {
     pub paper_ref: &'static str,
     /// One-line description for `reproduce --list` and the summary.
     pub about: &'static str,
-    /// `true` for the experiments with wall-clock cells (availability,
-    /// recovery): those cells vary run-to-run, so the delta report lists
-    /// them as reported instead of comparing them to a reference.
-    pub timing: bool,
     /// The entry point.
     pub run: fn(&RunCtx) -> Report,
 }
@@ -77,7 +73,7 @@ pub struct Experiment {
 pub struct RunCtx {
     /// Trace-generation config for the modeled-cycles experiments.
     pub gen: GenConfig,
-    /// Ops per workload for the wall-clock harnesses.
+    /// Ops per workload for the availability and recovery experiments.
     pub perf_ops: u64,
     cache: RefCell<HashMap<&'static str, Rc<Vec<RunStats>>>>,
 }
@@ -92,32 +88,21 @@ fn protection_key(p: Protection) -> &'static str {
     }
 }
 
-impl RunCtx {
-    /// The standard context: paper-scale defaults, overridden by the
-    /// `TOLEO_BENCH_OPS` environment variable (which scales the modeled
-    /// traces and the wall-clock replay together — the CI smoke job sets
-    /// it to drive the whole registry in seconds).
-    pub fn from_env() -> RunCtx {
-        let gen = crate::harness::gen_config();
-        let perf_ops = std::env::var("TOLEO_BENCH_OPS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(perf::DEFAULT_OPS);
-        RunCtx::with_gen(gen, perf_ops)
+impl Default for RunCtx {
+    /// The scale the committed `expected/` references were generated at.
+    fn default() -> RunCtx {
+        RunCtx::with_ops(GenConfig::default().mem_ops, perf::DEFAULT_OPS)
     }
+}
 
+impl RunCtx {
     /// A context at explicit scales (used by tests and `--ops`).
     pub fn with_ops(mem_ops: usize, perf_ops: u64) -> RunCtx {
-        let gen = GenConfig {
-            mem_ops,
-            ..Default::default()
-        };
-        RunCtx::with_gen(gen, perf_ops)
-    }
-
-    fn with_gen(gen: GenConfig, perf_ops: u64) -> RunCtx {
         RunCtx {
-            gen,
+            gen: GenConfig {
+                mem_ops,
+                ..Default::default()
+            },
             perf_ops,
             cache: RefCell::new(HashMap::new()),
         }
@@ -138,125 +123,108 @@ impl RunCtx {
 
 /// Every experiment, in reporting order: the paper's tables, its
 /// figures, the security analysis and ablations, the raw simulator
-/// summary, then the wall-clock harnesses.
+/// summary, then the robustness experiments over the functional engine.
 pub static REGISTRY: [Experiment; 17] = [
     Experiment {
         name: "table1",
         paper_ref: "Table 1",
         about: "memory-protection guarantee comparison",
-        timing: false,
         run: table1::run,
     },
     Experiment {
         name: "table2",
         paper_ref: "Table 2",
         about: "benchmark characteristics: measured LLC MPKI and RSS vs paper",
-        timing: false,
         run: table2::run,
     },
     Experiment {
         name: "table3",
         paper_ref: "Table 3",
         about: "simulation configuration (paper preset and scaled preset)",
-        timing: false,
         run: table3::run,
     },
     Experiment {
         name: "table4",
         paper_ref: "Table 4",
         about: "freshness-protected version size comparison",
-        timing: false,
         run: table4::run,
     },
     Experiment {
         name: "fig6",
         paper_ref: "Figure 6",
         about: "execution-time overhead of CI/Toleo/InvisiMem vs NoProtect",
-        timing: false,
         run: fig6::run,
     },
     Experiment {
         name: "fig7",
         paper_ref: "Figure 7",
         about: "stealth-cache and MAC-cache hit rates",
-        timing: false,
         run: fig7::run,
     },
     Experiment {
         name: "fig8",
         paper_ref: "Figure 8",
         about: "memory bandwidth overhead: bytes per instruction by traffic class",
-        timing: false,
         run: fig8::run,
     },
     Experiment {
         name: "fig9",
         paper_ref: "Figure 9",
         about: "average memory read latency decomposition",
-        timing: false,
         run: fig9::run,
     },
     Experiment {
         name: "fig10",
         paper_ref: "Figure 10",
         about: "pages classified by final Trip format",
-        timing: false,
         run: fig10::run,
     },
     Experiment {
         name: "fig11",
         paper_ref: "Figure 11",
         about: "peak Toleo usage per TB of protected data",
-        timing: false,
         run: fig11::run,
     },
     Experiment {
         name: "fig12",
         paper_ref: "Figure 12",
         about: "Toleo usage by Trip format over time",
-        timing: false,
         run: fig12::run,
     },
     Experiment {
         name: "sec62",
         paper_ref: "Section 6.2",
         about: "stealth exhaustion / replay probability bounds + Monte-Carlo",
-        timing: false,
         run: sec62::run,
     },
     Experiment {
         name: "ablations",
         paper_ref: "Section 7 (design choices)",
         about: "reset policy, Trip dynamism, stealth width, tree walks, hot writes",
-        timing: false,
         run: ablations::run,
     },
     Experiment {
         name: "calibrate",
         paper_ref: "Table 2 + Figures 6/7/10",
         about: "calibration dashboard: measured vs paper targets",
-        timing: false,
         run: calibrate::run,
     },
     Experiment {
         name: "sim-summary",
         paper_ref: "Section 5 (methodology)",
         about: "raw modeled cycles/traffic for all 12 workloads x 5 protections",
-        timing: false,
         run: sim_summary::run,
     },
     Experiment {
         name: "availability",
-        paper_ref: "wall-clock report",
-        about: "goodput under injected faults + one-shard quarantine containment",
-        timing: true,
+        paper_ref: "robustness report",
+        about: "injected link faults absorbed by retry + one-shard quarantine containment",
         run: availability::run,
     },
     Experiment {
         name: "recovery",
-        paper_ref: "wall-clock report",
-        about: "adversary campaign: detection latency, MTTR, goodput during recovery",
-        timing: true,
+        paper_ref: "robustness report",
+        about: "adversary campaign: detection latency, outage window, scrub/re-key/re-admit",
         run: recovery::run,
     },
 ];

@@ -1,6 +1,6 @@
 //! Raw simulator summary: the modeled-cycles run every figure derives
-//! from, dumped directly so functional (wall-clock) and timing (modeled)
-//! results land side by side in the `results/` tree.
+//! from, dumped directly so the functional engine's counts and the
+//! simulator's modeled cycles land side by side in the `results/` tree.
 
 use super::RunCtx;
 use crate::report::{Cell, Report, Table};

@@ -10,14 +10,12 @@
 //! ```
 //!
 //! which runs every experiment in [`experiments::REGISTRY`], writes a
-//! `results/` tree (JSON + Markdown per experiment), diffs the
-//! functional experiments against the committed `expected/` references,
-//! checks the availability and recovery invariants, and exits nonzero on
-//! any divergence. `reproduce --only fig6` is the scoped single-figure
-//! run. The blocks/s cells beside the availability and recovery
-//! invariants are reported, never compared: the stopwatch is
-//! `benchmark/`, and a speed claim is judged by its paired
-//! parent/change compare.
+//! `results/` tree (JSON + Markdown per experiment), diffs every
+//! experiment against its committed `expected/` reference, checks the
+//! availability and recovery invariants, and exits nonzero on any
+//! divergence. `reproduce --only fig6` is the scoped single-figure run.
+//! This crate holds no clock: the stopwatch is `benchmark/`, and a speed
+//! claim is judged by its paired parent/change compare.
 //!
 //! Module map:
 //!
@@ -31,8 +29,8 @@
 //!   `expected/`, availability and recovery invariants, and the
 //!   `EXPERIMENTS.md` generated-block splicer.
 //! - [`perf`] — the availability and recovery runs (fault injection,
-//!   quarantine containment, adversary campaign) and the invariants
-//!   they assert.
+//!   quarantine containment, adversary campaign), exact counts only, and
+//!   the invariants they assert.
 //! - [`harness`] — shared trace machinery: generate all 12 workload
 //!   traces once, run them under any protection configuration (in
 //!   parallel across workloads).
@@ -55,36 +53,13 @@ pub mod harness {
     use toleo_sim::system::{RunStats, System};
     use toleo_workloads::{generate, Benchmark, GenConfig};
 
-    /// Standard generation config for the figures (bigger than unit-test
-    /// traces, still seconds to run). The `TOLEO_BENCH_OPS` environment
-    /// variable overrides the per-trace op count — the CI smoke job uses
-    /// it to drive every experiment end-to-end in seconds, so none can
-    /// bit-rot without a paper-scale run.
-    pub fn gen_config() -> GenConfig {
-        let mut cfg = GenConfig::default();
-        if let Some(ops) = std::env::var("TOLEO_BENCH_OPS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            assert!(ops > 0, "TOLEO_BENCH_OPS must be positive");
-            cfg.mem_ops = ops;
-        }
-        cfg
-    }
-
     /// Generates all 12 traces.
     pub fn all_traces(cfg: &GenConfig) -> Vec<toleo_workloads::Trace> {
         Benchmark::all().iter().map(|b| generate(*b, cfg)).collect()
     }
 
-    /// Runs every benchmark under `protection`, in parallel, preserving
-    /// Table 2 order.
-    pub fn run_all(protection: Protection) -> Vec<RunStats> {
-        run_all_with(protection, &gen_config())
-    }
-
-    /// Runs every benchmark under `protection` with a custom generation
-    /// config.
+    /// Runs every benchmark under `protection` on traces generated from
+    /// `gen`, in parallel, preserving Table 2 order.
     pub fn run_all_with(protection: Protection, gen: &GenConfig) -> Vec<RunStats> {
         let traces = all_traces(gen);
         let mut out: Vec<Option<RunStats>> = vec![None; traces.len()];
@@ -100,15 +75,6 @@ pub mod harness {
         out.into_iter().map(|o| o.expect("run completed")).collect()
     }
 
-    /// Geometric mean of a slice (the paper's preferred average for
-    /// overhead ratios).
-    pub fn geomean(xs: &[f64]) -> f64 {
-        if xs.is_empty() {
-            return 0.0;
-        }
-        (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-    }
-
     /// Arithmetic mean.
     pub fn mean(xs: &[f64]) -> f64 {
         if xs.is_empty() {
@@ -120,17 +86,6 @@ pub mod harness {
     #[cfg(test)]
     mod tests {
         use super::*;
-
-        #[test]
-        fn geomean_of_ones_is_one() {
-            assert!((geomean(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-            assert_eq!(geomean(&[]), 0.0);
-        }
-
-        #[test]
-        fn geomean_known_value() {
-            assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        }
 
         #[test]
         fn mean_known_value() {

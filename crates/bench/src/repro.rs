@@ -3,23 +3,16 @@
 //! availability and recovery correctness invariants, and the
 //! `EXPERIMENTS.md` generated-block splicer.
 //!
-//! Two comparison regimes, chosen per experiment:
+//! Every experiment is deterministic: same trace seeds, same simulator
+//! and engine config, explicit fault plans — bit-identical output on any
+//! host. When the run used the same `mem_ops` as the reference, every
+//! metric and every table cell must match exactly (after
+//! [`crate::report::sig9`] rounding). When the scales differ — a smoke
+//! run at `--ops 2000` against full-scale references — only the *shape*
+//! is checked: metric key set, table titles and column headers.
 //!
-//! - **Functional experiments** (the figure/table reports) are
-//!   deterministic: same trace seeds, same simulator config, bit-identical
-//!   output on any host. When the run used the same `mem_ops` as the
-//!   reference, every metric and every table cell must match exactly
-//!   (after [`crate::report::sig9`] rounding). When the scales differ — a
-//!   CI smoke run at `TOLEO_BENCH_OPS=2000 `against full-scale references
-//!   — only the *shape* is checked: metric key set, table titles and
-//!   column headers.
-//! - **Timing experiments** (`availability`, `recovery`) carry
-//!   wall-clock cells that vary by host and run; they are reported and
-//!   exempt from reference comparison. What gates them needs no
-//!   baseline: [`check_availability_invariants`] and
-//!   [`check_recovery_invariants`] run whenever the experiment does. A
-//!   wall-clock claim is judged by `benchmark/`'s paired parent/change
-//!   compare, not here.
+//! The [`INVARIANTS`] need no reference: [`check_invariants`] holds each
+//! to its required value whenever its experiment runs, at any scale.
 //!
 //! # Examples
 //!
@@ -31,10 +24,10 @@
 //! expected.metric("x", 1.25);
 //! let mut measured = Report::new("fig0", "demo", 1000);
 //! measured.metric("x", 1.25);
-//! assert_eq!(compare_reports(&expected, &measured, false).status, DeltaStatus::Match);
+//! assert_eq!(compare_reports(&expected, &measured).status, DeltaStatus::Match);
 //!
 //! measured.metrics[0].1 = 9.0; // doctor the measurement
-//! let delta = compare_reports(&expected, &measured, false);
+//! let delta = compare_reports(&expected, &measured);
 //! assert_eq!(delta.status, DeltaStatus::Drift);
 //! assert!(delta.details[0].contains("metric x"));
 //! ```
@@ -52,8 +45,6 @@ pub enum DeltaStatus {
     Drift,
     /// No committed reference for this experiment.
     MissingExpected,
-    /// Timing experiment: reported, exempt from reference comparison.
-    TimingSkipped,
 }
 
 impl DeltaStatus {
@@ -69,7 +60,6 @@ impl DeltaStatus {
             DeltaStatus::StructuralMatch => "structural match (scaled-down run)",
             DeltaStatus::Drift => "DRIFT",
             DeltaStatus::MissingExpected => "MISSING EXPECTED",
-            DeltaStatus::TimingSkipped => "timing (reported, not compared)",
         }
     }
 }
@@ -97,18 +87,8 @@ fn push_detail(details: &mut Vec<String>, msg: String) {
 }
 
 /// Compares a measured report against its committed reference.
-///
-/// `timing` marks wall-clock experiments, which return
-/// [`DeltaStatus::TimingSkipped`] unconditionally.
-pub fn compare_reports(expected: &Report, measured: &Report, timing: bool) -> DeltaOutcome {
+pub fn compare_reports(expected: &Report, measured: &Report) -> DeltaOutcome {
     let mut details = Vec::new();
-    if timing {
-        return DeltaOutcome {
-            name: measured.name.clone(),
-            status: DeltaStatus::TimingSkipped,
-            details,
-        };
-    }
     let exact = expected.mem_ops == measured.mem_ops;
 
     // Metric key sets must agree at any scale.
@@ -214,8 +194,38 @@ pub fn compare_reports(expected: &Report, measured: &Report, timing: bool) -> De
     }
 }
 
-/// One correctness invariant from the availability experiment: an exact
-/// required value, independent of any baseline.
+/// The correctness invariants of the availability and recovery
+/// experiments, as `(experiment, metric, required)`: each metric must
+/// equal its required value on every run at every scale, independent of
+/// any reference.
+///
+/// Availability: injected transients never kill, observations stay
+/// bit-identical at every fault rate, a tamper quarantines exactly one
+/// shard and never world-kills. Recovery (folded over both device
+/// links): the campaign never false-kills or world-kills, observations
+/// on never-attacked addresses stay bit-identical across every
+/// quarantine → recover → re-serve cycle, lost blocks surface only as
+/// typed errors, every step is detected within the kill-poll bound and
+/// ends re-admitted, and every mounted step completes a recovery.
+pub const INVARIANTS: [(&str, &str, f64); 11] = [
+    ("availability", "false_kills.total", 0.0),
+    ("availability", "observations_match.all", 1.0),
+    ("availability", "quarantine.quarantined_shards", 1.0),
+    ("availability", "quarantine.world_killed", 0.0),
+    ("recovery", "false_kills.total", 0.0),
+    ("recovery", "world_killed", 0.0),
+    ("recovery", "observations.mismatches", 0.0),
+    ("recovery", "pages_lost.unaccounted", 0.0),
+    ("recovery", "detection.within_poll_bound", 1.0),
+    ("recovery", "recovery.readmitted_all", 1.0),
+    (
+        "recovery",
+        "recoveries.completed",
+        (crate::perf::RECOVERY_LINKS.len() * crate::perf::RECOVERY_CAMPAIGN_STEPS) as f64,
+    ),
+];
+
+/// One checked entry of [`INVARIANTS`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvariantRow {
     /// Metric name.
@@ -228,26 +238,20 @@ pub struct InvariantRow {
     pub pass: bool,
 }
 
-/// Checks the availability report's correctness invariants: no false
-/// kills, bit-identical observations at every fault rate, exactly one
-/// quarantined shard, and no world-kill.
+/// Checks every entry of [`INVARIANTS`] that names `report`'s
+/// experiment (none, for most experiments).
 ///
 /// # Errors
 ///
-/// The report is missing one of the invariant metrics.
-pub fn check_availability_invariants(availability: &Report) -> Result<Vec<InvariantRow>, String> {
-    const INVARIANTS: [(&str, f64); 4] = [
-        ("false_kills.total", 0.0),
-        ("observations_match.all", 1.0),
-        ("quarantine.quarantined_shards", 1.0),
-        ("quarantine.world_killed", 0.0),
-    ];
+/// The report is missing one of its invariant metrics.
+pub fn check_invariants(report: &Report) -> Result<Vec<InvariantRow>, String> {
     INVARIANTS
         .iter()
-        .map(|&(name, required)| {
-            let actual = availability
+        .filter(|(experiment, _, _)| *experiment == report.name)
+        .map(|&(experiment, name, required)| {
+            let actual = report
                 .get_metric(name)
-                .ok_or_else(|| format!("availability report has no metric {name}"))?;
+                .ok_or_else(|| format!("{experiment} report has no metric {name}"))?;
             Ok(InvariantRow {
                 name,
                 required,
@@ -255,58 +259,6 @@ pub fn check_availability_invariants(availability: &Report) -> Result<Vec<Invari
                 pass: actual == required,
             })
         })
-        .collect()
-}
-
-/// Checks the recovery experiment's correctness invariants: the adversary
-/// campaign never false-kills or world-kills, observations on
-/// never-attacked addresses stay bit-identical across every
-/// quarantine → recover → re-serve cycle, lost blocks surface only as
-/// typed errors, every step is detected within the kill-poll bound and
-/// ends re-admitted, and healthy shards keep at least 0.9× the
-/// fault-free goodput while a recovery runs.
-///
-/// # Errors
-///
-/// The report is missing one of the invariant metrics.
-pub fn check_recovery_invariants(recovery: &Report) -> Result<Vec<InvariantRow>, String> {
-    /// Exact invariants: `actual == required`.
-    const EXACT: [(&str, f64); 6] = [
-        ("false_kills.total", 0.0),
-        ("world_killed", 0.0),
-        ("observations.mismatches", 0.0),
-        ("pages_lost.unaccounted", 0.0),
-        ("detection.within_poll_bound", 1.0),
-        ("recovery.readmitted_all", 1.0),
-    ];
-    /// Floor invariants: `actual >= required`.
-    const FLOORS: [(&str, f64); 2] = [
-        ("recoveries.completed", 2.0),
-        ("goodput.during_recovery_vs_fault_free", 0.9),
-    ];
-    let row = |name: &'static str, required: f64, exact: bool| {
-        let actual = recovery
-            .get_metric(name)
-            .ok_or_else(|| format!("recovery report has no metric {name}"))?;
-        Ok(InvariantRow {
-            name,
-            required,
-            actual,
-            pass: if exact {
-                actual == required
-            } else {
-                actual >= required
-            },
-        })
-    };
-    EXACT
-        .iter()
-        .map(|&(name, required)| row(name, required, true))
-        .chain(
-            FLOORS
-                .iter()
-                .map(|&(name, required)| row(name, required, false)),
-        )
         .collect()
 }
 
@@ -406,15 +358,17 @@ mod tests {
 
     #[test]
     fn same_scale_same_values_match() {
-        let d = compare_reports(&demo(1000, 1.5), &demo(1000, 1.5), false);
+        let d = compare_reports(&demo(1000, 1.5), &demo(1000, 1.5));
         assert_eq!(d.status, DeltaStatus::Match);
         assert!(d.details.is_empty());
     }
 
     #[test]
     fn same_scale_value_drift_is_reported() {
-        let d = compare_reports(&demo(1000, 1.5), &demo(1000, 1.6), false);
+        let d = compare_reports(&demo(1000, 1.5), &demo(1000, 1.6));
         assert_eq!(d.status, DeltaStatus::Drift);
+        assert!(d.status.is_failure());
+        assert!(DeltaStatus::MissingExpected.is_failure());
         assert!(
             d.details.iter().any(|s| s.contains("metric x")),
             "{:?}",
@@ -430,13 +384,14 @@ mod tests {
     #[test]
     fn scaled_run_checks_shape_only() {
         // Different mem_ops, different values: structural match.
-        let d = compare_reports(&demo(200_000, 1.5), &demo(2_000, 9.9), false);
+        let d = compare_reports(&demo(200_000, 1.5), &demo(2_000, 9.9));
         assert_eq!(d.status, DeltaStatus::StructuralMatch);
+        assert!(!d.status.is_failure());
         // …but a missing metric still drifts.
         let mut small = demo(2_000, 9.9);
         small.metrics.clear();
         small.metric("y", 1.0);
-        let d = compare_reports(&demo(200_000, 1.5), &small, false);
+        let d = compare_reports(&demo(200_000, 1.5), &small);
         assert_eq!(d.status, DeltaStatus::Drift);
         assert!(d.details.iter().any(|s| s.contains("metric x missing")));
         assert!(d.details.iter().any(|s| s.contains("metric y absent")));
@@ -444,19 +399,9 @@ mod tests {
         let mut retitled = demo(2_000, 9.9);
         retitled.tables[0].title = "other".to_string();
         assert_eq!(
-            compare_reports(&demo(200_000, 1.5), &retitled, false).status,
+            compare_reports(&demo(200_000, 1.5), &retitled).status,
             DeltaStatus::Drift
         );
-    }
-
-    #[test]
-    fn timing_reports_are_skipped() {
-        let d = compare_reports(&demo(1000, 1.0), &demo(1000, 2.0), true);
-        assert_eq!(d.status, DeltaStatus::TimingSkipped);
-        assert!(!d.status.is_failure());
-        assert!(DeltaStatus::Drift.is_failure());
-        assert!(DeltaStatus::MissingExpected.is_failure());
-        assert!(!DeltaStatus::StructuralMatch.is_failure());
     }
 
     #[test]
@@ -467,7 +412,7 @@ mod tests {
             big_e.metric(format!("m{i}"), 1.0);
             big_m.metric(format!("m{i}"), 2.0);
         }
-        let d = compare_reports(&big_e, &big_m, false);
+        let d = compare_reports(&big_e, &big_m);
         assert_eq!(d.status, DeltaStatus::Drift);
         assert_eq!(d.details.len(), MAX_DETAILS + 1);
         assert!(d.details.last().unwrap().contains("elided"));
@@ -496,71 +441,63 @@ mod tests {
             .contains("marker"));
     }
 
+    /// A report for `experiment` carrying every invariant metric at its
+    /// required value.
+    fn passing(experiment: &str) -> Report {
+        let mut r = Report::new(experiment, "d", 10);
+        for (_, name, required) in INVARIANTS.iter().filter(|(e, _, _)| *e == experiment) {
+            r.metric(*name, *required);
+        }
+        r
+    }
+
     #[test]
     fn availability_invariants_hold_and_fail() {
-        let mut ok = Report::new("availability", "d", 10);
-        ok.metric("false_kills.total", 0.0);
-        ok.metric("observations_match.all", 1.0);
-        ok.metric("quarantine.quarantined_shards", 1.0);
-        ok.metric("quarantine.world_killed", 0.0);
-        let rows = check_availability_invariants(&ok).unwrap();
+        let ok = passing("availability");
+        let rows = check_invariants(&ok).unwrap();
         assert_eq!(rows.len(), 4);
         assert!(rows.iter().all(|r| r.pass));
 
         let mut bad = ok.clone();
         bad.metrics[0].1 = 2.0; // two false kills
-        let rows = check_availability_invariants(&bad).unwrap();
+        let rows = check_invariants(&bad).unwrap();
         assert!(!rows[0].pass);
 
         let empty = Report::new("availability", "d", 10);
-        assert!(check_availability_invariants(&empty)
+        assert!(check_invariants(&empty)
             .unwrap_err()
             .contains("false_kills.total"));
     }
 
     #[test]
-    fn recovery_invariants_mix_exact_and_floor_checks() {
-        let mut ok = Report::new("recovery", "d", 10);
-        ok.metric("false_kills.total", 0.0);
-        ok.metric("world_killed", 0.0);
-        ok.metric("observations.mismatches", 0.0);
-        ok.metric("pages_lost.unaccounted", 0.0);
-        ok.metric("detection.within_poll_bound", 1.0);
-        ok.metric("recovery.readmitted_all", 1.0);
-        ok.metric("recoveries.completed", 2.0);
-        ok.metric("goodput.during_recovery_vs_fault_free", 0.97);
-        let rows = check_recovery_invariants(&ok).unwrap();
-        assert_eq!(rows.len(), 8);
+    fn recovery_invariants_are_all_equalities() {
+        let ok = passing("recovery");
+        let rows = check_invariants(&ok).unwrap();
+        assert_eq!(rows.len(), 7);
         assert!(rows.iter().all(|r| r.pass));
 
-        // Floors pass above their requirement but fail below it.
-        let mut more = ok.clone();
-        more.metrics.retain(|(k, _)| k != "recoveries.completed");
-        more.metric("recoveries.completed", 3.0);
-        assert!(check_recovery_invariants(&more)
-            .unwrap()
-            .iter()
-            .all(|r| r.pass));
-        let mut slow = ok.clone();
-        slow.metrics
-            .retain(|(k, _)| k != "goodput.during_recovery_vs_fault_free");
-        slow.metric("goodput.during_recovery_vs_fault_free", 0.5);
-        let rows = check_recovery_invariants(&slow).unwrap();
-        let goodput = rows
-            .iter()
-            .find(|r| r.name == "goodput.during_recovery_vs_fault_free")
-            .unwrap();
-        assert!(!goodput.pass);
-
-        // Exact invariants fail on ANY deviation, including "too big".
-        let mut killed = ok.clone();
-        killed.metrics.retain(|(k, _)| k != "false_kills.total");
-        killed.metric("false_kills.total", 1.0);
-        assert!(!check_recovery_invariants(&killed).unwrap()[0].pass);
+        // Any deviation fails, in either direction: a recovery more or
+        // fewer than the mounted steps is as wrong as a false kill.
+        for (metric, value) in [
+            ("recoveries.completed", 3.0),
+            ("recoveries.completed", 5.0),
+            ("false_kills.total", 1.0),
+            ("detection.within_poll_bound", 0.0),
+        ] {
+            let mut bad = ok.clone();
+            bad.metrics.retain(|(k, _)| k != metric);
+            bad.metric(metric, value);
+            let rows = check_invariants(&bad).unwrap();
+            let row = rows.iter().find(|r| r.name == metric).unwrap();
+            assert!(!row.pass, "{metric} = {value} must fail");
+            assert_eq!(rows.iter().filter(|r| !r.pass).count(), 1);
+        }
 
         let empty = Report::new("recovery", "d", 10);
-        assert!(check_recovery_invariants(&empty)
+        assert!(check_invariants(&empty)
             .unwrap_err()
             .contains("false_kills.total"));
+        // An experiment with no invariants has nothing to check.
+        assert!(check_invariants(&demo(10, 1.0)).unwrap().is_empty());
     }
 }

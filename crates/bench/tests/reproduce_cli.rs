@@ -1,8 +1,9 @@
 //! End-to-end tests of the `reproduce` binary: the results tree is
 //! written, a clean run exits zero, a doctored or missing reference
 //! exits nonzero, the retired floor-gate flags and the retired
-//! `throughput` experiment are rejected, and the availability and
-//! recovery invariants gate every run that includes them.
+//! `throughput` experiment are rejected, the availability and recovery
+//! invariants gate every run that includes them, and their reports do
+//! not depend on the environment.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -66,48 +67,55 @@ fn clean_run_writes_results_and_exits_zero() {
 
 #[test]
 fn doctored_reference_fails_the_run() {
-    let dir = scratch("doctored-ref");
-    let out = dir.join("results");
-    let expected = dir.join("expected");
+    // A modeled-cycles metric and a robustness counter: either drifting
+    // from its reference must fail the run.
+    for (experiment, metric) in [
+        ("fig10", "overall.flat_fraction"),
+        ("recovery", "blocks_lost.total"),
+    ] {
+        let dir = scratch(&format!("doctored-ref-{experiment}"));
+        let out = dir.join("results");
+        let expected = dir.join("expected");
 
-    let status = reproduce()
-        .args(["--ops", "2000", "--only", "fig10"])
-        .arg("--out")
-        .arg(&out)
-        .arg("--expected")
-        .arg(&expected)
-        .arg("--update-expected")
-        .status()
-        .expect("spawn reproduce");
-    assert!(status.success());
+        let status = reproduce()
+            .args(["--ops", "2000", "--only", experiment])
+            .arg("--out")
+            .arg(&out)
+            .arg("--expected")
+            .arg(&expected)
+            .arg("--update-expected")
+            .status()
+            .expect("spawn reproduce");
+        assert!(status.success(), "{experiment}");
 
-    // Doctor the committed reference: nudge one metric.
-    let ref_path = expected.join("fig10.json");
-    let text = std::fs::read_to_string(&ref_path).expect("reference");
-    let needle = "\"overall.flat_fraction\": ";
-    let at = text.find(needle).expect("metric present") + needle.len();
-    let doctored = format!(
-        "{}0.123456{}",
-        &text[..at],
-        &text[text[at..].find(',').map(|i| at + i).unwrap()..]
-    );
-    std::fs::write(&ref_path, doctored).expect("write doctored reference");
+        // Doctor the committed reference: nudge one metric.
+        let ref_path = expected.join(format!("{experiment}.json"));
+        let text = std::fs::read_to_string(&ref_path).expect("reference");
+        let needle = format!("\"{metric}\": ");
+        let at = text.find(&needle).expect("metric present") + needle.len();
+        let doctored = format!(
+            "{}0.123456{}",
+            &text[..at],
+            &text[text[at..].find(',').map(|i| at + i).unwrap()..]
+        );
+        std::fs::write(&ref_path, doctored).expect("write doctored reference");
 
-    let status = reproduce()
-        .args(["--ops", "2000", "--only", "fig10"])
-        .arg("--out")
-        .arg(&out)
-        .arg("--expected")
-        .arg(&expected)
-        .status()
-        .expect("spawn reproduce");
-    assert!(
-        !status.success(),
-        "a doctored reference must fail the reproduction"
-    );
-    let delta = std::fs::read_to_string(out.join("delta.md")).expect("delta.md");
-    assert!(delta.contains("DRIFT"), "{delta}");
-    assert!(delta.contains("overall.flat_fraction"), "{delta}");
+        let status = reproduce()
+            .args(["--ops", "2000", "--only", experiment])
+            .arg("--out")
+            .arg(&out)
+            .arg("--expected")
+            .arg(&expected)
+            .status()
+            .expect("spawn reproduce");
+        assert!(
+            !status.success(),
+            "{experiment}: a doctored reference must fail the reproduction"
+        );
+        let delta = std::fs::read_to_string(out.join("delta.md")).expect("delta.md");
+        assert!(delta.contains("DRIFT"), "{delta}");
+        assert!(delta.contains(metric), "{delta}");
+    }
 }
 
 #[test]
@@ -137,8 +145,9 @@ fn retired_gate_flags_are_rejected() {
 }
 
 /// No flag needed: the correctness invariants gate every run that
-/// includes `experiment`, and `delta.md` carries their table.
-fn assert_invariants_gated(experiment: &str, heading: &str, invariants: usize) {
+/// includes `experiment`, and `delta.md` carries them in its one
+/// `## Invariants` table.
+fn assert_invariants_gated(experiment: &str, invariants: usize) {
     let dir = scratch(&format!("{experiment}-invariants"));
     let out = dir.join("results");
     let status = reproduce()
@@ -149,7 +158,7 @@ fn assert_invariants_gated(experiment: &str, heading: &str, invariants: usize) {
         .expect("spawn reproduce");
     assert!(status.success());
     let delta = std::fs::read_to_string(out.join("delta.md")).expect("delta.md");
-    assert!(delta.contains(heading), "{delta}");
+    assert_eq!(delta.matches("## Invariants").count(), 1, "{delta}");
     assert_eq!(delta.matches("| pass |").count(), invariants, "{delta}");
 }
 
@@ -157,12 +166,44 @@ fn assert_invariants_gated(experiment: &str, heading: &str, invariants: usize) {
 fn availability_invariants_are_always_gated() {
     // Zero false kills, matching observations, single-shard quarantine,
     // no world-kill.
-    assert_invariants_gated("availability", "Availability invariants", 4);
+    assert_invariants_gated("availability", 4);
 }
 
 #[test]
 fn recovery_invariants_are_always_gated() {
-    assert_invariants_gated("recovery", "Recovery invariants", 8);
+    // Zero false kills, no world-kill, no mismatches, no unaccounted
+    // PageLost, detection within the poll bound, every step re-admitted,
+    // recoveries completed == steps mounted.
+    assert_invariants_gated("recovery", 7);
+}
+
+/// The robustness reports are a function of the tree and the flags: an
+/// armed `TOLEO_FAULT_PLAN` in the environment must not leak into them.
+#[test]
+fn robustness_reports_ignore_the_environment() {
+    let dir = scratch("env-independence");
+    let run = |out: &Path, plan: Option<&str>| {
+        let mut cmd = reproduce();
+        cmd.env_remove("TOLEO_FAULT_PLAN");
+        if let Some(plan) = plan {
+            cmd.env("TOLEO_FAULT_PLAN", plan);
+        }
+        let status = cmd
+            .args(["--ops", "2000", "--only", "availability,recovery"])
+            .arg("--out")
+            .arg(out)
+            .status()
+            .expect("spawn reproduce");
+        assert!(status.success(), "plan {plan:?}");
+    };
+    let (unset, armed) = (dir.join("unset"), dir.join("armed"));
+    run(&unset, None);
+    run(&armed, Some("seed=7,rate=1e-3"));
+    for name in ["availability.json", "recovery.json"] {
+        let a = std::fs::read(unset.join(name)).expect("unset result");
+        let b = std::fs::read(armed.join(name)).expect("armed result");
+        assert_eq!(a, b, "{name} depends on TOLEO_FAULT_PLAN");
+    }
 }
 
 #[test]
@@ -186,6 +227,7 @@ fn list_names_every_registered_experiment() {
         assert!(stdout.contains(name), "--list lacks {name}:\n{stdout}");
     }
     assert!(!stdout.contains("throughput"), "{stdout}");
+    assert!(!stdout.contains("[timing]"), "{stdout}");
 }
 
 #[test]

@@ -348,9 +348,8 @@ impl Aes128Backend for TtableAes {
 /// [`Aes128::new`] consults [`crate::backend::default_backend`]: hardware
 /// AES (AES-NI / ARMv8-CE) when the host supports it, the T-table software
 /// cipher otherwise, overridable through the `TOLEO_AES_BACKEND`
-/// environment variable or [`crate::backend::set_default_backend`]. The
-/// choice is per-instance and immutable, so a protection engine built with
-/// one backend keeps it for life.
+/// environment variable. The choice is per-instance and immutable, so a
+/// protection engine built with one backend keeps it for life.
 #[derive(Clone)]
 pub struct Aes128 {
     inner: Inner,

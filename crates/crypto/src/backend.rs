@@ -29,9 +29,9 @@
 //! Selection happens **once at cipher construction**
 //! ([`default_backend`]): hardware when detected, overridable for testing
 //! with the `TOLEO_AES_BACKEND` environment variable (`software`, `aesni`,
-//! `armce`, `auto`) or programmatically with [`set_default_backend`]. CI
-//! runs the whole suite once with `TOLEO_AES_BACKEND=software` so the
-//! fallback stays covered on runners with AES hardware.
+//! `armce`, `auto`). CI runs the whole suite once with
+//! `TOLEO_AES_BACKEND=software` so the fallback stays covered on runners
+//! with AES hardware.
 //!
 //! [`encrypt_blocks8`]: Aes128Backend::encrypt_blocks8
 //! [`encrypt_blocks`]: Aes128Backend::encrypt_blocks
@@ -167,8 +167,8 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Stable lowercase name used in reports, `BENCH_*.json` and the
-    /// `TOLEO_AES_BACKEND` override.
+    /// Stable lowercase name used in reports and the `TOLEO_AES_BACKEND`
+    /// override.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Software => "software",
@@ -260,7 +260,7 @@ fn resolve_default() -> BackendKind {
 
 /// The backend new [`Aes128`](crate::aes::Aes128) instances dispatch to.
 /// Resolved once per process (environment override, then hardware
-/// detection) and cached; [`set_default_backend`] replaces it.
+/// detection) and cached.
 pub fn default_backend() -> BackendKind {
     if let Some(kind) = tag_to_kind(DEFAULT_BACKEND.load(Ordering::Relaxed)) {
         return kind;
@@ -268,25 +268,6 @@ pub fn default_backend() -> BackendKind {
     let kind = resolve_default();
     DEFAULT_BACKEND.store(kind_to_tag(kind), Ordering::Relaxed);
     kind
-}
-
-/// Overrides the process-default backend (`None` re-runs environment +
-/// detection). A test/bench hook: it only affects ciphers constructed
-/// *after* the call, so concurrent tests should prefer
-/// [`Aes128::with_backend`](crate::aes::Aes128::with_backend).
-pub fn set_default_backend(kind: Option<BackendKind>) {
-    let tag = match kind {
-        Some(kind) => {
-            let kind = if kind.is_available() {
-                kind
-            } else {
-                BackendKind::Software
-            };
-            kind_to_tag(kind)
-        }
-        None => 0,
-    };
-    DEFAULT_BACKEND.store(tag, Ordering::Relaxed);
 }
 
 /// x86_64 AES-NI backend.
@@ -827,16 +808,6 @@ mod tests {
             aes.encrypt_block(&[1u8; 16]),
             soft.encrypt_block(&[1u8; 16])
         );
-    }
-
-    #[test]
-    fn default_backend_override_roundtrip() {
-        let prior = default_backend();
-        set_default_backend(Some(BackendKind::Software));
-        assert_eq!(default_backend(), BackendKind::Software);
-        assert_eq!(Aes128::new(&[0u8; 16]).backend(), BackendKind::Software);
-        set_default_backend(Some(prior));
-        assert_eq!(default_backend(), prior);
     }
 
     #[test]

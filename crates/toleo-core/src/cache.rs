@@ -232,16 +232,6 @@ impl StealthCache {
     pub fn stats(&self) -> CacheStats {
         self.combined
     }
-
-    /// TLB-extension-only statistics.
-    pub fn tlb_stats(&self) -> CacheStats {
-        self.tlb_ext.stats()
-    }
-
-    /// Overflow-buffer-only statistics.
-    pub fn overflow_stats(&self) -> CacheStats {
-        self.overflow.stats()
-    }
 }
 
 /// The per-core MAC cache (32 KB, 16-way, 64-byte blocks -> 512 blocks).

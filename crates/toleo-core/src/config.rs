@@ -104,11 +104,6 @@ impl ToleoConfig {
         self.device_capacity_bytes - flat
     }
 
-    /// Exclusive upper bound of the stealth version space (`2^stealth_bits`).
-    pub fn stealth_space(&self) -> u64 {
-        1u64 << self.stealth_bits
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors

@@ -399,11 +399,6 @@ impl ToleoDevice {
         Ok(base)
     }
 
-    /// Remaining dynamic blocks (each 56 B).
-    pub fn free_dynamic_blocks(&self) -> u64 {
-        self.dynamic_blocks_cap - self.dynamic_blocks_used
-    }
-
     /// Read-only peek at a page's shared stealth base, if the page has
     /// been touched. For analysis and tests; does not count as a READ and
     /// does not materialize the page.
@@ -543,7 +538,6 @@ mod tests {
         // First upgrade succeeds and consumes the only block.
         d.update(0, 3).unwrap();
         d.update(0, 3).unwrap();
-        assert_eq!(d.free_dynamic_blocks(), 0);
         // Second page cannot upgrade...
         d.update(1, 4).unwrap();
         assert!(matches!(

@@ -48,21 +48,11 @@ impl MemoryLayout {
             mac_bytes,
         }
     }
-
-    /// Number of protected data pages.
-    pub fn data_pages(&self) -> u64 {
-        self.data_bytes / PAGE_BYTES as u64
-    }
 }
 
 /// Index of the MAC block covering a 64-byte data block address.
 pub fn mac_block_index(data_addr: u64) -> u64 {
     (data_addr / CACHE_BLOCK_BYTES as u64) / MACS_PER_BLOCK
-}
-
-/// Slot (0..8) of a data block's MAC within its MAC block.
-pub fn mac_slot(data_addr: u64) -> u64 {
-    (data_addr / CACHE_BLOCK_BYTES as u64) % MACS_PER_BLOCK
 }
 
 /// Page number of a physical address.
@@ -97,9 +87,6 @@ mod tests {
         assert_eq!(mac_block_index(0), 0);
         assert_eq!(mac_block_index(7 * 64), 0);
         assert_eq!(mac_block_index(8 * 64), 1);
-        assert_eq!(mac_slot(0), 0);
-        assert_eq!(mac_slot(64), 1);
-        assert_eq!(mac_slot(9 * 64), 1);
     }
 
     #[test]

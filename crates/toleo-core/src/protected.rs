@@ -215,7 +215,7 @@ impl Capsule {
 ///   equivalent to op-at-a-time loops that stop at the first error
 ///   (amortization may only change *performance*).
 pub trait ProtectedMemory {
-    /// Stable scheme name used in reports and `BENCH_*.json`.
+    /// Stable scheme name used in reports.
     fn scheme(&self) -> &'static str;
 
     /// Reads the 64-byte block at `addr` (block-aligned), verifying

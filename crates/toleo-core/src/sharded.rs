@@ -41,13 +41,15 @@
 //!   per-shard recovery budget, means containment is over: the global
 //!   flag flips, in-flight batch drains abort, and every peer shard is
 //!   force-killed so each is individually inert thereafter.
+//!
+//! [`KillSnapshot`]: crate::engine::KillSnapshot
 
 // audit: allow-file(indexing, shard and run indices come from shard_of_addr and run_batch's per-shard runs, bounded by the shard count and batch length)
 
 use crate::channel::{ChannelStats, RetryPolicy};
 use crate::config::{ToleoConfig, CACHE_BLOCK_BYTES, PAGE_BYTES};
 use crate::device::DeviceStats;
-use crate::engine::{Block, EngineStats, KillSnapshot, ProtectionEngine, UntrustedDram};
+use crate::engine::{Block, EngineStats, ProtectionEngine, UntrustedDram};
 use crate::error::{BatchError, Result, ToleoError};
 use crate::fault::FaultPlanConfig;
 use crate::layout;
@@ -414,6 +416,8 @@ impl ShardedEngine {
     /// The refusal a quarantined shard serves: [`ToleoError::ShardQuarantined`]
     /// carrying the engine's frozen [`KillSnapshot`]. `engine` must be the
     /// already-locked shard engine.
+    ///
+    /// [`KillSnapshot`]: crate::engine::KillSnapshot
     fn quarantine_refusal(shard: usize, address: u64, engine: &ProtectionEngine) -> ToleoError {
         ToleoError::ShardQuarantined {
             shard,
@@ -818,6 +822,8 @@ impl ShardedEngine {
     /// counters — each shard's engine serves either its live stats or its
     /// snapshot, never both, so a partial quarantine merges live and
     /// frozen shards without double-counting.
+    ///
+    /// [`KillSnapshot`]: crate::engine::KillSnapshot
     pub fn stats(&self) -> EngineStats {
         let mut total = EngineStats::default();
         for index in 0..self.shards.len() {
@@ -883,12 +889,6 @@ impl ShardedEngine {
             max_poll_lag_ops: self.max_poll_lag_ops.load(Ordering::Relaxed),
             recovery: self.recovery.stats(),
         }
-    }
-
-    /// The frozen [`KillSnapshot`] of a quarantined (or world-killed)
-    /// shard, `None` while the shard is healthy.
-    pub fn shard_kill_snapshot(&self, shard: usize) -> Option<KillSnapshot> {
-        self.lock_shard(shard).kill_snapshot()
     }
 
     /// Adversary access to the untrusted memory of the shard owning

@@ -287,13 +287,6 @@ impl ShardedEngine {
         self.recovery.budget = budget.clamp(1, MAX_RECOVERY_BUDGET);
     }
 
-    /// Completed recoveries per shard, in shard order.
-    pub fn shard_recovery_counts(&self) -> Vec<u64> {
-        (0..self.shard_count())
-            .map(|shard| self.recovery.recoveries_of(shard))
-            .collect()
-    }
-
     /// Recovery-plane counters (also folded into
     /// [`robustness_stats`](Self::robustness_stats)).
     pub fn recovery_stats(&self) -> RecoveryStats {
@@ -459,7 +452,6 @@ mod tests {
         assert_eq!(rs.recovery.blocks_still_lost, 1);
         assert_eq!(rs.recovery.pages_scrubbed, 2);
         assert!(rs.recovery.rekey_nanos > 0);
-        assert_eq!(e.shard_recovery_counts(), vec![0, 0, 1, 0]);
         // A fresh write repopulates the lost address and drops the marker.
         e.write(victim, &[0xaa; 64]).unwrap();
         assert_eq!(e.read(victim).unwrap(), [0xaa; 64]);

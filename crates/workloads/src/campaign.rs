@@ -5,8 +5,8 @@
 //! traffic and which fault rates a sweep visits).
 //!
 //! Everything here is seeded and reproducible: the same trace and seed
-//! always yield the same schedule, so an availability number in
-//! `BENCH_*.json` can be re-derived exactly.
+//! always yield the same schedule, so an availability number in the
+//! reports can be re-derived exactly.
 
 use crate::trace::{Op, Trace};
 use rand::rngs::StdRng;
@@ -43,76 +43,6 @@ pub fn shard_of(addr: u64, shards: usize) -> usize {
     ((addr / PAGE) % shards.max(1) as u64) as usize
 }
 
-/// One step of a multi-step adversary campaign. Steps are mounted in
-/// `at_op` order by the harness while victim traffic keeps flowing;
-/// each must be *detected* (quarantine), *recovered* (scrub + re-key +
-/// re-admit) and *measured* before the campaign advances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdversaryStep {
-    /// Corrupt live ciphertext at `addr` after the victim's `at_op`-th
-    /// memory operation (integrity attack).
-    Tamper {
-        /// Memory-op index after which the corruption is mounted.
-        at_op: u64,
-        /// Block address to corrupt; written by the trace before `at_op`.
-        addr: u64,
-    },
-    /// Capture the (ciphertext, MAC, version) of `addr` after
-    /// `capture_at_op`, then splice the stale capsule back after `at_op`
-    /// (freshness attack). The schedule guarantees the victim rewrites
-    /// `addr` between the two points, so the replayed state is genuinely
-    /// stale and the next access must detect a version/MAC mismatch.
-    Replay {
-        /// Memory-op index after which the adversary snapshots the block.
-        capture_at_op: u64,
-        /// Memory-op index after which the stale snapshot is spliced back.
-        at_op: u64,
-        /// Block address under attack; rewritten between the two points.
-        addr: u64,
-    },
-}
-
-impl AdversaryStep {
-    /// The memory-op index after which this step's *attack* lands (the
-    /// replay splice, not the earlier capture).
-    pub fn at_op(&self) -> u64 {
-        match *self {
-            AdversaryStep::Tamper { at_op, .. } | AdversaryStep::Replay { at_op, .. } => at_op,
-        }
-    }
-
-    /// The block address this step attacks.
-    pub fn addr(&self) -> u64 {
-        match *self {
-            AdversaryStep::Tamper { addr, .. } | AdversaryStep::Replay { addr, .. } => addr,
-        }
-    }
-}
-
-/// What the robustness harness measured for one mounted adversary step:
-/// detection latency and MTTR are the first-class outputs of a campaign,
-/// in victim operations (the deterministic unit — wall-clock depends on
-/// the host, operation counts replay exactly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepOutcome {
-    /// Index of the step in its campaign.
-    pub step: usize,
-    /// The shard the step attacked (and the harness then recovered).
-    pub shard: usize,
-    /// Victim memory ops executed before the step was mounted.
-    pub mounted_at_op: u64,
-    /// Victim ops between mounting and the quarantine verdict
-    /// (ops-until-quarantine). Bounded by the engine's kill-poll interval
-    /// plus the victim's re-touch distance.
-    pub detection_latency_ops: u64,
-    /// Victim ops served by healthy shards between the quarantine verdict
-    /// and the shard's re-admission (ops-until-readmitted) — the MTTR of
-    /// the recovery plane, measured under live traffic.
-    pub mttr_ops: u64,
-    /// Blocks the recovery scrub classified lost for this step.
-    pub blocks_lost: u64,
-}
-
 /// Builds a multi-step campaign against a single shard: `steps` tamper
 /// events, every one targeting an address owned by `shard` under
 /// `shards`-way routing, in strictly increasing `at_op` order. Repeated
@@ -125,88 +55,12 @@ pub fn same_shard_campaign(
     shard: usize,
     steps: usize,
     seed: u64,
-) -> Vec<AdversaryStep> {
+) -> Vec<TamperEvent> {
     tamper_schedule(trace, steps * 2, seed)
         .into_iter()
         .filter(|ev| shard_of(ev.addr, shards) == shard)
         .take(steps)
-        .map(|ev| AdversaryStep::Tamper {
-            at_op: ev.at_op,
-            addr: ev.addr,
-        })
         .collect()
-}
-
-/// Builds a deterministic capture/replay schedule: `events` freshness
-/// attacks, each picking an address the trace writes at least twice,
-/// capturing after an early write and splicing the stale capsule back
-/// after a later write — so every replay is detectably stale. Events are
-/// strictly ordered by splice point and never share an address.
-pub fn replay_schedule(trace: &Trace, events: usize, seed: u64) -> Vec<AdversaryStep> {
-    let mem_ops: Vec<Op> = trace
-        .ops
-        .iter()
-        .filter(|op| matches!(op, Op::Read(_) | Op::Write(_)))
-        .copied()
-        .collect();
-    if mem_ops.is_empty() || events == 0 {
-        return Vec::new();
-    }
-    // Addresses written at least twice, with their first two write
-    // indices — sorted so the selection is deterministic regardless of
-    // map iteration order.
-    let mut writes: std::collections::BTreeMap<u64, (u64, u64, u32)> =
-        std::collections::BTreeMap::new();
-    for (i, op) in mem_ops.iter().enumerate() {
-        if let Op::Write(addr) = op {
-            let entry = writes.entry(*addr).or_insert((i as u64, i as u64, 0));
-            if entry.2 == 1 {
-                entry.1 = i as u64;
-            }
-            entry.2 = entry.2.saturating_add(1);
-        }
-    }
-    let candidates: Vec<(u64, u64, u64)> = writes
-        .into_iter()
-        .filter(|(_, (_, _, count))| *count >= 2)
-        .map(|(addr, (first, second, _))| (addr, first, second))
-        .collect();
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
-    let mut picked = std::collections::BTreeSet::new();
-    let mut schedule = Vec::with_capacity(events);
-    for _ in 0..events.min(candidates.len()) * 4 {
-        if schedule.len() == events {
-            break;
-        }
-        let (addr, first, second) = candidates[rng.gen_range(0..candidates.len())];
-        if !picked.insert(addr) {
-            continue;
-        }
-        // Capture after the first write, splice after the second: the
-        // victim rewrote the block in between, so the capsule is stale.
-        schedule.push(AdversaryStep::Replay {
-            capture_at_op: first,
-            at_op: second,
-            addr,
-        });
-    }
-    schedule.sort_by_key(|s| s.at_op());
-    schedule.dedup_by_key(|s| s.at_op());
-    schedule
-}
-
-/// Interleaves tamper and replay schedules into one campaign, ordered by
-/// attack point with duplicate attack points dropped (the harness mounts
-/// at most one step per victim op).
-pub fn interleave(a: Vec<AdversaryStep>, b: Vec<AdversaryStep>) -> Vec<AdversaryStep> {
-    let mut steps = a;
-    steps.extend(b);
-    steps.sort_by_key(AdversaryStep::at_op);
-    steps.dedup_by_key(|s| s.at_op());
-    steps
 }
 
 /// Builds a deterministic tamper schedule for `trace`: `events` tamper
@@ -333,10 +187,10 @@ mod tests {
         for shard in 0..4 {
             let plan = same_shard_campaign(&t, 4, shard, 3, 0xFA17);
             assert_eq!(plan, same_shard_campaign(&t, 4, shard, 3, 0xFA17));
-            assert!(plan.windows(2).all(|w| w[0].at_op() < w[1].at_op()));
+            assert!(plan.windows(2).all(|w| w[0].at_op < w[1].at_op));
             for step in &plan {
                 assert_eq!(
-                    shard_of(step.addr(), 4),
+                    shard_of(step.addr, 4),
                     shard,
                     "step {step:?} must attack shard {shard}"
                 );
@@ -345,61 +199,6 @@ mod tests {
         // At least one shard must get a full 3-step campaign out of a
         // trace this large.
         assert!((0..4).any(|s| same_shard_campaign(&t, 4, s, 3, 0xFA17).len() == 3));
-    }
-
-    #[test]
-    fn replay_schedule_captures_before_a_rewrite_then_splices() {
-        let t = engine_pattern(EnginePattern::HotReset, 6_000, 1 << 18, 29);
-        let plan = replay_schedule(&t, 4, 0xCAFE);
-        assert_eq!(plan, replay_schedule(&t, 4, 0xCAFE), "reproducible");
-        assert!(!plan.is_empty(), "hot/cold traces rewrite addresses");
-        assert!(plan.windows(2).all(|w| w[0].at_op() < w[1].at_op()));
-        let mem_ops: Vec<Op> = t
-            .ops
-            .iter()
-            .filter(|op| matches!(op, Op::Read(_) | Op::Write(_)))
-            .copied()
-            .collect();
-        for step in &plan {
-            let AdversaryStep::Replay {
-                capture_at_op,
-                at_op,
-                addr,
-            } = *step
-            else {
-                panic!("replay_schedule must only emit Replay steps");
-            };
-            assert!(capture_at_op < at_op);
-            let written_before_capture = mem_ops[..=(capture_at_op as usize)]
-                .iter()
-                .any(|op| matches!(op, Op::Write(a) if *a == addr));
-            assert!(written_before_capture, "capsule must hold live ciphertext");
-            let rewritten_between = mem_ops[(capture_at_op as usize + 1)..=(at_op as usize)]
-                .iter()
-                .any(|op| matches!(op, Op::Write(a) if *a == addr));
-            assert!(
-                rewritten_between,
-                "the victim must rewrite {addr:#x} between capture and splice, \
-                 or the replay would not be stale"
-            );
-        }
-    }
-
-    #[test]
-    fn interleave_merges_ordered_and_deduped() {
-        let t = engine_pattern(EnginePattern::HotReset, 6_000, 1 << 18, 29);
-        let tampers: Vec<AdversaryStep> = tamper_schedule(&t, 3, 7)
-            .into_iter()
-            .map(|ev| AdversaryStep::Tamper {
-                at_op: ev.at_op,
-                addr: ev.addr,
-            })
-            .collect();
-        let replays = replay_schedule(&t, 3, 0xCAFE);
-        let merged = interleave(tampers.clone(), replays.clone());
-        assert!(merged.len() <= tampers.len() + replays.len());
-        assert!(merged.len() >= tampers.len().max(replays.len()));
-        assert!(merged.windows(2).all(|w| w[0].at_op() < w[1].at_op()));
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //!
 //! The sharded engine routes addresses page-wise (`page % shards`), so a
 //! trace replayed by T workers must be split along the same boundary for
-//! workers to proceed without lock contention. [`shard_ops`] iterates the
-//! subset of a trace owned by one shard; [`partition_by_page`] materializes
-//! all per-shard sub-traces at once.
+//! workers to proceed without lock contention. [`partition_by_page`]
+//! materializes all per-shard sub-traces at once.
 //!
 //! [`multi_tenant`] models the paper's deployment story — one protected
 //! pool serving many mutually distrusting tenants — by giving each tenant
@@ -22,42 +21,11 @@ const PAGE: u64 = 4096;
 /// The shard index (under `shards`-way page interleaving) that owns the
 /// address touched by `op`; `None` for compute batches, which retire
 /// locally on whichever core issues them.
-pub fn shard_of_op(op: &Op, shards: usize) -> Option<usize> {
+fn shard_of_op(op: &Op, shards: usize) -> Option<usize> {
     match op {
         Op::Read(addr) | Op::Write(addr) => Some(((addr / PAGE) % shards as u64) as usize),
         Op::Compute(_) => None,
     }
-}
-
-/// Iterates the memory ops of `trace` owned by `shard` under
-/// `shards`-way page interleaving, preserving trace order. Compute
-/// batches are skipped: they carry no address and need no shard.
-///
-/// # Examples
-///
-/// ```
-/// use toleo_workloads::concurrent::shard_ops;
-/// use toleo_workloads::Trace;
-///
-/// let mut t = Trace::new("t");
-/// t.write(0);          // page 0 -> shard 0
-/// t.write(4096);       // page 1 -> shard 1
-/// t.write(8192);       // page 2 -> shard 0
-/// let shard0: Vec<_> = shard_ops(&t, 0, 2).collect();
-/// assert_eq!(shard0.len(), 2);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `shards` is 0 or `shard >= shards`.
-pub fn shard_ops(trace: &Trace, shard: usize, shards: usize) -> impl Iterator<Item = Op> + '_ {
-    assert!(shards > 0, "shards must be non-zero");
-    assert!(shard < shards, "shard {shard} out of range 0..{shards}");
-    trace
-        .ops
-        .iter()
-        .copied()
-        .filter(move |op| shard_of_op(op, shards) == Some(shard))
 }
 
 /// Splits `trace` into one sub-trace per shard under `shards`-way page
@@ -200,16 +168,6 @@ mod tests {
                     Op::Compute(_) => {}
                 }
             }
-        }
-    }
-
-    #[test]
-    fn shard_ops_matches_partition() {
-        let t = engine_pattern(EnginePattern::HotReset, 5_000, 1 << 20, 11);
-        let parts = partition_by_page(&t, 3);
-        for (s, part) in parts.iter().enumerate() {
-            let iterated: Vec<Op> = shard_ops(&t, s, 3).collect();
-            assert_eq!(iterated, part.ops);
         }
     }
 

@@ -29,7 +29,7 @@ pub mod pattern;
 pub mod trace;
 
 pub use campaign::{tamper_schedule, TamperEvent, FAULT_RATE_SWEEP};
-pub use concurrent::{multi_tenant, partition_by_page, shard_ops};
+pub use concurrent::{multi_tenant, partition_by_page};
 pub use gen::{generate, Benchmark, GenConfig};
 pub use pattern::{engine_pattern, EnginePattern};
 pub use trace::{Op, Trace};

@@ -44,7 +44,7 @@ impl EnginePattern {
         ]
     }
 
-    /// Stable name used in reports and `BENCH_*.json`.
+    /// Stable name used in reports.
     pub fn name(self) -> &'static str {
         match self {
             EnginePattern::Sequential => "sequential",
@@ -135,42 +135,6 @@ pub fn engine_pattern(
     t
 }
 
-/// Splits a trace into maximal same-kind runs — consecutive reads or
-/// consecutive writes — capped at `max_run` ops each, for replay through
-/// an engine's batched entry points (`read_batch` / `write_batch`).
-/// `Compute` ops are dropped (they carry no memory traffic). Returns
-/// `(is_write, addresses)` runs in trace order, so replaying the runs
-/// preserves the trace's exact memory-op sequence.
-///
-/// # Examples
-///
-/// ```
-/// use toleo_workloads::pattern::{engine_pattern, homogeneous_runs, EnginePattern};
-///
-/// let t = engine_pattern(EnginePattern::Sequential, 1_000, 1 << 20, 7);
-/// let runs = homogeneous_runs(&t, 256);
-/// let total: usize = runs.iter().map(|(_, addrs)| addrs.len()).sum();
-/// assert_eq!(total as u64, t.mem_ops());
-/// ```
-pub fn homogeneous_runs(trace: &Trace, max_run: usize) -> Vec<(bool, Vec<u64>)> {
-    assert!(max_run > 0, "runs must hold at least one op");
-    let mut runs: Vec<(bool, Vec<u64>)> = Vec::new();
-    for op in &trace.ops {
-        let (is_write, addr) = match op {
-            crate::trace::Op::Write(a) => (true, *a),
-            crate::trace::Op::Read(a) => (false, *a),
-            crate::trace::Op::Compute(_) => continue,
-        };
-        match runs.last_mut() {
-            Some((kind, addrs)) if *kind == is_write && addrs.len() < max_run => {
-                addrs.push(addr);
-            }
-            _ => runs.push((is_write, vec![addr])),
-        }
-    }
-    runs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,42 +193,6 @@ mod tests {
         for ops in [1u64, 50, 100, 128, 129] {
             let t = engine_pattern(EnginePattern::HotReset, ops, 1 << 20, 2);
             assert_eq!(t.mem_ops(), ops);
-        }
-    }
-
-    #[test]
-    fn homogeneous_runs_preserve_order_kind_and_cap() {
-        for p in EnginePattern::all() {
-            let t = engine_pattern(p, 5_000, 1 << 20, 11);
-            let runs = homogeneous_runs(&t, 100);
-            // Flattening the runs reproduces the memory-op stream exactly.
-            let mut flat = Vec::new();
-            for (is_write, addrs) in &runs {
-                assert!(!addrs.is_empty());
-                assert!(addrs.len() <= 100, "{}: run over cap", p.name());
-                for a in addrs {
-                    flat.push(if *is_write {
-                        Op::Write(*a)
-                    } else {
-                        Op::Read(*a)
-                    });
-                }
-            }
-            let expect: Vec<Op> = t
-                .ops
-                .iter()
-                .filter(|op| !matches!(op, Op::Compute(_)))
-                .cloned()
-                .collect();
-            assert_eq!(flat, expect, "{}", p.name());
-            // Adjacent runs only split on a kind change or the cap.
-            for pair in runs.windows(2) {
-                assert!(
-                    pair[0].0 != pair[1].0 || pair[0].1.len() == 100,
-                    "{}: needless split",
-                    p.name()
-                );
-            }
         }
     }
 

@@ -1,10 +1,12 @@
 //! Concurrency tests for the sharded protection engine: the per-shard
 //! quarantine contract under concurrent victim traffic (tamper freezes
-//! only the offending shard; healthy shards keep serving), and
+//! only the offending shard; healthy shards keep serving), recovery
+//! racing live traffic without a stale or wrong answer, and
 //! observation-equivalence of the sharded batch path against a single
 //! sequential engine.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use toleo_core::config::{ToleoConfig, PAGE_BYTES};
 use toleo_core::engine::ProtectionEngine;
@@ -100,6 +102,143 @@ fn tamper_on_one_shard_quarantines_it_while_healthy_threads_keep_serving() {
         Err(ToleoError::ShardQuarantined { shard: 0, .. })
     ));
     assert!(engine.write_batch(&[(0, [1u8; 64])]).is_err());
+}
+
+/// The client of [`recovery_races_live_traffic_without_a_stale_or_wrong_answer`]:
+/// a shadow model of every served write, plus what it knows about the
+/// recovering shard.
+struct RacingClient<'a> {
+    engine: &'a ShardedEngine,
+    /// Resident addresses the op stream draws from.
+    pool: Vec<u64>,
+    shadow: HashMap<u64, [u8; 64]>,
+    /// The recovering shard and the block the adversary corrupted in it.
+    shard: usize,
+    tampered: u64,
+    /// The tampered block is lost until a served write repopulates it.
+    lost: bool,
+    /// Re-admission is one-way: once the shard has served, it may never
+    /// refuse again.
+    readmitted: bool,
+}
+
+impl RacingClient<'_> {
+    /// Issues op `i` of a fixed mixed stream (every third op a write) and
+    /// checks the answer against the shadow model.
+    fn issue(&mut self, i: u64) {
+        // 7919 is prime and the pool size is not a multiple of 3, so any
+        // `3 * pool.len()` consecutive ops read every block twice and
+        // write it once.
+        let addr = self.pool[(i.wrapping_mul(7919) % self.pool.len() as u64) as usize];
+        let recovering = self.engine.shard_of_addr(addr) == self.shard;
+        let result = if i.is_multiple_of(3) {
+            let data = [i as u8; 64];
+            self.engine.write(addr, &data).map(|()| {
+                self.shadow.insert(addr, data);
+                self.lost &= addr != self.tampered;
+            })
+        } else {
+            self.engine.read(addr).map(|block| {
+                assert_eq!(block, self.shadow[&addr], "op {i}: stale or wrong data");
+                assert!(
+                    !(self.lost && addr == self.tampered),
+                    "op {i}: lost block served"
+                );
+            })
+        };
+        match result {
+            Ok(()) => self.readmitted |= recovering,
+            Err(ToleoError::PageLost { shard, address }) => {
+                assert!(self.lost, "op {i}: PageLost after the block was rewritten");
+                assert_eq!((shard, address), (self.shard, self.tampered), "op {i}");
+                assert_eq!(addr, self.tampered, "op {i}");
+                self.readmitted = true;
+            }
+            Err(ToleoError::ShardQuarantined { shard, .. }) => {
+                assert!(recovering && shard == self.shard, "op {i}: healthy refusal");
+                assert!(!self.readmitted, "op {i}: refusal after re-admission");
+            }
+            Err(e) => panic!("op {i} on {addr:#x}: {e}"),
+        }
+    }
+}
+
+/// `recover_shard` runs on its own thread while the main thread keeps a
+/// shadow model and issues mixed reads and writes to the recovering
+/// shard *and* to healthy shards, until the recovery thread finishes and
+/// for a fixed tail after re-admission. No clock and no op-count
+/// assumption: whatever interleaving the scheduler produces, the
+/// recovering shard may only answer `ShardQuarantined` (before
+/// re-admission, never after), the shadow's plaintext, or `PageLost` on
+/// exactly the tampered block until a write repopulates it; healthy
+/// shards always answer the shadow's plaintext.
+#[test]
+fn recovery_races_live_traffic_without_a_stale_or_wrong_answer() {
+    const SHARDS: u64 = 4;
+    const K: usize = 2;
+    let engine = ShardedEngine::new(ToleoConfig::small(), SHARDS as usize, [0x5cu8; 48]).unwrap();
+
+    // A big resident set on shard K so the scrub plus re-encryption has
+    // real work to do, and a smaller one on every healthy shard.
+    let mut writes: Vec<(u64, [u8; 64])> = Vec::new();
+    for shard in 0..SHARDS {
+        let pages = if shard as usize == K { 32 } else { 4 };
+        for k in 0..pages {
+            let page = shard + SHARDS * k;
+            for line in 0..16u64 {
+                let addr = page * PAGE_BYTES as u64 + line * 64;
+                writes.push((addr, [(page ^ line) as u8; 64]));
+            }
+        }
+    }
+    engine.write_batch(&writes).unwrap();
+
+    let tampered = K as u64 * PAGE_BYTES as u64;
+    engine.with_adversary(tampered, |dram| dram.corrupt_data(tampered, 0, 0x01));
+    assert!(matches!(
+        engine.read(tampered),
+        Err(ToleoError::IntegrityViolation { .. })
+    ));
+    assert!(engine.is_shard_quarantined(K));
+
+    let mut client = RacingClient {
+        engine: &engine,
+        pool: writes.iter().map(|(addr, _)| *addr).collect(),
+        shadow: writes.iter().copied().collect(),
+        shard: K,
+        tampered,
+        lost: true,
+        readmitted: false,
+    };
+    let mut i = 0u64;
+    std::thread::scope(|s| {
+        let rec = s.spawn(|| engine.recover_shard(K).expect("recovery must re-admit"));
+        loop {
+            client.issue(i);
+            i += 1;
+            if rec.is_finished() {
+                break;
+            }
+        }
+        let outcome = rec.join().expect("recovery must not panic");
+        assert_eq!(outcome.blocks_lost, 1);
+        assert_eq!(outcome.blocks_intact, 32 * 16 - 1);
+    });
+    // The recovery has returned: shard K must serve from here on, whether
+    // or not the loop above happened to touch it after re-admission.
+    client.readmitted = true;
+    for _ in 0..3 * client.pool.len() {
+        client.issue(i);
+        i += 1;
+    }
+    assert!(!client.lost, "the tail rewrites every block once");
+
+    for (addr, block) in &client.shadow {
+        assert_eq!(engine.read(*addr).unwrap(), *block, "addr {addr:#x}");
+    }
+    assert_eq!(engine.quarantined_shard_count(), 0);
+    assert!(!engine.is_killed(), "recovery must never world-kill");
+    assert_eq!(engine.recovery_stats().recoveries, 1);
 }
 
 /// A tamper detected inside a batch quarantines the offending shard and
