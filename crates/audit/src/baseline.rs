@@ -4,13 +4,8 @@
 //! per-op-kind orderings), lock classes (order + critical-section
 //! hygiene) and kill-poll loops.
 //!
-//! Schema v2 (`toleo-audit/v2`) is current. A v1 file still loads —
-//! its name-inventory atomics rows are migrated in memory (a row whose
-//! orderings include `Relaxed` becomes a `counter`, anything else a
-//! `flag`, with the v1 ordering list applied to every op kind so v1
-//! semantics are preserved exactly) and `migrated_from_v1` is set so
-//! the audit can tell the user to run `--fix-inventory`, which
-//! persists the migration.
+//! The one schema is `toleo-audit/v2`; a file that declares any other
+//! is refused.
 
 use crate::rules::atomics::{AtomicPolicy, Role};
 use crate::rules::locks::LockClass;
@@ -21,7 +16,6 @@ use std::path::Path;
 use toleo_json::{parse, pretty, Value};
 
 pub const SCHEMA: &str = "toleo-audit/v2";
-pub const SCHEMA_V1: &str = "toleo-audit/v1";
 
 /// One allowance as recorded in the baseline. Line numbers are omitted
 /// on purpose: code moves, and identity-by-(file, rule, scope, reason)
@@ -65,9 +59,6 @@ pub struct Baseline {
     pub locks: Vec<LockClass>,
     /// Declared kill-poll loops.
     pub polls: Vec<PollPolicy>,
-    /// True when the on-disk file was schema v1 and was migrated in
-    /// memory; `--fix-inventory` persists the migration.
-    pub migrated_from_v1: bool,
 }
 
 fn str_list(entry: &Value, key: &str) -> Vec<String> {
@@ -99,7 +90,7 @@ fn why_of(entry: &Value, what: &str) -> Result<String, String> {
 
 impl Baseline {
     /// Loads `AUDIT.json` from `path`; a missing file is an empty
-    /// baseline, a malformed one is an error, a v1 file is migrated.
+    /// baseline, a malformed one or one of another schema is an error.
     pub fn load(path: &Path) -> Result<Baseline, String> {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
@@ -110,15 +101,14 @@ impl Baseline {
         };
         let doc = parse(&text).map_err(|e| format!("{}: malformed JSON: {e}", path.display()))?;
         let schema = doc.get("schema").and_then(Value::as_str).unwrap_or("");
-        if schema != SCHEMA && schema != SCHEMA_V1 {
+        if schema != SCHEMA {
             return Err(format!(
-                "{}: schema `{schema}` (expected `{SCHEMA}`, or `{SCHEMA_V1}` for migration)",
+                "{}: schema `{schema}` (expected `{SCHEMA}`)",
                 path.display()
             ));
         }
         let mut baseline = Baseline {
             present: true,
-            migrated_from_v1: schema == SCHEMA_V1,
             ..Baseline::default()
         };
         if let Some(pairs) = doc.get("unsafe").and_then(Value::as_object) {
@@ -149,35 +139,26 @@ impl Baseline {
             for (atomic, entry) in pairs {
                 let why = why_of(entry, &format!("atomic `{atomic}`"))?;
                 baseline.atomic_why.insert(atomic.clone(), why);
-                let row = if schema == SCHEMA_V1 {
-                    let orderings = str_list(entry, "orderings");
-                    if orderings.is_empty() {
-                        return Err(format!("atomic `{atomic}` has no orderings"));
-                    }
-                    migrate_v1_row(atomic, orderings)
-                } else {
-                    let role_name = entry
-                        .get("role")
-                        .and_then(Value::as_str)
-                        .unwrap_or_default();
-                    let role = Role::parse(role_name).ok_or_else(|| {
-                        format!(
-                            "atomic `{atomic}` has unknown role `{role_name}` (expected \
-                             flag/epoch/counter/guard/cache)"
-                        )
-                    })?;
-                    let row = AtomicPolicy {
-                        atomic: atomic.clone(),
-                        role,
-                        load: str_list(entry, "load"),
-                        store: str_list(entry, "store"),
-                        rmw: str_list(entry, "rmw"),
-                    };
-                    if row.load.is_empty() && row.store.is_empty() && row.rmw.is_empty() {
-                        return Err(format!("atomic `{atomic}` declares no orderings"));
-                    }
-                    row
+                let role_name = entry
+                    .get("role")
+                    .and_then(Value::as_str)
+                    .unwrap_or_default();
+                let role = Role::parse(role_name).ok_or_else(|| {
+                    format!(
+                        "atomic `{atomic}` has unknown role `{role_name}` (expected \
+                         flag/epoch/counter/guard/cache)"
+                    )
+                })?;
+                let row = AtomicPolicy {
+                    atomic: atomic.clone(),
+                    role,
+                    load: str_list(entry, "load"),
+                    store: str_list(entry, "store"),
+                    rmw: str_list(entry, "rmw"),
                 };
+                if row.load.is_empty() && row.store.is_empty() && row.rmw.is_empty() {
+                    return Err(format!("atomic `{atomic}` declares no orderings"));
+                }
                 baseline.atomics.push(row);
             }
         }
@@ -229,9 +210,8 @@ impl Baseline {
         Ok(baseline)
     }
 
-    /// Renders a v2 baseline document with the given regenerated
-    /// inventory sections, preserving this baseline's protocol tables
-    /// (migrated v1 atomics rows render in v2 form).
+    /// Renders a baseline document with the given regenerated
+    /// inventory sections, preserving this baseline's protocol tables.
     pub fn render(&self, unsafe_counts: &BTreeMap<String, u32>, allow: &[BaselineAllow]) -> String {
         let mut allow = allow.to_vec();
         allow.sort();
@@ -306,25 +286,6 @@ impl Baseline {
     }
 }
 
-/// Migrates one v1 name-inventory row: `Relaxed` anywhere means the
-/// atomic never synchronized, so it becomes a `counter`; everything
-/// else becomes a `flag`. The v1 list applies to every op kind, which
-/// preserves v1's per-site acceptance exactly.
-fn migrate_v1_row(atomic: &str, orderings: Vec<String>) -> AtomicPolicy {
-    let role = if orderings.iter().any(|o| o == "Relaxed") {
-        Role::Counter
-    } else {
-        Role::Flag
-    };
-    AtomicPolicy {
-        atomic: atomic.to_string(),
-        role,
-        load: orderings.clone(),
-        store: orderings.clone(),
-        rmw: orderings,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,19 +310,6 @@ mod tests {
         .to_string()
     }
 
-    fn sample_v1() -> String {
-        r#"{
-  "schema": "toleo-audit/v1",
-  "unsafe": { "crates/crypto/src/backend.rs": 21 },
-  "allow": [],
-  "atomics": {
-    "killed": { "orderings": ["SeqCst"], "why": "kill is totally ordered with stats freeze" },
-    "ops_served": { "orderings": ["Relaxed"], "why": "pure telemetry" }
-  }
-}"#
-        .to_string()
-    }
-
     fn temp(name: &str, contents: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("toleo-audit-baseline-{name}"));
         std::fs::create_dir_all(&dir).unwrap();
@@ -375,7 +323,6 @@ mod tests {
         let path = temp("v2", &sample_v2());
         let b = Baseline::load(&path).unwrap();
         assert!(b.present);
-        assert!(!b.migrated_from_v1);
         assert_eq!(b.unsafe_counts["crates/crypto/src/backend.rs"], 21);
         assert_eq!(b.allow.len(), 1);
         assert_eq!(b.atomics.len(), 1);
@@ -397,45 +344,6 @@ mod tests {
         assert_eq!(again.locks[0].class, "shard_engine");
         assert_eq!(again.polls[0].chunker, "poll_ops");
         assert_eq!(rendered, again.render(&again.unsafe_counts, &again.allow));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v1_loads_migrated() {
-        let path = temp("v1", &sample_v1());
-        let b = Baseline::load(&path).unwrap();
-        assert!(b.migrated_from_v1);
-        // SeqCst-only row → flag with the v1 list on every op kind.
-        let killed = b.atomics.iter().find(|p| p.atomic == "killed").unwrap();
-        assert_eq!(killed.role, Role::Flag);
-        assert_eq!(killed.load, ["SeqCst"]);
-        assert_eq!(killed.store, ["SeqCst"]);
-        assert_eq!(killed.rmw, ["SeqCst"]);
-        // Relaxed row → counter.
-        let ops = b.atomics.iter().find(|p| p.atomic == "ops_served").unwrap();
-        assert_eq!(ops.role, Role::Counter);
-        assert_eq!(b.atomic_why["ops_served"], "pure telemetry");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v1_render_roundtrips_to_v2() {
-        let path = temp("v1rt", &sample_v1());
-        let b = Baseline::load(&path).unwrap();
-        let rendered = b.render(&b.unsafe_counts, &b.allow);
-        assert!(rendered.contains("toleo-audit/v2"));
-        std::fs::write(&path, &rendered).unwrap();
-        let again = Baseline::load(&path).unwrap();
-        assert!(!again.migrated_from_v1);
-        assert_eq!(again.atomics.len(), b.atomics.len());
-        for (a, b) in again.atomics.iter().zip(&b.atomics) {
-            assert_eq!(a.atomic, b.atomic);
-            assert_eq!(a.role, b.role);
-            assert_eq!(a.load, b.load);
-            assert_eq!(a.store, b.store);
-            assert_eq!(a.rmw, b.rmw);
-        }
-        assert_eq!(again.atomic_why, b.atomic_why);
         std::fs::remove_file(&path).ok();
     }
 
@@ -463,9 +371,16 @@ mod tests {
             r#"{"schema": "toleo-audit/v2", "atomics": {"x": {"role": "mystery", "load": ["Acquire"], "why": "w"}}}"#,
         );
         assert!(Baseline::load(&path).unwrap_err().contains("unknown role"));
-        let path2 = temp("badschema", r#"{"schema": "toleo-audit/v3"}"#);
-        assert!(Baseline::load(&path2).is_err());
+        // The retired v1 schema included: nothing migrates it any more.
+        for schema in ["toleo-audit/v3", "toleo-audit/v1"] {
+            let path2 = temp("badschema", &format!(r#"{{"schema": "{schema}"}}"#));
+            let err = Baseline::load(&path2).unwrap_err();
+            assert!(
+                err.contains(&format!("schema `{schema}` (expected `toleo-audit/v2`)")),
+                "{err}"
+            );
+            std::fs::remove_file(&path2).ok();
+        }
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&path2).ok();
     }
 }

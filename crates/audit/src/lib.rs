@@ -191,20 +191,6 @@ pub fn run_audit(root: &Path) -> Result<Report, String> {
     report
         .findings
         .extend(rules::atomics::validate_policy(&baseline.atomics));
-    if baseline.migrated_from_v1 {
-        report.findings.push(Finding::new(
-            "baseline-schema",
-            "AUDIT.json",
-            0,
-            0,
-            format!(
-                "AUDIT.json uses schema `{}`: run `toleo-audit --fix-inventory` to migrate \
-                 it to `{}` (roles are inferred, then hand-review the protocol table)",
-                baseline::SCHEMA_V1,
-                baseline::SCHEMA
-            ),
-        ));
-    }
     report
         .findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));

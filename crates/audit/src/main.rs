@@ -8,9 +8,8 @@
 //!   allowance inventory, exit 1 on any finding (CI mode).
 //! * `--json` — machine-readable report on stdout (same exit code).
 //! * `--fix-inventory` — regenerate the `unsafe`/`allow` sections of
-//!   `AUDIT.json` from the tree (protocol tables preserved; a v1 file
-//!   is migrated to schema v2), then re-run the audit so remaining
-//!   findings are still visible.
+//!   `AUDIT.json` from the tree (protocol tables preserved), then
+//!   re-run the audit so remaining findings are still visible.
 //! * `--root PATH` — workspace root (default: current directory).
 
 use std::path::PathBuf;

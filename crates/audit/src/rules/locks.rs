@@ -1,10 +1,12 @@
 //! Rule 5 — **lock discipline**.
 //!
-//! The sharded engine nests three mutex classes — shard engine locks,
-//! the per-shard lost-block ledgers, and the recovery totals — and the
-//! recovery handshake only stays deadlock-free because they are always
-//! acquired in that order and the leaf critical sections stay tiny.
-//! `AUDIT.json` declares the classes (in outermost-first order), the
+//! The sharded engine holds one mutex class — one lock per shard,
+//! guarding that shard's engine, lost-block ledger and recovery
+//! counters — and stays deadlock-free because nothing that runs under
+//! a shard lock takes another: the world-kill, which locks every shard
+//! in turn, and `recover_shard`, which re-locks its own, are only ever
+//! called with none held. `AUDIT.json` declares the classes (in
+//! outermost-first order, should there be more than one), the
 //! identifiers that acquire each, and the calls forbidden while one is
 //! held. This rule lexically tracks guard lifetimes per function
 //! (let-bound guards live to the end of their block or an explicit

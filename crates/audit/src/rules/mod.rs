@@ -54,8 +54,7 @@ pub fn tier(rel_path: &str) -> Tier {
 pub struct Finding {
     /// Rule identifier (`no-panic`, `unsafe-safety`, `unsafe-inventory`,
     /// `atomic-protocol`, `lock-discipline`, `blocking-in-poll`,
-    /// `secret-hygiene`, `annotation`, `allow-baseline`,
-    /// `baseline-schema`).
+    /// `secret-hygiene`, `annotation`, `allow-baseline`).
     pub rule: &'static str,
     /// Repo-relative file path.
     pub file: String,

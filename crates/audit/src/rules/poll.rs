@@ -1,9 +1,9 @@
 //! Rule 6 — **blocking-in-poll**.
 //!
 //! Healthy batch workers promise to observe a peer's quarantine within
-//! one `kill_poll_ops` chunk: the detection-latency bound the recovery
+//! one `KILL_POLL_OPS` chunk: the detection-latency bound the recovery
 //! experiments gate. That promise is structural — the worker loop is
-//! chunked by the poll knob and the loop body touches the kill flag
+//! chunked by the poll bound and the loop body touches the kill flag
 //! and the quarantine epoch every iteration. `AUDIT.json` declares
 //! each kill-poll loop (file, the identifier chunking it, the probe
 //! identifiers its body must touch) and this rule verifies the shape:
@@ -51,7 +51,7 @@ pub fn scan(
             continue;
         };
         let Some(chunker) = last_ident_between(file, open, close) else {
-            continue; // literal chunk size: not a poll knob
+            continue; // literal chunk size: not a named poll bound
         };
         if !is_for_loop(file, i) {
             continue;
@@ -77,7 +77,7 @@ pub fn scan(
                                     "kill-poll loop chunked by `{chunker}` never touches \
                                      `{probe}` in its body: every chunk boundary must observe \
                                      the kill flag and quarantine epoch within the declared \
-                                     `kill_poll_ops` bound (AUDIT.json polls table)"
+                                     `KILL_POLL_OPS` bound (AUDIT.json polls table)"
                                 ),
                             )
                             .allowed_by(&["poll"]),
@@ -85,7 +85,7 @@ pub fn scan(
                     }
                 }
             }
-            None if tier == Tier::Policy && chunker.contains("poll") => {
+            None if tier == Tier::Policy && chunker.to_ascii_lowercase().contains("poll") => {
                 out.push(
                     Finding::new(
                         "blocking-in-poll",
@@ -127,7 +127,7 @@ fn match_paren(file: &SourceFile, open: usize) -> Option<usize> {
 }
 
 /// The final identifier of the chunk-size expression between `open`
-/// and `close` (`self.kill_poll_ops` → `kill_poll_ops`).
+/// and `close` (`sharded::KILL_POLL_OPS` → `KILL_POLL_OPS`).
 fn last_ident_between(file: &SourceFile, open: usize, close: usize) -> Option<String> {
     file.tokens[open + 1..close]
         .iter()

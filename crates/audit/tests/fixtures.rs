@@ -81,7 +81,20 @@ fn poll_loop_missing_a_probe_is_flagged_at_the_chunker() {
         f.message,
         "kill-poll loop chunked by `poll_ops` never touches `epoch` in its body: every chunk \
          boundary must observe the kill flag and quarantine epoch within the declared \
-         `kill_poll_ops` bound (AUDIT.json polls table)"
+         `KILL_POLL_OPS` bound (AUDIT.json polls table)"
+    );
+}
+
+#[test]
+fn undeclared_poll_loop_over_an_upper_case_constant_is_flagged() {
+    let f = sole_finding("poll_undeclared_const");
+    assert_eq!(f.rule, "blocking-in-poll");
+    assert_eq!(f.file, "crates/toleo-core/src/lib.rs");
+    assert_eq!((f.line, f.col), (9, 24));
+    assert_eq!(
+        f.message,
+        "kill-poll loop chunked by `KILL_POLL_OPS` is not declared in AUDIT.json's polls \
+         table: declare its chunker and required probe identifiers"
     );
 }
 
@@ -99,38 +112,4 @@ fn clean_fixture_produces_no_findings() {
     let report = run_audit(&fixture_root("clean")).expect("fixture audit runs");
     assert!(report.findings.is_empty(), "{:?}", report.findings);
     assert_eq!(report.files_scanned, 1);
-}
-
-#[test]
-fn v1_baseline_surfaces_only_the_migration_pointer() {
-    let f = sole_finding("v1_baseline");
-    assert_eq!(f.rule, "baseline-schema");
-    assert_eq!(f.file, "AUDIT.json");
-    assert!(f.message.contains("--fix-inventory"), "{}", f.message);
-}
-
-/// `--fix-inventory` on a v1 baseline migrates it to v2 in place and
-/// the subsequent audit is clean: the round trip the CLI promises.
-#[test]
-fn fix_inventory_migrates_v1_to_v2() {
-    let src = fixture_root("v1_baseline");
-    let root = std::env::temp_dir().join("toleo-audit-v1-migration");
-    std::fs::remove_dir_all(&root).ok();
-    std::fs::create_dir_all(root.join("crates/toleo-core/src")).expect("mkdir");
-    for rel in ["AUDIT.json", "crates/toleo-core/src/lib.rs"] {
-        std::fs::copy(src.join(rel), root.join(rel)).expect("copy fixture");
-    }
-    let rendered = toleo_audit::fix_inventory(&root).expect("migration succeeds");
-    assert!(
-        rendered.contains("\"schema\": \"toleo-audit/v2\""),
-        "{rendered}"
-    );
-    assert!(rendered.contains("\"role\": \"flag\""), "{rendered}");
-    assert!(
-        rendered.contains("kill switch must be totally ordered"),
-        "why column survives: {rendered}"
-    );
-    let report = run_audit(&root).expect("audit after migration");
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
-    std::fs::remove_dir_all(&root).ok();
 }

@@ -8,11 +8,9 @@
 //! the real system; here the capacity limit is surfaced for the overhead
 //! comparison in the ablation benches.
 
-// audit: allow-file(indexing, tree level/node indices are bounded by the construction-time geometry)
-
 use crate::store::{BlockCapsule, SealedStore};
 use crate::tree::{CounterTree, TreeError};
-use toleo_core::protected::{Capsule, MemoryBatchError, MemoryError, MemoryStats, ProtectedMemory};
+use toleo_core::protected::{Capsule, MemoryError, MemoryStats, ProtectedMemory};
 
 /// Errors from the SGX-style engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,25 +48,6 @@ impl From<TreeError> for SgxError {
         SgxError::Tree(e)
     }
 }
-
-/// Failure of one operation inside an SGX-engine batch: the error plus
-/// the batch index of the op that raised it. Ops before `index`
-/// completed; ops after it were not attempted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SgxBatchError {
-    /// Zero-based index of the failing operation within the batch.
-    pub index: usize,
-    /// What that operation failed with.
-    pub error: SgxError,
-}
-
-impl std::fmt::Display for SgxBatchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sgx batch op {}: {}", self.index, self.error)
-    }
-}
-
-impl std::error::Error for SgxBatchError {}
 
 fn to_memory_error(e: SgxError, address: u64) -> MemoryError {
     match e {
@@ -165,124 +144,6 @@ impl SgxEngine {
             .map_err(|()| SgxError::IntegrityViolation { address: addr })
     }
 
-    /// Reads a batch of block-aligned addresses, observation-equivalent
-    /// to per-address [`read`](Self::read) calls stopping at the first
-    /// error, but with one shared tree walk per run of addresses whose
-    /// versions live in the same leaf node
-    /// ([`CounterTree::verify_run`]) — the only amortization a Merkle
-    /// scheme can offer, and exactly what its `log(N)` walk denies to
-    /// page-hopping streams.
-    ///
-    /// # Errors
-    ///
-    /// [`SgxBatchError`] carrying the failing index; ops past it were not
-    /// attempted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any processed address is unaligned.
-    pub fn read_batch(&mut self, addrs: &[u64]) -> Result<Vec<[u8; 64]>, SgxBatchError> {
-        let mut out = Vec::with_capacity(addrs.len());
-        let mut run: Vec<u64> = Vec::new();
-        let mut i = 0usize;
-        while i < addrs.len() {
-            let j = self
-                .collect_run(addrs, i, &mut run)
-                .map_err(|(index, error)| SgxBatchError { index, error })?;
-            let walk = self.tree.verify_run(&run).map_err(|e| SgxBatchError {
-                index: i,
-                error: e.into(),
-            })?;
-            self.tree_accesses += walk.memory_accesses as u64;
-            for (k, &addr) in addrs[i..j].iter().enumerate() {
-                // Count the read before unsealing, exactly as the per-op
-                // loop does: the failing op itself counts, ops past it
-                // do not.
-                self.reads += 1;
-                let block =
-                    self.store
-                        .unseal(walk.versions[k], addr)
-                        .map_err(|()| SgxBatchError {
-                            index: i + k,
-                            error: SgxError::IntegrityViolation { address: addr },
-                        })?;
-                out.push(block);
-            }
-            i = j;
-        }
-        Ok(out)
-    }
-
-    /// Writes a batch of `(address, plaintext)` pairs, observation-
-    /// equivalent to per-pair [`write`](Self::write) calls stopping at
-    /// the first error, with one shared path verification + re-MAC per
-    /// same-leaf run ([`CounterTree::update_run`]). Every op still bumps
-    /// its counters at every tree level.
-    ///
-    /// # Errors
-    ///
-    /// [`SgxBatchError`] carrying the failing index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any processed address is unaligned.
-    pub fn write_batch(&mut self, ops: &[(u64, [u8; 64])]) -> Result<(), SgxBatchError> {
-        let addrs: Vec<u64> = ops.iter().map(|(a, _)| *a).collect();
-        let mut run: Vec<u64> = Vec::new();
-        let mut i = 0usize;
-        while i < ops.len() {
-            let j = self
-                .collect_run(&addrs, i, &mut run)
-                .map_err(|(index, error)| SgxBatchError { index, error })?;
-            let walk = self.tree.update_run(&run).map_err(|e| SgxBatchError {
-                index: i,
-                error: e.into(),
-            })?;
-            self.tree_accesses += walk.memory_accesses as u64;
-            self.writes += run.len() as u64;
-            for (k, (addr, plaintext)) in ops[i..j].iter().enumerate() {
-                self.store.seal(walk.versions[k], *addr, plaintext);
-            }
-            i = j;
-        }
-        Ok(())
-    }
-
-    /// Extends `run` with the maximal same-leaf run of *valid* block
-    /// indices starting at `addrs[i]`, and returns the exclusive run
-    /// end. An op that fails its bounds check *ends* the run before it
-    /// rather than failing the whole run — the valid prefix must still
-    /// be applied first ("ops before the failing index completed"), and
-    /// the offender then errors at its own index as the first op of the
-    /// next run.
-    ///
-    /// # Errors
-    ///
-    /// Only for `addrs[i]` itself (an empty run is never returned).
-    fn collect_run(
-        &self,
-        addrs: &[u64],
-        i: usize,
-        run: &mut Vec<u64>,
-    ) -> Result<usize, (usize, SgxError)> {
-        run.clear();
-        assert_eq!(addrs[i] % 64, 0, "unaligned block access");
-        self.check(addrs[i]).map_err(|e| (i, e))?;
-        let leaf = self.tree.leaf_of(addrs[i] / 64);
-        let mut j = i;
-        while j < addrs.len() && self.tree.leaf_of(addrs[j] / 64) == leaf {
-            // An unaligned or out-of-EPC op ends the run; it panics or
-            // errors at its own turn as the head of the next run, after
-            // this run's valid prefix has been applied.
-            if !addrs[j].is_multiple_of(64) || self.check(addrs[j]).is_err() {
-                break;
-            }
-            run.push(addrs[j] / 64);
-            j += 1;
-        }
-        Ok(j)
-    }
-
     /// Adversary hook: replay captures of (ciphertext, MAC).
     pub fn capture(&self, addr: u64) -> BlockCapsule {
         self.store.capture(addr)
@@ -315,20 +176,6 @@ impl ProtectedMemory for SgxEngine {
 
     fn write(&mut self, addr: u64, data: &[u8; 64]) -> Result<(), MemoryError> {
         SgxEngine::write(self, addr, data).map_err(|e| to_memory_error(e, addr))
-    }
-
-    fn read_batch(&mut self, addrs: &[u64]) -> Result<Vec<[u8; 64]>, MemoryBatchError> {
-        SgxEngine::read_batch(self, addrs).map_err(|e| MemoryBatchError {
-            error: to_memory_error(e.error, addrs[e.index]),
-            index: e.index,
-        })
-    }
-
-    fn write_batch(&mut self, ops: &[(u64, [u8; 64])]) -> Result<(), MemoryBatchError> {
-        SgxEngine::write_batch(self, ops).map_err(|e| MemoryBatchError {
-            error: to_memory_error(e.error, ops[e.index].0),
-            index: e.index,
-        })
     }
 
     fn stats(&self) -> MemoryStats {
@@ -429,113 +276,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_paths_match_singles() {
-        let mut singles = sgx();
-        let mut batched = sgx();
-        // Mixed-leaf stream: runs of 8 blocks share a leaf, with repeats.
-        let ops: Vec<(u64, [u8; 64])> = (0..64u64)
-            .map(|i| (((i % 24) * 64), [i as u8; 64]))
-            .collect();
-        for (a, d) in &ops {
-            singles.write(*a, d).unwrap();
-        }
-        batched.write_batch(&ops).unwrap();
-        let addrs: Vec<u64> = ops.iter().map(|(a, _)| *a).collect();
-        let single_out: Vec<[u8; 64]> = addrs.iter().map(|a| singles.read(*a).unwrap()).collect();
-        let batch_out = batched.read_batch(&addrs).unwrap();
-        assert_eq!(batch_out, single_out);
-        assert_eq!(singles.reads, batched.reads);
-        assert_eq!(singles.writes, batched.writes);
-        // The shared walk must not cost MORE accesses than per-op walks.
-        assert!(batched.tree_accesses <= singles.tree_accesses);
-        // And the trees agree on every version afterwards.
-        for a in &addrs {
-            assert_eq!(
-                singles.tree_mut().verify(a / 64).unwrap().version,
-                batched.tree_mut().verify(a / 64).unwrap().version
-            );
-        }
-    }
-
-    #[test]
-    fn batch_reports_failing_index() {
-        let mut e = sgx();
-        e.write_batch(&[(0, [1u8; 64]), (64, [2u8; 64])]).unwrap();
-        let stale = e.capture(64);
-        e.write(64, &[3u8; 64]).unwrap();
-        e.replay(64, stale);
-        let err = e.read_batch(&[0, 64, 128]).unwrap_err();
-        assert_eq!(err.index, 1);
-        assert!(matches!(
-            err.error,
-            SgxError::IntegrityViolation { address: 64 }
-        ));
-        // Out-of-EPC op mid-batch reports its own index.
-        let err = e
-            .write_batch(&[(0, [0u8; 64]), (1 << 21, [0u8; 64])])
-            .unwrap_err();
-        assert_eq!(err.index, 1);
-        assert!(matches!(err.error, SgxError::OutOfEpc { .. }));
-    }
-
-    #[test]
-    fn failed_batch_still_applies_the_valid_prefix_of_a_run() {
-        // Regression: an out-of-EPC op that shares a leaf with earlier
-        // valid ops must not discard them — "ops before the failing
-        // index completed". 6400-byte EPC = 100 blocks, so block 100 is
-        // out of range but shares leaf 12 (arity 8) with blocks 96..100.
-        let mut e = SgxEngine::new(6400);
-        let err = e
-            .write_batch(&[(96 * 64, [0xA1u8; 64]), (100 * 64, [0xA2u8; 64])])
-            .unwrap_err();
-        assert_eq!(err.index, 1);
-        assert!(matches!(err.error, SgxError::OutOfEpc { .. }));
-        // The valid prefix landed, exactly as a per-op loop would leave it.
-        assert_eq!(e.read(96 * 64).unwrap(), [0xA1u8; 64]);
-        // Same shape on the read side.
-        let err = e.read_batch(&[96 * 64, 100 * 64]).unwrap_err();
-        assert_eq!(err.index, 1);
-        assert!(matches!(err.error, SgxError::OutOfEpc { .. }));
-    }
-
-    #[test]
-    fn failed_batch_read_counts_stats_like_the_per_op_loop() {
-        // Regression: a mid-run MAC failure must count reads only up to
-        // and including the failing op, matching singles stopping at the
-        // first error.
-        let mut batched = sgx();
-        let mut singles = sgx();
-        for e in [&mut batched, &mut singles] {
-            for b in 0..3u64 {
-                e.write(b * 64, &[b as u8; 64]).unwrap();
-            }
-            let stale = SgxEngine::capture(e, 64);
-            e.write(64, &[9u8; 64]).unwrap();
-            e.replay(64, stale);
-        }
-        let err = batched.read_batch(&[0, 64, 128]).unwrap_err();
-        assert_eq!(err.index, 1);
-        for addr in [0u64, 64, 128] {
-            if singles.read(addr).is_err() {
-                break;
-            }
-        }
-        assert_eq!(batched.reads, singles.reads, "failing-op read counts");
-        assert_eq!(batched.writes, singles.writes);
-    }
-
-    #[test]
     fn epc_boundary_read_write() {
-        // The last in-EPC block round-trips through single and batch
-        // paths; the first out-of-EPC block fails both without touching
-        // engine state.
+        // The last in-EPC block round-trips through single ops and the
+        // trait's batch entry points; the first out-of-EPC block fails
+        // without touching engine state.
         let epc = 1u64 << 20;
         let mut e = SgxEngine::new(epc);
         let last = epc - 64;
         e.write(last, &[0xEEu8; 64]).unwrap();
         assert_eq!(e.read(last).unwrap(), [0xEEu8; 64]);
-        e.write_batch(&[(last, [0xDDu8; 64])]).unwrap();
-        assert_eq!(e.read_batch(&[last]).unwrap(), vec![[0xDDu8; 64]]);
+        ProtectedMemory::write_batch(&mut e, &[(last, [0xDDu8; 64])]).unwrap();
+        assert_eq!(
+            ProtectedMemory::read_batch(&mut e, &[last]).unwrap(),
+            vec![[0xDDu8; 64]]
+        );
         let writes_before = e.writes;
         assert!(matches!(
             e.write(epc, &[0u8; 64]),

@@ -31,8 +31,6 @@ pub enum TreeError {
         /// The offending block index.
         block: u64,
     },
-    /// A batch entry point was handed an empty run of blocks.
-    EmptyRun,
 }
 
 impl std::fmt::Display for TreeError {
@@ -45,7 +43,6 @@ impl std::fmt::Display for TreeError {
                 )
             }
             TreeError::OutOfRange { block } => write!(f, "block {block} outside the tree"),
-            TreeError::EmptyRun => write!(f, "empty run of blocks"),
         }
     }
 }
@@ -67,20 +64,6 @@ pub struct WalkResult {
     pub version: u64,
     /// Memory accesses performed (nodes fetched from untrusted memory,
     /// after cache filtering).
-    pub memory_accesses: u32,
-}
-
-/// Result of a batched walk over a run of blocks sharing one leaf: the
-/// root→leaf path is verified (and, for updates, re-MACed) **once** for
-/// the whole run, which is the only amortization a Merkle scheme can
-/// legally claim — every op still pays its counter bump.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunWalk {
-    /// Per-op version counters, in run order. For an update run these are
-    /// the post-increment values (successive writes to one block see
-    /// successive versions).
-    pub versions: Vec<u64>,
-    /// Memory accesses performed for the single shared path walk.
     pub memory_accesses: u32,
 }
 
@@ -168,14 +151,12 @@ impl CounterTree {
         self.levels.len()
     }
 
-    /// Children per node — the run width over which batched walks can
-    /// share one path verification.
+    /// Children per node.
     pub fn arity(&self) -> usize {
         self.arity
     }
 
-    /// The leaf node index covering `block` (blocks with equal leaf
-    /// indices share a batched walk).
+    /// The leaf node index covering `block`.
     pub fn leaf_of(&self, block: u64) -> u64 {
         block / self.arity as u64
     }
@@ -278,94 +259,6 @@ impl CounterTree {
         Ok(WalkResult {
             version: verified.version + 1,
             memory_accesses: verified.memory_accesses,
-        })
-    }
-
-    /// Verifies the MAC chain **once** for a run of blocks sharing one
-    /// leaf node and returns every block's version — the read-side batch
-    /// path of the SGX-style engine. Observation-equivalent to per-block
-    /// [`verify`](Self::verify) calls (which would each walk the now-hot
-    /// cached path) but without the redundant MAC recomputations.
-    ///
-    /// # Errors
-    ///
-    /// As [`verify`](Self::verify), plus [`TreeError::EmptyRun`] for an
-    /// empty `run`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the blocks do not all share a leaf.
-    pub fn verify_run(&mut self, run: &[u64]) -> Result<RunWalk, TreeError> {
-        let Some(&first) = run.first() else {
-            return Err(TreeError::EmptyRun);
-        };
-        for b in run {
-            if *b >= self.blocks {
-                return Err(TreeError::OutOfRange { block: *b });
-            }
-            assert_eq!(self.leaf_of(*b), self.leaf_of(first), "run spans leaves");
-        }
-        let walk = self.verify(first)?;
-        let leaf = &self.levels[self.depth() - 1][self.leaf_of(first) as usize];
-        let versions = run
-            .iter()
-            .map(|b| leaf.counters[(b % self.arity as u64) as usize])
-            .collect();
-        Ok(RunWalk {
-            versions,
-            memory_accesses: walk.memory_accesses,
-        })
-    }
-
-    /// Increments the versions of a run of blocks sharing one leaf,
-    /// verifying the existing path once and re-MACing every node on it
-    /// once — the write-side batch path. Counter state afterwards is
-    /// identical to per-block [`update`](Self::update) calls: every op
-    /// still bumps the counter at every level (versions are per-write,
-    /// not per-run).
-    ///
-    /// # Errors
-    ///
-    /// As [`update`](Self::update), plus [`TreeError::EmptyRun`] for an
-    /// empty `run`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the blocks do not all share a leaf.
-    pub fn update_run(&mut self, run: &[u64]) -> Result<RunWalk, TreeError> {
-        let Some(&first) = run.first() else {
-            return Err(TreeError::EmptyRun);
-        };
-        for b in run {
-            if *b >= self.blocks {
-                return Err(TreeError::OutOfRange { block: *b });
-            }
-            assert_eq!(self.leaf_of(*b), self.leaf_of(first), "run spans leaves");
-        }
-        let walk = self.verify(first)?;
-        let path = self.path(first);
-        let (_, top_index) = path[0];
-        let (leaf_level, leaf_index) = (self.depth() - 1, self.leaf_of(first) as usize);
-        let mut versions = Vec::with_capacity(run.len());
-        for b in run {
-            self.root_counters[top_index % self.arity] += 1;
-            for w in path.windows(2) {
-                let (_, index) = w[1];
-                let (plevel, pindex) = w[0];
-                self.levels[plevel][pindex].counters[index % self.arity] += 1;
-            }
-            let slot = (b % self.arity as u64) as usize;
-            self.levels[leaf_level][leaf_index].counters[slot] += 1;
-            versions.push(self.levels[leaf_level][leaf_index].counters[slot]);
-        }
-        for &(level, index) in path.iter().rev() {
-            let parent_ctr = self.parent_counter(level, index);
-            let tag = self.node_mac(level, index, parent_ctr);
-            self.levels[level][index].tag = tag;
-        }
-        Ok(RunWalk {
-            versions,
-            memory_accesses: walk.memory_accesses,
         })
     }
 
@@ -486,65 +379,6 @@ mod tests {
         let small = CounterTree::new(8, 1 << 10, 4).metadata_bytes();
         let large = CounterTree::new(8, 1 << 16, 4).metadata_bytes();
         assert!(large > 32 * small);
-    }
-
-    #[test]
-    fn run_walks_match_per_op_walks() {
-        // Same op stream through update()/verify() singles and through
-        // the batched run paths must leave identical counter state and
-        // report identical versions.
-        let mut singles = tree();
-        let mut batched = tree();
-        // Blocks 8..16 share leaf 1 (arity 8); repeat some blocks.
-        let run: Vec<u64> = vec![8, 9, 8, 15, 8, 9];
-        let mut single_versions = Vec::new();
-        for b in &run {
-            single_versions.push(singles.update(*b).unwrap().version);
-        }
-        let batch = batched.update_run(&run).unwrap();
-        assert_eq!(batch.versions, single_versions);
-        let verify_batch = batched.verify_run(&run).unwrap();
-        for (k, b) in run.iter().enumerate() {
-            assert_eq!(
-                verify_batch.versions[k],
-                singles.verify(*b).unwrap().version,
-                "block {b}"
-            );
-        }
-        // Every other block in both trees still verifies identically.
-        for b in [0u64, 7, 16, 4095] {
-            assert_eq!(
-                singles.verify(b).unwrap().version,
-                batched.verify(b).unwrap().version
-            );
-        }
-    }
-
-    #[test]
-    fn run_walk_detects_tamper_and_range() {
-        let mut t = tree();
-        t.update_run(&[8, 9]).unwrap();
-        assert!(matches!(
-            t.verify_run(&[4096]),
-            Err(TreeError::OutOfRange { .. })
-        ));
-        let leaf_level = t.depth() - 1;
-        t.tamper_counter(leaf_level, 1, 0, 99);
-        assert!(matches!(
-            t.verify_run(&[8, 9]),
-            Err(TreeError::NodeTampered { .. })
-        ));
-        assert!(matches!(
-            t.update_run(&[8, 9]),
-            Err(TreeError::NodeTampered { .. })
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "run spans leaves")]
-    fn run_walk_rejects_cross_leaf_runs() {
-        let mut t = tree();
-        let _ = t.verify_run(&[7, 8]); // leaf 0 and leaf 1
     }
 
     #[test]

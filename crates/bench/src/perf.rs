@@ -448,7 +448,7 @@ fn run_campaign(
 ) -> CampaignRun {
     let plan = plan.map(|spec| FaultPlanConfig::parse(spec).expect("campaign fault plan"));
     let engine = engine_with_plan(cfg, plan);
-    let poll_bound = engine.kill_poll_ops() as u64;
+    let poll_bound = toleo_core::sharded::KILL_POLL_OPS as u64;
     let mem_ops: Vec<Op> = trace
         .ops
         .iter()
@@ -618,14 +618,14 @@ pub fn run_recovery_experiment(ops: u64) -> RecoveryExperiment {
             run
         })
         .collect();
-    let kill_poll = toleo_core::sharded::DEFAULT_KILL_POLL_OPS as u64;
+    let kill_poll = toleo_core::sharded::KILL_POLL_OPS as u64;
     let all_steps = || runs.iter().flat_map(|run| &run.steps);
     let detection_within_poll_bound = all_steps().all(|s| s.detection_latency_ops <= kill_poll);
     let readmitted_all = all_steps().all(|s| s.generation as usize == s.step + 1);
     RecoveryExperiment {
         workload: "random",
         shards: SHARDS,
-        recovery_budget: toleo_core::sharded::DEFAULT_RECOVERY_BUDGET,
+        recovery_budget: toleo_core::sharded::RECOVERY_BUDGET,
         kill_poll_ops: kill_poll,
         detection_within_poll_bound,
         readmitted_all,

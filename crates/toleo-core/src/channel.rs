@@ -35,7 +35,6 @@ use crate::version::StealthVersion;
 /// attempts one operation gets, and the exponential backoff between them.
 /// A tunable policy surface, not a hardcoded constant — deployments trade
 /// tail latency against fail-closed sensitivity here.
-// audit: allow(secret, jitter_seed dithers virtual backoff accounting for reproducible campaigns, not key material)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum delivery attempts per operation (>= 1). Attempt
@@ -46,33 +45,21 @@ pub struct RetryPolicy {
     pub base_backoff_nanos: u64,
     /// Upper bound on any single backoff, in nanoseconds.
     pub max_backoff_nanos: u64,
-    /// Seed for deterministic backoff jitter, `None` for pure exponential
-    /// backoff. With a seed set, each charged backoff is dithered into
-    /// `[ceil(b/2), b]` of its exponential value `b` by a hash of
-    /// `(seed, page, retry)` — so N shards that trip on the same link
-    /// fault desynchronize their retry storms instead of hammering the
-    /// device in lockstep, while every run stays bit-reproducible.
-    /// Jitter only changes the *charged virtual nanoseconds*, never the
-    /// retry control flow: responses, device state and every other
-    /// counter are identical to the unjittered policy.
-    pub jitter_seed: Option<u64>,
 }
 
 impl Default for RetryPolicy {
-    /// CXL-flavored defaults: 8 attempts, 200 ns doubling to a 100 µs
-    /// cap, no jitter.
+    /// CXL-flavored defaults: 8 attempts, 200 ns doubling to a 100 µs cap.
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 8,
             base_backoff_nanos: 200,
             max_backoff_nanos: 100_000,
-            jitter_seed: None,
         }
     }
 }
 
 impl RetryPolicy {
-    /// The exponential backoff envelope before retry number `retry`
+    /// The exponential backoff charged before retry number `retry`
     /// (1-based): `base * 2^(retry-1)`, capped at `max_backoff_nanos`.
     pub fn backoff_nanos(&self, retry: u32) -> u64 {
         let shift = retry.saturating_sub(1).min(63);
@@ -80,28 +67,6 @@ impl RetryPolicy {
             .checked_shl(shift)
             .unwrap_or(u64::MAX)
             .min(self.max_backoff_nanos)
-    }
-
-    /// The backoff actually charged before retry number `retry` of an
-    /// operation on `page`: the [`backoff_nanos`](Self::backoff_nanos)
-    /// envelope `b`, dithered deterministically into `[b - b/2, b]` when
-    /// [`jitter_seed`](Self::jitter_seed) is set (identical to the
-    /// envelope otherwise). The dither is a pure function of
-    /// `(jitter_seed, page, retry)`, so accounting stays exact and
-    /// replayable: the same run always charges the same nanoseconds.
-    pub fn jittered_backoff_nanos(&self, retry: u32, page: u64) -> u64 {
-        let backoff = self.backoff_nanos(retry);
-        let Some(seed) = self.jitter_seed else {
-            return backoff;
-        };
-        let span = backoff / 2;
-        if span == 0 {
-            return backoff;
-        }
-        let dither = crate::fault::splitmix64(
-            seed ^ page.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::from(retry) << 48),
-        );
-        backoff - dither % (span + 1)
     }
 }
 
@@ -319,7 +284,7 @@ impl DeviceChannel {
                 return Err(ToleoError::DeviceUnavailable { page, attempts });
             }
             self.stats.retries += 1;
-            self.stats.backoff_nanos += self.policy.jittered_backoff_nanos(attempts, page);
+            self.stats.backoff_nanos += self.policy.backoff_nanos(attempts);
             attempts += 1;
         }
     }
@@ -454,7 +419,6 @@ mod tests {
             max_attempts: 16,
             base_backoff_nanos: 100,
             max_backoff_nanos: 1_000,
-            jitter_seed: None,
         };
         assert_eq!(policy.backoff_nanos(1), 100);
         assert_eq!(policy.backoff_nanos(2), 200);
@@ -462,105 +426,6 @@ mod tests {
         assert_eq!(policy.backoff_nanos(4), 800);
         assert_eq!(policy.backoff_nanos(5), 1_000, "capped");
         assert_eq!(policy.backoff_nanos(60), 1_000, "still capped");
-        // With no jitter seed the charged backoff IS the envelope.
-        for retry in 1..8 {
-            assert_eq!(
-                policy.jittered_backoff_nanos(retry, 42),
-                policy.backoff_nanos(retry)
-            );
-        }
-    }
-
-    #[test]
-    fn jittered_backoff_is_deterministic_and_stays_in_the_envelope() {
-        let policy = RetryPolicy {
-            jitter_seed: Some(0xD17E),
-            ..RetryPolicy::default()
-        };
-        let mut saw_dither = false;
-        for retry in 1..10u32 {
-            let envelope = policy.backoff_nanos(retry);
-            for page in 0..32u64 {
-                let charged = policy.jittered_backoff_nanos(retry, page);
-                assert!(
-                    charged <= envelope && charged >= envelope - envelope / 2,
-                    "retry {retry} page {page}: {charged} outside [{}, {envelope}]",
-                    envelope - envelope / 2
-                );
-                assert_eq!(
-                    charged,
-                    policy.jittered_backoff_nanos(retry, page),
-                    "jitter must be a pure function of (seed, page, retry)"
-                );
-                saw_dither |= charged != envelope;
-            }
-        }
-        assert!(saw_dither, "the dither must actually move some backoffs");
-        // Different pages must not share one jitter stream: that is the
-        // whole point (shards route by page and must desynchronize).
-        let distinct: std::collections::HashSet<u64> = (0..32u64)
-            .map(|page| policy.jittered_backoff_nanos(8, page))
-            .collect();
-        assert!(distinct.len() > 8, "pages must spread across the envelope");
-    }
-
-    /// Satellite theorem for the jitter knob: against the same fault
-    /// stream, a jittered and an unjittered channel return identical
-    /// responses, leave bit-identical device state, and agree on every
-    /// counter except `backoff_nanos` — which the jittered run keeps
-    /// within `[unjittered/2, unjittered]`, and accounts exactly (two
-    /// jittered runs charge the same nanoseconds to the last digit).
-    #[test]
-    fn jitter_is_observation_equivalent_to_pure_exponential_backoff() {
-        let drive = |jitter_seed: Option<u64>| {
-            let plan = FaultPlan::new(FaultPlanConfig::uniform(13, 0.45)).unwrap();
-            let policy = RetryPolicy {
-                jitter_seed,
-                ..RetryPolicy::default()
-            };
-            let mut ch = DeviceChannel::new(device(), Some(plan), policy);
-            let mut responses = Vec::new();
-            for i in 0..2_000u64 {
-                let page = i % 7;
-                let line = (i % 64) as usize;
-                match i % 3 {
-                    0 => responses.push(ch.update(page, line).unwrap().stealth),
-                    1 => responses.push(ch.read_versioned(page, line).unwrap().0),
-                    _ => {
-                        let _ = ch.reset(page).unwrap();
-                    }
-                }
-            }
-            let device_stats = ch.device().stats();
-            (responses, device_stats, ch.stats())
-        };
-        let (plain_resp, plain_dev, plain) = drive(None);
-        let (jit_resp, jit_dev, jit) = drive(Some(0xACE1));
-        let (jit_resp2, _, jit2) = drive(Some(0xACE1));
-        assert_eq!(plain_resp, jit_resp, "responses must be identical");
-        assert_eq!(plain_dev, jit_dev, "device state must be bit-identical");
-        assert_eq!(jit_resp, jit_resp2);
-        assert_eq!(jit, jit2, "jittered accounting must replay exactly");
-        assert_eq!(plain.ops, jit.ops);
-        assert_eq!(plain.faults_injected, jit.faults_injected);
-        assert_eq!(plain.faults_absorbed, jit.faults_absorbed);
-        assert_eq!(plain.retries, jit.retries);
-        assert_eq!(plain.replayed_responses, jit.replayed_responses);
-        assert_eq!(plain.duplicates_discarded, jit.duplicates_discarded);
-        assert_eq!(plain.retry_exhaustions, jit.retry_exhaustions);
-        assert!(plain.retries > 0, "the campaign must exercise retries");
-        assert!(
-            jit.backoff_nanos <= plain.backoff_nanos
-                && jit.backoff_nanos >= plain.backoff_nanos / 2,
-            "jittered total {} outside [{}, {}]",
-            jit.backoff_nanos,
-            plain.backoff_nanos / 2,
-            plain.backoff_nanos
-        );
-        assert_ne!(
-            jit.backoff_nanos, plain.backoff_nanos,
-            "a 2000-op campaign at rate 0.45 must see at least one dither"
-        );
     }
 
     #[test]

@@ -397,9 +397,7 @@ impl FaultPlan {
 }
 
 /// The splitmix64 finalizer (same constants as the shard-seed derivation).
-/// Also used by [`RetryPolicy`](crate::channel::RetryPolicy) to derive
-/// deterministic backoff jitter.
-pub(crate) fn splitmix64(x: u64) -> u64 {
+fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -20,48 +20,33 @@
 //!    one address range; containment has failed and every shard fails
 //!    closed (as it does for a device-level failure at any rung).
 //!
-//! The whole recovery cycle runs under the quarantined shard's own engine
-//! lock: healthy shards never block on it, and in-flight batch drains
-//! observe nothing but the quarantine-epoch bump when the shard is
-//! re-admitted.
+//! The whole recovery cycle runs under the quarantined shard's own lock:
+//! healthy shards never block on it, and in-flight batch drains observe
+//! nothing but the quarantine-epoch bump when the shard is re-admitted.
+//! Recovery has no state of its own to lock. What it leaves behind — the
+//! shard's key generation, the ledger of lost addresses and the scrub
+//! counters — lives in that shard's `Shard`, beside the engine rather
+//! than in it, because recovery replaces the engine and a lost marker
+//! must outlive the generation that lost it. The handle keeps only the
+//! immutable inputs a re-key derives from.
 
 use super::{derive_shard_key_gen, derive_shard_seed_gen, ShardedEngine};
 use crate::channel::RetryPolicy;
 use crate::engine::{KillSnapshot, ProtectionEngine};
 use crate::error::{Result, ToleoError};
 use crate::fault::FaultPlanConfig;
-use crate::layout;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
 
-// audit: allow-file(indexing, per-shard plane arrays are sized to the shard count at construction and every index is validated against shard_count first)
+/// Recoveries one shard may consume before its next quarantine escalates
+/// to the world-kill: enough to ride out a realistic fault-plus-tamper
+/// campaign, small enough that an adversary replaying tamper against one
+/// shard cannot spin the recovery plane forever.
+pub const RECOVERY_BUDGET: u64 = 3;
 
-/// Default number of recoveries one shard may consume before its next
-/// quarantine escalates to the world-kill: enough to ride out a
-/// realistic fault-plus-tamper campaign, small enough that an adversary
-/// replaying tamper against one shard cannot spin the recovery plane
-/// forever.
-pub const DEFAULT_RECOVERY_BUDGET: u64 = 3;
+// The recovery generation salts one byte of the key-derivation PRF
+// block: a generation past 255 would reuse key material.
+const _: () = assert!(RECOVERY_BUDGET <= u8::MAX as u64);
 
-/// Upper bound on the per-shard recovery budget: the recovery generation
-/// salts one byte of the key-derivation PRF block, so generations beyond
-/// 255 would reuse key material.
-pub const MAX_RECOVERY_BUDGET: u64 = 255;
-
-/// Root key material the handle retains so a recovered shard can be
-/// re-keyed. The Debug impl is redacted; the bytes never leave the
-/// derivation PRF.
-pub(super) struct RootKey(pub(super) [u8; 48]);
-
-impl std::fmt::Debug for RootKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("RootKey(<redacted>)")
-    }
-}
-
-/// Aggregate recovery-plane counters, folded into
+/// Recovery counters summed over all shards, folded into
 /// [`RobustnessStats`](super::RobustnessStats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryStats {
@@ -75,8 +60,6 @@ pub struct RecoveryStats {
     pub blocks_lost: u64,
     /// Lost blocks not yet repopulated by a fresh write.
     pub blocks_still_lost: u64,
-    /// Wall-clock nanoseconds spent scrubbing + re-keying (cumulative).
-    pub rekey_nanos: u64,
     /// World-kills taken because a tampered shard had already consumed
     /// its recovery budget.
     pub budget_kills: u64,
@@ -98,206 +81,53 @@ pub struct RecoveryOutcome {
     pub blocks_intact: u64,
     /// Blocks that failed re-verification, now marked lost.
     pub blocks_lost: u64,
-    /// Wall-clock nanoseconds from scrub start to re-admission.
-    pub rekey_nanos: u64,
     /// The quarantined engine's frozen counters, preserved as the
     /// forensic record (the re-admitted engine restarts its stats from
     /// zero).
     pub forensic: Box<KillSnapshot>,
 }
 
-/// Per-handle recovery state: retained re-keying inputs, per-shard
-/// recovery generations, the lost-block ledger, and aggregate telemetry.
-///
-/// Lock discipline: `lost[shard]` and `totals` are leaf locks, acquired
-/// only while holding (at most) one shard engine lock and never while
-/// acquiring another lock.
-// audit: allow(secret, RootKey's manual Debug impl already redacts the bytes)
-#[derive(Debug)]
-pub(super) struct RecoveryPlane {
-    root_key: RootKey,
-    fault_plan: Option<FaultPlanConfig>,
-    policy: RetryPolicy,
-    /// Max recoveries per shard before the ladder escalates. Mutated only
-    /// through `&mut ShardedEngine`, so plain storage is safe to read
-    /// through `&self`.
-    pub(super) budget: u64,
-    /// Completed recoveries per shard — equal to the shard's current key
-    /// generation.
-    recoveries: Box<[AtomicU64]>,
-    /// Per-shard lost-address ledger.
-    lost: Box<[Mutex<HashSet<u64>>]>,
-    /// Per-shard ledger size: the hot-path hint that lets every operation
-    /// skip the ledger lock while its shard has no losses (the
-    /// overwhelmingly common case).
-    lost_counts: Box<[AtomicU64]>,
-    /// Aggregate telemetry (leaf lock; recoveries are rare).
-    totals: Mutex<RecoveryTotals>,
+/// What a re-key derives a recovered shard's engine from, retained
+/// unchanged from construction. The root key never leaves the derivation
+/// PRF, and `Debug` redacts it.
+pub(super) struct RekeyInputs {
+    pub(super) root_key: [u8; 48],
+    pub(super) fault_plan: Option<FaultPlanConfig>,
+    pub(super) policy: RetryPolicy,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct RecoveryTotals {
-    recoveries: u64,
-    pages_scrubbed: u64,
-    blocks_scrubbed: u64,
-    blocks_lost: u64,
-    rekey_nanos: u64,
-    budget_kills: u64,
-}
-
-impl RecoveryPlane {
-    pub(super) fn new(
-        shards: usize,
-        root_key: [u8; 48],
-        fault_plan: Option<FaultPlanConfig>,
-        policy: RetryPolicy,
-    ) -> Self {
-        RecoveryPlane {
-            root_key: RootKey(root_key),
-            fault_plan,
-            policy,
-            budget: DEFAULT_RECOVERY_BUDGET,
-            recoveries: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            lost: (0..shards).map(|_| Mutex::new(HashSet::new())).collect(),
-            lost_counts: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            totals: Mutex::new(RecoveryTotals::default()),
-        }
-    }
-
-    fn lock_lost(&self, shard: usize) -> MutexGuard<'_, HashSet<u64>> {
-        self.lost[shard]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lock_totals(&self) -> MutexGuard<'_, RecoveryTotals> {
-        self.totals.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Completed recoveries of `shard` (its current key generation).
-    pub(super) fn recoveries_of(&self, shard: usize) -> u64 {
-        let shard_recoveries = &self.recoveries[shard];
-        shard_recoveries.load(Ordering::Acquire)
-    }
-
-    /// Whether `shard` has consumed its whole recovery budget — the
-    /// escalation ladder's last-rung test.
-    pub(super) fn budget_consumed(&self, shard: usize) -> bool {
-        self.recoveries_of(shard) >= self.budget
-    }
-
-    /// Records a world-kill taken because of an exhausted budget.
-    pub(super) fn note_budget_kill(&self) {
-        self.lock_totals().budget_kills += 1;
-    }
-
-    /// Whether `addr` on `shard` is marked lost. One atomic load while
-    /// the shard has no losses.
-    pub(super) fn is_lost(&self, shard: usize, addr: u64) -> bool {
-        let lost_count = &self.lost_counts[shard];
-        if lost_count.load(Ordering::Acquire) == 0 {
-            return false;
-        }
-        self.lock_lost(shard).contains(&addr)
-    }
-
-    /// Drops the lost marker for `addr` (a fresh write repopulated it).
-    pub(super) fn clear_lost(&self, shard: usize, addr: u64) {
-        let lost_count = &self.lost_counts[shard];
-        if lost_count.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        if self.lock_lost(shard).remove(&addr) {
-            lost_count.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-
-    /// Drops every lost marker on the page owning `addr`: the OS freed
-    /// and scrambled the page, so subsequent accesses answer for its
-    /// *new* contents, not for blocks lost from its previous life.
-    pub(super) fn clear_lost_page(&self, shard: usize, addr: u64) {
-        let lost_count = &self.lost_counts[shard];
-        if lost_count.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let page = layout::page_of(addr);
-        let mut set = self.lock_lost(shard);
-        let before = set.len();
-        set.retain(|&a| layout::page_of(a) != page);
-        let removed = (before - set.len()) as u64;
-        drop(set);
-        if removed > 0 {
-            lost_count.fetch_sub(removed, Ordering::AcqRel);
-        }
-    }
-
-    /// Installs a scrub's lost addresses, unioned with any still-lost
-    /// markers surviving from earlier generations (an address lost in
-    /// generation k and never rewritten is still lost in generation k+1,
-    /// even though the fresh engine never held it).
-    fn install_losses(&self, shard: usize, lost: &[u64]) {
-        if lost.is_empty() {
-            return;
-        }
-        let mut set = self.lock_lost(shard);
-        let mut added = 0u64;
-        for &addr in lost {
-            if set.insert(addr) {
-                added += 1;
-            }
-        }
-        drop(set);
-        if added > 0 {
-            let lost_count = &self.lost_counts[shard];
-            lost_count.fetch_add(added, Ordering::AcqRel);
-        }
-    }
-
-    /// Stats snapshot (see [`RecoveryStats`]).
-    pub(super) fn stats(&self) -> RecoveryStats {
-        let t = *self.lock_totals();
-        let blocks_still_lost: u64 = self
-            .lost_counts
-            .iter()
-            .map(|lost_count| lost_count.load(Ordering::Acquire))
-            .sum();
-        RecoveryStats {
-            recoveries: t.recoveries,
-            pages_scrubbed: t.pages_scrubbed,
-            blocks_scrubbed: t.blocks_scrubbed,
-            blocks_lost: t.blocks_lost,
-            blocks_still_lost,
-            rekey_nanos: t.rekey_nanos,
-            budget_kills: t.budget_kills,
-        }
+impl std::fmt::Debug for RekeyInputs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RekeyInputs")
+            .field("root_key", &"<redacted>")
+            .field("fault_plan", &self.fault_plan)
+            .field("policy", &self.policy)
+            .finish()
     }
 }
 
 impl ShardedEngine {
-    /// Max recoveries each shard may consume before its next quarantine
-    /// escalates to the world-kill.
-    pub fn recovery_budget(&self) -> u64 {
-        self.recovery.budget
-    }
-
-    /// Sets the per-shard recovery budget, clamped to
-    /// `1..=`[`MAX_RECOVERY_BUDGET`]. `&mut self` proves no caller is
-    /// mid-flight while the ladder's last rung moves.
-    pub fn set_recovery_budget(&mut self, budget: u64) {
-        self.recovery.budget = budget.clamp(1, MAX_RECOVERY_BUDGET);
-    }
-
-    /// Recovery-plane counters (also folded into
-    /// [`robustness_stats`](Self::robustness_stats)).
+    /// Recovery counters summed over all shards, each under its lock
+    /// (also folded into [`robustness_stats`](Self::robustness_stats)).
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.recovery.stats()
+        let mut total = RecoveryStats::default();
+        for index in 0..self.shard_count() {
+            let state = self.lock_shard(index);
+            total.recoveries += state.generation;
+            total.pages_scrubbed += state.pages_scrubbed;
+            total.blocks_scrubbed += state.blocks_scrubbed;
+            total.blocks_lost += state.blocks_lost;
+            total.blocks_still_lost += state.lost.len() as u64;
+            total.budget_kills += state.budget_kills;
+        }
+        total
     }
 
     /// Scrubs, re-keys and re-admits the quarantined `shard`.
     ///
-    /// The whole cycle runs under the shard's own engine lock: healthy
-    /// shards keep serving throughout and observe only the
-    /// quarantine-epoch bump once the shard is re-admitted. On success
+    /// The whole cycle runs under the shard's own lock: healthy shards
+    /// keep serving throughout and observe only the quarantine-epoch
+    /// bump once the shard is re-admitted. On success
     /// the shard serves again under generation-fresh key material and a
     /// fresh device seed, with every block the scrub verified re-encrypted
     /// bit-identically; blocks that failed re-verification refuse with
@@ -308,14 +138,14 @@ impl ShardedEngine {
     /// # Errors
     ///
     /// [`ToleoError::IntegrityViolation`] once the world-kill has
-    /// engaged; [`ToleoError::InvalidConfig`] for an out-of-range shard
-    /// index, a shard that is not quarantined, or a shard that has
-    /// consumed its recovery budget. Errors from re-keying (for example
-    /// the freshness device unreachable while re-encrypting under an
-    /// armed fault plan) abort the recovery with the shard still
-    /// quarantined — the call can simply be retried.
+    /// engaged — which is also the answer for a shard quarantined past
+    /// its [`RECOVERY_BUDGET`], since that quarantine is itself the
+    /// world-kill; [`ToleoError::InvalidConfig`] for an out-of-range
+    /// shard index or a shard that is not quarantined. Errors from
+    /// re-keying (for example the freshness device unreachable while
+    /// re-encrypting under an armed fault plan) abort the recovery with
+    /// the shard still quarantined — the call can simply be retried.
     pub fn recover_shard(&self, shard: usize) -> Result<RecoveryOutcome> {
-        self.check_alive(0)?;
         if shard >= self.shard_count() {
             return Err(ToleoError::InvalidConfig {
                 detail: format!(
@@ -324,27 +154,22 @@ impl ShardedEngine {
                 ),
             });
         }
-        let mut engine = self.lock_shard(shard);
+        let mut state = self.lock_shard(shard);
+        // Checked under the lock: a quarantine past the budget flags the
+        // world-kill before it releases this lock, so a quarantined shard
+        // seen alive from here is within its budget.
+        self.check_alive(0)?;
         if !self.quarantine.is_quarantined(shard) {
             return Err(ToleoError::InvalidConfig {
                 detail: format!("recover_shard: shard {shard} is not quarantined"),
             });
         }
-        let generation = self.recovery.recoveries_of(shard) + 1;
-        if generation > self.recovery.budget {
-            return Err(ToleoError::InvalidConfig {
-                detail: format!(
-                    "recover_shard: shard {shard} consumed its recovery budget of {}",
-                    self.recovery.budget
-                ),
-            });
-        }
-        let start = Instant::now();
-        let forensic = Box::new(engine.kill_snapshot().unwrap_or_default());
+        let generation = state.generation + 1;
+        let forensic = Box::new(state.engine.kill_snapshot().unwrap_or_default());
         // Scrub: re-verify every resident block of the frozen engine
         // against untrusted memory, splitting intact plaintext from lost
         // addresses.
-        let scrub = engine.scrub_extract();
+        let scrub = state.engine.scrub_extract();
         // Re-key: a fresh engine under generation-salted key material and
         // device seed — no cryptographic state survives the compromise —
         // with every intact block re-encrypted into it.
@@ -352,42 +177,36 @@ impl ShardedEngine {
         shard_cfg.rng_seed = derive_shard_seed_gen(self.cfg.rng_seed, shard as u64, generation);
         let mut fresh = ProtectionEngine::try_new_with_robustness(
             shard_cfg,
-            derive_shard_key_gen(&self.recovery.root_key.0, shard as u64, generation as u8),
-            self.recovery.fault_plan,
-            self.recovery.policy,
+            derive_shard_key_gen(&self.rekey.root_key, shard as u64, generation as u8),
+            self.rekey.fault_plan,
+            self.rekey.policy,
         )?;
         for (addr, plaintext) in &scrub.intact {
             fresh.write(*addr, plaintext)?;
         }
-        let rekey_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        // Re-admit: swap the fresh engine in, install the lost-block
-        // markers, bump the generation, then clear the quarantine bit
-        // (epoch bump) — all before the shard lock drops, so the first
-        // peer routed here sees a fully re-admitted shard.
-        *engine = fresh;
-        let blocks_intact = scrub.intact.len() as u64;
+        // Re-admit: swap the fresh engine in, add the scrub's losses to
+        // the markers still standing from earlier generations (an address
+        // lost in generation k and never rewritten is still lost in k+1,
+        // though the fresh engine never held it), bump the generation,
+        // then clear the quarantine bit (epoch bump) — all before the
+        // shard lock drops, so the first peer routed here sees a fully
+        // re-admitted shard.
         let blocks_lost = scrub.lost.len() as u64;
-        self.recovery.install_losses(shard, &scrub.lost);
-        let shard_recoveries = &self.recovery.recoveries[shard];
-        shard_recoveries.store(generation, Ordering::Release);
-        {
-            let mut totals = self.recovery.lock_totals();
-            totals.recoveries += 1;
-            totals.pages_scrubbed += scrub.pages_scrubbed;
-            totals.blocks_scrubbed += scrub.blocks_scrubbed;
-            totals.blocks_lost += blocks_lost;
-            totals.rekey_nanos += rekey_nanos;
-        }
+        state.engine = fresh;
+        state.generation = generation;
+        state.lost.extend(&scrub.lost);
+        state.pages_scrubbed += scrub.pages_scrubbed;
+        state.blocks_scrubbed += scrub.blocks_scrubbed;
+        state.blocks_lost += blocks_lost;
         self.quarantine.clear(shard);
-        drop(engine);
+        drop(state);
         Ok(RecoveryOutcome {
             shard,
             generation,
             pages_scrubbed: scrub.pages_scrubbed,
             blocks_scrubbed: scrub.blocks_scrubbed,
-            blocks_intact,
+            blocks_intact: scrub.intact.len() as u64,
             blocks_lost,
-            rekey_nanos,
             forensic,
         })
     }
@@ -404,6 +223,16 @@ mod tests {
         ShardedEngine::new(ToleoConfig::small(), shards, [0x5cu8; 48]).unwrap()
     }
 
+    /// Flips one ciphertext bit at `addr` and trips the owning shard's
+    /// quarantine (or the world-kill) with the detecting read.
+    fn tamper_and_detect(e: &ShardedEngine, addr: u64) {
+        e.with_adversary(addr, |dram| dram.corrupt_data(addr, 0, 0x01));
+        assert!(matches!(
+            e.read(addr),
+            Err(ToleoError::IntegrityViolation { .. })
+        ));
+    }
+
     /// Writes pages 0..8 (value `page + 1`), corrupts the block on page 2
     /// (shard 2 at 4 shards), and trips the quarantine with a read.
     /// Returns the tampered address.
@@ -413,11 +242,7 @@ mod tests {
                 .unwrap();
         }
         let victim = 2 * PAGE_BYTES as u64;
-        e.with_adversary(victim, |dram| dram.corrupt_data(victim, 9, 0x77));
-        assert!(matches!(
-            e.read(victim),
-            Err(ToleoError::IntegrityViolation { .. })
-        ));
+        tamper_and_detect(e, victim);
         assert!(e.is_shard_quarantined(2));
         victim
     }
@@ -432,7 +257,6 @@ mod tests {
         assert_eq!(out.blocks_lost, 1, "exactly the corrupted block");
         assert_eq!(out.blocks_intact + out.blocks_lost, out.blocks_scrubbed);
         assert_eq!(out.pages_scrubbed, 2, "shard 2 owned pages 2 and 6");
-        assert!(out.rekey_nanos > 0);
         assert_eq!(out.forensic.stats.reads, 1, "forensic snapshot preserved");
         assert!(!e.is_shard_quarantined(2));
         assert_eq!(e.quarantined_shard_count(), 0);
@@ -451,7 +275,6 @@ mod tests {
         assert_eq!(rs.recovery.blocks_lost, 1);
         assert_eq!(rs.recovery.blocks_still_lost, 1);
         assert_eq!(rs.recovery.pages_scrubbed, 2);
-        assert!(rs.recovery.rekey_nanos > 0);
         // A fresh write repopulates the lost address and drops the marker.
         e.write(victim, &[0xaa; 64]).unwrap();
         assert_eq!(e.read(victim).unwrap(), [0xaa; 64]);
@@ -482,23 +305,22 @@ mod tests {
 
     #[test]
     fn re_quarantine_past_budget_world_kills() {
-        let mut e = sharded(2);
-        e.set_recovery_budget(1);
-        assert_eq!(e.recovery_budget(), 1);
-        e.write(0, &[1u8; 64]).unwrap();
+        let e = sharded(2);
         e.write(PAGE_BYTES as u64, &[2u8; 64]).unwrap();
-        // First tamper: quarantine, then recover (consumes the budget).
-        e.with_adversary(0, |dram| dram.corrupt_data(0, 0, 0x01));
-        assert!(e.read(0).is_err());
-        assert!(e.is_shard_quarantined(0));
-        e.recover_shard(0).unwrap();
-        assert!(!e.is_shard_quarantined(0));
-        assert!(!e.is_killed());
-        // Repopulate and tamper the same shard again: the ladder's last
-        // rung — containment has failed, the world fails closed.
-        e.write(0, &[3u8; 64]).unwrap();
-        e.with_adversary(0, |dram| dram.corrupt_data(0, 0, 0x01));
-        assert!(e.read(0).is_err());
+        // The whole budget: tamper, quarantine, recover, repopulate.
+        for generation in 1..=RECOVERY_BUDGET {
+            e.write(0, &[generation as u8; 64]).unwrap();
+            tamper_and_detect(&e, 0);
+            assert!(e.is_shard_quarantined(0));
+            assert!(!e.is_killed(), "quarantine {generation} is within budget");
+            assert_eq!(e.recover_shard(0).unwrap().generation, generation);
+            assert!(!e.is_shard_quarantined(0));
+        }
+        assert_eq!(e.recovery_stats().budget_kills, 0);
+        // Tampered once more: the ladder's last rung — containment has
+        // failed, and the quarantine itself is the world-kill.
+        e.write(0, &[0xffu8; 64]).unwrap();
+        tamper_and_detect(&e, 0);
         assert!(
             e.is_killed(),
             "budget-exhausted re-quarantine must world-kill"
@@ -506,7 +328,8 @@ mod tests {
         let rs = e.robustness_stats();
         assert!(rs.world_killed);
         assert_eq!(rs.recovery.budget_kills, 1);
-        // A recover attempt on the killed world refuses.
+        assert_eq!(rs.recovery.recoveries, RECOVERY_BUDGET);
+        // A recover attempt only ever sees the dead world.
         assert!(matches!(
             e.recover_shard(0),
             Err(ToleoError::IntegrityViolation { .. })
@@ -515,7 +338,7 @@ mod tests {
 
     #[test]
     fn recover_refuses_healthy_out_of_range_and_budget_consumed_shards() {
-        let mut e = sharded(2);
+        let e = sharded(2);
         assert!(
             matches!(e.recover_shard(0), Err(ToleoError::InvalidConfig { .. })),
             "healthy shard has nothing to recover"
@@ -524,26 +347,69 @@ mod tests {
             matches!(e.recover_shard(9), Err(ToleoError::InvalidConfig { .. })),
             "out-of-range shard index"
         );
-        // Recover once (generation 1), re-quarantine within the default
-        // budget, then shrink the budget under it: the recovery refuses
-        // and the quarantine stays in place.
-        e.write(0, &[1u8; 64]).unwrap();
-        e.with_adversary(0, |dram| dram.corrupt_data(0, 0, 0x01));
-        assert!(e.read(0).is_err());
-        e.recover_shard(0).unwrap();
-        e.write(0, &[2u8; 64]).unwrap();
-        e.with_adversary(0, |dram| dram.corrupt_data(0, 0, 0x01));
-        assert!(e.read(0).is_err());
-        assert!(!e.is_killed(), "second quarantine is within budget 3");
-        e.set_recovery_budget(1);
-        assert!(matches!(
-            e.recover_shard(0),
-            Err(ToleoError::InvalidConfig { .. })
-        ));
-        assert!(
-            e.is_shard_quarantined(0),
-            "a refused recovery leaves the quarantine in place"
+    }
+
+    /// A lost marker belongs to the shard, not to the engine generation
+    /// that lost it: it survives a second recovery, is cleared only by a
+    /// rewrite, and the second scrub's losses join it.
+    #[test]
+    fn lost_markers_outlive_a_generation() {
+        let e = sharded(4);
+        let page = |p: u64| p * PAGE_BYTES as u64;
+        let (kept, rewritten, third) = (page(2), page(6), page(10));
+        for addr in [kept, rewritten, third, page(14)] {
+            e.write(addr, &[1u8; 64]).unwrap();
+        }
+        e.with_adversary(kept, |dram| dram.corrupt_data(kept, 3, 0x20));
+        tamper_and_detect(&e, rewritten);
+        assert_eq!(e.recover_shard(2).unwrap().blocks_lost, 2);
+        e.write(rewritten, &[2u8; 64]).unwrap();
+        tamper_and_detect(&e, third);
+        let out = e.recover_shard(2).unwrap();
+        assert_eq!(out.generation, 2);
+        assert_eq!(out.blocks_lost, 1, "the kept marker is no longer resident");
+        for lost in [kept, third] {
+            match e.read(lost) {
+                Err(ToleoError::PageLost { shard: 2, address }) => assert_eq!(address, lost),
+                other => panic!("expected PageLost at {lost:#x}, got {other:?}"),
+            }
+        }
+        assert_eq!(e.read(rewritten).unwrap(), [2u8; 64]);
+        assert_eq!(e.read(page(14)).unwrap(), [1u8; 64]);
+        let rs = e.recovery_stats();
+        assert_eq!(rs.blocks_lost, 3);
+        assert_eq!(rs.blocks_still_lost, 2);
+    }
+
+    /// `RecoveryStats` is summed from the shards: after recovering two
+    /// of them every field is the sum over the two outcomes.
+    #[test]
+    fn recovery_stats_sum_the_per_shard_counters() {
+        let e = sharded(4);
+        quarantine_shard2(&e);
+        // Shard 1's adversary flips the bit back after the detection, so
+        // its scrub finds every block intact.
+        let restored = PAGE_BYTES as u64;
+        tamper_and_detect(&e, restored);
+        e.with_adversary(restored, |dram| dram.corrupt_data(restored, 0, 0x01));
+        let outs = [e.recover_shard(2).unwrap(), e.recover_shard(1).unwrap()];
+        assert_eq!(outs[0].blocks_lost, 1);
+        assert_eq!(outs[1].blocks_lost, 0);
+        let sum = |f: fn(&RecoveryOutcome) -> u64| outs.iter().map(f).sum::<u64>();
+        let rs = e.recovery_stats();
+        assert_eq!(rs, e.robustness_stats().recovery);
+        assert_eq!(
+            rs,
+            RecoveryStats {
+                recoveries: 2,
+                pages_scrubbed: sum(|o| o.pages_scrubbed),
+                blocks_scrubbed: sum(|o| o.blocks_scrubbed),
+                blocks_lost: 1,
+                blocks_still_lost: 1,
+                budget_kills: 0,
+            }
         );
+        assert!(outs.iter().all(|o| o.pages_scrubbed > 0));
     }
 
     #[test]
@@ -561,8 +427,7 @@ mod tests {
         e.write_batch(&writes).unwrap();
         e.write(PAGE_BYTES as u64, &[9u8; 64]).unwrap(); // shard 1
         let victim = 2 * PAGE_BYTES as u64;
-        e.with_adversary(victim, |dram| dram.corrupt_data(victim, 0, 0x01));
-        assert!(e.read(victim).is_err());
+        tamper_and_detect(&e, victim);
         std::thread::scope(|s| {
             let rec = s.spawn(|| e.recover_shard(2).unwrap());
             // Healthy shard 1 serves at least one op while the recovery
@@ -616,8 +481,7 @@ mod tests {
         for page in 0..8u64 {
             e.write(page * PAGE_BYTES as u64, &[5u8; 64]).unwrap();
         }
-        e.with_adversary(0, |dram| dram.corrupt_data(0, 1, 0x10));
-        assert!(e.read(0).is_err());
+        tamper_and_detect(&e, 0);
         let out = e.recover_shard(0).unwrap();
         assert_eq!(out.blocks_lost, 1);
         for page in [2u64, 4, 6] {
@@ -649,7 +513,7 @@ mod tests {
         let seeds: Vec<u64> = (0..4u64)
             .flat_map(|s| (0..4u64).map(move |g| derive_shard_seed_gen(7, s, g)))
             .collect();
-        let unique: HashSet<u64> = seeds.iter().copied().collect();
+        let unique: std::collections::HashSet<u64> = seeds.iter().copied().collect();
         assert_eq!(unique.len(), seeds.len());
     }
 }

@@ -117,6 +117,7 @@ fn every_scheme_detects_tamper_inside_a_batch_read() {
             matches!(err.error, MemoryError::IntegrityViolation { .. }),
             "{scheme}: batch must surface the violation, got {err}"
         );
+        assert_eq!(err.index, 5, "{scheme}: at the tampered op's own index");
     }
 }
 
