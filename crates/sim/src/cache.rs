@@ -1,19 +1,12 @@
 //! Timed data-cache hierarchy with dirty-writeback tracking.
 //!
-//! Unlike the metadata directories in `toleo-core::cache`, these caches
-//! track dirty state so LLC evictions generate the protected writebacks
-//! that drive version UPDATE traffic.
-
-// audit: allow-file(panic, simulator invariants: a panic aborts the offline run with a trace, no production path)
+//! The replacement structure is the one the metadata caches use —
+//! [`toleo_core::cache::LruDirectory`] — with a dirty bit as each tag's
+//! payload, so LLC evictions generate the protected writebacks that drive
+//! version UPDATE traffic.
 
 use crate::config::CacheConfig;
-
-/// One cache way entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    dirty: bool,
-}
+use toleo_core::cache::LruDirectory;
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,8 +20,8 @@ pub struct AccessResult {
 /// A set-associative, write-back, write-allocate data cache (LRU).
 #[derive(Debug, Clone)]
 pub struct DataCache {
-    sets: Vec<Vec<Line>>,
-    ways: usize,
+    /// Block tags, each with its dirty bit.
+    dir: LruDirectory<bool>,
     hits: u64,
     misses: u64,
 }
@@ -37,53 +30,29 @@ impl DataCache {
     /// Builds a cache from its geometry.
     pub fn new(cfg: CacheConfig) -> Self {
         DataCache {
-            sets: vec![Vec::with_capacity(cfg.ways); cfg.sets()],
-            ways: cfg.ways,
+            dir: LruDirectory::new(cfg.sets(), cfg.ways),
             hits: 0,
             misses: 0,
         }
     }
 
-    fn index(&self, block: u64) -> usize {
-        (block % self.sets.len() as u64) as usize
-    }
-
     /// Accesses the 64-byte block containing `addr`; fills on miss. `write`
     /// marks the line dirty. Returns hit/miss and any dirty victim.
     pub fn access(&mut self, addr: u64, write: bool) -> AccessResult {
-        let block = addr / 64;
-        let idx = self.index(block);
-        let ways = self.ways;
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|l| l.tag == block) {
-            let mut line = set.remove(pos);
-            line.dirty |= write;
-            set.insert(0, line);
+        let tag = addr / 64;
+        let set = (tag % self.dir.num_sets() as u64) as usize;
+        let (hit, dirty, victim) = self.dir.access(set, tag, write);
+        *dirty |= write;
+        if hit {
             self.hits += 1;
-            return AccessResult {
-                hit: true,
-                writeback: None,
-            };
+        } else {
+            self.misses += 1;
         }
-        self.misses += 1;
-        set.insert(
-            0,
-            Line {
-                tag: block,
-                dirty: write,
-            },
-        );
-        let mut writeback = None;
-        if set.len() > ways {
-            let victim = set.pop().expect("overfull set");
-            if victim.dirty {
-                writeback = Some(victim.tag * 64);
-            }
-        }
-        AccessResult {
-            hit: false,
-            writeback,
-        }
+        let writeback = match victim {
+            Some((tag, true)) => Some(tag * 64),
+            _ => None,
+        };
+        AccessResult { hit, writeback }
     }
 
     /// Hits so far.
@@ -98,13 +67,14 @@ impl DataCache {
 
     /// Flushes every dirty line, returning their block addresses (used at
     /// end of simulation so pending writebacks reach the version system).
+    /// Sets ascending, most-recent line first: the order feeds the next
+    /// level down and so is part of every pinned simulator count.
     pub fn drain_dirty(&mut self) -> Vec<u64> {
         let mut out = Vec::new();
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                if line.dirty {
-                    out.push(line.tag * 64);
-                    line.dirty = false;
+        for set in 0..self.dir.num_sets() {
+            for (tag, dirty) in self.dir.mru_first_mut(set) {
+                if std::mem::take(dirty) {
+                    out.push(tag * 64);
                 }
             }
         }
@@ -238,6 +208,134 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use crate::config::{Protection, SimConfig};
+
+    #[derive(Clone, Copy)]
+    struct Line {
+        tag: u64,
+        dirty: bool,
+    }
+
+    /// The `Vec<Line>` model `DataCache` was until PR 19 — every set a
+    /// most-recent-first stack shuffled on every hit — kept verbatim as
+    /// the oracle for the shared ring directory.
+    struct VecOracle {
+        sets: Vec<Vec<Line>>,
+        ways: usize,
+    }
+
+    impl VecOracle {
+        fn new(cfg: CacheConfig) -> Self {
+            VecOracle {
+                sets: vec![Vec::new(); cfg.sets()],
+                ways: cfg.ways,
+            }
+        }
+
+        fn access(&mut self, addr: u64, write: bool) -> AccessResult {
+            let tag = addr / 64;
+            let idx = (tag % self.sets.len() as u64) as usize;
+            let oracle_set = &mut self.sets[idx];
+            if let Some(pos) = oracle_set.iter().position(|l| l.tag == tag) {
+                let mut line = oracle_set.remove(pos);
+                line.dirty |= write;
+                oracle_set.insert(0, line);
+                return AccessResult {
+                    hit: true,
+                    writeback: None,
+                };
+            }
+            oracle_set.insert(0, Line { tag, dirty: write });
+            let mut writeback = None;
+            if oracle_set.len() > self.ways {
+                let victim = oracle_set.pop().expect("overfull set");
+                if victim.dirty {
+                    writeback = Some(victim.tag * 64);
+                }
+            }
+            AccessResult {
+                hit: false,
+                writeback,
+            }
+        }
+
+        fn drain_dirty(&mut self) -> Vec<u64> {
+            let mut out = Vec::new();
+            for line in self.sets.iter_mut().flatten() {
+                if line.dirty {
+                    out.push(line.tag * 64);
+                    line.dirty = false;
+                }
+            }
+            out
+        }
+    }
+
+    /// Seeded load/store stream: splitmix64 over `blocks` block addresses,
+    /// one access in three a store.
+    fn stream(seed: u64, blocks: u64) -> impl Iterator<Item = (u64, bool)> {
+        let mut state = seed;
+        std::iter::repeat_with(move || {
+            state = state.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z ^= z >> 31;
+            ((z >> 8) % blocks * 64 + z % 64, (z >> 2).is_multiple_of(3))
+        })
+    }
+
+    #[test]
+    fn data_cache_matches_vec_oracle() {
+        let cfg = SimConfig::scaled(Protection::NoProtect);
+        for (seed, geometry) in [cfg.l1, cfg.l2, cfg.l3].into_iter().enumerate() {
+            let mut cache = DataCache::new(geometry);
+            let mut oracle = VecOracle::new(geometry);
+            // A quarter more blocks than fit: every set fills, wraps and
+            // keeps evicting, and hits land all over the ring.
+            let blocks = geometry.blocks() as u64 * 5 / 4;
+            let ops = geometry.blocks() * 6;
+            for (op, (addr, write)) in stream(seed as u64, blocks).take(ops).enumerate() {
+                assert_eq!(
+                    cache.access(addr, write),
+                    oracle.access(addr, write),
+                    "op {op}: addr {addr:#x} write {write}"
+                );
+                // Drains mid-run too, so lines go dirty again on a
+                // wrapped ring and the next drain sees them.
+                if op % (ops / 4) == ops / 8 {
+                    assert_eq!(cache.drain_dirty(), oracle.drain_dirty(), "op {op}");
+                }
+            }
+            let drained = cache.drain_dirty();
+            assert!(!drained.is_empty());
+            assert_eq!(drained, oracle.drain_dirty());
+            assert!(cache.hits() > 0 && cache.misses() > geometry.blocks() as u64);
+        }
+    }
+
+    /// `Hierarchy` end to end — where every access hit, every LLC
+    /// writeback it caused, and the final `drain` vector, whose order
+    /// depends on each level's most-recent-first walk feeding the next —
+    /// folded into one FNV-1a fingerprint. The literals were generated at
+    /// the parent of PR 19, from the `Vec` model.
+    #[test]
+    fn hierarchy_trace_and_drain_are_pinned() {
+        let cfg = SimConfig::scaled(Protection::NoProtect);
+        let mut h = Hierarchy::new(&cfg);
+        let fnv = |fp: u64, v: u64| (fp ^ v).wrapping_mul(0x100_0000_01b3);
+        let mut fp = 0xcbf2_9ce4_8422_2325u64;
+        for (addr, write) in stream(19, cfg.l3.blocks() as u64 * 5 / 4).take(120_000) {
+            let r = h.access(addr, write);
+            fp = fnv(fp, r.level as u64);
+            fp = r.llc_writebacks.iter().fold(fp, |fp, &wb| fnv(fp, wb));
+        }
+        let drained = h.drain();
+        fp = drained.iter().fold(fp, |fp, &wb| fnv(fp, wb));
+        assert_eq!(
+            (h.llc_misses(), drained.len(), fp),
+            (34_227, 11_717, 16_331_117_063_638_715_574)
+        );
+    }
 
     fn tiny_cache(blocks: usize, ways: usize) -> DataCache {
         DataCache::new(CacheConfig {

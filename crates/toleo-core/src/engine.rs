@@ -1125,6 +1125,125 @@ mod tests {
         assert_eq!(e.adversary().resident_blocks(), resident);
     }
 
+    /// The in-tree check that the benchmark's exact metrics cannot move:
+    /// one seeded trace through every way the engine drives its caches —
+    /// page-local sweeps, uniform random traffic over 2.3x the TLB
+    /// extension's reach, a hot line under `reset_log2 = 6` (upgrades,
+    /// resets, re-encryption walks), page frees, single and batch reads —
+    /// with every counter the caches decide asserted against literals
+    /// generated at the parent of PR 19, from the `Vec` LRU model.
+    #[test]
+    fn engine_counters_are_pinned() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const PAGES: u64 = 600;
+        const LINES: u64 = LINES_PER_PAGE as u64;
+        fn addr(page: u64, line: u64) -> u64 {
+            page * PAGE_BYTES as u64 + line * CACHE_BLOCK_BYTES as u64
+        }
+        fn put(e: &mut ProtectionEngine, live: &mut [bool], page: u64, line: u64) {
+            e.write(addr(page, line), &[(page ^ line) as u8; 64])
+                .unwrap();
+            live[(page * LINES + line) as usize] = true;
+        }
+        // Reads only what was written: an unwritten line would not
+        // exercise the MAC path the same way on every page.
+        fn get(e: &mut ProtectionEngine, live: &mut [bool], page: u64, line: u64) {
+            if live[(page * LINES + line) as usize] {
+                let want = [(page ^ line) as u8; 64];
+                assert_eq!(e.read(addr(page, line)).unwrap(), want);
+            } else {
+                put(e, live, page, line);
+            }
+        }
+
+        let mut cfg = ToleoConfig::small();
+        cfg.reset_log2 = 6;
+        let mut e = ProtectionEngine::try_new_with_robustness(
+            cfg,
+            [0x19; 48],
+            None,
+            RetryPolicy::default(),
+        )
+        .unwrap();
+        let mut live = vec![false; (PAGES * LINES) as usize];
+        let mut rng = StdRng::seed_from_u64(19);
+
+        // Page-local sweep.
+        for page in 0..PAGES {
+            for line in 0..8 {
+                put(&mut e, &mut live, page, line);
+            }
+            for line in 0..8 {
+                get(&mut e, &mut live, page, line);
+            }
+        }
+        // Uniform random, with a page free every 64 ops. Freed pages hold
+        // one line each (a reset walk must never meet a stale line).
+        for op in 0..40_000u64 {
+            let (page, line) = (rng.gen_range(0..PAGES), rng.gen_range(0..LINES));
+            if rng.gen_bool(0.5) {
+                put(&mut e, &mut live, page, line);
+            } else {
+                get(&mut e, &mut live, page, line);
+            }
+            if op % 64 == 0 {
+                let scratch = PAGES + rng.gen_range(0..64u64);
+                e.write(addr(scratch, 0), &[1; 64]).unwrap();
+                e.free_page(scratch).unwrap();
+            }
+        }
+        // Hot reset: 16 pages, 90% writes to one hot line.
+        for _ in 0..20_000 {
+            if rng.gen_bool(0.9) {
+                put(&mut e, &mut live, 3, 5);
+            } else {
+                get(
+                    &mut e,
+                    &mut live,
+                    rng.gen_range(0..16),
+                    rng.gen_range(0..LINES),
+                );
+            }
+        }
+        // Mixed single and batch reads over two pages' live lines.
+        for _ in 0..1_500 {
+            let mut addrs = Vec::new();
+            for page in [rng.gen_range(0..PAGES), rng.gen_range(0..PAGES)] {
+                let from = rng.gen_range(0..LINES - 8);
+                addrs.extend(
+                    (from..from + 8)
+                        .filter(|line| live[(page * LINES + line) as usize])
+                        .map(|line| addr(page, line)),
+                );
+            }
+            e.read_batch(&addrs).unwrap();
+            get(
+                &mut e,
+                &mut live,
+                rng.gen_range(0..PAGES),
+                rng.gen_range(0..8),
+            );
+        }
+
+        assert!(!e.is_killed());
+        let (hits, misses) = (60_542, 27_497);
+        assert_eq!(e.stealth_cache_stats(), CacheStats { hits, misses });
+        let (hits, misses) = (45_134, 42_905);
+        assert_eq!(e.mac_cache_stats(), CacheStats { hits, misses });
+        assert_eq!(
+            e.stats(),
+            EngineStats {
+                writes: 54_579,
+                reads: 33_460,
+                device_updates: 54_579,
+                device_reads: 7_763,
+                mac_fetches: 42_905,
+                pages_reencrypted: 301,
+                pages_freed: 625,
+            }
+        );
+    }
+
     #[test]
     fn force_kill_is_sticky_and_freezes_stats() {
         let mut e = engine();
