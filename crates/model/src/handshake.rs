@@ -10,9 +10,10 @@
 //!   and bumps the epoch to re-admit. If the recovery budget is
 //!   exhausted it must escalate to the world-kill instead.
 //! - **thread 1, a peer caller draining a batch on another shard**
-//!   (`ShardedEngine::drain_shard`): serves ops in chunks, polling the
-//!   kill flag and quarantine epoch at every chunk boundary — the
-//!   dynamic twin of the static `blocking-in-poll` rule.
+//!   (`ShardedEngine::drain_shard`): serves one op at a time — a model
+//!   step is an engine call in the shipped loop — polling the kill flag
+//!   and quarantine epoch at every chunk boundary: the dynamic twin of
+//!   the static `blocking-in-poll` rule.
 //! - **thread 2, caller on the quarantined shard**: tries to serve one
 //!   op — in the shipped code a single op is `drain_shard` over a run
 //!   of one, the same ladder thread 1 walks, so under the lock it

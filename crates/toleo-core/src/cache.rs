@@ -296,47 +296,21 @@ pub struct StealthCache {
     combined: CacheStats,
 }
 
-/// Geometry of the stealth cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StealthCacheConfig {
-    /// L2 TLB entries (paper: 256, fully associative).
-    pub tlb_entries: usize,
-    /// Overflow buffer blocks (paper: 512 x 56 B = 28 KB).
-    pub overflow_blocks: usize,
-    /// Overflow buffer associativity (paper: 16).
-    pub overflow_ways: usize,
-}
-
-impl Default for StealthCacheConfig {
-    fn default() -> Self {
-        StealthCacheConfig {
-            tlb_entries: 256,
-            overflow_blocks: 512,
-            overflow_ways: 16,
-        }
-    }
-}
+/// L2 TLB entries (paper: 256, fully associative).
+const TLB_ENTRIES: usize = 256;
+/// Overflow buffer blocks (paper: 512 x 56 B = 28 KB).
+const OVERFLOW_BLOCKS: usize = 512;
+/// Overflow buffer associativity (paper: 16).
+const OVERFLOW_WAYS: usize = 16;
 
 impl StealthCache {
-    /// Creates a stealth cache with the given geometry. A zero
-    /// `tlb_entries` or `overflow_ways` is clamped to one, as
-    /// [`MacCache::new`] clamps its set count: the config is public and
-    /// deserialisable, and a degenerate cache is still a cache.
-    pub fn new(cfg: StealthCacheConfig) -> Self {
-        let overflow_ways = cfg.overflow_ways.max(1);
-        StealthCache {
-            tlb_ext: SetAssocCache::fully_associative(cfg.tlb_entries.max(1)),
-            overflow: SetAssocCache::new(
-                (cfg.overflow_blocks / overflow_ways).max(1),
-                overflow_ways,
-            ),
-            combined: CacheStats::default(),
-        }
-    }
-
     /// Paper-default geometry.
     pub fn paper_default() -> Self {
-        Self::new(StealthCacheConfig::default())
+        StealthCache {
+            tlb_ext: SetAssocCache::fully_associative(TLB_ENTRIES),
+            overflow: SetAssocCache::new(OVERFLOW_BLOCKS / OVERFLOW_WAYS, OVERFLOW_WAYS),
+            combined: CacheStats::default(),
+        }
     }
 
     /// Looks up the stealth version(s) for `page` stored in `format`.
@@ -586,26 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_stealth_geometry_is_clamped_not_a_panic() {
-        let mut sc = StealthCache::new(StealthCacheConfig {
-            tlb_entries: 0,
-            overflow_blocks: 0,
-            overflow_ways: 0,
-        });
-        // One TLB entry, one overflow block: the page itself stays
-        // resident, a four-block full entry cannot.
-        assert!(!sc.access(1, TripFormat::Uneven));
-        assert!(sc.access(1, TripFormat::Uneven));
-        assert!(!sc.access(2, TripFormat::Flat));
-        assert!(
-            !sc.access(1, TripFormat::Flat),
-            "one TLB entry: 2 evicted 1"
-        );
-        assert!(!sc.access(1, TripFormat::Full));
-        assert!(!sc.access(1, TripFormat::Full));
-    }
-
-    #[test]
     fn lru_evicts_oldest() {
         let mut c = SetAssocCache::fully_associative(2);
         assert!(!c.access(1));
@@ -674,11 +628,11 @@ mod tests {
 
     #[test]
     fn stealth_cache_full_occupies_four_blocks() {
-        let mut sc = StealthCache::new(StealthCacheConfig {
-            tlb_entries: 8,
-            overflow_blocks: 8,
-            overflow_ways: 8,
-        });
+        let mut sc = StealthCache {
+            tlb_ext: SetAssocCache::fully_associative(8),
+            overflow: SetAssocCache::new(1, 8),
+            combined: CacheStats::default(),
+        };
         assert!(!sc.access(1, TripFormat::Full));
         assert!(sc.access(1, TripFormat::Full));
         // A second full page forces the 8-block buffer to evict: with two

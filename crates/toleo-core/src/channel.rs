@@ -190,31 +190,6 @@ impl DeviceChannel {
         self.run_op(DeviceOp::Read, page, |dev| dev.read_versioned(page, line))
     }
 
-    /// Run READ through the fault plane (see [`ToleoDevice::read_run`]).
-    /// The whole run is one link transaction: one fault verdict, one
-    /// response buffer.
-    ///
-    /// # Errors
-    ///
-    /// As [`update`](Self::update).
-    pub fn read_run(
-        &mut self,
-        page: u64,
-        lines: &[usize],
-        out: &mut Vec<(StealthVersion, TripFormat)>,
-    ) -> Result<()> {
-        if self.plan.is_none() {
-            return self.device.read_run(page, lines, out);
-        }
-        let run = self.run_op(DeviceOp::Read, page, |dev| {
-            let mut v = Vec::new();
-            dev.read_run(page, lines, &mut v)?;
-            Ok(v)
-        })?;
-        *out = run;
-        Ok(())
-    }
-
     /// RESET through the fault plane (see [`ToleoDevice::reset`]).
     ///
     /// # Errors
@@ -324,17 +299,9 @@ mod tests {
                         assert_eq!(a.format, b.format);
                         assert_eq!(a.reset.is_some(), b.reset.is_some());
                     }
-                    2 | 3 => {
+                    _ => {
                         let a = faulted.read_versioned(page, line).unwrap();
                         let b = clean.read_versioned(page, line).unwrap();
-                        assert_eq!(a, b, "seed {seed} op {i}");
-                    }
-                    _ => {
-                        let lines: Vec<usize> = (0..8).map(|k| (line + k) % 64).collect();
-                        let mut a = Vec::new();
-                        let mut b = Vec::new();
-                        faulted.read_run(page, &lines, &mut a).unwrap();
-                        clean.read_run(page, &lines, &mut b).unwrap();
                         assert_eq!(a, b, "seed {seed} op {i}");
                     }
                 }

@@ -260,11 +260,13 @@ impl ToleoDevice {
     }
 
     /// Serves a whole run of READs against one page from a *single*
-    /// flat-array probe: the engine's batched read path groups consecutive
-    /// same-page operations and fetches all their versions (plus the
-    /// page's Trip format) in one call, amortizing the index lookup that
+    /// flat-array probe, amortizing the index lookup that
     /// [`read_versioned`](Self::read_versioned) pays per line. Counts one
-    /// READ per requested line, exactly as the per-op path would.
+    /// READ per requested line, exactly as the per-op path would. No
+    /// in-tree caller — the engine reads one line at a time; this stays
+    /// only because `benchmark/` times it
+    /// (`core.device.read_run_ns_per_op`), and the `benchmark` PR that
+    /// drops that row deletes it.
     ///
     /// # Errors
     ///
@@ -462,6 +464,52 @@ mod tests {
             ToleoDevice::new(cfg),
             Err(ToleoError::InvalidConfig { .. })
         ));
+    }
+
+    /// `read_run` against the per-line READ it amortizes: same versions,
+    /// same formats, same `DeviceStats`, over flat, uneven and full pages.
+    #[test]
+    fn read_run_matches_per_line_reads() {
+        let (mut run, mut per_line) = (dev(), dev());
+        for i in 0..600usize {
+            // Page 0 is swept evenly (flat), page 1 has one line 200
+            // writes ahead (full), page 2 a few lines a little ahead
+            // (uneven).
+            let (page, line) = match i % 3 {
+                0 => (0, i % LINES_PER_PAGE),
+                1 => (1, 7),
+                _ => (2, (i * i) % 23),
+            };
+            run.update(page, line).unwrap();
+            per_line.update(page, line).unwrap();
+        }
+        let mut got = vec![(StealthVersion::new(0, 27), TripFormat::Flat)];
+        for page in 0..4u64 {
+            let lines: Vec<usize> = (0..40).map(|k| (k * 5 + page as usize) % 64).collect();
+            run.read_run(page, &lines, &mut got).unwrap();
+            let want: Vec<_> = lines
+                .iter()
+                .map(|&l| per_line.read_versioned(page, l).unwrap())
+                .collect();
+            assert_eq!(got, want, "page {page}");
+        }
+        let formats: Vec<TripFormat> = (0..3)
+            .map(|page| run.read_versioned(page, 0).unwrap().1)
+            .collect();
+        assert_eq!(
+            formats,
+            [TripFormat::Flat, TripFormat::Full, TripFormat::Uneven]
+        );
+        let pages = run.config().protected_pages();
+        assert!(matches!(
+            run.read_run(pages, &[0, 1], &mut got),
+            Err(ToleoError::PageOutOfRange { .. })
+        ));
+        assert!(got.is_empty(), "a refused run leaves no stale versions");
+        for page in 0..3 {
+            per_line.read_versioned(page, 0).unwrap();
+        }
+        assert_eq!(run.stats(), per_line.stats());
     }
 
     #[test]

@@ -92,6 +92,19 @@ pub struct KillSnapshot {
     pub channel: ChannelStats,
 }
 
+impl KillSnapshot {
+    /// Accumulates another engine's snapshot into this one — the one
+    /// merge behind every aggregated
+    /// [`ShardedEngine`](crate::sharded::ShardedEngine) accessor.
+    pub fn merge(&mut self, other: &KillSnapshot) {
+        self.stats.merge(&other.stats);
+        self.stealth_cache.merge(&other.stealth_cache);
+        self.mac_cache.merge(&other.mac_cache);
+        self.device.merge(&other.device);
+        self.channel.merge(&other.channel);
+    }
+}
+
 /// The memory protection engine in the Toleo configuration (CIF:
 /// confidentiality + integrity + freshness).
 ///
@@ -192,47 +205,48 @@ impl ProtectionEngine {
         &self.cfg
     }
 
+    /// Every observable counter at once: the frozen snapshot if the kill
+    /// switch has engaged, else what a kill would freeze right now. The
+    /// five accessors below are its fields.
+    pub fn snapshot(&self) -> KillSnapshot {
+        match &self.killed {
+            Some(frozen) => **frozen,
+            None => KillSnapshot {
+                stats: self.stats,
+                stealth_cache: self.stealth_cache.stats(),
+                mac_cache: self.mac_cache.stats(),
+                device: self.channel.device().stats(),
+                channel: self.channel.stats(),
+            },
+        }
+    }
+
     /// Engine event counters. After a kill this is frozen at the state
     /// observed when the kill switch engaged.
     pub fn stats(&self) -> EngineStats {
-        match &self.killed {
-            Some(snap) => snap.stats,
-            None => self.stats,
-        }
+        self.snapshot().stats
     }
 
     /// Stealth-cache statistics (Fig. 7); frozen after a kill.
     pub fn stealth_cache_stats(&self) -> CacheStats {
-        match &self.killed {
-            Some(snap) => snap.stealth_cache,
-            None => self.stealth_cache.stats(),
-        }
+        self.snapshot().stealth_cache
     }
 
     /// MAC-cache statistics (Fig. 7); frozen after a kill.
     pub fn mac_cache_stats(&self) -> CacheStats {
-        match &self.killed {
-            Some(snap) => snap.mac_cache,
-            None => self.mac_cache.stats(),
-        }
+        self.snapshot().mac_cache
     }
 
     /// Device event counters; frozen after a kill (a dead platform stops
     /// issuing requests, so its last observed device state is final).
     pub fn device_stats(&self) -> DeviceStats {
-        match &self.killed {
-            Some(snap) => snap.device,
-            None => self.channel.device().stats(),
-        }
+        self.snapshot().device
     }
 
     /// Device-channel (fault plane) counters: faults injected and
     /// absorbed, retries, backoff budget spent. Frozen after a kill.
     pub fn channel_stats(&self) -> ChannelStats {
-        match &self.killed {
-            Some(snap) => snap.channel,
-            None => self.channel.stats(),
-        }
+        self.snapshot().channel
     }
 
     /// The frozen kill-switch snapshot, if the engine is killed. A
@@ -277,13 +291,7 @@ impl ProtectionEngine {
     /// device, the caches, or untrusted memory.
     fn kill(&mut self) {
         if self.killed.is_none() {
-            self.killed = Some(Box::new(KillSnapshot {
-                stats: self.stats,
-                stealth_cache: self.stealth_cache.stats(),
-                mac_cache: self.mac_cache.stats(),
-                device: self.channel.device().stats(),
-                channel: self.channel.stats(),
-            }));
+            self.killed = Some(Box::new(self.snapshot()));
         }
     }
 
@@ -528,7 +536,7 @@ impl ProtectionEngine {
         // one-entry cache to this page, and the mapping it caches stays
         // valid forever — arena slots are never deallocated or moved
         // (`SlotId`s are stable for the arena's lifetime), and every
-        // mutator of page state (`write`, `read_batch`, this function,
+        // mutator of page state (`write`, `read`, this function,
         // the adversary entry points) goes through `slot_id` /
         // `slot_id_if_resident` or touches slots by id, never by
         // re-binding a page to a different slot. The regression test
@@ -543,144 +551,25 @@ impl ProtectionEngine {
         Ok(())
     }
 
-    /// Reads a batch of block-aligned addresses, verifying integrity and
-    /// freshness, observation-equivalent to calling [`read`](Self::read)
-    /// per address but cheaper: consecutive same-page addresses form a
-    /// *run* whose stealth-version fetch ([`ToleoDevice::read_run`]), arena
-    /// slot lookup and XTS tweak encryptions (pipelined, up to eight in
-    /// flight) are amortized across the run. Per-op cache probes and
-    /// statistics are preserved exactly, so counters match the op-at-a-time
-    /// loop on any untampered stream.
+    /// Reads a batch of block-aligned addresses: [`read`](Self::read) per
+    /// address, stopping at the first error. A batch *is* its
+    /// op-at-a-time loop — results, every counter, the fault plane's
+    /// verdicts and a kill's frozen snapshot are the loop's by
+    /// construction.
     ///
     /// # Errors
     ///
-    /// [`BatchError`] carrying the eligible failing index and the error the
-    /// per-op loop would have raised there. Ops past the failure are not
-    /// attempted. One deliberate stats divergence on the *failure* path:
-    /// a mid-run MAC failure freezes counters after the whole run's fetch
-    /// and probe phase, so device READs, engine reads and stealth/MAC
-    /// cache probe counts include every op of the offending run — those
-    /// fetches physically happened before verification could fail (the
-    /// per-op loop would have stopped at the failing op). Success-path
-    /// statistics are exactly the loop's.
+    /// [`BatchError`] carrying the failing index and the underlying error;
+    /// earlier ops were served, later ops were not attempted.
     ///
     /// # Panics
     ///
     /// Panics if any processed address is not 64-byte aligned.
     pub fn read_batch(&mut self, addrs: &[u64]) -> std::result::Result<Vec<Block>, BatchError> {
         let mut out = Vec::with_capacity(addrs.len());
-        let mut lines: Vec<usize> = Vec::new();
-        let mut versions: Vec<(crate::version::StealthVersion, crate::trip::TripFormat)> =
-            Vec::new();
-        let mut tweaks: Vec<Tweak> = Vec::new();
-        let mut bundles: Vec<[u8; 16]> = Vec::new();
-        let bits = self.cfg.stealth_bits;
-        let mut i = 0usize;
-        while i < addrs.len() {
-            self.check_alive(addrs[i])
-                .map_err(|error| BatchError { index: i, error })?;
-            let page = layout::page_of(addrs[i]);
-            let mut j = i;
-            lines.clear();
-            while j < addrs.len() && layout::page_of(addrs[j]) == page {
-                assert_eq!(
-                    addrs[j] % CACHE_BLOCK_BYTES as u64,
-                    0,
-                    "unaligned block read"
-                );
-                lines.push(layout::line_of(addrs[j]));
-                j += 1;
-            }
-            if j == i + 1 {
-                // Singleton run (page-hopping stream): the plain per-op
-                // path is cheaper than run bookkeeping and by definition
-                // observation-identical.
-                match self.read(addrs[i]) {
-                    Ok(block) => out.push(block),
-                    Err(error) => return Err(BatchError { index: i, error }),
-                }
-                i = j;
-                continue;
-            }
-            // One device probe for the whole run. On failure, account the
-            // engine-level READ the per-op loop would have counted for the
-            // (first) failing op before erroring out.
-            if let Err(error) = self.channel.read_run(page, &lines, &mut versions) {
-                self.stats.reads += 1;
-                let error = self.note_device_err(error);
-                return Err(BatchError { index: i, error });
-            }
-            self.stats.reads += (j - i) as u64;
-            for (k, &(_, fmt)) in versions.iter().enumerate() {
-                if !self.stealth_cache.access(page, fmt) {
-                    self.stats.device_reads += 1;
-                }
-                if !self.mac_cache.access(addrs[i + k]) {
-                    self.stats.mac_fetches += 1;
-                }
-            }
-            let Some(id) = self.slot_id_if_resident(page) else {
-                // Never-written page: zero-filled, no MACs to check.
-                out.resize(out.len() + (j - i), [0u8; CACHE_BLOCK_BYTES]);
-                i = j;
-                continue;
-            };
-            let mut failure: Option<(usize, UnsealFail)> = None;
-            {
-                let slot = self.dram.slot(id);
-                let uv = slot.uv();
-                // Precompute the XTS tweak bundles of every resident line
-                // in the run in one pipelined pass.
-                tweaks.clear();
-                for (k, &line) in lines.iter().enumerate() {
-                    if slot.has_block(line) {
-                        tweaks.push(Tweak {
-                            version: FullVersion::compose(uv, versions[k].0, bits).raw(),
-                            address: addrs[i + k],
-                        });
-                    }
-                }
-                bundles.resize(tweaks.len(), [0u8; 16]);
-                self.xts.tweak_blocks(&tweaks, &mut bundles);
-                let mut resident = 0usize;
-                for (k, &line) in lines.iter().enumerate() {
-                    if !slot.has_block(line) {
-                        out.push([0u8; CACHE_BLOCK_BYTES]);
-                        continue;
-                    }
-                    let fv = FullVersion::compose(uv, versions[k].0, bits);
-                    match unseal_line(
-                        &self.xts,
-                        &self.mac,
-                        slot,
-                        line,
-                        addrs[i + k],
-                        fv,
-                        Some(bundles[resident]),
-                    ) {
-                        Ok(pt) => {
-                            out.push(pt);
-                            resident += 1;
-                        }
-                        Err(fail) => {
-                            failure = Some((i + k, fail));
-                            break;
-                        }
-                    }
-                }
-            }
-            if let Some((index, fail)) = failure {
-                if fail == UnsealFail::BadTag {
-                    self.kill();
-                }
-                return Err(BatchError {
-                    index,
-                    error: ToleoError::IntegrityViolation {
-                        address: addrs[index],
-                    },
-                });
-            }
-            i = j;
+        for (index, &addr) in addrs.iter().enumerate() {
+            let block = self.read(addr);
+            out.push(block.map_err(|error| BatchError { index, error })?);
         }
         Ok(out)
     }
@@ -733,13 +622,8 @@ impl ProtectionEngine {
         out
     }
 
-    /// Writes a batch of `(address, plaintext)` pairs, observation-
-    /// equivalent to calling [`write`](Self::write) per pair and stopping
-    /// at the first error. Every write must still issue its own device
-    /// UPDATE (each advances a distinct stealth version), so the per-run
-    /// amortization here is the last-page slot cache plus the batched
-    /// crypto inside each op (one line-kernel call per block, pipelined
-    /// reset walks).
+    /// Writes a batch of `(address, plaintext)` pairs:
+    /// [`write`](Self::write) per pair, stopping at the first error.
     ///
     /// # Errors
     ///

@@ -125,13 +125,15 @@ impl std::error::Error for ToleoError {}
 /// Convenience alias for fallible Toleo operations.
 pub type Result<T> = std::result::Result<T, ToleoError>;
 
-/// Failure of one operation inside an engine-level batch
-/// ([`read_batch`](crate::engine::ProtectionEngine::read_batch) /
-/// [`write_batch`](crate::engine::ProtectionEngine::write_batch)): the
-/// underlying error plus the batch index of the operation that raised it.
-/// Operations before `index` completed; operations after it were not
-/// attempted — exactly the semantics of an op-at-a-time loop that stops at
-/// the first error.
+/// Failure of one operation inside a batch: the underlying error plus the
+/// batch index of the operation that raised it. The engine's
+/// [`read_batch`](crate::engine::ProtectionEngine::read_batch) /
+/// [`write_batch`](crate::engine::ProtectionEngine::write_batch) are the
+/// op-at-a-time loop that stops at the first error, so operations before
+/// `index` completed and operations after it were not attempted. The
+/// sharded engine's `*_batch_indexed` run that loop per shard: the same
+/// holds on the failing op's shard, while other shards' ops may have
+/// completed whatever their index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchError {
     /// Zero-based index of the failing operation within the batch.

@@ -238,8 +238,8 @@ pub trait ProtectedMemory {
 
     /// Reads a batch of block-aligned addresses, observation-equivalent
     /// to per-address [`read`](Self::read) calls stopping at the first
-    /// error. Schemes override this to amortize shared metadata fetches
-    /// across a run.
+    /// error. Only [`ShardedEngine`] overrides the batch defaults, to take
+    /// each shard's lock once per batch instead of once per op.
     ///
     /// # Errors
     ///
@@ -302,14 +302,6 @@ impl ProtectedMemory for ProtectionEngine {
 
     fn write(&mut self, addr: u64, data: &Block) -> Result<(), MemoryError> {
         ProtectionEngine::write(self, addr, data).map_err(MemoryError::from)
-    }
-
-    fn read_batch(&mut self, addrs: &[u64]) -> Result<Vec<Block>, MemoryBatchError> {
-        ProtectionEngine::read_batch(self, addrs).map_err(MemoryBatchError::from)
-    }
-
-    fn write_batch(&mut self, ops: &[(u64, Block)]) -> Result<(), MemoryBatchError> {
-        ProtectionEngine::write_batch(self, ops).map_err(MemoryBatchError::from)
     }
 
     fn stats(&self) -> MemoryStats {

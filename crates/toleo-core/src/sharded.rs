@@ -53,10 +53,11 @@
 
 // audit: allow-file(indexing, shard and run indices come from shard_of_addr and run_batch's per-shard runs, bounded by the shard count and batch length)
 
+use crate::cache::CacheStats;
 use crate::channel::{ChannelStats, RetryPolicy};
 use crate::config::{ToleoConfig, CACHE_BLOCK_BYTES, PAGE_BYTES};
 use crate::device::DeviceStats;
-use crate::engine::{Block, EngineStats, ProtectionEngine, UntrustedDram};
+use crate::engine::{Block, EngineStats, KillSnapshot, ProtectionEngine, UntrustedDram};
 use crate::error::{BatchError, Result, ToleoError};
 use crate::fault::FaultPlanConfig;
 use crate::layout;
@@ -84,9 +85,8 @@ const _: fn() = || {
 /// any plausible worker fleet while keeping the routing modulus cheap.
 pub const MAX_SHARDS: usize = 4096;
 
-/// Ops a batch drain hands to the engine's batched entry points between
-/// kill/quarantine polls. Large enough that run-grouping and pipelined
-/// tweak precompute inside [`ProtectionEngine::read_batch`] pay off;
+/// Ops a batch drain serves between kill/quarantine polls. Large enough
+/// that the two `Acquire` loads of a poll are amortised over real work;
 /// small enough that a peer shard's failure is still observed promptly.
 pub const KILL_POLL_OPS: usize = 64;
 
@@ -486,13 +486,7 @@ impl ShardedEngine {
             &[0],
             access,
             &|_| address,
-            &mut |engine, _| match f(engine) {
-                Ok(value) => {
-                    served = Some(value);
-                    Ok(())
-                }
-                Err(e) => Err((0, e)),
-            },
+            &mut |engine, _| f(engine).map(|value| served = Some(value)),
         );
         self.finish_world_kill();
         match outcome {
@@ -541,10 +535,10 @@ impl ShardedEngine {
 
     /// Writes a batch of blocks. The calling thread splits the batch into
     /// per-shard runs and drains them itself, in ascending shard order,
-    /// one shard lock at a time: each run goes through
-    /// [`ProtectionEngine::write_batch`] in [`KILL_POLL_OPS`]-op chunks,
-    /// polling the world-kill flag and the quarantine epoch between
-    /// chunks. Within a shard, ops execute in batch order (so a later
+    /// one shard lock at a time: each run is one
+    /// [`ProtectionEngine::write`] after another, polling the world-kill
+    /// flag and the quarantine epoch every [`KILL_POLL_OPS`] ops. Within
+    /// a shard, ops execute in batch order (so a later
     /// write to the same address wins, exactly as in a sequential
     /// replay); ops on different shards may execute out of batch order,
     /// which is safe because shards share no state.
@@ -575,23 +569,17 @@ impl ShardedEngine {
     ///
     /// [`BatchError`] with the failing index and underlying error.
     pub fn write_batch_indexed(&self, ops: &[(u64, Block)]) -> std::result::Result<(), BatchError> {
-        let mut scratch: Vec<(u64, Block)> = Vec::new();
         self.run_batch(
             ops.len(),
             Access::Write,
             |i| ops[i].0,
-            |engine, chunk| {
-                scratch.clear();
-                scratch.extend(chunk.iter().map(|&i| ops[i]));
-                engine.write_batch(&scratch).map_err(|e| (e.index, e.error))
-            },
+            |engine, i| engine.write(ops[i].0, &ops[i].1),
         )
     }
 
     /// Reads a batch of blocks: the calling thread drains each occupied
-    /// shard's run through [`ProtectionEngine::read_batch`] (run-grouped
-    /// version fetches and pipelined tweak precompute) in kill-polled
-    /// chunks, shard by shard as in [`write_batch`](Self::write_batch).
+    /// shard's run, one [`ProtectionEngine::read`] after another, shard
+    /// by shard and kill-polled as in [`write_batch`](Self::write_batch).
     /// Results are returned in batch order.
     ///
     /// # Errors
@@ -612,25 +600,18 @@ impl ShardedEngine {
     /// [`BatchError`] with the failing index and underlying error.
     pub fn read_batch_indexed(&self, addrs: &[u64]) -> std::result::Result<Vec<Block>, BatchError> {
         let mut out: Vec<Block> = Vec::new();
-        let mut scratch: Vec<u64> = Vec::new();
         self.run_batch(
             addrs.len(),
             Access::Read,
             |i| addrs[i],
-            |engine, chunk| {
-                scratch.clear();
-                scratch.extend(chunk.iter().map(|&i| addrs[i]));
-                let blocks = engine
-                    .read_batch(&scratch)
-                    .map_err(|e| (e.index, e.error))?;
-                // Sized once a chunk has been served, not up front: a batch
+            |engine, i| {
+                let block = engine.read(addrs[i])?;
+                // Sized once an op has been served, not up front: a batch
                 // that is refused outright never pays for it, and a huge
                 // one reaches its first kill/epoch poll without zero-filling
-                // its whole result first.
+                // its whole result first. (A no-op from the second op on.)
                 out.resize(addrs.len(), [0u8; CACHE_BLOCK_BYTES]);
-                for (&i, block) in chunk.iter().zip(blocks) {
-                    out[i] = block;
-                }
+                out[i] = block;
                 Ok(())
             },
         )?;
@@ -649,7 +630,7 @@ impl ShardedEngine {
         len: usize,
         access: Access,
         addr_of: impl Fn(usize) -> u64,
-        mut exec_chunk: impl FnMut(&mut ProtectionEngine, &[usize]) -> ChunkResult,
+        mut exec_op: impl FnMut(&mut ProtectionEngine, usize) -> Result<()>,
     ) -> std::result::Result<(), BatchError> {
         if len == 0 {
             return Ok(());
@@ -671,7 +652,7 @@ impl ShardedEngine {
             if run.is_empty() {
                 continue;
             }
-            let outcome = self.drain_shard_guarded(shard, run, access, &addr_of, &mut exec_chunk);
+            let outcome = self.drain_shard_guarded(shard, run, access, &addr_of, &mut exec_op);
             if let Err((i, e)) = outcome {
                 let slot = if error_is_severe(&e) {
                     &mut first_severe
@@ -711,10 +692,10 @@ impl ShardedEngine {
         run: &[usize],
         access: Access,
         addr_of: &impl Fn(usize) -> u64,
-        exec_chunk: &mut impl FnMut(&mut ProtectionEngine, &[usize]) -> ChunkResult,
-    ) -> ChunkResult {
+        exec_op: &mut impl FnMut(&mut ProtectionEngine, usize) -> Result<()>,
+    ) -> DrainResult {
         catch_unwind(AssertUnwindSafe(|| {
-            self.drain_shard(shard, run, access, addr_of, exec_chunk)
+            self.drain_shard(shard, run, access, addr_of, exec_op)
         }))
         .unwrap_or_else(|_| {
             self.killed.store(true, Ordering::Release);
@@ -724,18 +705,19 @@ impl ShardedEngine {
     }
 
     /// Drains `run` — the batch indices `shard` owns, in batch order —
-    /// under that shard's lock, [`KILL_POLL_OPS`] indices at a time
-    /// through `exec_chunk` (which calls the engine's batched entry point
-    /// and reports a failure by chunk-local index). Returns the failing
-    /// batch index; ops after it are not attempted.
+    /// under that shard's lock: `exec_op` serves one index at a time,
+    /// exactly as a caller's own loop of single ops would, and the only
+    /// thing done per [`KILL_POLL_OPS`]-op chunk is the kill / epoch poll
+    /// and the flush of the served-op count. Returns the failing batch
+    /// index; ops after it are not attempted.
     fn drain_shard(
         &self,
         shard: usize,
         run: &[usize],
         access: Access,
         addr_of: &impl Fn(usize) -> u64,
-        exec_chunk: &mut impl FnMut(&mut ProtectionEngine, &[usize]) -> ChunkResult,
-    ) -> ChunkResult {
+        exec_op: &mut impl FnMut(&mut ProtectionEngine, usize) -> Result<()>,
+    ) -> DrainResult {
         let mut state = self.lock_shard(shard);
         if self.quarantine.is_quarantined(shard) {
             // This whole run is addressed to a frozen shard: refuse it
@@ -748,7 +730,7 @@ impl ShardedEngine {
         // containment) but it must *observe* it within one poll interval
         // — the lag telemetry proves the bound.
         let mut epoch_seen = self.quarantine.epoch();
-        let mut ops_since_poll = 0usize;
+        let mut ops_since_poll = 0u64;
         for chunk in run.chunks(KILL_POLL_OPS) {
             // A device-level failure seen by another caller trips the
             // world-kill while this run was draining: abort promptly.
@@ -767,90 +749,82 @@ impl ShardedEngine {
             if epoch_now != epoch_seen {
                 epoch_seen = epoch_now;
                 self.max_poll_lag_ops
-                    .fetch_max(ops_since_poll as u64, Ordering::Relaxed);
+                    .fetch_max(ops_since_poll, Ordering::Relaxed);
             }
-            // Recovery may have left lost-block markers on this shard: a
-            // read chunk stops at the first lost address (ops before it
-            // are served, exactly as op-at-a-time), a write chunk clears
-            // the markers it repopulates, a page free those of its page.
-            // The ledger is empty on all but a recovered shard with
-            // unrepopulated losses, so one test per chunk skips it.
-            let has_losses = !state.lost.is_empty();
-            let mut chunk = chunk;
-            let mut lost_hit: Option<usize> = None;
-            if has_losses && matches!(access, Access::Read) {
-                if let Some(pos) = chunk.iter().position(|&i| state.lost.contains(&addr_of(i))) {
-                    lost_hit = Some(chunk[pos]);
-                    chunk = &chunk[..pos];
+            let mut served = 0u64;
+            let failure = chunk.iter().find_map(|&i| {
+                let address = addr_of(i);
+                // Recovery may have left lost-block markers on this
+                // shard (none on any other, so one test skips the
+                // ledger): a read of one refuses, a served write clears
+                // its own, a served page free those of its page — a
+                // freed page answers for its new contents, not for
+                // blocks lost from its previous life.
+                let has_losses = !state.lost.is_empty();
+                if has_losses && matches!(access, Access::Read) && state.lost.contains(&address) {
+                    return Some((i, ToleoError::PageLost { shard, address }));
                 }
-            }
-            if !chunk.is_empty() {
-                if let Err((local, e)) = exec_chunk(&mut state.engine, chunk) {
-                    if state.engine.is_killed()
-                        && !self.is_killed()
-                        && self.escalate_after_kill(shard, &mut state, &e)
-                    {
-                        // Only the flag here: trip_kill() locks every
-                        // shard and we hold this one. The caller
-                        // finishes the kill once no lock is held.
-                        self.killed.store(true, Ordering::Release);
-                    }
-                    return Err((chunk[local], e));
+                if let Err(e) = exec_op(&mut state.engine, i) {
+                    return Some((i, e));
                 }
-                self.ops_served
-                    .fetch_add(chunk.len() as u64, Ordering::Relaxed);
+                served += 1;
                 if has_losses {
                     match access {
                         Access::Read => {}
                         Access::Write => {
-                            for &i in chunk {
-                                state.lost.remove(&addr_of(i));
-                            }
+                            state.lost.remove(&address);
                         }
-                        // A freed page answers for its new contents, not
-                        // for blocks lost from its previous life.
                         Access::Free => {
-                            for &i in chunk {
-                                let page = layout::page_of(addr_of(i));
-                                state.lost.retain(|&a| layout::page_of(a) != page);
-                            }
+                            let page = layout::page_of(address);
+                            state.lost.retain(|&a| layout::page_of(a) != page);
                         }
                     }
                 }
-                ops_since_poll = chunk.len();
-            }
-            if let Some(index) = lost_hit {
-                return Err((
-                    index,
-                    ToleoError::PageLost {
-                        shard,
-                        address: addr_of(index),
-                    },
-                ));
+                None
+            });
+            // Flushed before a failure escalates, so a quarantine's
+            // `ops_at_last_quarantine` counts the ops served ahead of it.
+            self.ops_served.fetch_add(served, Ordering::Relaxed);
+            ops_since_poll = served;
+            if let Some((index, e)) = failure {
+                if state.engine.is_killed()
+                    && !self.is_killed()
+                    && self.escalate_after_kill(shard, &mut state, &e)
+                {
+                    // Only the flag here: trip_kill() locks every
+                    // shard and we hold this one. The caller
+                    // finishes the kill once no lock is held.
+                    self.killed.store(true, Ordering::Release);
+                }
+                return Err((index, e));
             }
         }
         // Tail poll: a quarantine landing during the final chunk still
         // gets its observation lag recorded.
         if self.quarantine.epoch() != epoch_seen {
             self.max_poll_lag_ops
-                .fetch_max(ops_since_poll as u64, Ordering::Relaxed);
+                .fetch_max(ops_since_poll, Ordering::Relaxed);
         }
         Ok(())
     }
 
-    /// Aggregated engine counters across all shards. Quarantined (and
-    /// world-killed) shards contribute their frozen [`KillSnapshot`]
-    /// counters — each shard's engine serves either its live stats or its
-    /// snapshot, never both, so a partial quarantine merges live and
-    /// frozen shards without double-counting.
-    ///
-    /// [`KillSnapshot`]: crate::engine::KillSnapshot
-    pub fn stats(&self) -> EngineStats {
-        let mut total = EngineStats::default();
+    /// Every shard's [`ProtectionEngine::snapshot`] merged in one pass
+    /// over the shard locks. Quarantined (and world-killed) shards
+    /// contribute their frozen counters — each shard's engine serves
+    /// either its live state or its frozen snapshot, never both, so a
+    /// partial quarantine merges live and frozen shards without
+    /// double-counting. The five accessors below are its fields.
+    pub fn snapshot(&self) -> KillSnapshot {
+        let mut total = KillSnapshot::default();
         for index in 0..self.shards.len() {
-            total.merge(&self.lock_shard(index).engine.stats());
+            total.merge(&self.lock_shard(index).engine.snapshot());
         }
         total
+    }
+
+    /// Aggregated engine counters across all shards.
+    pub fn stats(&self) -> EngineStats {
+        self.snapshot().stats
     }
 
     /// Per-shard engine counters, in shard order (load-balance
@@ -862,40 +836,24 @@ impl ShardedEngine {
     }
 
     /// Aggregated stealth-cache statistics across all shards.
-    pub fn stealth_cache_stats(&self) -> crate::cache::CacheStats {
-        let mut total = crate::cache::CacheStats::default();
-        for index in 0..self.shards.len() {
-            total.merge(&self.lock_shard(index).engine.stealth_cache_stats());
-        }
-        total
+    pub fn stealth_cache_stats(&self) -> CacheStats {
+        self.snapshot().stealth_cache
     }
 
     /// Aggregated MAC-cache statistics across all shards.
-    pub fn mac_cache_stats(&self) -> crate::cache::CacheStats {
-        let mut total = crate::cache::CacheStats::default();
-        for index in 0..self.shards.len() {
-            total.merge(&self.lock_shard(index).engine.mac_cache_stats());
-        }
-        total
+    pub fn mac_cache_stats(&self) -> CacheStats {
+        self.snapshot().mac_cache
     }
 
     /// Aggregated device counters across all shards.
     pub fn device_stats(&self) -> DeviceStats {
-        let mut total = DeviceStats::default();
-        for index in 0..self.shards.len() {
-            total.merge(&self.lock_shard(index).engine.device_stats());
-        }
-        total
+        self.snapshot().device
     }
 
     /// Aggregated device-channel counters across all shards (frozen
     /// values for quarantined shards).
     pub fn channel_stats(&self) -> ChannelStats {
-        let mut total = ChannelStats::default();
-        for index in 0..self.shards.len() {
-            total.merge(&self.lock_shard(index).engine.channel_stats());
-        }
-        total
+        self.snapshot().channel
     }
 
     /// Aggregated robustness telemetry: channel counters plus quarantine
@@ -941,9 +899,8 @@ enum Access {
     Free,
 }
 
-/// A drain's failure: the failing index (chunk-local from `exec_chunk`,
-/// batch-wide from `drain_shard`) with its error.
-type ChunkResult = std::result::Result<(), (usize, ToleoError)>;
+/// A drain's failure: the failing batch index with its error.
+type DrainResult = std::result::Result<(), (usize, ToleoError)>;
 
 /// Whether `e` is security-relevant (must never be masked by a benign
 /// failure earlier in a batch): tampering, a quarantined shard, an

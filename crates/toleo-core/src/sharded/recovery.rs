@@ -303,6 +303,42 @@ mod tests {
         assert_eq!(blocks[2], [7u8; 64]);
     }
 
+    /// The ledger and the served-op count follow each op, not each chunk:
+    /// a write (or a page free) that landed ahead of a failing op in the
+    /// same run has cleared its markers and been counted.
+    #[test]
+    fn partial_write_chunk_clears_markers_of_ops_that_landed() {
+        let e = sharded(4);
+        let page = |p: u64| p * PAGE_BYTES as u64;
+        let (lost_a, lost_b) = (page(2), page(6));
+        for addr in [lost_a, lost_b] {
+            e.write(addr, &[1u8; 64]).unwrap();
+        }
+        e.with_adversary(lost_b, |dram| dram.corrupt_data(lost_b, 3, 0x20));
+        tamper_and_detect(&e, lost_a);
+        assert_eq!(e.recover_shard(2).unwrap().blocks_lost, 2);
+        // Out of the protected range, and routed to shard 2 like the rest.
+        let bad = page(e.config().protected_pages() + 2);
+        assert_eq!(e.shard_of_addr(bad), 2);
+
+        let served = e.robustness_stats().ops_served;
+        let err = e
+            .write_batch_indexed(&[(lost_a, [0x5a; 64]), (bad, [0; 64])])
+            .unwrap_err();
+        assert_eq!(err.index, 1);
+        assert!(matches!(err.error, ToleoError::PageOutOfRange { .. }));
+        assert_eq!(e.robustness_stats().ops_served, served + 1);
+        assert_eq!(e.recovery_stats().blocks_still_lost, 1);
+        assert_eq!(e.read(lost_a).unwrap(), [0x5a; 64], "op 0 landed");
+
+        // The same for a free: served, so its page's marker is gone even
+        // though the next op on the shard fails.
+        e.free_page(lost_b / PAGE_BYTES as u64).unwrap();
+        assert!(e.write(bad, &[0; 64]).is_err());
+        assert_eq!(e.recovery_stats().blocks_still_lost, 0);
+        assert_eq!(e.robustness_stats().ops_served, served + 3);
+    }
+
     #[test]
     fn re_quarantine_past_budget_world_kills() {
         let e = sharded(2);

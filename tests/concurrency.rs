@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use toleo_core::config::{ToleoConfig, PAGE_BYTES};
-use toleo_core::engine::ProtectionEngine;
+use toleo_core::engine::{KillSnapshot, ProtectionEngine};
 use toleo_core::error::ToleoError;
 use toleo_core::sharded::ShardedEngine;
 use toleo_workloads::concurrent::partition_by_page;
@@ -307,42 +307,58 @@ fn replay_single(trace: &[Op], key: [u8; 48]) -> Vec<[u8; 64]> {
     reads
 }
 
-/// Replays a trace through the sharded batch path: maximal runs of
-/// consecutive writes become one `write_batch`, runs of reads one
-/// `read_batch` (within a run there is no read-after-write dependency, so
-/// batching preserves sequential semantics). Returns reads in op order.
-fn replay_sharded_batched(trace: &[Op], shards: usize, key: [u8; 48]) -> Vec<[u8; 64]> {
+/// Replays a trace through a sharded engine: maximal runs of consecutive
+/// writes become one `write_batch`, runs of reads one `read_batch`
+/// (within a run there is no read-after-write dependency, so batching
+/// preserves sequential semantics) — or, with `batched` off, the same
+/// runs one single op at a time. Returns reads in op order and every
+/// aggregated counter.
+fn replay_sharded(
+    trace: &[Op],
+    shards: usize,
+    key: [u8; 48],
+    batched: bool,
+) -> (Vec<[u8; 64]>, KillSnapshot, u64) {
     let engine = ShardedEngine::new(ToleoConfig::small(), shards, key).unwrap();
     let mut reads = Vec::new();
     let mut pending_writes: Vec<(u64, [u8; 64])> = Vec::new();
     let mut pending_reads: Vec<u64> = Vec::new();
+    let flush_writes = |pending: &mut Vec<(u64, [u8; 64])>| {
+        if batched {
+            engine.write_batch(pending).unwrap();
+        } else {
+            for (addr, data) in pending.iter() {
+                engine.write(*addr, data).unwrap();
+            }
+        }
+        pending.clear();
+    };
+    let flush_reads = |pending: &mut Vec<u64>, reads: &mut Vec<[u8; 64]>| {
+        if batched {
+            reads.extend(engine.read_batch(pending).unwrap());
+        } else {
+            reads.extend(pending.iter().map(|addr| engine.read(*addr).unwrap()));
+        }
+        pending.clear();
+    };
     for op in trace {
         match op {
             Op::Write(addr) => {
-                if !pending_reads.is_empty() {
-                    reads.extend(engine.read_batch(&pending_reads).unwrap());
-                    pending_reads.clear();
-                }
+                flush_reads(&mut pending_reads, &mut reads);
                 pending_writes.push((*addr, [(addr >> 6) as u8; 64]));
             }
             Op::Read(addr) => {
-                if !pending_writes.is_empty() {
-                    engine.write_batch(&pending_writes).unwrap();
-                    pending_writes.clear();
-                }
+                flush_writes(&mut pending_writes);
                 pending_reads.push(*addr);
             }
             Op::Compute(_) => {}
         }
     }
-    if !pending_writes.is_empty() {
-        engine.write_batch(&pending_writes).unwrap();
-    }
-    if !pending_reads.is_empty() {
-        reads.extend(engine.read_batch(&pending_reads).unwrap());
-    }
+    flush_writes(&mut pending_writes);
+    flush_reads(&mut pending_reads, &mut reads);
     assert!(!engine.is_killed());
-    reads
+    let served = engine.robustness_stats().ops_served;
+    (reads, engine.snapshot(), served)
 }
 
 proptest! {
@@ -351,6 +367,11 @@ proptest! {
     /// Sharded batch read/write over a random trace is
     /// observation-equivalent to a single `ProtectionEngine` replaying
     /// the same trace sequentially: every read returns the same value.
+    /// And a sharded batch is its loop of single ops: the same trace
+    /// through the single-op entry points of an identical sharded engine
+    /// leaves the same engine, cache, device and channel counters (the
+    /// last non-zero when CI arms `TOLEO_FAULT_PLAN`) and the same
+    /// served-op count.
     #[test]
     fn sharded_batches_match_single_engine_replay(
         ops in proptest::collection::vec((0u64..512, any::<bool>()), 1..400),
@@ -366,8 +387,10 @@ proptest! {
             })
             .collect();
         let expect = replay_single(&trace, [0x44u8; 48]);
-        let got = replay_sharded_batched(&trace, shards, [0x44u8; 48]);
-        prop_assert_eq!(got, expect);
+        let (got, counters, served) = replay_sharded(&trace, shards, [0x44u8; 48], true);
+        prop_assert_eq!(&got, &expect);
+        let looped = replay_sharded(&trace, shards, [0x44u8; 48], false);
+        prop_assert_eq!((got, counters, served), looped);
     }
 
     /// The same equivalence holds for generated workload traces (random

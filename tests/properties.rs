@@ -10,8 +10,11 @@
 use proptest::prelude::*;
 use toleo_baselines::tree::CounterTree;
 use toleo_baselines::{MorphEngine, SgxEngine, VaultEngine};
+use toleo_core::channel::RetryPolicy;
 use toleo_core::config::{ToleoConfig, LINES_PER_PAGE};
 use toleo_core::engine::ProtectionEngine;
+use toleo_core::error::BatchError;
+use toleo_core::fault::FaultPlanConfig;
 use toleo_core::protected::{MemoryError, ProtectedMemory};
 use toleo_core::sharded::ShardedEngine;
 use toleo_core::trip::PageEntry;
@@ -28,6 +31,21 @@ fn arena() -> Vec<Box<dyn ProtectedMemory>> {
         Box::new(VaultEngine::new(1 << 20)),
         Box::new(MorphEngine::new(1 << 20)),
     ]
+}
+
+/// Two identically keyed engines under the same explicitly armed fault
+/// plan (not the environment's): one to drive through the batch entry
+/// points, one to drive an op at a time.
+fn armed_pair(reset_log2: u32, plan_seed: u64) -> (ProtectionEngine, ProtectionEngine) {
+    let mut cfg = ToleoConfig::small();
+    cfg.reset_log2 = reset_log2;
+    let build = || {
+        let plan = FaultPlanConfig::uniform(plan_seed, 1e-2);
+        let policy = RetryPolicy::default();
+        ProtectionEngine::try_new_with_robustness(cfg.clone(), [0x17u8; 48], Some(plan), policy)
+            .unwrap()
+    };
+    (build(), build())
 }
 
 proptest! {
@@ -191,22 +209,21 @@ proptest! {
         }
     }
 
-    /// Engine `read_batch`/`write_batch` are observation-equivalent to the
-    /// op-at-a-time loop on untampered streams — results *and* every
-    /// statistics counter (engine, both caches, device), with stealth
-    /// resets firing identically in both worlds (same seed, same update
-    /// sequence). This pins the batched fast path (run-grouped version
-    /// fetches, pipelined tweak precompute, hoisted slot lookups) to the
-    /// semantics of the simple loop.
+    /// A batch is its op-at-a-time loop: after any stream, driven through
+    /// `read_batch`/`write_batch` on one engine and through `read`/`write`
+    /// on its twin, both under the same armed fault plan, the two hold
+    /// the same results and the same `snapshot()` — engine, both caches,
+    /// device *and* channel counters, so every op drew the fault verdict
+    /// the loop's op drew. Stealth resets fire identically in both worlds
+    /// (same seed, same update sequence).
     #[test]
     fn engine_batches_match_op_at_a_time_loop(
         ops in proptest::collection::vec((0u64..256, 0u8..=255, any::<bool>()), 1..300),
         reset_log2 in 4u32..8,
+        plan_seed in any::<u64>(),
     ) {
-        let mut cfg = ToleoConfig::small();
-        cfg.reset_log2 = reset_log2; // make reset walks common in-test
-        let mut batched = ProtectionEngine::try_new(cfg.clone(), [0x17u8; 48]).unwrap();
-        let mut looped = ProtectionEngine::try_new(cfg, [0x17u8; 48]).unwrap();
+        // Reset walks are common in-test.
+        let (mut batched, mut looped) = armed_pair(reset_log2, plan_seed);
         let mut i = 0usize;
         while i < ops.len() {
             let is_write = ops[i].2;
@@ -233,10 +250,43 @@ proptest! {
             }
             i = j;
         }
-        prop_assert_eq!(batched.stats(), looped.stats());
-        prop_assert_eq!(batched.stealth_cache_stats(), looped.stealth_cache_stats());
-        prop_assert_eq!(batched.mac_cache_stats(), looped.mac_cache_stats());
-        prop_assert_eq!(batched.device_stats(), looped.device_stats());
+        prop_assert_eq!(batched.snapshot(), looped.snapshot());
+        // One device request is one link transaction, batch or not.
+        let (stats, channel) = (batched.stats(), batched.channel_stats());
+        prop_assert_eq!(channel.ops, stats.reads + stats.device_updates + stats.pages_freed);
+    }
+
+    /// The same equality on the failure path: a block tampered in the
+    /// middle of a same-page batch fails both worlds at the same index
+    /// with the same error, and the kill freezes the same snapshot — the
+    /// ops past the failure touched nothing.
+    #[test]
+    fn engine_batch_failure_matches_op_at_a_time_loop(
+        victim in 0usize..64,
+        plan_seed in any::<u64>(),
+    ) {
+        let (mut batched, mut looped) = armed_pair(6, plan_seed);
+        let addrs: Vec<u64> = (0..64u64).map(|line| 0x1000 + line * 64).collect();
+        for engine in [&mut batched, &mut looped] {
+            for (line, &addr) in addrs.iter().enumerate() {
+                engine.write(addr, &[line as u8; 64]).unwrap();
+            }
+            engine.adversary().corrupt_data(addrs[victim], 11, 0x10);
+        }
+        let err = batched.read_batch(&addrs).unwrap_err();
+        let loop_err = addrs
+            .iter()
+            .enumerate()
+            .find_map(|(index, &addr)| {
+                let error = looped.read(addr).err()?;
+                Some(BatchError { index, error })
+            })
+            .expect("the loop must reach the tampered block");
+        prop_assert_eq!(err.index, victim);
+        prop_assert_eq!(err, loop_err);
+        let frozen = batched.kill_snapshot().expect("tamper must kill");
+        prop_assert_eq!(Some(frozen), looped.kill_snapshot());
+        prop_assert_eq!(frozen.stats.reads, victim as u64 + 1);
     }
 
     /// Every `ProtectedMemory` scheme is a faithful memory under any
