@@ -146,7 +146,7 @@ impl Baseline {
                 let role = Role::parse(role_name).ok_or_else(|| {
                     format!(
                         "atomic `{atomic}` has unknown role `{role_name}` (expected \
-                         flag/epoch/counter/guard/cache)"
+                         flag/counter/cache)"
                     )
                 })?;
                 let row = AtomicPolicy {
@@ -304,7 +304,7 @@ mod tests {
     { "class": "shard_engine", "acquire": ["lock_shard", "shards"], "forbid": ["trip_kill"], "why": "shard sections stay panic-free" }
   ],
   "polls": [
-    { "file": "crates/toleo-core/src/sharded.rs", "chunker": "poll_ops", "probes": ["killed", "epoch"], "why": "detection-latency bound" }
+    { "file": "crates/toleo-core/src/sharded.rs", "chunker": "poll_ops", "probes": ["killed"], "why": "kill-poll bound" }
   ]
 }"#
         .to_string()
@@ -333,7 +333,7 @@ mod tests {
         assert_eq!(b.locks.len(), 1);
         assert_eq!(b.locks[0].acquire, ["lock_shard", "shards"]);
         assert_eq!(b.polls.len(), 1);
-        assert_eq!(b.polls[0].probes, ["killed", "epoch"]);
+        assert_eq!(b.polls[0].probes, ["killed"]);
         // Render with the same inventory and reload: identical content.
         let rendered = b.render(&b.unsafe_counts, &b.allow);
         std::fs::write(&path, &rendered).unwrap();
@@ -366,11 +366,19 @@ mod tests {
 
     #[test]
     fn rejects_unknown_role_and_schema() {
-        let path = temp(
-            "badrole",
-            r#"{"schema": "toleo-audit/v2", "atomics": {"x": {"role": "mystery", "load": ["Acquire"], "why": "w"}}}"#,
-        );
-        assert!(Baseline::load(&path).unwrap_err().contains("unknown role"));
+        // The retired `epoch` and `guard` roles included: no row uses
+        // them, so nothing parses them.
+        for role in ["mystery", "epoch", "guard"] {
+            let path = temp(
+                "badrole",
+                &format!(
+                    r#"{{"schema": "toleo-audit/v2", "atomics": {{"x": {{"role": "{role}", "load": ["Acquire"], "why": "w"}}}}}}"#
+                ),
+            );
+            let err = Baseline::load(&path).unwrap_err();
+            assert!(err.contains(&format!("unknown role `{role}`")), "{err}");
+            std::fs::remove_file(&path).ok();
+        }
         // The retired v1 schema included: nothing migrates it any more.
         for schema in ["toleo-audit/v3", "toleo-audit/v1"] {
             let path2 = temp("badschema", &format!(r#"{{"schema": "{schema}"}}"#));
@@ -381,6 +389,5 @@ mod tests {
             );
             std::fs::remove_file(&path2).ok();
         }
-        std::fs::remove_file(&path).ok();
     }
 }

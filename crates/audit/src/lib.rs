@@ -8,7 +8,7 @@
 //! protocol must hold — every atomic site pairs orderings per its
 //! declared role (`atomic-protocol`), mutexes respect the declared
 //! lock order and critical-section hygiene (`lock-discipline`), and
-//! every kill-poll loop observes the kill flag and quarantine epoch
+//! every kill-poll loop observes the kill flag
 //! within its chunk bound (`blocking-in-poll`). This crate lexes every
 //! `.rs` file under `crates/`, `src/` and `tests/` (no external parser
 //! — the workspace vendors offline) and enforces those invariants as

@@ -1,12 +1,12 @@
 //! Rule 3 — **atomic-protocol policy**.
 //!
-//! The quarantine/recovery handshake coordinates lock-free state —
-//! quarantine bitmap word, quarantine epoch, the world-kill flag,
-//! telemetry counters — whose memory orderings are load-bearing: a
-//! `Relaxed` store on the epoch would pass every test on x86 and
-//! silently break the detection-latency bound on ARM. `AUDIT.json`
+//! What the sharded engine shares outside its per-shard mutexes is
+//! lock-free state — the world-kill flag, a telemetry counter, the
+//! detected-backend cache — whose memory orderings are load-bearing: a
+//! `Relaxed` store on the kill flag would pass every test on x86 and
+//! silently break the kill-poll bound on ARM. `AUDIT.json`
 //! therefore declares a *protocol table*: every atomic names its role
-//! (`flag` / `epoch` / `counter` / `guard` / `cache`) and the orderings
+//! (`flag` / `counter` / `cache`) and the orderings
 //! it permits per operation kind (load / store / rmw). This rule checks
 //! every `Ordering::X` call site against the declared row, flags
 //! undeclared atomics, and validates the table itself against each
@@ -65,21 +65,16 @@ impl OpKind {
 }
 
 /// The declared role of an atomic in the concurrency protocol. Roles
-/// bound which orderings a row may even declare: synchronizing roles
-/// (`flag`, `epoch`, `guard`) publish or observe other state and may
-/// never be `Relaxed`; `counter` and `cache` carry no happens-before
+/// bound which orderings a row may even declare: the synchronizing
+/// role (`flag`) publishes or observes other state and may never be
+/// `Relaxed`; `counter` and `cache` carry no happens-before
 /// obligations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// A latching decision bit other threads act on (world-kill flag).
     Flag,
-    /// A monotonic change counter pollers watch (quarantine epoch).
-    Epoch,
     /// Pure telemetry; no decision hangs on its ordering.
     Counter,
-    /// Guards other data: its store publishes state a reader then
-    /// dereferences (quarantine word, recovery generation, lost count).
-    Guard,
     /// A write-once idempotent cache (detected crypto backend).
     Cache,
 }
@@ -88,9 +83,7 @@ impl Role {
     pub fn parse(s: &str) -> Option<Role> {
         match s {
             "flag" => Some(Role::Flag),
-            "epoch" => Some(Role::Epoch),
             "counter" => Some(Role::Counter),
-            "guard" => Some(Role::Guard),
             "cache" => Some(Role::Cache),
             _ => None,
         }
@@ -99,9 +92,7 @@ impl Role {
     pub fn as_str(self) -> &'static str {
         match self {
             Role::Flag => "flag",
-            Role::Epoch => "epoch",
             Role::Counter => "counter",
-            Role::Guard => "guard",
             Role::Cache => "cache",
         }
     }
@@ -111,7 +102,7 @@ impl Role {
     fn legal(self, kind: OpKind) -> Option<&'static [&'static str]> {
         match self {
             Role::Counter | Role::Cache => None,
-            Role::Flag | Role::Epoch | Role::Guard => Some(match kind {
+            Role::Flag => Some(match kind {
                 OpKind::Load => &["Acquire", "SeqCst"],
                 OpKind::Store => &["Release", "SeqCst"],
                 OpKind::Rmw => &["Release", "AcqRel", "SeqCst"],
@@ -453,7 +444,7 @@ mod tests {
 
     #[test]
     fn compare_exchange_failure_ordering_is_a_load() {
-        let pol = policy(&[("state", Role::Guard, &["Acquire"], &[], &["AcqRel"])]);
+        let pol = policy(&[("state", Role::Flag, &["Acquire"], &[], &["AcqRel"])]);
         let (ok, _) = scan_src(
             "fn f() { state.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire).ok(); }",
             &pol,
@@ -502,7 +493,7 @@ mod tests {
 
     #[test]
     fn relaxed_on_synchronizing_role_fails_table_validation() {
-        let pol = policy(&[("epoch", Role::Epoch, &["Relaxed"], &["Release"], &[])]);
+        let pol = policy(&[("killed", Role::Flag, &["Relaxed"], &["Release"], &[])]);
         let findings = validate_policy(&pol);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("never Relaxed"));
@@ -517,6 +508,25 @@ mod tests {
             &pol,
         );
         assert!(findings.is_empty());
+    }
+
+    #[test]
+    fn cache_role_may_declare_relaxed_loads_and_stores() {
+        let pol = policy(&[(
+            "DEFAULT_BACKEND",
+            Role::Cache,
+            &["Relaxed"],
+            &["Relaxed"],
+            &[],
+        )]);
+        assert!(validate_policy(&pol).is_empty());
+        let (findings, used) = scan_src(
+            "fn f() -> u8 { DEFAULT_BACKEND.store(1, Ordering::Relaxed); \
+             DEFAULT_BACKEND.load(Ordering::Relaxed) }",
+            &pol,
+        );
+        assert!(findings.is_empty(), "{findings:?}");
+        assert!(used.contains("DEFAULT_BACKEND"));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Rule 6 — **blocking-in-poll**.
 //!
-//! Healthy batch workers promise to observe a peer's quarantine within
-//! one `KILL_POLL_OPS` chunk: the detection-latency bound the recovery
-//! experiments gate. That promise is structural — the worker loop is
-//! chunked by the poll bound and the loop body touches the kill flag
-//! and the quarantine epoch every iteration. `AUDIT.json` declares
+//! A batch drain promises to observe the world-kill within one
+//! `KILL_POLL_OPS` chunk. That promise is structural — the drain loop
+//! is chunked by the poll bound and the loop body touches the kill flag
+//! every iteration. `AUDIT.json` declares
 //! each kill-poll loop (file, the identifier chunking it, the probe
 //! identifiers its body must touch) and this rule verifies the shape:
 //! a declared loop missing a probe is a finding, as is a `chunks(…)`
@@ -22,7 +21,7 @@ pub struct PollPolicy {
     pub file: String,
     /// The identifier whose value chunks the loop (`poll_ops`).
     pub chunker: String,
-    /// Identifiers the loop body must touch (`killed`, `epoch`).
+    /// Identifiers the loop body must touch (`killed`).
     pub probes: Vec<String>,
     pub why: String,
 }
@@ -76,7 +75,7 @@ pub fn scan(
                                 format!(
                                     "kill-poll loop chunked by `{chunker}` never touches \
                                      `{probe}` in its body: every chunk boundary must observe \
-                                     the kill flag and quarantine epoch within the declared \
+                                     the kill flag within the declared \
                                      `KILL_POLL_OPS` bound (AUDIT.json polls table)"
                                 ),
                             )
@@ -210,8 +209,8 @@ mod tests {
         vec![PollPolicy {
             file: "crates/toleo-core/src/sharded.rs".into(),
             chunker: "poll_ops".into(),
-            probes: vec!["killed".into(), "epoch".into()],
-            why: "detection-latency bound".into(),
+            probes: vec!["killed".into()],
+            why: "kill-poll bound".into(),
         }]
     }
 
@@ -226,8 +225,7 @@ mod tests {
     fn compliant_poll_loop_is_clean() {
         let (f, used) = scan_src(
             "fn run(&self) { for chunk in q.chunks(poll_ops) { \
-             if self.killed.load(Ordering::Acquire) { return; } \
-             let e = self.quarantine.epoch(); } }",
+             if self.killed.load(Ordering::Acquire) { return; } } }",
             &polls(),
         );
         assert!(f.is_empty(), "{f:?}");
@@ -237,12 +235,11 @@ mod tests {
     #[test]
     fn missing_probe_is_flagged() {
         let (f, _) = scan_src(
-            "fn run(&self) { for chunk in q.chunks(poll_ops) { \
-             if self.killed.load(Ordering::Acquire) { return; } } }",
+            "fn run(&self) { for chunk in q.chunks(poll_ops) { serve(chunk); } }",
             &polls(),
         );
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("never touches `epoch`"));
+        assert!(f[0].message.contains("never touches `killed`"));
     }
 
     #[test]
@@ -275,7 +272,7 @@ mod tests {
     fn adapter_chain_still_finds_body() {
         let (f, _) = scan_src(
             "fn run(&self) { for (i, c) in q.chunks(poll_ops).enumerate() { \
-             self.killed.load(Ordering::Acquire); self.quarantine.epoch(); } }",
+             self.killed.load(Ordering::Acquire); } }",
             &polls(),
         );
         assert!(f.is_empty(), "{f:?}");

@@ -76,12 +76,12 @@ fn poll_loop_missing_a_probe_is_flagged_at_the_chunker() {
     let f = sole_finding("poll_missing_probe");
     assert_eq!(f.rule, "blocking-in-poll");
     assert_eq!(f.file, "crates/toleo-core/src/lib.rs");
-    assert_eq!((f.line, f.col), (14, 28));
+    assert_eq!((f.line, f.col), (10, 28));
     assert_eq!(
         f.message,
-        "kill-poll loop chunked by `poll_ops` never touches `epoch` in its body: every chunk \
-         boundary must observe the kill flag and quarantine epoch within the declared \
-         `KILL_POLL_OPS` bound (AUDIT.json polls table)"
+        "kill-poll loop chunked by `poll_ops` never touches `killed` in its body: every chunk \
+         boundary must observe the kill flag within the declared `KILL_POLL_OPS` bound \
+         (AUDIT.json polls table)"
     );
 }
 

@@ -1,20 +1,13 @@
 //! Known-bad fixture: the polls table requires every `poll_ops`
-//! chunked loop to touch both `killed` and `epoch`; this loop checks
-//! the kill flag but never the quarantine epoch, so it must surface as
-//! a `blocking-in-poll` finding.
+//! chunked loop to touch `killed`; this loop serves its chunks without
+//! ever looking at the kill flag, so it must surface as a
+//! `blocking-in-poll` finding.
 
 pub struct Worker;
 
 impl Worker {
-    pub fn killed(&self) -> bool {
-        false
-    }
-
     pub fn drain(&self, queue: &[u64], poll_ops: usize) {
         for chunk in queue.chunks(poll_ops) {
-            if self.killed() {
-                return;
-            }
             let _ = chunk;
         }
     }

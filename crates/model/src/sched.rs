@@ -8,7 +8,8 @@
 pub enum Step {
     /// The thread performed one shared atomic action and advanced.
     Ran,
-    /// The thread cannot make progress until another thread acts. A
+    /// The thread cannot make progress until another thread acts (it
+    /// wants a lock someone holds). A
     /// blocked step MUST NOT have mutated the program state: the
     /// explorer treats the state as unchanged and re-offers the slot
     /// later. If every unfinished thread reports `Blocked` the explorer
@@ -101,8 +102,8 @@ fn dfs<P: Program>(state: &P, ex: &mut Explored, cap: u64, depth: u64) -> Result
         ex.schedules += 1;
     } else if !progressed {
         return Err(format!(
-            "deadlock: {} of {threads} threads blocked, {done} done — a waiter's wake \
-             condition can no longer become true (lost wakeup)",
+            "deadlock: {} of {threads} threads blocked, {done} done — every unfinished \
+             thread wants a lock that is never released",
             threads - done
         ));
     }
@@ -180,8 +181,7 @@ pub fn explore_random<P: Program>(
                 }
                 return Err(format!(
                     "deadlock (seed {seed}, run {run}): {} of {threads} threads blocked, \
-                     {done} done — a waiter's wake condition can no longer become true \
-                     (lost wakeup)",
+                     {done} done — every unfinished thread wants a lock that is never released",
                     threads - done
                 ));
             }
@@ -279,8 +279,8 @@ mod tests {
         assert_eq!((a.steps, a.schedules), (b.steps, b.schedules));
     }
 
-    /// A waiter whose wake condition never becomes true is reported as
-    /// a deadlock, not silently skipped: the lost-wakeup detector.
+    /// A thread that stays blocked once everyone else is done is
+    /// reported as a deadlock, not silently skipped.
     #[derive(Clone)]
     struct Stuck {
         pc: u8,
@@ -317,7 +317,7 @@ mod tests {
     fn permanently_blocked_thread_is_a_deadlock() {
         let err = explore_exhaustive(&Stuck { pc: 0 }, u64::MAX).expect_err("must deadlock");
         assert!(err.contains("deadlock"), "{err}");
-        assert!(err.contains("lost wakeup"), "{err}");
+        assert!(err.contains("never released"), "{err}");
         let err = explore_random(&Stuck { pc: 0 }, 7, 1).expect_err("must deadlock");
         assert!(err.contains("deadlock"), "{err}");
     }

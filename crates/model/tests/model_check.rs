@@ -1,13 +1,19 @@
 //! The CI model-check surface: explores thousands of interleavings of
-//! the quarantine/recovery handshake and the `QuarantineMap` bit/epoch
-//! race, and replays op schedules through both the model and the real
-//! `toleo_core::sharded::QuarantineMap` so the model cannot drift from
-//! the implementation it stands for. Everything here is seeded and
-//! deterministic: a failure reproduces bit-for-bit.
+//! the quarantine / recovery / world-kill protocol, proves every
+//! injected bug is caught, and replays every ordering of the model's
+//! four critical sections against a real
+//! `toleo_core::sharded::ShardedEngine` so the model cannot drift from
+//! the code it stands for. Everything here is seeded and deterministic:
+//! a failure reproduces bit-for-bit.
 
-use toleo_core::sharded::QuarantineMap;
-use toleo_model::map::WordModel;
-use toleo_model::{explore_exhaustive, explore_random, Bug, Handshake, MapRace, SplitMix64};
+use toleo_core::channel::RetryPolicy;
+use toleo_core::config::{ToleoConfig, PAGE_BYTES};
+use toleo_core::error::ToleoError;
+use toleo_core::sharded::ShardedEngine;
+use toleo_model::handshake::{CALLER, DETECTOR, PEER, PEER_OPS, RECOVERER, RECOVERY_BUDGET};
+use toleo_model::{
+    explore_exhaustive, explore_random, Bug, FinalState, Handshake, Outcome, Program, Step,
+};
 
 /// The headline CI budget: at least this many complete schedules must
 /// be explored with every invariant holding.
@@ -20,153 +26,182 @@ fn handshake_protocol_holds_across_thousands_of_schedules() {
         .expect("exhaustive prefix: shipped protocol holds on every interleaving");
     let random = explore_random(&clean, 0x0103_1ED0, 1_500)
         .expect("random sweep: shipped protocol holds under seeded scheduling");
-    let budget = explore_random(&Handshake::new(Bug::None, true), 0x0103_1ED1, 1_000)
-        .expect("budget-exhausted path: world-kill escalation holds");
-    let total = exhaustive.schedules + random.schedules + budget.schedules;
+    let spent = Handshake::new(Bug::None, true);
+    let budget = explore_exhaustive(&spent, 500)
+        .and_then(|ex| Ok(ex.schedules + explore_random(&spent, 0x0103_1ED1, 1_000)?.schedules))
+        .expect("budget-spent path: world-kill escalation holds");
+    let total = exhaustive.schedules + random.schedules + budget;
     assert!(
         total >= 4 * SCHEDULE_FLOOR,
         "explored only {total} schedules"
     );
 }
 
-#[test]
-fn map_bit_epoch_race_is_exhaustively_clean() {
-    // Shards 2 and 40 share quarantine word 0: every interleaving of
-    // the two mark/clear sub-op sequences, fully enumerated.
-    let ex = explore_exhaustive(&MapRace::new([2, 40]), u64::MAX)
-        .expect("single-RMW bit flips preserve the neighbour's bits");
-    assert_eq!(ex.schedules, 70, "C(8,4) interleavings of 2x4 steps");
-    assert!(!ex.capped);
-    explore_random(&MapRace::new([5, 63]), 0x0103_1ED2, SCHEDULE_FLOOR)
-        .expect("random sweep over the same race");
-}
-
-/// Every injected protocol bug must be caught — that is the evidence
-/// that the clean runs above are meaningful.
+/// Every injected protocol bug must be caught, with a message naming
+/// the broken rule — that is the evidence that the clean runs above are
+/// meaningful.
 #[test]
 fn every_injected_bug_is_detected() {
-    let cases: [(Bug, bool, &[&str]); 5] = [
-        (Bug::EpochBeforeBit, false, &["before the bit flip"]),
-        (Bug::SkipReadmitEpochBump, false, &["deadlock"]),
-        (Bug::SkipKillOnBudget, true, &["world-kill"]),
-        // Depending on when the bypassing caller grabs the lock it
-        // either serves still-tampered data or the old generation.
+    let cases: [(Bug, bool, &[&str]); 8] = [
+        // Whichever the schedule reaches first: the kill that never
+        // comes, or the recovery it alone would have refused.
         (
-            Bug::ServeDuringRekey,
-            false,
-            &["tampered", "old-generation"],
+            Bug::SkipKillOnBudget,
+            true,
+            &["never reached the world-kill", "past its recovery budget"],
         ),
-        (Bug::SkipChunkPoll, false, &["kill-poll bound exceeded"]),
+        (Bug::SkipChunkPoll, true, &["kill-poll bound exceeded"]),
+        (
+            Bug::SkipAdmissionCheck,
+            false,
+            &["admission check bypassed"],
+        ),
+        (Bug::AdmitBeforeLock, false, &["admission check bypassed"]),
+        (Bug::SkipFinishWorldKill, true, &["never finished"]),
+        (
+            Bug::CheckAliveBeforeLock,
+            true,
+            &["past its recovery budget"],
+        ),
+        (Bug::TripKillUnderLock, true, &["deadlock"]),
+        (Bug::SkipFlushOnFailure, false, &["served-op flush skipped"]),
     ];
-    for (bug, budget, needles) in cases {
-        let model = Handshake::new(bug, budget);
+    for (bug, budget_spent, needles) in cases {
+        let model = Handshake::new(bug, budget_spent);
         // Exhaustive prefix first, then the random sweep: at least one
         // must surface the bug, and the message must name it.
         let err = explore_exhaustive(&model, 5_000)
             .and_then(|_| explore_random(&model, 0x0103_1ED3, 5_000))
             .expect_err("injected bug escaped the explorer");
         assert!(
-            needles.iter().any(|n| err.contains(n)) || err.contains("deadlock"),
+            needles.iter().any(|n| err.contains(n)),
             "{bug:?}: unexpected failure shape: {err}"
         );
     }
 }
 
-/// Applies one op to both the sequential model and the real map and
-/// diffs every observable: return value, epoch, population count, and
-/// both shards' bits.
-fn apply_and_diff(model: &mut WordModel, real: &QuarantineMap, mark_phase: bool, shard: usize) {
-    let (model_ret, real_ret) = if mark_phase {
-        (model.mark(shard), real.mark(shard))
-    } else {
-        (model.clear(shard), real.clear(shard))
-    };
-    let op = if mark_phase { "mark" } else { "clear" };
-    assert_eq!(model_ret, real_ret, "{op}({shard}) return value diverged");
-    assert_eq!(
-        model.epoch,
-        real.epoch(),
-        "epoch diverged after {op}({shard})"
-    );
-    assert_eq!(
-        model.count(),
-        real.count(),
-        "count diverged after {op}({shard})"
-    );
+/// Shard B is shard 0 of the real engine (even pages), shard A shard 1.
+const REAL_B: usize = 0;
+
+fn page(p: u64) -> u64 {
+    p * PAGE_BYTES as u64
 }
 
-/// Replays every op-granularity interleaving of two threads each doing
-/// `mark(shard)` then `clear(shard)` through the model AND the real
-/// `QuarantineMap`, diffing all observables after every op. Six
-/// distinct schedules (orderings of [m0, c0] x [m1, c1]); any semantic
-/// drift between `WordModel` and the real crate fails here.
-#[test]
-fn model_and_real_map_agree_on_every_two_thread_schedule() {
-    const SHARDS: [usize; 2] = [7, 55]; // same word, distinct bits
-    let schedules: [[usize; 4]; 6] = [
-        [0, 0, 1, 1],
-        [0, 1, 0, 1],
-        [0, 1, 1, 0],
-        [1, 0, 0, 1],
-        [1, 0, 1, 0],
-        [1, 1, 0, 0],
-    ];
-    for schedule in schedules {
-        let mut model = WordModel::default();
-        let real = QuarantineMap::for_model_checking(64);
-        let mut next_op = [0usize; 2]; // 0 = mark pending, 1 = clear pending
-        for tid in schedule {
-            apply_and_diff(&mut model, &real, next_op[tid] == 0, SHARDS[tid]);
-            next_op[tid] += 1;
-            for (t, &shard) in SHARDS.iter().enumerate() {
-                assert_eq!(
-                    model.is_quarantined(shard),
-                    real.is_quarantined(shard),
-                    "shard {shard} (thread {t}) bit diverged in schedule {schedule:?}"
-                );
-            }
+/// A real 2-shard engine in the model's initial state: one tampered
+/// block and two intact ones resident on B, a batch's worth on A, and —
+/// when `budget_spent` — B's whole recovery budget consumed first.
+/// Returns the engine with `(intact_b, tampered_b, caller_b)` addresses.
+fn real_engine(budget_spent: bool) -> (ShardedEngine, [u64; 3]) {
+    let engine = ShardedEngine::new_with_robustness(
+        ToleoConfig::small(),
+        2,
+        [0x3du8; 48],
+        None,
+        RetryPolicy::default(),
+    )
+    .expect("engine");
+    let [intact, tampered, caller] = [page(0), page(2), page(4)];
+    let populate = |value: u8| {
+        for addr in [intact, tampered, caller] {
+            engine.write(addr, &[value; 64]).expect("write");
         }
-        assert_eq!(model.count(), 0, "all bits cleared at end of {schedule:?}");
-        assert_eq!(model.epoch, 4, "2 marks + 2 clears = 4 epoch bumps");
+    };
+    let tamper = || engine.with_adversary(tampered, |dram| dram.corrupt_data(tampered, 0, 0x01));
+    if budget_spent {
+        for generation in 1..=RECOVERY_BUDGET {
+            populate(generation as u8);
+            tamper();
+            assert!(engine.read(tampered).is_err());
+            engine.recover_shard(REAL_B).expect("within budget");
+        }
+    }
+    populate(0x77);
+    for k in 0..u64::from(PEER_OPS) {
+        engine.write(page(2 * k + 1), &[0x11; 64]).expect("write");
+    }
+    tamper();
+    (engine, [intact, tampered, caller])
+}
+
+/// Runs critical section `tid` on the real engine.
+fn real_section(engine: &ShardedEngine, addrs: [u64; 3], tid: usize) -> Outcome {
+    let [intact, tampered, caller] = addrs;
+    let of_drain = |result: Result<(), ToleoError>| match result {
+        Ok(()) => Outcome::Served,
+        Err(ToleoError::ShardQuarantined { .. }) => Outcome::ShardQuarantined,
+        Err(ToleoError::IntegrityViolation { .. }) => Outcome::IntegrityViolation,
+        Err(other) => panic!("section {tid}: unmodelled error {other:?}"),
+    };
+    match tid {
+        DETECTOR => of_drain(engine.read_batch(&[intact, tampered]).map(|_| ())),
+        CALLER => of_drain(engine.read(caller).map(|_| ())),
+        PEER => {
+            let addrs: Vec<u64> = (0..u64::from(PEER_OPS)).map(|k| page(2 * k + 1)).collect();
+            of_drain(engine.read_batch(&addrs).map(|_| ()))
+        }
+        RECOVERER => match engine.recover_shard(REAL_B) {
+            Ok(_) => Outcome::Recovered,
+            Err(ToleoError::IntegrityViolation { .. }) => Outcome::IntegrityViolation,
+            Err(ToleoError::InvalidConfig { .. }) => Outcome::NotQuarantined,
+            Err(other) => panic!("recover_shard: unmodelled error {other:?}"),
+        },
+        _ => unreachable!(),
     }
 }
 
-/// Seeded random replay at larger scale: many shards across several
-/// words, random mark/clear streams, model and real map in lockstep.
+/// All 24 orderings of the four critical sections.
+fn orderings() -> Vec<[usize; 4]> {
+    let mut out = Vec::new();
+    for a in 0..4 {
+        for b in (0..4).filter(|&b| b != a) {
+            for c in (0..4).filter(|&c| c != a && c != b) {
+                out.push([a, b, c, 6 - a - b - c]);
+            }
+        }
+    }
+    out
+}
+
+/// The drift guard: every ordering of the model's critical sections —
+/// the detecting run on B, `recover_shard(B)`, a single op on B, a batch
+/// on A — budget spent and unspent, replayed on one thread through both
+/// the model and a real `ShardedEngine`. Each section's outcome and the
+/// final state the engine's accessors report must be equal. (A
+/// sequential replay cannot tell the model's chunk size from the real
+/// `KILL_POLL_OPS`; the batch is `PEER_OPS` reads in both.)
 #[test]
-fn model_and_real_map_agree_under_seeded_random_ops() {
-    let mut rng = SplitMix64::new(0x0103_1ED4);
-    // One WordModel per 64-shard word, mirroring the real layout.
-    const SHARD_COUNT: usize = 192;
-    let mut models = [WordModel::default(); SHARD_COUNT / 64];
-    let real = QuarantineMap::for_model_checking(SHARD_COUNT);
-    let mut epoch = 0u64;
-    for _ in 0..4_096 {
-        let shard = (rng.next_u64() % SHARD_COUNT as u64) as usize;
-        let model = &mut models[shard / 64];
-        let (model_ret, real_ret, op) = if rng.next_u64().is_multiple_of(2) {
-            let before = model.epoch;
-            let ret = model.mark(shard);
-            epoch += model.epoch - before;
-            (ret, real.mark(shard), "mark")
-        } else {
-            let before = model.epoch;
-            let ret = model.clear(shard);
-            epoch += model.epoch - before;
-            (ret, real.clear(shard), "clear")
-        };
-        assert_eq!(model_ret, real_ret, "{op}({shard}) return value diverged");
-        assert_eq!(
-            model.is_quarantined(shard),
-            real.is_quarantined(shard),
-            "{op}({shard}) bit diverged"
-        );
-        assert_eq!(
-            epoch,
-            real.epoch(),
-            "global epoch diverged after {op}({shard})"
-        );
-        let model_count: u64 = models.iter().map(WordModel::count).sum();
-        assert_eq!(model_count, real.count(), "population count diverged");
+fn model_and_real_engine_agree_on_every_critical_section_ordering() {
+    assert_eq!(RECOVERY_BUDGET, toleo_core::sharded::RECOVERY_BUDGET);
+    for budget_spent in [false, true] {
+        for order in orderings() {
+            let mut model = Handshake::new(Bug::None, budget_spent);
+            let (engine, addrs) = real_engine(budget_spent);
+            let base = engine.robustness_stats().ops_served;
+            for tid in order {
+                assert_eq!(model.run_thread(tid), Step::Done);
+                assert_eq!(
+                    model.outcome(tid),
+                    real_section(&engine, addrs, tid),
+                    "section {tid} in {order:?}, budget_spent={budget_spent}"
+                );
+            }
+            let rs = engine.robustness_stats();
+            let real = FinalState {
+                killed: engine.is_killed(),
+                quarantined_shards: engine.quarantined_shard_count(),
+                generation: rs.recovery.recoveries,
+                budget_kills: rs.recovery.budget_kills,
+                ops_served: rs.ops_served - base,
+                ops_at_last_quarantine: rs.ops_at_last_quarantine - base,
+            };
+            assert_eq!(
+                model.final_state(),
+                real,
+                "{order:?}, budget_spent={budget_spent}"
+            );
+            model
+                .check_final()
+                .expect("a sequential schedule is a schedule");
+        }
     }
 }

@@ -20,10 +20,12 @@
 //!    one address range; containment has failed and every shard fails
 //!    closed (as it does for a device-level failure at any rung).
 //!
-//! The whole recovery cycle runs under the quarantined shard's own lock:
-//! healthy shards never block on it, and in-flight batch drains observe
-//! nothing but the quarantine-epoch bump when the shard is re-admitted.
-//! Recovery has no state of its own to lock. What it leaves behind — the
+//! The whole recovery cycle runs under the quarantined shard's own lock,
+//! from the kill-flag check to the clearing of `quarantined`: healthy
+//! shards never block on it and observe nothing of it, and a caller
+//! routed to the recovering shard waits on that lock and then finds the
+//! shard either still quarantined (the recovery failed) or fully
+//! re-admitted. Recovery has no state of its own to lock. What it leaves behind — the
 //! shard's key generation, the ledger of lost addresses and the scrub
 //! counters — lives in that shard's `Shard`, beside the engine rather
 //! than in it, because recovery replaces the engine and a lost marker
@@ -107,27 +109,16 @@ impl std::fmt::Debug for RekeyInputs {
 }
 
 impl ShardedEngine {
-    /// Recovery counters summed over all shards, each under its lock
-    /// (also folded into [`robustness_stats`](Self::robustness_stats)).
+    /// Recovery counters summed over all shards: the `recovery` field of
+    /// [`robustness_stats`](Self::robustness_stats).
     pub fn recovery_stats(&self) -> RecoveryStats {
-        let mut total = RecoveryStats::default();
-        for index in 0..self.shard_count() {
-            let state = self.lock_shard(index);
-            total.recoveries += state.generation;
-            total.pages_scrubbed += state.pages_scrubbed;
-            total.blocks_scrubbed += state.blocks_scrubbed;
-            total.blocks_lost += state.blocks_lost;
-            total.blocks_still_lost += state.lost.len() as u64;
-            total.budget_kills += state.budget_kills;
-        }
-        total
+        self.robustness_stats().recovery
     }
 
     /// Scrubs, re-keys and re-admits the quarantined `shard`.
     ///
     /// The whole cycle runs under the shard's own lock: healthy shards
-    /// keep serving throughout and observe only the quarantine-epoch
-    /// bump once the shard is re-admitted. On success
+    /// keep serving throughout and observe nothing of it. On success
     /// the shard serves again under generation-fresh key material and a
     /// fresh device seed, with every block the scrub verified re-encrypted
     /// bit-identically; blocks that failed re-verification refuse with
@@ -159,7 +150,7 @@ impl ShardedEngine {
         // world-kill before it releases this lock, so a quarantined shard
         // seen alive from here is within its budget.
         self.check_alive(0)?;
-        if !self.quarantine.is_quarantined(shard) {
+        if !state.quarantined {
             return Err(ToleoError::InvalidConfig {
                 detail: format!("recover_shard: shard {shard} is not quarantined"),
             });
@@ -188,9 +179,8 @@ impl ShardedEngine {
         // the markers still standing from earlier generations (an address
         // lost in generation k and never rewritten is still lost in k+1,
         // though the fresh engine never held it), bump the generation,
-        // then clear the quarantine bit (epoch bump) — all before the
-        // shard lock drops, so the first peer routed here sees a fully
-        // re-admitted shard.
+        // then clear `quarantined` — all before the shard lock drops, so
+        // the first caller routed here sees a fully re-admitted shard.
         let blocks_lost = scrub.lost.len() as u64;
         state.engine = fresh;
         state.generation = generation;
@@ -198,7 +188,7 @@ impl ShardedEngine {
         state.pages_scrubbed += scrub.pages_scrubbed;
         state.blocks_scrubbed += scrub.blocks_scrubbed;
         state.blocks_lost += blocks_lost;
-        self.quarantine.clear(shard);
+        state.quarantined = false;
         drop(state);
         Ok(RecoveryOutcome {
             shard,

@@ -241,6 +241,53 @@ fn recovery_races_live_traffic_without_a_stale_or_wrong_answer() {
     assert_eq!(engine.recovery_stats().recoveries, 1);
 }
 
+/// `is_shard_quarantined` reads under the shard lock, which
+/// `recover_shard` holds from its kill-flag check to the re-admission: a
+/// second thread polling it sees `true` (the recovery has not finished)
+/// and then `false` (it has), never the middle of one — so the read
+/// issued right after the first `false` is served under the new
+/// generation, neither refused nor stale.
+#[test]
+fn is_shard_quarantined_flips_once_across_a_concurrent_recovery() {
+    const K: usize = 1;
+    let engine = ShardedEngine::new(ToleoConfig::small(), 2, [0x6du8; 48]).unwrap();
+    // Enough resident blocks on shard K (odd pages) that the scrub and
+    // re-key are still running when the poller starts.
+    let writes: Vec<(u64, [u8; 64])> = (0..32u64)
+        .flat_map(|k| (0..16u64).map(move |line| (2 * k + 1, line)))
+        .map(|(page, line)| {
+            (
+                page * PAGE_BYTES as u64 + line * 64,
+                [(page ^ line) as u8; 64],
+            )
+        })
+        .collect();
+    engine.write_batch(&writes).unwrap();
+    let (tampered, _) = writes[0];
+    let (intact, expected) = writes[1];
+    engine.with_adversary(tampered, |dram| dram.corrupt_data(tampered, 0, 0x01));
+    assert!(engine.read(tampered).is_err());
+    assert!(engine.is_shard_quarantined(K));
+
+    std::thread::scope(|s| {
+        let rec = s.spawn(|| engine.recover_shard(K).expect("recovery must re-admit"));
+        loop {
+            let finished = rec.is_finished();
+            if !engine.is_shard_quarantined(K) {
+                break;
+            }
+            assert!(!finished, "still quarantined after the recovery returned");
+        }
+        assert_eq!(engine.read(intact).unwrap(), expected, "refused or stale");
+        assert_eq!(engine.recovery_stats().recoveries, 1, "the new generation");
+        for _ in 0..1_000 {
+            assert!(!engine.is_shard_quarantined(K), "flipped back");
+        }
+        rec.join().expect("recovery must not panic");
+    });
+    assert!(!engine.is_killed());
+}
+
 /// A tamper detected inside a batch quarantines the offending shard and
 /// freezes its counters, while the healthy shards' counters keep
 /// advancing — and the aggregate is always exactly the per-shard sum.
