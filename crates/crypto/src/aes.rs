@@ -11,9 +11,10 @@
 //! offers (x86_64 AES-NI, aarch64 crypto extensions, or the portable
 //! [`TtableAes`] software fallback) and every operation — single blocks,
 //! the [`encrypt_blocks`](Aes128::encrypt_blocks) multi-block API for
-//! independent blocks, and [`xts_line`](Aes128::xts_line), a whole 64-byte
-//! XTS line as one backend call — routes to that backend with a single
-//! enum match.
+//! independent blocks, [`encrypt_pair`](Aes128::encrypt_pair) for two
+//! blocks in registers, and [`xts_line`](Aes128::xts_line), a whole
+//! 64-byte XTS line as one backend call — routes to that backend with a
+//! single enum match.
 //!
 //! [`TtableAes`] is the classic T-table formulation: SubBytes, ShiftRows
 //! and MixColumns are fused into four 256-entry u32 lookup tables per
@@ -42,7 +43,7 @@
 
 // audit: allow-file(indexing, state words and T-table lookups use 8-bit indices into 256-entry tables and fixed-width round-key arrays)
 
-use crate::backend::{Aes128Backend, BackendKind, LineTweak};
+use crate::backend::{Aes128Backend, BackendKind};
 
 /// Number of 32-bit words in an AES-128 key.
 const NK: usize = 4;
@@ -463,35 +464,20 @@ impl Aes128 {
         dispatch!(self, b => b.decrypt_blocks(blocks))
     }
 
-    /// XTS-encrypts or -decrypts one 64-byte line in place with `self` as
-    /// the data cipher and `tweak_cipher` as the tweak cipher: one
-    /// [`Aes128Backend::xts_line`] call on the backend the two share.
+    /// Encrypts two independent blocks given as little-endian integers:
+    /// one [`Aes128Backend::encrypt_pair`] call, two lanes of one pass on
+    /// a hardware backend.
     #[inline]
-    pub fn xts_line(
-        &self,
-        tweak_cipher: &Aes128,
-        tweak: LineTweak,
-        encrypt: bool,
-        line: &mut [u8; 64],
-    ) {
-        match (&self.inner, &tweak_cipher.inner) {
-            (Inner::Soft(d), Inner::Soft(t)) => d.xts_line(t, tweak, encrypt, line),
-            #[cfg(target_arch = "x86_64")]
-            (Inner::AesNi(d), Inner::AesNi(t)) => d.xts_line(t, tweak, encrypt, line),
-            #[cfg(target_arch = "aarch64")]
-            (Inner::ArmCe(d), Inner::ArmCe(t)) => d.xts_line(t, tweak, encrypt, line),
-            // Two ciphers pinned to different backends cannot share a
-            // kernel: encrypt the tweak where its key lives, then run the
-            // data cipher's line on the finished bundle.
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-            _ => {
-                let t0 = match tweak {
-                    LineTweak::Raw(raw) => tweak_cipher.encrypt_block(&raw),
-                    LineTweak::Encrypted(t0) => t0,
-                };
-                self.xts_line(self, LineTweak::Encrypted(t0), encrypt, line);
-            }
-        }
+    pub fn encrypt_pair(&self, a: u128, b: u128) -> [[u8; 16]; 2] {
+        dispatch!(self, c => c.encrypt_pair(a, b))
+    }
+
+    /// XTS-encrypts or -decrypts one 64-byte line in place with `self` as
+    /// the data cipher under the already-encrypted `tweak`: one
+    /// [`Aes128Backend::xts_line`] call.
+    #[inline]
+    pub fn xts_line(&self, tweak: [u8; 16], encrypt: bool, line: &mut [u8; 64]) {
+        dispatch!(self, c => c.xts_line(tweak, encrypt, line))
     }
 }
 

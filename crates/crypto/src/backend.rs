@@ -8,23 +8,24 @@
 //!   decrypt; a multi-block API ([`encrypt_blocks8`] / [`encrypt_blocks`])
 //!   for callers that hold several *independent* blocks — a page walk's
 //!   tweaks, a CTR keystream — so the pipelined AESENC units see eight in
-//!   flight instead of a serial chain at instruction *latency*; and
-//!   [`xts_line`], the whole XEX of one 64-byte cache line (tweak
-//!   encryption, α-multiples, four sectors) as one call.
+//!   flight instead of a serial chain at instruction *latency*;
+//!   [`encrypt_pair`], two blocks handed over and encrypted in registers
+//!   (a line's XTS tweak and its MAC pad); and [`xts_line`], the whole XEX
+//!   of one 64-byte cache line (α-multiples, four sectors) as one call.
 //! * [`TtableAes`](crate::aes::TtableAes) — the portable software
 //!   fallback (re-exported from [`crate::aes`]). T-table lookups are also
 //!   the classic AES cache-timing side channel; prefer hardware.
 //! * `AesNiAes` — x86_64 AES-NI, guarded by
 //!   `is_x86_feature_detected!("aes")`. Its kernels come in fixed shapes
-//!   only — 1, 4 and 8 lanes, and the fused line — with the lane count a
+//!   only — 1, 2, 4 and 8 lanes, and the fused line — with the lane count a
 //!   compile-time constant, so the cipher state is XMM registers from
 //!   load to store; other counts are composed from the 8-, 4- and 1-lane
 //!   kernels.
 //! * `ArmCeAes` — aarch64 crypto extensions, guarded by
 //!   `is_aarch64_feature_detected!("aes")` (each hardware type only
 //!   exists on its architecture). Still on run-time lane counts and the
-//!   default `xts_line`: there is no aarch64 hardware here to time a
-//!   rewrite on.
+//!   default `encrypt_pair` and `xts_line`: there is no aarch64 hardware
+//!   here to time a rewrite on.
 //!
 //! Selection happens **once at cipher construction**
 //! ([`default_backend`]): hardware when detected, overridable for testing
@@ -35,6 +36,7 @@
 //!
 //! [`encrypt_blocks8`]: Aes128Backend::encrypt_blocks8
 //! [`encrypt_blocks`]: Aes128Backend::encrypt_blocks
+//! [`encrypt_pair`]: Aes128Backend::encrypt_pair
 //! [`xts_line`]: Aes128Backend::xts_line
 
 // audit: allow-file(indexing, round-key and lane indices are bounded by the AES-128 schedule: 11 round keys, 8 lanes)
@@ -91,22 +93,28 @@ pub trait Aes128Backend {
         }
     }
 
+    /// Encrypts two independent blocks, given as little-endian integers
+    /// so a caller that assembles them from `u64`s hands them over in
+    /// registers: a 16-byte load over two fresh 8-byte stores cannot be
+    /// store-forwarded, and on this path that stall serialises every
+    /// protected access (measured: 20 ns for the pair through
+    /// [`encrypt_blocks`](Self::encrypt_blocks), 5 ns in registers). The
+    /// default is two [`encrypt_block`](Self::encrypt_block) calls; a
+    /// hardware backend overrides it with one two-lane kernel, the second
+    /// block riding in a pipeline slot the first leaves idle.
+    fn encrypt_pair(&self, a: u128, b: u128) -> [[u8; 16]; 2] {
+        [a, b].map(|block| self.encrypt_block(&block.to_le_bytes()))
+    }
+
     /// XTS-encrypts (`encrypt`) or -decrypts one 64-byte line in place:
-    /// sector `j` is XEXed under `T·αʲ` with `self` as the data cipher,
-    /// where `T` is `tweak` — encrypted under `tweak_cipher` first if it
-    /// is still [`LineTweak::Raw`] (`tweak_cipher` is not consulted
-    /// otherwise). This is the one XEX core of
+    /// sector `j` is XEXed under `tweak·αʲ` with `self` as the data
+    /// cipher, `tweak` being the data-unit tweak already encrypted under
+    /// the tweak key. This is the one XEX core of
     /// [`AesXts`](crate::modes::AesXts). The default composes the block
     /// methods above; a hardware backend overrides it with a single
     /// kernel that keeps the tweaks and all four sectors in registers.
-    fn xts_line(&self, tweak_cipher: &Self, tweak: LineTweak, encrypt: bool, line: &mut [u8; 64])
-    where
-        Self: Sized,
-    {
-        let mut t = match tweak {
-            LineTweak::Raw(raw) => tweak_cipher.encrypt_block(&raw),
-            LineTweak::Encrypted(t0) => t0,
-        };
+    fn xts_line(&self, tweak: [u8; 16], encrypt: bool, line: &mut [u8; 64]) {
+        let mut t = tweak;
         let sectors = line.as_chunks_mut::<16>().0;
         let mut tweaks = [[0u8; 16]; 4];
         for (tj, sector) in tweaks.iter_mut().zip(sectors.iter_mut()) {
@@ -123,17 +131,6 @@ pub trait Aes128Backend {
             xor16(sector, tj);
         }
     }
-}
-
-/// The data-unit tweak handed to [`Aes128Backend::xts_line`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LineTweak {
-    /// The packed `(version, address)` block, still to be encrypted under
-    /// the tweak key.
-    Raw([u8; 16]),
-    /// Already encrypted under the tweak key — one slot of a pipelined
-    /// [`tweak_blocks`](crate::modes::AesXts::tweak_blocks) pass.
-    Encrypted([u8; 16]),
 }
 
 /// Multiply a 128-bit value by x (alpha) in GF(2^128) with the XTS
@@ -285,7 +282,7 @@ mod hw_x86 {
     //! intrinsic call is guarded by the construction-time `aes` feature
     //! check (`AesNiAes::new` returns `None` without it).
 
-    use super::{Aes128Backend, LineTweak};
+    use super::Aes128Backend;
     use core::arch::x86_64::{
         __m128i, _mm_add_epi64, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128,
         _mm_aesenclast_si128, _mm_aesimc_si128, _mm_aeskeygenassist_si128, _mm_and_si128,
@@ -293,8 +290,8 @@ mod hw_x86 {
         _mm_srai_epi32, _mm_storeu_si128, _mm_xor_si128,
     };
 
-    /// AES-128 on the x86_64 AES-NI instructions: fixed-shape 1-, 4- and
-    /// 8-lane kernels and a fused XTS line kernel.
+    /// AES-128 on the x86_64 AES-NI instructions: fixed-shape 1-, 2-, 4-
+    /// and 8-lane kernels and a fused XTS line kernel.
     #[derive(Clone, Copy)]
     pub struct AesNiAes {
         /// Encryption round keys.
@@ -379,8 +376,9 @@ mod hw_x86 {
     /// a caller that shares the `aes` feature — the state array is `N` XMM
     /// registers for the whole kernel: each AESENC consumes the previous
     /// round's register, never a store-forwarded stack slot. Instantiated
-    /// at 1 (a dependent chain runs at instruction latency), 4 (one cache
-    /// line) and 8 (the pipelined units saturated) lanes.
+    /// at 1 (a dependent chain runs at instruction latency), 2 (a line's
+    /// tweak and MAC pad), 4 (one cache line) and 8 (the pipelined units
+    /// saturated) lanes.
     ///
     /// # Safety
     ///
@@ -472,31 +470,41 @@ mod hw_x86 {
         }
     }
 
-    /// The fused line kernel: tweak encryption (unless `tweak` is already
-    /// encrypted), the three α-multiples and the XEX of all four sectors
-    /// in one `aes` region, so nothing but the line itself touches memory.
-    /// `data_rk` is the data key's `ek` (`ENC`) or `dk` schedule;
-    /// `tweak_ek` is always the tweak key's encryption schedule. `tweak`
-    /// is the little-endian tweak block, to be encrypted first if `raw`;
-    /// it arrives in two general registers because callers assemble it
-    /// from two `u64`s, and a 16-byte load over two fresh 8-byte stores
-    /// cannot be store-forwarded (measured: 7 ns per line).
+    /// The two-lane kernel behind
+    /// [`encrypt_pair`](Aes128Backend::encrypt_pair): both blocks arrive
+    /// in general registers and meet memory only as finished ciphertext.
     ///
     /// # Safety
     ///
     /// As [`rounds`]: the `aes` target feature must be available.
     #[target_feature(enable = "aes")]
-    unsafe fn xts_line<const ENC: bool>(
-        data_rk: &[__m128i; 11],
-        tweak_ek: &[__m128i; 11],
-        raw: bool,
-        tweak: u128,
-        line: &mut [u8; 64],
-    ) {
-        let mut t = [_mm_set_epi64x((tweak >> 64) as i64, tweak as i64); 4];
-        if raw {
-            t[0] = rounds::<1, true>(tweak_ek, [t[0]])[0];
+    unsafe fn pair(ek: &[__m128i; 11], a: u128, b: u128) -> [[u8; 16]; 2] {
+        let s = [
+            _mm_set_epi64x((a >> 64) as i64, a as i64),
+            _mm_set_epi64x((b >> 64) as i64, b as i64),
+        ];
+        let s = rounds::<2, true>(ek, s);
+        let mut out = [[0u8; 16]; 2];
+        for (lane, block) in s.iter().zip(out.iter_mut()) {
+            _mm_storeu_si128(block.as_mut_ptr().cast(), *lane);
         }
+        out
+    }
+
+    /// The fused line kernel: the three α-multiples and the XEX of all
+    /// four sectors in one `aes` region, so nothing but the line itself
+    /// touches memory. `data_rk` is the data key's `ek` (`ENC`) or `dk`
+    /// schedule. `tweak` is the encrypted little-endian tweak block; it
+    /// arrives in two general registers so that a caller holding it as
+    /// two `u64`s never pays a 16-byte load over two fresh 8-byte stores,
+    /// which cannot be store-forwarded (measured: 7 ns per line).
+    ///
+    /// # Safety
+    ///
+    /// As [`rounds`]: the `aes` target feature must be available.
+    #[target_feature(enable = "aes")]
+    unsafe fn xts_line<const ENC: bool>(data_rk: &[__m128i; 11], tweak: u128, line: &mut [u8; 64]) {
+        let mut t = [_mm_set_epi64x((tweak >> 64) as i64, tweak as i64); 4];
         for j in 1..4 {
             t[j] = mul_alpha(t[j - 1]);
         }
@@ -546,24 +554,19 @@ mod hw_x86 {
             unsafe { crypt_slice::<false>(&self.dk, blocks) };
         }
 
-        fn xts_line(
-            &self,
-            tweak_cipher: &Self,
-            tweak: LineTweak,
-            encrypt: bool,
-            line: &mut [u8; 64],
-        ) {
-            let (raw, bytes) = match tweak {
-                LineTweak::Raw(b) => (true, b),
-                LineTweak::Encrypted(b) => (false, b),
-            };
-            let t = u128::from_le_bytes(bytes);
+        fn encrypt_pair(&self, a: u128, b: u128) -> [[u8; 16]; 2] {
+            // SAFETY: constructing `AesNiAes` proved the `aes` feature.
+            unsafe { pair(&self.ek, a, b) }
+        }
+
+        fn xts_line(&self, tweak: [u8; 16], encrypt: bool, line: &mut [u8; 64]) {
+            let t = u128::from_le_bytes(tweak);
             // SAFETY: constructing `AesNiAes` proved the `aes` feature.
             unsafe {
                 if encrypt {
-                    xts_line::<true>(&self.ek, &tweak_cipher.ek, raw, t, line);
+                    xts_line::<true>(&self.ek, t, line);
                 } else {
-                    xts_line::<false>(&self.dk, &tweak_cipher.ek, raw, t, line);
+                    xts_line::<false>(&self.dk, t, line);
                 }
             }
         }
@@ -865,40 +868,29 @@ mod tests {
             }
         }
 
-        /// `Aes128::xts_line` gives the software backend's bytes for every
-        /// pairing of data-cipher and tweak-cipher backend — matched pairs
-        /// run that backend's kernel, mismatched ones the split path — in
-        /// both tweak forms and both directions.
+        /// `xts_line` and `encrypt_pair` — the hardware kernels and the
+        /// defaults the software backend takes — give the same bytes on
+        /// every backend, and the pair is two single-block encryptions.
         #[test]
-        fn xts_line_agrees_across_backend_pairings(
-            data_key in proptest::array::uniform16(any::<u8>()),
-            tweak_key in proptest::array::uniform16(any::<u8>()),
-            raw in proptest::array::uniform16(any::<u8>()),
+        fn xts_line_and_encrypt_pair_agree_across_backends(
+            key in proptest::array::uniform16(any::<u8>()),
+            tweak in proptest::array::uniform16(any::<u8>()),
+            other in proptest::array::uniform16(any::<u8>()),
             fill in any::<u8>(),
             encrypt in any::<bool>(),
         ) {
             let plain: [u8; 64] = core::array::from_fn(|i| fill ^ (i as u8).wrapping_mul(29));
-            let soft_tweak = Aes128::with_backend(&tweak_key, BackendKind::Software);
-            let bundle = soft_tweak.encrypt_block(&raw);
+            let soft = Aes128::with_backend(&key, BackendKind::Software);
             let mut expect = plain;
-            Aes128::with_backend(&data_key, BackendKind::Software)
-                .xts_line(&soft_tweak, LineTweak::Raw(raw), encrypt, &mut expect);
-            for data_kind in available_backends() {
-                for tweak_kind in available_backends() {
-                    let data = Aes128::with_backend(&data_key, data_kind);
-                    let tweak = Aes128::with_backend(&tweak_key, tweak_kind);
-                    for form in [LineTweak::Raw(raw), LineTweak::Encrypted(bundle)] {
-                        let mut line = plain;
-                        data.xts_line(&tweak, form, encrypt, &mut line);
-                        prop_assert!(
-                            line == expect,
-                            "data on {}, tweak on {}, {:?}",
-                            data_kind.name(),
-                            tweak_kind.name(),
-                            form
-                        );
-                    }
-                }
+            soft.xts_line(tweak, encrypt, &mut expect);
+            let pair = [soft.encrypt_block(&tweak), soft.encrypt_block(&other)];
+            for kind in available_backends() {
+                let aes = Aes128::with_backend(&key, kind);
+                let mut line = plain;
+                aes.xts_line(tweak, encrypt, &mut line);
+                prop_assert!(line == expect, "xts_line on {}", kind.name());
+                let got = aes.encrypt_pair(u128::from_le_bytes(tweak), u128::from_le_bytes(other));
+                prop_assert!(got == pair, "encrypt_pair on {}", kind.name());
             }
         }
 

@@ -13,8 +13,11 @@
 //!   hardware instruction-level parallelism is actually exploited.
 //! * [`modes`] — AES-CTR (client-SGX MEE style) and AES-XTS (scalable-SGX /
 //!   Toleo style, with a `(version, address)` tweak).
-//! * [`mac`] — 56-bit truncated SipHash-2-4 tags, as packed eight-per-block
-//!   in the paper's MAC layout.
+//! * [`mac`] — 56-bit tags, as packed eight-per-block in the paper's MAC
+//!   layout: the protection engine's Carter–Wegman line MAC (a universal
+//!   hash of the ciphertext plus an AES pad encrypted beside the XTS
+//!   tweak), and SipHash-2-4 as the PRF MAC of every caller without a
+//!   nonce (IDE flits, TDISP, the baseline schemes).
 //! * [`ide`] — CXL 2.0 IDE link model: non-deterministic stream cipher,
 //!   per-flit MAC, replay counter (the properties §4.1/§6.1 rely on).
 //! * [`range`] — D-RaNGe DRAM true-random generator model, the Toleo
@@ -26,20 +29,21 @@
 //!
 //! ```
 //! use toleo_crypto::modes::{AesXts, Tweak};
-//! use toleo_crypto::mac::MacKey;
+//! use toleo_crypto::mac::LineMac;
 //!
 //! let xts = AesXts::new(b"0123456789abcdef", b"fedcba9876543210");
-//! let mac = MacKey::new(*b"mac-key-16-bytes");
+//! let mac = LineMac::new(b"mac-key-16-bytes");
 //!
-//! // Encrypt one 64-byte cache block under version 3 at address 0x4_0000.
+//! // Seal one 64-byte cache block under version 3 at address 0x4_0000:
+//! // tweak and MAC pad in one AES pass, then the line, then its tag.
 //! let mut block = [0u8; 64];
-//! let tweak = Tweak { version: 3, address: 0x4_0000 };
-//! xts.encrypt(tweak, &mut block);
-//! let tag = mac.mac(3, 0x4_0000, &block);
+//! let pads = xts.line_pads(Tweak { version: 3, address: 0x4_0000 });
+//! xts.encrypt_line_with_tweak(pads.tweak, &mut block);
+//! let tag = mac.tag(&pads.mac_pad, &block);
 //!
-//! // Verify on read-back.
-//! assert!(tag.verify(&mac.mac(3, 0x4_0000, &block)));
-//! xts.decrypt(tweak, &mut block);
+//! // On read-back, verify first and only then decrypt.
+//! assert!(tag.verify(&mac.tag(&pads.mac_pad, &block)));
+//! xts.decrypt_line_with_tweak(pads.tweak, &mut block);
 //! assert_eq!(block, [0u8; 64]);
 //! ```
 

@@ -7,16 +7,23 @@
 //!   Scalable SGX uses XTS with an address tweak only; Toleo uses XTS with a
 //!   (version, address) tweak so freshness is bound into the ciphertext.
 //!   Its unit of work is the 64-byte cache line:
-//!   [`encrypt_line`](AesXts::encrypt_line) /
-//!   [`decrypt_line`](AesXts::decrypt_line) are one backend call each
-//!   ([`Aes128Backend::xts_line`](crate::backend::Aes128Backend::xts_line)),
-//!   and the slice API walks its input as whole lines through that same
-//!   call, then any sub-line tail sector by sector.
+//!   [`line_pads`](AesXts::line_pads) encrypts a line's XTS tweak and the
+//!   pad of its Carter–Wegman MAC ([`crate::mac`]) as two lanes of one
+//!   AES pass — `AES_tweakkey(version ‖ address)` and
+//!   `AES_tweakkey(version ‖ address | 1)`, distinct inputs because lines
+//!   are 64-byte aligned, so the pad rides in a lane the tweak encryption
+//!   left idle — and
+//!   [`encrypt_line_with_tweak`](AesXts::encrypt_line_with_tweak) /
+//!   [`decrypt_line_with_tweak`](AesXts::decrypt_line_with_tweak) are one
+//!   backend call each
+//!   ([`Aes128Backend::xts_line`](crate::backend::Aes128Backend::xts_line)).
+//!   The slice API walks its input as whole lines through that same call,
+//!   then any sub-line tail sector by sector.
 
 // audit: allow-file(indexing, lane indices are bounded by the 8-block pipeline width)
 
 use crate::aes::Aes128;
-use crate::backend::{gf128_mul_alpha, xor16, LineTweak};
+use crate::backend::{gf128_mul_alpha, xor16};
 
 /// A 128-bit XTS tweak: in Toleo it encodes the 64-bit full version number
 /// and the 64-bit physical address of the cache-block sector.
@@ -31,10 +38,45 @@ pub struct Tweak {
 impl Tweak {
     /// Packs the tweak into the 16-byte little-endian block fed to AES.
     pub fn to_bytes(self) -> [u8; 16] {
-        let mut out = [0u8; 16];
-        out[..8].copy_from_slice(&self.version.to_le_bytes());
-        out[8..].copy_from_slice(&self.address.to_le_bytes());
-        out
+        self.packed().to_le_bytes()
+    }
+
+    /// [`to_bytes`](Self::to_bytes) as one little-endian integer.
+    fn packed(self) -> u128 {
+        u128::from(self.address) << 64 | u128::from(self.version)
+    }
+
+    /// The tweak-key input whose encryption pads this line's MAC: the
+    /// same block with address bit 0 set, which no 64-byte-aligned line
+    /// address has.
+    pub fn mac_pad(self) -> Tweak {
+        Tweak {
+            address: self.address | 1,
+            ..self
+        }
+    }
+}
+
+/// The two tweak-key outputs one protected line needs, from
+/// [`AesXts::line_pads`] or two adjacent slots of a
+/// [`tweak_blocks`](AesXts::tweak_blocks) pass over `[tweak,
+/// tweak.mac_pad()]`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct LinePads {
+    /// The encrypted XTS data-unit tweak, for the `_with_tweak` entry
+    /// points.
+    pub tweak: [u8; 16],
+    /// The one-time pad of the line's tag, for
+    /// [`LineMac::tag`](crate::mac::LineMac::tag).
+    pub mac_pad: [u8; 16],
+}
+
+impl std::fmt::Debug for LinePads {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Pad and tag together give away the line's hash.
+        f.debug_struct("LinePads")
+            .field("pads", &"<redacted>")
+            .finish()
     }
 }
 
@@ -194,10 +236,9 @@ impl AesXts {
     /// The returned bundle can be precomputed (and batched via
     /// [`tweak_blocks`](Self::tweak_blocks)) and replayed through the
     /// `_with_tweak` entry points, which is how the protection engine
-    /// amortizes tweak encryption across a page walk. For a single line
-    /// prefer [`encrypt_line`](Self::encrypt_line) /
-    /// [`decrypt_line`](Self::decrypt_line): they encrypt the tweak
-    /// inside the line kernel, saving a call and a trip through memory.
+    /// amortizes tweak encryption across a page walk. A protected line
+    /// wants [`line_pads`](Self::line_pads) instead: the same tweak plus
+    /// its MAC pad for one AES latency.
     pub fn tweak_block(&self, tweak: Tweak) -> [u8; 16] {
         self.tweak_cipher.encrypt_block(&tweak.to_bytes())
     }
@@ -258,38 +299,37 @@ impl AesXts {
         self.apply_with_tweak(tweak0, data, false);
     }
 
-    /// Encrypts one 64-byte cache line in place under `tweak`: tweak
-    /// encryption, α-multiples and the four sector XEXes are one
+    /// Encrypts the XTS tweak of the line at `tweak` and the pad of its
+    /// MAC in one two-lane pass under the tweak key
+    /// ([`Aes128::encrypt_pair`]): the pad costs a lane, not a latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tweak.address` is not 64-byte aligned — the pad input
+    /// would then be some other sector's tweak input.
+    #[inline]
+    pub fn line_pads(&self, tweak: Tweak) -> LinePads {
+        let aligned = tweak.address.is_multiple_of(64);
+        assert!(aligned, "line address must be 64-byte aligned");
+        let [tweak, mac_pad] = self
+            .tweak_cipher
+            .encrypt_pair(tweak.packed(), tweak.mac_pad().packed());
+        LinePads { tweak, mac_pad }
+    }
+
+    /// Encrypts one 64-byte cache line in place under a
+    /// [`line_pads`](Self::line_pads) / [`tweak_block`](Self::tweak_block)
+    /// tweak: α-multiples and the four sector XEXes are one
     /// [`Aes128::xts_line`] call — on a hardware backend, one kernel.
     #[inline]
-    pub fn encrypt_line(&self, tweak: Tweak, line: &mut [u8; 64]) {
-        self.xex_line(LineTweak::Raw(tweak.to_bytes()), true, line);
-    }
-
-    /// Decrypts one 64-byte cache line in place under `tweak`.
-    #[inline]
-    pub fn decrypt_line(&self, tweak: Tweak, line: &mut [u8; 64]) {
-        self.xex_line(LineTweak::Raw(tweak.to_bytes()), false, line);
-    }
-
-    /// [`encrypt_line`](Self::encrypt_line) under a precomputed
-    /// [`tweak_block`](Self::tweak_block) bundle.
-    #[inline]
     pub fn encrypt_line_with_tweak(&self, tweak0: [u8; 16], line: &mut [u8; 64]) {
-        self.xex_line(LineTweak::Encrypted(tweak0), true, line);
+        self.data_cipher.xts_line(tweak0, true, line);
     }
 
-    /// [`decrypt_line`](Self::decrypt_line) under a precomputed tweak
-    /// bundle.
+    /// Decrypts one 64-byte cache line in place under an encrypted tweak.
     #[inline]
     pub fn decrypt_line_with_tweak(&self, tweak0: [u8; 16], line: &mut [u8; 64]) {
-        self.xex_line(LineTweak::Encrypted(tweak0), false, line);
-    }
-
-    #[inline]
-    fn xex_line(&self, tweak: LineTweak, encrypt: bool, line: &mut [u8; 64]) {
-        self.data_cipher
-            .xts_line(&self.tweak_cipher, tweak, encrypt, line);
+        self.data_cipher.xts_line(tweak0, false, line);
     }
 
     /// Walks `data` as whole 64-byte lines through the line kernel, then
@@ -300,7 +340,7 @@ impl AesXts {
         let mut t = tweak0;
         let (lines, tail) = data.as_chunks_mut::<64>();
         for line in lines {
-            self.xex_line(LineTweak::Encrypted(t), encrypt, line);
+            self.data_cipher.xts_line(t, encrypt, line);
             for _ in 0..4 {
                 gf128_mul_alpha(&mut t);
             }
@@ -422,18 +462,26 @@ mod tests {
             prop_assert_eq!(&slow, &data);
         }
 
-        /// The line kernel — raw tweak and precomputed bundle, both
-        /// directions — agrees with XTS over the reference cipher on
-        /// every backend.
+        /// `line_pads` is the reference cipher's encryption of the tweak
+        /// block and of the same block with address bit 0 set, and the
+        /// line kernel under its tweak agrees with XTS over the reference
+        /// cipher in both directions, on every backend.
         #[test]
         fn line_kernel_matches_reference(
             data_key in proptest::array::uniform16(any::<u8>()),
             tweak_key in proptest::array::uniform16(any::<u8>()),
             version in any::<u64>(),
-            address in any::<u64>(),
+            line_index in any::<u64>(),
             seed in any::<u8>(),
         ) {
-            let tweak = Tweak { version, address };
+            let tweak = Tweak { version, address: line_index << 6 };
+            let oracle = RefAes128::new(&tweak_key);
+            let mut pad_input = tweak.to_bytes();
+            pad_input[8] |= 1;
+            let expect = LinePads {
+                tweak: oracle.encrypt_block(&tweak.to_bytes()),
+                mac_pad: oracle.encrypt_block(&pad_input),
+            };
             let plain: [u8; 64] = core::array::from_fn(|i| seed.wrapping_mul(i as u8 | 1));
             let mut sealed = plain;
             ref_xts(&data_key, &tweak_key, tweak, &mut sealed, true);
@@ -442,19 +490,16 @@ mod tests {
             ref_xts(&data_key, &tweak_key, tweak, &mut unsealed, false);
             for kind in crate::backend::available_backends() {
                 let xts = AesXts::with_backend(&data_key, &tweak_key, kind);
-                let bundle = xts.tweak_block(tweak);
+                let pads = xts.line_pads(tweak);
+                prop_assert!(pads == expect, "{} line_pads", kind.name());
+                prop_assert_eq!(pads.tweak, xts.tweak_block(tweak));
+                prop_assert_eq!(pads.mac_pad, xts.tweak_block(tweak.mac_pad()));
                 let mut line = plain;
-                xts.encrypt_line(tweak, &mut line);
-                prop_assert!(line == sealed, "{} encrypt_line", kind.name());
-                xts.decrypt_line(tweak, &mut line);
-                prop_assert!(line == plain, "{} decrypt_line roundtrip", kind.name());
-                xts.decrypt_line(tweak, &mut line);
-                prop_assert!(line == unsealed, "{} decrypt_line", kind.name());
-                let mut line = plain;
-                xts.encrypt_line_with_tweak(bundle, &mut line);
+                xts.encrypt_line_with_tweak(pads.tweak, &mut line);
                 prop_assert!(line == sealed, "{} encrypt_line_with_tweak", kind.name());
-                let mut line = plain;
-                xts.decrypt_line_with_tweak(bundle, &mut line);
+                xts.decrypt_line_with_tweak(pads.tweak, &mut line);
+                prop_assert!(line == plain, "{} roundtrip", kind.name());
+                xts.decrypt_line_with_tweak(pads.tweak, &mut line);
                 prop_assert!(line == unsealed, "{} decrypt_line_with_tweak", kind.name());
             }
         }
@@ -567,8 +612,8 @@ mod tests {
         assert_eq!(via_slice, expect, "{what}: encrypt");
         let mut line = [0u8; 64];
         line[..pt.len()].copy_from_slice(pt);
-        xts.encrypt_line(tweak, &mut line);
-        assert_eq!(&line[..pt.len()], expect, "{what}: encrypt_line");
+        xts.encrypt_line_with_tweak(xts.line_pads(tweak).tweak, &mut line);
+        assert_eq!(&line[..pt.len()], expect, "{what}: line_pads + line kernel");
         let mut via_bundle = pt.to_vec();
         xts.encrypt_with_tweak(xts.tweak_block(tweak), &mut via_bundle);
         assert_eq!(
@@ -620,9 +665,11 @@ mod tests {
         }
     }
 
-    /// One 64-byte line with its ciphertext and `Tag56` pinned from the
-    /// commit before the line kernel existed: the bytes an engine leaves
-    /// in untrusted memory did not change, on any backend.
+    /// One 64-byte line with its ciphertext pinned from the commit before
+    /// the line kernel existed (the bytes an engine leaves in untrusted
+    /// memory did not change, on any backend), its MAC pad and line tag
+    /// pinned from an independent computation (OpenSSL's AES, Python
+    /// integers), and the SipHash tag `MacKey` gives the same line.
     #[test]
     fn pinned_line_ciphertext_and_tag_per_backend() {
         let data_key: [u8; 16] = core::array::from_fn(|i| 0x10 + i as u8);
@@ -646,6 +693,15 @@ mod tests {
                 kind.name()
             );
             assert_seals_to(&xts, tweak, &pt, &ct, kind.name());
+            let pads = xts.line_pads(tweak);
+            assert_eq!(
+                pads.mac_pad,
+                unhex("e629507467169b0741f36b354aa67f9c"),
+                "{} MAC pad",
+                kind.name()
+            );
+            let tag = crate::mac::LineMac::new(&mac_key).tag(&pads.mac_pad, &ct);
+            assert_eq!(tag.as_raw(), 0x8_a5ea_d5fb_4256, "{} line tag", kind.name());
             let tag = crate::mac::MacKey::new(mac_key).mac(tweak.version, tweak.address, &ct);
             assert_eq!(tag.as_raw(), 0xe3_97d1_67b4_27b9, "{} tag", kind.name());
         }

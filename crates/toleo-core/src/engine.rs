@@ -12,8 +12,18 @@
 //! * **read** (LLC miss): fetch ciphertext, MAC and UV from untrusted
 //!   memory and the stealth version from Toleo (or the on-chip stealth
 //!   cache), recompute the MAC, and *only if it verifies* decrypt and
-//!   return plaintext. A mismatch means tampering or replay: the kill
-//!   switch engages and the engine refuses all further service.
+//!   return plaintext. A mismatch — or a resident block whose tag is gone
+//!   — means tampering or replay: the kill switch engages and the engine
+//!   refuses all further service.
+//!
+//! The MAC is the Carter–Wegman line MAC of [`toleo_crypto::mac`]: a
+//! universal hash of the ciphertext plus a one-time pad that
+//! `(version, address)` selects, encrypted beside the XTS tweak in one AES
+//! pass. It needs `(version, address)` never to seal two ciphertexts under
+//! one key, which is the freshness invariant this engine exists to keep:
+//! `seal_line` is reached only with a stealth version the device has just
+//! advanced, or from the reset walk under a just-incremented UV, or in a
+//! freshly keyed engine (recovery).
 //!
 //! The [`UntrustedDram`] it writes to is fully exposed to the adversary —
 //! integration tests replay old (ciphertext, MAC, UV) triples through it
@@ -30,8 +40,8 @@ use crate::error::{BatchError, Result, ToleoError};
 use crate::fault::{FaultPlan, FaultPlanConfig};
 use crate::layout;
 use crate::version::FullVersion;
-use toleo_crypto::mac::MacKey;
-use toleo_crypto::modes::{AesXts, Tweak};
+use toleo_crypto::mac::LineMac;
+use toleo_crypto::modes::{AesXts, LinePads, Tweak};
 
 pub use crate::arena::{Block, ReplayCapsule, UntrustedDram};
 
@@ -122,7 +132,7 @@ impl KillSnapshot {
 pub struct ProtectionEngine {
     cfg: ToleoConfig,
     xts: AesXts,
-    mac: MacKey,
+    mac: LineMac,
     channel: DeviceChannel,
     dram: UntrustedDram,
     /// Last-page fast path: the most recently touched page and its arena
@@ -190,7 +200,7 @@ impl ProtectionEngine {
             channel: DeviceChannel::new(device, plan, policy),
             cfg,
             xts: AesXts::new(&data_key, &tweak_key),
-            mac: MacKey::new(mac_key),
+            mac: LineMac::new(&mac_key),
             dram: UntrustedDram::default(),
             last_slot: None,
             stealth_cache: StealthCache::paper_default(),
@@ -382,14 +392,14 @@ impl ProtectionEngine {
             // UV_UPDATE: bump the shared UV and re-encrypt every resident
             // block of the page under the fresh stealth base — one slab
             // walk over the page's slot, no per-line map probes. All old
-            // and new XTS tweak bundles for the walk are encrypted up
-            // front through the pipelined multi-block API, so the tweak
+            // and new XTS tweaks and MAC pads for the walk are encrypted
+            // up front through the pipelined multi-block API, so their
             // cost is amortized across the whole page instead of paid as
-            // 2 serial block encryptions per line.
+            // 2 serial AES passes per line.
             let new_uv = uv.incremented();
             let new_fv = FullVersion::compose(new_uv, notice.new_base, stealth_bits);
             let page_base = page * PAGE_BYTES as u64;
-            let mut failure: Option<(u64, UnsealFail)> = None;
+            let mut failure: Option<u64> = None;
             {
                 let slot = self.dram.slot_mut(id);
                 let mut resident = [0usize; LINES_PER_PAGE];
@@ -400,41 +410,50 @@ impl ProtectionEngine {
                         n += 1;
                     }
                 }
-                let mut tweaks = [Tweak {
+                // Per resident line, its tweak input then its MAC-pad
+                // input: two adjacent slots of each pipelined pass.
+                let mut inputs = [Tweak {
                     version: 0,
                     address: 0,
-                }; LINES_PER_PAGE];
-                for (slot_idx, &l) in resident[..n].iter().enumerate() {
-                    tweaks[slot_idx] = Tweak {
+                }; 2 * LINES_PER_PAGE];
+                for (pair, &l) in inputs.as_chunks_mut::<2>().0.iter_mut().zip(&resident[..n]) {
+                    let tweak = Tweak {
                         version: FullVersion::compose(uv, notice.old_stealth[l], stealth_bits)
                             .raw(),
                         address: page_base + (l * CACHE_BLOCK_BYTES) as u64,
                     };
+                    *pair = [tweak, tweak.mac_pad()];
                 }
-                let mut old_t = [[0u8; 16]; LINES_PER_PAGE];
-                self.xts.tweak_blocks(&tweaks[..n], &mut old_t[..n]);
-                for tw in tweaks[..n].iter_mut() {
-                    tw.version = new_fv.raw();
+                let mut old_pads = [[0u8; 16]; 2 * LINES_PER_PAGE];
+                self.xts
+                    .tweak_blocks(&inputs[..2 * n], &mut old_pads[..2 * n]);
+                for input in inputs[..2 * n].iter_mut() {
+                    input.version = new_fv.raw();
                 }
-                let mut new_t = [[0u8; 16]; LINES_PER_PAGE];
-                self.xts.tweak_blocks(&tweaks[..n], &mut new_t[..n]);
+                let mut new_pads = [[0u8; 16]; 2 * LINES_PER_PAGE];
+                self.xts
+                    .tweak_blocks(&inputs[..2 * n], &mut new_pads[..2 * n]);
+                let pads = |blocks: &[[u8; 16]], k: usize| LinePads {
+                    tweak: blocks[2 * k],
+                    mac_pad: blocks[2 * k + 1],
+                };
                 for (k, &l) in resident[..n].iter().enumerate() {
                     let lbase = page_base + (l * CACHE_BLOCK_BYTES) as u64;
                     let old_fv = FullVersion::compose(uv, notice.old_stealth[l], stealth_bits);
-                    let old = Some(old_t[k]);
+                    let old = Some(pads(&old_pads, k));
                     match unseal_line(&self.xts, &self.mac, slot, l, lbase, old_fv, old) {
-                        Ok(pt) => seal_line(
+                        Some(pt) => seal_line(
                             &self.xts,
                             &self.mac,
                             slot,
                             l,
                             lbase,
                             new_fv,
-                            Some(new_t[k]),
+                            Some(pads(&new_pads, k)),
                             &pt,
                         ),
-                        Err(fail) => {
-                            failure = Some((lbase, fail));
+                        None => {
+                            failure = Some(lbase);
                             break;
                         }
                     }
@@ -443,10 +462,11 @@ impl ProtectionEngine {
                     slot.set_uv(new_uv);
                 }
             }
-            if let Some((lbase, fail)) = failure {
-                if fail == UnsealFail::BadTag {
-                    self.kill();
-                }
+            if let Some(lbase) = failure {
+                // Lines before the victim are already re-sealed under the
+                // new UV while the slot's UV is not bumped: the page is
+                // unreadable either way, and the engine must not serve on.
+                self.kill();
                 return Err(ToleoError::IntegrityViolation { address: lbase });
             }
             self.stealth_cache.invalidate_page(page);
@@ -506,11 +526,9 @@ impl ProtectionEngine {
         let slot = self.dram.slot(id);
         let fv = FullVersion::compose(slot.uv(), stealth, self.cfg.stealth_bits);
         match unseal_line(&self.xts, &self.mac, slot, line, addr, fv, None) {
-            Ok(pt) => Ok(pt),
-            Err(fail) => {
-                if fail == UnsealFail::BadTag {
-                    self.kill();
-                }
+            Some(pt) => Ok(pt),
+            None => {
+                self.kill();
                 Err(ToleoError::IntegrityViolation { address: addr })
             }
         }
@@ -614,8 +632,8 @@ impl ProtectionEngine {
                 let slot = self.dram.slot(id);
                 let fv = FullVersion::compose(slot.uv(), stealth, bits);
                 match unseal_line(&self.xts, &self.mac, slot, line, addr, fv, None) {
-                    Ok(pt) => out.intact.push((addr, pt)),
-                    Err(_) => out.lost.push(addr),
+                    Some(pt) => out.intact.push((addr, pt)),
+                    None => out.lost.push(addr),
                 }
             }
         }
@@ -656,71 +674,57 @@ pub(crate) struct ScrubOutcome {
     pub lost: Vec<u64>,
 }
 
-/// Why a block failed to unseal. `MissingTag` (data present, MAC absent)
-/// is reported without engaging the kill switch, matching the seed
-/// behavior; `BadTag` is tampering/replay and must kill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum UnsealFail {
-    /// Ciphertext is resident but carries no MAC tag.
-    MissingTag,
-    /// The recomputed MAC does not match the stored tag.
-    BadTag,
-}
-
 /// Encrypts `plaintext` under the `(full version, address)` tweak, MACs
-/// the ciphertext, and stores both in the page slot. `bundle` is the tweak
-/// already encrypted by a pipelined `tweak_blocks` pass (the reset walk
-/// precomputes a whole page's worth); `None` leaves the tweak encryption
-/// to the line kernel.
+/// the ciphertext, and stores both in the page slot. `pads` is the line's
+/// tweak and MAC pad already encrypted by a pipelined `tweak_blocks` pass
+/// (the reset walk precomputes a whole page's worth); `None` encrypts the
+/// pair here.
 #[allow(clippy::too_many_arguments)]
 fn seal_line(
     xts: &AesXts,
-    mac: &MacKey,
+    mac: &LineMac,
     slot: &mut PageSlot,
     line: usize,
     base: u64,
     fv: FullVersion,
-    bundle: Option<[u8; 16]>,
+    pads: Option<LinePads>,
     plaintext: &Block,
 ) {
+    let pads = pads.unwrap_or_else(|| xts.line_pads(line_tweak(fv, base)));
     let mut ct = *plaintext;
-    match bundle {
-        Some(tweak0) => xts.encrypt_line_with_tweak(tweak0, &mut ct),
-        None => xts.encrypt_line(line_tweak(fv, base), &mut ct),
-    }
-    let tag = mac.mac(fv.raw(), base, &ct);
+    xts.encrypt_line_with_tweak(pads.tweak, &mut ct);
+    let tag = mac.tag(&pads.mac_pad, &ct);
     slot.set_block(line, ct);
     slot.set_tag(line, tag);
 }
 
 /// Verifies and decrypts the block at `line`; absent blocks read as zeros.
-/// `bundle` is as for [`seal_line`]. MAC verification gates decryption
-/// either way: no tweak or key touches the ciphertext until the stored
-/// tag checks out.
+/// `pads` is as for [`seal_line`]. `None` is a failed verification — the
+/// recomputed tag does not match the stored one, or a resident block has
+/// no stored tag at all — which every caller on a live engine answers with
+/// the kill switch. MAC verification gates decryption: the tweak and the
+/// pad are computed first but touch no ciphertext, and no key does until
+/// the stored tag checks out.
 fn unseal_line(
     xts: &AesXts,
-    mac: &MacKey,
+    mac: &LineMac,
     slot: &PageSlot,
     line: usize,
     base: u64,
     fv: FullVersion,
-    bundle: Option<[u8; 16]>,
-) -> std::result::Result<Block, UnsealFail> {
-    let ct = match slot.block(line) {
-        Some(c) => *c,
-        None => return Ok([0u8; CACHE_BLOCK_BYTES]),
+    pads: Option<LinePads>,
+) -> Option<Block> {
+    let Some(ct) = slot.block(line) else {
+        return Some([0u8; CACHE_BLOCK_BYTES]);
     };
-    let stored_tag = slot.tag(line).ok_or(UnsealFail::MissingTag)?;
-    let expect = mac.mac(fv.raw(), base, &ct);
-    if !expect.verify(&stored_tag) {
-        return Err(UnsealFail::BadTag);
+    let stored_tag = slot.tag(line)?;
+    let pads = pads.unwrap_or_else(|| xts.line_pads(line_tweak(fv, base)));
+    if !mac.tag(&pads.mac_pad, ct).verify(&stored_tag) {
+        return None;
     }
-    let mut pt = ct;
-    match bundle {
-        Some(tweak0) => xts.decrypt_line_with_tweak(tweak0, &mut pt),
-        None => xts.decrypt_line(line_tweak(fv, base), &mut pt),
-    }
-    Ok(pt)
+    let mut pt = *ct;
+    xts.decrypt_line_with_tweak(pads.tweak, &mut pt);
+    Some(pt)
 }
 
 /// The XTS data-unit tweak of the line at `base` under version `fv`.
@@ -1273,6 +1277,164 @@ mod tests {
                 assert!(e.is_killed(), "{attack:?} via {path:?} must kill");
             }
         }
+    }
+
+    /// A resident block whose tag the adversary deleted is tampering like
+    /// any other: `read`, a `read_batch` run and the reset walk each
+    /// report `IntegrityViolation` at the victim's address, kill at once,
+    /// and freeze every counter at the detecting access. (The walk used
+    /// to return the error with the engine alive, lines before the victim
+    /// already re-sealed under a UV the slot never received.)
+    #[test]
+    fn missing_tag_fails_closed_on_every_unseal_path() {
+        let base = 0x1000u64;
+        let victim = base + 5 * 64;
+        for path in ["read", "read_batch", "reset walk"] {
+            let mut cfg = ToleoConfig::small();
+            cfg.reset_log2 = 4;
+            let mut e = ProtectionEngine::try_new(cfg, [4u8; 48]).unwrap();
+            for l in 0..8u64 {
+                e.write(base + l * 64, &[l as u8 + 1; 64]).unwrap();
+            }
+            let id = e.dram.slot_id(layout::page_of(victim)).unwrap();
+            e.adversary()
+                .slot_mut(id)
+                .clear_tag(layout::line_of(victim));
+            let error = match path {
+                "read" => e.read(victim).unwrap_err(),
+                "read_batch" => {
+                    let addrs: Vec<u64> = (0..8u64).map(|l| base + l * 64).collect();
+                    let err = e.read_batch(&addrs).unwrap_err();
+                    assert_eq!(err.index, 5);
+                    err.error
+                }
+                _ => (0..2000)
+                    .find_map(|_| e.write(base + 9 * 64, &[0xee; 64]).err())
+                    .expect("a reset walk must reach the victim"),
+            };
+            assert!(
+                matches!(error, ToleoError::IntegrityViolation { address } if address == victim),
+                "{path}: {error:?}"
+            );
+            assert!(e.is_killed(), "{path} must kill");
+            let frozen = e.kill_snapshot().unwrap();
+            assert!(e.write(base + 9 * 64, &[1; 64]).is_err(), "{path}");
+            assert!(e.read(base).is_err(), "{path}: untampered line 0");
+            assert_eq!(e.snapshot(), frozen, "{path}: counters frozen at the kill");
+        }
+    }
+
+    /// The Carter–Wegman nonce invariant, observed rather than argued: a
+    /// seeded mixed trace through a 2-shard engine at `reset_log2 = 3` —
+    /// writes over several pages, hot lines that force reset walks, page
+    /// frees, reads, two tamper + `recover_shard` rounds — and after every
+    /// op each line that verifies under its current `(UV, stealth)` is
+    /// recorded: no `(key generation, full version, address)` is ever
+    /// seen with two different ciphertexts.
+    #[test]
+    fn no_nonce_ever_seals_two_ciphertexts() {
+        use crate::sharded::ShardedEngine;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::HashMap;
+
+        /// Every line of `e` whose stored tag verifies, as
+        /// `((full version, address), ciphertext)`.
+        fn sealed_lines(e: &mut ProtectionEngine) -> Vec<((u64, u64), Block)> {
+            let bits = e.cfg.stealth_bits;
+            let pages: Vec<(u64, SlotId)> = e.dram.pages().collect();
+            let mut out = Vec::new();
+            for (page, id) in pages {
+                for line in 0..LINES_PER_PAGE {
+                    let slot = e.dram.slot(id);
+                    let (Some(ct), Some(tag)) = (slot.block(line).copied(), slot.tag(line)) else {
+                        continue;
+                    };
+                    let uv = slot.uv();
+                    let stealth = e.channel.device_mut().read(page, line).unwrap();
+                    let fv = FullVersion::compose(uv, stealth, bits).raw();
+                    let addr = page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64;
+                    let pads = e.xts.line_pads(Tweak {
+                        version: fv,
+                        address: addr,
+                    });
+                    if e.mac.tag(&pads.mac_pad, &ct).verify(&tag) {
+                        out.push(((fv, addr), ct));
+                    }
+                }
+            }
+            out
+        }
+
+        const SHARDS: usize = 2;
+        let mut cfg = ToleoConfig::small();
+        cfg.reset_log2 = 3;
+        let mut e = ShardedEngine::new_with_robustness(
+            cfg,
+            SHARDS,
+            [0x22; 48],
+            None,
+            RetryPolicy::default(),
+        )
+        .unwrap();
+        let mut generation = [0u64; SHARDS];
+        let mut seen: HashMap<(usize, u64, u64, u64), Block> = HashMap::new();
+        let mut observe = |e: &mut ShardedEngine, generation: &[u64; SHARDS], op: usize| {
+            for (shard, &generation) in generation.iter().enumerate() {
+                for ((fv, addr), ct) in sealed_lines(e.shard_engine_mut(shard)) {
+                    let earlier = seen.insert((shard, generation, fv, addr), ct);
+                    assert!(
+                        earlier.is_none_or(|old| old == ct),
+                        "op {op}: generation {generation} sealed {addr:#x} twice under version {fv:#x}"
+                    );
+                }
+            }
+        };
+
+        let mut rng = StdRng::seed_from_u64(22);
+        let addr = |page: u64, line: u64| page * PAGE_BYTES as u64 + line * 64;
+        // Pages 0..6 take mixed traffic; 6 and 7 (one per shard) hold a
+        // single line and are the ones freed — a reset walk must never
+        // meet a freed page's stale lines (ROADMAP item 2).
+        let (mut resets, mut frees, mut recoveries) = (0, 0, 0);
+        for op in 0..3_000usize {
+            let fill = [rng.gen::<u8>(); 64];
+            match rng.gen_range(0..100) {
+                0..=49 => {
+                    let (page, line) = (rng.gen_range(0..6), rng.gen_range(0..12));
+                    e.write(addr(page, line), &fill).unwrap();
+                }
+                50..=74 => e.write(addr(rng.gen_range(0..6), 3), &fill).unwrap(),
+                75..=84 => {
+                    e.read(addr(rng.gen_range(0..6), rng.gen_range(0..12)))
+                        .unwrap();
+                }
+                85..=94 => e.write(addr(rng.gen_range(6..8), 0), &fill).unwrap(),
+                _ => {
+                    e.free_page(rng.gen_range(6..8)).unwrap();
+                    frees += 1;
+                }
+            }
+            if op == 1_000 || op == 2_000 {
+                let victim = addr((op / 1_000) as u64, 3);
+                e.write(victim, &fill).unwrap();
+                observe(&mut e, &generation, op);
+                e.with_adversary(victim, |dram| dram.corrupt_data(victim, 9, 0x10));
+                assert!(e.read(victim).is_err());
+                let shard = e.shard_of_addr(victim);
+                generation[shard] = e.recover_shard(shard).unwrap().generation;
+                recoveries += 1;
+            }
+            observe(&mut e, &generation, op);
+        }
+        for shard in 0..SHARDS {
+            resets += e.shard_engine_mut(shard).stats().pages_reencrypted;
+        }
+        assert!(!e.is_killed() && e.quarantined_shard_count() == 0);
+        assert!(
+            resets > 50 && frees > 50 && recoveries == 2,
+            "{resets} {frees}"
+        );
+        assert!(seen.len() > 3_000, "only {} nonces observed", seen.len());
     }
 
     #[test]

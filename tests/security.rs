@@ -360,3 +360,22 @@ fn freed_page_is_scrambled_without_reencryption() {
     assert!(e.read(0x3000).is_err(), "freed page must be unreadable");
     assert!(e.is_killed());
 }
+
+/// ROADMAP item 2's second live finding, asserting the *correct*
+/// behaviour: `unseal_line` answers an absent block with zeros without
+/// consulting anything trusted, so rolling a written line back to its
+/// never-written state goes undetected today.
+#[test]
+#[ignore = "ROADMAP item 2"]
+fn rollback_to_the_scrubbed_state_is_detected() {
+    let mut e = engine();
+    e.write(0x1000, &[1u8; 64]).unwrap(); // materialises the page
+    let blank = e.adversary().capture(0x1040); // a never-written line
+    e.write(0x1040, &[2u8; 64]).unwrap();
+    e.adversary().replay(&blank);
+    assert!(matches!(
+        e.read(0x1040),
+        Err(ToleoError::IntegrityViolation { address: 0x1040 })
+    ));
+    assert!(e.is_killed());
+}
