@@ -1132,6 +1132,97 @@ mod tests {
         );
     }
 
+    /// The same guard in the benchmark's `tenants` shape, the one the TLB
+    /// extension's CAM is measured on: a populated working set *inside*
+    /// its reach (128 pages per engine), uniform over every block, 70%
+    /// reads, so each probe is a hit at a random recency position —
+    /// through one engine, then through an 8-shard `ShardedEngine` over
+    /// 8 x 128 pages. `reset_log2 = 6` adds the stealth resets that
+    /// invalidate a page wherever it sits. Literals generated at the
+    /// parent of PR 23, from the recency ring.
+    #[test]
+    fn tenants_shape_counters_are_pinned() {
+        use crate::arena::Block;
+        use crate::sharded::ShardedEngine;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        fn tenants(pages: u64, seed: u64, mut op: impl FnMut(u64, Option<&Block>) -> Block) {
+            let blocks = pages * LINES_PER_PAGE as u64;
+            let mut last = vec![0u8; blocks as usize];
+            for block in 0..blocks {
+                op(block * CACHE_BLOCK_BYTES as u64, Some(&[0; 64]));
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in 0..40_000u32 {
+                let block = rng.gen_range(0..blocks);
+                let addr = block * CACHE_BLOCK_BYTES as u64;
+                if rng.gen_range(0..100u32) < 70 {
+                    assert_eq!(op(addr, None), [last[block as usize]; 64]);
+                } else {
+                    last[block as usize] = i as u8;
+                    op(addr, Some(&[i as u8; 64]));
+                }
+            }
+        }
+        fn pinned(
+            [writes, reads, device_reads, mac_fetches, stealth_resets, upgrades]: [u64; 6],
+            (hits, misses): (u64, u64),
+        ) -> KillSnapshot {
+            let stealth_cache = CacheStats { hits, misses };
+            let mac_cache = CacheStats {
+                hits: writes + reads - mac_fetches,
+                misses: mac_fetches,
+            };
+            KillSnapshot {
+                stats: EngineStats {
+                    writes,
+                    reads,
+                    device_updates: writes,
+                    device_reads,
+                    mac_fetches,
+                    pages_reencrypted: stealth_resets,
+                    pages_freed: 0,
+                },
+                stealth_cache,
+                mac_cache,
+                device: DeviceStats {
+                    reads,
+                    updates: writes,
+                    stealth_resets,
+                    upgrades_to_uneven: upgrades,
+                    ..DeviceStats::default()
+                },
+                channel: ChannelStats::default(),
+            }
+        }
+        let mut cfg = ToleoConfig::small();
+        cfg.reset_log2 = 6;
+        let policy = RetryPolicy::default();
+
+        let mut e =
+            ProtectionEngine::try_new_with_robustness(cfg.clone(), [0x23; 48], None, policy)
+                .unwrap();
+        tenants(128, 23, |addr, data| match data {
+            Some(data) => e.write(addr, data).map(|()| *data).unwrap(),
+            None => e.read(addr).unwrap(),
+        });
+        assert!(!e.is_killed());
+        assert_eq!(
+            e.snapshot(),
+            pinned([20_171, 28_021, 89, 20_949, 7, 132], (47_927, 265))
+        );
+
+        let e = ShardedEngine::new_with_robustness(cfg, 8, [0x23; 48], None, policy).unwrap();
+        tenants(8 * 128, 2023, |addr, data| match data {
+            Some(data) => e.write(addr, data).map(|()| *data).unwrap(),
+            None => e.read(addr).unwrap(),
+        });
+        assert!(!e.is_killed());
+        assert_eq!(
+            e.snapshot(),
+            pinned([77_519, 28_017, 448, 28_214, 54, 641], (103_840, 1_696))
+        );
+    }
+
     #[test]
     fn force_kill_is_sticky_and_freezes_stats() {
         let mut e = engine();
