@@ -145,8 +145,7 @@ impl Baseline {
                     .unwrap_or_default();
                 let role = Role::parse(role_name).ok_or_else(|| {
                     format!(
-                        "atomic `{atomic}` has unknown role `{role_name}` (expected \
-                         flag/counter/cache)"
+                        "atomic `{atomic}` has unknown role `{role_name}` (expected flag/counter)"
                     )
                 })?;
                 let row = AtomicPolicy {
@@ -366,9 +365,9 @@ mod tests {
 
     #[test]
     fn rejects_unknown_role_and_schema() {
-        // The retired `epoch` and `guard` roles included: no row uses
-        // them, so nothing parses them.
-        for role in ["mystery", "epoch", "guard"] {
+        // The retired `epoch`, `guard` and `cache` roles included: no
+        // row uses them, so nothing parses them.
+        for role in ["mystery", "epoch", "guard", "cache"] {
             let path = temp(
                 "badrole",
                 &format!(

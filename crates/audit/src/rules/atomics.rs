@@ -1,16 +1,15 @@
 //! Rule 3 — **atomic-protocol policy**.
 //!
 //! What the sharded engine shares outside its per-shard mutexes is
-//! lock-free state — the world-kill flag, a telemetry counter, the
-//! detected-backend cache — whose memory orderings are load-bearing: a
-//! `Relaxed` store on the kill flag would pass every test on x86 and
-//! silently break the kill-poll bound on ARM. `AUDIT.json`
-//! therefore declares a *protocol table*: every atomic names its role
-//! (`flag` / `counter` / `cache`) and the orderings
-//! it permits per operation kind (load / store / rmw). This rule checks
-//! every `Ordering::X` call site against the declared row, flags
-//! undeclared atomics, and validates the table itself against each
-//! role's legality rules (Release-store ↔ Acquire-load pairing; no
+//! lock-free state — the world-kill flag and a telemetry counter —
+//! whose memory orderings are load-bearing: a `Relaxed` store on the
+//! kill flag would pass every test on x86 and silently break the
+//! kill-poll bound on ARM. `AUDIT.json` therefore declares a *protocol
+//! table*: every atomic names its role (`flag` / `counter`) and the
+//! orderings it permits per operation kind (load / store / rmw). This
+//! rule checks every `Ordering::X` call site against the declared row,
+//! flags undeclared atomics, and validates the table itself against
+//! each role's legality rules (Release-store ↔ Acquire-load pairing; no
 //! `Relaxed` on synchronizing roles).
 
 use crate::lexer::TokenKind;
@@ -67,16 +66,13 @@ impl OpKind {
 /// The declared role of an atomic in the concurrency protocol. Roles
 /// bound which orderings a row may even declare: the synchronizing
 /// role (`flag`) publishes or observes other state and may never be
-/// `Relaxed`; `counter` and `cache` carry no happens-before
-/// obligations.
+/// `Relaxed`; a `counter` carries no happens-before obligations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// A latching decision bit other threads act on (world-kill flag).
     Flag,
     /// Pure telemetry; no decision hangs on its ordering.
     Counter,
-    /// A write-once idempotent cache (detected crypto backend).
-    Cache,
 }
 
 impl Role {
@@ -84,7 +80,6 @@ impl Role {
         match s {
             "flag" => Some(Role::Flag),
             "counter" => Some(Role::Counter),
-            "cache" => Some(Role::Cache),
             _ => None,
         }
     }
@@ -93,15 +88,14 @@ impl Role {
         match self {
             Role::Flag => "flag",
             Role::Counter => "counter",
-            Role::Cache => "cache",
         }
     }
 
     /// Orderings this role may declare for `kind`; `None` means the
-    /// role is unconstrained (counters and caches).
+    /// role is unconstrained (counters).
     fn legal(self, kind: OpKind) -> Option<&'static [&'static str]> {
         match self {
-            Role::Counter | Role::Cache => None,
+            Role::Counter => None,
             Role::Flag => Some(match kind {
                 OpKind::Load => &["Acquire", "SeqCst"],
                 OpKind::Store => &["Release", "SeqCst"],
@@ -508,25 +502,6 @@ mod tests {
             &pol,
         );
         assert!(findings.is_empty());
-    }
-
-    #[test]
-    fn cache_role_may_declare_relaxed_loads_and_stores() {
-        let pol = policy(&[(
-            "DEFAULT_BACKEND",
-            Role::Cache,
-            &["Relaxed"],
-            &["Relaxed"],
-            &[],
-        )]);
-        assert!(validate_policy(&pol).is_empty());
-        let (findings, used) = scan_src(
-            "fn f() -> u8 { DEFAULT_BACKEND.store(1, Ordering::Relaxed); \
-             DEFAULT_BACKEND.load(Ordering::Relaxed) }",
-            &pol,
-        );
-        assert!(findings.is_empty(), "{findings:?}");
-        assert!(used.contains("DEFAULT_BACKEND"));
     }
 
     #[test]

@@ -37,12 +37,13 @@ fn audit_json_reserialises_byte_identically() {
     assert_eq!(toleo_json::pretty(&doc, &[]), text);
 }
 
-/// The workspace's whole lock-free surface, pinned: the AES backend
-/// cache, the world-kill flag and the served-op counter. A fourth row
-/// is a second publication channel beside the shard mutex — it needs a
-/// reader that decides on it, and a model that covers it, first.
+/// The workspace's whole lock-free surface, pinned: the world-kill flag
+/// and the served-op counter (a write-once cell is `std`'s `OnceLock`,
+/// not a row). A third row is a second publication channel beside the
+/// shard mutex — it needs a reader that decides on it, and a model that
+/// covers it, first.
 #[test]
-fn atomic_protocol_table_is_exactly_three_rows() {
+fn atomic_protocol_table_is_exactly_two_rows() {
     let text = std::fs::read_to_string(repo_root().join("AUDIT.json")).expect("AUDIT.json");
     let doc = toleo_json::parse(&text).expect("AUDIT.json parses");
     let rows = doc
@@ -50,5 +51,5 @@ fn atomic_protocol_table_is_exactly_three_rows() {
         .and_then(toleo_json::Value::as_object)
         .expect("atomics table");
     let names: Vec<&str> = rows.iter().map(|(name, _)| name.as_str()).collect();
-    assert_eq!(names, ["DEFAULT_BACKEND", "killed", "ops_served"]);
+    assert_eq!(names, ["killed", "ops_served"]);
 }

@@ -41,7 +41,7 @@
 
 // audit: allow-file(indexing, round-key and lane indices are bounded by the AES-128 schedule: 11 round keys, 8 lanes)
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 /// Contract every AES-128 backend fulfills. All methods compute plain
 /// FIPS-197 AES-128, so backends are interchangeable bit-for-bit; they
@@ -214,26 +214,6 @@ pub fn available_backends() -> Vec<BackendKind> {
     .collect()
 }
 
-/// Cached process-default backend: 0 = unresolved, else `kind_to_tag`.
-static DEFAULT_BACKEND: AtomicU8 = AtomicU8::new(0);
-
-fn kind_to_tag(kind: BackendKind) -> u8 {
-    match kind {
-        BackendKind::Software => 1,
-        BackendKind::AesNi => 2,
-        BackendKind::ArmCe => 3,
-    }
-}
-
-fn tag_to_kind(tag: u8) -> Option<BackendKind> {
-    match tag {
-        1 => Some(BackendKind::Software),
-        2 => Some(BackendKind::AesNi),
-        3 => Some(BackendKind::ArmCe),
-        _ => None,
-    }
-}
-
 /// Resolves the `TOLEO_AES_BACKEND` override. Unknown values and `auto`
 /// fall through to detection; a hardware backend requested on a host that
 /// lacks it degrades to the software fallback (deterministic, and the
@@ -259,12 +239,8 @@ fn resolve_default() -> BackendKind {
 /// Resolved once per process (environment override, then hardware
 /// detection) and cached.
 pub fn default_backend() -> BackendKind {
-    if let Some(kind) = tag_to_kind(DEFAULT_BACKEND.load(Ordering::Relaxed)) {
-        return kind;
-    }
-    let kind = resolve_default();
-    DEFAULT_BACKEND.store(kind_to_tag(kind), Ordering::Relaxed);
-    kind
+    static DEFAULT_BACKEND: OnceLock<BackendKind> = OnceLock::new();
+    *DEFAULT_BACKEND.get_or_init(resolve_default)
 }
 
 /// x86_64 AES-NI backend.
@@ -819,6 +795,19 @@ mod tests {
         assert!(detected.is_available());
         if BackendKind::AesNi.is_available() || BackendKind::ArmCe.is_available() {
             assert_ne!(detected, BackendKind::Software);
+        }
+    }
+
+    /// Whatever this process was started with — CI's software-backend
+    /// job sets `TOLEO_AES_BACKEND=software` — is what every cipher in it
+    /// gets, on the first call and on every later one.
+    #[test]
+    fn default_backend_is_the_environment_override_or_the_detected_one() {
+        let resolved = resolve_default();
+        assert_eq!(default_backend(), resolved);
+        assert_eq!(default_backend(), resolved);
+        if std::env::var("TOLEO_AES_BACKEND").as_deref() == Ok("software") {
+            assert_eq!(resolved, BackendKind::Software);
         }
     }
 

@@ -3,11 +3,11 @@
 //! The static side of the concurrency-correctness plane (`toleo-audit`)
 //! proves that every atomic call site uses the ordering its protocol row
 //! in `AUDIT.json` declares. This crate is the dynamic side: it proves
-//! the *protocol itself* is sound by exhaustively (at small bounds) and
-//! randomly (seeded, at larger bounds) exploring thread interleavings of
-//! a state-machine model of the sharded engine's quarantine / recovery /
-//! world-kill protocol, and asserting its invariants on every explored
-//! schedule:
+//! the *protocol itself* is sound by visiting every state a
+//! state-machine model of the sharded engine's quarantine / recovery /
+//! world-kill protocol can reach under any thread interleaving — a few
+//! thousand states behind far too many schedules to enumerate — and
+//! asserting its invariants in each one:
 //!
 //! - no op reaches the engine of a quarantined shard — a caller routed
 //!   there is refused under the shard lock, never served and never left
@@ -21,17 +21,18 @@
 //!
 //! Design rules, in the spirit of loom but dependency-free:
 //!
-//! - A [`Program`] is a cloneable value; one shared
-//!   atomic action per [`Program::step`]. The explorer owns
-//!   scheduling: exhaustive DFS clones the state at every branch point,
-//!   the random explorer walks fresh copies under a splitmix64 stream.
+//! - A [`Program`] is a cloneable, hashable value; one shared atomic
+//!   action per [`Program::step`]. The explorer ([`explore`]) owns
+//!   scheduling: a depth-first search that clones the state at every
+//!   branch point and expands each distinct state once, so it ends when
+//!   the space does — there is no schedule cap, step cap or sampling.
 //! - A step that returns [`Step::Blocked`] (a lock someone else holds)
-//!   must not mutate state; the explorer re-tries it after other threads
-//!   run. When every unfinished thread is blocked the explorer reports a
-//!   deadlock — which is how a self-deadlock (`trip_kill` called under a
-//!   shard lock) is detected.
-//! - Everything is deterministic: no clocks, no OS randomness. A seed
-//!   reproduces a failing schedule bit-for-bit.
+//!   must not mutate state. A state every unfinished thread is blocked
+//!   in is a deadlock — which is how a self-deadlock (`trip_kill` called
+//!   under a shard lock) is detected; a step back into a state on the
+//!   current path is a livelock.
+//! - Everything is deterministic: no clocks, no randomness, nothing to
+//!   seed. The sizes of the two clean state spaces are pinned by tests.
 //!
 //! The model lives in [`handshake`]: one mutex per shard guarding the
 //! engine, `quarantined`, its stamp and the key generation, plus the
@@ -46,4 +47,4 @@ pub mod handshake;
 pub mod sched;
 
 pub use handshake::{Bug, FinalState, Handshake, Outcome};
-pub use sched::{explore_exhaustive, explore_random, Explored, Program, SplitMix64, Step};
+pub use sched::{explore, Explored, Program, Step};

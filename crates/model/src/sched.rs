@@ -1,7 +1,8 @@
-//! The explorer: exhaustive DFS and seeded-random schedule exploration
-//! over cloneable [`Program`] state machines.
+//! The explorer: one depth-first search over the **states** of a
+//! cloneable [`Program`], each visited exactly once.
 
-// audit: allow-file(secret, explorer seeds are schedule-reproduction inputs that MUST be reported on failure, not key material)
+use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Outcome of offering one scheduling slot to a thread.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -9,11 +10,9 @@ pub enum Step {
     /// The thread performed one shared atomic action and advanced.
     Ran,
     /// The thread cannot make progress until another thread acts (it
-    /// wants a lock someone holds). A
-    /// blocked step MUST NOT have mutated the program state: the
-    /// explorer treats the state as unchanged and re-offers the slot
-    /// later. If every unfinished thread reports `Blocked` the explorer
-    /// reports a deadlock.
+    /// wants a lock someone holds). A blocked step MUST NOT have mutated
+    /// the program state. A state in which every unfinished thread
+    /// reports `Blocked` is a deadlock.
     Blocked,
     /// The thread has finished. Further offers must keep returning
     /// `Done` without mutating state.
@@ -25,56 +24,60 @@ pub enum Step {
 /// All shared and per-thread state lives in `self`; `step(tid)` performs
 /// at most one shared atomic action on behalf of thread `tid`. The
 /// explorer decides who runs next, so every interleaving of the real
-/// protocol at the model's granularity is reachable.
-pub trait Program: Clone {
+/// protocol at the model's granularity is a path through the states it
+/// visits. `Eq + Hash` is what lets it recognise a state it has already
+/// expanded: two schedules that meet in one state share everything after.
+pub trait Program: Clone + Eq + Hash {
     /// Number of threads; `step` accepts `0..thread_count()`.
     fn thread_count(&self) -> usize;
 
     /// Offer one scheduling slot to thread `tid`.
     fn step(&mut self, tid: usize) -> Step;
 
-    /// Safety invariants, checked after every `Ran` step.
+    /// Safety invariants, checked on every state when it is first reached.
     fn check(&self) -> Result<(), String>;
 
-    /// Liveness/terminal invariants, checked once all threads are done.
+    /// Liveness/terminal invariants, checked on every state in which all
+    /// threads are done.
     fn check_final(&self) -> Result<(), String>;
 }
 
-/// Exploration statistics. `schedules` counts complete interleavings
-/// (every thread reached `Done`); `steps` counts explored transitions.
-#[derive(Clone, Copy, Debug, Default)]
+/// The size of a fully explored state space: distinct `states` (the
+/// initial one included), `Ran` `transitions` out of them, and
+/// `terminals`, the states in which every thread is done.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Explored {
-    pub schedules: u64,
-    pub steps: u64,
-    /// True when exhaustive exploration stopped at its schedule cap
-    /// rather than exhausting the state space.
-    pub capped: bool,
+    pub states: u64,
+    pub transitions: u64,
+    pub terminals: u64,
 }
 
-/// Any single schedule longer than this is reported as a livelock.
-const MAX_STEPS_PER_SCHEDULE: u64 = 4_096;
-
-/// Explore every interleaving by depth-first search, cloning the state
-/// at each branch point, up to `max_schedules` complete schedules.
+/// Visit every state reachable from `program` under any scheduling.
 ///
-/// Returns the first invariant violation, deadlock, or livelock as
-/// `Err`; the message names the failure so tests can pin it.
-pub fn explore_exhaustive<P: Program>(program: &P, max_schedules: u64) -> Result<Explored, String> {
+/// Returns the first invariant violation, deadlock (a non-terminal state
+/// nobody can leave) or livelock (a transition back into a state on the
+/// current path, i.e. a schedule that never ends) as `Err`; the message
+/// names the failure so tests can pin it. `Ok` means the search ran out
+/// of states, not out of budget: there is no cap.
+pub fn explore<P: Program>(program: &P) -> Result<Explored, String> {
+    program
+        .check()
+        .map_err(|e| format!("invariant violated in the initial state: {e}"))?;
     let mut explored = Explored::default();
-    dfs(program, &mut explored, max_schedules, 0)?;
+    // state -> "is on the current DFS path".
+    let mut seen = HashMap::new();
+    visit(program, &mut seen, &mut explored)?;
+    explored.states = seen.len() as u64;
     Ok(explored)
 }
 
-fn dfs<P: Program>(state: &P, ex: &mut Explored, cap: u64, depth: u64) -> Result<(), String> {
-    if ex.schedules >= cap {
-        ex.capped = true;
-        return Ok(());
-    }
-    if depth > MAX_STEPS_PER_SCHEDULE {
-        return Err(format!(
-            "livelock: schedule exceeded {MAX_STEPS_PER_SCHEDULE} steps"
-        ));
-    }
+/// Expands `state`, which has passed `check()` and is not yet in `seen`.
+fn visit<P: Program>(
+    state: &P,
+    seen: &mut HashMap<P, bool>,
+    ex: &mut Explored,
+) -> Result<(), String> {
+    seen.insert(state.clone(), true);
     let threads = state.thread_count();
     let mut progressed = false;
     let mut done = 0usize;
@@ -85,12 +88,21 @@ fn dfs<P: Program>(state: &P, ex: &mut Explored, cap: u64, depth: u64) -> Result
             Step::Blocked => {}
             Step::Ran => {
                 progressed = true;
-                ex.steps += 1;
-                next.check()
-                    .map_err(|e| format!("invariant violated after thread {tid} step: {e}"))?;
-                dfs(&next, ex, cap, depth + 1)?;
-                if ex.capped {
-                    return Ok(());
+                ex.transitions += 1;
+                match seen.get(&next) {
+                    Some(true) => {
+                        return Err(format!(
+                            "livelock: thread {tid}'s step re-enters a state on the current \
+                             schedule, which can therefore run forever"
+                        ));
+                    }
+                    Some(false) => {}
+                    None => {
+                        next.check().map_err(|e| {
+                            format!("invariant violated after thread {tid} step: {e}")
+                        })?;
+                        visit(&next, seen, ex)?;
+                    }
                 }
             }
         }
@@ -99,7 +111,7 @@ fn dfs<P: Program>(state: &P, ex: &mut Explored, cap: u64, depth: u64) -> Result
         state
             .check_final()
             .map_err(|e| format!("final invariant violated: {e}"))?;
-        ex.schedules += 1;
+        ex.terminals += 1;
     } else if !progressed {
         return Err(format!(
             "deadlock: {} of {threads} threads blocked, {done} done — every unfinished \
@@ -107,94 +119,10 @@ fn dfs<P: Program>(state: &P, ex: &mut Explored, cap: u64, depth: u64) -> Result
             threads - done
         ));
     }
+    if let Some(on_path) = seen.get_mut(state) {
+        *on_path = false;
+    }
     Ok(())
-}
-
-/// splitmix64: tiny, high-quality, dependency-free PRNG. The same seed
-/// always reproduces the same schedule sequence.
-#[derive(Clone, Debug)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
-/// Run `schedules` fresh copies of the program to completion, picking a
-/// uniformly random runnable thread at every scheduling point.
-///
-/// Random exploration reaches deep interleavings that a capped DFS
-/// prefix never visits; with a fixed seed it is just as reproducible.
-pub fn explore_random<P: Program>(
-    program: &P,
-    seed: u64,
-    schedules: u64,
-) -> Result<Explored, String> {
-    let mut rng = SplitMix64::new(seed);
-    let mut ex = Explored::default();
-    for run in 0..schedules {
-        let mut state = program.clone();
-        let threads = state.thread_count();
-        let mut steps_in_run = 0u64;
-        loop {
-            // Rotate from a random start so every runnable thread has a
-            // chance at every slot; Blocked/Done probes do not mutate.
-            let start = (rng.next_u64() % threads as u64) as usize;
-            let mut acted = false;
-            let mut done = 0usize;
-            for offset in 0..threads {
-                let tid = (start + offset) % threads;
-                match state.step(tid) {
-                    Step::Ran => {
-                        ex.steps += 1;
-                        state.check().map_err(|e| {
-                            format!(
-                                "invariant violated after thread {tid} step \
-                                 (seed {seed}, run {run}): {e}"
-                            )
-                        })?;
-                        acted = true;
-                        break;
-                    }
-                    Step::Done => done += 1,
-                    Step::Blocked => {}
-                }
-            }
-            if !acted {
-                if done == threads {
-                    state.check_final().map_err(|e| {
-                        format!("final invariant violated (seed {seed}, run {run}): {e}")
-                    })?;
-                    ex.schedules += 1;
-                    break;
-                }
-                return Err(format!(
-                    "deadlock (seed {seed}, run {run}): {} of {threads} threads blocked, \
-                     {done} done — every unfinished thread wants a lock that is never released",
-                    threads - done
-                ));
-            }
-            steps_in_run += 1;
-            if steps_in_run > MAX_STEPS_PER_SCHEDULE {
-                return Err(format!(
-                    "livelock (seed {seed}, run {run}): schedule exceeded \
-                     {MAX_STEPS_PER_SCHEDULE} steps"
-                ));
-            }
-        }
-    }
-    Ok(ex)
 }
 
 #[cfg(test)]
@@ -204,7 +132,7 @@ mod tests {
     /// Two threads each increment a shared counter twice; a third
     /// "checker" thread waits for the total. Exercises Ran/Blocked/Done
     /// bookkeeping without any protocol content.
-    #[derive(Clone)]
+    #[derive(Clone, PartialEq, Eq, Hash)]
     struct Counter {
         total: u8,
         pcs: [u8; 3],
@@ -248,42 +176,34 @@ mod tests {
         }
     }
 
-    fn counter() -> Counter {
-        Counter {
+    #[test]
+    fn explore_visits_every_state_once() {
+        let counter = Counter {
             total: 0,
             pcs: [0; 3],
-        }
+        };
+        let ex = explore(&counter).expect("counter model is sound");
+        // The two incrementing threads span a 3 x 3 grid of program
+        // counters (12 edges, walked by C(4,2) = 6 interleavings that
+        // all meet in its far corner); the checker's single step adds
+        // one state and one edge.
+        assert_eq!(
+            ex,
+            Explored {
+                states: 10,
+                transitions: 13,
+                terminals: 1
+            }
+        );
     }
 
-    #[test]
-    fn exhaustive_counts_every_interleaving() {
-        let ex = explore_exhaustive(&counter(), u64::MAX).expect("counter model is sound");
-        // Four increment steps from two 2-step threads: C(4,2) = 6
-        // orderings, each followed by the checker's single step.
-        assert_eq!(ex.schedules, 6);
-        assert!(!ex.capped);
-    }
-
-    #[test]
-    fn exhaustive_honours_the_schedule_cap() {
-        let ex = explore_exhaustive(&counter(), 2).expect("counter model is sound");
-        assert_eq!(ex.schedules, 2);
-        assert!(ex.capped);
-    }
-
-    #[test]
-    fn random_is_deterministic_per_seed() {
-        let a = explore_random(&counter(), 42, 50).expect("counter model is sound");
-        let b = explore_random(&counter(), 42, 50).expect("counter model is sound");
-        assert_eq!(a.schedules, 50);
-        assert_eq!((a.steps, a.schedules), (b.steps, b.schedules));
-    }
-
-    /// A thread that stays blocked once everyone else is done is
-    /// reported as a deadlock, not silently skipped.
-    #[derive(Clone)]
+    /// Thread 0 takes one step and finishes; thread 1 is `Blocked`
+    /// forever, or — `spins` — flips a bit forever.
+    #[derive(Clone, PartialEq, Eq, Hash)]
     struct Stuck {
         pc: u8,
+        spins: bool,
+        bit: bool,
     }
 
     impl Program for Stuck {
@@ -299,6 +219,9 @@ mod tests {
                 } else {
                     Step::Done
                 }
+            } else if self.spins {
+                self.bit = !self.bit;
+                Step::Ran
             } else {
                 Step::Blocked
             }
@@ -313,19 +236,30 @@ mod tests {
         }
     }
 
+    /// A thread that stays blocked once everyone else is done is
+    /// reported as a deadlock, not silently skipped.
     #[test]
     fn permanently_blocked_thread_is_a_deadlock() {
-        let err = explore_exhaustive(&Stuck { pc: 0 }, u64::MAX).expect_err("must deadlock");
+        let stuck = Stuck {
+            pc: 0,
+            spins: false,
+            bit: false,
+        };
+        let err = explore(&stuck).expect_err("must deadlock");
         assert!(err.contains("deadlock"), "{err}");
         assert!(err.contains("never released"), "{err}");
-        let err = explore_random(&Stuck { pc: 0 }, 7, 1).expect_err("must deadlock");
-        assert!(err.contains("deadlock"), "{err}");
     }
 
+    /// With no step cap, a schedule that never ends must be recognised
+    /// by the state it comes back to.
     #[test]
-    fn splitmix_is_stable() {
-        let mut rng = SplitMix64::new(0);
-        // First output of splitmix64(0), a published reference value.
-        assert_eq!(rng.next_u64(), 0xe220_a839_7b1d_cdaf);
+    fn a_cycle_of_states_is_a_livelock() {
+        let spinner = Stuck {
+            pc: 0,
+            spins: true,
+            bit: false,
+        };
+        let err = explore(&spinner).expect_err("must livelock");
+        assert!(err.contains("livelock"), "{err}");
     }
 }

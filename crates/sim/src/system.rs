@@ -25,6 +25,7 @@ use toleo_core::cache::{MacCache, StealthCache};
 use toleo_core::config::ToleoConfig;
 use toleo_core::device::{DeviceUsage, ToleoDevice};
 use toleo_core::layout;
+use toleo_core::trip::TripFormat;
 use toleo_workloads::trace::{Op, Trace};
 
 /// Effective bus-occupancy multiplier for InvisiMem: reads and writes use
@@ -36,6 +37,21 @@ const INVISIMEM_BUS_PRESSURE: f64 = 8.0;
 /// Fixed per-access packetization + secure-channel processing latency for
 /// InvisiMem (packet assembly, header crypto at both endpoints).
 const INVISIMEM_PACKET_NS: f64 = 25.0;
+
+/// Where the MAC block covering `addr` lives: a region no data address
+/// reaches, on the same memory node as the data.
+fn mac_block_addr(addr: u64) -> u64 {
+    0x4000_0000_0000 | (layout::mac_block_index(addr) * 64)
+}
+
+/// Bytes of one Trip entry on the Toleo link: a 12 B flat entry padded to
+/// a 16 B flit, or a 56 B dynamic block.
+fn stealth_entry_bytes(fmt: TripFormat) -> u64 {
+    match fmt {
+        TripFormat::Flat => 16,
+        _ => 56,
+    }
+}
 
 /// Per-run results: everything the figures need.
 #[derive(Debug, Clone, Default)]
@@ -312,8 +328,7 @@ impl Node {
                     now
                 } else {
                     self.stats.bytes_mac += 64;
-                    let mac_addr = 0x4000_0000_0000 | (layout::mac_block_index(addr) * 64);
-                    self.memory_access_meta(shared, now, mac_addr)
+                    self.memory_access_meta(shared, now, mac_block_addr(addr))
                 };
                 let with_mac = data_ready.max(mac_ready) + aes_ns;
                 bd.aes = aes_ns;
@@ -322,16 +337,11 @@ impl Node {
                 if self.cfg.protection == Protection::Toleo {
                     let page = layout::page_of(addr);
                     let dev = shared.device.as_mut().expect("toleo device");
-                    let fmt = dev
-                        .page_format(page)
-                        .unwrap_or(toleo_core::trip::TripFormat::Flat);
+                    let fmt = dev.page_format(page).unwrap_or(TripFormat::Flat);
                     let fresh_ready = if self.stealth_cache.access(page, fmt) {
                         now
                     } else {
-                        let resp: u64 = match fmt {
-                            toleo_core::trip::TripFormat::Flat => 16,
-                            _ => 56,
-                        };
+                        let resp = stealth_entry_bytes(fmt);
                         self.stats.bytes_stealth += resp + 16;
                         let req_arrive = self.toleo_link.transfer(now, 16);
                         let served = req_arrive + self.cfg.toleo_dram_ns;
@@ -373,16 +383,13 @@ impl Node {
             Protection::Ci | Protection::Toleo => {
                 if !self.mac_cache.access(addr) {
                     self.stats.bytes_mac += 64;
-                    let mac_addr = 0x4000_0000_0000 | (layout::mac_block_index(addr) * 64);
-                    let _ = self.memory_access_meta(shared, now, mac_addr);
+                    let _ = self.memory_access_meta(shared, now, mac_block_addr(addr));
                 }
                 if self.cfg.protection == Protection::Toleo {
                     let page = layout::page_of(addr);
                     let line = layout::line_of(addr);
                     let dev = shared.device.as_mut().expect("toleo device");
-                    let fmt = dev
-                        .page_format(page)
-                        .unwrap_or(toleo_core::trip::TripFormat::Flat);
+                    let fmt = dev.page_format(page).unwrap_or(TripFormat::Flat);
                     // The stealth caches are inclusive *writeback* caches:
                     // on a hit the cached Trip entry is updated in place and
                     // no link traffic occurs; a miss fetches the entry (and
@@ -390,10 +397,7 @@ impl Node {
                     // lets one 12 B flat entry amortize 64 block writes and
                     // keeps the x2 IDE link almost idle (Fig. 8).
                     if !self.stealth_cache.access(page, fmt) {
-                        let entry: u64 = match fmt {
-                            toleo_core::trip::TripFormat::Flat => 16,
-                            _ => 56,
-                        };
+                        let entry = stealth_entry_bytes(fmt);
                         // Fetch + dirty-victim writeback.
                         self.stats.bytes_stealth += 16 + entry + entry;
                         let arrive = self.toleo_link.transfer(now, 16);
@@ -422,7 +426,7 @@ impl Node {
         }
     }
 
-    /// Executes one trace operation. Returns false when the trace is done.
+    /// Executes one trace operation.
     fn exec_op(&mut self, shared: &mut SharedMemory, op: &Op) {
         match op {
             Op::Compute(n) => {
@@ -537,8 +541,9 @@ impl System {
         }
     }
 
-    /// Sets the MLP overlap factor (defaults to the trace's hint in
-    /// [`run`](Self::run)).
+    /// Runs `trace` to completion, with the trace's MLP hint as the
+    /// overlap factor on read stalls, and flushes the dirty lines it
+    /// leaves behind.
     pub fn run(&mut self, trace: &Trace) -> RunStats {
         self.node.mlp = trace.mlp.max(1.0);
         for op in &trace.ops {
@@ -581,9 +586,6 @@ impl Rack {
         let mut cursors = vec![0usize; self.nodes.len()];
         for (node, trace) in self.nodes.iter_mut().zip(traces) {
             node.mlp = trace.mlp.max(1.0);
-            // Offset address spaces per node so they don't alias in the
-            // shared pool and device.
-            let _ = trace;
         }
         loop {
             // Pick the unfinished node with the smallest clock.
@@ -612,9 +614,10 @@ impl Rack {
     }
 }
 
-/// Shifts a node's addresses into a private 1 TiB window.
+/// Shifts a node's addresses into a private 8 GiB window, so the nodes'
+/// address spaces don't alias in the shared pool and device.
 fn offset_op(op: &Op, node: u64) -> Op {
-    let off = node << 33; // 8 GiB apart
+    let off = node << 33;
     match op {
         Op::Compute(n) => Op::Compute(*n),
         Op::Read(a) => Op::Read(a + off),

@@ -22,25 +22,24 @@ pub const FULL_ENTRY_BYTES: usize = 216;
 pub const DYNAMIC_BLOCK_BYTES: usize = 56;
 /// Dynamic blocks consumed by one full entry.
 pub const FULL_ENTRY_BLOCKS: usize = 4;
+/// Largest offset an uneven entry's 7-bit field holds; one more upgrades
+/// the page to full (paper: strides up to 128).
+pub const MAX_UNEVEN_OFFSET: u32 = 127;
 
 /// Configuration of the Toleo freshness system.
 ///
-/// Defaults are the paper's design point: 27-bit stealth versions, 37-bit
-/// upper versions, probabilistic reset with p = 2^-20, 4 KB pages of 64-byte
-/// cache blocks, and a 168 GB device.
+/// Defaults are the paper's design point: 27-bit stealth versions (the
+/// upper version is the rest of the 64-bit full version, 37 bits),
+/// probabilistic reset with p = 2^-20, 4 KB pages of 64-byte cache
+/// blocks, and a 168 GB device.
 // audit: allow(secret, rng_seed is a simulation reproducibility knob serialized with bench configs, not key material)
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ToleoConfig {
     /// Width of the stealth (lower) version in bits. Paper: 27.
     pub stealth_bits: u32,
-    /// Width of the upper version (UV) in bits. Paper: 37.
-    pub uv_bits: u32,
     /// Reset probability exponent: on each leading-version increment the
     /// stealth version resets with probability `2^-reset_log2`. Paper: 20.
     pub reset_log2: u32,
-    /// Maximum uneven-entry offset before upgrade to full. With 7-bit
-    /// offsets this is 127 (paper: strides up to 128).
-    pub max_uneven_offset: u32,
     /// Total Toleo device capacity in bytes (version storage). Paper:
     /// 168 GB shared across the rack.
     pub device_capacity_bytes: u64,
@@ -55,9 +54,7 @@ impl Default for ToleoConfig {
     fn default() -> Self {
         ToleoConfig {
             stealth_bits: 27,
-            uv_bits: 37,
             reset_log2: 20,
-            max_uneven_offset: 127,
             device_capacity_bytes: 168 * (1u64 << 30),
             protected_bytes: 24_800 * (1u64 << 30), // 24.8 TB
             rng_seed: 0xF01E0,
@@ -116,23 +113,11 @@ impl ToleoConfig {
                 self.stealth_bits
             ));
         }
-        if self.stealth_bits + self.uv_bits > 64 {
-            return Err(format!(
-                "stealth_bits + uv_bits = {} exceeds 64",
-                self.stealth_bits + self.uv_bits
-            ));
-        }
         if self.reset_log2 >= self.stealth_bits + 8 {
             return Err(format!(
                 "reset_log2 {} too large relative to stealth space (resets would be \
                  rarer than wraparound)",
                 self.reset_log2
-            ));
-        }
-        if self.max_uneven_offset == 0 || self.max_uneven_offset > 127 {
-            return Err(format!(
-                "max_uneven_offset {} must fit a 7-bit field",
-                self.max_uneven_offset
             ));
         }
         if self.device_capacity_bytes < self.flat_array_bytes() {
@@ -155,7 +140,6 @@ mod tests {
         let cfg = ToleoConfig::default();
         cfg.validate().unwrap();
         assert_eq!(cfg.stealth_bits, 27);
-        assert_eq!(cfg.uv_bits, 37);
         assert_eq!(cfg.reset_log2, 20);
         // 24.8 TB protected -> ~74.6 GB of flat entries (paper §4.4; the
         // paper's GB arithmetic is approximate, so allow a few GB of slack:
@@ -195,10 +179,6 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = ToleoConfig::small();
         cfg.stealth_bits = 40;
-        cfg.uv_bits = 37;
-        assert!(cfg.validate().is_err());
-        let mut cfg = ToleoConfig::small();
-        cfg.max_uneven_offset = 500;
         assert!(cfg.validate().is_err());
     }
 

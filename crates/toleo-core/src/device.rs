@@ -321,7 +321,7 @@ impl ToleoDevice {
         // Check allocation headroom against the predicted structural effect
         // before mutating anything (flat->uneven needs 1 block,
         // uneven->full needs +3 net).
-        let effect = entry.predict_effect(line, cfg);
+        let effect = entry.predict_effect(line);
         let extra_blocks: u64 = match effect {
             UpdateEffect::UpgradedToUneven => 1,
             UpdateEffect::UpgradedToFull => crate::config::FULL_ENTRY_BLOCKS as u64 - 1,

@@ -810,22 +810,12 @@ mod tests {
             },
             {
                 let mut c = ToleoConfig::small();
-                c.uv_bits = 64; // stealth_bits + uv_bits > 64
-                c
-            },
-            {
-                let mut c = ToleoConfig::small();
                 c.device_capacity_bytes = 0; // smaller than the flat array
                 c
             },
             {
                 let mut c = ToleoConfig::small();
                 c.reset_log2 = c.stealth_bits + 8; // rarer than wraparound
-                c
-            },
-            {
-                let mut c = ToleoConfig::small();
-                c.max_uneven_offset = 0; // must fit a non-zero 7-bit field
                 c
             },
         ];

@@ -22,7 +22,7 @@
 
 // audit: allow-file(indexing, line indices are bounded by LINES_PER_PAGE at every call site)
 
-use crate::config::{ToleoConfig, LINES_PER_PAGE};
+use crate::config::{ToleoConfig, LINES_PER_PAGE, MAX_UNEVEN_OFFSET};
 use crate::version::StealthVersion;
 use serde::{Deserialize, Serialize};
 
@@ -159,7 +159,7 @@ impl PageEntry {
     /// # Panics
     ///
     /// Panics if `line >= 64`.
-    pub fn predict_effect(&self, line: usize, cfg: &ToleoConfig) -> UpdateEffect {
+    pub fn predict_effect(&self, line: usize) -> UpdateEffect {
         assert!(line < LINES_PER_PAGE, "line index {line} out of page");
         match &self.format {
             PageRepr::Flat { written } => {
@@ -170,14 +170,14 @@ impl PageEntry {
                 }
             }
             PageRepr::Uneven { offsets } => {
-                if (offsets[line] as u32) < cfg.max_uneven_offset {
+                if (offsets[line] as u32) < MAX_UNEVEN_OFFSET {
                     return UpdateEffect::None;
                 }
                 // Offset would overflow: renormalization absorbs it only if
                 // folding MIN into the base brings the new offset back in
                 // range (mirrors the record_write overflow arm).
                 let min = offsets.iter().copied().min().unwrap_or(0) as u32;
-                if min > 0 && offsets[line] as u32 + 1 - min <= cfg.max_uneven_offset {
+                if min > 0 && offsets[line] as u32 + 1 - min <= MAX_UNEVEN_OFFSET {
                     UpdateEffect::None
                 } else {
                     UpdateEffect::UpgradedToFull
@@ -224,7 +224,7 @@ impl PageEntry {
             }
             PageRepr::Uneven { offsets } => {
                 let next = offsets[line] as u32 + 1;
-                if next <= cfg.max_uneven_offset {
+                if next <= MAX_UNEVEN_OFFSET {
                     offsets[line] = next as u8;
                     return UpdateEffect::None;
                 }
@@ -236,7 +236,7 @@ impl PageEntry {
                     }
                     self.base = self.base.offset_by(min, cfg.stealth_bits);
                     offsets[line] += 1;
-                    if (offsets[line] as u32) <= cfg.max_uneven_offset {
+                    if (offsets[line] as u32) <= MAX_UNEVEN_OFFSET {
                         return UpdateEffect::None;
                     }
                     // Still overflowing after normalization (min was small):
@@ -410,7 +410,7 @@ mod tests {
         p.record_write(7, &cfg);
         p.record_write(7, &cfg); // uneven, offset 2
         let mut effect = UpdateEffect::None;
-        for _ in 0..cfg.max_uneven_offset as usize + 2 {
+        for _ in 0..MAX_UNEVEN_OFFSET as usize + 2 {
             effect = p.record_write(7, &cfg);
             if effect != UpdateEffect::None {
                 break;
@@ -419,7 +419,7 @@ mod tests {
         assert_eq!(effect, UpdateEffect::UpgradedToFull);
         assert_eq!(p.format(), TripFormat::Full);
         assert_eq!(p.dynamic_blocks(), crate::config::FULL_ENTRY_BLOCKS);
-        assert_eq!(p.version_of(7, &cfg).raw(), cfg.max_uneven_offset + 1);
+        assert_eq!(p.version_of(7, &cfg).raw(), MAX_UNEVEN_OFFSET + 1);
         assert_eq!(p.version_of(0, &cfg).raw(), 0);
     }
 
@@ -435,7 +435,7 @@ mod tests {
             p.record_write(l, &cfg); // offsets 1
         }
         // Now MIN = 1. Drive line 0 to overflow.
-        while p.version_of(0, &cfg).raw() < cfg.max_uneven_offset {
+        while p.version_of(0, &cfg).raw() < MAX_UNEVEN_OFFSET {
             assert_eq!(p.record_write(0, &cfg), UpdateEffect::None);
             assert_eq!(p.format(), TripFormat::Uneven);
         }
@@ -447,7 +447,7 @@ mod tests {
             "renormalization avoids full"
         );
         assert_eq!(p.base().raw(), 1, "MIN folded into base");
-        assert_eq!(p.version_of(0, &cfg).raw(), cfg.max_uneven_offset + 1);
+        assert_eq!(p.version_of(0, &cfg).raw(), MAX_UNEVEN_OFFSET + 1);
         assert_eq!(p.version_of(1, &cfg).raw(), 1);
     }
 
@@ -511,7 +511,7 @@ mod tests {
                 } else {
                     rng.gen_range(0..LINES_PER_PAGE)
                 };
-                let predicted = p.predict_effect(line, &cfg);
+                let predicted = p.predict_effect(line);
                 let actual = p.record_write(line, &cfg);
                 assert_eq!(predicted, actual, "trial {trial} step {step} line {line}");
                 // Occasionally reset so flat is revisited.
