@@ -1,8 +1,9 @@
 //! The committed `AUDIT.json` baseline: the unsafe inventory, the
-//! allowance inventory (both regenerated by `--fix-inventory`) and the
-//! human-authored concurrency-protocol tables — atomics (role +
+//! allowance inventory (the only members `--fix-inventory` rewrites) and
+//! the human-authored concurrency-protocol tables — atomics (role +
 //! per-op-kind orderings), lock classes (order + critical-section
-//! hygiene) and kill-poll loops.
+//! hygiene) and kill-poll loops — which are parsed here and never
+//! re-rendered: the document is kept as read.
 //!
 //! The one schema is `toleo-audit/v2`; a file that declares any other
 //! is refused.
@@ -13,7 +14,7 @@ use crate::rules::poll::PollPolicy;
 use crate::source::Allowance;
 use std::collections::BTreeMap;
 use std::path::Path;
-use toleo_json::{parse, pretty, Value};
+use toleo_json::{parse, Value};
 
 pub const SCHEMA: &str = "toleo-audit/v2";
 
@@ -38,23 +39,33 @@ impl BaselineAllow {
             reason: a.reason.clone(),
         }
     }
+
+    /// The entry as an `AUDIT.json` `allow` item.
+    pub(crate) fn to_value(&self) -> Value {
+        let field = |key: &str, text: &str| (key.to_string(), Value::Str(text.to_string()));
+        Value::Obj(vec![
+            field("file", &self.file),
+            field("rule", &self.rule),
+            field("scope", &self.scope),
+            field("reason", &self.reason),
+        ])
+    }
 }
 
 /// Parsed `AUDIT.json`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Baseline {
     /// Whether the file existed (missing = empty baseline: everything
     /// currently in the tree shows up as un-baselined findings).
     pub present: bool,
+    /// The document as read (`{"schema": …}` alone for a missing file).
+    pub doc: Value,
     /// file → number of `unsafe` tokens.
     pub unsafe_counts: BTreeMap<String, u32>,
     /// The committed allowance inventory.
     pub allow: Vec<BaselineAllow>,
     /// The atomic protocol table.
     pub atomics: Vec<AtomicPolicy>,
-    /// `why` strings per atomic (kept so `--fix-inventory` can rewrite
-    /// the file without losing the human-authored column).
-    pub atomic_why: BTreeMap<String, String>,
     /// Declared mutex classes, outermost-first (= the lock order).
     pub locks: Vec<LockClass>,
     /// Declared kill-poll loops.
@@ -92,14 +103,17 @@ impl Baseline {
     /// Loads `AUDIT.json` from `path`; a missing file is an empty
     /// baseline, a malformed one or one of another schema is an error.
     pub fn load(path: &Path) -> Result<Baseline, String> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
+        let (present, doc) = match std::fs::read_to_string(path) {
+            Ok(text) => (
+                true,
+                parse(&text).map_err(|e| format!("{}: malformed JSON: {e}", path.display()))?,
+            ),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(Baseline::default());
+                let schema = ("schema".to_string(), Value::Str(SCHEMA.to_string()));
+                (false, Value::Obj(vec![schema]))
             }
             Err(e) => return Err(format!("{}: {e}", path.display())),
         };
-        let doc = parse(&text).map_err(|e| format!("{}: malformed JSON: {e}", path.display()))?;
         let schema = doc.get("schema").and_then(Value::as_str).unwrap_or("");
         if schema != SCHEMA {
             return Err(format!(
@@ -108,8 +122,13 @@ impl Baseline {
             ));
         }
         let mut baseline = Baseline {
-            present: true,
-            ..Baseline::default()
+            present,
+            doc: doc.clone(),
+            unsafe_counts: BTreeMap::new(),
+            allow: Vec::new(),
+            atomics: Vec::new(),
+            locks: Vec::new(),
+            polls: Vec::new(),
         };
         if let Some(pairs) = doc.get("unsafe").and_then(Value::as_object) {
             for (file, count) in pairs {
@@ -137,8 +156,7 @@ impl Baseline {
         }
         if let Some(pairs) = doc.get("atomics").and_then(Value::as_object) {
             for (atomic, entry) in pairs {
-                let why = why_of(entry, &format!("atomic `{atomic}`"))?;
-                baseline.atomic_why.insert(atomic.clone(), why);
+                why_of(entry, &format!("atomic `{atomic}`"))?;
                 let role_name = entry
                     .get("role")
                     .and_then(Value::as_str)
@@ -209,79 +227,14 @@ impl Baseline {
         Ok(baseline)
     }
 
-    /// Renders a baseline document with the given regenerated
-    /// inventory sections, preserving this baseline's protocol tables.
-    pub fn render(&self, unsafe_counts: &BTreeMap<String, u32>, allow: &[BaselineAllow]) -> String {
-        let mut allow = allow.to_vec();
-        allow.sort();
-        let allow_json: Vec<Value> = allow
-            .iter()
-            .map(|a| {
-                Value::Obj(vec![
-                    ("file".into(), Value::Str(a.file.clone())),
-                    ("rule".into(), Value::Str(a.rule.clone())),
-                    ("scope".into(), Value::Str(a.scope.clone())),
-                    ("reason".into(), Value::Str(a.reason.clone())),
-                ])
-            })
-            .collect();
-        let unsafe_json: Vec<(String, Value)> = unsafe_counts
-            .iter()
-            .map(|(file, count)| (file.clone(), Value::Num(*count as f64)))
-            .collect();
-        let list = |v: &[String]| Value::Arr(v.iter().cloned().map(Value::Str).collect());
-        let atomics_json: Vec<(String, Value)> = self
-            .atomics
-            .iter()
-            .map(|p| {
-                (
-                    p.atomic.clone(),
-                    Value::Obj(vec![
-                        ("role".into(), Value::Str(p.role.as_str().into())),
-                        ("load".into(), list(&p.load)),
-                        ("store".into(), list(&p.store)),
-                        ("rmw".into(), list(&p.rmw)),
-                        (
-                            "why".into(),
-                            Value::Str(self.atomic_why.get(&p.atomic).cloned().unwrap_or_default()),
-                        ),
-                    ]),
-                )
-            })
-            .collect();
-        let locks_json: Vec<Value> = self
-            .locks
-            .iter()
-            .map(|c| {
-                Value::Obj(vec![
-                    ("class".into(), Value::Str(c.class.clone())),
-                    ("acquire".into(), list(&c.acquire)),
-                    ("forbid".into(), list(&c.forbid)),
-                    ("why".into(), Value::Str(c.why.clone())),
-                ])
-            })
-            .collect();
-        let polls_json: Vec<Value> = self
-            .polls
-            .iter()
-            .map(|p| {
-                Value::Obj(vec![
-                    ("file".into(), Value::Str(p.file.clone())),
-                    ("chunker".into(), Value::Str(p.chunker.clone())),
-                    ("probes".into(), list(&p.probes)),
-                    ("why".into(), Value::Str(p.why.clone())),
-                ])
-            })
-            .collect();
-        let doc = Value::Obj(vec![
-            ("schema".into(), Value::Str(SCHEMA.into())),
-            ("unsafe".into(), Value::Obj(unsafe_json)),
-            ("allow".into(), Value::Arr(allow_json)),
-            ("atomics".into(), Value::Obj(atomics_json)),
-            ("locks".into(), Value::Arr(locks_json)),
-            ("polls".into(), Value::Arr(polls_json)),
-        ]);
-        pretty(&doc, &[])
+    /// Replaces the document's `key` member, or appends it.
+    pub(crate) fn set(&mut self, key: &str, value: Value) {
+        if let Value::Obj(members) = &mut self.doc {
+            match members.iter_mut().find(|(k, _)| k == key) {
+                Some((_, slot)) => *slot = value,
+                None => members.push((key.to_string(), value)),
+            }
+        }
     }
 }
 
@@ -318,7 +271,7 @@ mod tests {
     }
 
     #[test]
-    fn load_roundtrip_via_render() {
+    fn load_reads_every_table_and_keeps_the_document() {
         let path = temp("v2", &sample_v2());
         let b = Baseline::load(&path).unwrap();
         assert!(b.present);
@@ -333,16 +286,14 @@ mod tests {
         assert_eq!(b.locks[0].acquire, ["lock_shard", "shards"]);
         assert_eq!(b.polls.len(), 1);
         assert_eq!(b.polls[0].probes, ["killed"]);
-        // Render with the same inventory and reload: identical content.
-        let rendered = b.render(&b.unsafe_counts, &b.allow);
-        std::fs::write(&path, &rendered).unwrap();
-        let again = Baseline::load(&path).unwrap();
-        assert_eq!(again.unsafe_counts, b.unsafe_counts);
-        assert_eq!(again.allow, b.allow);
-        assert_eq!(again.atomic_why["killed"], b.atomic_why["killed"]);
-        assert_eq!(again.locks[0].class, "shard_engine");
-        assert_eq!(again.polls[0].chunker, "poll_ops");
-        assert_eq!(rendered, again.render(&again.unsafe_counts, &again.allow));
+        // The document is kept as read, so writing an inventory back
+        // unchanged changes nothing; `mutations.rs` pins the same on the
+        // committed file byte for byte through `fix_inventory`.
+        assert_eq!(b.doc, parse(&sample_v2()).unwrap());
+        let mut again = Baseline::load(&path).unwrap();
+        let allow = b.allow.iter().map(BaselineAllow::to_value).collect();
+        again.set("allow", Value::Arr(allow));
+        assert_eq!(again.doc, b.doc);
         std::fs::remove_file(&path).ok();
     }
 

@@ -15,6 +15,13 @@
 //! CI-fatal findings, with an annotation/baseline system
 //! (`// audit: allow`, `AUDIT.json` schema v2) that makes every
 //! exception explicit, justified and diff-reviewed.
+//!
+//! [`source::SourceFile`] derives how a file nests — matching
+//! delimiters, test regions, `fn` bodies, statement starts — once; the
+//! rules ask it rather than walk brackets themselves. The one output is
+//! the `--check` report; [`fix_inventory`] rewrites only `AUDIT.json`'s
+//! `unsafe` and `allow` members and prints its protocol tables back as
+//! read.
 
 pub mod baseline;
 pub mod lexer;
@@ -22,7 +29,7 @@ pub mod rules;
 pub mod source;
 
 use baseline::{Baseline, BaselineAllow};
-use rules::{tier, Finding, Tier};
+use rules::{tier, Finding, Matched, Tier};
 use source::{Allowance, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -48,57 +55,6 @@ pub struct Report {
     pub files_scanned: usize,
 }
 
-impl Report {
-    /// Renders the report as JSON (`--json`).
-    pub fn to_json(&self) -> String {
-        let findings: Vec<Value> = self
-            .findings
-            .iter()
-            .map(|f| {
-                Value::Obj(vec![
-                    ("rule".into(), Value::Str(f.rule.to_string())),
-                    ("file".into(), Value::Str(f.file.clone())),
-                    ("line".into(), Value::Num(f.line as f64)),
-                    ("col".into(), Value::Num(f.col as f64)),
-                    ("message".into(), Value::Str(f.message.clone())),
-                ])
-            })
-            .collect();
-        let allowances: Vec<Value> = self
-            .allowances
-            .iter()
-            .map(|a| {
-                Value::Obj(vec![
-                    ("file".into(), Value::Str(a.file.clone())),
-                    ("line".into(), Value::Num(a.line as f64)),
-                    ("rule".into(), Value::Str(a.rule.clone())),
-                    (
-                        "scope".into(),
-                        Value::Str(if a.file_level { "file" } else { "line" }.to_string()),
-                    ),
-                    ("reason".into(), Value::Str(a.reason.clone())),
-                ])
-            })
-            .collect();
-        let unsafe_inv: Vec<(String, Value)> = self
-            .unsafe_inventory
-            .iter()
-            .map(|(file, count)| (file.clone(), Value::Num(*count as f64)))
-            .collect();
-        let doc = Value::Obj(vec![
-            ("schema".into(), Value::Str("toleo-audit-report/v1".into())),
-            (
-                "files_scanned".into(),
-                Value::Num(self.files_scanned as f64),
-            ),
-            ("findings".into(), Value::Arr(findings)),
-            ("allow".into(), Value::Arr(allowances)),
-            ("unsafe".into(), Value::Obj(unsafe_inv)),
-        ]);
-        pretty(&doc, &[])
-    }
-}
-
 /// Runs the full audit over the workspace at `root`.
 pub fn run_audit(root: &Path) -> Result<Report, String> {
     let baseline = Baseline::load(&root.join("AUDIT.json"))?;
@@ -112,9 +68,7 @@ pub fn run_audit(root: &Path) -> Result<Report, String> {
         files_scanned: parsed.len(),
         ..Report::default()
     };
-    let mut atomic_used: BTreeSet<String> = BTreeSet::new();
-    let mut lock_used: BTreeSet<String> = BTreeSet::new();
-    let mut poll_used: BTreeSet<usize> = BTreeSet::new();
+    let mut matched = Matched::new();
 
     // Lock discipline is a workspace pass: inversions propagate through
     // calls, so the rule needs every policy-tier file at once. Its
@@ -124,7 +78,7 @@ pub fn run_audit(root: &Path) -> Result<Report, String> {
         .filter(|f| tier(&f.rel_path) == Tier::Policy)
         .collect();
     let mut lock_by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    for finding in rules::locks::scan_workspace(&policy_files, &baseline.locks, &mut lock_used) {
+    for finding in rules::locks::scan_workspace(&policy_files, &baseline.locks, &mut matched) {
         lock_by_file
             .entry(finding.file.clone())
             .or_default()
@@ -133,59 +87,33 @@ pub fn run_audit(root: &Path) -> Result<Report, String> {
 
     for file in &parsed {
         let extra = lock_by_file.remove(&file.rel_path).unwrap_or_default();
-        audit_file(
-            file,
-            &baseline,
-            &mut report,
-            &mut atomic_used,
-            &mut poll_used,
-            extra,
-        );
+        audit_file(file, &baseline, &mut report, &mut matched, extra);
     }
     diff_unsafe_inventory(&baseline, &report.unsafe_inventory, &mut report.findings);
     diff_allow_inventory(&baseline, &report.allowances, &mut report.findings);
-    for policy in &baseline.atomics {
-        if !atomic_used.contains(&policy.atomic) {
-            report.findings.push(Finding::new(
-                "atomic-protocol",
-                "AUDIT.json",
-                0,
-                0,
-                format!(
-                    "protocol row `{}` matches no atomic operation in the tree: remove the \
-                     stale row",
-                    policy.atomic
-                ),
-            ));
-        }
-    }
-    for class in &baseline.locks {
-        if !lock_used.contains(&class.class) {
-            report.findings.push(Finding::new(
-                "lock-discipline",
-                "AUDIT.json",
-                0,
-                0,
-                format!(
-                    "locks class `{}` matches no acquisition in the tree: remove the stale row",
-                    class.class
-                ),
-            ));
-        }
-    }
-    for (ri, poll) in baseline.polls.iter().enumerate() {
-        if !poll_used.contains(&ri) {
-            report.findings.push(Finding::new(
-                "blocking-in-poll",
-                "AUDIT.json",
-                0,
-                0,
-                format!(
-                    "polls row for `{}` (chunker `{}`) matches no loop in the tree: remove \
-                     the stale row",
-                    poll.file, poll.chunker
-                ),
-            ));
+    // Every declared protocol row, in table order: one no rule matched
+    // is stale.
+    let atomics = (baseline.atomics.iter().enumerate()).map(|(i, p)| {
+        let what = format!("protocol row `{}` matches no atomic operation", p.atomic);
+        (("atomics", i), "atomic-protocol", what)
+    });
+    let locks = (baseline.locks.iter().enumerate()).map(|(i, c)| {
+        let what = format!("locks class `{}` matches no acquisition", c.class);
+        (("locks", i), "lock-discipline", what)
+    });
+    let polls = (baseline.polls.iter().enumerate()).map(|(i, p)| {
+        let what = format!(
+            "polls row for `{}` (chunker `{}`) matches no loop",
+            p.file, p.chunker
+        );
+        (("polls", i), "blocking-in-poll", what)
+    });
+    for (row, rule, what) in atomics.chain(locks).chain(polls) {
+        if !matched.contains(&row) {
+            let message = format!("{what} in the tree: remove the stale row");
+            report
+                .findings
+                .push(Finding::new(rule, "AUDIT.json", 0, 0, message));
         }
     }
     report
@@ -204,8 +132,7 @@ fn audit_file(
     file: &SourceFile,
     baseline: &Baseline,
     report: &mut Report,
-    atomic_used: &mut BTreeSet<String>,
-    poll_used: &mut BTreeSet<usize>,
+    matched: &mut Matched,
     extra: Vec<Finding>,
 ) {
     let tier = tier(&file.rel_path);
@@ -223,13 +150,8 @@ fn audit_file(
     raw.extend(rules::no_panic::scan(file, tier));
     raw.extend(rules::secrets::scan(file, tier));
     raw.extend(rules::unsafe_code::scan(file, &mut report.unsafe_inventory));
-    raw.extend(rules::atomics::scan(
-        file,
-        tier,
-        &baseline.atomics,
-        atomic_used,
-    ));
-    raw.extend(rules::poll::scan(file, tier, &baseline.polls, poll_used));
+    raw.extend(rules::atomics::scan(file, tier, &baseline.atomics, matched));
+    raw.extend(rules::poll::scan(file, tier, &baseline.polls, matched));
 
     let mut used = vec![false; file.allowances.len()];
     for finding in raw {
@@ -359,11 +281,11 @@ fn diff_allow_inventory(baseline: &Baseline, current: &[Allowance], findings: &m
     }
 }
 
-/// Regenerates the `unsafe` and `allow` inventory sections of
-/// `AUDIT.json` from the current tree, preserving the atomic policy
-/// table. Returns the rendered document.
+/// Regenerates the `unsafe` and `allow` members of `AUDIT.json` from
+/// the current tree. Every other member — the protocol tables — is
+/// printed back as parsed, never re-rendered. Returns the new document.
 pub fn fix_inventory(root: &Path) -> Result<String, String> {
-    let baseline = Baseline::load(&root.join("AUDIT.json"))?;
+    let mut baseline = Baseline::load(&root.join("AUDIT.json"))?;
     let files = discover(root)?;
     let mut unsafe_counts = BTreeMap::new();
     let mut allow = Vec::new();
@@ -373,7 +295,14 @@ pub fn fix_inventory(root: &Path) -> Result<String, String> {
         rules::unsafe_code::scan(&file, &mut unsafe_counts);
         allow.extend(file.allowances.iter().map(BaselineAllow::of));
     }
-    let rendered = baseline.render(&unsafe_counts, &allow);
+    allow.sort();
+    let unsafe_counts = (unsafe_counts.into_iter())
+        .map(|(file, count)| (file, Value::Num(f64::from(count))))
+        .collect();
+    let allow = allow.iter().map(BaselineAllow::to_value).collect();
+    baseline.set("unsafe", Value::Obj(unsafe_counts));
+    baseline.set("allow", Value::Arr(allow));
+    let rendered = pretty(&baseline.doc, &[]);
     std::fs::write(root.join("AUDIT.json"), &rendered).map_err(|e| format!("AUDIT.json: {e}"))?;
     Ok(rendered)
 }

@@ -13,9 +13,8 @@
 //! `Relaxed` on synchronizing roles).
 
 use crate::lexer::TokenKind;
-use crate::rules::{Finding, Tier};
+use crate::rules::{Finding, Matched, Tier};
 use crate::source::SourceFile;
-use std::collections::BTreeSet;
 
 /// `std::sync::atomic::Ordering` variants. `std::cmp::Ordering`'s
 /// `Less`/`Equal`/`Greater` deliberately don't match.
@@ -175,13 +174,12 @@ pub fn validate_policy(policy: &[AtomicPolicy]) -> Vec<Finding> {
 }
 
 /// Scans `file` for `Ordering::X` uses, checking each against the
-/// protocol table. Names of rows that matched are added to `used` so
-/// stale table rows can be reported at the end of the run.
+/// protocol table, and records the rows that matched in `matched`.
 pub fn scan(
     file: &SourceFile,
     tier: Tier,
     policy: &[AtomicPolicy],
-    used: &mut BTreeSet<String>,
+    matched: &mut Matched,
 ) -> Vec<Finding> {
     if tier == Tier::Test {
         return Vec::new();
@@ -217,7 +215,7 @@ pub fn scan(
             continue;
         };
         let kind = site.kind;
-        match policy.iter().find(|p| p.atomic == site.receiver) {
+        match policy.iter().position(|p| p.atomic == site.receiver) {
             None => out.push(Finding::new(
                 "atomic-protocol",
                 &file.rel_path,
@@ -229,8 +227,9 @@ pub fn scan(
                     site.receiver
                 ),
             )),
-            Some(entry) => {
-                used.insert(site.receiver.clone());
+            Some(row) => {
+                matched.insert(("atomics", row));
+                let entry = &policy[row];
                 let permitted = entry.permitted(kind);
                 if permitted.is_empty() {
                     out.push(Finding::new(
@@ -322,18 +321,14 @@ fn attribute(file: &SourceFile, ordering_idx: usize) -> Option<Site> {
 }
 
 /// Zero-based argument position of the token at `at` within the call
-/// whose opening paren is at `open_idx` (top-level commas only).
+/// whose opening paren is at `open_idx` (top-level commas only: nested
+/// groups are stepped over whole).
 fn arg_index(file: &SourceFile, open_idx: usize, at: usize) -> usize {
-    let mut depth = 0i32;
     let mut arg = 0usize;
-    for tok in file.tokens.iter().take(at).skip(open_idx + 1) {
-        if tok.is_punct('(') || tok.is_punct('[') || tok.is_punct('{') {
-            depth += 1;
-        } else if tok.is_punct(')') || tok.is_punct(']') || tok.is_punct('}') {
-            depth -= 1;
-        } else if tok.is_punct(',') && depth == 0 {
-            arg += 1;
-        }
+    let mut k = open_idx + 1;
+    while k < at {
+        arg += usize::from(file.tokens[k].is_punct(','));
+        k = file.partner(k).filter(|&close| close > k).unwrap_or(k) + 1;
     }
     arg
 }
@@ -366,6 +361,7 @@ fn kind_of(method: &str, arg: usize) -> OpKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     type PolicyRow<'a> = (&'a str, Role, &'a [&'a str], &'a [&'a str], &'a [&'a str]);
 
@@ -384,9 +380,10 @@ mod tests {
 
     fn scan_src(src: &str, pol: &[AtomicPolicy]) -> (Vec<Finding>, BTreeSet<String>) {
         let file = SourceFile::parse("crates/toleo-core/src/sharded.rs", src);
-        let mut used = BTreeSet::new();
-        let findings = scan(&file, Tier::Policy, pol, &mut used);
-        (findings, used)
+        let mut matched = Matched::new();
+        let findings = scan(&file, Tier::Policy, pol, &mut matched);
+        let used = matched.iter().map(|&(_, row)| pol[row].atomic.clone());
+        (findings, used.collect())
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! Findings accept `// audit: allow(lock, reason)`.
 
 use crate::lexer::TokenKind;
-use crate::rules::Finding;
-use crate::source::SourceFile;
+use crate::rules::{Finding, Matched};
+use crate::source::{FnBody, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One declared mutex class. Order in the table is lock order:
@@ -44,14 +44,6 @@ pub struct LockClass {
     pub why: String,
 }
 
-/// A named function's token-range body within one file.
-struct FnBody {
-    file: usize,
-    name: String,
-    /// Token indices of the body's `{` and matching `}`.
-    body: (usize, usize),
-}
-
 /// A held lock at a point in the walk.
 struct Held {
     class: usize,
@@ -65,22 +57,24 @@ struct Held {
     line: u32,
 }
 
-/// Scans `files` (policy tier) against the declared lock classes.
-/// Class names that matched an acquisition are added to `used` so
-/// stale table rows can be reported at the end of the run.
+/// Scans `files` (policy tier) against the declared lock classes,
+/// recording the classes that matched an acquisition in `matched`.
 pub fn scan_workspace(
     files: &[&SourceFile],
     classes: &[LockClass],
-    used: &mut BTreeSet<String>,
+    matched: &mut Matched,
 ) -> Vec<Finding> {
-    let fns = collect_fns(files);
+    let fns: Vec<(&SourceFile, &FnBody)> = files
+        .iter()
+        .flat_map(|&file| file.fns.iter().map(move |f| (file, f)))
+        .collect();
 
     // Pass 1: per-function direct acquisitions and eligible call edges.
     let mut direct: BTreeMap<String, BTreeSet<usize>> = BTreeMap::new();
     let mut edges: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for f in &fns {
-        let mut w = Walk::new(files[f.file], classes, None, used);
-        w.run(f, &fns);
+    for &(file, f) in &fns {
+        let mut w = Walk::new(file, classes, None, matched);
+        w.run(f);
         direct.entry(f.name.clone()).or_default().extend(w.direct);
         edges.entry(f.name.clone()).or_default().extend(w.calls);
     }
@@ -107,82 +101,12 @@ pub fn scan_workspace(
 
     // Pass 2: report with summaries in hand.
     let mut findings = Vec::new();
-    for f in &fns {
-        let mut w = Walk::new(files[f.file], classes, Some(&summary), used);
-        w.run(f, &fns);
+    for &(file, f) in &fns {
+        let mut w = Walk::new(file, classes, Some(&summary), matched);
+        w.run(f);
         findings.append(&mut w.findings);
     }
     findings
-}
-
-/// Every named `fn` body (with a brace-matched range) outside test
-/// regions, across all files.
-fn collect_fns(files: &[&SourceFile]) -> Vec<FnBody> {
-    let mut out = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        for i in 0..file.tokens.len() {
-            if !file.tokens[i].is_ident("fn") || file.in_test_region(i) {
-                continue;
-            }
-            let Some((ni, name)) = file.next_code_token(i + 1) else {
-                continue;
-            };
-            if name.kind != TokenKind::Ident {
-                continue; // `fn(usize)` pointer type
-            }
-            if let Some(start) = body_open(file, ni + 1) {
-                if let Some(end) = match_brace(file, start) {
-                    out.push(FnBody {
-                        file: fi,
-                        name: name.text.clone(),
-                        body: (start, end),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The index of the body `{` of a fn whose signature starts after
-/// `from`, or `None` for a bodyless declaration.
-fn body_open(file: &SourceFile, from: usize) -> Option<usize> {
-    let mut paren = 0i32;
-    for j in from..file.tokens.len() {
-        let t = &file.tokens[j];
-        if t.is_comment() {
-            continue;
-        }
-        if t.is_punct('(') || t.is_punct('[') {
-            paren += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            paren -= 1;
-        } else if paren == 0 && t.is_punct(';') {
-            return None;
-        } else if paren == 0 && t.is_punct('{') {
-            return Some(j);
-        }
-    }
-    None
-}
-
-/// The matching `}` for the `{` at `open`.
-fn match_brace(file: &SourceFile, open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (j, t) in file.tokens.iter().enumerate().skip(open) {
-        if t.is_comment() {
-            continue;
-        }
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-    }
-    None
 }
 
 struct Walk<'a> {
@@ -190,7 +114,7 @@ struct Walk<'a> {
     classes: &'a [LockClass],
     /// `Some` on the report pass, `None` on the collect pass.
     summaries: Option<&'a BTreeMap<String, BTreeSet<usize>>>,
-    used: &'a mut BTreeSet<String>,
+    matched: &'a mut Matched,
     direct: BTreeSet<usize>,
     calls: BTreeSet<String>,
     findings: Vec<Finding>,
@@ -201,13 +125,13 @@ impl<'a> Walk<'a> {
         file: &'a SourceFile,
         classes: &'a [LockClass],
         summaries: Option<&'a BTreeMap<String, BTreeSet<usize>>>,
-        used: &'a mut BTreeSet<String>,
+        matched: &'a mut Matched,
     ) -> Walk<'a> {
         Walk {
             file,
             classes,
             summaries,
-            used,
+            matched,
             direct: BTreeSet::new(),
             calls: BTreeSet::new(),
             findings: Vec::new(),
@@ -222,11 +146,10 @@ impl<'a> Walk<'a> {
             .join(" < ")
     }
 
-    fn run(&mut self, f: &FnBody, all: &[FnBody]) {
+    fn run(&mut self, f: &FnBody) {
         // Nested named fns are walked as their own entries.
-        let nested: Vec<(usize, usize)> = all
-            .iter()
-            .filter(|g| g.file == f.file && g.body.0 > f.body.0 && g.body.1 < f.body.1)
+        let nested: Vec<(usize, usize)> = (self.file.fns.iter())
+            .filter(|g| g.body.0 > f.body.0 && g.body.1 < f.body.1)
             .map(|g| g.body)
             .collect();
         let mut depth = 0i32;
@@ -306,7 +229,7 @@ impl<'a> Walk<'a> {
         // Acquisition?
         if is_call {
             if let Some(class) = self.acquisition_class(j, t) {
-                self.used.insert(self.classes[class].class.clone());
+                self.matched.insert(("locks", class));
                 self.direct.insert(class);
                 if self.summaries.is_some() {
                     for h in held.iter() {
@@ -465,32 +388,12 @@ impl<'a> Walk<'a> {
         }
         let (mut k, mut t) = self.file.prev_code_token(di)?;
         while t.is_punct(']') {
-            let open = self.match_bracket_back(k)?;
+            let open = self.file.partner(k)?;
             let (pk, pt) = self.file.prev_code_token(open)?;
             k = pk;
             t = pt;
         }
         (t.kind == TokenKind::Ident).then(|| t.text.clone())
-    }
-
-    /// The matching `[` for the `]` at `close`, scanning backwards.
-    fn match_bracket_back(&self, close: usize) -> Option<usize> {
-        let mut depth = 0i32;
-        for j in (0..=close).rev() {
-            let t = &self.file.tokens[j];
-            if t.is_comment() {
-                continue;
-            }
-            if t.is_punct(']') {
-                depth += 1;
-            } else if t.is_punct('[') {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-        }
-        None
     }
 
     /// Whether the call at `j` names a callee our summaries can track:
@@ -529,29 +432,15 @@ impl<'a> Walk<'a> {
     /// If the call at `j` is the initializer of a `let` statement,
     /// the bound name (skipping `mut` and one level of `&`).
     fn let_binding(&self, j: usize) -> Option<String> {
-        // Walk back to the statement boundary.
-        let mut k = j;
-        let mut guard = 0usize;
-        loop {
-            let (pk, p) = self.file.prev_code_token(k)?;
-            if p.is_punct(';') || p.is_punct('{') || p.is_punct('}') {
-                // First code token after the boundary begins the stmt.
-                let (li, l) = self.file.next_code_token(pk + 1)?;
-                if !l.is_ident("let") {
-                    return None;
-                }
-                let (mi, mut name) = self.file.next_code_token(li + 1)?;
-                if name.is_ident("mut") {
-                    (_, name) = self.file.next_code_token(mi + 1)?;
-                }
-                return (name.kind == TokenKind::Ident).then(|| name.text.clone());
-            }
-            k = pk;
-            guard += 1;
-            if guard > 96 {
-                return None; // give up on pathological statements
-            }
+        let start = self.file.stmt_start(j);
+        if !self.file.tokens[start].is_ident("let") {
+            return None;
         }
+        let (mi, mut name) = self.file.next_code_token(start + 1)?;
+        if name.is_ident("mut") {
+            (_, name) = self.file.next_code_token(mi + 1)?;
+        }
+        (name.kind == TokenKind::Ident).then(|| name.text.clone())
     }
 }
 
@@ -584,8 +473,8 @@ mod tests {
 
     fn scan_src(src: &str) -> Vec<Finding> {
         let file = SourceFile::parse("crates/toleo-core/src/sharded.rs", src);
-        let mut used = BTreeSet::new();
-        scan_workspace(&[&file], &classes(), &mut used)
+        let mut matched = Matched::new();
+        scan_workspace(&[&file], &classes(), &mut matched)
     }
 
     #[test]

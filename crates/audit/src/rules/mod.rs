@@ -13,6 +13,13 @@ pub mod poll;
 pub mod secrets;
 pub mod unsafe_code;
 
+use std::collections::BTreeSet;
+
+/// Protocol-table rows that matched code in the tree, as `(table, row
+/// index)` — `("atomics" | "locks" | "polls", i)`. A declared row no
+/// rule matched is stale.
+pub type Matched = BTreeSet<(&'static str, usize)>;
+
 /// How the no-panic policy applies to a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {

@@ -11,9 +11,8 @@
 //! `// audit: allow(poll, reason)`.
 
 use crate::lexer::TokenKind;
-use crate::rules::{Finding, Tier};
+use crate::rules::{Finding, Matched, Tier};
 use crate::source::SourceFile;
-use std::collections::BTreeSet;
 
 /// One declared kill-poll loop.
 #[derive(Debug, Clone)]
@@ -26,14 +25,13 @@ pub struct PollPolicy {
     pub why: String,
 }
 
-/// Scans `file` for `for … in ….chunks(<chunker>)` loops. Indices of
-/// polls-table rows that matched are added to `used` so stale rows can
-/// be reported at the end of the run.
+/// Scans `file` for `for … in ….chunks(<chunker>)` loops, recording the
+/// polls-table rows that matched in `matched`.
 pub fn scan(
     file: &SourceFile,
     tier: Tier,
     polls: &[PollPolicy],
-    used: &mut BTreeSet<usize>,
+    matched: &mut Matched,
 ) -> Vec<Finding> {
     if tier == Tier::Test {
         return Vec::new();
@@ -46,26 +44,33 @@ pub fn scan(
         let Some((open, _)) = file.next_code_token(i + 1).filter(|(_, t)| t.is_punct('(')) else {
             continue;
         };
-        let Some(close) = match_paren(file, open) else {
+        let Some(close) = file.partner(open) else {
             continue;
         };
-        let Some(chunker) = last_ident_between(file, open, close) else {
-            continue; // literal chunk size: not a named poll bound
+        // The chunk size's final identifier (`sharded::KILL_POLL_OPS` →
+        // `KILL_POLL_OPS`); a literal is not a named poll bound.
+        let mut chunk_size = file.tokens[open + 1..close].iter().rev();
+        let Some(chunker) = chunk_size.find(|t| t.kind == TokenKind::Ident) else {
+            continue;
         };
-        if !is_for_loop(file, i) {
+        let chunker = &chunker.text;
+        // A `for … in …` header: `for` earlier in the same statement.
+        let header = &file.tokens[file.stmt_start(i)..i];
+        if !header.iter().any(|t| t.is_ident("for")) {
             continue;
         }
         let row = polls
             .iter()
-            .position(|p| p.file == file.rel_path && p.chunker == chunker);
+            .position(|p| p.file == file.rel_path && &p.chunker == chunker);
         match row {
             Some(ri) => {
-                used.insert(ri);
-                let Some(body) = loop_body(file, close) else {
+                matched.insert(("polls", ri));
+                let Some((open, close)) = file.item_body(close + 1) else {
                     continue;
                 };
+                let body = &file.tokens[open..=close];
                 for probe in &polls[ri].probes {
-                    if !body_touches(file, body, probe) {
+                    if !body.iter().any(|t| t.is_ident(probe)) {
                         out.push(
                             Finding::new(
                                 "blocking-in-poll",
@@ -106,104 +111,10 @@ pub fn scan(
     out
 }
 
-/// The matching `)` for the `(` at `open`.
-fn match_paren(file: &SourceFile, open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (j, t) in file.tokens.iter().enumerate().skip(open) {
-        if t.is_comment() {
-            continue;
-        }
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-    }
-    None
-}
-
-/// The final identifier of the chunk-size expression between `open`
-/// and `close` (`sharded::KILL_POLL_OPS` → `KILL_POLL_OPS`).
-fn last_ident_between(file: &SourceFile, open: usize, close: usize) -> Option<String> {
-    file.tokens[open + 1..close]
-        .iter()
-        .rev()
-        .find(|t| t.kind == TokenKind::Ident)
-        .map(|t| t.text.clone())
-}
-
-/// Whether the `chunks` token at `i` sits in a `for … in …` header:
-/// a `for` keyword appears earlier in the same statement.
-fn is_for_loop(file: &SourceFile, i: usize) -> bool {
-    let mut k = i;
-    let mut walked = 0usize;
-    while let Some((pk, p)) = file.prev_code_token(k) {
-        if p.is_punct(';') || p.is_punct('{') || p.is_punct('}') {
-            return false;
-        }
-        if p.is_ident("for") {
-            return true;
-        }
-        k = pk;
-        walked += 1;
-        if walked > 64 {
-            return false;
-        }
-    }
-    false
-}
-
-/// The loop body braces following the chunks call at `close`: the
-/// first `{` at paren depth 0 (skipping adapter chains such as
-/// `.enumerate()`) and its match.
-fn loop_body(file: &SourceFile, close: usize) -> Option<(usize, usize)> {
-    let mut paren = 0i32;
-    let mut j = close + 1;
-    while j < file.tokens.len() {
-        let t = &file.tokens[j];
-        if t.is_comment() {
-            j += 1;
-            continue;
-        }
-        if t.is_punct('(') {
-            paren += 1;
-        } else if t.is_punct(')') {
-            paren -= 1;
-        } else if paren == 0 && t.is_punct('{') {
-            let mut depth = 0i32;
-            for (k, u) in file.tokens.iter().enumerate().skip(j) {
-                if u.is_comment() {
-                    continue;
-                }
-                if u.is_punct('{') {
-                    depth += 1;
-                } else if u.is_punct('}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some((j, k));
-                    }
-                }
-            }
-            return None;
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Whether any non-comment token in `body` is the ident `probe`.
-fn body_touches(file: &SourceFile, body: (usize, usize), probe: &str) -> bool {
-    file.tokens[body.0..=body.1]
-        .iter()
-        .any(|t| !t.is_comment() && t.is_ident(probe))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn polls() -> Vec<PollPolicy> {
         vec![PollPolicy {
@@ -216,9 +127,9 @@ mod tests {
 
     fn scan_src(src: &str, polls: &[PollPolicy]) -> (Vec<Finding>, BTreeSet<usize>) {
         let file = SourceFile::parse("crates/toleo-core/src/sharded.rs", src);
-        let mut used = BTreeSet::new();
-        let findings = scan(&file, Tier::Policy, polls, &mut used);
-        (findings, used)
+        let mut matched = Matched::new();
+        let findings = scan(&file, Tier::Policy, polls, &mut matched);
+        (findings, matched.iter().map(|&(_, row)| row).collect())
     }
 
     #[test]

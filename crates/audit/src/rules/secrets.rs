@@ -70,43 +70,17 @@ fn scan_format_macros(file: &SourceFile, out: &mut Vec<Finding>) {
             i += 1;
             continue;
         }
-        let Some((open_idx, open)) = file
+        let open = file
             .next_code_token(i + 1)
             .and_then(|(bang, _)| file.next_code_token(bang + 1))
-        else {
+            .filter(|(_, t)| t.is_punct('(') || t.is_punct('[') || t.is_punct('{'));
+        let Some((open, end)) = open.and_then(|(o, _)| Some((o, file.partner(o)?))) else {
             i += 1;
             continue;
         };
-        let close_c = match open.text.as_str() {
-            "(" => ')',
-            "[" => ']',
-            "{" => '}',
-            _ => {
-                i += 1;
-                continue;
-            }
-        };
-        let open_c = open.text.chars().next().unwrap_or('(');
-        let end = group_end(file, open_idx, open_c, close_c);
-        check_group(file, &file.tokens[open_idx..=end], out);
+        check_group(file, &file.tokens[open..=end], out);
         i = end + 1;
     }
-}
-
-/// Index of the delimiter closing the group opened at `open_idx`.
-fn group_end(file: &SourceFile, open_idx: usize, open_c: char, close_c: char) -> usize {
-    let mut depth = 0i64;
-    for (idx, tok) in file.tokens.iter().enumerate().skip(open_idx) {
-        if tok.is_punct(open_c) {
-            depth += 1;
-        } else if tok.is_punct(close_c) {
-            depth -= 1;
-            if depth <= 0 {
-                return idx;
-            }
-        }
-    }
-    file.tokens.len() - 1
 }
 
 /// Checks one format-macro argument group: the format string's inline
@@ -200,15 +174,16 @@ fn scan_derive_debug(file: &SourceFile, out: &mut Vec<Finding>) {
         if !name.is_ident("derive") {
             continue;
         }
-        let Some((open_idx, _)) = file.next_code_token(j + 1) else {
-            continue;
-        };
-        let close = group_end(file, open_idx, '(', ')');
-        let derives_debug = tokens[open_idx..=close].iter().any(|t| t.is_ident("Debug"));
-        if !derives_debug {
+        let args = file.next_code_token(j + 1).and_then(|(open, _)| {
+            Some(&tokens[open..file.partner(open).filter(|&close| close > open)?])
+        });
+        if !args.is_some_and(|args| args.iter().any(|t| t.is_ident("Debug"))) {
             continue;
         }
-        if let Some(field) = struct_tainted_field(file, close + 1) {
+        let item = file
+            .partner(i + 1)
+            .and_then(|attr_end| file.skip_attrs(attr_end + 1));
+        if let Some(field) = item.and_then(|item| struct_tainted_field(file, item)) {
             out.push(
                 Finding::new(
                     "secret-hygiene",
@@ -226,52 +201,26 @@ fn scan_derive_debug(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// If the item following token `from` is a braced struct, returns its
+/// If the item starting at token `item` is a braced struct, returns its
 /// first tainted field name.
-fn struct_tainted_field(file: &SourceFile, from: usize) -> Option<String> {
-    let mut i = from;
-    // Skip the attribute's closing `]`, further attributes, comments.
-    loop {
-        match file.tokens.get(i) {
-            Some(t) if t.is_comment() || t.is_punct(']') => i += 1,
-            Some(t)
-                if t.is_punct('#') && file.tokens.get(i + 1).is_some_and(|n| n.is_punct('[')) =>
-            {
-                i = group_end(file, i + 1, '[', ']') + 1;
-            }
-            _ => break,
-        }
+fn struct_tainted_field(file: &SourceFile, item: usize) -> Option<String> {
+    // `pub struct Name … {`; enums, unions and tuple structs are not.
+    let (open, close) = file.item_body(item)?;
+    let header = &file.tokens[item..open];
+    let braced_struct = file.tokens[open].is_punct('{')
+        && header.iter().any(|t| t.is_ident("struct"))
+        && !header
+            .iter()
+            .any(|t| t.is_ident("enum") || t.is_ident("union"));
+    if !braced_struct {
+        return None;
     }
-    // Accept `pub struct Name … {` within the next few tokens; bail on
-    // enums, tuple structs and anything else.
-    let mut saw_struct = false;
-    let mut brace = None;
-    let mut guard = 0;
-    while let Some(tok) = file.tokens.get(i) {
-        if tok.is_ident("struct") {
-            saw_struct = true;
-        } else if tok.is_ident("enum") || tok.is_ident("union") || tok.is_punct(';') {
-            return None;
-        } else if saw_struct && tok.is_punct('{') {
-            brace = Some(i);
-            break;
-        }
-        i += 1;
-        guard += 1;
-        if guard > 64 {
-            return None; // long where-clauses are not key-holding structs
-        }
-    }
-    let open = brace?;
-    let close = group_end(file, open, '{', '}');
-    let mut depth = 0i64;
-    for k in open..close {
+    let mut k = open + 1;
+    while k < close {
         let tok = &file.tokens[k];
         if tok.is_punct('{') {
-            depth += 1;
-        } else if tok.is_punct('}') {
-            depth -= 1;
-        } else if depth == 1 && tok.kind == TokenKind::Ident && tainted(&tok.text) {
+            k = file.partner(k)?; // a nested block holds no field
+        } else if tok.kind == TokenKind::Ident && tainted(&tok.text) {
             // Field position: `name :` with a single colon.
             let colon = file.next_code_token(k + 1).is_some_and(|(m, t)| {
                 t.is_punct(':')
@@ -283,6 +232,7 @@ fn struct_tainted_field(file: &SourceFile, from: usize) -> Option<String> {
                 return Some(tok.text.clone());
             }
         }
+        k += 1;
     }
     None
 }

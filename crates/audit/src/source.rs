@@ -1,5 +1,7 @@
 //! A lexed source file plus the derived structure the rules share:
-//! `#[cfg(test)]` / `#[test]` regions and `// audit:` allow annotations.
+//! the matching delimiter of every bracket, `#[cfg(test)]` / `#[test]`
+//! regions, named `fn` bodies and `// audit:` allow annotations. This
+//! is the one place that knows how Rust source nests; the rules ask it.
 
 use crate::lexer::{lex, Token, TokenKind};
 
@@ -24,6 +26,13 @@ pub struct Allowance {
     pub covers_line: u32,
 }
 
+/// A named `fn` with a body, outside test regions.
+pub(crate) struct FnBody {
+    pub(crate) name: String,
+    /// Token indices of the body's `{` and matching `}`.
+    pub(crate) body: (usize, usize),
+}
+
 /// One source file, lexed and scoped, ready for the rules.
 pub struct SourceFile {
     /// Repo-relative path with `/` separators.
@@ -35,25 +44,33 @@ pub struct SourceFile {
     /// Token-index ranges `[start, end]` (inclusive) that belong to
     /// `#[cfg(test)]` / `#[test]` items.
     pub test_regions: Vec<(usize, usize)>,
+    /// Every named `fn` body outside test regions, in source order.
+    pub(crate) fns: Vec<FnBody>,
     /// All well-formed audit annotations outside test regions.
     pub allowances: Vec<Allowance>,
     /// Malformed `// audit:` comments: (line, error message).
     pub annotation_errors: Vec<(u32, String)>,
+    /// Per token: the index of the delimiter matching it, for `(` `[`
+    /// `{` and their closers.
+    partners: Vec<Option<usize>>,
 }
 
 impl SourceFile {
     /// Lexes and scopes `text` as the file at `rel_path`.
     pub fn parse(rel_path: &str, text: &str) -> SourceFile {
         let tokens = lex(text);
-        let test_regions = find_test_regions(&tokens);
         let mut file = SourceFile {
             rel_path: rel_path.to_string(),
             lines: text.lines().map(str::to_string).collect(),
+            partners: match_delimiters(&tokens),
             tokens,
-            test_regions,
+            test_regions: Vec::new(),
+            fns: Vec::new(),
             allowances: Vec::new(),
             annotation_errors: Vec::new(),
         };
+        file.test_regions = file.find_test_regions();
+        file.fns = file.find_fns();
         file.collect_annotations();
         file
     }
@@ -83,12 +100,132 @@ impl SourceFile {
             .map(|(off, t)| (idx + off, t))
     }
 
+    /// The delimiter matching the `(` `[` `{` `)` `]` `}` at `idx`, in
+    /// either direction; `None` for an unmatched one or any other token.
+    pub(crate) fn partner(&self, idx: usize) -> Option<usize> {
+        self.partners.get(idx).copied().flatten()
+    }
+
+    /// The first token at or after `idx` that is neither a comment nor
+    /// part of an `#[…]` attribute; `None` past an unmatched attribute.
+    pub(crate) fn skip_attrs(&self, mut idx: usize) -> Option<usize> {
+        loop {
+            match self.tokens.get(idx) {
+                Some(t) if t.is_comment() => idx += 1,
+                Some(t)
+                    if t.is_punct('#')
+                        && self.tokens.get(idx + 1).is_some_and(|n| n.is_punct('[')) =>
+                {
+                    idx = self.partner(idx + 1)? + 1;
+                }
+                _ => return Some(idx),
+            }
+        }
+    }
+
+    /// The body of the item (or loop) whose header starts at `idx`: the
+    /// first `{` outside `(…)` / `[…]` groups and its `}` — or, for a
+    /// body-less item, its `;` as both ends.
+    pub(crate) fn item_body(&self, mut idx: usize) -> Option<(usize, usize)> {
+        while let Some(t) = self.tokens.get(idx) {
+            if t.is_punct('(') || t.is_punct('[') {
+                idx = self.partner(idx)?;
+            } else if t.is_punct(';') {
+                return Some((idx, idx));
+            } else if t.is_punct('{') {
+                return Some((idx, self.partner(idx)?));
+            }
+            idx += 1;
+        }
+        None
+    }
+
+    /// The first code token of the statement holding `idx`: the walk
+    /// back stops after the nearest `;`, `{` or `}`.
+    pub(crate) fn stmt_start(&self, mut idx: usize) -> usize {
+        while let Some((prev, t)) = self.prev_code_token(idx) {
+            if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
+                break;
+            }
+            idx = prev;
+        }
+        idx
+    }
+
     /// Whether a line-level or file-level allowance for `rule` covers a
     /// finding on `line`.
     pub fn allowed(&self, rule: &str, line: u32) -> bool {
         self.allowances
             .iter()
             .any(|a| a.rule == rule && (a.file_level || a.line == line || a.covers_line == line))
+    }
+
+    /// Token ranges covered by `#[cfg(test)]` or `#[test]` items.
+    ///
+    /// Lexical, not syntactic: after a test attribute we skip any further
+    /// attributes and comments, then take the item's body braces (or its
+    /// `;`, for brace-less items). `cfg` attributes merely *containing*
+    /// `test` (e.g. `cfg(all(test, unix))`, `cfg_attr(test, …)`) count as
+    /// test scope — conservative in the lenient direction, which only
+    /// ever under-reports, never flags test code as production.
+    fn find_test_regions(&self) -> Vec<(usize, usize)> {
+        let tokens = &self.tokens;
+        let mut regions = Vec::new();
+        let mut i = 0;
+        while i < tokens.len() {
+            if !(tokens[i].is_punct('#') && tokens.get(i + 1).is_some_and(|t| t.is_punct('['))) {
+                i += 1;
+                continue;
+            }
+            let Some(attr_end) = self.partner(i + 1) else {
+                break;
+            };
+            let attr = &tokens[i + 2..attr_end];
+            let idents: Vec<&str> = attr
+                .iter()
+                .filter(|t| t.kind == TokenKind::Ident)
+                .map(|t| t.text.as_str())
+                .collect();
+            // `test` directly under a `not(…)` (as in `cfg(not(test))`)
+            // marks production-only code, not test code.
+            let bare_test = attr.iter().enumerate().any(|(j, t)| {
+                t.is_ident("test")
+                    && !(j >= 2 && attr[j - 1].is_punct('(') && attr[j - 2].is_ident("not"))
+            });
+            let is_test = idents == ["test"]
+                || (matches!(idents.first(), Some(&"cfg" | &"cfg_attr")) && bare_test);
+            if is_test {
+                let item = self.skip_attrs(attr_end + 1);
+                let Some((_, end)) = item.and_then(|start| self.item_body(start)) else {
+                    break;
+                };
+                regions.push((i, end)); // keep scanning inside: harmless overlap
+            }
+            i = attr_end + 1;
+        }
+        regions
+    }
+
+    /// Every named `fn` with a body outside test regions (not `fn(usize)`
+    /// pointer types, not body-less trait declarations).
+    fn find_fns(&self) -> Vec<FnBody> {
+        let mut fns = Vec::new();
+        for (i, tok) in self.tokens.iter().enumerate() {
+            if !tok.is_ident("fn") || self.in_test_region(i) {
+                continue;
+            }
+            let Some((ni, name)) = self.next_code_token(i + 1) else {
+                continue;
+            };
+            let body = self.item_body(ni + 1).filter(|(open, close)| open != close);
+            if let (Some(body), TokenKind::Ident) = (body, name.kind) {
+                fns.push(FnBody {
+                    name: name.text.clone(),
+                    body,
+                });
+            }
+        }
+        fns
     }
 
     fn collect_annotations(&mut self) {
@@ -166,107 +303,31 @@ fn parse_annotation(body: &str) -> Result<(bool, String, String), String> {
     Ok((file_level, rule.to_string(), reason.to_string()))
 }
 
-/// Finds token ranges covered by `#[cfg(test)]` or `#[test]` items.
-///
-/// Lexical, not syntactic: after a test attribute we skip any further
-/// attributes and comments, then bracket-match to the item's closing
-/// brace (or stop at a top-level `;` for brace-less items). `cfg`
-/// attributes merely *containing* `test` (e.g. `cfg(all(test, unix))`,
-/// `cfg_attr(test, …)`) count as test scope — conservative in the
-/// lenient direction, which only ever under-reports, never flags test
-/// code as production.
-fn find_test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
-    let mut regions = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if !(tokens[i].is_punct('#') && tokens.get(i + 1).is_some_and(|t| t.is_punct('['))) {
-            i += 1;
-            continue;
-        }
-        let Some(attr_end) = match_delim(tokens, i + 1, '[', ']') else {
-            break;
+/// One stack pass over the code tokens: pairs every `(` `[` `{` with
+/// its closer, both ways. A closer that does not match the innermost
+/// open group is left unmatched, as is every group still open at EOF.
+fn match_delimiters(tokens: &[Token]) -> Vec<Option<usize>> {
+    let mut partners = vec![None; tokens.len()];
+    let mut open: Vec<usize> = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        let opener = match t.text.as_str() {
+            _ if t.kind != TokenKind::Punct => continue,
+            "(" | "[" | "{" => {
+                open.push(i);
+                continue;
+            }
+            ")" => "(",
+            "]" => "[",
+            "}" => "{",
+            _ => continue,
         };
-        let attr = &tokens[i + 2..attr_end];
-        let idents: Vec<&str> = attr
-            .iter()
-            .filter(|t| t.kind == TokenKind::Ident)
-            .map(|t| t.text.as_str())
-            .collect();
-        // `test` directly under a `not(…)` (as in `cfg(not(test))`)
-        // marks production-only code, not test code.
-        let bare_test = attr.iter().enumerate().any(|(j, t)| {
-            t.is_ident("test")
-                && !(j >= 2 && attr[j - 1].is_punct('(') && attr[j - 2].is_ident("not"))
-        });
-        let is_test = idents == ["test"]
-            || (matches!(idents.first(), Some(&"cfg" | &"cfg_attr")) && bare_test);
-        if !is_test {
-            i = attr_end + 1;
-            continue;
-        }
-        if let Some(region_end) = item_end(tokens, attr_end + 1) {
-            regions.push((i, region_end));
-            i = attr_end + 1; // keep scanning inside: harmless overlap
-        } else {
-            break;
+        if let Some(&o) = open.last().filter(|&&o| tokens[o].text == opener) {
+            open.pop();
+            partners[o] = Some(i);
+            partners[i] = Some(o);
         }
     }
-    regions
-}
-
-/// Token index of the closing delimiter matching the opener at `open`.
-fn match_delim(tokens: &[Token], open: usize, open_c: char, close_c: char) -> Option<usize> {
-    let mut depth = 0i64;
-    for (idx, tok) in tokens.iter().enumerate().skip(open) {
-        if tok.is_punct(open_c) {
-            depth += 1;
-        } else if tok.is_punct(close_c) {
-            depth -= 1;
-            if depth <= 0 {
-                return Some(idx);
-            }
-        }
-    }
-    None
-}
-
-/// Given the token after a test attribute, returns the index of the end
-/// of the annotated item: the matching `}` of its body, or the `;` of a
-/// brace-less item, or `None` at end of input.
-fn item_end(tokens: &[Token], mut i: usize) -> Option<usize> {
-    // Skip further attributes and comments between attribute and item.
-    loop {
-        match tokens.get(i) {
-            Some(t) if t.is_comment() => i += 1,
-            Some(t) if t.is_punct('#') && tokens.get(i + 1).is_some_and(|n| n.is_punct('[')) => {
-                i = match_delim(tokens, i + 1, '[', ']')? + 1;
-            }
-            _ => break,
-        }
-    }
-    // Find the body `{` (at zero paren/bracket depth) or a `;`.
-    let mut parens = 0i32;
-    let mut brackets = 0i32;
-    while let Some(tok) = tokens.get(i) {
-        if tok.is_punct('(') {
-            parens += 1;
-        } else if tok.is_punct(')') {
-            parens -= 1;
-        } else if tok.is_punct('[') {
-            brackets += 1;
-        } else if tok.is_punct(']') {
-            brackets -= 1;
-        } else if parens == 0 && brackets == 0 {
-            if tok.is_punct(';') {
-                return Some(i);
-            }
-            if tok.is_punct('{') {
-                return match_delim(tokens, i, '{', '}');
-            }
-        }
-        i += 1;
-    }
-    None
+    partners
 }
 
 #[cfg(test)]

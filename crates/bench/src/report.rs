@@ -17,8 +17,6 @@
 //! digits ([`sig9`]) so reference comparisons are bit-stable across
 //! hosts whose `libm` implementations differ in the last ulp.
 
-// audit: allow-file(secret, `key` here is a metric name in a report, not key material)
-
 use toleo_json::Value;
 
 /// Schema identifier emitted in every per-experiment JSON document.
@@ -164,19 +162,22 @@ impl Report {
 
     /// Records one named scalar (rounded via [`sig9`]; non-finite values
     /// are recorded as 0 with a note so the JSON stays valid).
-    pub fn metric(&mut self, key: impl Into<String>, value: f64) {
-        let key = key.into();
+    pub fn metric(&mut self, name: impl Into<String>, value: f64) {
+        let name = name.into();
         if value.is_finite() {
-            self.metrics.push((key, sig9(value)));
+            self.metrics.push((name, sig9(value)));
         } else {
-            self.notes.push(format!("metric {key} was non-finite"));
-            self.metrics.push((key, 0.0));
+            self.notes.push(format!("metric {name} was non-finite"));
+            self.metrics.push((name, 0.0));
         }
     }
 
     /// Looks up a metric by name.
-    pub fn get_metric(&self, key: &str) -> Option<f64> {
-        self.metrics.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+    pub fn get_metric(&self, name: &str) -> Option<f64> {
+        self.metrics
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| *v)
     }
 
     /// Appends a note line.

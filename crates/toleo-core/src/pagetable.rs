@@ -42,16 +42,15 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// assert_eq!(idx.get(8), None);
 /// assert_eq!(idx.len(), 2);
 /// ```
-// audit: allow(secret, keys here are hash-table bucket keys holding page numbers, not cryptographic keys)
 #[derive(Debug, Clone)]
 pub struct PageIndex {
-    /// Bucket keys; [`EMPTY`] marks a free bucket.
-    keys: Box<[u64]>,
-    /// Bucket values, parallel to `keys`.
+    /// Bucket page numbers; [`EMPTY`] marks a free bucket.
+    pages: Box<[u64]>,
+    /// Bucket values, parallel to `pages`.
     vals: Box<[u32]>,
     /// Number of live entries.
     len: usize,
-    /// `keys.len() - 1`; bucket count is always a power of two.
+    /// `pages.len() - 1`; bucket count is always a power of two.
     mask: usize,
     /// Right-shift that maps the Fibonacci product to a bucket index.
     shift: u32,
@@ -68,7 +67,7 @@ impl PageIndex {
     pub fn new() -> Self {
         let buckets = INITIAL_BUCKETS;
         PageIndex {
-            keys: vec![EMPTY; buckets].into_boxed_slice(),
+            pages: vec![EMPTY; buckets].into_boxed_slice(),
             vals: vec![0u32; buckets].into_boxed_slice(),
             len: 0,
             mask: buckets - 1,
@@ -99,7 +98,7 @@ impl PageIndex {
     pub fn get(&self, page: u64) -> Option<u32> {
         let mut i = self.bucket(page);
         loop {
-            let k = self.keys[i];
+            let k = self.pages[i];
             // EMPTY must be tested first: a `page == u64::MAX` query would
             // otherwise "match" the first free bucket's sentinel key and
             // return whatever stale value sits there.
@@ -121,18 +120,18 @@ impl PageIndex {
     pub fn insert(&mut self, page: u64, val: u32) {
         assert_ne!(page, EMPTY, "page number collides with the empty sentinel");
         // Grow at 7/8 load so probe chains stay short.
-        if (self.len + 1) * 8 > self.keys.len() * 7 {
+        if (self.len + 1) * 8 > self.pages.len() * 7 {
             self.grow();
         }
         let mut i = self.bucket(page);
         loop {
-            let k = self.keys[i];
+            let k = self.pages[i];
             if k == page {
                 self.vals[i] = val;
                 return;
             }
             if k == EMPTY {
-                self.keys[i] = page;
+                self.pages[i] = page;
                 self.vals[i] = val;
                 self.len += 1;
                 return;
@@ -143,13 +142,13 @@ impl PageIndex {
 
     /// Doubles the bucket array and re-inserts every live entry.
     fn grow(&mut self) {
-        let buckets = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; buckets].into_boxed_slice());
+        let buckets = self.pages.len() * 2;
+        let old_pages = std::mem::replace(&mut self.pages, vec![EMPTY; buckets].into_boxed_slice());
         let old_vals = std::mem::replace(&mut self.vals, vec![0u32; buckets].into_boxed_slice());
         self.mask = buckets - 1;
         self.shift = 64 - buckets.trailing_zeros();
         self.len = 0;
-        for (k, v) in old_keys.iter().zip(old_vals.iter()) {
+        for (k, v) in old_pages.iter().zip(old_vals.iter()) {
             if *k != EMPTY {
                 self.insert(*k, *v);
             }
@@ -158,7 +157,7 @@ impl PageIndex {
 
     /// Iterates over `(page, value)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.keys
+        self.pages
             .iter()
             .zip(self.vals.iter())
             .filter(|(k, _)| **k != EMPTY)

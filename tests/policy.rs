@@ -91,6 +91,25 @@ const BANS: &[Ban] = &[
         why: "the default AES backend is a `OnceLock`, not a hand-rolled atomic tag \
               cache with a row in AUDIT.json (EXPERIMENTS.md \"PR 24\")",
     },
+    Ban {
+        pattern: &[
+            "match_delim",
+            "group_end",
+            "match_brace",
+            "match_paren",
+            "match_bracket_back",
+            "body_open",
+            "loop_body",
+            "atomic_why",
+            "to_json",
+        ],
+        whole_word: false,
+        roots: &["crates/audit/src"],
+        exempt: Some("crates/audit/src/source.rs"),
+        why: "the auditor reads structure once: delimiter matching lives in \
+              `SourceFile` (`partner`, `item_body`, `stmt_start`), and AUDIT.json's \
+              protocol tables are parsed, never re-rendered (EXPERIMENTS.md \"PR 25\")",
+    },
 ];
 
 /// One former `awk` step: in `file`, a section runs from one line that
