@@ -14,6 +14,14 @@
 //!   stealth-cache miss, in parallel with the data+MAC path.
 //! * **InvisiMem** — all memory in smart packages: double encryption,
 //!   size-padded packets, and constant-rate dummy traffic.
+//!
+//! Under Toleo the protocol itself is not modelled here: each miss and
+//! each writeback runs `toleo-core`'s walk
+//! (`StealthCache::{read, update}`, the one `ProtectionEngine` executes)
+//! against the rack's device behind a fault-free `DeviceChannel`, and
+//! `Node` prices what it returns — link bytes and latency on a stealth
+//! miss, re-encryption bytes on a stealth reset. A device error is a
+//! broken simulator invariant and panics with the address.
 
 // audit: allow-file(panic, simulator invariants: a panic aborts the offline run with a trace, no production path)
 
@@ -22,6 +30,7 @@ use crate::config::{Protection, SimConfig};
 use crate::dram::Dram;
 use crate::link::Link;
 use toleo_core::cache::{MacCache, StealthCache};
+use toleo_core::channel::{DeviceChannel, RetryPolicy};
 use toleo_core::config::ToleoConfig;
 use toleo_core::device::{DeviceUsage, ToleoDevice};
 use toleo_core::layout;
@@ -37,6 +46,11 @@ const INVISIMEM_BUS_PRESSURE: f64 = 8.0;
 /// Fixed per-access packetization + secure-channel processing latency for
 /// InvisiMem (packet assembly, header crypto at both endpoints).
 const INVISIMEM_PACKET_NS: f64 = 25.0;
+
+/// Address bits of one node's private window: node `i` of a [`Rack`] owns
+/// `[i << NODE_WINDOW_BITS, (i + 1) << NODE_WINDOW_BITS)`, 4 GiB, and the
+/// device protects every node's window.
+const NODE_WINDOW_BITS: u32 = 32;
 
 /// Where the MAC block covering `addr` lives: a region no data address
 /// reaches, on the same memory node as the data.
@@ -90,9 +104,11 @@ pub struct RunStats {
     pub stealth_hit_rate: f64,
     /// MAC-cache hit rate (0 if not applicable).
     pub mac_hit_rate: f64,
-    /// Trip-format page counts at end of run (flat, uneven, full).
+    /// Trip-format page counts at end of run (flat, uneven, full). In a
+    /// [`Rack`] they describe the whole shared device, not this node's part.
     pub trip_pages: (u64, u64, u64),
-    /// Peak Toleo usage snapshot.
+    /// Peak Toleo usage snapshot. In a [`Rack`] it describes the whole
+    /// shared device, sampled at this node's instruction counts.
     pub peak_toleo: DeviceUsage,
     /// Usage samples over time: (instructions, usage).
     pub usage_timeline: Vec<(u64, DeviceUsage)>,
@@ -191,22 +207,22 @@ impl RunStats {
 pub struct SharedMemory {
     /// The disaggregated memory pool's DRAM.
     pub pool: Dram,
-    /// The rack's one Toleo device (None outside the Toleo configuration).
-    pub device: Option<ToleoDevice>,
+    /// The rack's one Toleo device, behind a fault-free channel (None
+    /// outside the Toleo configuration).
+    pub device: Option<DeviceChannel>,
 }
 
 impl SharedMemory {
-    /// Builds shared resources for a given config.
-    pub fn new(cfg: &SimConfig) -> Self {
-        let device = if cfg.protection == Protection::Toleo {
+    /// Builds the resources `nodes` nodes of config `cfg` share. The device
+    /// protects one 4 GiB window per node, enough for any scaled workload.
+    pub fn new(cfg: &SimConfig, nodes: usize) -> Self {
+        let device = (cfg.protection == Protection::Toleo).then(|| {
             let mut tcfg = ToleoConfig::small();
-            // Protect enough pages for any scaled workload.
-            tcfg.protected_bytes = 1 << 32; // 4 GiB of protected space
+            tcfg.protected_bytes = (nodes as u64) << NODE_WINDOW_BITS;
             tcfg.device_capacity_bytes = tcfg.flat_array_bytes() + (64 << 20);
-            Some(ToleoDevice::new(tcfg).expect("valid ToleoConfig"))
-        } else {
-            None
-        };
+            let dev = ToleoDevice::new(tcfg).expect("valid ToleoConfig");
+            DeviceChannel::new(dev, None, RetryPolicy::default())
+        });
         let mut pool = Dram::new(cfg.pool_dram);
         if cfg.protection == Protection::InvisiMem {
             pool.service_multiplier = INVISIMEM_BUS_PRESSURE;
@@ -335,10 +351,12 @@ impl Node {
                 bd.mac = with_mac - (data_ready + aes_ns);
                 done = with_mac;
                 if self.cfg.protection == Protection::Toleo {
-                    let page = layout::page_of(addr);
                     let dev = shared.device.as_mut().expect("toleo device");
-                    let fmt = dev.page_format(page).unwrap_or(TripFormat::Flat);
-                    let fresh_ready = if self.stealth_cache.access(page, fmt) {
+                    let (_, fmt, hit) = self
+                        .stealth_cache
+                        .read(dev, layout::page_of(addr), layout::line_of(addr))
+                        .unwrap_or_else(|e| panic!("device READ at {addr:#x}: {e}"));
+                    let fresh_ready = if hit {
                         now
                     } else {
                         let resp = stealth_entry_bytes(fmt);
@@ -347,7 +365,6 @@ impl Node {
                         let served = req_arrive + self.cfg.toleo_dram_ns;
                         self.toleo_link.transfer(served, resp)
                     };
-                    let _ = dev.read(page, layout::line_of(addr));
                     let with_fresh = done.max(fresh_ready);
                     bd.fresh = with_fresh - done;
                     done = with_fresh;
@@ -386,18 +403,19 @@ impl Node {
                     let _ = self.memory_access_meta(shared, now, mac_block_addr(addr));
                 }
                 if self.cfg.protection == Protection::Toleo {
-                    let page = layout::page_of(addr);
-                    let line = layout::line_of(addr);
                     let dev = shared.device.as_mut().expect("toleo device");
-                    let fmt = dev.page_format(page).unwrap_or(TripFormat::Flat);
+                    let (resp, hit) = self
+                        .stealth_cache
+                        .update(dev, layout::page_of(addr), layout::line_of(addr))
+                        .unwrap_or_else(|e| panic!("device UPDATE at {addr:#x}: {e}"));
                     // The stealth caches are inclusive *writeback* caches:
                     // on a hit the cached Trip entry is updated in place and
                     // no link traffic occurs; a miss fetches the entry (and
                     // eventually writes back a dirty victim). This is what
                     // lets one 12 B flat entry amortize 64 block writes and
                     // keeps the x2 IDE link almost idle (Fig. 8).
-                    if !self.stealth_cache.access(page, fmt) {
-                        let entry = stealth_entry_bytes(fmt);
+                    if !hit {
+                        let entry = stealth_entry_bytes(resp.format);
                         // Fetch + dirty-victim writeback.
                         self.stats.bytes_stealth += 16 + entry + entry;
                         let arrive = self.toleo_link.transfer(now, 16);
@@ -405,21 +423,11 @@ impl Node {
                             .toleo_link
                             .transfer(arrive + self.cfg.toleo_dram_ns, 2 * entry);
                     }
-                    match dev.update(page, line) {
-                        Ok(resp) => {
-                            if resp.uv_update() {
-                                // UV_UPDATE + page re-encryption: read and
-                                // re-write all 64 blocks, notify over CXL.
-                                self.stats.bytes_data += 2 * 4096;
-                                self.stats.bytes_stealth += 32;
-                                self.stealth_cache.invalidate_page(page);
-                            }
-                        }
-                        Err(_) => {
-                            // Device full: the OS would downgrade pages; we
-                            // model the downgrade immediately.
-                            let _ = dev.reset(page);
-                        }
+                    if resp.uv_update() {
+                        // UV_UPDATE + page re-encryption: read and re-write
+                        // all 64 blocks, notify over CXL.
+                        self.stats.bytes_data += 2 * 4096;
+                        self.stats.bytes_stealth += 32;
                     }
                 }
             }
@@ -473,7 +481,7 @@ impl Node {
             if let Some(dev) = shared.device.as_ref() {
                 self.stats
                     .usage_timeline
-                    .push((self.instructions, dev.usage()));
+                    .push((self.instructions, dev.device().usage()));
             }
         }
     }
@@ -499,7 +507,7 @@ impl Node {
         s.stealth_hit_rate = self.stealth_cache.stats().hit_rate();
         s.mac_hit_rate = self.mac_cache.stats().hit_rate();
         if let Some(dev) = shared.device.as_ref() {
-            let u = dev.usage();
+            let u = dev.device().usage();
             s.trip_pages = (u.flat_pages, u.uneven_pages, u.full_pages);
             s.peak_toleo = s
                 .usage_timeline
@@ -536,7 +544,7 @@ impl System {
     /// ```
     pub fn new(cfg: SimConfig) -> Self {
         System {
-            shared: SharedMemory::new(&cfg),
+            shared: SharedMemory::new(&cfg, 1),
             node: Node::new(cfg),
         }
     }
@@ -570,8 +578,14 @@ impl Rack {
     pub fn new(cfg: SimConfig, n: usize) -> Self {
         Rack {
             nodes: (0..n).map(|_| Node::new(cfg.clone())).collect(),
-            shared: SharedMemory::new(&cfg),
+            shared: SharedMemory::new(&cfg, n),
         }
+    }
+
+    /// The shared memory (pool + device) for inspection: the one device
+    /// every node's `RunStats::{trip_pages, peak_toleo}` describe.
+    pub fn shared(&self) -> &SharedMemory {
+        &self.shared
     }
 
     /// Runs one trace per node, interleaved in simulated time (the node
@@ -614,10 +628,10 @@ impl Rack {
     }
 }
 
-/// Shifts a node's addresses into a private 8 GiB window, so the nodes'
+/// Shifts a node's addresses into its private window, so the nodes'
 /// address spaces don't alias in the shared pool and device.
 fn offset_op(op: &Op, node: u64) -> Op {
-    let off = node << 33;
+    let off = node << NODE_WINDOW_BITS;
     match op {
         Op::Compute(n) => Op::Compute(*n),
         Op::Read(a) => Op::Read(a + off),
@@ -779,7 +793,7 @@ mod tests {
             assert!(s.cycles > 0.0);
         }
         // The shared device saw updates from both nodes.
-        let dev = rack.shared.device.as_ref().unwrap();
+        let dev = rack.shared.device.as_ref().unwrap().device();
         assert!(dev.stats().updates > 0);
     }
 
@@ -855,7 +869,7 @@ mod more_tests {
         let s = sys.run(&trace);
         // All 100 dirty lines must have reached the version system by the
         // end-of-run drain even though none were evicted naturally.
-        let dev = sys.shared().device.as_ref().unwrap();
+        let dev = sys.shared().device.as_ref().unwrap().device();
         assert!(
             dev.stats().updates >= 100,
             "updates {}",

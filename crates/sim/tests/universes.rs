@@ -1,9 +1,10 @@
-//! The two universes agree (ROADMAP item 3, step 1): every figure in
-//! `expected/` comes from `toleo-sim`'s hand-written protocol walk
-//! (`system::{protected_read, protected_write}`), every nanosecond in
-//! `benchmark/` from `ProtectionEngine::{read, write}`. Both drive the
-//! same `toleo-core` device and metadata caches, so fed the same post-LLC
-//! stream they must count the same protocol events.
+//! The two universes agree: every figure in `expected/` comes from
+//! `toleo-sim`, every nanosecond in `benchmark/` from
+//! `ProtectionEngine::{read, write}`. Both run the one protocol walk,
+//! `toleo_core::cache::StealthCache::{read, update}`, so what this checks
+//! is the stream the simulator hands it: `Node`'s misses, writebacks and
+//! drain, replayed post-LLC into an engine, must count the same protocol
+//! events — device traffic, upgrades, resets and both cache hit rates.
 
 use toleo_core::channel::RetryPolicy;
 use toleo_core::config::ToleoConfig;
@@ -57,6 +58,7 @@ fn both_universes(bench: Benchmark) -> Vec<(&'static str, u64, u64)> {
         .device
         .as_ref()
         .expect("Toleo configuration has a device")
+        .device()
         .stats();
 
     // The device `SharedMemory::new` builds, behind a functional engine

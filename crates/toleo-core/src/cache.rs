@@ -17,6 +17,18 @@
 //! state lives in the Toleo device. Hits avoid CXL round trips; misses are
 //! counted as device traffic by the protection engine and the simulator.
 //!
+//! # The protocol walk
+//!
+//! [`StealthCache::read`] and [`StealthCache::update`] are the host side
+//! of §4.4–§5, written once: a READ or UPDATE over the
+//! [`DeviceChannel`], a stealth-cache probe with the format the device
+//! answered, and on a stealth reset the page's cached entry dropped. The
+//! engine executes the walk (`ProtectionEngine::{read, write}`); the
+//! simulator prices what it returns (`toleo-sim`'s `Node`: link bytes,
+//! re-encryption bytes). Neither reaches the device or this cache another
+//! way on an access, so the two cannot disagree about which probe missed.
+//! A device error returns before anything is probed.
+//!
 //! # Two LRU structures
 //!
 //! The 16-way caches — overflow buffer, MAC cache, the SGX baseline's node
@@ -53,7 +65,11 @@
 
 // audit: allow-file(indexing, callers reduce set indices modulo num_sets; slot indices come from position, head, the CAM's own links and the length of the same Vec)
 
+use crate::channel::DeviceChannel;
+use crate::device::UpdateResponse;
+use crate::error::Result;
 use crate::trip::TripFormat;
+use crate::version::StealthVersion;
 use serde::{Deserialize, Serialize};
 
 /// Hit/miss counters for one cache.
@@ -525,6 +541,49 @@ impl StealthCache {
         }
     }
 
+    /// The walk on an LLC miss: READ the stealth version of `line` in
+    /// `page`, then probe with the format the device answered. Returns the
+    /// version, that format and whether the probe hit.
+    ///
+    /// # Errors
+    ///
+    /// The channel's errors, with nothing probed.
+    pub fn read(
+        &mut self,
+        dev: &mut DeviceChannel,
+        page: u64,
+        line: usize,
+    ) -> Result<(StealthVersion, TripFormat, bool)> {
+        let (stealth, format) = dev.read_versioned(page, line)?;
+        Ok((stealth, format, self.access(page, format)))
+    }
+
+    /// The walk on a dirty eviction: UPDATE the stealth version of `line`
+    /// in `page`, probe with the page's format when the UPDATE arrived
+    /// (`UpdateResponse::format`, pre-upgrade), and drop the page's cached
+    /// entry if the UPDATE fired a stealth reset. Returns the response and
+    /// whether the probe hit.
+    ///
+    /// # Errors
+    ///
+    /// The channel's errors, with nothing probed:
+    /// [`ToleoError::DeviceFull`](crate::error::ToleoError::DeviceFull)
+    /// leaves the device and this cache as they were.
+    #[inline]
+    pub fn update(
+        &mut self,
+        dev: &mut DeviceChannel,
+        page: u64,
+        line: usize,
+    ) -> Result<(UpdateResponse, bool)> {
+        let resp = dev.update(page, line)?;
+        let hit = self.access(page, resp.format);
+        if resp.uv_update() {
+            self.invalidate_page(page);
+        }
+        Ok((resp, hit))
+    }
+
     /// Combined page-grain hit/miss statistics (the paper's Fig. 7 metric).
     pub fn stats(&self) -> CacheStats {
         self.combined
@@ -569,6 +628,10 @@ impl MacCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::RetryPolicy;
+    use crate::config::ToleoConfig;
+    use crate::device::ToleoDevice;
+    use crate::error::ToleoError;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// The `Vec` model `SetAssocCache` was until PR 19 — every set a
@@ -1035,5 +1098,68 @@ mod tests {
         mc.access(16 * 64 * 8); // evicts one
         let s = mc.stats();
         assert_eq!(s.misses, 17);
+    }
+
+    fn bare_channel(cfg: ToleoConfig) -> DeviceChannel {
+        let dev = ToleoDevice::new(cfg).unwrap();
+        DeviceChannel::new(dev, None, RetryPolicy::default())
+    }
+
+    /// The reset arm of the walk: at `reset_log2 = 1` half the UPDATEs
+    /// that advance a hot line's page reset it, and each one must leave
+    /// the page uncached so the next READ misses; every other UPDATE
+    /// leaves it resident.
+    #[test]
+    fn an_update_that_resets_its_page_leaves_it_uncached() {
+        let mut cfg = ToleoConfig::small();
+        cfg.reset_log2 = 1;
+        let mut dev = bare_channel(cfg);
+        let mut sc = StealthCache::paper_default();
+        let (mut resets, mut kept) = (0, 0);
+        for _ in 0..200 {
+            let (resp, _) = sc.update(&mut dev, 3, 0).unwrap();
+            if resp.uv_update() {
+                resets += 1;
+                assert_eq!(sc.tlb_ext.find(3), None);
+                let misses = sc.stats().misses;
+                let (_, format, hit) = sc.read(&mut dev, 3, 0).unwrap();
+                assert_eq!(format, TripFormat::Flat, "a reset page is flat");
+                assert!(!hit, "the READ after a reset must miss");
+                assert_eq!(sc.stats().misses, misses + 1);
+            } else {
+                kept += 1;
+                assert!(sc.tlb_ext.find(3).is_some());
+            }
+        }
+        assert!(resets > 20 && kept > 20, "{resets} resets, {kept} kept");
+        assert_eq!(dev.device().stats().stealth_resets, resets);
+    }
+
+    /// A refused walk changes nothing: an upgrading UPDATE against a
+    /// dynamic region of zero blocks returns `DeviceFull` and a READ out
+    /// of range `PageOutOfRange`, each with the cache's stats, the
+    /// device's versions, format and usage as they were.
+    #[test]
+    fn a_refused_walk_leaves_cache_and_device_untouched() {
+        let mut cfg = ToleoConfig::small();
+        cfg.device_capacity_bytes = cfg.flat_array_bytes(); // zero dynamic blocks
+        let mut dev = bare_channel(cfg);
+        let mut sc = StealthCache::paper_default();
+        sc.update(&mut dev, 0, 3).unwrap();
+        let version = dev.read_versioned(0, 3).unwrap();
+        let (cache, usage) = (sc.stats(), dev.device().usage());
+        let updates = dev.device().stats().updates;
+
+        let refused = sc.update(&mut dev, 0, 3);
+        assert!(matches!(refused, Err(ToleoError::DeviceFull { page: 0 })));
+        let pages = dev.config().protected_pages();
+        assert!(sc.read(&mut dev, pages, 0).is_err());
+
+        assert_eq!(sc.stats(), cache);
+        assert_eq!(dev.device().usage(), usage);
+        assert_eq!(dev.device().stats().updates, updates);
+        assert_eq!(dev.device().stats().rejected_full, 1);
+        assert_eq!(dev.read_versioned(0, 3).unwrap(), version);
+        assert_eq!(version.1, TripFormat::Flat);
     }
 }

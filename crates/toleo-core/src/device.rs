@@ -197,12 +197,6 @@ impl ToleoDevice {
         u
     }
 
-    /// Format of a page (for inspection; materializes the page).
-    pub fn page_format(&mut self, page: u64) -> Result<TripFormat> {
-        self.check_page(page)?;
-        Ok(self.entry(page).format())
-    }
-
     fn check_page(&self, page: u64) -> Result<()> {
         let pages = self.cfg.protected_pages();
         if page >= pages {
@@ -557,10 +551,10 @@ mod tests {
         d.update(0, 7).unwrap();
         d.update(0, 7).unwrap(); // -> uneven
         assert_eq!(d.usage().dynamic_bytes, DYNAMIC_BLOCK_BYTES as u64);
-        assert_eq!(d.page_format(0).unwrap(), TripFormat::Uneven);
+        assert_eq!(d.read_versioned(0, 0).unwrap().1, TripFormat::Uneven);
         d.reset(0).unwrap();
         assert_eq!(d.usage().dynamic_bytes, 0);
-        assert_eq!(d.page_format(0).unwrap(), TripFormat::Flat);
+        assert_eq!(d.read_versioned(0, 0).unwrap().1, TripFormat::Flat);
         let s = d.stats();
         assert_eq!(s.upgrades_to_uneven, 1);
         assert_eq!(s.resets, 1);
@@ -572,7 +566,7 @@ mod tests {
         for _ in 0..200 {
             d.update(0, 7).unwrap();
         }
-        assert_eq!(d.page_format(0).unwrap(), TripFormat::Full);
+        assert_eq!(d.read_versioned(0, 0).unwrap().1, TripFormat::Full);
         assert_eq!(d.usage().dynamic_bytes, 4 * DYNAMIC_BLOCK_BYTES as u64);
         assert_eq!(d.stats().upgrades_to_full, 1);
     }
@@ -598,7 +592,7 @@ mod tests {
         // Freeing page 0 lets page 1 upgrade.
         d.reset(0).unwrap();
         d.update(1, 4).unwrap();
-        assert_eq!(d.page_format(1).unwrap(), TripFormat::Uneven);
+        assert_eq!(d.read_versioned(1, 0).unwrap().1, TripFormat::Uneven);
     }
 
     #[test]
@@ -614,7 +608,7 @@ mod tests {
             v_before,
             "rejected update must not mutate"
         );
-        assert_eq!(d.page_format(0).unwrap(), TripFormat::Flat);
+        assert_eq!(d.read_versioned(0, 0).unwrap().1, TripFormat::Flat);
     }
 
     #[test]
@@ -626,7 +620,7 @@ mod tests {
             }
             assert_eq!(d.usage().dynamic_bytes, 0, "round {round}");
         }
-        assert_eq!(d.page_format(9).unwrap(), TripFormat::Flat);
+        assert_eq!(d.read_versioned(9, 0).unwrap().1, TripFormat::Flat);
     }
 
     #[test]
@@ -661,10 +655,10 @@ mod tests {
         let mut d = ToleoDevice::new(cfg).unwrap();
         let mut saw_reset_from_nonflat = false;
         for _ in 0..2_000 {
-            let fmt_before = d.page_format(0).unwrap();
+            let fmt_before = d.read_versioned(0, 0).unwrap().1;
             let r = d.update(0, 1).unwrap();
             if r.uv_update() {
-                assert_eq!(d.page_format(0).unwrap(), TripFormat::Flat);
+                assert_eq!(d.read_versioned(0, 0).unwrap().1, TripFormat::Flat);
                 if fmt_before != TripFormat::Flat {
                     saw_reset_from_nonflat = true;
                     assert_eq!(d.usage().dynamic_bytes, 0, "side entry freed on reset");

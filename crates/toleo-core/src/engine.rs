@@ -35,7 +35,7 @@ use crate::arena::{PageSlot, SlotId};
 use crate::cache::{CacheStats, MacCache, StealthCache};
 use crate::channel::{ChannelStats, DeviceChannel, RetryPolicy};
 use crate::config::{ToleoConfig, CACHE_BLOCK_BYTES, LINES_PER_PAGE, PAGE_BYTES};
-use crate::device::{DeviceStats, ToleoDevice, UpdateResponse};
+use crate::device::{DeviceStats, ToleoDevice};
 use crate::error::{BatchError, Result, ToleoError};
 use crate::fault::{FaultPlan, FaultPlanConfig};
 use crate::layout;
@@ -369,14 +369,13 @@ impl ProtectionEngine {
         let page = layout::page_of(addr);
         let line = layout::line_of(addr);
 
-        let resp: UpdateResponse = self
-            .channel
-            .update(page, line)
+        // The UPDATE goes through to the device regardless (write-through);
+        // the walk's stealth-cache hit only says the host knew the current
+        // version and did not stall on the CXL round trip.
+        let (resp, _) = self
+            .stealth_cache
+            .update(&mut self.channel, page, line)
             .map_err(|e| self.note_device_err(e))?;
-        // Version-cache access for stats; the UPDATE went through to the
-        // device regardless (write-through), but a hit means the host knew
-        // the current version and did not stall on the CXL round trip.
-        self.stealth_cache.access(page, resp.format);
         self.stats.device_updates += 1;
         self.stats.writes += 1;
 
@@ -389,7 +388,8 @@ impl ProtectionEngine {
         let id = self.slot_id(page);
         let mut uv = self.dram.slot(id).uv();
         if let Some(notice) = resp.reset {
-            // UV_UPDATE: bump the shared UV and re-encrypt every resident
+            // UV_UPDATE (the walk has already dropped the page's cached
+            // entry): bump the shared UV and re-encrypt every resident
             // block of the page under the fresh stealth base — one slab
             // walk over the page's slot, no per-line map probes. All old
             // and new XTS tweaks and MAC pads for the walk are encrypted
@@ -469,7 +469,6 @@ impl ProtectionEngine {
                 self.kill();
                 return Err(ToleoError::IntegrityViolation { address: lbase });
             }
-            self.stealth_cache.invalidate_page(page);
             self.stats.pages_reencrypted += 1;
             uv = new_uv;
         }
@@ -507,11 +506,11 @@ impl ProtectionEngine {
         let line = layout::line_of(addr);
         self.stats.reads += 1;
 
-        let (stealth, fmt) = self
-            .channel
-            .read_versioned(page, line)
+        let (stealth, _, hit) = self
+            .stealth_cache
+            .read(&mut self.channel, page, line)
             .map_err(|e| self.note_device_err(e))?;
-        if !self.stealth_cache.access(page, fmt) {
+        if !hit {
             self.stats.device_reads += 1;
         }
         if !self.mac_cache.access(addr) {

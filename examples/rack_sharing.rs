@@ -44,12 +44,20 @@ fn main() {
         );
     }
 
+    // Every node's `trip_pages` and `peak_toleo` describe the one shared
+    // device, so its totals are read once, not summed over nodes.
     println!("\nshared Toleo device totals:");
-    let total_flat: u64 = stats.iter().map(|s| s.trip_pages.0).sum();
-    let total_uneven: u64 = stats.iter().map(|s| s.trip_pages.1).sum();
-    let total_full: u64 = stats.iter().map(|s| s.trip_pages.2).sum();
-    println!("  pages: {total_flat} flat / {total_uneven} uneven / {total_full} full");
-    let peak: u64 = stats.iter().map(|s| s.peak_toleo.total_bytes()).sum();
+    let device = rack.shared().device.as_ref().expect("Toleo device");
+    let usage = device.device().usage();
+    println!(
+        "  pages: {} flat / {} uneven / {} full",
+        usage.flat_pages, usage.uneven_pages, usage.full_pages
+    );
+    let peak = stats
+        .iter()
+        .map(|s| s.peak_toleo.total_bytes())
+        .max()
+        .unwrap_or_default();
     let rss: u64 = stats.iter().map(|s| s.rss_bytes).sum();
     println!(
         "  version storage: {:.2} MB for {:.1} MB protected ({:.1} GB per TB)",

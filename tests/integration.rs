@@ -2,7 +2,7 @@
 //! end-to-end shapes the paper's evaluation claims.
 
 use toleo_sim::config::{Protection, SimConfig};
-use toleo_sim::system::{Rack, System};
+use toleo_sim::system::{Rack, SharedMemory, System};
 use toleo_workloads::{generate, Benchmark, GenConfig};
 
 fn quick(b: Benchmark) -> toleo_workloads::Trace {
@@ -187,11 +187,31 @@ fn rack_of_four_shares_one_device() {
         ..GenConfig::default()
     };
     let traces: Vec<_> = mix.iter().map(|b| generate(*b, &gen)).collect();
-    let mut rack = Rack::new(SimConfig::scaled(Protection::Toleo), 4);
+    let cfg = SimConfig::scaled(Protection::Toleo);
+    let mut rack = Rack::new(cfg.clone(), 4);
     let stats = rack.run(&traces);
     assert_eq!(stats.len(), 4);
     for s in &stats {
         assert!(s.cycles > 0.0);
         assert!(s.stealth_hit_rate > 0.0);
     }
+    // Every node's writebacks reach the one device: its UPDATEs are the
+    // four traces' UPDATEs run alone, not node 0's.
+    let updates = |shared: &SharedMemory| {
+        let device = shared
+            .device
+            .as_ref()
+            .expect("Toleo configuration has a device");
+        device.device().stats().updates
+    };
+    let solo: u64 = traces
+        .iter()
+        .map(|t| {
+            let mut system = System::new(cfg.clone());
+            system.run(t);
+            updates(system.shared())
+        })
+        .sum();
+    assert!(solo > 0);
+    assert_eq!(updates(rack.shared()), solo);
 }

@@ -110,6 +110,21 @@ const BANS: &[Ban] = &[
               `SourceFile` (`partner`, `item_body`, `stmt_start`), and AUDIT.json's \
               protocol tables are parsed, never re-rendered (EXPERIMENTS.md \"PR 25\")",
     },
+    Ban {
+        pattern: &[
+            "page_format",
+            "invalidate_page",
+            ".update(page",
+            ".read(page",
+            ".reset(page",
+        ],
+        whole_word: false,
+        roots: &["crates/sim/src"],
+        exempt: None,
+        why: "one protocol walk: the simulator reaches the device and the stealth cache \
+              only through `StealthCache::{read, update}`, the walk the engine executes, \
+              and prices what it returns (EXPERIMENTS.md \"PR 27\")",
+    },
 ];
 
 /// One former `awk` step: in `file`, a section runs from one line that
