@@ -14,11 +14,10 @@
 //! with re-encryption of all 128 covered blocks.
 //!
 //! [`MorphEngine`] wraps the leaves in a functional protection engine
-//! (AES-CTR + MAC over a [`SealedStore`]) so
-//! Morphable Counters competes in the same evaluation arena as Toleo:
-//! leaf versions seal the data blocks, and a leaf re-base *actually
-//! re-encrypts* the covered 8 KB — exactly the cost the denser 128:1
-//! encoding trades for.
+//! that seals as Toleo does (into the same page arena) so Morphable
+//! Counters competes in the same evaluation arena: leaf versions seal the
+//! data blocks, and a leaf re-base *actually re-encrypts* the covered
+//! 8 KB — exactly the cost the denser 128:1 encoding trades for.
 
 // audit: allow-file(indexing, slot indices are reduced modulo BLOCKS_PER_LEAF)
 
@@ -78,6 +77,11 @@ impl MorphLeaf {
     /// Version of a covered block.
     pub fn version(&self, slot: usize) -> u64 {
         self.base + self.deltas[slot]
+    }
+
+    /// Every covered block's version, in slot order.
+    fn versions(&self) -> [u64; BLOCKS_PER_LEAF] {
+        std::array::from_fn(|slot| self.version(slot))
     }
 
     /// How many of the covered blocks exceed the uniform delta capacity.
@@ -149,8 +153,12 @@ impl MorphLeaf {
     }
 }
 
-use crate::store::{BlockCapsule, SealedStore};
-use toleo_core::protected::{Capsule, MemoryError, MemoryStats, ProtectedMemory};
+use crate::{reseal, seal, unseal, whole_block};
+use toleo_core::arena::UntrustedDram;
+use toleo_core::config::LINES_PER_PAGE;
+use toleo_core::layout;
+use toleo_core::protected::{MemoryError, MemoryStats, ProtectedMemory};
+use toleo_core::seal::LineSealer;
 
 /// A functional Morphable-Counters protection engine: data blocks sealed
 /// under their morphable-leaf version, with leaf re-bases re-encrypting
@@ -160,8 +168,12 @@ use toleo_core::protected::{Capsule, MemoryError, MemoryStats, ProtectedMemory};
 /// fold adds the evicted maximum into the shared base), so the engine
 /// re-seals every resident covered block whenever
 /// [`MorphLeaf::update`] reports a re-base — and in doing so catches any
-/// tampered or replayed sibling *during the walk*. As with
-/// [`VaultEngine`](crate::vault::VaultEngine), the counter store itself
+/// tampered or replayed sibling *during the walk*. A leaf covers two
+/// pages, so a re-base is two of the engine's page walks. Versions are
+/// nonces: a write moves its block's version up by at least one, and a
+/// re-base never moves one down, so a re-sealed block either keeps its
+/// version (same plaintext, same ciphertext) or takes one it never had.
+/// As with [`VaultEngine`](crate::vault::VaultEngine), the counter store itself
 /// is modelled as authenticated (the MAC-chain mechanics live in
 /// [`CounterTree`](crate::tree::CounterTree)); the arena comparison
 /// focuses on the scheme's distinguishing cost: encoding morphs and
@@ -179,7 +191,8 @@ use toleo_core::protected::{Capsule, MemoryError, MemoryStats, ProtectedMemory};
 #[derive(Debug)]
 pub struct MorphEngine {
     leaves: Vec<MorphLeaf>,
-    store: SealedStore,
+    sealer: LineSealer,
+    dram: UntrustedDram,
     bytes: u64,
     reads: u64,
     writes: u64,
@@ -198,7 +211,8 @@ impl MorphEngine {
         let blocks = (bytes / 64) as usize;
         MorphEngine {
             leaves: vec![MorphLeaf::new(); blocks.div_ceil(BLOCKS_PER_LEAF)],
-            store: SealedStore::new(b"morph-data-key16", *b"morph-mac-key16!"),
+            sealer: LineSealer::new(b"morph-data-key16morph-tweak-key!morph-mac-key16!"),
+            dram: UntrustedDram::default(),
             bytes,
             reads: 0,
             writes: 0,
@@ -217,11 +231,7 @@ impl MorphEngine {
     }
 
     fn check(&self, addr: u64) -> Result<u64, MemoryError> {
-        assert_eq!(addr % 64, 0, "unaligned block access");
-        if addr >= self.bytes {
-            return Err(MemoryError::OutOfRange { address: addr });
-        }
-        Ok(addr / 64)
+        whole_block(addr, self.bytes).ok_or(MemoryError::OutOfRange { address: addr })
     }
 
     /// Writes a block: bump its leaf delta, seal under the new version,
@@ -243,29 +253,32 @@ impl MorphEngine {
         // Snapshot pre-update versions: a re-base can move EVERY covered
         // block's version, and the walk must unseal each resident block
         // under the version it was sealed with.
-        let old_versions: [u64; BLOCKS_PER_LEAF] =
-            std::array::from_fn(|s| self.leaves[leaf_idx].version(s));
+        let old_versions = self.leaves[leaf_idx].versions();
         let reencrypted = self.leaves[leaf_idx].update(slot);
         self.version_fetches += 1;
         self.writes += 1;
+        let leaf = &self.leaves[leaf_idx];
         if reencrypted > 0 {
-            let leaf_base = (leaf_idx * BLOCKS_PER_LEAF) as u64;
-            for (s, old_version) in old_versions.iter().enumerate() {
-                if s == slot {
-                    continue;
-                }
-                let b = leaf_base + s as u64;
-                if b * 64 >= self.bytes {
-                    break;
-                }
-                let a = b * 64;
-                self.store
-                    .reseal(*old_version, self.leaves[leaf_idx].version(s), a)
-                    .map_err(|()| MemoryError::IntegrityViolation { address: a })?;
+            // A leaf covers two pages: one page walk each.
+            let new_versions = leaf.versions();
+            let first_page = (leaf_idx * BLOCKS_PER_LEAF / LINES_PER_PAGE) as u64;
+            let halves = old_versions
+                .chunks(LINES_PER_PAGE)
+                .zip(new_versions.chunks(LINES_PER_PAGE));
+            for (page, (old, new)) in (first_page..).zip(halves) {
+                let skip = (page == layout::page_of(addr)).then_some(layout::line_of(addr));
+                reseal(
+                    &self.sealer,
+                    &mut self.dram,
+                    page,
+                    skip,
+                    |l| old[l],
+                    |l| new[l],
+                )?;
             }
         }
-        self.store
-            .seal(self.leaves[leaf_idx].version(slot), addr, plaintext);
+        let version = leaf.version(slot);
+        seal(&self.sealer, &mut self.dram, addr, version, plaintext);
         Ok(())
     }
 
@@ -285,9 +298,9 @@ impl MorphEngine {
         let slot = block as usize % BLOCKS_PER_LEAF;
         self.version_fetches += 1;
         self.reads += 1;
-        self.store
-            .unseal(self.leaves[leaf_idx].version(slot), addr)
-            .map_err(|()| MemoryError::IntegrityViolation { address: addr })
+        let version = self.leaves[leaf_idx].version(slot);
+        unseal(&self.sealer, &self.dram, addr, version)
+            .ok_or(MemoryError::IntegrityViolation { address: addr })
     }
 }
 
@@ -313,22 +326,8 @@ impl ProtectedMemory for MorphEngine {
         }
     }
 
-    fn corrupt(&mut self, addr: u64, offset: usize, xor: u8) -> bool {
-        self.store.corrupt(addr, offset, xor)
-    }
-
-    fn capture(&mut self, addr: u64) -> Capsule {
-        Capsule::new(addr, self.store.capture(addr))
-    }
-
-    fn replay(&mut self, capsule: &Capsule) -> bool {
-        match capsule.state::<BlockCapsule>() {
-            Some(c) => {
-                self.store.replay(capsule.address(), c);
-                true
-            }
-            None => false,
-        }
+    fn untrusted(&mut self, _addr: u64) -> &mut UntrustedDram {
+        &mut self.dram
     }
 }
 
@@ -464,8 +463,51 @@ mod tests {
         e.write(0x80, &[1u8; 64]).unwrap();
         let stale = ProtectedMemory::capture(&mut e, 0x80);
         e.write(0x80, &[2u8; 64]).unwrap();
-        assert!(ProtectedMemory::replay(&mut e, &stale));
+        ProtectedMemory::replay(&mut e, &stale);
         assert!(e.read(0x80).is_err());
+    }
+
+    /// A 100-byte Morph engine holds one whole block; bytes 64..100 used
+    /// to be served as a block of the leaf.
+    #[test]
+    fn trailing_partial_block_is_out_of_range() {
+        let mut e = MorphEngine::new(100);
+        e.write(0, &[1u8; 64]).unwrap();
+        let out = MemoryError::OutOfRange { address: 64 };
+        assert_eq!(e.write(64, &[2u8; 64]), Err(out.clone()));
+        assert_eq!(e.read(64), Err(out));
+        assert_eq!(e.read(0).unwrap(), [1u8; 64]);
+    }
+
+    /// The nonce argument of the engine docs, observed across re-bases:
+    /// six hot blocks overflow the skewed encoding, so re-bases fold the
+    /// maximum into the base (every delta back to zero); after every
+    /// write of the seeded trace, no verifying line's `(version,
+    /// address)` has held two ciphertexts.
+    #[test]
+    fn no_nonce_ever_seals_two_ciphertexts() {
+        let mut e = engine();
+        let mut nonces = crate::tests::Nonces::default();
+        let mut full_resets = 0;
+        for (block, fill) in crate::tests::hot_trace(28, 600, 6, 256) {
+            let rebases = e.rebases();
+            e.write(block * 64, &[fill; 64]).unwrap();
+            let leaf = &e.leaves[block as usize / BLOCKS_PER_LEAF];
+            if e.rebases() > rebases && leaf.deltas.iter().all(|&d| d == 0) {
+                full_resets += 1;
+            }
+            let leaves = &e.leaves;
+            nonces.observe(&e.sealer, &e.dram, |b| {
+                let b = b as usize;
+                leaves[b / BLOCKS_PER_LEAF].version(b % BLOCKS_PER_LEAF)
+            });
+        }
+        assert!(
+            e.rebases() >= 3 && full_resets >= 1,
+            "{} / {full_resets}",
+            e.rebases()
+        );
+        assert!(nonces.len() > 500, "only {} nonces observed", nonces.len());
     }
 
     #[test]
@@ -476,7 +518,7 @@ mod tests {
         e.write(64, &[0xA1u8; 64]).unwrap();
         let stale = ProtectedMemory::capture(&mut e, 64);
         e.write(64, &[0xA2u8; 64]).unwrap();
-        assert!(ProtectedMemory::replay(&mut e, &stale));
+        ProtectedMemory::replay(&mut e, &stale);
         // Drive the leaf into a re-base with >4 hot blocks.
         let mut caught = None;
         'drive: for hot in 2..8u64 {

@@ -1,16 +1,20 @@
 //! Client-SGX-style memory encryption engine over a Merkle counter tree —
 //! the functional baseline Toleo replaces.
 //!
-//! Data blocks are AES-CTR encrypted with their 56-bit version as nonce;
-//! a MAC binds `(version, address, ciphertext)`; versions live in the
-//! counter-tree leaves whose integrity chains up to an on-chip root. The
-//! EPC (enclave page cache) is limited — accesses beyond it would page in
-//! the real system; here the capacity limit is surfaced for the overhead
+//! Data blocks are sealed as Toleo seals them ([`LineSealer`]: XTS under a
+//! `(version, address)` tweak plus the line MAC) into the same page
+//! arena; versions live in the counter-tree leaves whose integrity chains
+//! up to an on-chip root. A leaf counter goes up by one per write and
+//! never resets, so `(version, address)` never repeats. The EPC (enclave
+//! page cache) is limited — accesses beyond it would page in the real
+//! system; here the capacity limit is surfaced for the overhead
 //! comparison in the ablation benches.
 
-use crate::store::{BlockCapsule, SealedStore};
 use crate::tree::{CounterTree, TreeError};
-use toleo_core::protected::{Capsule, MemoryError, MemoryStats, ProtectedMemory};
+use crate::{seal, unseal, whole_block};
+use toleo_core::arena::UntrustedDram;
+use toleo_core::protected::{MemoryError, MemoryStats, ProtectedMemory};
+use toleo_core::seal::LineSealer;
 
 /// Errors from the SGX-style engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +78,8 @@ fn to_memory_error(e: SgxError, address: u64) -> MemoryError {
 pub struct SgxEngine {
     epc_bytes: u64,
     tree: CounterTree,
-    store: SealedStore,
+    sealer: LineSealer,
+    dram: UntrustedDram,
     /// Tree-node memory accesses accumulated (the Merkle overhead).
     pub tree_accesses: u64,
     reads: u64,
@@ -88,37 +93,33 @@ impl SgxEngine {
         SgxEngine {
             epc_bytes,
             tree: CounterTree::new(8, epc_bytes / 64, 512),
-            store: SealedStore::new(b"sgx-data-key 16B", *b"sgx-mac-key 16B!"),
+            sealer: LineSealer::new(b"sgx-data-key 16Bsgx-tweak-key 16sgx-mac-key 16B!"),
+            dram: UntrustedDram::default(),
             tree_accesses: 0,
             reads: 0,
             writes: 0,
         }
     }
 
-    fn check(&self, addr: u64) -> Result<(), SgxError> {
-        if addr >= self.epc_bytes {
-            return Err(SgxError::OutOfEpc { address: addr });
-        }
-        Ok(())
+    fn check(&self, addr: u64) -> Result<u64, SgxError> {
+        whole_block(addr, self.epc_bytes).ok_or(SgxError::OutOfEpc { address: addr })
     }
 
     /// Writes a block: bump the version in the tree, encrypt, MAC, store.
     ///
     /// # Errors
     ///
-    /// [`SgxError::OutOfEpc`] beyond the EPC; tree errors if the tree was
-    /// tampered with.
+    /// [`SgxError::OutOfEpc`] outside the EPC's whole blocks; tree errors
+    /// if the tree was tampered with.
     ///
     /// # Panics
     ///
     /// Panics on unaligned addresses.
     pub fn write(&mut self, addr: u64, plaintext: &[u8; 64]) -> Result<(), SgxError> {
-        assert_eq!(addr % 64, 0, "unaligned block write");
-        self.check(addr)?;
-        let walk = self.tree.update(addr / 64)?;
+        let walk = self.tree.update(self.check(addr)?)?;
         self.tree_accesses += walk.memory_accesses as u64;
         self.writes += 1;
-        self.store.seal(walk.version, addr, plaintext);
+        seal(&self.sealer, &mut self.dram, addr, walk.version, plaintext);
         Ok(())
     }
 
@@ -127,31 +128,18 @@ impl SgxEngine {
     /// # Errors
     ///
     /// [`SgxError::IntegrityViolation`] on MAC mismatch (replay/tamper);
-    /// tree errors on counter tampering; [`SgxError::OutOfEpc`] beyond the
-    /// EPC.
+    /// tree errors on counter tampering; [`SgxError::OutOfEpc`] outside the
+    /// EPC's whole blocks.
     ///
     /// # Panics
     ///
     /// Panics on unaligned addresses.
     pub fn read(&mut self, addr: u64) -> Result<[u8; 64], SgxError> {
-        assert_eq!(addr % 64, 0, "unaligned block read");
-        self.check(addr)?;
-        let walk = self.tree.verify(addr / 64)?;
+        let walk = self.tree.verify(self.check(addr)?)?;
         self.tree_accesses += walk.memory_accesses as u64;
         self.reads += 1;
-        self.store
-            .unseal(walk.version, addr)
-            .map_err(|()| SgxError::IntegrityViolation { address: addr })
-    }
-
-    /// Adversary hook: replay captures of (ciphertext, MAC).
-    pub fn capture(&self, addr: u64) -> BlockCapsule {
-        self.store.capture(addr)
-    }
-
-    /// Adversary hook: restore a stale capture.
-    pub fn replay(&mut self, addr: u64, capsule: BlockCapsule) {
-        self.store.replay(addr, &capsule);
+        unseal(&self.sealer, &self.dram, addr, walk.version)
+            .ok_or(SgxError::IntegrityViolation { address: addr })
     }
 
     /// The counter tree (for tamper experiments).
@@ -189,22 +177,8 @@ impl ProtectedMemory for SgxEngine {
         }
     }
 
-    fn corrupt(&mut self, addr: u64, offset: usize, xor: u8) -> bool {
-        self.store.corrupt(addr, offset, xor)
-    }
-
-    fn capture(&mut self, addr: u64) -> Capsule {
-        Capsule::new(addr, SgxEngine::capture(self, addr))
-    }
-
-    fn replay(&mut self, capsule: &Capsule) -> bool {
-        match capsule.state::<BlockCapsule>() {
-            Some(c) => {
-                self.store.replay(capsule.address(), c);
-                true
-            }
-            None => false,
-        }
+    fn untrusted(&mut self, _addr: u64) -> &mut UntrustedDram {
+        &mut self.dram
     }
 }
 
@@ -228,9 +202,9 @@ mod tests {
     fn replay_detected_via_tree() {
         let mut e = sgx();
         e.write(0x80, &[1u8; 64]).unwrap();
-        let stale = e.capture(0x80);
+        let stale = ProtectedMemory::capture(&mut e, 0x80);
         e.write(0x80, &[2u8; 64]).unwrap();
-        e.replay(0x80, stale);
+        ProtectedMemory::replay(&mut e, &stale);
         // The tree's leaf version moved on, so the stale MAC mismatches.
         assert!(matches!(
             e.read(0x80),
@@ -297,6 +271,42 @@ mod tests {
         ));
         assert!(matches!(e.read(epc), Err(SgxError::OutOfEpc { .. })));
         assert_eq!(e.writes, writes_before, "rejected op must not count");
+    }
+
+    /// A 100-byte EPC holds one whole block: bytes 64..100 are out of the
+    /// EPC, not a tree block to be refused as tamper.
+    #[test]
+    fn trailing_partial_block_is_out_of_epc() {
+        let mut e = SgxEngine::new(100);
+        e.write(0, &[1u8; 64]).unwrap();
+        assert!(matches!(
+            e.write(64, &[2u8; 64]),
+            Err(SgxError::OutOfEpc { address: 64 })
+        ));
+        assert!(matches!(
+            e.read(64),
+            Err(SgxError::OutOfEpc { address: 64 })
+        ));
+        assert_eq!(
+            ProtectedMemory::read(&mut e, 64),
+            Err(MemoryError::OutOfRange { address: 64 })
+        );
+        assert_eq!(e.read(0).unwrap(), [1u8; 64]);
+    }
+
+    /// The nonce argument of the module docs, observed: after every write
+    /// of a seeded hot-block trace, no verifying line's `(version,
+    /// address)` has held two ciphertexts.
+    #[test]
+    fn no_nonce_ever_seals_two_ciphertexts() {
+        let mut e = sgx();
+        let mut nonces = crate::tests::Nonces::default();
+        for (block, fill) in crate::tests::hot_trace(28, 600, 1, 128) {
+            e.write(block * 64, &[fill; 64]).unwrap();
+            let tree = &mut e.tree;
+            nonces.observe(&e.sealer, &e.dram, |b| tree.verify(b).unwrap().version);
+        }
+        assert!(nonces.len() > 500, "only {} nonces observed", nonces.len());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! AES-128 block cipher implemented from scratch (FIPS-197).
 //!
 //! This is the cipher substrate the Toleo memory-protection engine uses for
-//! AES-XTS (data confidentiality, scalable-SGX style) and AES-CTR (client-SGX
-//! style). The *latency* of the hardware AES engine (40 cycles in the paper's
+//! AES-XTS (data confidentiality, scalable-SGX style) and the CXL IDE link
+//! uses for its CTR keystream. The *latency* of the hardware AES engine (40 cycles in the paper's
 //! Table 3) is modelled separately in `toleo-sim`; this implementation is
 //! about functional-engine wall-clock.
 //!

@@ -11,13 +11,13 @@
 //!   extensions) selected by runtime feature detection, all exposing a
 //!   pipelined multi-block API and a one-call 64-byte XTS line so
 //!   hardware instruction-level parallelism is actually exploited.
-//! * [`modes`] — AES-CTR (client-SGX MEE style) and AES-XTS (scalable-SGX /
-//!   Toleo style, with a `(version, address)` tweak).
+//! * [`modes`] — AES-XTS (scalable-SGX / Toleo style, with a
+//!   `(version, address)` tweak), the one data cipher of every scheme.
 //! * [`mac`] — 56-bit tags, as packed eight-per-block in the paper's MAC
-//!   layout: the protection engine's Carter–Wegman line MAC (a universal
-//!   hash of the ciphertext plus an AES pad encrypted beside the XTS
-//!   tweak), and SipHash-2-4 as the PRF MAC of every caller without a
-//!   nonce (IDE flits, TDISP, the baseline schemes).
+//!   layout: the Carter–Wegman line MAC every scheme's data lines carry (a
+//!   universal hash of the ciphertext plus an AES pad encrypted beside the
+//!   XTS tweak), and SipHash-2-4 as the PRF MAC of every caller without a
+//!   nonce (IDE flits, TDISP, the SGX counter tree's nodes).
 //! * [`ide`] — CXL 2.0 IDE link model: non-deterministic stream cipher,
 //!   per-flit MAC, replay counter (the properties §4.1/§6.1 rely on).
 //! * [`range`] — D-RaNGe DRAM true-random generator model, the Toleo

@@ -47,10 +47,10 @@
 //!
 //! Kept, unchanged, for every caller that has no nonce invariant to lean
 //! on: CXL IDE flits ([`crate::ide`]), TDISP attestation
-//! ([`crate::tdisp`]) and the comparison schemes of `toleo-baselines`
-//! (`SealedStore`, the counter tree), whose counters have not been argued
-//! to be nonces. It costs 11 dependent compressions for an 80-byte
-//! message, which is why the line path does not use it.
+//! ([`crate::tdisp`]) and the node MACs of `toleo-baselines`' counter
+//! tree. (The baselines' data lines seal with [`LineMac`], as Toleo's
+//! do: their versions are nonces.) It costs 11 dependent compressions for
+//! an 80-byte message, which is why the line path does not use it.
 
 // audit: allow-file(indexing, SipHash state words, 8-byte chunks and the ten hash limbs have fixed widths by construction)
 

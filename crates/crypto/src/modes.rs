@@ -1,7 +1,5 @@
 //! Block-cipher modes used by the Toleo protection engine.
 //!
-//! * [`AesCtr`] — counter mode, as used by client SGX's memory encryption
-//!   engine. Requires a non-repeating nonce (the version number).
 //! * [`AesXts`] — XEX-based tweaked-codebook mode with ciphertext stealing
 //!   (we only need whole 16-byte blocks, so no stealing is implemented).
 //!   Scalable SGX uses XTS with an address tweak only; Toleo uses XTS with a
@@ -18,7 +16,10 @@
 //!   backend call each
 //!   ([`Aes128Backend::xts_line`](crate::backend::Aes128Backend::xts_line)).
 //!   The slice API walks its input as whole lines through that same call,
-//!   then any sub-line tail sector by sector.
+//!   then any sub-line tail sector by sector. Every scheme in the
+//!   workspace — Toleo and the three baselines — seals its lines this
+//!   way; counter mode survives only as the CXL IDE link's keystream
+//!   (`ctr_keystream_xor`).
 
 // audit: allow-file(indexing, lane indices are bounded by the 8-block pipeline width)
 
@@ -27,7 +28,7 @@ use crate::backend::{gf128_mul_alpha, xor16};
 
 /// A 128-bit XTS tweak: in Toleo it encodes the 64-bit full version number
 /// and the 64-bit physical address of the cache-block sector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Tweak {
     /// Full version number (UV << 27 | stealth), or 0 for version-less XTS.
     pub version: u64,
@@ -80,81 +81,12 @@ impl std::fmt::Debug for LinePads {
     }
 }
 
-/// AES-128 counter mode (client-SGX style).
-///
-/// # Examples
-///
-/// ```
-/// use toleo_crypto::modes::AesCtr;
-///
-/// let ctr = AesCtr::new(b"an example key!!");
-/// let mut buf = *b"secret cacheline";
-/// ctr.apply(42, 0x1000, &mut buf);
-/// assert_ne!(&buf, b"secret cacheline");
-/// ctr.apply(42, 0x1000, &mut buf); // CTR is an involution for same nonce
-/// assert_eq!(&buf, b"secret cacheline");
-/// ```
-#[derive(Debug, Clone)]
-pub struct AesCtr {
-    cipher: Aes128,
-}
-
-impl AesCtr {
-    /// Creates a CTR cipher from a 16-byte key.
-    pub fn new(key: &[u8; 16]) -> Self {
-        AesCtr {
-            cipher: Aes128::new(key),
-        }
-    }
-
-    /// Creates a CTR cipher pinned to an explicit AES backend (testing and
-    /// benchmarking; falls back to software if `kind` is unavailable).
-    pub fn with_backend(key: &[u8; 16], kind: crate::backend::BackendKind) -> Self {
-        AesCtr {
-            cipher: Aes128::with_backend(key, kind),
-        }
-    }
-
-    /// Encrypts or decrypts `data` in place with keystream derived from
-    /// `(nonce, address, block_index)`. Same parameters -> same keystream,
-    /// so calling twice round-trips.
-    ///
-    /// The counter block is `nonce` (64 bits) ‖ `address >> 4` (48 bits —
-    /// distinct for every 16-byte sector below 4 PiB, far past the paper's
-    /// 28 TB) ‖ block index (16 bits), so two lines share a pad only if
-    /// they share a nonce *and* an address.
-    ///
-    /// The keystream is generated up to eight counter blocks at a time
-    /// through the cipher's pipelined multi-block API — CTR blocks are
-    /// independent by construction, the ideal shape for hardware AES.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is longer than 1 MiB (the 16-bit block index
-    /// would wrap and reuse keystream within the call).
-    pub fn apply(&self, nonce: u64, address: u64, data: &mut [u8]) {
-        assert!(
-            data.len() <= 16 << 16,
-            "CTR call exceeds the 16-bit block index"
-        );
-        let mut template = [0u8; 16];
-        template[..8].copy_from_slice(&nonce.to_le_bytes());
-        template[8..14].copy_from_slice(&(address >> 4).to_le_bytes()[..6]);
-        ctr_keystream_xor(
-            &self.cipher,
-            template,
-            |block, i| block[14..].copy_from_slice(&(i as u16).to_le_bytes()),
-            data,
-        );
-    }
-}
-
 /// Applies an AES-CTR keystream to `data` in place, generating up to
 /// eight counter blocks per pass through the pipelined multi-block API.
 /// `template` carries the fixed counter-block fields (nonce, address,
 /// sequence number — whatever the caller's layout is); `set_index`
-/// writes the running block index into its slot. Shared by [`AesCtr`]
-/// and the IDE link cipher, which differ only in that layout.
+/// writes the running block index into its slot. Only the IDE link
+/// cipher uses it.
 pub(crate) fn ctr_keystream_xor(
     cipher: &Aes128,
     template: [u8; 16],
@@ -420,6 +352,18 @@ mod tests {
         }
     }
 
+    /// [`ctr_keystream_xor`] under a `nonce ‖ address >> 4 ‖ block index`
+    /// counter block.
+    fn ctr(cipher: &Aes128, nonce: u64, address: u64, data: &mut [u8]) {
+        let mut template = [0u8; 16];
+        template[..8].copy_from_slice(&nonce.to_le_bytes());
+        template[8..14].copy_from_slice(&(address >> 4).to_le_bytes()[..6]);
+        let set_index = |block: &mut [u8; 16], i: u32| {
+            block[14..].copy_from_slice(&(i as u16).to_le_bytes());
+        };
+        ctr_keystream_xor(cipher, template, set_index, data);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -504,16 +448,18 @@ mod tests {
             }
         }
 
-        /// CTR over the optimized cipher matches a reference-cipher CTR.
+        /// The CTR keystream over the optimized cipher matches a
+        /// reference-cipher CTR, across whole eight-block batches and a
+        /// partial last block.
         #[test]
         fn ctr_matches_reference(
             key in proptest::array::uniform16(any::<u8>()),
             nonce in any::<u64>(),
             address in any::<u64>(),
-            data in proptest::collection::vec(any::<u8>(), 1..100),
+            data in proptest::collection::vec(any::<u8>(), 1..300),
         ) {
             let mut fast = data.clone();
-            AesCtr::new(&key).apply(nonce, address, &mut fast);
+            ctr(&Aes128::new(&key), nonce, address, &mut fast);
 
             let cipher = RefAes128::new(&key);
             let mut slow = data.clone();
@@ -585,7 +531,7 @@ mod tests {
                 let mut xts_out = data.clone();
                 AesXts::with_backend(&key, &key2, kind).encrypt(tweak, &mut xts_out);
                 let mut ctr_out = data.clone();
-                AesCtr::with_backend(&key, kind).apply(version, address, &mut ctr_out);
+                ctr(&Aes128::with_backend(&key, kind), version, address, &mut ctr_out);
                 match &reference {
                     None => reference = Some((xts_out, ctr_out)),
                     Some((x, c)) => {
@@ -705,49 +651,6 @@ mod tests {
             let tag = crate::mac::MacKey::new(mac_key).mac(tweak.version, tweak.address, &ct);
             assert_eq!(tag.as_raw(), 0xe3_97d1_67b4_27b9, "{} tag", kind.name());
         }
-    }
-
-    #[test]
-    fn ctr_roundtrip_and_nonce_sensitivity() {
-        let ctr = AesCtr::new(&[3u8; 16]);
-        let orig = [0x5au8; 64];
-        let mut a = orig;
-        let mut b = orig;
-        ctr.apply(1, 0x1000, &mut a);
-        ctr.apply(2, 0x1000, &mut b);
-        assert_ne!(a, b, "different nonces must give different ciphertext");
-        ctr.apply(1, 0x1000, &mut a);
-        assert_eq!(a, orig);
-    }
-
-    #[test]
-    fn ctr_address_sensitivity() {
-        let ctr = AesCtr::new(&[3u8; 16]);
-        let mut a = [0u8; 16];
-        let mut b = [0u8; 16];
-        ctr.apply(1, 0x1000, &mut a);
-        ctr.apply(1, 0x2000, &mut b);
-        assert_ne!(a, b);
-    }
-
-    /// Regression: the counter block used to keep only 32 bits of
-    /// `address >> 4`, so lines 64 GiB apart shared a pad under one nonce.
-    #[test]
-    fn ctr_addresses_64_gib_apart_do_not_share_keystream() {
-        let ctr = AesCtr::new(&[3u8; 16]);
-        for a in [0u64, 0x1000, 27 << 40] {
-            let mut near = [0u8; 64];
-            let mut far = [0u8; 64];
-            ctr.apply(9, a, &mut near);
-            ctr.apply(9, a + (1 << 36), &mut far);
-            assert_ne!(near, far, "address {a:#x}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "16-bit block index")]
-    fn ctr_rejects_calls_that_would_wrap_the_block_index() {
-        AesCtr::new(&[3u8; 16]).apply(1, 0, &mut vec![0u8; (16 << 16) + 1]);
     }
 
     #[test]

@@ -4,7 +4,6 @@ use proptest::prelude::*;
 use toleo_crypto::aes::Aes128;
 use toleo_crypto::ide::establish_session;
 use toleo_crypto::mac::MacKey;
-use toleo_crypto::modes::AesCtr;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -26,18 +25,6 @@ proptest! {
         prop_assume!(a != b);
         let aes = Aes128::new(&key);
         prop_assert_ne!(aes.encrypt_block(&a), aes.encrypt_block(&b));
-    }
-
-    /// CTR is an involution for fixed (nonce, address).
-    #[test]
-    fn ctr_involution(key in proptest::array::uniform16(any::<u8>()),
-                      nonce in any::<u64>(), addr in any::<u64>(),
-                      data in proptest::collection::vec(any::<u8>(), 1..200)) {
-        let ctr = AesCtr::new(&key);
-        let mut buf = data.clone();
-        ctr.apply(nonce, addr, &mut buf);
-        ctr.apply(nonce, addr, &mut buf);
-        prop_assert_eq!(buf, data);
     }
 
     /// MAC tags are deterministic and 56-bit.

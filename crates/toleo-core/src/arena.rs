@@ -127,21 +127,23 @@ impl PageSlot {
         self.present.count_ones() as usize
     }
 
-    /// XORs `mask` into byte `offset` of the resident ciphertext at `line`
-    /// (no-op when the block is absent).
+    /// XORs `mask` into byte `offset` of the resident ciphertext at `line`;
+    /// `false` (and nothing changed) when the block is absent.
     ///
     /// # Panics
     ///
     /// Panics if `offset >= 64`: a tampering test asking for an
     /// out-of-range byte is a bug in the test, not an attack to remap.
-    pub fn corrupt(&mut self, line: usize, offset: usize, mask: u8) {
+    pub fn corrupt(&mut self, line: usize, offset: usize, mask: u8) -> bool {
         assert!(
             offset < CACHE_BLOCK_BYTES,
             "corrupt offset {offset} outside the 64-byte block"
         );
-        if self.has_block(line) {
+        let resident = self.has_block(line);
+        if resident {
             self.blocks[line][offset] ^= mask;
         }
+        resident
     }
 }
 
@@ -166,6 +168,13 @@ pub struct ReplayCapsule {
     data: Option<Block>,
     tag: Option<Tag56>,
     uv: UpperVersion,
+}
+
+impl ReplayCapsule {
+    /// The block address the capsule was captured at.
+    pub fn address(&self) -> u64 {
+        self.address
+    }
 }
 
 impl UntrustedDram {
@@ -238,15 +247,19 @@ impl UntrustedDram {
 
     /// Flips bits in byte `offset` of the stored ciphertext at `addr`
     /// (integrity attack at an arbitrary position within the block).
+    /// Returns `false` if no ciphertext is resident there: a never-written
+    /// block has nothing to corrupt.
     ///
     /// # Panics
     ///
     /// Panics if `offset >= 64`.
-    pub fn corrupt_data(&mut self, addr: u64, offset: usize, xor_mask: u8) {
+    pub fn corrupt_data(&mut self, addr: u64, offset: usize, xor_mask: u8) -> bool {
         let base = layout::block_base(addr);
-        if let Some(id) = self.slot_id(layout::page_of(base)) {
-            self.slot_mut(id)
-                .corrupt(layout::line_of(base), offset, xor_mask);
+        match self.slot_id(layout::page_of(base)) {
+            Some(id) => self
+                .slot_mut(id)
+                .corrupt(layout::line_of(base), offset, xor_mask),
+            None => false,
         }
     }
 

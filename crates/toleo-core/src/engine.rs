@@ -21,9 +21,9 @@
 //! `(version, address)` selects, encrypted beside the XTS tweak in one AES
 //! pass. It needs `(version, address)` never to seal two ciphertexts under
 //! one key, which is the freshness invariant this engine exists to keep:
-//! `seal_line` is reached only with a stealth version the device has just
-//! advanced, or from the reset walk under a just-incremented UV, or in a
-//! freshly keyed engine (recovery).
+//! [`LineSealer::seal`] is reached only with a stealth version the device
+//! has just advanced, or from the reset walk under a just-incremented UV,
+//! or in a freshly keyed engine (recovery).
 //!
 //! The [`UntrustedDram`] it writes to is fully exposed to the adversary —
 //! integration tests replay old (ciphertext, MAC, UV) triples through it
@@ -31,7 +31,7 @@
 
 // audit: allow-file(indexing, sector/line offsets derive from the fixed page and cache-block layout constants)
 
-use crate::arena::{PageSlot, SlotId};
+use crate::arena::SlotId;
 use crate::cache::{CacheStats, MacCache, StealthCache};
 use crate::channel::{ChannelStats, DeviceChannel, RetryPolicy};
 use crate::config::{ToleoConfig, CACHE_BLOCK_BYTES, LINES_PER_PAGE, PAGE_BYTES};
@@ -39,9 +39,8 @@ use crate::device::{DeviceStats, ToleoDevice};
 use crate::error::{BatchError, Result, ToleoError};
 use crate::fault::{FaultPlan, FaultPlanConfig};
 use crate::layout;
+use crate::seal::LineSealer;
 use crate::version::FullVersion;
-use toleo_crypto::mac::LineMac;
-use toleo_crypto::modes::{AesXts, LinePads, Tweak};
 
 pub use crate::arena::{Block, ReplayCapsule, UntrustedDram};
 
@@ -131,8 +130,7 @@ impl KillSnapshot {
 #[derive(Debug)]
 pub struct ProtectionEngine {
     cfg: ToleoConfig,
-    xts: AesXts,
-    mac: LineMac,
+    sealer: LineSealer,
     channel: DeviceChannel,
     dram: UntrustedDram,
     /// Last-page fast path: the most recently touched page and its arena
@@ -144,16 +142,6 @@ pub struct ProtectionEngine {
     /// `Some` once the kill switch has engaged; carries the frozen
     /// statistics every getter serves from then on.
     killed: Option<Box<KillSnapshot>>,
-}
-
-/// Splits 48 bytes of key material into its three 16-byte subkeys (XTS
-/// data, XTS tweak, MAC) without a fallible slice-to-array conversion.
-pub(crate) fn split_key_material(key_material: &[u8; 48]) -> [[u8; 16]; 3] {
-    let mut keys = [[0u8; 16]; 3];
-    for (i, byte) in key_material.iter().enumerate() {
-        keys[i / 16][i % 16] = *byte;
-    }
-    keys
 }
 
 impl ProtectionEngine {
@@ -190,7 +178,6 @@ impl ProtectionEngine {
         fault_plan: Option<FaultPlanConfig>,
         policy: RetryPolicy,
     ) -> Result<Self> {
-        let [data_key, tweak_key, mac_key] = split_key_material(&key_material);
         let plan = match fault_plan {
             Some(plan_cfg) => Some(FaultPlan::with_salt(plan_cfg, cfg.rng_seed)?),
             None => None,
@@ -199,8 +186,7 @@ impl ProtectionEngine {
         Ok(ProtectionEngine {
             channel: DeviceChannel::new(device, plan, policy),
             cfg,
-            xts: AesXts::new(&data_key, &tweak_key),
-            mac: LineMac::new(&mac_key),
+            sealer: LineSealer::new(&key_material),
             dram: UntrustedDram::default(),
             last_slot: None,
             stealth_cache: StealthCache::paper_default(),
@@ -390,100 +376,33 @@ impl ProtectionEngine {
         if let Some(notice) = resp.reset {
             // UV_UPDATE (the walk has already dropped the page's cached
             // entry): bump the shared UV and re-encrypt every resident
-            // block of the page under the fresh stealth base — one slab
-            // walk over the page's slot, no per-line map probes. All old
-            // and new XTS tweaks and MAC pads for the walk are encrypted
-            // up front through the pipelined multi-block API, so their
-            // cost is amortized across the whole page instead of paid as
-            // 2 serial AES passes per line.
+            // line of the page under the fresh stealth base — one slab
+            // walk over the page's slot, its pads in one pipelined pass.
             let new_uv = uv.incremented();
-            let new_fv = FullVersion::compose(new_uv, notice.new_base, stealth_bits);
-            let page_base = page * PAGE_BYTES as u64;
-            let mut failure: Option<u64> = None;
-            {
-                let slot = self.dram.slot_mut(id);
-                let mut resident = [0usize; LINES_PER_PAGE];
-                let mut n = 0usize;
-                for l in 0..LINES_PER_PAGE {
-                    if l != line && slot.has_block(l) {
-                        resident[n] = l;
-                        n += 1;
-                    }
-                }
-                // Per resident line, its tweak input then its MAC-pad
-                // input: two adjacent slots of each pipelined pass.
-                let mut inputs = [Tweak {
-                    version: 0,
-                    address: 0,
-                }; 2 * LINES_PER_PAGE];
-                for (pair, &l) in inputs.as_chunks_mut::<2>().0.iter_mut().zip(&resident[..n]) {
-                    let tweak = Tweak {
-                        version: FullVersion::compose(uv, notice.old_stealth[l], stealth_bits)
-                            .raw(),
-                        address: page_base + (l * CACHE_BLOCK_BYTES) as u64,
-                    };
-                    *pair = [tweak, tweak.mac_pad()];
-                }
-                let mut old_pads = [[0u8; 16]; 2 * LINES_PER_PAGE];
-                self.xts
-                    .tweak_blocks(&inputs[..2 * n], &mut old_pads[..2 * n]);
-                for input in inputs[..2 * n].iter_mut() {
-                    input.version = new_fv.raw();
-                }
-                let mut new_pads = [[0u8; 16]; 2 * LINES_PER_PAGE];
-                self.xts
-                    .tweak_blocks(&inputs[..2 * n], &mut new_pads[..2 * n]);
-                let pads = |blocks: &[[u8; 16]], k: usize| LinePads {
-                    tweak: blocks[2 * k],
-                    mac_pad: blocks[2 * k + 1],
-                };
-                for (k, &l) in resident[..n].iter().enumerate() {
-                    let lbase = page_base + (l * CACHE_BLOCK_BYTES) as u64;
-                    let old_fv = FullVersion::compose(uv, notice.old_stealth[l], stealth_bits);
-                    let old = Some(pads(&old_pads, k));
-                    match unseal_line(&self.xts, &self.mac, slot, l, lbase, old_fv, old) {
-                        Some(pt) => seal_line(
-                            &self.xts,
-                            &self.mac,
-                            slot,
-                            l,
-                            lbase,
-                            new_fv,
-                            Some(pads(&new_pads, k)),
-                            &pt,
-                        ),
-                        None => {
-                            failure = Some(lbase);
-                            break;
-                        }
-                    }
-                }
-                if failure.is_none() {
-                    slot.set_uv(new_uv);
-                }
-            }
-            if let Some(lbase) = failure {
+            let version = |uv, stealth| FullVersion::compose(uv, stealth, stealth_bits).raw();
+            let slot = self.dram.slot_mut(id);
+            let walked = self.sealer.reseal_page(
+                slot,
+                page,
+                Some(line),
+                |l| version(uv, notice.old_stealth[l]),
+                |_| version(new_uv, notice.new_base),
+            );
+            if let Err(address) = walked {
                 // Lines before the victim are already re-sealed under the
                 // new UV while the slot's UV is not bumped: the page is
                 // unreadable either way, and the engine must not serve on.
                 self.kill();
-                return Err(ToleoError::IntegrityViolation { address: lbase });
+                return Err(ToleoError::IntegrityViolation { address });
             }
+            slot.set_uv(new_uv);
             self.stats.pages_reencrypted += 1;
             uv = new_uv;
         }
 
         let fv = FullVersion::compose(uv, resp.stealth, stealth_bits);
-        seal_line(
-            &self.xts,
-            &self.mac,
-            self.dram.slot_mut(id),
-            line,
-            addr,
-            fv,
-            None,
-            plaintext,
-        );
+        self.sealer
+            .seal(self.dram.slot_mut(id), addr, fv.raw(), plaintext);
         Ok(())
     }
 
@@ -524,7 +443,7 @@ impl ProtectionEngine {
         };
         let slot = self.dram.slot(id);
         let fv = FullVersion::compose(slot.uv(), stealth, self.cfg.stealth_bits);
-        match unseal_line(&self.xts, &self.mac, slot, line, addr, fv, None) {
+        match self.sealer.unseal(slot, addr, fv.raw()) {
             Some(pt) => Ok(pt),
             None => {
                 self.kill();
@@ -630,7 +549,7 @@ impl ProtectionEngine {
                 };
                 let slot = self.dram.slot(id);
                 let fv = FullVersion::compose(slot.uv(), stealth, bits);
-                match unseal_line(&self.xts, &self.mac, slot, line, addr, fv, None) {
+                match self.sealer.unseal(slot, addr, fv.raw()) {
                     Some(pt) => out.intact.push((addr, pt)),
                     None => out.lost.push(addr),
                 }
@@ -671,67 +590,6 @@ pub(crate) struct ScrubOutcome {
     pub intact: Vec<(u64, Block)>,
     /// Addresses whose ciphertext/MAC/version no longer verified.
     pub lost: Vec<u64>,
-}
-
-/// Encrypts `plaintext` under the `(full version, address)` tweak, MACs
-/// the ciphertext, and stores both in the page slot. `pads` is the line's
-/// tweak and MAC pad already encrypted by a pipelined `tweak_blocks` pass
-/// (the reset walk precomputes a whole page's worth); `None` encrypts the
-/// pair here.
-#[allow(clippy::too_many_arguments)]
-fn seal_line(
-    xts: &AesXts,
-    mac: &LineMac,
-    slot: &mut PageSlot,
-    line: usize,
-    base: u64,
-    fv: FullVersion,
-    pads: Option<LinePads>,
-    plaintext: &Block,
-) {
-    let pads = pads.unwrap_or_else(|| xts.line_pads(line_tweak(fv, base)));
-    let mut ct = *plaintext;
-    xts.encrypt_line_with_tweak(pads.tweak, &mut ct);
-    let tag = mac.tag(&pads.mac_pad, &ct);
-    slot.set_block(line, ct);
-    slot.set_tag(line, tag);
-}
-
-/// Verifies and decrypts the block at `line`; absent blocks read as zeros.
-/// `pads` is as for [`seal_line`]. `None` is a failed verification — the
-/// recomputed tag does not match the stored one, or a resident block has
-/// no stored tag at all — which every caller on a live engine answers with
-/// the kill switch. MAC verification gates decryption: the tweak and the
-/// pad are computed first but touch no ciphertext, and no key does until
-/// the stored tag checks out.
-fn unseal_line(
-    xts: &AesXts,
-    mac: &LineMac,
-    slot: &PageSlot,
-    line: usize,
-    base: u64,
-    fv: FullVersion,
-    pads: Option<LinePads>,
-) -> Option<Block> {
-    let Some(ct) = slot.block(line) else {
-        return Some([0u8; CACHE_BLOCK_BYTES]);
-    };
-    let stored_tag = slot.tag(line)?;
-    let pads = pads.unwrap_or_else(|| xts.line_pads(line_tweak(fv, base)));
-    if !mac.tag(&pads.mac_pad, ct).verify(&stored_tag) {
-        return None;
-    }
-    let mut pt = *ct;
-    xts.decrypt_line_with_tweak(pads.tweak, &mut pt);
-    Some(pt)
-}
-
-/// The XTS data-unit tweak of the line at `base` under version `fv`.
-fn line_tweak(fv: FullVersion, base: u64) -> Tweak {
-    Tweak {
-        version: fv.raw(),
-        address: base,
-    }
 }
 
 #[cfg(test)]
@@ -1328,7 +1186,9 @@ mod tests {
                     e.write(base + l * 64, &[l as u8 + 1; 64]).unwrap();
                 }
                 match attack {
-                    Attack::FlippedBit => e.adversary().corrupt_data(victim, 17, 0x04),
+                    Attack::FlippedBit => {
+                        assert!(e.adversary().corrupt_data(victim, 17, 0x04));
+                    }
                     Attack::StaleTag => {
                         let id = e.dram.slot_id(layout::page_of(victim)).unwrap();
                         let stale = e.dram.slot(id).tag(layout::line_of(victim)).unwrap();
@@ -1425,19 +1285,14 @@ mod tests {
             let mut out = Vec::new();
             for (page, id) in pages {
                 for line in 0..LINES_PER_PAGE {
-                    let slot = e.dram.slot(id);
-                    let (Some(ct), Some(tag)) = (slot.block(line).copied(), slot.tag(line)) else {
+                    let Some(&ct) = e.dram.slot(id).block(line) else {
                         continue;
                     };
-                    let uv = slot.uv();
+                    let uv = e.dram.slot(id).uv();
                     let stealth = e.channel.device_mut().read(page, line).unwrap();
                     let fv = FullVersion::compose(uv, stealth, bits).raw();
                     let addr = page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64;
-                    let pads = e.xts.line_pads(Tweak {
-                        version: fv,
-                        address: addr,
-                    });
-                    if e.mac.tag(&pads.mac_pad, &ct).verify(&tag) {
+                    if e.sealer.unseal(e.dram.slot(id), addr, fv).is_some() {
                         out.push(((fv, addr), ct));
                     }
                 }

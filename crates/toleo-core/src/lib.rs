@@ -19,6 +19,9 @@
 //! * [`engine`] — the host-side protection engine: AES-XTS with a
 //!   `(version, address)` tweak, 56-bit MACs, UV management, page
 //!   re-encryption on reset, and the kill switch.
+//! * [`seal`] — the one line seal every scheme stores through: XTS
+//!   ciphertext + Carter–Wegman tag into the page arena, and the batched
+//!   page re-encryption walk.
 //! * [`sharded`] — the concurrent scale-out layer: page-wise sharding
 //!   across N independent engines behind a thread-safe handle, with
 //!   batched reads/writes drained shard by shard on the calling thread,
@@ -80,6 +83,7 @@ pub mod layout;
 pub mod pagetable;
 pub mod protected;
 pub mod rowhammer;
+pub mod seal;
 pub mod sharded;
 pub mod trip;
 pub mod version;

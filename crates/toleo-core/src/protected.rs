@@ -32,9 +32,7 @@
 //! tamper_is_detected(&mut engine);
 //! ```
 
-use std::any::Any;
-
-use crate::arena::Block;
+use crate::arena::{Block, ReplayCapsule, UntrustedDram};
 use crate::engine::ProtectionEngine;
 use crate::error::{BatchError, ToleoError};
 use crate::sharded::ShardedEngine;
@@ -165,40 +163,6 @@ pub struct MemoryStats {
     pub reencryption_events: u64,
 }
 
-/// Opaque captured untrusted state for a replay attack: whatever the
-/// adversary could copy out of the scheme's untrusted storage for one
-/// block at one instant, replayable later via
-/// [`ProtectedMemory::replay`].
-///
-/// The payload type is scheme-private; replaying a capsule into a
-/// different scheme (or a different engine of the same scheme) is a no-op
-/// that returns `false`.
-#[derive(Debug)]
-pub struct Capsule {
-    address: u64,
-    state: Box<dyn Any + Send>,
-}
-
-impl Capsule {
-    /// Wraps a scheme-private captured state for the block at `address`.
-    pub fn new(address: u64, state: impl Any + Send) -> Self {
-        Capsule {
-            address,
-            state: Box::new(state),
-        }
-    }
-
-    /// The block address the capsule was captured at.
-    pub fn address(&self) -> u64 {
-        self.address
-    }
-
-    /// Downcasts the captured state back to the scheme's capsule type.
-    pub fn state<T: Any>(&self) -> Option<&T> {
-        self.state.downcast_ref::<T>()
-    }
-}
-
 /// A memory protection scheme under evaluation: confidentiality +
 /// integrity (+ freshness) over 64-byte blocks, with batch entry points
 /// and the adversary hooks the shared tamper/replay corpus drives.
@@ -274,21 +238,31 @@ pub trait ProtectedMemory {
     /// traffic, re-encryption events).
     fn stats(&self) -> MemoryStats;
 
+    /// Adversary hook: the untrusted memory holding the block at `addr`.
+    /// Every scheme seals into the same page arena type, so the shared
+    /// corpus tampers with all of them the same way.
+    fn untrusted(&mut self, addr: u64) -> &mut UntrustedDram;
+
     /// Adversary hook: XOR `xor` into byte `offset` of the stored
     /// ciphertext at `addr`. Returns `false` (and does nothing) if no
     /// ciphertext is resident there — never-written blocks have nothing
     /// to corrupt.
-    fn corrupt(&mut self, addr: u64, offset: usize, xor: u8) -> bool;
+    fn corrupt(&mut self, addr: u64, offset: usize, xor: u8) -> bool {
+        self.untrusted(addr).corrupt_data(addr, offset, xor)
+    }
 
     /// Adversary hook: capture everything the adversary can copy out of
-    /// untrusted storage for the block at `addr` (ciphertext, MAC,
-    /// co-located metadata).
-    fn capture(&mut self, addr: u64) -> Capsule;
+    /// untrusted memory for the block at `addr` (ciphertext, MAC,
+    /// co-located UV).
+    fn capture(&mut self, addr: u64) -> ReplayCapsule {
+        self.untrusted(addr).capture(addr)
+    }
 
     /// Adversary hook: restore a previously captured capsule — the
-    /// classic replay attack. Returns `false` if the capsule came from a
-    /// different scheme (wrong payload type).
-    fn replay(&mut self, capsule: &Capsule) -> bool;
+    /// classic replay attack.
+    fn replay(&mut self, capsule: &ReplayCapsule) {
+        self.untrusted(capsule.address()).replay(capsule);
+    }
 }
 
 impl ProtectedMemory for ProtectionEngine {
@@ -314,27 +288,8 @@ impl ProtectedMemory for ProtectionEngine {
         }
     }
 
-    fn corrupt(&mut self, addr: u64, offset: usize, xor: u8) -> bool {
-        let dram = self.adversary();
-        if dram.ciphertext(addr).is_none() {
-            return false;
-        }
-        dram.corrupt_data(addr, offset, xor);
-        true
-    }
-
-    fn capture(&mut self, addr: u64) -> Capsule {
-        Capsule::new(addr, self.adversary().capture(addr))
-    }
-
-    fn replay(&mut self, capsule: &Capsule) -> bool {
-        match capsule.state::<crate::arena::ReplayCapsule>() {
-            Some(c) => {
-                self.adversary().replay(c);
-                true
-            }
-            None => false,
-        }
+    fn untrusted(&mut self, _addr: u64) -> &mut UntrustedDram {
+        self.adversary()
     }
 }
 
@@ -369,29 +324,9 @@ impl ProtectedMemory for ShardedEngine {
         }
     }
 
-    fn corrupt(&mut self, addr: u64, offset: usize, xor: u8) -> bool {
-        self.with_adversary(addr, |dram| {
-            if dram.ciphertext(addr).is_none() {
-                return false;
-            }
-            dram.corrupt_data(addr, offset, xor);
-            true
-        })
-    }
-
-    fn capture(&mut self, addr: u64) -> Capsule {
-        let state = self.with_adversary(addr, |dram| dram.capture(addr));
-        Capsule::new(addr, state)
-    }
-
-    fn replay(&mut self, capsule: &Capsule) -> bool {
-        match capsule.state::<crate::arena::ReplayCapsule>() {
-            Some(c) => {
-                self.with_adversary(capsule.address(), |dram| dram.replay(c));
-                true
-            }
-            None => false,
-        }
+    fn untrusted(&mut self, addr: u64) -> &mut UntrustedDram {
+        let shard = self.shard_of_addr(addr);
+        self.shard_engine_mut(shard).adversary()
     }
 }
 
@@ -460,20 +395,13 @@ mod tests {
             let stale = m.capture(0x40);
             assert_eq!(stale.address(), 0x40);
             m.write(0x40, &[2u8; 64]).unwrap();
-            assert!(m.replay(&stale), "{}", m.scheme());
+            m.replay(&stale);
             assert!(
                 matches!(m.read(0x40), Err(MemoryError::IntegrityViolation { .. })),
                 "{}",
                 m.scheme()
             );
         }
-    }
-
-    #[test]
-    fn foreign_capsule_is_rejected() {
-        let mut a = ProtectionEngine::try_new(ToleoConfig::small(), [1u8; 48]).unwrap();
-        let foreign = Capsule::new(0x40, "not a toleo capsule");
-        assert!(!ProtectedMemory::replay(&mut a, &foreign));
     }
 
     #[test]

@@ -837,7 +837,7 @@ fn derive_shard_key(root: &[u8; 48], shard: u64) -> [u8; 48] {
 /// is byte-identical to the original derivation.
 fn derive_shard_key_gen(root: &[u8; 48], shard: u64, generation: u8) -> [u8; 48] {
     let mut out = [0u8; 48];
-    for (role, subkey) in crate::engine::split_key_material(root)
+    for (role, subkey) in crate::seal::split_key_material(root)
         .into_iter()
         .enumerate()
     {

@@ -9,6 +9,7 @@
 use toleo_baselines::sgx::SgxEngine;
 use toleo_core::config::ToleoConfig;
 use toleo_core::engine::ProtectionEngine;
+use toleo_core::protected::ProtectedMemory;
 use toleo_crypto::ide::establish_session;
 use toleo_crypto::mac::Tag56;
 
@@ -80,7 +81,7 @@ fn main() {
     sgx.write(0x80, &[1u8; 64]).unwrap();
     let stale = sgx.capture(0x80);
     sgx.write(0x80, &[2u8; 64]).unwrap();
-    sgx.replay(0x80, stale);
+    sgx.replay(&stale);
     println!(
         "   sgx replay              -> {:?}",
         sgx.read(0x80).unwrap_err()

@@ -8,7 +8,7 @@
 //!
 //! The individual crates:
 //!
-//! * [`crypto`](toleo_crypto) — AES, XTS/CTR modes, 56-bit MACs, CXL IDE,
+//! * [`crypto`](toleo_crypto) — AES, the XTS mode, 56-bit MACs, CXL IDE,
 //!   D-RaNGe entropy, TDISP attestation.
 //! * [`core`](toleo_core) — versions, Trip compression, the Toleo device,
 //!   and the host protection engine.

@@ -125,6 +125,15 @@ const BANS: &[Ban] = &[
               only through `StealthCache::{read, update}`, the walk the engine executes, \
               and prices what it returns (EXPERIMENTS.md \"PR 27\")",
     },
+    Ban {
+        pattern: &["SealedStore", "AesCtr", "dyn Any", "HashMap<u64"],
+        whole_word: false,
+        roots: &["crates/baselines/src", "crates/toleo-core/src/protected.rs"],
+        exempt: None,
+        why: "one untrusted memory and one seal: every scheme stores through `LineSealer` \
+              into the engine's page arena, re-encrypts through its page walk, and hands \
+              the adversary that arena (EXPERIMENTS.md \"PR 28\")",
+    },
 ];
 
 /// One former `awk` step: in `file`, a section runs from one line that

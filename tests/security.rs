@@ -10,6 +10,7 @@ use toleo_baselines::{MorphEngine, VaultEngine};
 use toleo_core::config::ToleoConfig;
 use toleo_core::engine::ProtectionEngine;
 use toleo_core::error::ToleoError;
+use toleo_core::layout::{line_of, page_of};
 use toleo_core::protected::{MemoryError, ProtectedMemory};
 use toleo_core::sharded::ShardedEngine;
 
@@ -95,7 +96,7 @@ fn every_scheme_detects_replay_at_every_overwrite_depth() {
             for v in 0..depth {
                 m.write(0x40, &[v + 1; 64]).unwrap();
             }
-            assert!(m.replay(&stale), "{scheme}: capsule must be accepted");
+            m.replay(&stale);
             assert!(
                 matches!(m.read(0x40), Err(MemoryError::IntegrityViolation { .. })),
                 "{scheme}: replay at depth {depth} must be detected"
@@ -214,22 +215,55 @@ fn replay_detected_across_stealth_resets() {
     assert!(e.read(0x40).is_err());
 }
 
+/// Every scheme seals into the same page arena, so one splice fits all:
+/// copy block A's valid ciphertext and tag into block B's line. The tag
+/// binds the address, so B fails.
 #[test]
 fn cross_address_splice_detected() {
-    // Move valid (ciphertext, MAC) from one address to another: the MAC
-    // binds the address, so the splice fails.
-    let mut e = engine();
-    e.write(0x40, &[1u8; 64]).unwrap();
-    e.write(0x80, &[2u8; 64]).unwrap();
-    let a = e.adversary().capture(0x40);
-    // Replay block A's capsule at address B by rebasing the capture.
-    // (ReplayCapsule is address-bound, so emulate a splice by corrupting
-    // B's ciphertext with A's bytes via the raw tamper interface.)
-    let a_ct = *e.adversary().ciphertext(0x40).expect("resident");
-    let _ = a;
-    // Overwrite B's data with A's ciphertext, keep B's MAC.
-    e.adversary().corrupt_data(0x80, 0, a_ct[0] ^ 0x55);
-    assert!(e.read(0x80).is_err(), "spliced/corrupted block must fail");
+    let (a, b) = (0x40u64, 0x80u64);
+    for mut m in arena() {
+        let scheme = m.scheme();
+        m.write(a, &[1u8; 64]).unwrap();
+        m.write(b, &[2u8; 64]).unwrap();
+        let dram = m.untrusted(a);
+        let id = dram.slot_id(page_of(a)).expect("A's page is resident");
+        let ct = *dram.ciphertext(a).expect("A is resident");
+        let tag = dram.slot(id).tag(line_of(a)).expect("A is tagged");
+        dram.slot_mut(id).set_block(line_of(b), ct);
+        dram.forge_mac(b, tag);
+        assert!(
+            matches!(
+                m.read(b),
+                Err(MemoryError::IntegrityViolation { address }) if address == b
+            ),
+            "{scheme}: A's line spliced into B must be detected"
+        );
+    }
+}
+
+/// ROADMAP item 1 across the arena: capture a never-written line of a
+/// written page, write the line, replay the blank capture. Every scheme
+/// unseals through `LineSealer::unseal`, which answers a line with no
+/// ciphertext with zeros, so all five serve the rollback today — and one
+/// fix there closes it for all five.
+#[test]
+#[ignore = "ROADMAP item 1"]
+fn every_scheme_detects_rollback_to_blank() {
+    let missed: Vec<&str> = arena()
+        .into_iter()
+        .filter_map(|mut m| {
+            m.write(0x1000, &[1u8; 64]).unwrap(); // materialises the page
+            let blank = m.capture(0x1040);
+            m.write(0x1040, &[2u8; 64]).unwrap();
+            m.replay(&blank);
+            let detected = matches!(
+                m.read(0x1040),
+                Err(MemoryError::IntegrityViolation { address: 0x1040 })
+            );
+            (!detected).then_some(m.scheme())
+        })
+        .collect();
+    assert!(missed.is_empty(), "rollback to blank served by {missed:?}");
 }
 
 #[test]
@@ -344,7 +378,7 @@ fn sgx_baseline_detects_the_same_attacks() {
     sgx.write(0x40, &[1u8; 64]).unwrap();
     let stale = sgx.capture(0x40);
     sgx.write(0x40, &[2u8; 64]).unwrap();
-    sgx.replay(0x40, stale);
+    sgx.replay(&stale);
     assert!(sgx.read(0x40).is_err());
 }
 
@@ -361,12 +395,13 @@ fn freed_page_is_scrambled_without_reencryption() {
     assert!(e.is_killed());
 }
 
-/// ROADMAP item 2's second live finding, asserting the *correct*
-/// behaviour: `unseal_line` answers an absent block with zeros without
-/// consulting anything trusted, so rolling a written line back to its
-/// never-written state goes undetected today.
+/// ROADMAP item 1's rollback-to-blank finding on the engine, asserting
+/// the *correct* behaviour: `LineSealer::unseal` answers an absent line
+/// with zeros without consulting anything trusted, so rolling a written
+/// line back to its never-written state goes undetected — and the engine
+/// is not killed — today.
 #[test]
-#[ignore = "ROADMAP item 2"]
+#[ignore = "ROADMAP item 1"]
 fn rollback_to_the_scrubbed_state_is_detected() {
     let mut e = engine();
     e.write(0x1000, &[1u8; 64]).unwrap(); // materialises the page
