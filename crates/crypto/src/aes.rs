@@ -1,10 +1,10 @@
 //! AES-128 block cipher implemented from scratch (FIPS-197).
 //!
 //! This is the cipher substrate the Toleo memory-protection engine uses for
-//! AES-XTS (data confidentiality, scalable-SGX style) and the CXL IDE link
-//! uses for its CTR keystream. The *latency* of the hardware AES engine (40 cycles in the paper's
-//! Table 3) is modelled separately in `toleo-sim`; this implementation is
-//! about functional-engine wall-clock.
+//! AES-XTS (data confidentiality, scalable-SGX style). The *latency* of
+//! the hardware AES engine (40 cycles in the paper's Table 3) is modelled
+//! separately in `toleo-sim`; this implementation is about
+//! functional-engine wall-clock.
 //!
 //! [`Aes128`] is a thin dispatcher over the pluggable [`crate::backend`]
 //! layer: at construction it selects the best [`BackendKind`] the host

@@ -16,14 +16,10 @@
 //! * [`mac`] — 56-bit tags, as packed eight-per-block in the paper's MAC
 //!   layout: the Carter–Wegman line MAC every scheme's data lines carry (a
 //!   universal hash of the ciphertext plus an AES pad encrypted beside the
-//!   XTS tweak), and SipHash-2-4 as the PRF MAC of every caller without a
-//!   nonce (IDE flits, TDISP, the SGX counter tree's nodes).
-//! * [`ide`] — CXL 2.0 IDE link model: non-deterministic stream cipher,
-//!   per-flit MAC, replay counter (the properties §4.1/§6.1 rely on).
+//!   XTS tweak), and SipHash-2-4 as the PRF MAC of the one caller without
+//!   a nonce, the SGX counter tree's nodes.
 //! * [`range`] — D-RaNGe DRAM true-random generator model, the Toleo
 //!   controller's entropy source for stealth re-initialization.
-//! * [`tdisp`] — TDISP-style attestation and TVM attach/detach lifecycle
-//!   with per-epoch IDE key derivation.
 //!
 //! # Quick example
 //!
@@ -55,8 +51,6 @@
 
 pub mod aes;
 pub mod backend;
-pub mod ide;
 pub mod mac;
 pub mod modes;
 pub mod range;
-pub mod tdisp;

@@ -45,12 +45,11 @@
 //!
 //! # [`MacKey`] — SipHash-2-4, a PRF
 //!
-//! Kept, unchanged, for every caller that has no nonce invariant to lean
-//! on: CXL IDE flits ([`crate::ide`]), TDISP attestation
-//! ([`crate::tdisp`]) and the node MACs of `toleo-baselines`' counter
-//! tree. (The baselines' data lines seal with [`LineMac`], as Toleo's
-//! do: their versions are nonces.) It costs 11 dependent compressions for
-//! an 80-byte message, which is why the line path does not use it.
+//! Kept, unchanged, for the one caller that has no nonce invariant to
+//! lean on: the node MACs of `toleo-baselines`' SGX counter tree. (The
+//! baselines' data lines seal with [`LineMac`], as Toleo's do: their
+//! versions are nonces.) It costs 11 dependent compressions for an
+//! 80-byte message, which is why the line path does not use it.
 
 // audit: allow-file(indexing, SipHash state words, 8-byte chunks and the ten hash limbs have fixed widths by construction)
 
@@ -182,7 +181,7 @@ fn low64(block: &[u8; 16]) -> u64 {
     u64::from_le_bytes(block.as_chunks::<8>().0[0])
 }
 
-/// Key for the SipHash-2-4 PRF MAC.
+/// Key for the SipHash-2-4 PRF MAC of the SGX counter tree's nodes.
 #[derive(Clone)]
 pub struct MacKey {
     k0: u64,
@@ -250,14 +249,10 @@ fn sip_compress(v: &mut [u64; 4], m: u64) {
     v[0] ^= m;
 }
 
-/// SipHash-2-4 (Aumasson & Bernstein), from scratch.
-pub fn siphash24(k0: u64, k1: u64, data: &[u8]) -> u64 {
-    siphash24_prefixed(k0, k1, [], data)
-}
-
-/// SipHash-2-4 over the message `prefix words ‖ data`, hashing the prefix
-/// as pre-packed little-endian 64-bit words. Byte-identical to
-/// [`siphash24`] over the concatenated buffer, without materializing it.
+/// SipHash-2-4 (Aumasson & Bernstein), from scratch, over the message
+/// `prefix words ‖ data`, hashing the prefix as pre-packed little-endian
+/// 64-bit words: byte-identical to SipHash over the concatenated buffer,
+/// without materializing it.
 fn siphash24_prefixed<const N: usize>(k0: u64, k1: u64, prefix: [u64; N], data: &[u8]) -> u64 {
     let mut v = [
         k0 ^ 0x736f6d6570736575,
@@ -291,6 +286,11 @@ mod tests {
     use super::*;
     use crate::modes::{AesXts, Tweak};
     use proptest::prelude::*;
+
+    /// Plain SipHash-2-4 over one buffer.
+    fn siphash24(k0: u64, k1: u64, data: &[u8]) -> u64 {
+        siphash24_prefixed(k0, k1, [], data)
+    }
 
     /// The line MAC written the obvious way — limbs assembled byte by
     /// byte, a `u128 %` per term, its own copy of every constant. Shares

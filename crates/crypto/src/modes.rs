@@ -18,8 +18,7 @@
 //!   The slice API walks its input as whole lines through that same call,
 //!   then any sub-line tail sector by sector. Every scheme in the
 //!   workspace — Toleo and the three baselines — seals its lines this
-//!   way; counter mode survives only as the CXL IDE link's keystream
-//!   (`ctr_keystream_xor`).
+//!   way.
 
 // audit: allow-file(indexing, lane indices are bounded by the 8-block pipeline width)
 
@@ -78,33 +77,6 @@ impl std::fmt::Debug for LinePads {
         f.debug_struct("LinePads")
             .field("pads", &"<redacted>")
             .finish()
-    }
-}
-
-/// Applies an AES-CTR keystream to `data` in place, generating up to
-/// eight counter blocks per pass through the pipelined multi-block API.
-/// `template` carries the fixed counter-block fields (nonce, address,
-/// sequence number — whatever the caller's layout is); `set_index`
-/// writes the running block index into its slot. Only the IDE link
-/// cipher uses it.
-pub(crate) fn ctr_keystream_xor(
-    cipher: &Aes128,
-    template: [u8; 16],
-    set_index: impl Fn(&mut [u8; 16], u32),
-    data: &mut [u8],
-) {
-    let mut ctr_block = template;
-    let mut ks = [[0u8; 16]; 8];
-    for (batch, chunks) in data.chunks_mut(8 * 16).enumerate() {
-        let lanes = chunks.len().div_ceil(16);
-        for (j, lane) in ks.iter_mut().take(lanes).enumerate() {
-            set_index(&mut ctr_block, (batch * 8 + j) as u32);
-            *lane = ctr_block;
-        }
-        cipher.encrypt_blocks(&mut ks[..lanes]);
-        for (chunk, lane) in chunks.chunks_mut(16).zip(ks.iter()) {
-            xor_with(chunk, lane);
-        }
     }
 }
 
@@ -290,19 +262,6 @@ impl AesXts {
     }
 }
 
-/// XORs `key` into `data` (which may be shorter on the final chunk of a
-/// keystream application). Shared with the IDE link cipher.
-#[inline]
-pub(crate) fn xor_with(data: &mut [u8], key: &[u8; 16]) {
-    let (chunks, rest) = data.as_chunks_mut::<16>();
-    for chunk in chunks {
-        xor16(chunk, key);
-    }
-    for (d, k) in rest.iter_mut().zip(key.iter()) {
-        *d ^= k;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,18 +309,6 @@ mod tests {
             chunk.copy_from_slice(&block);
             ref_gf128_mul_alpha(&mut t);
         }
-    }
-
-    /// [`ctr_keystream_xor`] under a `nonce ‖ address >> 4 ‖ block index`
-    /// counter block.
-    fn ctr(cipher: &Aes128, nonce: u64, address: u64, data: &mut [u8]) {
-        let mut template = [0u8; 16];
-        template[..8].copy_from_slice(&nonce.to_le_bytes());
-        template[8..14].copy_from_slice(&(address >> 4).to_le_bytes()[..6]);
-        let set_index = |block: &mut [u8; 16], i: u32| {
-            block[14..].copy_from_slice(&(i as u16).to_le_bytes());
-        };
-        ctr_keystream_xor(cipher, template, set_index, data);
     }
 
     proptest! {
@@ -447,34 +394,6 @@ mod tests {
                 prop_assert!(line == unsealed, "{} decrypt_line_with_tweak", kind.name());
             }
         }
-
-        /// The CTR keystream over the optimized cipher matches a
-        /// reference-cipher CTR, across whole eight-block batches and a
-        /// partial last block.
-        #[test]
-        fn ctr_matches_reference(
-            key in proptest::array::uniform16(any::<u8>()),
-            nonce in any::<u64>(),
-            address in any::<u64>(),
-            data in proptest::collection::vec(any::<u8>(), 1..300),
-        ) {
-            let mut fast = data.clone();
-            ctr(&Aes128::new(&key), nonce, address, &mut fast);
-
-            let cipher = RefAes128::new(&key);
-            let mut slow = data.clone();
-            for (i, chunk) in slow.chunks_mut(16).enumerate() {
-                let mut ctr_block = [0u8; 16];
-                ctr_block[..8].copy_from_slice(&nonce.to_le_bytes());
-                ctr_block[8..14].copy_from_slice(&(address >> 4).to_le_bytes()[..6]);
-                ctr_block[14..].copy_from_slice(&(i as u16).to_le_bytes());
-                let ks = cipher.encrypt_block(&ctr_block);
-                for (d, k) in chunk.iter_mut().zip(ks.iter()) {
-                    *d ^= k;
-                }
-            }
-            prop_assert_eq!(fast, slow);
-        }
     }
 
     proptest! {
@@ -513,7 +432,7 @@ mod tests {
             }
         }
 
-        /// XTS and CTR produce identical bytes on every enabled backend
+        /// XTS produces identical bytes on every enabled backend
         /// (hardware and software are interchangeable bit-for-bit).
         #[test]
         fn modes_agree_across_backends(
@@ -526,18 +445,13 @@ mod tests {
         ) {
             let data: Vec<u8> = (0..sectors * 16).map(|i| seed.wrapping_add(i as u8)).collect();
             let tweak = Tweak { version, address };
-            let mut reference: Option<(Vec<u8>, Vec<u8>)> = None;
+            let mut reference: Option<Vec<u8>> = None;
             for kind in crate::backend::available_backends() {
                 let mut xts_out = data.clone();
                 AesXts::with_backend(&key, &key2, kind).encrypt(tweak, &mut xts_out);
-                let mut ctr_out = data.clone();
-                ctr(&Aes128::with_backend(&key, kind), version, address, &mut ctr_out);
                 match &reference {
-                    None => reference = Some((xts_out, ctr_out)),
-                    Some((x, c)) => {
-                        prop_assert_eq!(&xts_out, x);
-                        prop_assert_eq!(&ctr_out, c);
-                    }
+                    None => reference = Some(xts_out),
+                    Some(x) => prop_assert_eq!(&xts_out, x),
                 }
             }
         }

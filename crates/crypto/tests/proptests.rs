@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use toleo_crypto::aes::Aes128;
-use toleo_crypto::ide::establish_session;
 use toleo_crypto::mac::MacKey;
 
 proptest! {
@@ -37,27 +36,5 @@ proptest! {
         let t2 = k.mac(v, a, &data);
         prop_assert_eq!(t1, t2);
         prop_assert!(t1.as_raw() < (1 << 56));
-    }
-
-    /// IDE delivers any payload sequence intact, in order.
-    #[test]
-    fn ide_delivers_streams(payloads in proptest::collection::vec(
-        proptest::collection::vec(any::<u8>(), 0..64), 1..20)) {
-        let (mut tx, mut rx) = establish_session([0x21u8; 32]);
-        for p in &payloads {
-            let flit = tx.send(p);
-            prop_assert_eq!(&rx.receive(&flit).unwrap(), p);
-        }
-    }
-
-    /// Any single-bit flip anywhere in an IDE flit's ciphertext is caught.
-    #[test]
-    fn ide_detects_any_bitflip(payload in proptest::collection::vec(any::<u8>(), 1..64),
-                               bit in 0usize..8, which in any::<u16>()) {
-        let (mut tx, mut rx) = establish_session([0x21u8; 32]);
-        let mut flit = tx.send(&payload);
-        let idx = which as usize % flit.ciphertext.len();
-        flit.ciphertext[idx] ^= 1 << bit;
-        prop_assert!(rx.receive(&flit).is_err());
     }
 }

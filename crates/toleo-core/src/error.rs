@@ -38,11 +38,6 @@ pub enum ToleoError {
         /// Delivery attempts made before giving up.
         attempts: u32,
     },
-    /// The CXL IDE link detected tampering or replay of version traffic.
-    LinkViolation {
-        /// Description from the IDE layer.
-        detail: String,
-    },
     /// The Toleo device has no free dynamic blocks for an upgrade; the host
     /// OS must issue downgrade (RESET) requests to reclaim space. Update
     /// requests are rejected until then (§4.3 "Page free and remap").
@@ -96,9 +91,6 @@ impl std::fmt::Display for ToleoError {
                     "freshness device unreachable for page {page:#x} after {attempts} attempts: \
                      failing closed"
                 )
-            }
-            ToleoError::LinkViolation { detail } => {
-                write!(f, "cxl ide violation: {detail}")
             }
             ToleoError::DeviceFull { page } => {
                 write!(f, "toleo device full; cannot upgrade page {page:#x}")
@@ -175,11 +167,6 @@ mod tests {
         assert!(ToleoError::PageOutOfRange { page: 9, pages: 4 }
             .to_string()
             .contains("outside"));
-        assert!(ToleoError::LinkViolation {
-            detail: "replay".into()
-        }
-        .to_string()
-        .contains("replay"));
         assert!(ToleoError::InvalidConfig {
             detail: "stealth_bits 0".into()
         }

@@ -43,8 +43,6 @@
 //!   that `toleo-baselines` also implements, so every scheme runs the same
 //!   harness and the same attack corpus.
 //! * [`analysis`] — closed-form and Monte-Carlo §6.2 security margins.
-//! * [`rowhammer`] — the §2.1 write-frequency rate limiter the Toleo
-//!   controller runs against Rowhammer-style abuse.
 //!
 //! ## Quickstart
 //!
@@ -82,7 +80,6 @@ pub mod fault;
 pub mod layout;
 pub mod pagetable;
 pub mod protected;
-pub mod rowhammer;
 pub mod seal;
 pub mod sharded;
 pub mod trip;

@@ -173,11 +173,10 @@ impl PageEntry {
                 if (offsets[line] as u32) < MAX_UNEVEN_OFFSET {
                     return UpdateEffect::None;
                 }
-                // Offset would overflow: renormalization absorbs it only if
-                // folding MIN into the base brings the new offset back in
-                // range (mirrors the record_write overflow arm).
-                let min = offsets.iter().copied().min().unwrap_or(0) as u32;
-                if min > 0 && offsets[line] as u32 + 1 - min <= MAX_UNEVEN_OFFSET {
+                // Offset would overflow: renormalization absorbs it whenever
+                // there is a MIN to fold (mirrors the record_write overflow
+                // arm).
+                if offsets.iter().all(|&o| o > 0) {
                     UpdateEffect::None
                 } else {
                     UpdateEffect::UpgradedToFull
@@ -223,51 +222,28 @@ impl PageEntry {
                 }
             }
             PageRepr::Uneven { offsets } => {
-                let next = offsets[line] as u32 + 1;
-                if next <= MAX_UNEVEN_OFFSET {
-                    offsets[line] = next as u8;
+                if (offsets[line] as u32) < MAX_UNEVEN_OFFSET {
+                    offsets[line] += 1;
                     return UpdateEffect::None;
                 }
                 // Offset overflow: renormalize by folding MIN into the base.
-                let min = offsets.iter().copied().min().unwrap_or(0) as u32;
+                // The overflowing line sits at the maximum, so any MIN > 0
+                // brings its incremented offset back in range.
+                let min = offsets.iter().copied().min().unwrap_or(0);
                 if min > 0 {
                     for o in offsets.iter_mut() {
-                        *o -= min as u8;
+                        *o -= min;
                     }
-                    self.base = self.base.offset_by(min, cfg.stealth_bits);
                     offsets[line] += 1;
-                    if (offsets[line] as u32) <= MAX_UNEVEN_OFFSET {
-                        return UpdateEffect::None;
-                    }
-                    // Still overflowing after normalization (min was small):
-                    // fall through to full upgrade with the increment already
-                    // applied.
-                    let mut stealth = Box::new([0u32; LINES_PER_PAGE]);
-                    for i in 0..LINES_PER_PAGE {
-                        stealth[i] = self
-                            .base
-                            .offset_by(offsets[i] as u32, cfg.stealth_bits)
-                            .raw();
-                    }
-                    let leading = stealth.iter().copied().max().unwrap_or(0);
-                    self.format = PageRepr::Full { stealth };
-                    self.base = StealthVersion::new(leading as u64, cfg.stealth_bits);
-                    return UpdateEffect::UpgradedToFull;
+                    self.base = self.base.offset_by(min as u32, cfg.stealth_bits);
+                    return UpdateEffect::None;
                 }
-                // MIN == 0: stride truly exceeds 127, upgrade to full.
-                let mut stealth = Box::new([0u32; LINES_PER_PAGE]);
-                for i in 0..LINES_PER_PAGE {
-                    stealth[i] = self
-                        .base
-                        .offset_by(offsets[i] as u32, cfg.stealth_bits)
-                        .raw();
-                }
-                stealth[line] = StealthVersion::new(stealth[line] as u64, cfg.stealth_bits)
-                    .incremented(cfg.stealth_bits)
-                    .raw();
-                let leading = stealth.iter().copied().max().unwrap_or(0);
+                // MIN == 0: stride truly exceeds 127, upgrade to full. The
+                // incremented offset (128) still fits its byte.
+                offsets[line] += 1;
+                let (stealth, leading) = full_from_uneven(self.base, offsets, cfg.stealth_bits);
                 self.format = PageRepr::Full { stealth };
-                self.base = StealthVersion::new(leading as u64, cfg.stealth_bits);
+                self.base = leading;
                 UpdateEffect::UpgradedToFull
             }
             PageRepr::Full { stealth } => {
@@ -310,6 +286,19 @@ impl PageEntry {
             PageRepr::Full { .. } => crate::config::FULL_ENTRY_BLOCKS,
         }
     }
+}
+
+/// The full-format stealth array of an uneven page — every line's
+/// absolute version `base + offset` — and its leading version, the new
+/// base.
+fn full_from_uneven(
+    base: StealthVersion,
+    offsets: &[u8; LINES_PER_PAGE],
+    bits: u32,
+) -> (Box<[u32; LINES_PER_PAGE]>, StealthVersion) {
+    let stealth = Box::new(offsets.map(|o| base.offset_by(o as u32, bits).raw()));
+    let leading = stealth.iter().copied().max().unwrap_or(0);
+    (stealth, StealthVersion::new(leading as u64, bits))
 }
 
 #[cfg(test)]

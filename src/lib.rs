@@ -8,8 +8,8 @@
 //!
 //! The individual crates:
 //!
-//! * [`crypto`](toleo_crypto) — AES, the XTS mode, 56-bit MACs, CXL IDE,
-//!   D-RaNGe entropy, TDISP attestation.
+//! * [`crypto`](toleo_crypto) — AES, the XTS mode, 56-bit MACs, D-RaNGe
+//!   entropy.
 //! * [`core`](toleo_core) — versions, Trip compression, the Toleo device,
 //!   and the host protection engine.
 //! * [`sim`](toleo_sim) — the trace-driven performance model.

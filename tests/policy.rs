@@ -134,6 +134,24 @@ const BANS: &[Ban] = &[
               into the engine's page arena, re-encrypts through its page walk, and hands \
               the adversary that arena (EXPERIMENTS.md \"PR 28\")",
     },
+    Ban {
+        pattern: &[
+            "toleo_crypto::ide",
+            "toleo_crypto::tdisp",
+            "pub mod ide",
+            "pub mod tdisp",
+            "pub mod rowhammer",
+            "RateLimiter",
+            "LinkViolation",
+            "ctr_keystream_xor",
+        ],
+        whole_word: false,
+        roots: &["crates", "examples"],
+        exempt: None,
+        why: "the trusted side is what the requests reach: a link model re-enters only \
+              wired through `DeviceChannel`, priced per round trip, not as a free-standing \
+              module no version crosses (EXPERIMENTS.md \"PR 29\")",
+    },
 ];
 
 /// One former `awk` step: in `file`, a section runs from one line that
