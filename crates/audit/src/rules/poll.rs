@@ -2,15 +2,16 @@
 //!
 //! A batch drain promises to observe the world-kill within one
 //! `KILL_POLL_OPS` chunk. That promise is structural — the drain loop
-//! is chunked by the poll bound and the loop body touches the kill flag
+//! is chunked by the poll bound and the loop body loads the kill flag
 //! every iteration. `AUDIT.json` declares
 //! each kill-poll loop (file, the identifier chunking it, the probe
-//! identifiers its body must touch) and this rule verifies the shape:
-//! a declared loop missing a probe is a finding, as is a `chunks(…)`
-//! loop over a poll-named bound that nobody declared. Findings accept
+//! identifiers its body must load) and this rule verifies the shape:
+//! a declared loop with no `<probe>.load(` in its body is a finding (a
+//! `<probe>.store(…)` is not a poll), as is a `chunks(…)` loop over a
+//! poll-named bound that nobody declared. Findings accept
 //! `// audit: allow(poll, reason)`.
 
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 use crate::rules::{Finding, Matched, Tier};
 use crate::source::SourceFile;
 
@@ -20,7 +21,7 @@ pub struct PollPolicy {
     pub file: String,
     /// The identifier whose value chunks the loop (`poll_ops`).
     pub chunker: String,
-    /// Identifiers the loop body must touch (`killed`).
+    /// Identifiers the loop body must load (`killed`).
     pub probes: Vec<String>,
     pub why: String,
 }
@@ -70,7 +71,13 @@ pub fn scan(
                 };
                 let body = &file.tokens[open..=close];
                 for probe in &polls[ri].probes {
-                    if !body.iter().any(|t| t.is_ident(probe)) {
+                    let loads = |w: &[Token]| {
+                        w[0].is_ident(probe)
+                            && w[1].is_punct('.')
+                            && w[2].is_ident("load")
+                            && w[3].is_punct('(')
+                    };
+                    if !body.windows(4).any(loads) {
                         out.push(
                             Finding::new(
                                 "blocking-in-poll",
@@ -78,7 +85,7 @@ pub fn scan(
                                 tok.line,
                                 tok.col,
                                 format!(
-                                    "kill-poll loop chunked by `{chunker}` never touches \
+                                    "kill-poll loop chunked by `{chunker}` never loads \
                                      `{probe}` in its body: every chunk boundary must observe \
                                      the kill flag within the declared \
                                      `KILL_POLL_OPS` bound (AUDIT.json polls table)"
@@ -150,7 +157,20 @@ mod tests {
             &polls(),
         );
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("never touches `killed`"));
+        assert!(f[0].message.contains("never loads `killed`"));
+    }
+
+    /// Storing the flag is the escalation, not a poll: a body that only
+    /// sets `killed` never observes another caller's kill.
+    #[test]
+    fn store_only_probe_is_flagged() {
+        let (f, _) = scan_src(
+            "fn run(&self) { for chunk in q.chunks(poll_ops) { \
+             if serve(chunk).is_err() { self.killed.store(true, Ordering::Release); } } }",
+            &polls(),
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("never loads `killed`"));
     }
 
     #[test]

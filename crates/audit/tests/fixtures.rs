@@ -79,7 +79,7 @@ fn poll_loop_missing_a_probe_is_flagged_at_the_chunker() {
     assert_eq!((f.line, f.col), (10, 28));
     assert_eq!(
         f.message,
-        "kill-poll loop chunked by `poll_ops` never touches `killed` in its body: every chunk \
+        "kill-poll loop chunked by `poll_ops` never loads `killed` in its body: every chunk \
          boundary must observe the kill flag within the declared `KILL_POLL_OPS` bound \
          (AUDIT.json polls table)"
     );

@@ -1,5 +1,5 @@
 //! Known-bad fixture: the polls table requires every `poll_ops`
-//! chunked loop to touch `killed`; this loop serves its chunks without
+//! chunked loop to load `killed`; this loop serves its chunks without
 //! ever looking at the kill flag, so it must surface as a
 //! `blocking-in-poll` finding.
 

@@ -59,15 +59,22 @@ const CASES: &[Case] = &[
              [Acquire]: fix the call site or re-justify the row",
         )],
     },
-    // A miss, pinned so that fixing it is a visible change: the probe
-    // test is lexical, and the escalation's `self.killed.store(…)` later
-    // in the same chunk body still "touches" `killed` (ROADMAP item 8).
+    // The escalation's `self.killed.store(…)` later in the same chunk
+    // body is not a poll: the probe must be loaded.
     Case {
         name: "chunk_loop_skips_the_kill_poll",
         file: SHARDED,
         find: "if self.killed.load(Ordering::Acquire) {",
         replace: "if false {",
-        expect: &[],
+        expect: &[(
+            "blocking-in-poll",
+            SHARDED,
+            -6,
+            26,
+            "kill-poll loop chunked by `KILL_POLL_OPS` never loads `killed` in its body: every \
+             chunk boundary must observe the kill flag within the declared `KILL_POLL_OPS` \
+             bound (AUDIT.json polls table)",
+        )],
     },
     Case {
         name: "chunk_loop_over_an_undeclared_bound",

@@ -6,9 +6,16 @@
 //! block addresses per page. This module replaces them with one slot per
 //! *page*: a single probe of the flat open-addressed
 //! [`PageIndex`] (or none, via the engine's
-//! last-page cache) yields a contiguous [`PageSlot`] holding all 64
-//! ciphertext blocks, their MAC tags and the page's shared UV, so per-line
-//! work is plain array indexing and the re-encryption loop walks a slab.
+//! last-page cache) yields the page's [`PageSlot`], so per-line work is
+//! plain array indexing and the re-encryption loop walks a slab.
+//!
+//! A [`PageSlot`] is one pointer to one cache-line-aligned heap slab per
+//! page: the 64 ciphertext blocks first, so every block is exactly one
+//! cache line, then the 64 MAC tags, the two residency bitmaps and the
+//! page's shared UV. One op's untrusted state is therefore three
+//! independent lines of one slab (block, tag, bitmaps + UV), which the
+//! engine fetches before it walks to the device. The slot table itself is
+//! 8 bytes per page.
 //!
 //! Slots live in a `Vec` and are addressed by stable [`SlotId`]s — pages
 //! are never deallocated (freeing a page scrambles its *versions*, not the
@@ -35,10 +42,18 @@ pub struct SlotId(u32);
 
 /// All untrusted state of one 4 KB page: 64 ciphertext blocks, 64 MAC
 /// tags, and the shared upper version stored in the MAC blocks' slack
-/// space (Fig. 4).
+/// space (Fig. 4) — a handle to the page's one heap slab.
 #[derive(Debug, Clone)]
 pub struct PageSlot {
-    blocks: Box<[Block; LINES_PER_PAGE]>,
+    slab: Box<Slab>,
+}
+
+/// The slab behind a [`PageSlot`]. `repr(C)` keeps the blocks at offset
+/// 0 of a 64-byte-aligned allocation, so no block straddles two lines.
+#[derive(Debug, Clone)]
+#[repr(C, align(64))]
+struct Slab {
+    blocks: [Block; LINES_PER_PAGE],
     tags: [Tag56; LINES_PER_PAGE],
     /// Bit `l` set <=> ciphertext block `l` is resident.
     present: u64,
@@ -50,25 +65,27 @@ pub struct PageSlot {
 impl PageSlot {
     fn new() -> Self {
         PageSlot {
-            blocks: Box::new([[0u8; CACHE_BLOCK_BYTES]; LINES_PER_PAGE]),
-            tags: [Tag56::from_raw(0); LINES_PER_PAGE],
-            present: 0,
-            tag_present: 0,
-            uv: UpperVersion::default(),
+            slab: Box::new(Slab {
+                blocks: [[0u8; CACHE_BLOCK_BYTES]; LINES_PER_PAGE],
+                tags: [Tag56::from_raw(0); LINES_PER_PAGE],
+                present: 0,
+                tag_present: 0,
+                uv: UpperVersion::default(),
+            }),
         }
     }
 
     /// Whether ciphertext is resident for `line`.
     #[inline]
     pub fn has_block(&self, line: usize) -> bool {
-        self.present & (1u64 << line) != 0
+        self.slab.present & (1u64 << line) != 0
     }
 
     /// The resident ciphertext block, if any.
     #[inline]
     pub fn block(&self, line: usize) -> Option<&Block> {
         if self.has_block(line) {
-            Some(&self.blocks[line])
+            Some(&self.slab.blocks[line])
         } else {
             None
         }
@@ -77,21 +94,21 @@ impl PageSlot {
     /// Stores ciphertext for `line`.
     #[inline]
     pub fn set_block(&mut self, line: usize, block: Block) {
-        self.blocks[line] = block;
-        self.present |= 1u64 << line;
+        self.slab.blocks[line] = block;
+        self.slab.present |= 1u64 << line;
     }
 
     /// Drops the ciphertext for `line` (models an unwritten block).
     #[inline]
     pub fn clear_block(&mut self, line: usize) {
-        self.present &= !(1u64 << line);
+        self.slab.present &= !(1u64 << line);
     }
 
     /// The stored MAC tag for `line`, if any.
     #[inline]
     pub fn tag(&self, line: usize) -> Option<Tag56> {
-        if self.tag_present & (1u64 << line) != 0 {
-            Some(self.tags[line])
+        if self.slab.tag_present & (1u64 << line) != 0 {
+            Some(self.slab.tags[line])
         } else {
             None
         }
@@ -100,31 +117,31 @@ impl PageSlot {
     /// Stores the MAC tag for `line`.
     #[inline]
     pub fn set_tag(&mut self, line: usize, tag: Tag56) {
-        self.tags[line] = tag;
-        self.tag_present |= 1u64 << line;
+        self.slab.tags[line] = tag;
+        self.slab.tag_present |= 1u64 << line;
     }
 
     /// Drops the MAC tag for `line`.
     #[inline]
     pub fn clear_tag(&mut self, line: usize) {
-        self.tag_present &= !(1u64 << line);
+        self.slab.tag_present &= !(1u64 << line);
     }
 
     /// The page's shared upper version.
     #[inline]
     pub fn uv(&self) -> UpperVersion {
-        self.uv
+        self.slab.uv
     }
 
     /// Overwrites the page's shared upper version.
     #[inline]
     pub fn set_uv(&mut self, uv: UpperVersion) {
-        self.uv = uv;
+        self.slab.uv = uv;
     }
 
     /// Number of resident ciphertext blocks.
     pub fn resident(&self) -> usize {
-        self.present.count_ones() as usize
+        self.slab.present.count_ones() as usize
     }
 
     /// XORs `mask` into byte `offset` of the resident ciphertext at `line`;
@@ -141,7 +158,7 @@ impl PageSlot {
         );
         let resident = self.has_block(line);
         if resident {
-            self.blocks[line][offset] ^= mask;
+            self.slab.blocks[line][offset] ^= mask;
         }
         resident
     }
@@ -460,6 +477,30 @@ mod tests {
         assert_eq!(seen, vec![3, 7, 9, 1000]);
         for (page, id) in arena.pages() {
             assert_eq!(arena.slot(id).block(1), Some(&[page as u8; 64]));
+        }
+    }
+
+    /// The slot table holds one pointer per page, and every block of a
+    /// slab is exactly one cache line.
+    #[test]
+    fn every_block_is_one_aligned_cache_line() {
+        assert_eq!(
+            std::mem::size_of::<PageSlot>(),
+            std::mem::size_of::<usize>()
+        );
+        let mut arena = UntrustedDram::default();
+        for page in 0..8u64 {
+            let id = arena.ensure_slot(page * 13);
+            let slot = arena.slot_mut(id);
+            for line in 0..LINES_PER_PAGE {
+                slot.set_block(line, [line as u8; 64]);
+                let block = slot.block(line).unwrap();
+                assert_eq!(
+                    block.as_ptr() as usize % CACHE_BLOCK_BYTES,
+                    0,
+                    "page {page} line {line}"
+                );
+            }
         }
     }
 

@@ -25,6 +25,17 @@
 //! has just advanced, or from the reset walk under a just-incremented UV,
 //! or in a freshly keyed engine (recovery).
 //!
+//! Both ops issue the untrusted fetch first. The page's slot is looked up
+//! without materialising it, and a read loads the line's ciphertext and
+//! tag and the page's UV by value (a write, the UV) *before*
+//! [`StealthCache::read`] / [`StealthCache::update`] walks to the device,
+//! so the misses into untrusted memory overlap the device's index and
+//! entry misses instead of following them. The op then uses those values:
+//! nothing is fetched twice, and a last-page hit costs what it did. A
+//! write materialises a never-touched page's slot only after the device
+//! has accepted the UPDATE; a refused access leaves untrusted memory as
+//! it was.
+//!
 //! The [`UntrustedDram`] it writes to is fully exposed to the adversary —
 //! integration tests replay old (ciphertext, MAC, UV) triples through it
 //! to demonstrate detection.
@@ -355,6 +366,14 @@ impl ProtectionEngine {
         let page = layout::page_of(addr);
         let line = layout::line_of(addr);
 
+        // The untrusted fetch goes first: the page's UV is loaded while the
+        // walk below waits on the stealth cache and the device. A page
+        // seen for the first time is materialised only once the device
+        // has accepted the UPDATE.
+        let fetched = self
+            .slot_id_if_resident(page)
+            .map(|id| (id, self.dram.slot(id).uv()));
+
         // The UPDATE goes through to the device regardless (write-through);
         // the walk's stealth-cache hit only says the host knew the current
         // version and did not stall on the CXL round trip.
@@ -371,8 +390,13 @@ impl ProtectionEngine {
         }
 
         let stealth_bits = self.cfg.stealth_bits;
-        let id = self.slot_id(page);
-        let mut uv = self.dram.slot(id).uv();
+        let (id, mut uv) = match fetched {
+            Some(fetched) => fetched,
+            None => {
+                let id = self.slot_id(page);
+                (id, self.dram.slot(id).uv())
+            }
+        };
         if let Some(notice) = resp.reset {
             // UV_UPDATE (the walk has already dropped the page's cached
             // entry): bump the shared UV and re-encrypt every resident
@@ -425,6 +449,14 @@ impl ProtectionEngine {
         let line = layout::line_of(addr);
         self.stats.reads += 1;
 
+        // The untrusted fetch goes first: the line's ciphertext and tag and
+        // the page's UV are loaded, by value, before the walk below waits
+        // on the stealth cache and the device, so their misses overlap it.
+        let fetched = self.slot_id_if_resident(page).map(|id| {
+            let slot = self.dram.slot(id);
+            (slot.block(line).copied(), slot.tag(line), slot.uv())
+        });
+
         let (stealth, _, hit) = self
             .stealth_cache
             .read(&mut self.channel, page, line)
@@ -436,14 +468,13 @@ impl ProtectionEngine {
             self.stats.mac_fetches += 1;
         }
 
-        let Some(id) = self.slot_id_if_resident(page) else {
+        let Some((ct, tag, uv)) = fetched else {
             // Never-written page: treated as zero-filled (the OS scrubs
             // pages at allocation; no MAC exists yet).
             return Ok([0u8; CACHE_BLOCK_BYTES]);
         };
-        let slot = self.dram.slot(id);
-        let fv = FullVersion::compose(slot.uv(), stealth, self.cfg.stealth_bits);
-        match self.sealer.unseal(slot, addr, fv.raw()) {
+        let fv = FullVersion::compose(uv, stealth, self.cfg.stealth_bits);
+        match self.sealer.unseal_fetched(ct, tag, addr, fv.raw()) {
             Some(pt) => Ok(pt),
             None => {
                 self.kill();
@@ -795,6 +826,44 @@ mod tests {
         // The page is still usable afterwards.
         e.write(3 * 4096, &[1u8; 64]).unwrap();
         assert_eq!(e.read(3 * 4096).unwrap(), [1u8; 64]);
+    }
+
+    /// The early untrusted fetch never materialises a slot: a write the
+    /// device refuses, a write whose UPDATE never reaches it, and a read
+    /// of a never-written page each leave untrusted memory untouched.
+    #[test]
+    fn a_refused_access_materialises_no_slot() {
+        let cfg = ToleoConfig::small();
+        let engine = |plan| {
+            ProtectionEngine::try_new_with_robustness(
+                cfg.clone(),
+                [6u8; 48],
+                plan,
+                RetryPolicy::default(),
+            )
+            .unwrap()
+        };
+        let untouched = |e: &ProtectionEngine, page| {
+            e.dram.slot_id(page).is_none() && e.dram.resident_blocks() == 0
+        };
+
+        let mut e = engine(None);
+        let page = cfg.protected_pages();
+        let refused = e.write(page * PAGE_BYTES as u64, &[1u8; 64]);
+        assert!(matches!(refused, Err(ToleoError::PageOutOfRange { .. })));
+        assert!(untouched(&e, page));
+
+        let mut plan = FaultPlanConfig::uniform(5, 0.0);
+        plan.update.timeout = 1.0;
+        let mut e = engine(Some(plan));
+        let refused = e.write(3 * PAGE_BYTES as u64, &[1u8; 64]);
+        assert!(matches!(refused, Err(ToleoError::DeviceUnavailable { .. })));
+        assert!(e.is_killed());
+        assert!(untouched(&e, 3));
+
+        let mut e = engine(None);
+        assert_eq!(e.read(5 * PAGE_BYTES as u64).unwrap(), [0u8; 64]);
+        assert!(untouched(&e, 5));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::arena::{Block, PageSlot};
 use crate::config::{CACHE_BLOCK_BYTES, LINES_PER_PAGE, PAGE_BYTES};
 use crate::layout;
-use toleo_crypto::mac::LineMac;
+use toleo_crypto::mac::{LineMac, Tag56};
 use toleo_crypto::modes::{AesXts, LinePads, Tweak};
 
 /// The keys that seal lines: the XTS data and tweak keys and the line-MAC
@@ -66,10 +66,24 @@ impl LineSealer {
     #[inline]
     pub fn unseal(&self, slot: &PageSlot, addr: u64, version: u64) -> Option<Block> {
         let line = layout::line_of(addr);
-        if !slot.has_block(line) {
+        self.unseal_fetched(slot.block(line).copied(), slot.tag(line), addr, version)
+    }
+
+    /// [`unseal`](Self::unseal) of a line already fetched from its slot:
+    /// its ciphertext (`None` when absent) and its stored tag, by value,
+    /// so a caller can issue those loads before it waits on the version.
+    #[inline]
+    pub fn unseal_fetched(
+        &self,
+        ct: Option<Block>,
+        tag: Option<Tag56>,
+        addr: u64,
+        version: u64,
+    ) -> Option<Block> {
+        let Some(ct) = ct else {
             return Some([0u8; CACHE_BLOCK_BYTES]);
-        }
-        self.unseal_with(slot, line, self.pads(version, addr))
+        };
+        self.open(ct, tag, self.pads(version, addr))
     }
 
     /// Re-seals every resident line of `page` but `skip` from version
@@ -118,8 +132,9 @@ impl LineSealer {
         for (&l, &[tweak, mac_pad, new_tweak, new_mac_pad]) in
             lines.iter().zip(pads.as_chunks::<4>().0)
         {
-            let plaintext = self
-                .unseal_with(slot, l, LinePads { tweak, mac_pad })
+            let plaintext = slot
+                .block(l)
+                .and_then(|&ct| self.open(ct, slot.tag(l), LinePads { tweak, mac_pad }))
                 .ok_or(addr(l))?;
             let pads = LinePads {
                 tweak: new_tweak,
@@ -146,14 +161,13 @@ impl LineSealer {
     /// MAC verification gates decryption: the pads touch no ciphertext,
     /// and no key does until the stored tag checks out.
     #[inline]
-    fn unseal_with(&self, slot: &PageSlot, line: usize, pads: LinePads) -> Option<Block> {
-        let (ct, stored) = (slot.block(line)?, slot.tag(line)?);
-        if !self.mac.tag(&pads.mac_pad, ct).verify(&stored) {
+    fn open(&self, mut ct: Block, stored: Option<Tag56>, pads: LinePads) -> Option<Block> {
+        let stored = stored?;
+        if !self.mac.tag(&pads.mac_pad, &ct).verify(&stored) {
             return None;
         }
-        let mut pt = *ct;
-        self.xts.decrypt_line_with_tweak(pads.tweak, &mut pt);
-        Some(pt)
+        self.xts.decrypt_line_with_tweak(pads.tweak, &mut ct);
+        Some(ct)
     }
 }
 

@@ -152,6 +152,20 @@ const BANS: &[Ban] = &[
               wired through `DeviceChannel`, priced per round trip, not as a free-standing \
               module no version crosses (EXPERIMENTS.md \"PR 29\")",
     },
+    Ban {
+        pattern: &[
+            "Box<[Block; LINES_PER_PAGE]>",
+            "_mm_prefetch",
+            "prefetch_read",
+        ],
+        whole_word: false,
+        roots: &["crates/toleo-core"],
+        exempt: None,
+        why: "one slab per page: a page's blocks, tags, bitmaps and UV share one \
+              cache-line-aligned allocation, and the engine's early untrusted fetch is a \
+              plain load whose value the op uses, not a hint intrinsic, so the `unsafe` \
+              budget stays 26 (EXPERIMENTS.md \"PR 30\")",
+    },
 ];
 
 /// One former `awk` step: in `file`, a section runs from one line that
