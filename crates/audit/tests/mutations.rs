@@ -113,7 +113,8 @@ const CASES: &[Case] = &[
                 1,
                 14,
                 "call to `trip_kill` acquires `shard_engine` while `shard_engine` (held since \
-                 line {edit}) is still held: lock-order inversion (declared order: shard_engine)",
+                 line {edit}) is still held: lock-order inversion (declared order: \
+                 shard_engine < batch_job)",
             ),
         ],
     },
@@ -128,7 +129,8 @@ const CASES: &[Case] = &[
             1,
             22,
             "call to `robustness_stats` acquires `shard_engine` while `shard_engine` (held \
-             since line {edit}) is still held: lock-order inversion (declared order: shard_engine)",
+             since line {edit}) is still held: lock-order inversion (declared order: \
+             shard_engine < batch_job)",
         )],
     },
     Case {

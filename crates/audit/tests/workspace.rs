@@ -37,13 +37,14 @@ fn audit_json_reserialises_byte_identically() {
     assert_eq!(toleo_json::pretty(&doc, &[]), text);
 }
 
-/// The workspace's whole lock-free surface, pinned: the world-kill flag
-/// and the served-op counter (a write-once cell is `std`'s `OnceLock`,
-/// not a row). A third row is a second publication channel beside the
-/// shard mutex — it needs a reader that decides on it, and a model that
-/// covers it, first.
+/// The workspace's whole lock-free surface, pinned: the world-kill flag,
+/// the batch helper's mailbox phase and the served-op counter (a
+/// write-once cell is `std`'s `OnceLock`, not a row). Another row is one
+/// more publication channel beside the shard mutex — it needs a reader
+/// that decides on it, and a model that covers it, first (the phase's is
+/// the offer, take-back and wait in `toleo-model`'s handshake).
 #[test]
-fn atomic_protocol_table_is_exactly_two_rows() {
+fn atomic_protocol_table_is_exactly_three_rows() {
     let text = std::fs::read_to_string(repo_root().join("AUDIT.json")).expect("AUDIT.json");
     let doc = toleo_json::parse(&text).expect("AUDIT.json parses");
     let rows = doc
@@ -51,5 +52,5 @@ fn atomic_protocol_table_is_exactly_two_rows() {
         .and_then(toleo_json::Value::as_object)
         .expect("atomics table");
     let names: Vec<&str> = rows.iter().map(|(name, _)| name.as_str()).collect();
-    assert_eq!(names, ["killed", "ops_served"]);
+    assert_eq!(names, ["killed", "phase", "ops_served"]);
 }

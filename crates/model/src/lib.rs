@@ -14,8 +14,9 @@
 //!   waiting — and no shard is re-keyed past its recovery budget,
 //! - recovery-budget exhaustion always reaches the world-kill, the
 //!   world-kill is always finished (every engine force-killed, no lock
-//!   held by whoever finishes it), and a batch drain serves at most one
-//!   `KILL_POLL_OPS` chunk after the flag is set,
+//!   held by whoever finishes it, and not before the batch helper's half
+//!   is back), and a batch drain serves at most one `KILL_POLL_OPS` chunk
+//!   after the flag is set,
 //! - every op that landed is counted in `ops_served`, ahead of the
 //!   quarantine stamp taken from it.
 //!
@@ -35,13 +36,13 @@
 //!   seed. The sizes of the two clean state spaces are pinned by tests.
 //!
 //! The model lives in [`handshake`]: one mutex per shard guarding the
-//! engine, `quarantined`, its stamp and the key generation, plus the
-//! handle's two atomics, with injectable protocol bugs that the test
-//! suite proves the explorer catches. The integration tests replay every
-//! ordering of the model's four critical sections against a real
-//! `toleo_core::sharded::ShardedEngine` and require identical outcomes
-//! and final state, so the model cannot drift from the code it stands
-//! for.
+//! engine, `quarantined`, its stamp and the key generation, the two
+//! atomics beside them and the batch helper's mailbox, with injectable
+//! protocol bugs that the test suite proves the explorer catches. The
+//! integration tests replay every ordering of the model's three calls
+//! against a real `toleo_core::sharded::ShardedEngine` and require every
+//! real outcome and final state to be one the model reaches, so the
+//! model cannot drift from the code it stands for.
 
 pub mod handshake;
 pub mod sched;

@@ -17,16 +17,20 @@
 //! `Shard` behind `shards[k]`, and the handle holds no other lock:
 //! whoever drains, recovers or snapshots a shard already holds that
 //! mutex, so nothing beside it needs synchronisation of its own. The
-//! handle's only atomics are the world-kill flag (`Release` store,
+//! shards' only atomics are the world-kill flag (`Release` store,
 //! `Acquire` load) and the `Relaxed` served-op counter.
 //!
-//! [`ShardedEngine`] is the thread-safe handle; it never spawns a thread.
-//! Single operations route to the owning shard under its mutex;
+//! [`ShardedEngine`] is the thread-safe handle. Single operations route to
+//! the owning shard under its mutex, on the calling thread;
 //! [`read_batch`](ShardedEngine::read_batch) and
 //! [`write_batch`](ShardedEngine::write_batch) split a batch into per-shard
-//! runs that the calling thread drains itself, in ascending shard order,
-//! one shard lock at a time. Parallelism comes from several callers on the
-//! `&self` handle, which contend only when they meet on one shard's mutex.
+//! runs, each drained under its shard's lock. The caller drains the lower
+//! half of the runs itself and offers the upper half to one
+//! batch helper thread — spawned by the first batch that has two runs, never
+//! when the platform reports one CPU — and takes that half back if the
+//! helper has not started it. More parallelism comes from several callers
+//! on the `&self` handle, which contend only when they meet on one shard's
+//! mutex; a caller that finds the helper busy drains alone.
 //!
 //! Failure containment is an escalation ladder:
 //!
@@ -67,17 +71,20 @@ use crate::layout;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use toleo_crypto::aes::Aes128;
 
+mod helper;
 pub mod recovery;
 
 pub use recovery::{RecoveryOutcome, RecoveryStats, RECOVERY_BUDGET};
 
+use helper::{Helper, Settled};
 use recovery::RekeyInputs;
 
-// Whichever caller thread takes a shard's lock drives that shard; this
-// fails to compile if `ProtectionEngine` ever grows a non-Send member.
+// Whichever thread takes a shard's lock — a caller or the batch helper —
+// drives that shard; this fails to compile if `ProtectionEngine` ever
+// grows a non-Send member.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<ProtectionEngine>();
@@ -140,6 +147,23 @@ pub struct RobustnessStats {
 /// ```
 #[derive(Debug)]
 pub struct ShardedEngine {
+    /// Everything a drain touches. The batch helper holds a clone only
+    /// from an offer until it has drained it, so `&mut self` finds it
+    /// unshared.
+    core: Arc<Core>,
+    /// The batch helper, spawned by the first batch with two occupied
+    /// runs; `None` inside when the platform reports one CPU or the spawn
+    /// failed, and every batch drains on its caller.
+    helper: OnceLock<Option<Helper>>,
+    /// What [`recover_shard`](Self::recover_shard) re-keys from.
+    rekey: RekeyInputs,
+    cfg: ToleoConfig,
+}
+
+/// The shards and the two atomics beside them: what a drain touches,
+/// shared by the handle and the batch helper.
+#[derive(Debug)]
+struct Core {
     shards: Box<[Mutex<Shard>]>,
     /// Set only by the world-kill escalation (device unreachable, a panic
     /// inside a batch drain); checked on every entry and between batch
@@ -147,9 +171,6 @@ pub struct ShardedEngine {
     killed: AtomicBool,
     /// Successful ops served (telemetry; see [`RobustnessStats`]).
     ops_served: AtomicU64,
-    /// What [`recover_shard`](Self::recover_shard) re-keys from.
-    rekey: RekeyInputs,
-    cfg: ToleoConfig,
 }
 
 /// Everything one shard's mutex guards. The ledger and counters sit
@@ -241,9 +262,12 @@ impl ShardedEngine {
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(ShardedEngine {
-            shards: engines.into_boxed_slice(),
-            killed: AtomicBool::new(false),
-            ops_served: AtomicU64::new(0),
+            core: Arc::new(Core {
+                shards: engines.into_boxed_slice(),
+                killed: AtomicBool::new(false),
+                ops_served: AtomicU64::new(0),
+            }),
+            helper: OnceLock::new(),
             rekey: RekeyInputs {
                 root_key,
                 fault_plan,
@@ -261,7 +285,7 @@ impl ShardedEngine {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.core.shards.len()
     }
 
     /// The shard that owns `addr` (page-wise interleaving: consecutive
@@ -273,18 +297,14 @@ impl ShardedEngine {
 
     /// The shard that owns `page`.
     pub fn shard_of_page(&self, page: u64) -> usize {
-        (page % self.shards.len() as u64) as usize
+        (page % self.shard_count() as u64) as usize
     }
 
     /// Whether the world-kill switch has engaged (device-level failure or
     /// a panic inside a batch drain). Per-shard tamper detections quarantine instead; see
     /// [`is_shard_quarantined`](Self::is_shard_quarantined).
     pub fn is_killed(&self) -> bool {
-        // Acquire pairs with the Release stores in trip_kill and the
-        // batch drains: seeing the flag also sees the state that
-        // justified it. The flag only latches, so no total order is
-        // needed (protocol role `flag` in AUDIT.json).
-        self.killed.load(Ordering::Acquire)
+        self.core.is_killed()
     }
 
     /// Whether `shard` is quarantined (out-of-range shard indices are
@@ -292,21 +312,12 @@ impl ShardedEngine {
     /// answers for a whole quarantine or a whole recovery, never for the
     /// middle of one — and must not be called with a shard lock held.
     pub fn is_shard_quarantined(&self, shard: usize) -> bool {
-        shard < self.shards.len() && self.lock_shard(shard).quarantined
+        shard < self.shard_count() && self.core.lock_shard(shard).quarantined
     }
 
     /// Number of quarantined shards, each read under its lock.
     pub fn quarantined_shard_count(&self) -> u64 {
         self.robustness_stats().quarantined_shards
-    }
-
-    fn lock_shard(&self, index: usize) -> MutexGuard<'_, Shard> {
-        // A panic in an engine op must not wedge the handle: the engine's
-        // state is still sound (it never holds half-updated invariants
-        // across public calls), so recover the guard from the poison.
-        self.shards[index]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn check_alive(&self, address: u64) -> Result<()> {
@@ -316,55 +327,24 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Engages the world-kill: flips the flag and force-kills every shard
-    /// so each is individually inert. Must not be called while holding a
-    /// shard lock (it acquires all of them in turn).
-    #[cold]
-    fn trip_kill(&self) {
-        self.killed.store(true, Ordering::Release);
-        for index in 0..self.shards.len() {
-            self.lock_shard(index).engine.force_kill();
-        }
+    /// The batch helper, spawned on first use; `None` on a one-CPU
+    /// platform.
+    fn helper(&self) -> Option<&Helper> {
+        self.helper.get_or_init(Helper::spawn).as_ref()
     }
 
-    /// The refusal a quarantined shard serves: [`ToleoError::ShardQuarantined`]
-    /// carrying the engine's frozen [`KillSnapshot`]. `engine` must be the
-    /// already-locked shard engine.
-    ///
-    /// [`KillSnapshot`]: crate::engine::KillSnapshot
-    fn quarantine_refusal(shard: usize, address: u64, engine: &ProtectionEngine) -> ToleoError {
-        ToleoError::ShardQuarantined {
-            shard,
-            address,
-            snapshot: Box::new(engine.kill_snapshot().unwrap_or_default()),
-        }
-    }
-
-    /// Classifies an engine-kill observed after an operation: a channel
-    /// retry-budget exhaustion escalates to the world-kill; anything else
-    /// (tamper, replay) quarantines only this shard — unless the shard
-    /// has already consumed its recovery budget, in which case a repeat
-    /// tamper is a determined adversary parked on one address range and
-    /// containment gives way to the world-kill. Returns `true` when the
-    /// caller must finish the world-kill (after releasing `state`'s lock).
-    fn escalate_after_kill(&self, state: &mut Shard, error: &ToleoError) -> bool {
-        if matches!(error, ToleoError::DeviceUnavailable { .. }) {
-            return true;
-        }
-        state.quarantined = true;
-        state.ops_at_quarantine = self.ops_served.load(Ordering::Relaxed);
-        if state.generation >= RECOVERY_BUDGET {
-            state.budget_kills += 1;
-            return true;
-        }
-        false
+    /// Halves the batch helper has drained; `None` without a helper.
+    #[cfg(test)]
+    fn helper_drained(&self) -> Option<u64> {
+        self.helper.get()?.as_ref().map(Helper::drained)
     }
 
     /// Runs `f` on the shard owning `address` as a batch run of one:
-    /// the single-op path is [`drain_shard_guarded`](Self::drain_shard_guarded)
+    /// the single-op path is [`drain_shard_guarded`](Core::drain_shard_guarded)
     /// over the one index `0`, so quarantine refusal, the lost-block
     /// ledger, the escalation ladder and the fail-closed response to a
-    /// panic exist once, in [`drain_shard`](Self::drain_shard). `access`
+    /// panic exist once, in [`drain_shard`](Core::drain_shard). It never
+    /// involves the batch helper. `access`
     /// decides how the op interacts with the lost-block ledger a recovery
     /// may have left behind: reads refuse lost addresses with
     /// [`ToleoError::PageLost`], successful writes repopulate them
@@ -378,14 +358,14 @@ impl ShardedEngine {
     ) -> Result<R> {
         self.check_alive(address)?;
         let mut served = None;
-        let outcome = self.drain_shard_guarded(
+        let outcome = self.core.drain_shard_guarded(
             self.shard_of_addr(address),
             &[0],
             access,
             &|_| address,
             &mut |engine, _| f(engine).map(|value| served = Some(value)),
         );
-        self.finish_world_kill();
+        self.core.finish_world_kill();
         match outcome {
             // A drained run of one has served its op; were that ever
             // untrue, the answer is a violation, not a value.
@@ -430,15 +410,16 @@ impl ShardedEngine {
         })
     }
 
-    /// Writes a batch of blocks. The calling thread splits the batch into
-    /// per-shard runs and drains them itself, in ascending shard order,
-    /// one shard lock at a time: each run is one
+    /// Writes a batch of blocks. The batch is split into per-shard runs,
+    /// each drained under its shard's lock as one
     /// [`ProtectionEngine::write`] after another, polling the world-kill
-    /// flag every [`KILL_POLL_OPS`] ops. Within
-    /// a shard, ops execute in batch order (so a later
-    /// write to the same address wins, exactly as in a sequential
-    /// replay); ops on different shards may execute out of batch order,
-    /// which is safe because shards share no state.
+    /// flag every [`KILL_POLL_OPS`] ops; the calling thread drains the
+    /// lower half of the runs and the batch helper, if it starts in time,
+    /// the upper half. Within a shard, ops execute in
+    /// batch order (so a later write to the same address wins, exactly as
+    /// in a sequential replay); ops on different shards may execute out of
+    /// batch order, or at once, which is safe because shards share no
+    /// state.
     ///
     /// # Errors
     ///
@@ -456,28 +437,23 @@ impl ShardedEngine {
 
     /// [`write_batch`](Self::write_batch) variant that also reports the
     /// smallest failing batch index (security-relevant failures still
-    /// take precedence over earlier benign failures). Shards are drained
-    /// in ascending order and *all* occupied shards are still attempted
-    /// after a failure on one, so ops on **other** shards may have
-    /// completed whatever their index; on the failing op's own shard, ops
-    /// before it completed and ops after it were not attempted.
+    /// take precedence over earlier benign failures). *All* occupied
+    /// shards are still attempted after a failure on one, so ops on
+    /// **other** shards may have completed whatever their index; on the
+    /// failing op's own shard, ops before it completed and ops after it
+    /// were not attempted.
     ///
     /// # Errors
     ///
     /// [`BatchError`] with the failing index and underlying error.
     pub fn write_batch_indexed(&self, ops: &[(u64, Block)]) -> std::result::Result<(), BatchError> {
-        self.run_batch(
-            ops.len(),
-            Access::Write,
-            |i| ops[i].0,
-            |engine, i| engine.write(ops[i].0, &ops[i].1),
-        )
+        self.run_batch(BatchOps::Write(ops), &mut [])
     }
 
-    /// Reads a batch of blocks: the calling thread drains each occupied
-    /// shard's run, one [`ProtectionEngine::read`] after another, shard
-    /// by shard and kill-polled as in [`write_batch`](Self::write_batch).
-    /// Results are returned in batch order.
+    /// Reads a batch of blocks: each occupied shard's run is one
+    /// [`ProtectionEngine::read`] after another, drained and kill-polled
+    /// as in [`write_batch`](Self::write_batch). Results are returned in
+    /// batch order.
     ///
     /// # Errors
     ///
@@ -496,75 +472,215 @@ impl ShardedEngine {
     ///
     /// [`BatchError`] with the failing index and underlying error.
     pub fn read_batch_indexed(&self, addrs: &[u64]) -> std::result::Result<Vec<Block>, BatchError> {
-        let mut out: Vec<Block> = Vec::new();
-        self.run_batch(
-            addrs.len(),
-            Access::Read,
-            |i| addrs[i],
-            |engine, i| {
-                let block = engine.read(addrs[i])?;
-                // Sized once an op has been served, not up front: a batch
-                // that is refused outright never pays for it, and a huge
-                // one reaches its first kill poll without zero-filling
-                // its whole result first. (A no-op from the second op on.)
-                out.resize(addrs.len(), [0u8; CACHE_BLOCK_BYTES]);
-                out[i] = block;
-                Ok(())
-            },
-        )?;
+        let mut out = vec![[0u8; CACHE_BLOCK_BYTES]; addrs.len()];
+        self.run_batch(BatchOps::Read(addrs), &mut out)?;
         Ok(out)
     }
 
-    /// Shared batch executor: splits op indices `0..len` into per-shard
-    /// runs by `addr_of`, then drains every occupied shard's run
-    /// on the calling thread ([`drain_shard`](Self::drain_shard)), in
-    /// ascending shard order, whatever the earlier ones returned. No run
-    /// is handed to another thread: a spawn or a wake-up costs more than
-    /// the ~32-op run it would hand off (EXPERIMENTS.md, PR 12). Returns
-    /// the smallest failing batch index with its error.
+    /// Shared batch executor. Splits the batch into per-shard runs
+    /// ([`Runs::split`]) and drains every occupied shard's run through
+    /// [`drain_shard_guarded`](Core::drain_shard_guarded), whatever the
+    /// others returned. With two or more runs it offers the upper half of
+    /// them to the batch [`helper`] as an owned copy of their ops, drains
+    /// the lower half itself, then either takes the offer back, if the
+    /// helper has not started it, and drains that half too, or waits for
+    /// the helper's half. A helper slow to wake thus never costs more than
+    /// draining alone, and a helper that died fails its half closed into
+    /// the world-kill. Returns the smallest failing batch index with its
+    /// error ([`Failures`]).
     fn run_batch(
         &self,
-        len: usize,
-        access: Access,
-        addr_of: impl Fn(usize) -> u64,
-        mut exec_op: impl FnMut(&mut ProtectionEngine, usize) -> Result<()>,
+        ops: BatchOps<'_>,
+        out: &mut [Block],
     ) -> std::result::Result<(), BatchError> {
-        if len == 0 {
+        if ops.len() == 0 {
             return Ok(());
         }
-        self.check_alive(addr_of(0))
+        self.check_alive(ops.addr(0))
             .map_err(|error| BatchError { index: 0, error })?;
-        let mut runs: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for i in 0..len {
-            runs[self.shard_of_addr(addr_of(i))].push(i);
-        }
-
-        // Smallest-index failure, tracked separately per severity: a
-        // security-relevant failure (tamper, quarantine, unreachable
-        // device) must never be masked by a benign, retryable failure
-        // (e.g. `DeviceFull`) that happens to sit earlier in the batch.
-        let mut first_severe: Option<(usize, ToleoError)> = None;
-        let mut first_other: Option<(usize, ToleoError)> = None;
-        for (shard, run) in runs.iter().enumerate() {
-            if run.is_empty() {
-                continue;
-            }
-            let outcome = self.drain_shard_guarded(shard, run, access, &addr_of, &mut exec_op);
-            if let Err((i, e)) = outcome {
-                let slot = if error_is_severe(&e) {
-                    &mut first_severe
-                } else {
-                    &mut first_other
-                };
-                if slot.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                    *slot = Some((i, e));
+        let runs = Runs::split(ops.len(), self.shard_count(), |i| {
+            self.shard_of_addr(ops.addr(i))
+        });
+        let access = ops.access();
+        let addr_of = |i: usize| ops.addr(i);
+        let mut exec_op = |engine: &mut ProtectionEngine, i: usize| match ops {
+            BatchOps::Write(writes) => engine.write(writes[i].0, &writes[i].1),
+            BatchOps::Read(addrs) => engine.read(addrs[i]).map(|block| out[i] = block),
+        };
+        let mut failures = Failures::default();
+        let (own, handed) = runs.spans.split_at(runs.spans.len().div_ceil(2));
+        let mut offer = match handed {
+            [] => None,
+            _ => self
+                .helper()
+                .and_then(|helper| helper.offer(|job| job.load(&self.core, ops, &runs, handed))),
+        };
+        let own = if offer.is_some() {
+            own
+        } else {
+            &runs.spans[..]
+        };
+        self.core
+            .drain_spans(&runs, own, access, &addr_of, &mut exec_op, &mut failures);
+        if let Some(offer) = &mut offer {
+            match offer.settle() {
+                Settled::Reclaimed => self.core.drain_spans(
+                    &runs,
+                    handed,
+                    access,
+                    &addr_of,
+                    &mut exec_op,
+                    &mut failures,
+                ),
+                Settled::Returned(mut job) => {
+                    failures.absorb(std::mem::take(&mut job.failures));
+                    if let BatchOps::Read(_) = ops {
+                        for &i in runs.indices(handed) {
+                            out[i] = job.blocks[i];
+                        }
+                    }
+                }
+                Settled::Lost => {
+                    // The helper thread ended with this half in an
+                    // unknown state: fail it closed, as a panicked run.
+                    self.core.killed.store(true, Ordering::Release);
+                    let first = runs.indices(handed)[0];
+                    let address = ops.addr(first);
+                    failures.note((first, ToleoError::IntegrityViolation { address }));
                 }
             }
         }
-        self.finish_world_kill();
-        match first_severe.or(first_other) {
-            Some((index, error)) => Err(BatchError { index, error }),
-            None => Ok(()),
+        // Frees the mailbox; the kill, if any, is finished with no lock
+        // held and both halves back.
+        drop(offer);
+        self.core.finish_world_kill();
+        failures.into_result()
+    }
+
+    /// Every shard's [`ProtectionEngine::snapshot`] merged in one pass
+    /// over the shard locks. Quarantined (and world-killed) shards
+    /// contribute their frozen counters — each shard's engine serves
+    /// either its live state or its frozen snapshot, never both, so a
+    /// partial quarantine merges live and frozen shards without
+    /// double-counting. The five accessors below are its fields.
+    pub fn snapshot(&self) -> KillSnapshot {
+        let mut total = KillSnapshot::default();
+        for index in 0..self.shard_count() {
+            total.merge(&self.core.lock_shard(index).engine.snapshot());
+        }
+        total
+    }
+
+    /// Aggregated engine counters across all shards.
+    pub fn stats(&self) -> EngineStats {
+        self.snapshot().stats
+    }
+
+    /// Per-shard engine counters, in shard order (load-balance
+    /// telemetry). Quarantined shards report their frozen snapshot.
+    pub fn per_shard_stats(&self) -> Vec<EngineStats> {
+        (0..self.shard_count())
+            .map(|index| self.core.lock_shard(index).engine.stats())
+            .collect()
+    }
+
+    /// Aggregated stealth-cache statistics across all shards.
+    pub fn stealth_cache_stats(&self) -> CacheStats {
+        self.snapshot().stealth_cache
+    }
+
+    /// Aggregated MAC-cache statistics across all shards.
+    pub fn mac_cache_stats(&self) -> CacheStats {
+        self.snapshot().mac_cache
+    }
+
+    /// Aggregated device counters across all shards.
+    pub fn device_stats(&self) -> DeviceStats {
+        self.snapshot().device
+    }
+
+    /// Aggregated device-channel counters across all shards (frozen
+    /// values for quarantined shards).
+    pub fn channel_stats(&self) -> ChannelStats {
+        self.snapshot().channel
+    }
+
+    /// Aggregated robustness telemetry — channel counters, quarantine
+    /// state and recovery counters — built in one pass that takes each
+    /// shard lock once. See [`RobustnessStats`].
+    pub fn robustness_stats(&self) -> RobustnessStats {
+        let mut total = RobustnessStats::default();
+        for index in 0..self.shard_count() {
+            let state = self.core.lock_shard(index);
+            total.channel.merge(&state.engine.channel_stats());
+            total.quarantined_shards += u64::from(state.quarantined);
+            total.ops_at_last_quarantine =
+                total.ops_at_last_quarantine.max(state.ops_at_quarantine);
+            total.recovery.recoveries += state.generation;
+            total.recovery.pages_scrubbed += state.pages_scrubbed;
+            total.recovery.blocks_scrubbed += state.blocks_scrubbed;
+            total.recovery.blocks_lost += state.blocks_lost;
+            total.recovery.blocks_still_lost += state.lost.len() as u64;
+            total.recovery.budget_kills += state.budget_kills;
+        }
+        // Read after the pass: every stamp was taken from this counter
+        // under a lock the pass has since held, so none exceeds it.
+        total.ops_served = self.core.ops_served.load(Ordering::Relaxed);
+        total.world_killed = self.is_killed();
+        total
+    }
+
+    /// Adversary access to the untrusted memory of the shard owning
+    /// `addr`. Usable concurrently with victim traffic on other shards —
+    /// exactly the attack surface the concurrency security tests drive.
+    pub fn with_adversary<R>(&self, addr: u64, f: impl FnOnce(&mut UntrustedDram) -> R) -> R {
+        let shard = self.shard_of_addr(addr);
+        let mut state = self.core.lock_shard(shard);
+        f(state.engine.adversary())
+    }
+
+    /// Exclusive access to one shard's engine (tests and tooling; `&mut
+    /// self` proves no caller is inside the handle).
+    pub fn shard_engine_mut(&mut self, index: usize) -> &mut ProtectionEngine {
+        // `&mut self` also means no batch is in flight, and the helper
+        // lets go of the core before it hands a half back, so the core is
+        // unshared here. Were it not, no shard could be lent exclusively:
+        // the lookup then fails as an out-of-range index does.
+        let shards =
+            Arc::get_mut(&mut self.core).map_or_else(Default::default, |core| &mut core.shards[..]);
+        let state = shards[index]
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        &mut state.engine
+    }
+}
+
+impl Core {
+    fn is_killed(&self) -> bool {
+        // Acquire pairs with the Release stores in trip_kill and the
+        // batch drains: seeing the flag also sees the state that
+        // justified it. The flag only latches, so no total order is
+        // needed (protocol role `flag` in AUDIT.json).
+        self.killed.load(Ordering::Acquire)
+    }
+
+    fn lock_shard(&self, index: usize) -> MutexGuard<'_, Shard> {
+        // A panic in an engine op must not wedge the handle: the engine's
+        // state is still sound (it never holds half-updated invariants
+        // across public calls), so recover the guard from the poison.
+        self.shards[index]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Engages the world-kill: flips the flag and force-kills every shard
+    /// so each is individually inert. Must not be called while holding a
+    /// shard lock (it acquires all of them in turn).
+    #[cold]
+    fn trip_kill(&self) {
+        self.killed.store(true, Ordering::Release);
+        for index in 0..self.shards.len() {
+            self.lock_shard(index).engine.force_kill();
         }
     }
 
@@ -574,6 +690,61 @@ impl ShardedEngine {
     fn finish_world_kill(&self) {
         if self.is_killed() {
             self.trip_kill();
+        }
+    }
+
+    /// The refusal a quarantined shard serves: [`ToleoError::ShardQuarantined`]
+    /// carrying the engine's frozen [`KillSnapshot`]. `engine` must be the
+    /// already-locked shard engine.
+    ///
+    /// [`KillSnapshot`]: crate::engine::KillSnapshot
+    fn quarantine_refusal(shard: usize, address: u64, engine: &ProtectionEngine) -> ToleoError {
+        ToleoError::ShardQuarantined {
+            shard,
+            address,
+            snapshot: Box::new(engine.kill_snapshot().unwrap_or_default()),
+        }
+    }
+
+    /// Classifies an engine-kill observed after an operation: a channel
+    /// retry-budget exhaustion escalates to the world-kill; anything else
+    /// (tamper, replay) quarantines only this shard — unless the shard
+    /// has already consumed its recovery budget, in which case a repeat
+    /// tamper is a determined adversary parked on one address range and
+    /// containment gives way to the world-kill. Returns `true` when the
+    /// caller must finish the world-kill (after releasing `state`'s lock).
+    fn escalate_after_kill(&self, state: &mut Shard, error: &ToleoError) -> bool {
+        if matches!(error, ToleoError::DeviceUnavailable { .. }) {
+            return true;
+        }
+        state.quarantined = true;
+        state.ops_at_quarantine = self.ops_served.load(Ordering::Relaxed);
+        if state.generation >= RECOVERY_BUDGET {
+            state.budget_kills += 1;
+            return true;
+        }
+        false
+    }
+
+    /// Drains the runs `spans` of `runs`, one shard after another, noting
+    /// each run's failure in `failures`: the part of a batch one thread
+    /// drains, the caller's or the helper's.
+    fn drain_spans(
+        &self,
+        runs: &Runs,
+        spans: &[Span],
+        access: Access,
+        addr_of: &impl Fn(usize) -> u64,
+        exec_op: &mut impl FnMut(&mut ProtectionEngine, usize) -> Result<()>,
+        failures: &mut Failures,
+    ) {
+        for span in spans {
+            let run = &runs.order[span.start..span.end];
+            if let Err(failure) =
+                self.drain_shard_guarded(span.shard, run, access, addr_of, exec_op)
+            {
+                failures.note(failure);
+            }
         }
     }
 
@@ -690,96 +861,220 @@ impl ShardedEngine {
         }
         Ok(())
     }
+}
 
-    /// Every shard's [`ProtectionEngine::snapshot`] merged in one pass
-    /// over the shard locks. Quarantined (and world-killed) shards
-    /// contribute their frozen counters — each shard's engine serves
-    /// either its live state or its frozen snapshot, never both, so a
-    /// partial quarantine merges live and frozen shards without
-    /// double-counting. The five accessors below are its fields.
-    pub fn snapshot(&self) -> KillSnapshot {
-        let mut total = KillSnapshot::default();
-        for index in 0..self.shards.len() {
-            total.merge(&self.lock_shard(index).engine.snapshot());
+/// A batch as its caller handed it in.
+#[derive(Debug, Clone, Copy)]
+enum BatchOps<'a> {
+    Write(&'a [(u64, Block)]),
+    Read(&'a [u64]),
+}
+
+impl BatchOps<'_> {
+    fn len(self) -> usize {
+        match self {
+            BatchOps::Write(writes) => writes.len(),
+            BatchOps::Read(addrs) => addrs.len(),
         }
-        total
     }
 
-    /// Aggregated engine counters across all shards.
-    pub fn stats(&self) -> EngineStats {
-        self.snapshot().stats
-    }
-
-    /// Per-shard engine counters, in shard order (load-balance
-    /// telemetry). Quarantined shards report their frozen snapshot.
-    pub fn per_shard_stats(&self) -> Vec<EngineStats> {
-        (0..self.shards.len())
-            .map(|index| self.lock_shard(index).engine.stats())
-            .collect()
-    }
-
-    /// Aggregated stealth-cache statistics across all shards.
-    pub fn stealth_cache_stats(&self) -> CacheStats {
-        self.snapshot().stealth_cache
-    }
-
-    /// Aggregated MAC-cache statistics across all shards.
-    pub fn mac_cache_stats(&self) -> CacheStats {
-        self.snapshot().mac_cache
-    }
-
-    /// Aggregated device counters across all shards.
-    pub fn device_stats(&self) -> DeviceStats {
-        self.snapshot().device
-    }
-
-    /// Aggregated device-channel counters across all shards (frozen
-    /// values for quarantined shards).
-    pub fn channel_stats(&self) -> ChannelStats {
-        self.snapshot().channel
-    }
-
-    /// Aggregated robustness telemetry — channel counters, quarantine
-    /// state and recovery counters — built in one pass that takes each
-    /// shard lock once. See [`RobustnessStats`].
-    pub fn robustness_stats(&self) -> RobustnessStats {
-        let mut total = RobustnessStats::default();
-        for index in 0..self.shards.len() {
-            let state = self.lock_shard(index);
-            total.channel.merge(&state.engine.channel_stats());
-            total.quarantined_shards += u64::from(state.quarantined);
-            total.ops_at_last_quarantine =
-                total.ops_at_last_quarantine.max(state.ops_at_quarantine);
-            total.recovery.recoveries += state.generation;
-            total.recovery.pages_scrubbed += state.pages_scrubbed;
-            total.recovery.blocks_scrubbed += state.blocks_scrubbed;
-            total.recovery.blocks_lost += state.blocks_lost;
-            total.recovery.blocks_still_lost += state.lost.len() as u64;
-            total.recovery.budget_kills += state.budget_kills;
+    fn addr(self, i: usize) -> u64 {
+        match self {
+            BatchOps::Write(writes) => writes[i].0,
+            BatchOps::Read(addrs) => addrs[i],
         }
-        // Read after the pass: every stamp was taken from this counter
-        // under a lock the pass has since held, so none exceeds it.
-        total.ops_served = self.ops_served.load(Ordering::Relaxed);
-        total.world_killed = self.is_killed();
-        total
     }
 
-    /// Adversary access to the untrusted memory of the shard owning
-    /// `addr`. Usable concurrently with victim traffic on other shards —
-    /// exactly the attack surface the concurrency security tests drive.
-    pub fn with_adversary<R>(&self, addr: u64, f: impl FnOnce(&mut UntrustedDram) -> R) -> R {
-        let shard = self.shard_of_addr(addr);
-        let mut state = self.lock_shard(shard);
-        f(state.engine.adversary())
+    fn access(self) -> Access {
+        match self {
+            BatchOps::Write(_) => Access::Write,
+            BatchOps::Read(_) => Access::Read,
+        }
+    }
+}
+
+/// One occupied shard's run: its batch indices are
+/// `Runs::order[start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    shard: usize,
+    start: usize,
+    end: usize,
+}
+
+/// A batch split by owning shard.
+#[derive(Debug, Default)]
+struct Runs {
+    /// Every batch index, grouped by shard in ascending shard order and
+    /// in batch order within a shard.
+    order: Vec<usize>,
+    /// The occupied shards' runs, in ascending shard order.
+    spans: Vec<Span>,
+}
+
+impl Runs {
+    /// Splits batch indices `0..len` among `shards` shards by `shard_of`
+    /// (a counting sort, so each run keeps batch order).
+    fn split(len: usize, shards: usize, shard_of: impl Fn(usize) -> usize) -> Runs {
+        let owners: Vec<usize> = (0..len).map(shard_of).collect();
+        // Each shard's op count, then the position its next index goes to.
+        let mut next = vec![0usize; shards];
+        for &shard in &owners {
+            next[shard] += 1;
+        }
+        let mut spans = Vec::new();
+        let mut start = 0;
+        for (shard, slot) in next.iter_mut().enumerate() {
+            let count = std::mem::replace(slot, start);
+            if count > 0 {
+                spans.push(Span {
+                    shard,
+                    start,
+                    end: start + count,
+                });
+            }
+            start += count;
+        }
+        let mut order = vec![0; len];
+        for (i, &shard) in owners.iter().enumerate() {
+            order[next[shard]] = i;
+            next[shard] += 1;
+        }
+        Runs { order, spans }
     }
 
-    /// Exclusive access to one shard's engine (tests and tooling; `&mut
-    /// self` proves no caller is inside the handle).
-    pub fn shard_engine_mut(&mut self, index: usize) -> &mut ProtectionEngine {
-        let state = self.shards[index]
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        &mut state.engine
+    /// The batch indices of `spans`, a contiguous slice of `self.spans`.
+    fn indices(&self, spans: &[Span]) -> &[usize] {
+        match (spans.first(), spans.last()) {
+            (Some(first), Some(last)) => &self.order[first.start..last.end],
+            _ => &[],
+        }
+    }
+}
+
+/// A batch's failures reduced to the one it reports: the smallest
+/// failing index, tracked per severity, because a security-relevant
+/// failure (tamper, quarantine, unreachable device, lost block) must
+/// never be masked by a benign, retryable one (e.g. `DeviceFull`) that
+/// sits earlier in the batch. The reduction does not depend on the order
+/// failures arrive in, so the caller's and the helper's halves merge into
+/// the answer one thread draining every run would give.
+#[derive(Debug, Default)]
+struct Failures {
+    severe: Option<(usize, ToleoError)>,
+    other: Option<(usize, ToleoError)>,
+}
+
+impl Failures {
+    fn note(&mut self, (index, error): (usize, ToleoError)) {
+        let slot = if error_is_severe(&error) {
+            &mut self.severe
+        } else {
+            &mut self.other
+        };
+        if slot.as_ref().is_none_or(|(first, _)| index < *first) {
+            *slot = Some((index, error));
+        }
+    }
+
+    fn absorb(&mut self, other: Failures) {
+        for failure in [other.severe, other.other].into_iter().flatten() {
+            self.note(failure);
+        }
+    }
+
+    fn into_result(self) -> std::result::Result<(), BatchError> {
+        match self.severe.or(self.other) {
+            Some((index, error)) => Err(BatchError { index, error }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The helper's half of a batch, owned: its runs and a copy of their
+/// ops. The mailbox keeps one, so its buffers are reused from batch to
+/// batch.
+#[derive(Default)]
+struct Job {
+    /// The shards, held from the offer until the half is drained.
+    core: Option<Arc<Core>>,
+    write: bool,
+    /// `runs.spans` is the helper's half; `runs.order` the whole batch's.
+    runs: Runs,
+    /// Indexed by batch index; only the half's indices are filled.
+    addrs: Vec<u64>,
+    /// Indexed by batch index: a write's payload, or a read's block.
+    blocks: Vec<Block>,
+    failures: Failures,
+    /// Halves the helper thread has drained.
+    #[cfg(test)]
+    drained: u64,
+}
+
+impl std::fmt::Debug for Job {
+    // Payloads and read blocks are plaintext: never printed.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Job")
+            .field("write", &self.write)
+            .field("runs", &self.runs.spans.len())
+            .field("failures", &self.failures)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Job {
+    /// Fills the job with `handed`, the upper runs of `runs`, and the
+    /// shards they drain on.
+    fn load(&mut self, core: &Arc<Core>, ops: BatchOps<'_>, runs: &Runs, handed: &[Span]) {
+        self.core = Some(Arc::clone(core));
+        self.write = matches!(ops, BatchOps::Write(_));
+        self.runs.order.clone_from(&runs.order);
+        self.runs.spans.clear();
+        self.runs.spans.extend_from_slice(handed);
+        self.addrs.resize(ops.len(), 0);
+        self.blocks.resize(ops.len(), [0u8; CACHE_BLOCK_BYTES]);
+        for &i in runs.indices(handed) {
+            self.addrs[i] = ops.addr(i);
+            if let BatchOps::Write(writes) = ops {
+                self.blocks[i] = writes[i].1;
+            }
+        }
+        self.failures = Failures::default();
+    }
+
+    /// Drains the job's runs through the same guarded drain as the
+    /// caller's, then lets go of the shards.
+    fn drain(&mut self) {
+        let Some(core) = self.core.take() else {
+            return;
+        };
+        let Job {
+            write,
+            runs,
+            addrs,
+            blocks,
+            failures,
+            ..
+        } = self;
+        let access = if *write { Access::Write } else { Access::Read };
+        core.drain_spans(
+            runs,
+            &runs.spans,
+            access,
+            &|i| addrs[i],
+            &mut |engine, i| {
+                if *write {
+                    engine.write(addrs[i], &blocks[i])
+                } else {
+                    engine.read(addrs[i]).map(|block| blocks[i] = block)
+                }
+            },
+            failures,
+        );
+        #[cfg(test)]
+        {
+            self.drained += 1;
+        }
     }
 }
 
@@ -1115,26 +1410,152 @@ mod tests {
     }
 
     /// A panic inside a shard's run (here: the engine's alignment assert
-    /// on the batch's last address) must not reach the caller or drop the
-    /// run's ops silently: it fails closed into the world-kill.
+    /// on the batch's second address) must not reach the caller or drop
+    /// the run's ops silently: it fails closed into the world-kill. The
+    /// panicking run is the upper of the batch's two runs, the helper's
+    /// half; where the platform has a helper, the batch is retried on a
+    /// fresh engine until the helper, not a take-back, drained it.
     #[test]
     fn panicked_shard_run_fails_closed_into_world_kill() {
-        let e = sharded(4);
         let b = [9u8; 64];
-        // Index 0 -> shard 0; indices 1 and 2 -> shard 1, whose run panics
-        // at index 2 and is failed whole, from its first batch index.
-        let err = e
-            .write_batch_indexed(&[(0, b), (4096 + 64, b), (4096 + 3, b)])
-            .unwrap_err();
-        assert_eq!(err.index, 1);
-        assert!(matches!(
-            err.error,
-            ToleoError::IntegrityViolation { address } if address == 4096 + 64
-        ));
-        assert!(e.is_killed(), "a panicked run must world-kill");
-        for page in 0..4u64 {
-            assert!(e.read(page * 4096).is_err(), "page {page}");
-            assert!(e.write_batch(&[(page * 4096, b)]).is_err(), "page {page}");
+        // Indices 1 and 2 -> shard 1, whose run panics at index 2 and is
+        // failed whole, from its first batch index. Shard 0's run (index
+        // 0, then 3..) keeps the caller busy while the helper takes it.
+        let mut batch = vec![(0, b), (4096 + 64, b), (4096 + 3, b)];
+        batch.extend((1..64u64).map(|line| (line * 64, b)));
+        let mut warm = batch.clone();
+        warm[2].0 = 4096 + 128;
+        for _ in 0..200 {
+            let e = sharded(4);
+            // Until the helper, spawned by the first of these, has drained
+            // one: it then polls for the next offer.
+            for _ in 0..1_000 {
+                e.write_batch(&warm).unwrap();
+                if e.helper_drained() != Some(0) {
+                    break;
+                }
+            }
+            let before = e.helper_drained();
+            let err = e.write_batch_indexed(&batch).unwrap_err();
+            // Shard 1's run fails from index 1 — unless the kill its panic
+            // flagged reached shard 0's kill poll first, which then aborts
+            // from index 0: the two halves run at once.
+            let first = if err.index == 0 { 0 } else { 4096 + 64 };
+            assert!(err.index <= 1, "{err:?}");
+            assert!(matches!(
+                err.error,
+                ToleoError::IntegrityViolation { address } if address == first
+            ));
+            assert!(e.is_killed(), "a panicked run must world-kill");
+            for page in 0..4u64 {
+                assert!(e.read(page * 4096).is_err(), "page {page}");
+                assert!(e.write_batch(&[(page * 4096, b)]).is_err(), "page {page}");
+            }
+            // Done when there is no helper (one CPU: the caller drained
+            // both halves) or the helper drained the panicking one;
+            // retried when the caller took it back.
+            if before.is_none() || e.helper_drained() != before {
+                return;
+            }
+        }
+        panic!("the helper never took the panicking half in 200 batches");
+    }
+
+    /// Batches drained by a caller and the helper together leave every
+    /// shard as a twin fed the same ops one at a time does: equal
+    /// snapshots and blocks on seeded traffic over 8 shards, and an equal
+    /// `BatchError` and frozen `KillSnapshot` for a tamper in the caller's
+    /// half, a tamper in the helper's half, and a quarantined shard in
+    /// the helper's half.
+    #[test]
+    fn helper_drained_batches_match_a_sequential_twin() {
+        const SHARDS: usize = 8;
+        let mut state = 0x7ee1_u64;
+        let mut next = move |bound: u64| {
+            state = derive_shard_seed(state, 0);
+            state % bound
+        };
+        // 256 ops over 64 pages, 8 per shard: every shard is occupied,
+        // and `shard_of_page` puts shards 0..4 in the caller's half and
+        // 4..8 in the helper's.
+        let mut traffic = || -> Vec<u64> {
+            (0..256)
+                .map(|_| next(64) * PAGE_BYTES as u64 + next(16) * 64)
+                .collect()
+        };
+        let write = |e: &ShardedEngine, twin: &ShardedEngine, addrs: &[u64], tag: u8| {
+            let writes: Vec<(u64, Block)> = (addrs.iter().enumerate())
+                .map(|(i, &a)| (a, [tag ^ i as u8; 64]))
+                .collect();
+            e.write_batch(&writes).unwrap();
+            for (addr, block) in &writes {
+                twin.write(*addr, block).unwrap();
+            }
+        };
+        let (batched, twin) = (sharded(SHARDS), sharded(SHARDS));
+        // 24 rounds, and on until the helper (where there is one) has
+        // drained a half: a helper that wakes after the caller finished
+        // its own half loses the offer to a take-back, and the twin's
+        // singles between batches can outlast the helper's polling.
+        let mut round = 0u32;
+        while round < 24 || batched.helper_drained() == Some(0) && round < 2_000 {
+            let addrs = traffic();
+            if round.is_multiple_of(2) {
+                write(&batched, &twin, &addrs, round as u8);
+            } else {
+                let want: Vec<Block> = addrs.iter().map(|&a| twin.read(a).unwrap()).collect();
+                assert_eq!(batched.read_batch(&addrs).unwrap(), want, "round {round}");
+            }
+            assert_eq!(batched.snapshot(), twin.snapshot(), "round {round}");
+            round += 1;
+        }
+        if let Some(drained) = batched.helper_drained() {
+            assert!(drained > 0, "the helper drained none of {round} batches");
+        }
+
+        for (case, shard, quarantined_first) in [
+            ("tamper in the caller's half", 1, false),
+            ("tamper in the helper's half", 6, false),
+            ("quarantined shard in the helper's half", 5, true),
+        ] {
+            let (batched, twin) = (sharded(SHARDS), sharded(SHARDS));
+            let addrs = traffic();
+            write(&batched, &twin, &addrs, 0x3c);
+            let victim = *addrs
+                .iter()
+                .find(|&&a| batched.shard_of_addr(a) == shard)
+                .unwrap();
+            for e in [&batched, &twin] {
+                e.with_adversary(victim, |dram| dram.corrupt_data(victim, 0, 0x01));
+                if quarantined_first {
+                    assert!(e.read(victim).is_err());
+                }
+            }
+            let err = batched.read_batch_indexed(&addrs).unwrap_err();
+            // The twin serves every op; its first failure is the batch's.
+            let singles: Vec<Result<Block>> = addrs.iter().map(|&a| twin.read(a)).collect();
+            let (index, first) = singles
+                .iter()
+                .enumerate()
+                .find_map(|(i, r)| r.as_ref().err().map(|e| (i, e)))
+                .unwrap();
+            assert_eq!(
+                err,
+                BatchError {
+                    index,
+                    error: first.clone()
+                },
+                "{case}"
+            );
+            // The refusal carries each engine's frozen snapshot.
+            let refusal = batched.read(victim);
+            assert!(
+                matches!(refusal, Err(ToleoError::ShardQuarantined { .. })),
+                "{case}"
+            );
+            assert_eq!(refusal, twin.read(victim), "{case}");
+            assert_eq!(batched.snapshot(), twin.snapshot(), "{case}");
+            assert!(!batched.is_killed(), "{case}");
         }
     }
 

@@ -145,7 +145,7 @@ impl ShardedEngine {
                 ),
             });
         }
-        let mut state = self.lock_shard(shard);
+        let mut state = self.core.lock_shard(shard);
         // Checked under the lock: a quarantine past the budget flags the
         // world-kill before it releases this lock, so a quarantined shard
         // seen alive from here is within its budget.
