@@ -55,6 +55,7 @@ pub use tree::CounterTree;
 pub use vault::VaultEngine;
 
 use toleo_core::arena::{Block, UntrustedDram};
+use toleo_core::config::{CACHE_BLOCK_BYTES, PAGE_BYTES};
 use toleo_core::layout;
 use toleo_core::protected::MemoryError;
 use toleo_core::seal::LineSealer;
@@ -87,7 +88,8 @@ fn unseal(sealer: &LineSealer, dram: &UntrustedDram, addr: u64, version: u64) ->
 }
 
 /// The page walk of a VAULT group reset or a Morphable re-base: every
-/// resident line of `page` but `skip` goes from `old(l)` to `new(l)`.
+/// resident line of `page` but `skip` goes from `old(l)` to `new(l)`, and
+/// a line that does not verify is tamper at the lowest such line.
 fn reseal(
     sealer: &LineSealer,
     dram: &mut UntrustedDram,
@@ -99,16 +101,20 @@ fn reseal(
     let Some(id) = dram.slot_id(page) else {
         return Ok(());
     };
-    sealer
-        .reseal_page(dram.slot_mut(id), page, skip, old, new)
-        .map_err(|address| MemoryError::IntegrityViolation { address })
+    match sealer.reseal_page(sealer, dram.slot_mut(id), page, skip, old, new) {
+        0 => Ok(()),
+        failed => Err(MemoryError::IntegrityViolation {
+            address: page * PAGE_BYTES as u64
+                + u64::from(failed.trailing_zeros()) * CACHE_BLOCK_BYTES as u64,
+        }),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use toleo_core::config::{CACHE_BLOCK_BYTES, LINES_PER_PAGE, PAGE_BYTES};
+    use toleo_core::config::LINES_PER_PAGE;
 
     /// The Carter–Wegman nonce invariant, observed rather than argued:
     /// every `(version, address)` a verifying line was seen under, with

@@ -23,7 +23,7 @@
 //! one key, which is the freshness invariant this engine exists to keep:
 //! [`LineSealer::seal`] is reached only with a stealth version the device
 //! has just advanced, or from the reset walk under a just-incremented UV,
-//! or in a freshly keyed engine (recovery).
+//! or from recovery's walk into a freshly keyed engine.
 //!
 //! Both ops issue the untrusted fetch first. The page's slot is looked up
 //! without materialising it, and a read loads the line's ciphertext and
@@ -405,18 +405,21 @@ impl ProtectionEngine {
             let new_uv = uv.incremented();
             let version = |uv, stealth| FullVersion::compose(uv, stealth, stealth_bits).raw();
             let slot = self.dram.slot_mut(id);
-            let walked = self.sealer.reseal_page(
+            let failed = self.sealer.reseal_page(
+                &self.sealer,
                 slot,
                 page,
                 Some(line),
                 |l| version(uv, notice.old_stealth[l]),
                 |_| version(new_uv, notice.new_base),
             );
-            if let Err(address) = walked {
-                // Lines before the victim are already re-sealed under the
-                // new UV while the slot's UV is not bumped: the page is
-                // unreadable either way, and the engine must not serve on.
+            if failed != 0 {
+                // The other lines are already re-sealed under the new UV
+                // while the slot's UV is not bumped: the page is unreadable
+                // either way, and the engine must not serve on.
                 self.kill();
+                let line = failed.trailing_zeros() as usize;
+                let address = page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64;
                 return Err(ToleoError::IntegrityViolation { address });
             }
             slot.set_uv(new_uv);
@@ -541,52 +544,68 @@ impl ProtectionEngine {
         Ok(out)
     }
 
-    /// Recovery scrub over a quarantined (killed) engine: walk every
-    /// resident block of untrusted memory, re-fetch its stealth version
-    /// from the trusted device, and re-verify ciphertext + MAC + version.
-    /// Blocks that still verify are decrypted and returned as intact
-    /// plaintext; blocks that do not (the tampered block that tripped the
-    /// quarantine, plus any collateral the adversary destroyed) are
-    /// classified lost. The walk deliberately bypasses `check_alive` —
-    /// scrubbing *is* the post-mortem — and reads the device directly
-    /// rather than through the fault-injected channel: recovery is a
-    /// maintenance path against the local trusted device, not victim
-    /// traffic over the simulated link. Nothing is mutated; the frozen
-    /// kill snapshot stays the forensic record.
-    pub(crate) fn scrub_extract(&mut self) -> ScrubOutcome {
-        let bits = self.cfg.stealth_bits;
-        let pages: Vec<(u64, SlotId)> = self.dram.pages().collect();
-        let mut out = ScrubOutcome {
-            pages_scrubbed: 0,
-            blocks_scrubbed: 0,
-            intact: Vec::new(),
-            lost: Vec::new(),
-        };
-        for (page, id) in pages {
-            out.pages_scrubbed += 1;
-            let page_base = page * PAGE_BYTES as u64;
-            for line in 0..LINES_PER_PAGE {
-                if !self.dram.slot(id).has_block(line) {
-                    continue;
-                }
-                out.blocks_scrubbed += 1;
-                let addr = page_base + (line * CACHE_BLOCK_BYTES) as u64;
-                let stealth = match self.channel.device_mut().read(page, line) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        out.lost.push(addr);
-                        continue;
+    /// Re-admits `old`, a quarantined engine, by moving its untrusted
+    /// memory to this freshly keyed engine in place. This device has seen
+    /// no UPDATE, so its pages are flat and unwritten: one READ per page
+    /// with a resident line, through the stealth cache, is the version of
+    /// every line of it. All READs come first, so an error leaves `old` as
+    /// it was. Then one [`LineSealer::reseal_page`] per page opens each
+    /// line under `old`'s key at `old`'s device version and seals it under
+    /// this key, keeping the slab's UV; nothing was sealed under this key
+    /// before, so every `(version, address)` is fresh. `old`'s device is
+    /// read directly: the post-mortem is no victim traffic over the link.
+    /// A line that fails to open, or sits on a page outside the protected
+    /// range, is dropped. This engine then adopts the walked arena.
+    ///
+    /// Returns the pages and resident lines walked and the dropped lines'
+    /// addresses.
+    ///
+    /// # Errors
+    ///
+    /// [`ToleoError::DeviceUnavailable`] from a READ.
+    pub(crate) fn readmit(&mut self, old: &mut ProtectionEngine) -> Result<(u64, u64, Vec<u64>)> {
+        let mut pages = Vec::new();
+        for (page, id) in old.dram.pages() {
+            let version = match old.dram.slot(id).resident() {
+                0 => None,
+                _ => match self.stealth_cache.read(&mut self.channel, page, 0) {
+                    Ok((stealth, _, hit)) => {
+                        self.stats.device_reads += u64::from(!hit);
+                        Some(stealth)
                     }
-                };
-                let slot = self.dram.slot(id);
-                let fv = FullVersion::compose(slot.uv(), stealth, bits);
-                match self.sealer.unseal(slot, addr, fv.raw()) {
-                    Some(pt) => out.intact.push((addr, pt)),
-                    None => out.lost.push(addr),
+                    Err(e @ ToleoError::DeviceUnavailable { .. }) => return Err(e),
+                    Err(_) => None,
+                },
+            };
+            pages.push((page, id, version));
+        }
+        let (bits, mut blocks, mut lost) = (self.cfg.stealth_bits, 0, Vec::new());
+        for &(page, id, version) in &pages {
+            let slot = old.dram.slot_mut(id);
+            let (uv, device) = (slot.uv(), old.channel.device_mut());
+            let resident = (0..LINES_PER_PAGE).filter(|&l| slot.has_block(l));
+            let failed = match version {
+                Some(stealth) => {
+                    let mut from = [0; LINES_PER_PAGE];
+                    for line in resident {
+                        let stealth = device.read(page, line).unwrap_or_default();
+                        from[line] = FullVersion::compose(uv, stealth, bits).raw();
+                    }
+                    let into = FullVersion::compose(uv, stealth, bits).raw();
+                    old.sealer
+                        .reseal_page(&self.sealer, slot, page, None, |l| from[l], |_| into)
                 }
+                None => resident.fold(0, |mask, l| mask | 1 << l),
+            };
+            blocks += slot.resident() as u64;
+            for line in (0..LINES_PER_PAGE).filter(|&l| failed & 1 << l != 0) {
+                slot.clear_block(line);
+                slot.clear_tag(line);
+                lost.push(page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64);
             }
         }
-        out
+        self.dram = std::mem::take(&mut old.dram);
+        Ok((pages.len() as u64, blocks, lost))
     }
 
     /// Writes a batch of `(address, plaintext)` pairs:
@@ -607,20 +626,6 @@ impl ProtectionEngine {
         }
         Ok(())
     }
-}
-
-/// What a recovery scrub recovered from one killed engine: every resident
-/// block re-verified against the trusted device, split into intact
-/// plaintext (re-encryptable under a fresh key) and lost addresses.
-pub(crate) struct ScrubOutcome {
-    /// Pages walked.
-    pub pages_scrubbed: u64,
-    /// Resident blocks re-verified.
-    pub blocks_scrubbed: u64,
-    /// `(address, plaintext)` of every block that still verified.
-    pub intact: Vec<(u64, Block)>,
-    /// Addresses whose ciphertext/MAC/version no longer verified.
-    pub lost: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -1382,7 +1387,9 @@ mod tests {
         .unwrap();
         let mut generation = [0u64; SHARDS];
         let mut seen: HashMap<(usize, u64, u64, u64), Block> = HashMap::new();
+        // Returns how many nonces it saw for the first time.
         let mut observe = |e: &mut ShardedEngine, generation: &[u64; SHARDS], op: usize| {
+            let mut fresh = 0;
             for (shard, &generation) in generation.iter().enumerate() {
                 for ((fv, addr), ct) in sealed_lines(e.shard_engine_mut(shard)) {
                     let earlier = seen.insert((shard, generation, fv, addr), ct);
@@ -1390,8 +1397,10 @@ mod tests {
                         earlier.is_none_or(|old| old == ct),
                         "op {op}: generation {generation} sealed {addr:#x} twice under version {fv:#x}"
                     );
+                    fresh += u64::from(earlier.is_none());
                 }
             }
+            fresh
         };
 
         let mut rng = StdRng::seed_from_u64(22);
@@ -1425,7 +1434,11 @@ mod tests {
                 e.with_adversary(victim, |dram| dram.corrupt_data(victim, 9, 0x10));
                 assert!(e.read(victim).is_err());
                 let shard = e.shard_of_addr(victim);
-                generation[shard] = e.recover_shard(shard).unwrap().generation;
+                let out = e.recover_shard(shard).unwrap();
+                generation[shard] = out.generation;
+                // The walk moved every intact line, and nothing else, to a
+                // nonce of the new key.
+                assert_eq!(observe(&mut e, &generation, op), out.blocks_intact);
                 recoveries += 1;
             }
             observe(&mut e, &generation, op);

@@ -87,62 +87,55 @@ impl LineSealer {
     }
 
     /// Re-seals every resident line of `page` but `skip` from version
-    /// `old(l)` to `new(l)`: a stealth reset's UV bump, a VAULT group
-    /// reset, a Morphable leaf re-base. Every old and new tweak and MAC pad
-    /// of the walk is encrypted up front in one pipelined pass, so their
-    /// cost is amortized over the page instead of paid as two serial AES
-    /// passes per line.
+    /// `old(l)` under this sealer to version `new(l)` under `to`: a stealth
+    /// reset's UV bump, a VAULT group reset, a Morphable leaf re-base (each
+    /// with `to = self`), or a recovered shard's move to its new key. The
+    /// walk's old and new tweaks and MAC pads are encrypted up front, one
+    /// pipelined pass per sealer, so their cost is amortized over the page
+    /// instead of paid as two serial AES passes per line.
     ///
-    /// # Errors
-    ///
-    /// The address of the first line that does not verify under `old`.
-    /// Lines before it are already re-sealed under `new`, so the caller
-    /// must treat the whole page as tampered.
+    /// Returns the mask of lines (bit `l` for line `l`) that do not verify
+    /// under `old`: they are left as they were, and every other line is
+    /// walked.
     pub fn reseal_page(
         &self,
+        to: &LineSealer,
         slot: &mut PageSlot,
         page: u64,
         skip: Option<usize>,
         old: impl Fn(usize) -> u64,
         new: impl Fn(usize) -> u64,
-    ) -> Result<(), u64> {
-        let base = page * PAGE_BYTES as u64;
-        let addr = |l: usize| base + (l * CACHE_BLOCK_BYTES) as u64;
+    ) -> u64 {
         let resident = (0..LINES_PER_PAGE).filter(|&l| Some(l) != skip && slot.has_block(l));
-        // Per resident line, four adjacent inputs of the pass: its old
-        // tweak and MAC pad, then its new ones.
+        // Per resident line, its tweak and MAC pad under `old` for this
+        // sealer's pass, and under `new` for `to`'s.
         let mut lines = [0usize; LINES_PER_PAGE];
-        let mut inputs = [Tweak::default(); 4 * LINES_PER_PAGE];
+        let mut inputs = [[[Tweak::default(); 2]; LINES_PER_PAGE]; 2];
         let mut n = 0;
-        let slots = lines.iter_mut().zip(inputs.as_chunks_mut::<4>().0);
-        for ((line, quad), l) in slots.zip(resident) {
-            let tweak = |version| Tweak {
-                version,
-                address: addr(l),
-            };
-            let (from, to) = (tweak(old(l)), tweak(new(l)));
-            *quad = [from, from.mac_pad(), to, to.mac_pad()];
-            *line = l;
+        let [from, into] = &mut inputs;
+        for (((line, from), into), l) in lines.iter_mut().zip(from).zip(into).zip(resident) {
+            let address = page * PAGE_BYTES as u64 + (l * CACHE_BLOCK_BYTES) as u64;
+            let [was, now] = [old(l), new(l)].map(|version| Tweak { version, address });
+            (*line, *from, *into) = (l, [was, was.mac_pad()], [now, now.mac_pad()]);
             n += 1;
         }
-        let mut pads = [[0u8; 16]; 4 * LINES_PER_PAGE];
-        let pads = pads.get_mut(..4 * n).unwrap_or_default();
-        self.xts
-            .tweak_blocks(inputs.get(..4 * n).unwrap_or_default(), pads);
-        for (&l, &[tweak, mac_pad, new_tweak, new_mac_pad]) in
-            lines.iter().zip(pads.as_chunks::<4>().0)
-        {
-            let plaintext = slot
-                .block(l)
-                .and_then(|&ct| self.open(ct, slot.tag(l), LinePads { tweak, mac_pad }))
-                .ok_or(addr(l))?;
-            let pads = LinePads {
-                tweak: new_tweak,
-                mac_pad: new_mac_pad,
-            };
-            self.seal_with(slot, l, pads, &plaintext);
+        let mut pads = [[[[0u8; 16]; 2]; LINES_PER_PAGE]; 2];
+        for ((sealer, inputs), pads) in [self, to].into_iter().zip(&inputs).zip(&mut pads) {
+            let pads = pads.get_mut(..n).unwrap_or_default().as_flattened_mut();
+            let inputs = inputs.get(..n).unwrap_or_default().as_flattened();
+            sealer.xts.tweak_blocks(inputs, pads);
         }
-        Ok(())
+        let [from, into] = pads;
+        let pads = |[tweak, mac_pad]: [[u8; 16]; 2]| LinePads { tweak, mac_pad };
+        let mut failed = 0;
+        for ((&l, from), into) in lines.iter().zip(from).zip(into).take(n) {
+            let ct = slot.block(l).copied();
+            match ct.and_then(|ct| self.open(ct, slot.tag(l), pads(from))) {
+                Some(plaintext) => to.seal_with(slot, l, pads(into), &plaintext),
+                None => failed |= 1 << l,
+            }
+        }
+        failed
     }
 
     #[inline]
@@ -209,33 +202,72 @@ mod tests {
     }
 
     /// The page walk moves every resident line but `skip` from its old
-    /// version to its new one, leaves absent lines absent, and stops at
-    /// the first line that does not verify, naming its address.
+    /// version to its new one, leaves absent lines absent, and reports each
+    /// line that does not verify in its mask while it walks on past it.
     #[test]
     fn reseal_moves_versions_and_detects_tamper() {
         let (s, mut dram) = (sealer(), UntrustedDram::default());
         let page = slot(&mut dram, 0x1000);
-        for l in [1usize, 5, 9] {
+        for l in [1usize, 5, 7, 9] {
             s.seal(page, 0x1000 + 64 * l as u64, l as u64, &[l as u8; 64]);
         }
         let old = |l: usize| l as u64;
         let new = |l: usize| 100 + l as u64;
-        s.reseal_page(page, 1, Some(9), old, new).unwrap();
-        for (l, v) in [(1u64, 101), (5, 105), (9, 9)] {
+        assert_eq!(s.reseal_page(&s, page, 1, Some(9), old, new), 0);
+        for (l, v) in [(1u64, 101), (5, 105), (7, 107), (9, 9)] {
             let addr = 0x1000 + 64 * l;
             assert_eq!(s.unseal(page, addr, v), Some([l as u8; 64]), "line {l}");
             assert_eq!(s.unseal(page, addr, v ^ 1), None, "line {l}: old version");
         }
         assert!(!page.has_block(0), "absent lines stay absent");
         assert!(page.corrupt(5, 13, 0x20));
+        let tampered = *page.block(5).unwrap();
         let moved = |l: usize| 100 + l as u64;
-        let err = s.reseal_page(page, 1, Some(9), moved, |l| 200 + l as u64);
-        assert_eq!(err, Err(0x1000 + 5 * 64), "tamper caught mid-walk");
+        let failed = s.reseal_page(&s, page, 1, Some(9), moved, |l| 200 + l as u64);
+        assert_eq!(failed, 1 << 5, "tamper caught mid-walk");
         assert_eq!(
-            s.unseal(page, 0x1040, 201),
-            Some([1u8; 64]),
-            "line 1 went first"
+            page.block(5),
+            Some(&tampered),
+            "a failed line is left as it was"
         );
+        for l in [1u64, 7] {
+            let addr = 0x1000 + 64 * l;
+            assert_eq!(
+                s.unseal(page, addr, 200 + l),
+                Some([l as u8; 64]),
+                "line {l}"
+            );
+        }
+    }
+
+    /// Across two sealers the walk moves a line to the target's key: it
+    /// opens under `to` at its new version and no longer under the source.
+    #[test]
+    fn reseal_moves_lines_to_the_target_sealer() {
+        let (s, mut dram) = (sealer(), UntrustedDram::default());
+        let to = LineSealer::new(b"other-data-key16other-tweak-k16other-mac-key 16B");
+        let page = slot(&mut dram, 0x2000);
+        for l in [0u64, 3, 63] {
+            s.seal(page, 0x2000 + 64 * l, 40 + l, &[l as u8 + 1; 64]);
+        }
+        assert_eq!(
+            s.reseal_page(&to, page, 2, None, |l| 40 + l as u64, |_| 7),
+            0
+        );
+        for l in [0u64, 3, 63] {
+            let addr = 0x2000 + 64 * l;
+            assert_eq!(
+                to.unseal(page, addr, 7),
+                Some([l as u8 + 1; 64]),
+                "line {l}"
+            );
+            assert_eq!(s.unseal(page, addr, 7), None, "line {l}: source key");
+            assert_eq!(
+                s.unseal(page, addr, 40 + l),
+                None,
+                "line {l}: source version"
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Shard recovery: scrub, re-key, re-admit.
+//! Shard recovery: scrub and re-key in one walk, then re-admit.
 //!
 //! Quarantine alone is terminal — one tamper event permanently retires
 //! 1/N of protected capacity, so a hostile tenant could consume shards
@@ -7,12 +7,14 @@
 //!
 //! 1. **Quarantine** — tamper detection freezes the owning shard alone
 //!    (forensic [`KillSnapshot`], healthy peers keep serving).
-//! 2. **Recover** — [`ShardedEngine::recover_shard`] *scrubs* the frozen
-//!    shard (re-verifies every resident block's ciphertext + MAC +
-//!    composed version against untrusted memory), *re-keys* it (fresh
-//!    AES-PRF-derived key material and device RNG seed under a bumped
-//!    generation, with every intact block re-encrypted), and *re-admits*
-//!    it to service. Blocks that no longer verify are **lost**: they
+//! 2. **Recover** — [`ShardedEngine::recover_shard`] *re-keys* the frozen
+//!    shard's untrusted memory in place (fresh AES-PRF-derived key
+//!    material and device RNG seed under a bumped generation): one page
+//!    walk *scrubs* every resident block, re-verifying its ciphertext +
+//!    MAC at the old device's version, and re-seals it under the new key
+//!    at the version the fresh device already holds — one READ per page,
+//!    no UPDATE per line. Then it *re-admits* the shard to service.
+//!    Blocks that no longer verify are **lost**: they
 //!    refuse with [`ToleoError::PageLost`] on the next read instead of
 //!    serving silent zeroes, until a fresh write repopulates the address.
 //! 3. **World-kill** — a shard tampered *again* after consuming its
@@ -79,7 +81,7 @@ pub struct RecoveryOutcome {
     pub pages_scrubbed: u64,
     /// Resident blocks the scrub re-verified.
     pub blocks_scrubbed: u64,
-    /// Blocks that verified and were re-encrypted under the new keys.
+    /// Blocks that verified and were moved to the new keys.
     pub blocks_intact: u64,
     /// Blocks that failed re-verification, now marked lost.
     pub blocks_lost: u64,
@@ -120,10 +122,12 @@ impl ShardedEngine {
     /// The whole cycle runs under the shard's own lock: healthy shards
     /// keep serving throughout and observe nothing of it. On success
     /// the shard serves again under generation-fresh key material and a
-    /// fresh device seed, with every block the scrub verified re-encrypted
-    /// bit-identically; blocks that failed re-verification refuse with
-    /// [`ToleoError::PageLost`] until rewritten. The quarantined engine's
-    /// frozen counters are preserved in the returned
+    /// fresh device seed. Its untrusted memory is re-keyed in place: one
+    /// page walk moves every block that still verifies to the new key,
+    /// bit-identically, under the version the fresh device already holds
+    /// (one READ per resident page, no UPDATE). Blocks that fail refuse
+    /// with [`ToleoError::PageLost`] until rewritten. The quarantined
+    /// engine's frozen counters are preserved in the returned
     /// [`RecoveryOutcome::forensic`] snapshot.
     ///
     /// # Errors
@@ -132,10 +136,11 @@ impl ShardedEngine {
     /// engaged — which is also the answer for a shard quarantined past
     /// its [`RECOVERY_BUDGET`], since that quarantine is itself the
     /// world-kill; [`ToleoError::InvalidConfig`] for an out-of-range
-    /// shard index or a shard that is not quarantined. Errors from
-    /// re-keying (for example the freshness device unreachable while
-    /// re-encrypting under an armed fault plan) abort the recovery with
-    /// the shard still quarantined — the call can simply be retried.
+    /// shard index or a shard that is not quarantined. A fresh device
+    /// unreachable for the walk's READs (under an armed fault plan) is
+    /// [`ToleoError::DeviceUnavailable`], returned before anything moves:
+    /// the shard is still quarantined, its memory as it was, and the call
+    /// can simply be retried.
     pub fn recover_shard(&self, shard: usize) -> Result<RecoveryOutcome> {
         if shard >= self.shard_count() {
             return Err(ToleoError::InvalidConfig {
@@ -157,13 +162,10 @@ impl ShardedEngine {
         }
         let generation = state.generation + 1;
         let forensic = Box::new(state.engine.kill_snapshot().unwrap_or_default());
-        // Scrub: re-verify every resident block of the frozen engine
-        // against untrusted memory, splitting intact plaintext from lost
-        // addresses.
-        let scrub = state.engine.scrub_extract();
-        // Re-key: a fresh engine under generation-salted key material and
-        // device seed — no cryptographic state survives the compromise —
-        // with every intact block re-encrypted into it.
+        // Scrub and re-key: a fresh engine under generation-salted key
+        // material and device seed — no cryptographic state survives the
+        // compromise — takes over the frozen engine's untrusted memory,
+        // every line that still verifies moved to the new key in place.
         let mut shard_cfg = self.cfg.clone();
         shard_cfg.rng_seed = derive_shard_seed_gen(self.cfg.rng_seed, shard as u64, generation);
         let mut fresh = ProtectionEngine::try_new_with_robustness(
@@ -172,30 +174,28 @@ impl ShardedEngine {
             self.rekey.fault_plan,
             self.rekey.policy,
         )?;
-        for (addr, plaintext) in &scrub.intact {
-            fresh.write(*addr, plaintext)?;
-        }
-        // Re-admit: swap the fresh engine in, add the scrub's losses to
+        let (pages_scrubbed, blocks_scrubbed, lost) = fresh.readmit(&mut state.engine)?;
+        // Re-admit: swap the fresh engine in, add the walk's losses to
         // the markers still standing from earlier generations (an address
         // lost in generation k and never rewritten is still lost in k+1,
         // though the fresh engine never held it), bump the generation,
         // then clear `quarantined` — all before the shard lock drops, so
         // the first caller routed here sees a fully re-admitted shard.
-        let blocks_lost = scrub.lost.len() as u64;
+        let blocks_lost = lost.len() as u64;
         state.engine = fresh;
         state.generation = generation;
-        state.lost.extend(&scrub.lost);
-        state.pages_scrubbed += scrub.pages_scrubbed;
-        state.blocks_scrubbed += scrub.blocks_scrubbed;
+        state.lost.extend(lost);
+        state.pages_scrubbed += pages_scrubbed;
+        state.blocks_scrubbed += blocks_scrubbed;
         state.blocks_lost += blocks_lost;
         state.quarantined = false;
         drop(state);
         Ok(RecoveryOutcome {
             shard,
             generation,
-            pages_scrubbed: scrub.pages_scrubbed,
-            blocks_scrubbed: scrub.blocks_scrubbed,
-            blocks_intact: scrub.intact.len() as u64,
+            pages_scrubbed,
+            blocks_scrubbed,
+            blocks_intact: blocks_scrubbed - blocks_lost,
             blocks_lost,
             forensic,
         })
@@ -206,8 +206,11 @@ impl ShardedEngine {
 mod tests {
     use super::super::{derive_shard_key, derive_shard_seed};
     use super::*;
-    use crate::config::{ToleoConfig, PAGE_BYTES};
-    use crate::engine::Block;
+    use crate::arena::PageSlot;
+    use crate::config::{ToleoConfig, LINES_PER_PAGE, PAGE_BYTES};
+    use crate::engine::{Block, UntrustedDram};
+    use crate::version::UpperVersion;
+    use toleo_crypto::mac::Tag56;
 
     fn sharded(shards: usize) -> ShardedEngine {
         ShardedEngine::new(ToleoConfig::small(), shards, [0x5cu8; 48]).unwrap()
@@ -235,6 +238,129 @@ mod tests {
         tamper_and_detect(e, victim);
         assert!(e.is_shard_quarantined(2));
         victim
+    }
+
+    /// One line of untrusted memory as an adversary observes it: page,
+    /// UV, ciphertext and tag.
+    type Line = (u64, UpperVersion, Option<Block>, Option<Tag56>);
+
+    /// Every line of `dram`, in address order.
+    fn image(dram: &UntrustedDram) -> Vec<Line> {
+        let mut pages: Vec<_> = dram.pages().collect();
+        pages.sort_unstable_by_key(|&(page, _)| page);
+        let line = |(page, slot): (u64, &PageSlot), l| {
+            (page, slot.uv(), slot.block(l).copied(), slot.tag(l))
+        };
+        let image = pages.into_iter().flat_map(|(page, id)| {
+            (0..LINES_PER_PAGE).map(move |l| line((page, dram.slot(id)), l))
+        });
+        image.collect()
+    }
+
+    /// Re-admission asks the fresh device one READ per resident page and
+    /// never UPDATEs it; every intact block reads back bit-identically,
+    /// and a line captured before the tamper and replayed after the
+    /// re-key is caught.
+    #[test]
+    fn readmission_reads_each_page_once_and_updates_nothing() {
+        let mut e = sharded(4);
+        let page = |p: u64| p * PAGE_BYTES as u64;
+        let fill = |addr: u64| [(addr / 64) as u8; 64];
+        // Shard 2's pages 2, 6, 10 and 14, three lines each.
+        let written: Vec<u64> = [2u64, 6, 10, 14]
+            .iter()
+            .flat_map(|&p| (0..3u64).map(move |l| page(p) + l * 64))
+            .collect();
+        for &addr in &written {
+            e.write(addr, &fill(addr)).unwrap();
+        }
+        let stale = page(10) + 64;
+        let capsule = e.with_adversary(stale, |dram| dram.capture(stale));
+        let victim = page(6) + 128;
+        tamper_and_detect(&e, victim);
+        let out = e.recover_shard(2).unwrap();
+
+        let fresh = e.shard_engine_mut(2);
+        assert_eq!(fresh.device_stats().updates, 0);
+        assert_eq!(fresh.device_stats().reads, 4, "one READ per resident page");
+        assert_eq!(fresh.stats().device_reads, 4);
+        assert_eq!(out.pages_scrubbed, 4);
+        assert_eq!((out.blocks_scrubbed, out.blocks_lost), (12, 1));
+        assert_eq!(out.blocks_intact + out.blocks_lost, out.blocks_scrubbed);
+        for &addr in written.iter().filter(|&&addr| addr != victim) {
+            assert_eq!(e.read(addr).unwrap(), fill(addr), "addr {addr:#x}");
+        }
+        e.with_adversary(stale, |dram| dram.replay(&capsule));
+        assert!(matches!(
+            e.read(stale),
+            Err(ToleoError::IntegrityViolation { address }) if address == stale
+        ));
+        assert!(e.is_shard_quarantined(2));
+    }
+
+    /// A re-key whose READs cannot reach the fresh device fails whole:
+    /// `DeviceUnavailable`, and the shard is still quarantined with its
+    /// generation, counters, frozen snapshot and every block, tag and UV
+    /// of its untrusted memory as they were. No half re-keyed arena.
+    #[test]
+    fn failed_rekey_leaves_the_quarantined_shard_untouched() {
+        let mut cfg = ToleoConfig::small();
+        cfg.reset_log2 = 4;
+        let mut plan = FaultPlanConfig::uniform(3, 0.0);
+        plan.read.timeout = 1.0;
+        let policy = RetryPolicy::default();
+        let mut e =
+            ShardedEngine::new_with_robustness(cfg, 2, [0x6e; 48], Some(plan), policy).unwrap();
+        for p in 0..4u64 {
+            for l in 0..8u64 {
+                e.write(p * PAGE_BYTES as u64 + l * 64, &[(p * 8 + l) as u8; 64])
+                    .unwrap();
+            }
+        }
+        // Every READ times out, so the tamper is caught by a reset walk
+        // over shard 0's page 0, driven by writes to another of its lines.
+        let victim = 3 * 64;
+        e.with_adversary(victim, |dram| dram.corrupt_data(victim, 5, 0x10));
+        let caught = (0..2000).find_map(|_| e.write(9 * 64, &[1; 64]).err());
+        assert!(matches!(
+            caught,
+            Some(ToleoError::IntegrityViolation { address }) if address == victim
+        ));
+        assert!(e.is_shard_quarantined(0));
+
+        let state = |e: &mut ShardedEngine| {
+            let generation = e.core.lock_shard(0).generation;
+            let frozen = e.shard_engine_mut(0).kill_snapshot();
+            let memory = image(e.shard_engine_mut(0).adversary());
+            (generation, e.recovery_stats(), frozen, memory)
+        };
+        let before = state(&mut e);
+        assert!(matches!(
+            e.recover_shard(0),
+            Err(ToleoError::DeviceUnavailable { .. })
+        ));
+        assert!(e.is_shard_quarantined(0));
+        assert!(!e.is_killed());
+        assert_eq!(state(&mut e), before);
+    }
+
+    /// A line the adversary plants on a page outside the protected range
+    /// has a version on neither device: the walk drops it as lost rather
+    /// than let a refused READ fail every recovery of the shard.
+    #[test]
+    fn a_line_planted_outside_the_protected_range_is_lost() {
+        let e = sharded(4);
+        let victim = quarantine_shard2(&e);
+        let planted = (e.config().protected_pages() + 2) * PAGE_BYTES as u64;
+        assert_eq!(e.shard_of_addr(planted), 2);
+        e.with_adversary(planted, |dram| {
+            let id = dram.ensure_slot(planted / PAGE_BYTES as u64);
+            dram.slot_mut(id).set_block(0, [7; 64]);
+        });
+        let out = e.recover_shard(2).unwrap();
+        assert_eq!((out.pages_scrubbed, out.blocks_lost), (3, 2));
+        assert_eq!(e.read(6 * PAGE_BYTES as u64).unwrap(), [7u8; 64]);
+        assert!(matches!(e.read(victim), Err(ToleoError::PageLost { .. })));
     }
 
     #[test]

@@ -166,6 +166,15 @@ const BANS: &[Ban] = &[
               plain load whose value the op uses, not a hint intrinsic, so the `unsafe` \
               budget stays 26 (EXPERIMENTS.md \"PR 30\")",
     },
+    Ban {
+        pattern: &["scrub_extract", "ScrubOutcome"],
+        whole_word: true,
+        roots: &["crates", "src", "tests"],
+        exempt: None,
+        why: "re-admission is one walk with no write per line: a recovered shard's lines \
+              move to the new key in place, under the version the fresh device already \
+              holds, with no plaintext list and no second arena (EXPERIMENTS.md \"PR 32\")",
+    },
 ];
 
 /// One former `awk` step: in `file`, a section runs from one line that
