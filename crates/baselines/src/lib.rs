@@ -6,24 +6,23 @@
 //!   node cache: the freshness mechanism of client SGX, VAULT and
 //!   Morphable Counters, and the scalability bottleneck Toleo removes.
 //! * [`sgx`] — a client-SGX-style memory encryption engine (versions
-//!   from the counter tree over a bounded EPC) with adversary hooks.
+//!   from the counter tree over a bounded EPC).
 //! * [`schemes`] — the Table 1 guarantee matrix and Table 4 version-size
 //!   rows for every compared design (Client/Scalable SGX, VAULT,
 //!   MorphCtr-128, InvisiMem, Toleo).
 //! * [`vault`] — VAULT's variable-arity tree with small-counter overflow
-//!   resets, plus the functional [`VaultEngine`].
-//! * [`morph`] — Morphable Counters' uniform/skewed leaf encodings, plus
-//!   the functional [`MorphEngine`].
+//!   resets under per-group epochs.
+//! * [`morph`] — Morphable Counters' uniform/skewed leaf encodings.
 //!
-//! The three engines seal exactly as Toleo does, through
+//! The three engines are one engine, [`Baseline`], over three
+//! [`VersionStore`]s: it seals exactly as Toleo does, through
 //! [`LineSealer`] into an [`UntrustedDram`] page arena, and a VAULT
-//! group reset or a Morphable re-base is the engine's own page walk
-//! ([`LineSealer::reseal_page`]). They differ from Toleo only in where a
-//! line's version comes from. Every engine implements
-//! [`ProtectedMemory`](toleo_core::protected::ProtectedMemory), so the
-//! benchmark and the security suite drive Toleo and the baselines
-//! through one interface — same workloads, same batch entry
-//! points, same tamper/replay corpus on the same arena.
+//! group reset or a Morphable re-base is its page walk
+//! ([`LineSealer::reseal_page`]). A scheme is only where a line's
+//! version comes from. [`Baseline`] implements
+//! [`ProtectedMemory`], so the benchmark and the security suite drive
+//! Toleo and the baselines through one interface — same workloads, same
+//! batch entry points, same tamper/replay corpus on the same arena.
 //!
 //! The timing-level comparison (CI and InvisiMem configurations) lives in
 //! `toleo-sim`, which models them as protection modes of the same node.
@@ -31,12 +30,13 @@
 //! ```
 //! use toleo_baselines::sgx::SgxEngine;
 //! use toleo_baselines::schemes::Scheme;
+//! use toleo_core::protected::{MemoryError, ProtectedMemory};
 //!
 //! let mut sgx = SgxEngine::new(128 << 20); // the classic 128 MB EPC
 //! sgx.write(0, &[1u8; 64])?;
 //! assert_eq!(sgx.read(0)?, [1u8; 64]);
 //! assert_eq!(Scheme::ClientSgx.guarantees().freshness.to_string(), "Yes");
-//! # Ok::<(), toleo_baselines::sgx::SgxError>(())
+//! # Ok::<(), MemoryError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,58 +55,182 @@ pub use tree::CounterTree;
 pub use vault::VaultEngine;
 
 use toleo_core::arena::{Block, UntrustedDram};
-use toleo_core::config::{CACHE_BLOCK_BYTES, PAGE_BYTES};
+use toleo_core::config::{CACHE_BLOCK_BYTES, LINES_PER_PAGE, PAGE_BYTES};
 use toleo_core::layout;
-use toleo_core::protected::MemoryError;
+use toleo_core::protected::{MemoryError, MemoryStats, ProtectedMemory};
 use toleo_core::seal::LineSealer;
 
-/// The index of the block at `addr` if it is one of the whole 64-byte
-/// blocks of a `bytes`-sized memory — the range check of all three
-/// engines, so a trailing partial block is out of range.
-///
-/// # Panics
-///
-/// Panics if `addr` is not 64-byte aligned.
-fn whole_block(addr: u64, bytes: u64) -> Option<u64> {
-    assert_eq!(addr % 64, 0, "unaligned block access");
-    (addr / 64 < bytes / 64).then_some(addr / 64)
+/// A line's version and the version-store fetches it cost: node-cache
+/// misses of a tree walk, or one per access for the flat stores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fetched {
+    /// The version the line is sealed under.
+    pub version: u64,
+    /// Version-store accesses that went to backing storage.
+    pub fetches: u64,
 }
 
-/// Seals `data` for `addr` under `version` into `dram`.
-fn seal(sealer: &LineSealer, dram: &mut UntrustedDram, addr: u64, version: u64, data: &Block) {
-    let id = dram.ensure_slot(layout::page_of(addr));
-    sealer.seal(dram.slot_mut(id), addr, version, data);
+/// The lines a re-base moves besides the written one: every line of the
+/// whole pages from `first_page`, in address order, goes from version
+/// `old` to version `new`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Moved {
+    /// The first page the re-base covers.
+    pub first_page: u64,
+    /// Each covered line's version before the write.
+    pub old: Vec<u64>,
+    /// Each covered line's version after it.
+    pub new: Vec<u64>,
 }
 
-/// Unseals the line at `addr` under `version`; a page never written reads
-/// as zeros. `None` is tamper or replay.
-fn unseal(sealer: &LineSealer, dram: &UntrustedDram, addr: u64, version: u64) -> Option<Block> {
-    match dram.slot_id(layout::page_of(addr)) {
-        Some(id) => sealer.unseal(dram.slot(id), addr, version),
-        None => Some([0; 64]),
+/// Where a baseline's line versions come from: everything that tells one
+/// scheme from another.
+pub trait VersionStore {
+    /// Stable scheme name used in reports.
+    const SCHEME: &'static str;
+    /// The scheme's line-sealing key material.
+    const KEY: &'static [u8; 48];
+
+    /// A store for the whole 64-byte blocks of `bytes` of memory.
+    fn for_bytes(bytes: u64) -> Self;
+
+    /// The version `block` is sealed under. `None` is a store that failed
+    /// its own verification.
+    fn fetch(&mut self, block: u64) -> Option<Fetched>;
+
+    /// Advances `block`'s version for a write, with the lines a re-base
+    /// moved. `None` as for [`fetch`](Self::fetch).
+    fn advance(&mut self, block: u64) -> Option<(Fetched, Option<Moved>)>;
+
+    /// Re-bases so far, each a bulk re-encryption of what [`Moved`] named.
+    fn rebases(&self) -> u64;
+}
+
+/// A baseline protection engine: `V`'s versions sealing 64-byte lines
+/// into the page arena every scheme shares.
+#[derive(Debug)]
+pub struct Baseline<V> {
+    store: V,
+    sealer: LineSealer,
+    dram: UntrustedDram,
+    bytes: u64,
+    reads: u64,
+    writes: u64,
+    version_fetches: u64,
+}
+
+impl<V: VersionStore> Baseline<V> {
+    /// An engine protecting the whole 64-byte blocks of `bytes` of memory;
+    /// a trailing partial block is out of range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes < 64`.
+    pub fn new(bytes: u64) -> Self {
+        Baseline {
+            store: V::for_bytes(bytes),
+            sealer: LineSealer::new(V::KEY),
+            dram: UntrustedDram::default(),
+            bytes,
+            reads: 0,
+            writes: 0,
+            version_fetches: 0,
+        }
+    }
+
+    /// The block index of `addr`, the range check of every scheme.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not 64-byte aligned.
+    fn block(&self, addr: u64) -> Result<u64, MemoryError> {
+        assert_eq!(addr % 64, 0, "unaligned block access");
+        (addr / 64 < self.bytes / 64)
+            .then_some(addr / 64)
+            .ok_or(MemoryError::OutOfRange { address: addr })
+    }
+
+    /// A re-base's page walks for a write to `addr`: every other resident
+    /// line of each covered page goes from its old version to its new
+    /// one, and a line that does not verify is tamper at the lowest such
+    /// line.
+    fn reseal(&mut self, addr: u64, moved: &Moved) -> Result<(), MemoryError> {
+        let pages = moved
+            .old
+            .chunks(LINES_PER_PAGE)
+            .zip(moved.new.chunks(LINES_PER_PAGE));
+        for (page, (old, new)) in (moved.first_page..).zip(pages) {
+            let Some(id) = self.dram.slot_id(page) else {
+                continue;
+            };
+            let skip = (page == layout::page_of(addr)).then_some(layout::line_of(addr));
+            let [old, new] = [old, new].map(|v| move |l: usize| v.get(l).copied().unwrap_or(0));
+            let slot = self.dram.slot_mut(id);
+            let failed = self
+                .sealer
+                .reseal_page(&self.sealer, slot, page, skip, old, new);
+            if failed != 0 {
+                let line = u64::from(failed.trailing_zeros());
+                return Err(tampered(
+                    page * PAGE_BYTES as u64 + line * CACHE_BLOCK_BYTES as u64,
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
-/// The page walk of a VAULT group reset or a Morphable re-base: every
-/// resident line of `page` but `skip` goes from `old(l)` to `new(l)`, and
-/// a line that does not verify is tamper at the lowest such line.
-fn reseal(
-    sealer: &LineSealer,
-    dram: &mut UntrustedDram,
-    page: u64,
-    skip: Option<usize>,
-    old: impl Fn(usize) -> u64,
-    new: impl Fn(usize) -> u64,
-) -> Result<(), MemoryError> {
-    let Some(id) = dram.slot_id(page) else {
-        return Ok(());
-    };
-    match sealer.reseal_page(sealer, dram.slot_mut(id), page, skip, old, new) {
-        0 => Ok(()),
-        failed => Err(MemoryError::IntegrityViolation {
-            address: page * PAGE_BYTES as u64
-                + u64::from(failed.trailing_zeros()) * CACHE_BLOCK_BYTES as u64,
-        }),
+/// The failure of a line, or of the store's own check, at `address`.
+fn tampered(address: u64) -> MemoryError {
+    MemoryError::IntegrityViolation { address }
+}
+
+impl<V: VersionStore> ProtectedMemory for Baseline<V> {
+    fn scheme(&self) -> &'static str {
+        V::SCHEME
+    }
+
+    fn read(&mut self, addr: u64) -> Result<Block, MemoryError> {
+        let fetched = self.store.fetch(self.block(addr)?).ok_or(tampered(addr))?;
+        self.version_fetches += fetched.fetches;
+        self.reads += 1;
+        // A page never written reads as zeros.
+        match self.dram.slot_id(layout::page_of(addr)) {
+            Some(id) => self
+                .sealer
+                .unseal(self.dram.slot(id), addr, fetched.version),
+            None => Some([0; 64]),
+        }
+        .ok_or(tampered(addr))
+    }
+
+    fn write(&mut self, addr: u64, data: &Block) -> Result<(), MemoryError> {
+        let (fetched, moved) = self
+            .store
+            .advance(self.block(addr)?)
+            .ok_or(tampered(addr))?;
+        self.version_fetches += fetched.fetches;
+        self.writes += 1;
+        if let Some(moved) = moved {
+            self.reseal(addr, &moved)?;
+        }
+        let id = self.dram.ensure_slot(layout::page_of(addr));
+        self.sealer
+            .seal(self.dram.slot_mut(id), addr, fetched.version, data);
+        Ok(())
+    }
+
+    fn stats(&self) -> MemoryStats {
+        MemoryStats {
+            reads: self.reads,
+            writes: self.writes,
+            version_fetches: self.version_fetches,
+            reencryption_events: self.store.rebases(),
+        }
+    }
+
+    fn untrusted(&mut self, _addr: u64) -> &mut UntrustedDram {
+        &mut self.dram
     }
 }
 
@@ -114,7 +238,6 @@ fn reseal(
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use toleo_core::config::LINES_PER_PAGE;
 
     /// The Carter–Wegman nonce invariant, observed rather than argued:
     /// every `(version, address)` a verifying line was seen under, with
@@ -124,24 +247,19 @@ mod tests {
     pub(crate) struct Nonces(HashMap<(u64, u64), Block>);
 
     impl Nonces {
-        /// Records each resident line of `dram` that verifies under
-        /// `version(block)`, panicking if its `(version, address)` was
+        /// Records each resident line of `e`'s arena that verifies under
+        /// its store's version, panicking if its `(version, address)` was
         /// seen before with another ciphertext.
-        pub(crate) fn observe(
-            &mut self,
-            sealer: &LineSealer,
-            dram: &UntrustedDram,
-            mut version: impl FnMut(u64) -> u64,
-        ) {
-            for (page, id) in dram.pages() {
-                let slot = dram.slot(id);
+        pub(crate) fn observe(&mut self, e: &mut Baseline<impl VersionStore>) {
+            for (page, id) in e.dram.pages() {
+                let slot = e.dram.slot(id);
                 for line in 0..LINES_PER_PAGE {
                     let Some(&ct) = slot.block(line) else {
                         continue;
                     };
                     let addr = page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64;
-                    let v = version(addr / 64);
-                    if sealer.unseal(slot, addr, v).is_some() {
+                    let v = e.store.fetch(addr / 64).unwrap().version;
+                    if e.sealer.unseal(slot, addr, v).is_some() {
                         let earlier = self.0.insert((v, addr), ct);
                         assert!(
                             earlier.is_none_or(|old| old == ct),
@@ -155,6 +273,48 @@ mod tests {
         pub(crate) fn len(&self) -> usize {
             self.0.len()
         }
+    }
+
+    /// Every baseline's counters and the data it reads back, pinned over
+    /// one seeded mixed trace: a read in three ops, six hot lines that
+    /// drive VAULT through overflow resets and Morph through re-bases,
+    /// and a cold quarter over 64 Ki blocks that misses the SGX tree's
+    /// node cache. The literals are each engine's `(stats, FNV fold of
+    /// every byte read)`.
+    #[test]
+    fn baseline_counters_are_pinned() {
+        fn run(mut m: impl ProtectedMemory) -> (MemoryStats, u64) {
+            let mut fold = 0xcbf2_9ce4_8422_2325u64;
+            for (i, (block, fill)) in hot_trace(34, 6000, 6, 1 << 16).into_iter().enumerate() {
+                if i % 3 == 0 {
+                    for byte in m.read(block * 64).unwrap() {
+                        fold = (fold ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                    }
+                } else {
+                    m.write(block * 64, &[fill; 64]).unwrap();
+                }
+            }
+            (m.stats(), fold)
+        }
+        let stats = |reads, writes, version_fetches, reencryption_events| MemoryStats {
+            reads,
+            writes,
+            version_fetches,
+            reencryption_events,
+        };
+        let fold = 0xd65c_51ac_e5d3_8ce5_u64;
+        assert_eq!(
+            run(SgxEngine::new(1 << 22)),
+            (stats(2000, 4000, 3021, 0), fold)
+        );
+        assert_eq!(
+            run(VaultEngine::new(1 << 22)),
+            (stats(2000, 4000, 6000, 9), fold)
+        );
+        assert_eq!(
+            run(MorphEngine::new(1 << 22)),
+            (stats(2000, 4000, 6000, 52), fold)
+        );
     }
 
     /// A seeded hot-block write trace of `(block, fill)`: three writes in

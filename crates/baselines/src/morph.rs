@@ -13,13 +13,15 @@
 //! Either way, exceeding the encoding's capacity forces a leaf re-base
 //! with re-encryption of all 128 covered blocks.
 //!
-//! [`MorphEngine`] wraps the leaves in a functional protection engine
-//! that seals as Toleo does (into the same page arena) so Morphable
+//! [`MorphEngine`] is the shared engine over these leaves, so Morphable
 //! Counters competes in the same evaluation arena: leaf versions seal the
 //! data blocks, and a leaf re-base *actually re-encrypts* the covered
 //! 8 KB — exactly the cost the denser 128:1 encoding trades for.
 
 // audit: allow-file(indexing, slot indices are reduced modulo BLOCKS_PER_LEAF)
+
+use crate::{Baseline, Fetched, Moved, VersionStore};
+use toleo_core::config::LINES_PER_PAGE;
 
 /// Current encoding of a morphable leaf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,16 +155,8 @@ impl MorphLeaf {
     }
 }
 
-use crate::{reseal, seal, unseal, whole_block};
-use toleo_core::arena::UntrustedDram;
-use toleo_core::config::LINES_PER_PAGE;
-use toleo_core::layout;
-use toleo_core::protected::{MemoryError, MemoryStats, ProtectedMemory};
-use toleo_core::seal::LineSealer;
-
-/// A functional Morphable-Counters protection engine: data blocks sealed
-/// under their morphable-leaf version, with leaf re-bases re-encrypting
-/// the whole covered 8 KB.
+/// A functional Morphable-Counters protection engine: its version store
+/// is the leaves, one per 8 KB.
 ///
 /// A re-base may advance the versions of *unwritten* sibling blocks (the
 /// fold adds the evicted maximum into the shared base), so the engine
@@ -183,157 +177,53 @@ use toleo_core::seal::LineSealer;
 ///
 /// ```
 /// use toleo_baselines::morph::MorphEngine;
+/// use toleo_core::protected::ProtectedMemory;
 ///
 /// let mut m = MorphEngine::new(1 << 20); // 1 MB protected
 /// m.write(0x40, &[9u8; 64]).unwrap();
 /// assert_eq!(m.read(0x40).unwrap(), [9u8; 64]);
 /// ```
-#[derive(Debug)]
-pub struct MorphEngine {
-    leaves: Vec<MorphLeaf>,
-    sealer: LineSealer,
-    dram: UntrustedDram,
-    bytes: u64,
-    reads: u64,
-    writes: u64,
-    version_fetches: u64,
-}
+pub type MorphEngine = Baseline<Vec<MorphLeaf>>;
 
-impl MorphEngine {
-    /// Creates an engine protecting `bytes` of memory (one morphable leaf
-    /// per 8 KB).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes < 64`.
-    pub fn new(bytes: u64) -> Self {
+impl VersionStore for Vec<MorphLeaf> {
+    const SCHEME: &'static str = "morph";
+    const KEY: &'static [u8; 48] = b"morph-data-key16morph-tweak-key!morph-mac-key16!";
+
+    fn for_bytes(bytes: u64) -> Self {
         assert!(bytes >= 64, "must protect at least one block");
-        let blocks = (bytes / 64) as usize;
-        MorphEngine {
-            leaves: vec![MorphLeaf::new(); blocks.div_ceil(BLOCKS_PER_LEAF)],
-            sealer: LineSealer::new(b"morph-data-key16morph-tweak-key!morph-mac-key16!"),
-            dram: UntrustedDram::default(),
-            bytes,
-            reads: 0,
-            writes: 0,
-            version_fetches: 0,
-        }
+        vec![MorphLeaf::new(); (bytes / 64).div_ceil(BLOCKS_PER_LEAF as u64) as usize]
     }
 
-    /// Total leaf re-bases (each re-encrypted 8 KB).
-    pub fn rebases(&self) -> u64 {
-        self.leaves.iter().map(|l| l.rebases).sum()
+    fn fetch(&mut self, block: u64) -> Option<Fetched> {
+        let leaf = &self[block as usize / BLOCKS_PER_LEAF];
+        Some(Fetched {
+            version: leaf.version(block as usize % BLOCKS_PER_LEAF),
+            fetches: 1,
+        })
     }
 
-    /// Total encoding switches (uniform ↔ skewed), which cost nothing.
-    pub fn morphs(&self) -> u64 {
-        self.leaves.iter().map(|l| l.morphs).sum()
+    /// A re-base moves every line of the leaf's two pages from the
+    /// versions it was sealed under to the re-based ones.
+    fn advance(&mut self, block: u64) -> Option<(Fetched, Option<Moved>)> {
+        let leaf = &mut self[block as usize / BLOCKS_PER_LEAF];
+        let old = leaf.versions();
+        let moved = (leaf.update(block as usize % BLOCKS_PER_LEAF) > 0).then(|| Moved {
+            first_page: block / BLOCKS_PER_LEAF as u64 * (BLOCKS_PER_LEAF / LINES_PER_PAGE) as u64,
+            old: old.to_vec(),
+            new: leaf.versions().to_vec(),
+        });
+        Some((self.fetch(block)?, moved))
     }
 
-    fn check(&self, addr: u64) -> Result<u64, MemoryError> {
-        whole_block(addr, self.bytes).ok_or(MemoryError::OutOfRange { address: addr })
-    }
-
-    /// Writes a block: bump its leaf delta, seal under the new version,
-    /// and on a leaf re-base re-encrypt every resident covered block.
-    ///
-    /// # Errors
-    ///
-    /// [`MemoryError::OutOfRange`] beyond the protected size;
-    /// [`MemoryError::IntegrityViolation`] if the re-base walk catches a
-    /// tampered/replayed covered block.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unaligned addresses.
-    pub fn write(&mut self, addr: u64, plaintext: &[u8; 64]) -> Result<(), MemoryError> {
-        let block = self.check(addr)?;
-        let leaf_idx = block as usize / BLOCKS_PER_LEAF;
-        let slot = block as usize % BLOCKS_PER_LEAF;
-        // Snapshot pre-update versions: a re-base can move EVERY covered
-        // block's version, and the walk must unseal each resident block
-        // under the version it was sealed with.
-        let old_versions = self.leaves[leaf_idx].versions();
-        let reencrypted = self.leaves[leaf_idx].update(slot);
-        self.version_fetches += 1;
-        self.writes += 1;
-        let leaf = &self.leaves[leaf_idx];
-        if reencrypted > 0 {
-            // A leaf covers two pages: one page walk each.
-            let new_versions = leaf.versions();
-            let first_page = (leaf_idx * BLOCKS_PER_LEAF / LINES_PER_PAGE) as u64;
-            let halves = old_versions
-                .chunks(LINES_PER_PAGE)
-                .zip(new_versions.chunks(LINES_PER_PAGE));
-            for (page, (old, new)) in (first_page..).zip(halves) {
-                let skip = (page == layout::page_of(addr)).then_some(layout::line_of(addr));
-                reseal(
-                    &self.sealer,
-                    &mut self.dram,
-                    page,
-                    skip,
-                    |l| old[l],
-                    |l| new[l],
-                )?;
-            }
-        }
-        let version = leaf.version(slot);
-        seal(&self.sealer, &mut self.dram, addr, version, plaintext);
-        Ok(())
-    }
-
-    /// Reads a block, verifying the MAC under its current leaf version.
-    ///
-    /// # Errors
-    ///
-    /// [`MemoryError::IntegrityViolation`] on tamper/replay;
-    /// [`MemoryError::OutOfRange`] beyond the protected size.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unaligned addresses.
-    pub fn read(&mut self, addr: u64) -> Result<[u8; 64], MemoryError> {
-        let block = self.check(addr)?;
-        let leaf_idx = block as usize / BLOCKS_PER_LEAF;
-        let slot = block as usize % BLOCKS_PER_LEAF;
-        self.version_fetches += 1;
-        self.reads += 1;
-        let version = self.leaves[leaf_idx].version(slot);
-        unseal(&self.sealer, &self.dram, addr, version)
-            .ok_or(MemoryError::IntegrityViolation { address: addr })
-    }
-}
-
-impl ProtectedMemory for MorphEngine {
-    fn scheme(&self) -> &'static str {
-        "morph"
-    }
-
-    fn read(&mut self, addr: u64) -> Result<[u8; 64], MemoryError> {
-        MorphEngine::read(self, addr)
-    }
-
-    fn write(&mut self, addr: u64, data: &[u8; 64]) -> Result<(), MemoryError> {
-        MorphEngine::write(self, addr, data)
-    }
-
-    fn stats(&self) -> MemoryStats {
-        MemoryStats {
-            reads: self.reads,
-            writes: self.writes,
-            version_fetches: self.version_fetches,
-            reencryption_events: self.rebases(),
-        }
-    }
-
-    fn untrusted(&mut self, _addr: u64) -> &mut UntrustedDram {
-        &mut self.dram
+    fn rebases(&self) -> u64 {
+        self.iter().map(|l| l.rebases).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use toleo_core::protected::{MemoryError, ProtectedMemory};
 
     #[test]
     fn ratio_is_128_to_1() {
@@ -443,7 +333,11 @@ mod tests {
                 e.write(hot * 64, &[i as u8; 64]).unwrap();
             }
         }
-        assert!(e.rebases() >= 1, "rebases: {}", e.rebases());
+        assert!(
+            e.stats().reencryption_events >= 1,
+            "rebases: {}",
+            e.stats().reencryption_events
+        );
         for b in [1u64, 20, 64, 127] {
             assert_eq!(e.read(b * 64).unwrap(), [b as u8; 64], "block {b}");
         }
@@ -453,7 +347,7 @@ mod tests {
     fn engine_tamper_and_replay_detected() {
         let mut e = engine();
         e.write(0x40, &[7u8; 64]).unwrap();
-        assert!(ProtectedMemory::corrupt(&mut e, 0x40, 63, 0x01));
+        assert!(e.corrupt(0x40, 63, 0x01));
         assert!(matches!(
             e.read(0x40),
             Err(MemoryError::IntegrityViolation { address: 0x40 })
@@ -461,9 +355,9 @@ mod tests {
 
         let mut e = engine();
         e.write(0x80, &[1u8; 64]).unwrap();
-        let stale = ProtectedMemory::capture(&mut e, 0x80);
+        let stale = e.capture(0x80);
         e.write(0x80, &[2u8; 64]).unwrap();
-        ProtectedMemory::replay(&mut e, &stale);
+        e.replay(&stale);
         assert!(e.read(0x80).is_err());
     }
 
@@ -490,22 +384,18 @@ mod tests {
         let mut nonces = crate::tests::Nonces::default();
         let mut full_resets = 0;
         for (block, fill) in crate::tests::hot_trace(28, 600, 6, 256) {
-            let rebases = e.rebases();
+            let rebases = e.stats().reencryption_events;
             e.write(block * 64, &[fill; 64]).unwrap();
-            let leaf = &e.leaves[block as usize / BLOCKS_PER_LEAF];
-            if e.rebases() > rebases && leaf.deltas.iter().all(|&d| d == 0) {
+            let leaf = &e.store[block as usize / BLOCKS_PER_LEAF];
+            if e.stats().reencryption_events > rebases && leaf.deltas.iter().all(|&d| d == 0) {
                 full_resets += 1;
             }
-            let leaves = &e.leaves;
-            nonces.observe(&e.sealer, &e.dram, |b| {
-                let b = b as usize;
-                leaves[b / BLOCKS_PER_LEAF].version(b % BLOCKS_PER_LEAF)
-            });
+            nonces.observe(&mut e);
         }
         assert!(
-            e.rebases() >= 3 && full_resets >= 1,
+            e.stats().reencryption_events >= 3 && full_resets >= 1,
             "{} / {full_resets}",
-            e.rebases()
+            e.stats().reencryption_events
         );
         assert!(nonces.len() > 500, "only {} nonces observed", nonces.len());
     }
@@ -516,9 +406,9 @@ mod tests {
         // A resident sibling in leaf 0 gets replayed to a stale version.
         e.write(64, &[0xA0u8; 64]).unwrap();
         e.write(64, &[0xA1u8; 64]).unwrap();
-        let stale = ProtectedMemory::capture(&mut e, 64);
+        let stale = e.capture(64);
         e.write(64, &[0xA2u8; 64]).unwrap();
-        ProtectedMemory::replay(&mut e, &stale);
+        e.replay(&stale);
         // Drive the leaf into a re-base with >4 hot blocks.
         let mut caught = None;
         'drive: for hot in 2..8u64 {

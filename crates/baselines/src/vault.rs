@@ -1,78 +1,72 @@
 //! VAULT-style variable-arity counter tree (Taassori et al., ASPLOS'18).
 //!
 //! VAULT increases tree arity by shrinking per-child counters as one moves
-//! toward the leaves: a 64-byte node packs a few large counters near the
-//! root but 16–64 small counters at the leaves, so the tree is shallower
-//! than SGX's 8-ary tree for the same protected size. Small counters
-//! overflow quickly; an overflow forces a *node reset*: all sibling
-//! counters re-base and every covered block must be re-MACed (modelled
-//! here as a re-encryption count).
+//! toward the leaves: a 64-byte node packs 16 25-bit counters near the
+//! root, 32 12-bit ones in the middle and 64 6-bit ones at the leaves, so
+//! the tree is shallower than SGX's 8-ary tree for the same protected
+//! size. Small counters overflow quickly; an overflow forces a *node
+//! reset*: all sibling counters re-base and every covered block must be
+//! re-encrypted.
 //!
-//! [`VaultEngine`] wraps the tree in a functional protection engine that
-//! seals as Toleo does (into the same page arena) so VAULT competes in
-//! the same evaluation arena: leaf counters supply the versions, and a
-//! counter overflow *actually re-encrypts* the covered group under a
-//! bumped group epoch — the cost (and the replay-detection window) the
-//! paper's Table 4 row abstracts away.
+//! [`VaultEngine`] seals under `(epoch || leaf counter, address)`: each
+//! leaf group keeps an epoch that bumps on every overflow reset, so
+//! `(epoch, counter)` pairs never repeat and stale capsules from before a
+//! reset stay detectable. A write moves its counter up by one, and a
+//! reset re-seals the group's other blocks at counter 0 of an epoch
+//! nothing was sealed under yet. A leaf group is 64 blocks, one page, so
+//! the reset is the engine's page walk — the cost (and the
+//! replay-detection window) the paper's Table 4 row abstracts away. The
+//! tree's internal MAC chain is modelled by
+//! [`CounterTree`](crate::tree::CounterTree) in the SGX engine; here the
+//! version store itself is treated as authenticated.
 
-// audit: allow-file(indexing, level-table indices are clamped with min/saturating_sub against its length)
+// audit: allow-file(indexing, leaf and counter indices come from a block below `blocks`, asserted by update())
 
-/// Per-level geometry: how many counters one 64-byte node packs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LevelSpec {
-    /// Children per node at this level.
-    pub arity: usize,
-    /// Counter width in bits.
-    pub counter_bits: u32,
+use crate::{Baseline, Fetched, Moved, VersionStore};
+use toleo_core::config::LINES_PER_PAGE;
+
+/// Children per leaf node — the group that re-bases together on a
+/// counter overflow, one page of lines.
+const LEAF_ARITY: usize = 64;
+/// Width of a leaf counter in bits.
+const LEAF_COUNTER_BITS: u32 = 6;
+/// Children per node from the leaves up; the last repeats for deeper
+/// trees.
+const ARITIES: [u64; 3] = [LEAF_ARITY as u64, 32, 16];
+
+const _: () = assert!(LEAF_ARITY == LINES_PER_PAGE, "a leaf group is a page");
+
+/// One leaf node: its group's small counters and the group's epoch.
+#[derive(Debug, Clone, Copy)]
+struct Leaf {
+    epoch: u64,
+    counters: [u64; LEAF_ARITY],
 }
 
-/// A VAULT tree's shape and cost model.
+/// A VAULT tree's leaves and cost model, with the paper's geometry.
 #[derive(Debug, Clone)]
 pub struct VaultTree {
-    levels: Vec<LevelSpec>,
     blocks: u64,
-    /// Leaf counters (functional state; indexes follow block order).
-    leaf_counters: Vec<u64>,
+    leaves: Vec<Leaf>,
     /// Re-encryptions forced by counter overflows.
     pub overflow_resets: u64,
 }
 
 impl VaultTree {
-    /// The paper's VAULT geometry: 64-ary leaves with 6-bit counters,
-    /// 32-ary mid levels (12-bit), 16-ary upper levels (25-bit).
-    pub fn paper_geometry() -> Vec<LevelSpec> {
-        vec![
-            LevelSpec {
-                arity: 16,
-                counter_bits: 25,
-            },
-            LevelSpec {
-                arity: 32,
-                counter_bits: 12,
-            },
-            LevelSpec {
-                arity: 64,
-                counter_bits: 6,
-            },
-        ]
-    }
-
-    /// Builds a tree protecting `blocks` cache blocks with the given
-    /// geometry (last entry = leaf level; it repeats as needed).
+    /// Builds a tree protecting `blocks` cache blocks.
     ///
     /// # Panics
     ///
-    /// Panics if `geometry` is empty or `blocks == 0`.
-    pub fn new(geometry: Vec<LevelSpec>, blocks: u64) -> Self {
-        assert!(
-            !geometry.is_empty(),
-            "geometry must have at least one level"
-        );
+    /// Panics if `blocks == 0`.
+    pub fn new(blocks: u64) -> Self {
         assert!(blocks > 0, "must protect at least one block");
+        let leaf = Leaf {
+            epoch: 0,
+            counters: [0; LEAF_ARITY],
+        };
         VaultTree {
-            levels: geometry,
             blocks,
-            leaf_counters: vec![0; blocks as usize],
+            leaves: vec![leaf; (blocks as usize).div_ceil(LEAF_ARITY)],
             overflow_resets: 0,
         }
     }
@@ -82,266 +76,118 @@ impl VaultTree {
     pub fn depth(&self) -> usize {
         let mut covered = 1u64;
         let mut depth = 0;
-        // Repeat the leaf level's arity for deep trees.
-        loop {
-            let spec = self.levels[self
-                .levels
-                .len()
-                .saturating_sub(depth + 1)
-                .min(self.levels.len() - 1)];
-            covered = covered.saturating_mul(spec.arity as u64);
+        while depth == 0 || covered < self.blocks {
+            covered = covered.saturating_mul(ARITIES[depth.min(ARITIES.len() - 1)]);
             depth += 1;
-            if covered >= self.blocks {
-                return depth;
-            }
         }
+        depth
     }
 
     /// Leaf data-to-version ratio: one 64-byte leaf node covers
-    /// `arity * 64` bytes of data (the paper's Table 4 "VAULT (Leaf)"
-    /// row: 64 B protects 4 KB = 64:1).
+    /// `64 * 64` bytes of data (the paper's Table 4 "VAULT (Leaf)" row:
+    /// 64 B protects 4 KB = 64:1).
     pub fn leaf_ratio(&self) -> f64 {
-        self.levels
-            .last()
-            .map_or(0.0, |leaf| (leaf.arity * 64) as f64 / 64.0)
+        LEAF_ARITY as f64
     }
 
     /// Records a write to `block`, bumping its leaf counter. Returns the
     /// number of blocks that had to be re-encrypted (0 in the common case,
-    /// `arity` when the small counter overflowed and the node re-based).
+    /// the leaf's 64 when the small counter overflowed and the node
+    /// re-based under a fresh epoch).
     ///
     /// # Panics
     ///
     /// Panics if `block` is out of range.
     pub fn update(&mut self, block: u64) -> u64 {
         assert!(block < self.blocks, "block out of range");
-        let Some(&leaf) = self.levels.last() else {
+        let slot = block as usize % LEAF_ARITY;
+        let leaf = &mut self.leaves[block as usize / LEAF_ARITY];
+        if leaf.counters[slot] < (1 << LEAF_COUNTER_BITS) - 1 {
+            leaf.counters[slot] += 1;
             return 0;
-        };
-        let max = (1u64 << leaf.counter_bits) - 1;
-        let ctr = &mut self.leaf_counters[block as usize];
-        if *ctr >= max {
-            // Overflow: re-base all siblings, re-encrypt the whole group.
-            self.overflow_resets += 1;
-            let group = (block as usize / leaf.arity) * leaf.arity;
-            let end = (group + leaf.arity).min(self.leaf_counters.len());
-            for c in &mut self.leaf_counters[group..end] {
-                *c = 0;
-            }
-            self.leaf_counters[block as usize] = 1;
-            return (end - group) as u64;
         }
-        *ctr += 1;
-        0
+        // Overflow: a fresh epoch re-bases every sibling counter.
+        self.overflow_resets += 1;
+        leaf.epoch += 1;
+        leaf.counters = [0; LEAF_ARITY];
+        leaf.counters[slot] = 1;
+        LEAF_ARITY as u64
     }
 
     /// The current counter of a block.
     pub fn counter(&self, block: u64) -> u64 {
-        self.leaf_counters[block as usize]
+        self.leaves[block as usize / LEAF_ARITY].counters[block as usize % LEAF_ARITY]
     }
 
-    /// Children per leaf node — the group that re-bases together on a
-    /// counter overflow.
-    pub fn leaf_arity(&self) -> usize {
-        self.levels.last().map_or(1, |leaf| leaf.arity)
+    /// The version `block` seals under: `epoch << 6 | counter`.
+    fn version(&self, block: u64) -> u64 {
+        let leaf = &self.leaves[block as usize / LEAF_ARITY];
+        leaf.epoch << LEAF_COUNTER_BITS | self.counter(block)
     }
 
-    /// Width of a leaf counter in bits.
-    pub fn leaf_counter_bits(&self) -> u32 {
-        self.levels.last().map_or(1, |leaf| leaf.counter_bits)
-    }
-
-    /// Number of protected blocks.
-    pub fn blocks(&self) -> u64 {
-        self.blocks
+    /// Every version of `block`'s group.
+    fn group_versions(&self, block: u64) -> [u64; LEAF_ARITY] {
+        let leaf = &self.leaves[block as usize / LEAF_ARITY];
+        leaf.counters.map(|c| leaf.epoch << LEAF_COUNTER_BITS | c)
     }
 }
 
-use crate::{reseal, seal, unseal, whole_block};
-use toleo_core::arena::UntrustedDram;
-use toleo_core::config::LINES_PER_PAGE;
-use toleo_core::layout;
-use toleo_core::protected::{MemoryError, MemoryStats, ProtectedMemory};
-use toleo_core::seal::LineSealer;
-
-/// A functional VAULT-style protection engine: data blocks sealed under
-/// `(epoch || leaf counter, address)` with the small-counter overflow
-/// semantics the scheme is known for — one hot block forces the whole
-/// covered group through re-encryption every `2^counter_bits - 1` writes.
-///
-/// The wrapper keeps a per-group epoch that bumps on every overflow
-/// reset, so `(epoch, counter)` pairs never repeat and stale capsules
-/// from before a reset stay detectable: a write moves its counter up by
-/// one, and a reset re-seals the group's other blocks at counter 0 of an
-/// epoch nothing was sealed under yet. A leaf group is 64 blocks, one
-/// page, so the reset is the engine's page walk. The tree's internal MAC
-/// chain is modelled by [`CounterTree`](crate::tree::CounterTree) in the
-/// SGX engine; here the version store itself is treated as authenticated
-/// and the evaluation focuses on VAULT's distinguishing cost: overflow
-/// resets.
+/// A functional VAULT-style protection engine: one hot block forces its
+/// whole group through re-encryption every `2^6 - 1` writes.
 ///
 /// # Examples
 ///
 /// ```
 /// use toleo_baselines::vault::VaultEngine;
+/// use toleo_core::protected::ProtectedMemory;
 ///
 /// let mut v = VaultEngine::new(1 << 20); // 1 MB protected
 /// v.write(0x40, &[9u8; 64]).unwrap();
 /// assert_eq!(v.read(0x40).unwrap(), [9u8; 64]);
 /// ```
-#[derive(Debug)]
-pub struct VaultEngine {
-    tree: VaultTree,
-    /// Per-leaf-group epochs; `version = epoch << counter_bits | counter`.
-    epochs: Vec<u64>,
-    sealer: LineSealer,
-    dram: UntrustedDram,
-    bytes: u64,
-    reads: u64,
-    writes: u64,
-    version_fetches: u64,
-}
+pub type VaultEngine = Baseline<VaultTree>;
 
-impl VaultEngine {
-    /// Creates an engine protecting `bytes` of memory with the paper's
-    /// VAULT geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes < 64`.
-    pub fn new(bytes: u64) -> Self {
-        // Each leaf node holds a whole page's group of counters, the ones
-        // past the protected range included.
-        let blocks = (bytes / 64).next_multiple_of(LINES_PER_PAGE as u64);
-        let tree = VaultTree::new(VaultTree::paper_geometry(), blocks);
-        assert_eq!(tree.leaf_arity(), LINES_PER_PAGE, "a leaf group is a page");
-        VaultEngine {
-            epochs: vec![0; blocks as usize / LINES_PER_PAGE],
-            tree,
-            sealer: LineSealer::new(b"vault-data-key16vault-tweak-key!vault-mac-key16!"),
-            dram: UntrustedDram::default(),
-            bytes,
-            reads: 0,
-            writes: 0,
-            version_fetches: 0,
-        }
+impl VersionStore for VaultTree {
+    const SCHEME: &'static str = "vault";
+    const KEY: &'static [u8; 48] = b"vault-data-key16vault-tweak-key!vault-mac-key16!";
+
+    /// Each leaf holds a whole page's group of counters, the ones past
+    /// the protected range included.
+    fn for_bytes(bytes: u64) -> Self {
+        VaultTree::new((bytes / 64).next_multiple_of(LEAF_ARITY as u64))
     }
 
-    /// Overflow resets performed so far (each re-encrypted a whole leaf
-    /// group).
-    pub fn overflow_resets(&self) -> u64 {
-        self.tree.overflow_resets
+    fn fetch(&mut self, block: u64) -> Option<Fetched> {
+        Some(Fetched {
+            version: self.version(block),
+            fetches: 1,
+        })
     }
 
-    fn check(&self, addr: u64) -> Result<u64, MemoryError> {
-        whole_block(addr, self.bytes).ok_or(MemoryError::OutOfRange { address: addr })
+    /// An overflow moves every other resident line of the group from the
+    /// versions it was sealed under to counter 0 of the new epoch.
+    fn advance(&mut self, block: u64) -> Option<(Fetched, Option<Moved>)> {
+        let old = self.group_versions(block);
+        let moved = (self.update(block) > 0).then(|| Moved {
+            first_page: block / LEAF_ARITY as u64,
+            old: old.to_vec(),
+            new: self.group_versions(block).to_vec(),
+        });
+        Some((self.fetch(block)?, moved))
     }
 
-    fn version(&self, block: u64) -> u64 {
-        let group = block as usize / LINES_PER_PAGE;
-        (self.epochs[group] << self.tree.leaf_counter_bits()) | self.tree.counter(block)
-    }
-
-    /// Writes a block: bump the leaf counter, seal under the new version,
-    /// and on a counter overflow re-encrypt the whole covered group under
-    /// a fresh epoch.
-    ///
-    /// # Errors
-    ///
-    /// [`MemoryError::OutOfRange`] beyond the protected size;
-    /// [`MemoryError::IntegrityViolation`] if a tampered/replayed sibling
-    /// is caught by the overflow re-encryption walk.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unaligned addresses.
-    pub fn write(&mut self, addr: u64, plaintext: &[u8; 64]) -> Result<(), MemoryError> {
-        let block = self.check(addr)?;
-        let group = layout::page_of(addr);
-        let first = group * LINES_PER_PAGE as u64;
-        let versions = |e: &Self| -> [u64; LINES_PER_PAGE] {
-            std::array::from_fn(|l| e.version(first + l as u64))
-        };
-        // Snapshot the group's pre-update versions: an overflow re-bases
-        // every sibling counter, and the reset walk must unseal each
-        // resident sibling under the version it was sealed with.
-        let old = versions(self);
-        let reencrypted = self.tree.update(block);
-        self.version_fetches += 1;
-        self.writes += 1;
-        if reencrypted > 0 {
-            // Counter overflow: new epoch, re-encrypt every resident
-            // covered block (except the one about to be overwritten).
-            self.epochs[group as usize] += 1;
-            let new = versions(self);
-            let skip = Some(layout::line_of(addr));
-            reseal(
-                &self.sealer,
-                &mut self.dram,
-                group,
-                skip,
-                |l| old[l],
-                |l| new[l],
-            )?;
-        }
-        let version = self.version(block);
-        seal(&self.sealer, &mut self.dram, addr, version, plaintext);
-        Ok(())
-    }
-
-    /// Reads a block, verifying the MAC under the current
-    /// `(epoch, counter)` version.
-    ///
-    /// # Errors
-    ///
-    /// [`MemoryError::IntegrityViolation`] on tamper/replay;
-    /// [`MemoryError::OutOfRange`] beyond the protected size.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unaligned addresses.
-    pub fn read(&mut self, addr: u64) -> Result<[u8; 64], MemoryError> {
-        let block = self.check(addr)?;
-        self.version_fetches += 1;
-        self.reads += 1;
-        unseal(&self.sealer, &self.dram, addr, self.version(block))
-            .ok_or(MemoryError::IntegrityViolation { address: addr })
-    }
-}
-
-impl ProtectedMemory for VaultEngine {
-    fn scheme(&self) -> &'static str {
-        "vault"
-    }
-
-    fn read(&mut self, addr: u64) -> Result<[u8; 64], MemoryError> {
-        VaultEngine::read(self, addr)
-    }
-
-    fn write(&mut self, addr: u64, data: &[u8; 64]) -> Result<(), MemoryError> {
-        VaultEngine::write(self, addr, data)
-    }
-
-    fn stats(&self) -> MemoryStats {
-        MemoryStats {
-            reads: self.reads,
-            writes: self.writes,
-            version_fetches: self.version_fetches,
-            reencryption_events: self.tree.overflow_resets,
-        }
-    }
-
-    fn untrusted(&mut self, _addr: u64) -> &mut UntrustedDram {
-        &mut self.dram
+    fn rebases(&self) -> u64 {
+        self.overflow_resets
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use toleo_core::protected::{MemoryError, ProtectedMemory};
 
     fn vault(blocks: u64) -> VaultTree {
-        VaultTree::new(VaultTree::paper_geometry(), blocks)
+        VaultTree::new(blocks)
     }
 
     #[test]
@@ -430,7 +276,11 @@ mod tests {
         for i in 0..200u64 {
             e.write(0, &[i as u8; 64]).unwrap();
         }
-        assert!(e.overflow_resets() >= 3, "resets: {}", e.overflow_resets());
+        assert!(
+            e.store.overflow_resets >= 3,
+            "resets: {}",
+            e.store.overflow_resets
+        );
         assert_eq!(e.read(0).unwrap(), [199u8; 64]);
         for b in [1u64, 7, 33, 63] {
             assert_eq!(e.read(b * 64).unwrap(), [b as u8; 64], "sibling {b}");
@@ -447,9 +297,9 @@ mod tests {
         let mut e = engine();
         e.write(64, &[0xAAu8; 64]).unwrap(); // sibling, block 1
         e.write(64, &[0xABu8; 64]).unwrap();
-        let stale = ProtectedMemory::capture(&mut e, 64);
+        let stale = e.capture(64);
         e.write(64, &[0xACu8; 64]).unwrap(); // version moves past capture
-        ProtectedMemory::replay(&mut e, &stale);
+        e.replay(&stale);
         // Hammer block 0 to force the group overflow; the walk must trip.
         let mut caught = None;
         for i in 0..100u64 {
@@ -465,16 +315,16 @@ mod tests {
             ),
             "reset walk must catch the replayed sibling, got {caught:?}"
         );
-        assert!(e.overflow_resets() >= 1);
+        assert!(e.store.overflow_resets >= 1);
     }
 
     #[test]
     fn engine_replay_detected_on_read_before_any_reset() {
         let mut e = engine();
         e.write(0x40, &[1u8; 64]).unwrap();
-        let stale = ProtectedMemory::capture(&mut e, 0x40);
+        let stale = e.capture(0x40);
         e.write(0x40, &[2u8; 64]).unwrap();
-        ProtectedMemory::replay(&mut e, &stale);
+        e.replay(&stale);
         assert!(matches!(
             e.read(0x40),
             Err(MemoryError::IntegrityViolation { address: 0x40 })
@@ -502,9 +352,13 @@ mod tests {
         let mut nonces = crate::tests::Nonces::default();
         for (block, fill) in crate::tests::hot_trace(28, 600, 1, 128) {
             e.write(block * 64, &[fill; 64]).unwrap();
-            nonces.observe(&e.sealer, &e.dram, |b| e.version(b));
+            nonces.observe(&mut e);
         }
-        assert!(e.overflow_resets() >= 3, "resets: {}", e.overflow_resets());
+        assert!(
+            e.store.overflow_resets >= 3,
+            "resets: {}",
+            e.store.overflow_resets
+        );
         assert!(nonces.len() > 500, "only {} nonces observed", nonces.len());
     }
 
@@ -516,8 +370,8 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for _ in 0..300u64 {
             e.write(0, &[0u8; 64]).unwrap();
-            assert!(seen.insert(e.version(0)), "version repeated");
+            assert!(seen.insert(e.store.version(0)), "version repeated");
         }
-        assert!(e.overflow_resets() >= 4);
+        assert!(e.store.overflow_resets >= 4);
     }
 }

@@ -150,13 +150,13 @@ fn tree_walks(report: &mut Report) {
         &["blocks", "levels", "accesses/miss (cold)"],
     );
     for log2_blocks in [14u32, 17, 20, 23] {
-        let mut tree = CounterTree::new(8, 1 << log2_blocks, 64);
+        let mut tree = CounterTree::new(1 << log2_blocks, 64);
         // Sample cold walks across the space.
-        let mut total = 0u32;
+        let mut total = 0;
         let n = 64u64;
         for i in 0..n {
             let block = (i * ((1u64 << log2_blocks) / n)) % (1 << log2_blocks);
-            total += tree.verify(block).unwrap().memory_accesses;
+            total += tree.verify(block).unwrap().fetches;
         }
         let per_miss = total as f64 / n as f64;
         report.metric(
@@ -187,7 +187,7 @@ fn hot_write_cost(report: &mut Report) {
         "Ablation 5: hot-write cost (10k writes to one block)",
         &["scheme", "blocks re-encrypted", "events"],
     );
-    let mut vault = VaultTree::new(VaultTree::paper_geometry(), 4096);
+    let mut vault = VaultTree::new(4096);
     let mut vault_reenc = 0u64;
     for _ in 0..10_000 {
         vault_reenc += vault.update(0);

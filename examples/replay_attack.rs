@@ -70,7 +70,7 @@ fn main() {
     );
     println!(
         "   ...but paid {} tree-node accesses to get there",
-        sgx.tree_accesses
+        sgx.stats().version_fetches
     );
     println!("\nBoth designs detect everything; Toleo does it with one version access.");
 }

@@ -184,7 +184,7 @@ proptest! {
     fn counter_tree_consistency(
         updates in proptest::collection::vec(0u64..512, 1..120),
     ) {
-        let mut tree = CounterTree::new(8, 512, 32);
+        let mut tree = CounterTree::new(512, 32);
         let mut model = std::collections::HashMap::new();
         for b in updates {
             tree.update(b).unwrap();
