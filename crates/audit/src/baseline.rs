@@ -162,9 +162,7 @@ impl Baseline {
                     .and_then(Value::as_str)
                     .unwrap_or_default();
                 let role = Role::parse(role_name).ok_or_else(|| {
-                    format!(
-                        "atomic `{atomic}` has unknown role `{role_name}` (expected flag/counter)"
-                    )
+                    format!("atomic `{atomic}` has unknown role `{role_name}` (expected flag)")
                 })?;
                 let row = AtomicPolicy {
                     atomic: atomic.clone(),
@@ -316,9 +314,9 @@ mod tests {
 
     #[test]
     fn rejects_unknown_role_and_schema() {
-        // The retired `epoch`, `guard` and `cache` roles included: no
+        // The retired `epoch`, `guard`, `cache` and `counter` roles included: no
         // row uses them, so nothing parses them.
-        for role in ["mystery", "epoch", "guard", "cache"] {
+        for role in ["mystery", "epoch", "guard", "cache", "counter"] {
             let path = temp(
                 "badrole",
                 &format!(

@@ -1,16 +1,16 @@
 //! Rule 3 — **atomic-protocol policy**.
 //!
 //! What the sharded engine shares outside its per-shard mutexes is
-//! lock-free state — the world-kill flag and a telemetry counter —
-//! whose memory orderings are load-bearing: a `Relaxed` store on the
-//! kill flag would pass every test on x86 and silently break the
+//! lock-free state — the world-kill flag and the batch helper's mailbox
+//! phase — whose memory orderings are load-bearing: a `Relaxed` store on
+//! the kill flag would pass every test on x86 and silently break the
 //! kill-poll bound on ARM. `AUDIT.json` therefore declares a *protocol
-//! table*: every atomic names its role (`flag` / `counter`) and the
+//! table*: every atomic names its role (`flag`, the only one) and the
 //! orderings it permits per operation kind (load / store / rmw). This
 //! rule checks every `Ordering::X` call site against the declared row,
-//! flags undeclared atomics, and validates the table itself against
-//! each role's legality rules (Release-store ↔ Acquire-load pairing; no
-//! `Relaxed` on synchronizing roles).
+//! flags undeclared atomics, and validates the table itself against the
+//! role's legality rules (Release-store ↔ Acquire-load pairing; never
+//! `Relaxed`).
 
 use crate::lexer::TokenKind;
 use crate::rules::{Finding, Matched, Tier};
@@ -62,23 +62,20 @@ impl OpKind {
     }
 }
 
-/// The declared role of an atomic in the concurrency protocol. Roles
-/// bound which orderings a row may even declare: the synchronizing
-/// role (`flag`) publishes or observes other state and may never be
-/// `Relaxed`; a `counter` carries no happens-before obligations.
+/// The declared role of an atomic in the concurrency protocol. The role
+/// bounds which orderings a row may even declare: a `flag` publishes or
+/// observes other state and may never be `Relaxed`. Telemetry is summed
+/// under the shard locks when it is read, so no atomic is a counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
-    /// A latching decision bit other threads act on (world-kill flag).
+    /// A decision other threads act on (world-kill flag, mailbox phase).
     Flag,
-    /// Pure telemetry; no decision hangs on its ordering.
-    Counter,
 }
 
 impl Role {
     pub fn parse(s: &str) -> Option<Role> {
         match s {
             "flag" => Some(Role::Flag),
-            "counter" => Some(Role::Counter),
             _ => None,
         }
     }
@@ -86,20 +83,15 @@ impl Role {
     pub fn as_str(self) -> &'static str {
         match self {
             Role::Flag => "flag",
-            Role::Counter => "counter",
         }
     }
 
-    /// Orderings this role may declare for `kind`; `None` means the
-    /// role is unconstrained (counters).
-    fn legal(self, kind: OpKind) -> Option<&'static [&'static str]> {
-        match self {
-            Role::Counter => None,
-            Role::Flag => Some(match kind {
-                OpKind::Load => &["Acquire", "SeqCst"],
-                OpKind::Store => &["Release", "SeqCst"],
-                OpKind::Rmw => &["Release", "AcqRel", "SeqCst"],
-            }),
+    /// Orderings this role may declare for `kind`.
+    fn legal(self, kind: OpKind) -> &'static [&'static str] {
+        match (self, kind) {
+            (Role::Flag, OpKind::Load) => &["Acquire", "SeqCst"],
+            (Role::Flag, OpKind::Store) => &["Release", "SeqCst"],
+            (Role::Flag, OpKind::Rmw) => &["Release", "AcqRel", "SeqCst"],
         }
     }
 }
@@ -147,25 +139,24 @@ pub fn validate_policy(policy: &[AtomicPolicy]) -> Vec<Finding> {
                     ));
                     continue;
                 }
-                if let Some(legal) = row.role.legal(kind) {
-                    if !legal.contains(&o.as_str()) {
-                        out.push(Finding::new(
-                            "atomic-protocol",
-                            "AUDIT.json",
-                            0,
-                            0,
-                            format!(
-                                "protocol row `{}` has role `{}` but permits `Ordering::{o}` \
-                                 for {}s; `{}` roles synchronize and allow only [{}] there \
-                                 (Release store ↔ Acquire load, never Relaxed)",
-                                row.atomic,
-                                row.role.as_str(),
-                                kind.as_str(),
-                                row.role.as_str(),
-                                legal.join(", ")
-                            ),
-                        ));
-                    }
+                let legal = row.role.legal(kind);
+                if !legal.contains(&o.as_str()) {
+                    out.push(Finding::new(
+                        "atomic-protocol",
+                        "AUDIT.json",
+                        0,
+                        0,
+                        format!(
+                            "protocol row `{}` has role `{}` but permits `Ordering::{o}` \
+                             for {}s; `{}` roles synchronize and allow only [{}] there \
+                             (Release store ↔ Acquire load, never Relaxed)",
+                            row.atomic,
+                            row.role.as_str(),
+                            kind.as_str(),
+                            row.role.as_str(),
+                            legal.join(", ")
+                        ),
+                    ));
                 }
             }
         }
@@ -491,19 +482,8 @@ mod tests {
     }
 
     #[test]
-    fn counter_role_may_declare_relaxed() {
-        let pol = policy(&[("ops_served", Role::Counter, &["Relaxed"], &[], &["Relaxed"])]);
-        assert!(validate_policy(&pol).is_empty());
-        let (findings, _) = scan_src(
-            "fn f(&self) { self.ops_served.fetch_add(1, Ordering::Relaxed); }",
-            &pol,
-        );
-        assert!(findings.is_empty());
-    }
-
-    #[test]
     fn unknown_ordering_in_table_is_flagged() {
-        let pol = policy(&[("x", Role::Counter, &["Sequential"], &[], &[])]);
+        let pol = policy(&[("x", Role::Flag, &["Sequential"], &[], &[])]);
         let findings = validate_policy(&pol);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("unknown ordering"));

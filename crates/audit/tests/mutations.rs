@@ -179,7 +179,7 @@ const CASES: &[Case] = &[
         name: "stale_atomics_row",
         file: "AUDIT.json",
         find: "  \"atomics\": {\n",
-        replace: "  \"atomics\": {\n    \"ghost\": {\"role\": \"counter\", \"load\": [\"Relaxed\"], \"why\": \"nothing\"},\n",
+        replace: "  \"atomics\": {\n    \"ghost\": {\"role\": \"flag\", \"load\": [\"Acquire\"], \"why\": \"nothing\"},\n",
         expect: &[(
             "atomic-protocol",
             "AUDIT.json",

@@ -90,7 +90,7 @@ pub fn run(ctx: &RunCtx) -> Report {
     ]);
     quarantine.row(vec![
         Cell::text("ops served when the quarantine engaged"),
-        Cell::int(q.ops_at_quarantine),
+        Cell::int(q.tamper_at_op),
     ]);
     quarantine.row(vec![
         Cell::text("ops served in total"),

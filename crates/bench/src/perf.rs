@@ -80,7 +80,9 @@ pub struct AvailabilityWorkload {
 pub struct QuarantineExperiment {
     /// Workload name.
     pub workload: &'static str,
-    /// Trace op index at which the tamper was mounted.
+    /// Trace op index at which the tamper was mounted: every op before it
+    /// was served, and the detecting read that follows is refused, so it
+    /// is also the ops served when the quarantine engaged.
     pub tamper_at_op: u64,
     /// Shard owning the tampered address.
     pub tampered_shard: usize,
@@ -94,8 +96,6 @@ pub struct QuarantineExperiment {
     pub refused_blocks: u64,
     /// Total ops the engine served.
     pub ops_served_total: u64,
-    /// Ops served when the quarantine engaged.
-    pub ops_at_quarantine: u64,
 }
 
 /// One faulted replay's raw outcome.
@@ -266,8 +266,8 @@ pub fn run_quarantine_experiment(ops: u64) -> QuarantineExperiment {
         }
     }
     assert!(!engine.is_killed(), "a tamper must never world-kill");
-    assert_eq!(engine.quarantined_shard_count(), 1);
     let rs = engine.robustness_stats();
+    assert_eq!(rs.quarantined_shards, 1);
     QuarantineExperiment {
         workload: "random",
         tamper_at_op: event.at_op,
@@ -277,7 +277,6 @@ pub fn run_quarantine_experiment(ops: u64) -> QuarantineExperiment {
         healthy_blocks,
         refused_blocks,
         ops_served_total: rs.ops_served,
-        ops_at_quarantine: rs.ops_at_last_quarantine,
     }
 }
 
@@ -553,7 +552,7 @@ fn run_campaign(
 
     let rs = engine.robustness_stats();
     link_stats.merge(&rs.channel);
-    let false_kills = engine.quarantined_shard_count()
+    let false_kills = rs.quarantined_shards
         + u64::from(rs.world_killed)
         + link_stats.retry_exhaustions
         + rs.recovery.budget_kills

@@ -16,8 +16,9 @@
 //! * [`mac`] — 56-bit tags, as packed eight-per-block in the paper's MAC
 //!   layout: the Carter–Wegman line MAC every scheme's data lines carry (a
 //!   universal hash of the ciphertext plus an AES pad encrypted beside the
-//!   XTS tweak), and SipHash-2-4 as the PRF MAC of the one caller without
-//!   a nonce, the SGX counter tree's nodes.
+//!   XTS tweak) — the SGX counter tree tags its nodes with it too — and
+//!   SipHash-2-4 as a PRF MAC that no scheme uses: its one caller is the
+//!   benchmark harness's per-layer timing.
 //! * [`range`] — D-RaNGe DRAM true-random generator model, the Toleo
 //!   controller's entropy source for stealth re-initialization.
 //!

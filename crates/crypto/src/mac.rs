@@ -45,11 +45,13 @@
 //!
 //! # [`MacKey`] — SipHash-2-4, a PRF
 //!
-//! Kept, unchanged, for the one caller that has no nonce invariant to
-//! lean on: the node MACs of `toleo-baselines`' SGX counter tree. (The
-//! baselines' data lines seal with [`LineMac`], as Toleo's do: their
-//! versions are nonces.) It costs 11 dependent compressions for an
-//! 80-byte message, which is why the line path does not use it.
+//! No scheme tags with it. The baselines' data lines seal with
+//! [`LineMac`], as Toleo's do, and `toleo-baselines`' SGX counter tree
+//! tags each node with [`LineMac`] under `(parent counter, node
+//! address)`: both have a nonce. Its one caller is the benchmark
+//! harness's per-layer timing (`benchmark/src/layers.rs`). It costs 11
+//! dependent compressions for an 80-byte message, which is why the line
+//! path does not use it.
 
 // audit: allow-file(indexing, SipHash state words, 8-byte chunks and the ten hash limbs have fixed widths by construction)
 
@@ -181,7 +183,8 @@ fn low64(block: &[u8; 16]) -> u64 {
     u64::from_le_bytes(block.as_chunks::<8>().0[0])
 }
 
-/// Key for the SipHash-2-4 PRF MAC of the SGX counter tree's nodes.
+/// Key for the SipHash-2-4 PRF MAC, which no scheme tags with (see the
+/// module docs).
 #[derive(Clone)]
 pub struct MacKey {
     k0: u64,

@@ -2,12 +2,12 @@
 //! world-kill protocol, derived step for step from `toleo-core`'s
 //! `sharded.rs`, `sharded/helper.rs` and `sharded/recovery.rs` as
 //! shipped: one mutex per shard guarding everything the shard owns
-//! (engine, `quarantined`, its stamp, the key generation), the two
-//! atomics beside them — the `Release`/`Acquire` world-kill flag and the
-//! `Relaxed` served-op counter — and the batch helper's mailbox phase. A
-//! model step is one action another thread can observe: a lock acquire
-//! or release, or one load / store / RMW on an atomic. Plain accesses to
-//! lock-guarded fields ride on the neighbouring step.
+//! (engine, `quarantined`, the served-op count, the key generation), the
+//! one atomic beside them — the `Release`/`Acquire` world-kill flag — and
+//! the batch helper's mailbox phase. A model step is one action another
+//! thread can observe: a lock acquire or release, or one load / store /
+//! RMW on an atomic. Plain accesses to lock-guarded fields ride on the
+//! neighbouring step.
 //!
 //! Two shards — `A` healthy, `B` holding one tampered block — and four
 //! threads, the protocol's critical sections:
@@ -16,11 +16,10 @@
 //!   does (`run_on_shard` / `run_batch` → `drain_shard` →
 //!   `finish_world_kill`): `check_alive`, then per run lock the shard,
 //!   refuse if it is quarantined, per chunk poll the kill flag, serve the
-//!   ops, flush the served count; on a failure `escalate_after_kill`
-//!   marks and stamps the quarantine and, past the recovery budget,
-//!   stores the kill flag — still under the lock — and the ladder
-//!   finishes the kill with `trip_kill` once no lock is held. The caller
-//!   is a single op on `B`.
+//!   ops; on a failure `escalate_after_kill` marks the quarantine and,
+//!   past the recovery budget, stores the kill flag — still under the
+//!   lock — and the ladder finishes the kill with `trip_kill` once no
+//!   lock is held. The caller is a single op on `B`.
 //! - The peer's batch spans both shards. It offers its upper half, the
 //!   run on `B` — one served op, then the read that detects the tamper —
 //!   to [`HELPER`], drains its own run on `A` (`PEER_OPS` ops), then takes
@@ -85,9 +84,6 @@ pub enum Bug {
     /// `trip_kill`, which locks every shard in turn, is called while
     /// the drain still holds its own shard's lock.
     TripKillUnderLock,
-    /// The served-op flush is skipped when a chunk ends in a failure
-    /// (what PR 20 fixed).
-    SkipFlushOnFailure,
     /// The batch caller runs `finish_world_kill` before the helper's
     /// half is back, so a kill the helper flags under its shard lock is
     /// never finished.
@@ -119,7 +115,6 @@ pub struct FinalState {
     pub generation: u64,
     pub budget_kills: u64,
     pub ops_served: u64,
-    pub ops_at_last_quarantine: u64,
 }
 
 /// Everything one shard's mutex guards, plus the mutex.
@@ -130,7 +125,6 @@ struct Shard {
     /// by `trip_kill`. A killed engine fails every op.
     engine_killed: bool,
     quarantined: bool,
-    ops_at_quarantine: u64,
     generation: u64,
     budget_kills: u64,
 }
@@ -160,9 +154,8 @@ enum DrainPc {
     LockAdmit,
     Poll,
     Exec,
-    Flush,
     Escalate,
-    Stamp,
+    Mark,
     Budget,
     Unlock,
     /// The peer's own run is done: take the offer back, or await it.
@@ -191,8 +184,6 @@ struct Drain {
     offers: bool,
     pc: DrainPc,
     next_op: u8,
-    /// The chunk's `ServedFlush` count, not yet added to `ops_served`.
-    unflushed: u64,
     served_after_kill: u8,
     outcome: Outcome,
 }
@@ -207,7 +198,6 @@ impl Drain {
             offers: false,
             pc: DrainPc::CheckAlive,
             next_op: 0,
-            unflushed: 0,
             served_after_kill: 0,
             outcome: Outcome::Pending,
         }
@@ -242,9 +232,9 @@ pub struct Handshake {
     chunk: u8,
     shards: [Shard; 2],
     killed: bool,
+    /// The shards' served-op counts, summed: each op adds to its own
+    /// shard's under that shard's lock, so only the sum is observable.
     ops_served: u64,
-    /// Ghost: ops that actually landed, whatever the counter says.
-    landed: u64,
     drains: [Drain; 3],
     offer: Offer,
     helper_pc: HelperPc,
@@ -277,7 +267,6 @@ impl Handshake {
             shards,
             killed: false,
             ops_served: 0,
-            landed: 0,
             drains: [offered, Drain::new(SHARD_B, 1, None), peer],
             offer: Offer::Unposted,
             helper_pc: HelperPc::Wait,
@@ -330,12 +319,6 @@ impl Handshake {
             generation: self.shards[SHARD_B].generation,
             budget_kills: self.shards.iter().map(|s| s.budget_kills).sum(),
             ops_served: self.ops_served,
-            ops_at_last_quarantine: self
-                .shards
-                .iter()
-                .map(|s| s.ops_at_quarantine)
-                .max()
-                .unwrap_or(0),
         }
     }
 
@@ -392,7 +375,6 @@ impl Handshake {
     }
 
     fn drain_advance(&mut self, tid: usize, d: &mut Drain) -> Step {
-        let failed = d.outcome == Outcome::IntegrityViolation;
         let chunk_start = if self.bug == Bug::SkipChunkPoll {
             DrainPc::Exec
         } else {
@@ -459,7 +441,8 @@ impl Handshake {
                     DrainPc::Exec
                 };
             }
-            // `exec_op` on the locked engine.
+            // `exec_op` on the locked engine; a served op is counted in
+            // its shard's `ops_served` under the same lock.
             DrainPc::Exec => {
                 let shard = &mut self.shards[d.shard];
                 if shard.quarantined {
@@ -477,8 +460,7 @@ impl Handshake {
                     d.outcome = Outcome::IntegrityViolation;
                 } else {
                     d.next_op += 1;
-                    d.unflushed += 1;
-                    self.landed += 1;
+                    self.ops_served += 1;
                     if self.killed {
                         d.served_after_kill += 1;
                     }
@@ -490,39 +472,27 @@ impl Handshake {
                         ));
                     }
                 }
-                let failed = d.outcome == Outcome::IntegrityViolation;
-                if failed || d.next_op == d.ops || d.next_op.is_multiple_of(self.chunk) {
-                    d.pc = DrainPc::Flush;
-                }
-            }
-            // `ServedFlush`: one `fetch_add` per chunk, failing or not.
-            DrainPc::Flush => {
-                if !(failed && self.bug == Bug::SkipFlushOnFailure) {
-                    self.ops_served += d.unflushed;
-                }
-                d.unflushed = 0;
-                d.pc = if failed {
-                    DrainPc::Escalate
+                if d.outcome == Outcome::IntegrityViolation {
+                    d.pc = DrainPc::Escalate;
                 } else if d.next_op == d.ops {
                     d.outcome = Outcome::Served;
-                    DrainPc::Unlock
-                } else {
-                    chunk_start
-                };
+                    d.pc = DrainPc::Unlock;
+                } else if d.next_op.is_multiple_of(self.chunk) {
+                    d.pc = chunk_start;
+                }
             }
             // `state.engine.is_killed() && !self.is_killed()`.
             DrainPc::Escalate => {
                 d.pc = if self.shards[d.shard].engine_killed && !self.killed {
-                    DrainPc::Stamp
+                    DrainPc::Mark
                 } else {
                     DrainPc::Unlock
                 };
             }
-            // escalate_after_kill: mark, and stamp with `ops_served`.
-            DrainPc::Stamp => {
+            // escalate_after_kill: mark the quarantine.
+            DrainPc::Mark => {
                 let shard = &mut self.shards[d.shard];
                 shard.quarantined = true;
-                shard.ops_at_quarantine = self.ops_served;
                 d.pc = if shard.generation >= RECOVERY_BUDGET {
                     DrainPc::Budget
                 } else {
@@ -741,19 +711,10 @@ impl Program for Handshake {
         let ensure = |ok: bool, what: String| if ok { Ok(()) } else { Err(what) };
         let b = &self.shards[SHARD_B];
         ensure(
-            self.ops_served == self.landed,
+            self.outcome(PEER) == Outcome::IntegrityViolation,
             format!(
-                "served-op flush skipped: ops_served is {} but {} ops landed",
-                self.ops_served, self.landed
-            ),
-        )?;
-        ensure(
-            self.outcome(PEER) == Outcome::IntegrityViolation && b.ops_at_quarantine > 0,
-            format!(
-                "the detecting batch returned {:?} with quarantine stamp {}: the stamp must \
-                 count the op served ahead of the detection",
-                self.outcome(PEER),
-                b.ops_at_quarantine
+                "the detecting batch returned {:?}: its tampered read must fail it",
+                self.outcome(PEER)
             ),
         )?;
         ensure(
@@ -819,9 +780,9 @@ mod tests {
         assert_eq!(
             ex,
             Explored {
-                states: 3_408,
-                transitions: 8_398,
-                terminals: 20
+                states: 1_852,
+                transitions: 4_635,
+                terminals: 8
             }
         );
     }
@@ -833,14 +794,14 @@ mod tests {
         assert_eq!(
             ex,
             Explored {
-                states: 9_832,
-                transitions: 22_141,
-                terminals: 78
+                states: 5_796,
+                transitions: 13_033,
+                terminals: 48
             }
         );
     }
 
-    // Three bugs are pinned here; `tests/model_check.rs` walks all nine.
+    // Three bugs are pinned here; `tests/model_check.rs` walks all eight.
     fn caught(bug: Bug, budget_spent: bool) -> String {
         explore(&Handshake::new(bug, budget_spent)).expect_err("injected bug escaped the explorer")
     }

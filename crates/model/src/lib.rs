@@ -16,9 +16,7 @@
 //!   world-kill is always finished (every engine force-killed, no lock
 //!   held by whoever finishes it, and not before the batch helper's half
 //!   is back), and a batch drain serves at most one `KILL_POLL_OPS` chunk
-//!   after the flag is set,
-//! - every op that landed is counted in `ops_served`, ahead of the
-//!   quarantine stamp taken from it.
+//!   after the flag is set.
 //!
 //! Design rules, in the spirit of loom but dependency-free:
 //!
@@ -36,8 +34,8 @@
 //!   seed. The sizes of the two clean state spaces are pinned by tests.
 //!
 //! The model lives in [`handshake`]: one mutex per shard guarding the
-//! engine, `quarantined`, its stamp and the key generation, the two
-//! atomics beside them and the batch helper's mailbox, with injectable
+//! engine, `quarantined`, the served-op count and the key generation,
+//! the kill flag beside them and the batch helper's mailbox, with injectable
 //! protocol bugs that the test suite proves the explorer catches. The
 //! integration tests replay every ordering of the model's three calls
 //! against a real `toleo_core::sharded::ShardedEngine` and require every

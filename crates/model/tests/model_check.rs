@@ -33,7 +33,7 @@ fn every_injected_bug_is_detected() {
         "never reached the world-kill",
         "past its recovery budget",
     ]);
-    let cases: [(Bug, Verdict, Verdict); 9] = [
+    let cases: [(Bug, Verdict, Verdict); 8] = [
         // Nothing below reads the kill flag or the budget until a
         // quarantine finds the budget spent.
         (Bug::SkipKillOnBudget, SPACE_PASSES, BUDGET_RULES),
@@ -61,11 +61,6 @@ fn every_injected_bug_is_detected() {
         ),
         (Bug::CheckAliveBeforeLock, SPACE_PASSES, BUDGET_RULES),
         (Bug::TripKillUnderLock, SPACE_PASSES, Some(&["deadlock"])),
-        (
-            Bug::SkipFlushOnFailure,
-            Some(&["served-op flush skipped"]),
-            Some(&["served-op flush skipped"]),
-        ),
         // Only a kill the helper flags is left for the peer to finish.
         (
             Bug::FinishBeforeHelperReturns,
@@ -241,11 +236,10 @@ fn model_and_real_engine_agree_on_every_critical_section_ordering() {
             let rs = engine.robustness_stats();
             let real = FinalState {
                 killed: engine.is_killed(),
-                quarantined_shards: engine.quarantined_shard_count(),
+                quarantined_shards: rs.quarantined_shards,
                 generation: rs.recovery.recoveries,
                 budget_kills: rs.recovery.budget_kills,
                 ops_served: rs.ops_served - base,
-                ops_at_last_quarantine: rs.ops_at_last_quarantine - base,
             };
             let ends: HashSet<FinalState> = states
                 .into_iter()

@@ -95,9 +95,10 @@ impl EngineStats {
 /// stats getters report exactly this frozen state (the detecting access
 /// itself is included — it physically happened).
 ///
-/// Public because a sharded deployment carries it out in
-/// [`ToleoError::ShardQuarantined`]: the forensic record of a quarantined
-/// shard travels with the refusal.
+/// Public because a sharded deployment keeps it as the forensic record of
+/// a quarantined shard: `ShardedEngine::per_shard_stats` and
+/// `ShardedEngine::snapshot` read it while the shard is frozen, and
+/// `RecoveryOutcome::forensic` hands it over when the shard is re-keyed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KillSnapshot {
     /// Engine counters at the kill instant.
@@ -257,9 +258,8 @@ impl ProtectionEngine {
     }
 
     /// The frozen kill-switch snapshot, if the engine is killed. A
-    /// sharded deployment clones this into
-    /// [`ToleoError::ShardQuarantined`] so the forensic record travels
-    /// with the refusal.
+    /// sharded deployment's recovery hands it over as the quarantined
+    /// shard's forensic record.
     pub fn kill_snapshot(&self) -> Option<KillSnapshot> {
         self.killed.as_deref().copied()
     }
@@ -1446,7 +1446,7 @@ mod tests {
         for shard in 0..SHARDS {
             resets += e.shard_engine_mut(shard).stats().pages_reencrypted;
         }
-        assert!(!e.is_killed() && e.quarantined_shard_count() == 0);
+        assert!(!e.is_killed() && e.robustness_stats().quarantined_shards == 0);
         assert!(
             resets > 50 && frees > 50 && recoveries == 2,
             "{resets} {frees}"

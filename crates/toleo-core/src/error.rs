@@ -5,8 +5,6 @@
 //! when its retry budget is exhausted do they surface here, as
 //! [`ToleoError::DeviceUnavailable`].
 
-use crate::engine::KillSnapshot;
-
 /// Errors raised by the Toleo device and the host protection engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ToleoError {
@@ -17,17 +15,15 @@ pub enum ToleoError {
         address: u64,
     },
     /// The shard owning this address has been quarantined after detecting
-    /// tampering: the shard is frozen (its counters are carried in the
-    /// snapshot) while healthy peer shards keep serving. Fail-closed for
-    /// this address range, contained for everyone else.
+    /// tampering: the shard is frozen while healthy peer shards keep
+    /// serving. Fail-closed for this address range, contained for everyone
+    /// else. The shard's counters, frozen at the instant its kill switch
+    /// engaged, are read from the handle, not carried here.
     ShardQuarantined {
         /// Index of the quarantined shard.
         shard: usize,
         /// Physical address of the refused operation.
         address: u64,
-        /// The shard's observable state, frozen at the instant its kill
-        /// switch engaged.
-        snapshot: Box<KillSnapshot>,
     },
     /// The freshness device did not deliver a response within the channel's
     /// retry budget. A host that cannot verify freshness must fail closed:
@@ -79,7 +75,7 @@ impl std::fmt::Display for ToleoError {
                     "integrity/freshness check failed at {address:#x}: kill switch engaged"
                 )
             }
-            ToleoError::ShardQuarantined { shard, address, .. } => {
+            ToleoError::ShardQuarantined { shard, address } => {
                 write!(
                     f,
                     "shard {shard} quarantined after tamper detection; {address:#x} refused"
@@ -180,8 +176,7 @@ mod tests {
         .contains("failing closed"));
         assert!(ToleoError::ShardQuarantined {
             shard: 3,
-            address: 0x40,
-            snapshot: Box::new(KillSnapshot::default()),
+            address: 0x40
         }
         .to_string()
         .contains("quarantined"));

@@ -13,12 +13,13 @@
 //!
 //! A shard is one mutex. Everything that belongs to shard *k* — its
 //! engine, its key generation, whether it is quarantined, the ledger of
-//! blocks a recovery scrub lost and its recovery counters — is one
-//! `Shard` behind `shards[k]`, and the handle holds no other lock:
-//! whoever drains, recovers or snapshots a shard already holds that
-//! mutex, so nothing beside it needs synchronisation of its own. The
-//! shards' only atomics are the world-kill flag (`Release` store,
-//! `Acquire` load) and the `Relaxed` served-op counter.
+//! blocks a recovery scrub lost, its served-op count and its recovery
+//! counters — is one `Shard` behind `shards[k]`, and the handle holds no
+//! other lock: whoever drains, recovers or snapshots a shard already
+//! holds that mutex, so nothing beside it needs synchronisation of its
+//! own, and telemetry is summed when it is read, never pushed. The
+//! module's only atomics are the world-kill flag (`Release` store,
+//! `Acquire` load) and the batch helper's mailbox phase.
 //!
 //! [`ShardedEngine`] is the thread-safe handle. Single operations route to
 //! the owning shard under its mutex, on the calling thread;
@@ -39,9 +40,10 @@
 //!   individually inert, counters frozen in a [`KillSnapshot`]), its
 //!   `quarantined` field is set under the lock the detecting op already
 //!   holds, and subsequent operations routed to it are *refused* (never
-//!   parked) with [`ToleoError::ShardQuarantined`] carrying that frozen
-//!   snapshot. Healthy shards keep serving — one hostile tenant cannot
-//!   deny service to every other tenant in the pool. A caller draining a
+//!   parked) with [`ToleoError::ShardQuarantined`]; the frozen snapshot
+//!   stays with the shard, read by [`ShardedEngine::per_shard_stats`] and
+//!   handed over by recovery. Healthy shards keep serving — one hostile
+//!   tenant cannot deny service to every other tenant in the pool. A caller draining a
 //!   batch run on a healthy shard shares nothing with the quarantined
 //!   one and never learns of it.
 //! * **Recover** — a quarantined shard can be scrubbed, re-keyed under a
@@ -70,7 +72,7 @@ use crate::fault::FaultPlanConfig;
 use crate::layout;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use toleo_crypto::aes::Aes128;
 
@@ -113,12 +115,8 @@ pub struct RobustnessStats {
     /// Whether the world-kill (device-level escalation) has engaged.
     pub world_killed: bool,
     /// Operations served successfully through this handle (singles plus
-    /// batch ops).
+    /// batch ops), summed over the shards.
     pub ops_served: u64,
-    /// Value of [`ops_served`](Self::ops_served) at the most recent
-    /// quarantine (the largest per-shard stamp) — together with the
-    /// current value, the detection-to-now op distance.
-    pub ops_at_last_quarantine: u64,
     /// Recovery-plane counters: scrubs, re-keys, lost blocks, and
     /// budget-exhaustion kills. See [`RecoveryStats`].
     pub recovery: RecoveryStats,
@@ -160,7 +158,7 @@ pub struct ShardedEngine {
     cfg: ToleoConfig,
 }
 
-/// The shards and the two atomics beside them: what a drain touches,
+/// The shards and the kill flag beside them: what a drain touches,
 /// shared by the handle and the batch helper.
 #[derive(Debug)]
 struct Core {
@@ -169,8 +167,6 @@ struct Core {
     /// inside a batch drain); checked on every entry and between batch
     /// chunks so drains abort promptly.
     killed: AtomicBool,
-    /// Successful ops served (telemetry; see [`RobustnessStats`]).
-    ops_served: AtomicU64,
 }
 
 /// Everything one shard's mutex guards. The ledger and counters sit
@@ -183,10 +179,10 @@ struct Shard {
     generation: u64,
     /// Frozen by a tamper detection until
     /// [`ShardedEngine::recover_shard`] re-admits it: every op routed
-    /// here is refused with the engine's frozen snapshot.
+    /// here is refused.
     quarantined: bool,
-    /// The handle's `ops_served` when this shard was last quarantined.
-    ops_at_quarantine: u64,
+    /// Ops this shard served, across generations (see [`RobustnessStats`]).
+    ops_served: u64,
     /// Addresses a recovery scrub classified lost and no write has
     /// repopulated since.
     lost: HashSet<u64>,
@@ -194,6 +190,28 @@ struct Shard {
     blocks_scrubbed: u64,
     blocks_lost: u64,
     budget_kills: u64,
+}
+
+impl Shard {
+    /// Classifies an engine-kill observed after an operation: a channel
+    /// retry-budget exhaustion escalates to the world-kill; anything else
+    /// (tamper, replay) quarantines only this shard — unless the shard
+    /// has already consumed its recovery budget, in which case a repeat
+    /// tamper is a determined adversary parked on one address range and
+    /// containment gives way to the world-kill. Returns `true` when the
+    /// caller must finish the world-kill (after releasing this shard's
+    /// lock).
+    fn escalate_after_kill(&mut self, error: &ToleoError) -> bool {
+        if matches!(error, ToleoError::DeviceUnavailable { .. }) {
+            return true;
+        }
+        self.quarantined = true;
+        if self.generation >= RECOVERY_BUDGET {
+            self.budget_kills += 1;
+            return true;
+        }
+        false
+    }
 }
 
 impl ShardedEngine {
@@ -239,10 +257,10 @@ impl ShardedEngine {
         let engines = (0..shards)
             .map(|s| {
                 let mut shard_cfg = cfg.clone();
-                shard_cfg.rng_seed = derive_shard_seed(cfg.rng_seed, s as u64);
+                shard_cfg.rng_seed = derive_shard_seed(cfg.rng_seed, s as u64, 0);
                 ProtectionEngine::try_new_with_robustness(
                     shard_cfg,
-                    derive_shard_key(&root_key, s as u64),
+                    derive_shard_key(&root_key, s as u64, 0),
                     fault_plan,
                     policy,
                 )
@@ -251,7 +269,7 @@ impl ShardedEngine {
                         engine,
                         generation: 0,
                         quarantined: false,
-                        ops_at_quarantine: 0,
+                        ops_served: 0,
                         lost: HashSet::new(),
                         pages_scrubbed: 0,
                         blocks_scrubbed: 0,
@@ -265,7 +283,6 @@ impl ShardedEngine {
             core: Arc::new(Core {
                 shards: engines.into_boxed_slice(),
                 killed: AtomicBool::new(false),
-                ops_served: AtomicU64::new(0),
             }),
             helper: OnceLock::new(),
             rekey: RekeyInputs {
@@ -313,11 +330,6 @@ impl ShardedEngine {
     /// middle of one — and must not be called with a shard lock held.
     pub fn is_shard_quarantined(&self, shard: usize) -> bool {
         shard < self.shard_count() && self.core.lock_shard(shard).quarantined
-    }
-
-    /// Number of quarantined shards, each read under its lock.
-    pub fn quarantined_shard_count(&self) -> u64 {
-        self.robustness_stats().quarantined_shards
     }
 
     fn check_alive(&self, address: u64) -> Result<()> {
@@ -606,16 +618,15 @@ impl ShardedEngine {
     }
 
     /// Aggregated robustness telemetry — channel counters, quarantine
-    /// state and recovery counters — built in one pass that takes each
-    /// shard lock once. See [`RobustnessStats`].
+    /// state, served ops and recovery counters — built in one pass that
+    /// takes each shard lock once. See [`RobustnessStats`].
     pub fn robustness_stats(&self) -> RobustnessStats {
         let mut total = RobustnessStats::default();
         for index in 0..self.shard_count() {
             let state = self.core.lock_shard(index);
             total.channel.merge(&state.engine.channel_stats());
             total.quarantined_shards += u64::from(state.quarantined);
-            total.ops_at_last_quarantine =
-                total.ops_at_last_quarantine.max(state.ops_at_quarantine);
+            total.ops_served += state.ops_served;
             total.recovery.recoveries += state.generation;
             total.recovery.pages_scrubbed += state.pages_scrubbed;
             total.recovery.blocks_scrubbed += state.blocks_scrubbed;
@@ -623,9 +634,6 @@ impl ShardedEngine {
             total.recovery.blocks_still_lost += state.lost.len() as u64;
             total.recovery.budget_kills += state.budget_kills;
         }
-        // Read after the pass: every stamp was taken from this counter
-        // under a lock the pass has since held, so none exceeds it.
-        total.ops_served = self.core.ops_served.load(Ordering::Relaxed);
         total.world_killed = self.is_killed();
         total
     }
@@ -693,39 +701,6 @@ impl Core {
         }
     }
 
-    /// The refusal a quarantined shard serves: [`ToleoError::ShardQuarantined`]
-    /// carrying the engine's frozen [`KillSnapshot`]. `engine` must be the
-    /// already-locked shard engine.
-    ///
-    /// [`KillSnapshot`]: crate::engine::KillSnapshot
-    fn quarantine_refusal(shard: usize, address: u64, engine: &ProtectionEngine) -> ToleoError {
-        ToleoError::ShardQuarantined {
-            shard,
-            address,
-            snapshot: Box::new(engine.kill_snapshot().unwrap_or_default()),
-        }
-    }
-
-    /// Classifies an engine-kill observed after an operation: a channel
-    /// retry-budget exhaustion escalates to the world-kill; anything else
-    /// (tamper, replay) quarantines only this shard — unless the shard
-    /// has already consumed its recovery budget, in which case a repeat
-    /// tamper is a determined adversary parked on one address range and
-    /// containment gives way to the world-kill. Returns `true` when the
-    /// caller must finish the world-kill (after releasing `state`'s lock).
-    fn escalate_after_kill(&self, state: &mut Shard, error: &ToleoError) -> bool {
-        if matches!(error, ToleoError::DeviceUnavailable { .. }) {
-            return true;
-        }
-        state.quarantined = true;
-        state.ops_at_quarantine = self.ops_served.load(Ordering::Relaxed);
-        if state.generation >= RECOVERY_BUDGET {
-            state.budget_kills += 1;
-            return true;
-        }
-        false
-    }
-
     /// Drains the runs `spans` of `runs`, one shard after another, noting
     /// each run's failure in `failures`: the part of a batch one thread
     /// drains, the caller's or the helper's.
@@ -774,10 +749,10 @@ impl Core {
 
     /// Drains `run` — the batch indices `shard` owns, in batch order —
     /// under that shard's lock: `exec_op` serves one index at a time,
-    /// exactly as a caller's own loop of single ops would, and the only
-    /// thing done per [`KILL_POLL_OPS`]-op chunk is the kill poll and the
-    /// flush of the served-op count. Returns the failing batch index; ops
-    /// after it are not attempted.
+    /// exactly as a caller's own loop of single ops would, each served op
+    /// counted in the shard's `ops_served`, and the only thing done per
+    /// [`KILL_POLL_OPS`]-op chunk is the kill poll. Returns the failing
+    /// batch index; ops after it are not attempted.
     fn drain_shard(
         &self,
         shard: usize,
@@ -788,10 +763,9 @@ impl Core {
     ) -> DrainResult {
         let mut state = self.lock_shard(shard);
         if state.quarantined {
-            // This whole run is addressed to a frozen shard: refuse it
-            // with the forensic snapshot.
-            let refusal = Self::quarantine_refusal(shard, addr_of(run[0]), &state.engine);
-            return Err((run[0], refusal));
+            // This whole run is addressed to a frozen shard: refuse it.
+            let address = addr_of(run[0]);
+            return Err((run[0], ToleoError::ShardQuarantined { shard, address }));
         }
         for chunk in run.chunks(KILL_POLL_OPS) {
             // A device-level failure seen by another caller trips the
@@ -807,12 +781,6 @@ impl Core {
                     },
                 ));
             }
-            // Flushes on every way out of the chunk, an unwinding
-            // `exec_op` included: ops that landed are counted.
-            let mut served = ServedFlush {
-                ops_served: &self.ops_served,
-                count: 0,
-            };
             let failure = chunk.iter().find_map(|&i| {
                 let address = addr_of(i);
                 // Recovery may have left lost-block markers on this
@@ -828,7 +796,9 @@ impl Core {
                 if let Err(e) = exec_op(&mut state.engine, i) {
                     return Some((i, e));
                 }
-                served.count += 1;
+                // Counted as it lands: a failure or an unwind later in
+                // the chunk cannot take it back.
+                state.ops_served += 1;
                 if has_losses {
                     match access {
                         Access::Read => {}
@@ -843,14 +813,8 @@ impl Core {
                 }
                 None
             });
-            // Flushed before a failure escalates, so a quarantine's
-            // stamp counts the ops served ahead of it.
-            drop(served);
             if let Some((index, e)) = failure {
-                if state.engine.is_killed()
-                    && !self.is_killed()
-                    && self.escalate_after_kill(&mut state, &e)
-                {
+                if state.engine.is_killed() && !self.is_killed() && state.escalate_after_kill(&e) {
                     // Only the flag here: trip_kill() locks every
                     // shard and we hold this one. The caller
                     // finishes the kill once no lock is held.
@@ -1088,19 +1052,6 @@ enum Access {
     Free,
 }
 
-/// Adds a drain chunk's served-op count to the handle's counter when it
-/// goes out of scope — one RMW per chunk, panic or not.
-struct ServedFlush<'a> {
-    ops_served: &'a AtomicU64,
-    count: u64,
-}
-
-impl Drop for ServedFlush<'_> {
-    fn drop(&mut self) {
-        self.ops_served.fetch_add(self.count, Ordering::Relaxed);
-    }
-}
-
 /// A drain's failure: the failing batch index with its error.
 type DrainResult = std::result::Result<(), (usize, ToleoError)>;
 
@@ -1120,17 +1071,12 @@ fn error_is_severe(e: &ToleoError) -> bool {
 
 /// Derives a shard's 48-byte key material from the root key: each 16-byte
 /// subkey (XTS data, XTS tweak, MAC) keys AES-128 as a PRF over a block
-/// encoding the shard index and the subkey's role, so no two shards — and
-/// no shard and the root — ever share a key.
-fn derive_shard_key(root: &[u8; 48], shard: u64) -> [u8; 48] {
-    derive_shard_key_gen(root, shard, 0)
-}
-
-/// Generation-salted variant of [`derive_shard_key`]: the recovery
-/// generation joins the PRF block, so a shard re-keyed after a quarantine
-/// shares no key material with its compromised predecessor. Generation 0
-/// is byte-identical to the original derivation.
-fn derive_shard_key_gen(root: &[u8; 48], shard: u64, generation: u8) -> [u8; 48] {
+/// encoding the shard index, the subkey's role and the recovery
+/// generation, so no two shards — no shard and the root, and no re-keyed
+/// shard and its compromised predecessor — ever share a key. The
+/// generation fits the block's last byte: it never exceeds
+/// [`RECOVERY_BUDGET`] (asserted in [`recovery`]).
+fn derive_shard_key(root: &[u8; 48], shard: u64, generation: u64) -> [u8; 48] {
     let mut out = [0u8; 48];
     for (role, subkey) in crate::seal::split_key_material(root)
         .into_iter()
@@ -1140,7 +1086,7 @@ fn derive_shard_key_gen(root: &[u8; 48], shard: u64, generation: u8) -> [u8; 48]
         block[..8].copy_from_slice(&shard.to_le_bytes());
         block[8] = role as u8;
         block[9..15].copy_from_slice(b"shard/");
-        block[15] = generation;
+        block[15] = generation as u8;
         out[role * 16..(role + 1) * 16]
             .copy_from_slice(&Aes128::new(&subkey).encrypt_block(&block));
     }
@@ -1149,21 +1095,16 @@ fn derive_shard_key_gen(root: &[u8; 48], shard: u64, generation: u8) -> [u8; 48]
 
 /// Splitmix64-style derivation of a shard's device RNG seed: shards must
 /// draw independent stealth-base streams or identical pages on different
-/// shards would reveal correlated versions.
-fn derive_shard_seed(root_seed: u64, shard: u64) -> u64 {
-    let mut z = root_seed ^ (shard.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+/// shards would reveal correlated versions, and a re-keyed shard's device
+/// draws a fresh one. `shard` is below [`MAX_SHARDS`] and the generation
+/// fits a byte, so distinct (shard, generation) pairs salt distinct
+/// inputs.
+fn derive_shard_seed(root_seed: u64, shard: u64, generation: u64) -> u64 {
+    let salted = shard ^ (generation << 32);
+    let mut z = root_seed ^ (salted.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Generation-salted variant of [`derive_shard_seed`]: a re-keyed shard's
-/// device draws a fresh stealth-base stream. `shard` is below
-/// [`MAX_SHARDS`] and the generation fits a byte, so distinct
-/// (shard, generation) pairs map to distinct derivation inputs.
-/// Generation 0 is identical to the original derivation.
-fn derive_shard_seed_gen(root_seed: u64, shard: u64, generation: u64) -> u64 {
-    derive_shard_seed(root_seed, shard ^ (generation << 32))
 }
 
 #[cfg(test)]
@@ -1259,22 +1200,21 @@ mod tests {
         // Containment: only shard 2 is frozen; the world lives on.
         assert!(!e.is_killed(), "tamper must quarantine, not world-kill");
         assert!(e.is_shard_quarantined(2));
-        assert_eq!(e.quarantined_shard_count(), 1);
-        // The quarantined shard refuses with the frozen forensic snapshot.
-        match e.read(2 * 4096) {
+        assert_eq!(e.robustness_stats().quarantined_shards, 1);
+        // The quarantined shard refuses; its frozen forensic record stays
+        // with the shard.
+        assert_eq!(
+            e.read(2 * 4096),
             Err(ToleoError::ShardQuarantined {
                 shard: 2,
-                address,
-                snapshot,
-            }) => {
-                assert_eq!(address, 2 * 4096);
-                // Shard 2 owned pages 2 and 6 of the 8 written, plus the
-                // detecting read.
-                assert_eq!(snapshot.stats.writes, 2);
-                assert_eq!(snapshot.stats.reads, 1);
-            }
-            other => panic!("expected ShardQuarantined, got {other:?}"),
-        }
+                address: 2 * 4096
+            })
+        );
+        let frozen = e.per_shard_stats()[2];
+        // Shard 2 owned pages 2 and 6 of the 8 written, plus the detecting
+        // read; the refused read is not in it.
+        assert_eq!(frozen.writes, 2);
+        assert_eq!(frozen.reads, 1);
         assert!(e.write(6 * 4096, &[0u8; 64]).is_err(), "page 6 is shard 2");
         // Every healthy shard keeps serving reads, writes and frees.
         for page in [0u64, 1, 3, 4, 5, 7] {
@@ -1286,6 +1226,10 @@ mod tests {
         for shard in 0..4 {
             assert_eq!(e.shard_engine_mut(shard).is_killed(), shard == 2);
         }
+        // The frozen record's two homes agree: what the shard reports
+        // while quarantined is what recovery hands over.
+        assert_eq!(e.per_shard_stats()[2], frozen);
+        assert_eq!(e.recover_shard(2).unwrap().forensic.stats, frozen);
     }
 
     #[test]
@@ -1301,7 +1245,7 @@ mod tests {
         ));
         assert!(!e.is_killed());
         assert!(e.is_shard_quarantined(1), "page 5 belongs to shard 1");
-        assert_eq!(e.quarantined_shard_count(), 1);
+        assert_eq!(e.robustness_stats().quarantined_shards, 1);
         // A batch over the healthy shards' pages drains around the
         // quarantined member.
         let healthy: Vec<u64> = (0..16u64)
@@ -1310,7 +1254,7 @@ mod tests {
             .collect();
         let blocks = e.read_batch(&healthy).unwrap();
         assert_eq!(blocks.len(), 12);
-        // A batch touching the quarantined shard refuses with the snapshot.
+        // A batch touching the quarantined shard refuses.
         assert!(matches!(
             e.read_batch(&[0, 4096]),
             Err(ToleoError::ShardQuarantined { shard: 1, .. })
@@ -1370,7 +1314,7 @@ mod tests {
             Err(ToleoError::DeviceFull { .. })
         ));
         assert!(!e.is_killed(), "resource exhaustion is not tampering");
-        assert_eq!(e.quarantined_shard_count(), 0);
+        assert_eq!(e.robustness_stats().quarantined_shards, 0);
         // The engine still serves.
         assert_eq!(e.read(0x40).unwrap(), [1u8; 64]);
     }
@@ -1399,8 +1343,8 @@ mod tests {
             other => panic!("expected DeviceUnavailable, got {other:?}"),
         }
         assert!(e.is_killed(), "unreachable device must world-kill");
-        assert_eq!(e.quarantined_shard_count(), 0, "this is not a quarantine");
         let rs = e.robustness_stats();
+        assert_eq!(rs.quarantined_shards, 0, "this is not a quarantine");
         assert!(rs.world_killed);
         assert_eq!(rs.channel.retry_exhaustions, 1);
         // Every shard — not just the one that saw the fault — is inert.
@@ -1472,7 +1416,7 @@ mod tests {
         const SHARDS: usize = 8;
         let mut state = 0x7ee1_u64;
         let mut next = move |bound: u64| {
-            state = derive_shard_seed(state, 0);
+            state = derive_shard_seed(state, 0, 0);
             state % bound
         };
         // 256 ops over 64 pages, 8 per shard: every shard is occupied,
@@ -1547,7 +1491,7 @@ mod tests {
                 },
                 "{case}"
             );
-            // The refusal carries each engine's frozen snapshot.
+            // Both refuse alike, and each shard keeps its frozen snapshot.
             let refusal = batched.read(victim);
             assert!(
                 matches!(refusal, Err(ToleoError::ShardQuarantined { .. })),
@@ -1580,7 +1524,7 @@ mod tests {
     }
 
     /// Ops that landed ahead of a panicking op in the same chunk are
-    /// still counted: the served-op flush survives the unwind.
+    /// still counted: each is counted as it lands, before the unwind.
     #[test]
     fn ops_served_ahead_of_a_panic_in_the_same_chunk_are_counted() {
         let e = sharded(4);
@@ -1699,14 +1643,14 @@ mod tests {
     #[test]
     fn shard_keys_and_seeds_are_pairwise_distinct() {
         let root = [0x42u8; 48];
-        let keys: Vec<[u8; 48]> = (0..8).map(|s| derive_shard_key(&root, s)).collect();
+        let keys: Vec<[u8; 48]> = (0..8).map(|s| derive_shard_key(&root, s, 0)).collect();
         for i in 0..keys.len() {
             assert_ne!(keys[i], root, "shard {i} must not reuse the root key");
             for j in i + 1..keys.len() {
                 assert_ne!(keys[i], keys[j], "shards {i}/{j} share key material");
             }
         }
-        let seeds: Vec<u64> = (0..8).map(|s| derive_shard_seed(7, s)).collect();
+        let seeds: Vec<u64> = (0..8).map(|s| derive_shard_seed(7, s, 0)).collect();
         let unique: std::collections::HashSet<_> = seeds.iter().collect();
         assert_eq!(unique.len(), seeds.len());
     }
@@ -1799,7 +1743,7 @@ mod tests {
         assert_eq!(stats.reads, issued);
         assert_eq!(e.robustness_stats().ops_served, 2 * issued);
         assert!(!e.is_killed());
-        assert_eq!(e.quarantined_shard_count(), 0);
+        assert_eq!(e.robustness_stats().quarantined_shards, 0);
     }
 
     #[test]
@@ -1819,6 +1763,6 @@ mod tests {
         });
         assert_eq!(e.stats().writes, 4 * LINES_PER_PAGE as u64);
         assert!(!e.is_killed());
-        assert_eq!(e.quarantined_shard_count(), 0);
+        assert_eq!(e.robustness_stats().quarantined_shards, 0);
     }
 }

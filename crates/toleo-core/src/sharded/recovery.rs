@@ -34,7 +34,7 @@
 //! must outlive the generation that lost it. The handle keeps only the
 //! immutable inputs a re-key derives from.
 
-use super::{derive_shard_key_gen, derive_shard_seed_gen, ShardedEngine};
+use super::{derive_shard_key, derive_shard_seed, ShardedEngine};
 use crate::channel::RetryPolicy;
 use crate::engine::{KillSnapshot, ProtectionEngine};
 use crate::error::{Result, ToleoError};
@@ -50,8 +50,8 @@ pub const RECOVERY_BUDGET: u64 = 3;
 // block: a generation past 255 would reuse key material.
 const _: () = assert!(RECOVERY_BUDGET <= u8::MAX as u64);
 
-/// Recovery counters summed over all shards, folded into
-/// [`RobustnessStats`](super::RobustnessStats).
+/// Recovery counters summed over all shards: the `recovery` field of
+/// [`ShardedEngine::robustness_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryStats {
     /// Completed recoveries across all shards.
@@ -111,12 +111,6 @@ impl std::fmt::Debug for RekeyInputs {
 }
 
 impl ShardedEngine {
-    /// Recovery counters summed over all shards: the `recovery` field of
-    /// [`robustness_stats`](Self::robustness_stats).
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.robustness_stats().recovery
-    }
-
     /// Scrubs, re-keys and re-admits the quarantined `shard`.
     ///
     /// The whole cycle runs under the shard's own lock: healthy shards
@@ -167,10 +161,10 @@ impl ShardedEngine {
         // compromise — takes over the frozen engine's untrusted memory,
         // every line that still verifies moved to the new key in place.
         let mut shard_cfg = self.cfg.clone();
-        shard_cfg.rng_seed = derive_shard_seed_gen(self.cfg.rng_seed, shard as u64, generation);
+        shard_cfg.rng_seed = derive_shard_seed(self.cfg.rng_seed, shard as u64, generation);
         let mut fresh = ProtectionEngine::try_new_with_robustness(
             shard_cfg,
-            derive_shard_key_gen(&self.rekey.root_key, shard as u64, generation as u8),
+            derive_shard_key(&self.rekey.root_key, shard as u64, generation),
             self.rekey.fault_plan,
             self.rekey.policy,
         )?;
@@ -204,7 +198,6 @@ impl ShardedEngine {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{derive_shard_key, derive_shard_seed};
     use super::*;
     use crate::arena::PageSlot;
     use crate::config::{ToleoConfig, LINES_PER_PAGE, PAGE_BYTES};
@@ -332,7 +325,7 @@ mod tests {
             let generation = e.core.lock_shard(0).generation;
             let frozen = e.shard_engine_mut(0).kill_snapshot();
             let memory = image(e.shard_engine_mut(0).adversary());
-            (generation, e.recovery_stats(), frozen, memory)
+            (generation, e.robustness_stats().recovery, frozen, memory)
         };
         let before = state(&mut e);
         assert!(matches!(
@@ -375,7 +368,7 @@ mod tests {
         assert_eq!(out.pages_scrubbed, 2, "shard 2 owned pages 2 and 6");
         assert_eq!(out.forensic.stats.reads, 1, "forensic snapshot preserved");
         assert!(!e.is_shard_quarantined(2));
-        assert_eq!(e.quarantined_shard_count(), 0);
+        assert_eq!(e.robustness_stats().quarantined_shards, 0);
         assert!(!e.is_killed());
         // The intact block on shard 2 reads back bit-identically under
         // the new generation's keys.
@@ -444,14 +437,14 @@ mod tests {
         assert_eq!(err.index, 1);
         assert!(matches!(err.error, ToleoError::PageOutOfRange { .. }));
         assert_eq!(e.robustness_stats().ops_served, served + 1);
-        assert_eq!(e.recovery_stats().blocks_still_lost, 1);
+        assert_eq!(e.robustness_stats().recovery.blocks_still_lost, 1);
         assert_eq!(e.read(lost_a).unwrap(), [0x5a; 64], "op 0 landed");
 
         // The same for a free: served, so its page's marker is gone even
         // though the next op on the shard fails.
         e.free_page(lost_b / PAGE_BYTES as u64).unwrap();
         assert!(e.write(bad, &[0; 64]).is_err());
-        assert_eq!(e.recovery_stats().blocks_still_lost, 0);
+        assert_eq!(e.robustness_stats().recovery.blocks_still_lost, 0);
         assert_eq!(e.robustness_stats().ops_served, served + 3);
     }
 
@@ -468,7 +461,7 @@ mod tests {
             assert_eq!(e.recover_shard(0).unwrap().generation, generation);
             assert!(!e.is_shard_quarantined(0));
         }
-        assert_eq!(e.recovery_stats().budget_kills, 0);
+        assert_eq!(e.robustness_stats().recovery.budget_kills, 0);
         // Tampered once more: the ladder's last rung — containment has
         // failed, and the quarantine itself is the world-kill.
         e.write(0, &[0xffu8; 64]).unwrap();
@@ -528,7 +521,7 @@ mod tests {
         }
         assert_eq!(e.read(rewritten).unwrap(), [2u8; 64]);
         assert_eq!(e.read(page(14)).unwrap(), [1u8; 64]);
-        let rs = e.recovery_stats();
+        let rs = e.robustness_stats().recovery;
         assert_eq!(rs.blocks_lost, 3);
         assert_eq!(rs.blocks_still_lost, 2);
     }
@@ -548,8 +541,7 @@ mod tests {
         assert_eq!(outs[0].blocks_lost, 1);
         assert_eq!(outs[1].blocks_lost, 0);
         let sum = |f: fn(&RecoveryOutcome) -> u64| outs.iter().map(f).sum::<u64>();
-        let rs = e.recovery_stats();
-        assert_eq!(rs, e.robustness_stats().recovery);
+        let rs = e.robustness_stats().recovery;
         assert_eq!(
             rs,
             RecoveryStats {
@@ -609,10 +601,10 @@ mod tests {
         let e = sharded(4);
         let victim = quarantine_shard2(&e);
         e.recover_shard(2).unwrap();
-        assert_eq!(e.recovery_stats().blocks_still_lost, 1);
+        assert_eq!(e.robustness_stats().recovery.blocks_still_lost, 1);
         e.free_page(victim / PAGE_BYTES as u64).unwrap();
         assert_eq!(
-            e.recovery_stats().blocks_still_lost,
+            e.robustness_stats().recovery.blocks_still_lost,
             0,
             "a freed page answers for its new life, not its lost blocks"
         );
@@ -645,16 +637,18 @@ mod tests {
     #[test]
     fn generation_salted_derivations_are_fresh_and_gen0_compatible() {
         let root = [0x42u8; 48];
-        assert_eq!(
-            derive_shard_key_gen(&root, 3, 0),
-            derive_shard_key(&root, 3),
-            "generation 0 must stay byte-identical to the original derivation"
-        );
-        assert_eq!(derive_shard_seed_gen(7, 3, 0), derive_shard_seed(7, 3));
+        // Pinned from the derivation every shipped engine was built with:
+        // generation 0 must stay byte-identical to it.
+        let key = derive_shard_key(&root, 3, 0);
+        assert_eq!(key[..8], [0xf1, 0x0d, 0x00, 0x06, 0xfa, 0xfe, 0x99, 0x38]);
+        assert_eq!(key[40..], [0xfb, 0x38, 0xf0, 0x0e, 0x33, 0xde, 0xbd, 0x23]);
+        assert_eq!(derive_shard_key(&root, 3, 1)[..4], [0x4a, 0x9f, 0xe3, 0x6a]);
+        assert_eq!(derive_shard_seed(7, 3, 0), 0x6d1d_b36c_cba9_82d2);
+        assert_eq!(derive_shard_seed(7, 3, 1), 0x739e_db7e_6de4_ce38);
         let mut keys: Vec<[u8; 48]> = Vec::new();
         for shard in 0..4u64 {
-            for generation in 0..4u8 {
-                keys.push(derive_shard_key_gen(&root, shard, generation));
+            for generation in 0..4u64 {
+                keys.push(derive_shard_key(&root, shard, generation));
             }
         }
         for i in 0..keys.len() {
@@ -663,7 +657,7 @@ mod tests {
             }
         }
         let seeds: Vec<u64> = (0..4u64)
-            .flat_map(|s| (0..4u64).map(move |g| derive_shard_seed_gen(7, s, g)))
+            .flat_map(|s| (0..4u64).map(move |g| derive_shard_seed(7, s, g)))
             .collect();
         let unique: std::collections::HashSet<u64> = seeds.iter().copied().collect();
         assert_eq!(unique.len(), seeds.len());

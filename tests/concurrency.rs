@@ -82,7 +82,7 @@ fn tamper_on_one_shard_quarantines_it_while_healthy_threads_keep_serving() {
         !engine.is_killed(),
         "tamper must quarantine, not world-kill"
     );
-    assert_eq!(engine.quarantined_shard_count(), 1);
+    assert_eq!(engine.robustness_stats().quarantined_shards, 1);
     assert!(served.load(Ordering::Relaxed) >= 3, "healthy shards served");
     // Healthy shards keep serving after the scope too, singles and batches.
     for page in (0..16u64).filter(|p| p % 4 != 0) {
@@ -236,9 +236,9 @@ fn recovery_races_live_traffic_without_a_stale_or_wrong_answer() {
     for (addr, block) in &client.shadow {
         assert_eq!(engine.read(*addr).unwrap(), *block, "addr {addr:#x}");
     }
-    assert_eq!(engine.quarantined_shard_count(), 0);
+    assert_eq!(engine.robustness_stats().quarantined_shards, 0);
     assert!(!engine.is_killed(), "recovery must never world-kill");
-    assert_eq!(engine.recovery_stats().recoveries, 1);
+    assert_eq!(engine.robustness_stats().recovery.recoveries, 1);
 }
 
 /// `is_shard_quarantined` reads under the shard lock, which
@@ -279,7 +279,11 @@ fn is_shard_quarantined_flips_once_across_a_concurrent_recovery() {
             assert!(!finished, "still quarantined after the recovery returned");
         }
         assert_eq!(engine.read(intact).unwrap(), expected, "refused or stale");
-        assert_eq!(engine.recovery_stats().recoveries, 1, "the new generation");
+        assert_eq!(
+            engine.robustness_stats().recovery.recoveries,
+            1,
+            "the new generation"
+        );
         for _ in 0..1_000 {
             assert!(!engine.is_shard_quarantined(K), "flipped back");
         }

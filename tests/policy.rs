@@ -194,6 +194,30 @@ const BANS: &[Ban] = &[
               engine and its counter tree fail with `MemoryError` (EXPERIMENTS.md \"The three \
               baselines are one engine\")",
     },
+    Ban {
+        pattern: &[
+            "ServedFlush",
+            "ops_at_quarantine",
+            "ops_at_last_quarantine",
+            "SkipFlushOnFailure",
+            "quarantined_shard_count",
+            "recovery_stats",
+        ],
+        whole_word: true,
+        roots: &["crates", "src", "tests", "examples"],
+        exempt: None,
+        why: "telemetry is read, not pushed: each shard counts its served ops under its \
+              own lock, `robustness_stats()` sums them when asked, and a refusal carries \
+              no snapshot (EXPERIMENTS.md \"Telemetry is read, not pushed\")",
+    },
+    Ban {
+        pattern: &["AtomicU64"],
+        whole_word: true,
+        roots: &["crates/toleo-core/src"],
+        exempt: None,
+        why: "no shared counter in the engine: its only atomics are the kill flag and \
+              the batch helper's phase, the two rows of AUDIT.json's atomics table",
+    },
 ];
 
 /// One former `awk` step: in `file`, a section runs from one line that

@@ -191,7 +191,6 @@ fn scheduled_tamper_quarantines_owner_shard_only_mid_trace() {
         !engine.is_killed(),
         "one tampered shard must not kill the world"
     );
-    assert_eq!(engine.quarantined_shard_count(), 1);
     assert!(engine.is_shard_quarantined(tampered_shard));
     assert!(
         healthy_after_detection > 0,
@@ -202,7 +201,6 @@ fn scheduled_tamper_quarantines_owner_shard_only_mid_trace() {
     let stats = engine.robustness_stats();
     assert!(!stats.world_killed);
     assert_eq!(stats.quarantined_shards, 1);
-    assert!(stats.ops_at_last_quarantine <= stats.ops_served);
 }
 
 /// Device unreachability (retry budget exhausted) is not a shard-local
@@ -304,19 +302,19 @@ fn replay_attack_inside_a_retry_window_is_detected_and_quarantined() {
         engine.write(addr, &[page as u8 + 1; 64]).unwrap();
         assert_eq!(engine.read(addr).unwrap(), [page as u8 + 1; 64]);
     }
-    // The quarantined shard refuses with the frozen forensic snapshot.
-    match engine.read(victim) {
+    // The quarantined shard refuses; its frozen forensic record stays
+    // with the shard.
+    assert_eq!(
+        engine.read(victim),
         Err(ToleoError::ShardQuarantined {
-            shard: s, snapshot, ..
-        }) => {
-            assert_eq!(s, shard);
-            assert!(
-                snapshot.stats.reads > 0,
-                "snapshot carries the frozen counters"
-            );
-        }
-        other => panic!("expected ShardQuarantined, got {other:?}"),
-    }
+            shard,
+            address: victim
+        })
+    );
+    assert!(
+        engine.per_shard_stats()[shard].reads > 0,
+        "the shard keeps its frozen counters"
+    );
 }
 
 proptest! {
