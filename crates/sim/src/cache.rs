@@ -217,7 +217,7 @@ mod tests {
 
     /// The `Vec<Line>` model `DataCache` was until PR 19 — every set a
     /// most-recent-first stack shuffled on every hit — kept verbatim as
-    /// the oracle for the shared ring directory.
+    /// the oracle for the shared LRU directory.
     struct VecOracle {
         sets: Vec<Vec<Line>>,
         ways: usize,
@@ -290,8 +290,8 @@ mod tests {
         for (seed, geometry) in [cfg.l1, cfg.l2, cfg.l3].into_iter().enumerate() {
             let mut cache = DataCache::new(geometry);
             let mut oracle = VecOracle::new(geometry);
-            // A quarter more blocks than fit: every set fills, wraps and
-            // keeps evicting, and hits land all over the ring.
+            // A quarter more blocks than fit: every set fills and keeps
+            // evicting, and hits land at every recency rank.
             let blocks = geometry.blocks() as u64 * 5 / 4;
             let ops = geometry.blocks() * 6;
             for (op, (addr, write)) in stream(seed as u64, blocks).take(ops).enumerate() {
@@ -301,7 +301,7 @@ mod tests {
                     "op {op}: addr {addr:#x} write {write}"
                 );
                 // Drains mid-run too, so lines go dirty again on a
-                // wrapped ring and the next drain sees them.
+                // full set and the next drain sees them.
                 if op % (ops / 4) == ops / 8 {
                     assert_eq!(cache.drain_dirty(), oracle.drain_dirty(), "op {op}");
                 }

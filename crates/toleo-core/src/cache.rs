@@ -33,14 +33,19 @@
 //!
 //! The 16-way caches — overflow buffer, MAC cache, the SGX baseline's node
 //! cache and the simulator's data caches — are faces of one
-//! [`LruDirectory`]. Each set is a *recency ring*: a `Vec` of entries,
-//! least-recent → most-recent, that once it holds `ways` entries is read
-//! as a ring whose least-recent slot is `head`. A hit on the most-recent
-//! slot (checked first) moves nothing, any other hit moves only the
-//! entries between it and the most-recent end, and a miss in a full set
-//! overwrites the slot at `head` and advances it. At 16 ways a lookup
-//! scans two cache lines of keys and a hit moves at most 128 bytes: an
-//! index has nothing to win there (EXPERIMENTS.md "PR 23").
+//! [`LruDirectory`]. A set's entries never move while they are resident:
+//! a key is filled into a way and stays there until it is evicted. Beside
+//! the `Vec` of entries each set keeps a row of one-byte fingerprints,
+//! one per way, and its recency order as a list of way numbers, one
+//! nibble per way in a `u64`, most-recent first. A probe checks the
+//! most-recent way, then compares the fingerprint row and reads only the
+//! keys of the ways whose fingerprint matches; a hit moves its way's
+//! nibble to the front (one shift, two masks), and a miss in a full set
+//! overwrites the way at the back of the list. No hit moves memory, and
+//! a miss reads no key unless two fingerprints collide, so a hit at a
+//! random recency rank — what `fanout`, `tenants` and `siege` do — costs
+//! what a hit on the most-recent way does (EXPERIMENTS.md "Cache sets
+//! keep their keys in place").
 //!
 //! The TLB extension is not a long set. It is a CAM — 256 entries, fully
 //! associative, one cycle in hardware — and a working set *inside* its
@@ -63,7 +68,7 @@
 //! oracle; `ring_matches_vec_oracle` and `cam_matches_vec_oracle` drive
 //! each beside it.
 
-// audit: allow-file(indexing, callers reduce set indices modulo num_sets; slot indices come from position, head, the CAM's own links and the length of the same Vec)
+// audit: allow-file(indexing, callers reduce set indices modulo num_sets; way numbers come from the fingerprint mask and the nibble list, below the fill level of the same Vec, and CAM slots from its own links)
 
 use crate::channel::DeviceChannel;
 use crate::device::UpdateResponse;
@@ -106,43 +111,93 @@ fn hash(key: u64) -> u64 {
     key.wrapping_mul(0x9e3779b97f4a7c15)
 }
 
-/// One set of an [`LruDirectory`].
-#[derive(Debug, Clone)]
-struct Ring<T> {
-    /// `(key, payload)` entries, least-recent → most-recent in ring order:
-    /// the least-recent one is `slots[head]`, the most-recent one sits just
-    /// before it (wrapping). Empty until first use and grown by `push`,
-    /// never past the directory's `ways`: a set nobody touches owns no
-    /// heap, which `churn` (144 resident blocks against an engine's 65
-    /// sets) would otherwise pay for in `heap_peak_bytes_per_block`.
-    slots: Vec<(u64, T)>,
-    /// Non-zero only once the set is full.
-    head: usize,
+/// Most ways a set may have: a way number is one nibble of its recency
+/// list.
+const MAX_WAYS: usize = 16;
+/// A one in every nibble of a `u64`.
+const NIBBLES: u64 = 0x1111_1111_1111_1111;
+/// A one in every byte of a fingerprint row.
+const BYTES: u128 = u128::from_le_bytes([1; MAX_WAYS]);
+
+/// A key's fingerprint: the top byte of a second multiplicative hash, so
+/// keys that share a set (which the first hash, or the caller, picked)
+/// still spread over all 256 values.
+fn fingerprint(key: u64) -> u8 {
+    (key.wrapping_mul(0xc2b2_ae3d_27d4_eb4f) >> 56) as u8
 }
 
-impl<T> Ring<T> {
-    /// Slot of the most-recent entry: the last one pushed while `head` is
-    /// still 0, the one before `head` after; out of range while empty.
-    fn mru(&self) -> usize {
-        let last = self.slots.len().wrapping_sub(1);
-        self.head.checked_sub(1).unwrap_or(last)
+/// The low `ranks` nibbles of a recency list (`ranks <= 16`).
+fn low_nibbles(ranks: u32) -> u64 {
+    1u64.checked_shl(4 * ranks).map_or(u64::MAX, |bit| bit - 1)
+}
+
+/// Rank of way `way` in recency list `order`: the lowest nibble equal to
+/// it, found with the SWAR zero-nibble test on `order ^ way·NIBBLES`.
+/// Nibbles past the fill level are zero, but they sit above the way's
+/// own, and the test is exact for the lowest zero nibble.
+fn rank(order: u64, way: usize) -> u32 {
+    let x = order ^ (way as u64).wrapping_mul(NIBBLES);
+    (x.wrapping_sub(NIBBLES) & !x & (NIBBLES << 3)).trailing_zeros() / 4
+}
+
+/// One set of an [`LruDirectory`].
+#[derive(Debug, Clone)]
+struct Set<T> {
+    /// `(key, payload)` of way `w` at index `w`. Empty until first use and
+    /// grown by `push`, never past the directory's `ways`: a set nobody
+    /// touches owns no heap, which `churn` (144 resident blocks against an
+    /// engine's 65 sets) would otherwise pay for in
+    /// `heap_peak_bytes_per_block`.
+    entries: Vec<(u64, T)>,
+    /// `fingerprint` of each way's key; bytes past `entries.len()` are
+    /// stale and masked off.
+    prints: [u8; MAX_WAYS],
+    /// Way numbers by recency, one nibble each, rank 0 (the low nibble)
+    /// the most recent; nibbles past `entries.len()` are zero.
+    order: u64,
+}
+
+impl<T> Set<T> {
+    /// Way holding `key`, whose fingerprint is `print`: the ways whose
+    /// fingerprint matches, below the fill level, confirmed lowest first.
+    fn find(&self, key: u64, print: u8) -> Option<usize> {
+        // Zero bytes of `x` are the matching ways; the test below sets the
+        // high bit of each zero byte and of no other, since no byte's sum
+        // carries into the next.
+        let x = u128::from_le_bytes(self.prints) ^ (u128::from(print) * BYTES);
+        let low7 = BYTES * 0x7f;
+        let filled = 1u128
+            .checked_shl(8 * self.entries.len() as u32)
+            .map_or(u128::MAX, |bit| bit - 1);
+        let mut candidates = !(((x & low7) + low7) | x | low7) & filled;
+        while candidates != 0 {
+            let way = (candidates.trailing_zeros() / 8) as usize;
+            if self.entries[way].0 == key {
+                return Some(way);
+            }
+            candidates &= candidates - 1;
+        }
+        None
+    }
+
+    /// Moves `way` to rank 0: the ways more recent than it each drop one
+    /// rank, the older ones keep theirs.
+    fn touch(&mut self, way: usize) {
+        let at = rank(self.order, way);
+        let (below, above) = (low_nibbles(at), !low_nibbles(at + 1));
+        self.order = (self.order & above) | (self.order & below) << 4 | way as u64;
     }
 }
 
 /// A set-associative LRU directory of keys, each with a payload `T`
 /// (nothing for the presence-only metadata caches, a dirty bit for the
 /// simulator's data caches). The caller picks the set; the directory
-/// keeps recency — see the module docs for the ring and what it must
-/// not change.
+/// keeps recency — see the module docs for the set layout and what it
+/// must not change.
 #[derive(Debug, Clone)]
 pub struct LruDirectory<T = ()> {
-    sets: Vec<Ring<T>>,
+    sets: Vec<Set<T>>,
     ways: usize,
-}
-
-/// Index of the entry with `key`. No set is longer than 16 ways.
-fn position<T>(slots: &[(u64, T)], key: u64) -> Option<usize> {
-    slots.iter().position(|e| e.0 == key)
 }
 
 impl<T: Copy> LruDirectory<T> {
@@ -150,12 +205,17 @@ impl<T: Copy> LruDirectory<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `num_sets == 0` or `ways == 0`.
+    /// Panics if `num_sets == 0`, `ways == 0` or `ways > 16`.
     pub fn new(num_sets: usize, ways: usize) -> Self {
         assert!(num_sets > 0 && ways > 0, "cache geometry must be non-zero");
-        let (slots, head) = (Vec::new(), 0);
+        assert!(ways <= MAX_WAYS, "a set has at most 16 ways, not {ways}");
+        let empty = Set {
+            entries: Vec::new(),
+            prints: [0; MAX_WAYS],
+            order: 0,
+        };
         LruDirectory {
-            sets: vec![Ring { slots, head }; num_sets],
+            sets: vec![empty; num_sets],
             ways,
         }
     }
@@ -172,61 +232,68 @@ impl<T: Copy> LruDirectory<T> {
     /// evict it from a full set.
     pub fn access(&mut self, set: usize, key: u64, fill: T) -> (bool, &mut T, Option<(u64, T)>) {
         let ways = self.ways;
-        let mru = self.sets[set].mru();
-        let Ring { slots, head } = &mut self.sets[set];
-        let n = slots.len();
-        if slots.get(mru).is_some_and(|e| e.0 == key) {
-            return (true, &mut slots[mru].1, None);
+        let s = &mut self.sets[set];
+        let mru = (s.order & 0xf) as usize;
+        if s.entries.get(mru).is_some_and(|e| e.0 == key) {
+            return (true, &mut s.entries[mru].1, None);
         }
-        if let Some(at) = position(slots, key) {
-            // Close the gap the hit leaves: everything more recent moves
-            // one step towards `head`, across the wrap if `at` is past it.
-            let e = slots[at];
-            if at < mru {
-                slots.copy_within(at + 1..=mru, at);
-            } else {
-                slots.copy_within(at + 1.., at);
-                slots[n - 1] = slots[0];
-                slots.copy_within(1..=mru, 0);
-            }
-            slots[mru] = e;
-            return (true, &mut slots[mru].1, None);
+        let print = fingerprint(key);
+        if let Some(way) = s.find(key, print) {
+            s.touch(way);
+            return (true, &mut s.entries[way].1, None);
         }
-        if n < ways {
-            slots.push((key, fill));
-            return (false, &mut slots[n].1, None);
-        }
-        let at = *head;
-        *head = if at + 1 == ways { 0 } else { at + 1 };
-        let victim = std::mem::replace(&mut slots[at], (key, fill));
-        (false, &mut slots[at].1, Some(victim))
+        let n = s.entries.len();
+        let (way, victim) = if n < ways {
+            s.entries.push((key, fill));
+            (n, None)
+        } else {
+            let way = (s.order >> (4 * (ways - 1)) & 0xf) as usize;
+            let victim = std::mem::replace(&mut s.entries[way], (key, fill));
+            (way, Some(victim))
+        };
+        // The filled way takes rank 0; a full set's victim nibble moves
+        // past rank `ways - 1` and is masked off.
+        s.prints[way] = print;
+        s.order = (s.order << 4 | way as u64) & low_nibbles(ways as u32);
+        (false, &mut s.entries[way].1, victim)
     }
 
     /// Whether `key` is resident in `set`; recency is untouched.
     pub fn contains(&self, set: usize, key: u64) -> bool {
-        position(&self.sets[set].slots, key).is_some()
+        self.sets[set].find(key, fingerprint(key)).is_some()
     }
 
-    /// Removes `key` from `set` if present. Rare (stealth reset, page
-    /// free), so it un-wraps the ring first and removes in order; an
-    /// absent key (most overflow sub-blocks of a reset page) leaves the
-    /// ring as it is.
+    /// Removes `key` from `set` if present; an absent key (most overflow
+    /// sub-blocks of a reset page) leaves the set as it is. The last way
+    /// moves into the hole, with its fingerprint and its nibble renamed,
+    /// so ways stay dense and `entries.len()` is the fill level.
     pub fn invalidate(&mut self, set: usize, key: u64) {
-        let Ring { slots, head } = &mut self.sets[set];
-        if position(slots, key).is_none() {
+        let s = &mut self.sets[set];
+        let Some(way) = s.find(key, fingerprint(key)) else {
             return;
+        };
+        let at = rank(s.order, way);
+        let below = low_nibbles(at);
+        s.order = (s.order & below) | (s.order >> 4 & !below);
+        let last = s.entries.len() - 1;
+        if way != last {
+            s.order ^= ((last ^ way) as u64) << (4 * rank(s.order, last));
+            s.prints[way] = s.prints[last];
         }
-        slots.rotate_left(*head);
-        *head = 0;
-        slots.retain(|e| e.0 != key);
+        s.entries.swap_remove(way);
     }
 
     /// The keys of `set` and their payloads, most-recent first.
     pub fn mru_first_mut(&mut self, set: usize) -> impl Iterator<Item = (u64, &mut T)> {
-        let Ring { slots, head } = &mut self.sets[set];
-        let (young, old) = slots.split_at_mut(*head);
-        let mru_first = young.iter_mut().rev().chain(old.iter_mut().rev());
-        mru_first.map(|(key, payload)| (*key, payload))
+        let Set { entries, order, .. } = &mut self.sets[set];
+        let (order, n) = (*order, entries.len() as u32);
+        let mut by_way: [Option<&mut (u64, T)>; MAX_WAYS] = Default::default();
+        for (slot, entry) in by_way.iter_mut().zip(entries) {
+            *slot = Some(entry);
+        }
+        let ways = (0..n).map(move |at| (order >> (4 * at) & 0xf) as usize);
+        ways.filter_map(move |way| by_way[way].take())
+            .map(|entry| (entry.0, &mut entry.1))
     }
 }
 
@@ -267,11 +334,13 @@ impl SetAssocCache {
     /// filling it on a miss. Returns `true` on a hit. A miss in a full set
     /// evicts the least-recent key; callers that need to know which use
     /// [`access_with_victim`](Self::access_with_victim).
+    #[inline]
     pub fn access(&mut self, key: u64) -> bool {
         self.access_with_victim(key).0
     }
 
     /// Like [`access`](Self::access) but also returns the evicted key.
+    #[inline]
     pub fn access_with_victim(&mut self, key: u64) -> (bool, Option<u64>) {
         let (hit, _, victim) = self.dir.access(self.set_index(key), key, ());
         if hit {
@@ -299,7 +368,7 @@ impl SetAssocCache {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.dir.sets.iter().map(|ring| ring.slots.len()).sum()
+        self.dir.sets.iter().map(|set| set.entries.len()).sum()
     }
 
     /// Whether the cache is empty.
@@ -613,6 +682,7 @@ impl MacCache {
 
     /// Accesses the MAC block covering data block `block_addr` (a 64-byte-
     /// aligned physical address). Returns `true` on hit.
+    #[inline]
     pub fn access(&mut self, block_addr: u64) -> bool {
         // Eight 56-bit MACs pack per 64-byte MAC block: the covering MAC
         // block index is block_index / 8.
@@ -636,9 +706,9 @@ mod tests {
 
     /// The `Vec` model `SetAssocCache` was until PR 19 — every set a
     /// most-recent-first stack, every hit a `remove` and a front insert —
-    /// kept verbatim as the oracle the ring is driven against: the hit /
-    /// miss / victim sequence is what every fetch count downstream is
-    /// made of. (CI's lint exempts lines that say `oracle` from its ban on
+    /// kept verbatim as the oracle the directory is driven against: the
+    /// hit / miss / victim sequence is what every fetch count downstream
+    /// is made of. (CI's lint exempts lines that say `oracle` from its ban on
     /// that idiom in this file.)
     struct VecOracle {
         sets: Vec<Vec<u64>>,
@@ -663,16 +733,16 @@ mod tests {
         }
     }
 
-    /// Which ring transitions a differential run went through, read off
-    /// the ring's state before each op.
+    /// Which paths through a set a differential run went through, read
+    /// off the set's state before each op.
     #[derive(Debug, Default)]
     struct Seen {
+        hit_mru: u64,
+        hit_deeper: u64,
+        rejected_candidate: u64,
         fill: u64,
         evict: u64,
-        hit_mru: u64,
-        hit_before_head: u64,
-        hit_across_wrap: u64,
-        invalidate_wrapped: u64,
+        invalidate_non_last: u64,
         refill_after_invalidate: u64,
     }
 
@@ -680,10 +750,41 @@ mod tests {
         c.dir.mru_first_mut(set).map(|(key, ())| key).collect()
     }
 
-    /// Drives a ring-backed cache and the oracle through one seeded op
-    /// stream over keys just above capacity; every return value and the
-    /// touched set's walk are compared after every op, every set's walk
-    /// every `full_check_every` ops.
+    /// What the set's layout must keep true between ops: the recency list
+    /// holds each filled way once and zeros past it, and each filled way's
+    /// fingerprint is its key's.
+    fn check_layout(set: &Set<()>) {
+        let n = set.entries.len();
+        let mut ways: Vec<usize> = (0..n)
+            .map(|at| (set.order >> (4 * at) & 0xf) as usize)
+            .collect();
+        ways.sort_unstable();
+        assert_eq!(ways, (0..n).collect::<Vec<_>>(), "order {:#x}", set.order);
+        assert_eq!(
+            set.order & !low_nibbles(n as u32),
+            0,
+            "order {:#x}",
+            set.order
+        );
+        for (way, &(key, ())) in set.entries.iter().enumerate() {
+            assert_eq!(set.prints[way], fingerprint(key), "way {way}");
+        }
+    }
+
+    /// A key other than `key` in the same set of `c` with the same
+    /// fingerprint, searched upward from `from`.
+    fn twin(c: &SetAssocCache, key: u64, from: u64) -> u64 {
+        let (set, print) = (c.set_index(key), fingerprint(key));
+        (from..)
+            .find(|&k| k != key && c.set_index(k) == set && fingerprint(k) == print)
+            .unwrap()
+    }
+
+    /// Drives a cache and the oracle through one seeded op stream over keys
+    /// just above capacity, plus a twin for one key in eight so that
+    /// fingerprints collide in every geometry; every return value and the
+    /// touched set's walk and layout are compared after every op, every
+    /// set's walk every `full_check_every` ops.
     fn drive(
         (num_sets, ways): (usize, usize),
         seed: u64,
@@ -691,57 +792,70 @@ mod tests {
         full_check_every: usize,
         seen: &mut Seen,
     ) {
-        let mut ring = SetAssocCache::new(num_sets, ways);
+        let mut cache = SetAssocCache::new(num_sets, ways);
         let sets = vec![Vec::new(); num_sets];
         let mut oracle = VecOracle { sets, ways };
         let mut rng = StdRng::seed_from_u64(seed);
         let capacity = (num_sets * ways) as u64;
-        let keys = capacity + capacity / 4 + 2;
+        let plain = capacity + capacity / 4 + 2;
+        let twins: Vec<u64> = (0..plain / 8 + 1)
+            .map(|k| twin(&cache, k, 1 << 32))
+            .collect();
+        let keys: Vec<u64> = (0..plain).chain(twins).collect();
         let mut invalidated = vec![false; num_sets];
         for op in 0..ops {
-            let key = rng.gen_range(0..keys);
-            let set = ring.set_index(key);
-            let before = &ring.dir.sets[set];
-            let (at, mru, head) = (position(&before.slots, key), before.mru(), before.head);
-            let full = before.slots.len() == ways;
+            let key = keys[rng.gen_range(0..keys.len())];
+            let set = cache.set_index(key);
+            let before = &cache.dir.sets[set];
+            let print = fingerprint(key);
+            let at = before.find(key, print);
+            let mru = (before.order & 0xf) as usize;
+            let n = before.entries.len();
             match rng.gen_range(0..100u32) {
                 0..=79 => {
+                    let mut filled = before.entries.iter().zip(before.prints);
+                    let rejected = filled.any(|(e, p)| p == print && e.0 != key);
+                    seen.rejected_candidate += u64::from(rejected);
                     match at {
                         Some(at) if at == mru => seen.hit_mru += 1,
-                        Some(at) if at < mru => seen.hit_before_head += 1,
-                        Some(_) => seen.hit_across_wrap += 1,
-                        None if full => seen.evict += 1,
+                        Some(_) => seen.hit_deeper += 1,
+                        None if n == ways => seen.evict += 1,
                         None => {
                             seen.fill += 1;
                             seen.refill_after_invalidate += u64::from(invalidated[set]);
                             invalidated[set] = false;
                         }
                     }
-                    let got = ring.access_with_victim(key);
+                    let got = cache.access_with_victim(key);
                     let want = oracle.access_with_victim(set, key);
                     assert_eq!(got, want, "op {op}: access {key}");
                 }
                 80..=87 => {
                     let want = oracle.sets[set].contains(&key);
-                    assert_eq!(ring.contains(key), want, "op {op}: contains");
+                    assert_eq!(cache.contains(key), want, "op {op}: contains");
                 }
                 88..=95 => {
-                    if at.is_some() {
-                        seen.invalidate_wrapped += u64::from(head != 0);
+                    if let Some(at) = at {
+                        seen.invalidate_non_last += u64::from(at + 1 != n);
                         invalidated[set] = true;
                     }
-                    ring.invalidate(key);
+                    cache.invalidate(key);
                     oracle.sets[set].retain(|&k| k != key);
                 }
                 _ => {
                     let want: usize = oracle.sets.iter().map(Vec::len).sum();
-                    assert_eq!(ring.len(), want, "op {op}: len");
+                    assert_eq!(cache.len(), want, "op {op}: len");
                 }
             }
-            assert_eq!(walk(&mut ring, set), oracle.sets[set], "op {op}: set {set}");
+            check_layout(&cache.dir.sets[set]);
+            assert_eq!(
+                walk(&mut cache, set),
+                oracle.sets[set],
+                "op {op}: set {set}"
+            );
             if (op + 1) % full_check_every == 0 {
                 for s in 0..num_sets {
-                    assert_eq!(walk(&mut ring, s), oracle.sets[s], "op {op}: set {s}");
+                    assert_eq!(walk(&mut cache, s), oracle.sets[s], "op {op}: set {s}");
                 }
             }
         }
@@ -756,23 +870,20 @@ mod tests {
             for case in 0..24 {
                 drive(geometry, 0x19 + case, 1500, 1, &mut seen);
             }
-            // The stream must actually have walked the ring through every
-            // transition the rewrite introduced (a one-way set has no
-            // second entry to hit and its `head` never leaves 0).
+            // The stream must actually have taken every path through a
+            // set. A one-way set has no second way to hit or to move into
+            // a hole.
             let always = [
+                seen.hit_mru,
+                seen.rejected_candidate,
                 seen.fill,
                 seen.evict,
-                seen.hit_mru,
                 seen.refill_after_invalidate,
             ];
-            let wrapping = [
-                seen.hit_before_head,
-                seen.hit_across_wrap,
-                seen.invalidate_wrapped,
-            ];
+            let deeper = [seen.hit_deeper, seen.invalidate_non_last];
             assert!(always.iter().all(|&n| n > 0), "{geometry:?}: {seen:?}");
             assert!(
-                geometry.1 == 1 || wrapping.iter().all(|&n| n > 0),
+                geometry.1 == 1 || deeper.iter().all(|&n| n > 0),
                 "{geometry:?}: {seen:?}"
             );
         }
@@ -794,22 +905,58 @@ mod tests {
         }
     }
 
-    /// An absent key must not cost the un-wrap: `invalidate_page` asks
-    /// for four overflow sub-blocks per reset and most were never filled.
+    /// An absent key must cost nothing: `invalidate_page` asks for four
+    /// overflow sub-blocks per reset and most were never filled. A
+    /// present one that is not in the last way gets that way's entry,
+    /// fingerprint and nibble.
     #[test]
     fn invalidate_of_an_absent_key_leaves_the_ring_untouched() {
         let mut dir = LruDirectory::new(1, 4);
         for key in 0..6 {
             dir.access(0, key, ());
         }
+        dir.access(0, 3, ());
         let before = dir.sets[0].clone();
-        assert_ne!(before.head, 0, "the ring must have wrapped");
+        assert_eq!(before.entries, [(4, ()), (5, ()), (2, ()), (3, ())]);
+        assert_eq!(before.order, 0x2013, "mru first: ways 3, 1, 0, 2");
         dir.invalidate(0, 99);
-        assert_eq!(dir.sets[0].head, before.head);
-        assert_eq!(dir.sets[0].slots, before.slots);
-        dir.invalidate(0, 3);
-        assert_eq!(dir.sets[0].head, 0);
-        assert_eq!(dir.sets[0].slots, [(2, ()), (4, ()), (5, ())]);
+        let after = &dir.sets[0];
+        assert_eq!((after.prints, after.order), (before.prints, before.order));
+        assert_eq!(after.entries, before.entries);
+
+        dir.invalidate(0, 4);
+        let after = &dir.sets[0];
+        assert_eq!(after.entries, [(3, ()), (5, ()), (2, ())]);
+        assert_eq!(after.order, 0x210, "mru first: ways 0, 1, 2");
+        let p = before.prints;
+        assert_eq!(after.prints[..3], [p[3], p[1], p[2]], "way 3's byte moved");
+    }
+
+    /// Two keys of one set with one fingerprint: the second misses past
+    /// the first's matching byte and fills beside it, and each leaves on
+    /// its own.
+    #[test]
+    fn keys_that_share_a_set_and_a_fingerprint_stay_apart() {
+        let mut c = SetAssocCache::new(32, 16);
+        let a = 7;
+        let b = twin(&c, a, 1 << 40);
+        assert!(!c.access(a));
+        assert!(c.contains(a) && !c.contains(b));
+        assert!(!c.access(b), "a matching fingerprint is not a hit");
+        assert!(c.access(a) && c.access(b));
+        c.invalidate(a);
+        assert!(!c.contains(a) && c.contains(b));
+        assert!(!c.access(a), "a refills after its invalidate");
+        c.invalidate(b);
+        assert!(c.contains(a) && !c.contains(b));
+        assert_eq!(c.stats(), CacheStats { hits: 2, misses: 3 });
+        check_layout(&c.dir.sets[c.set_index(a)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 ways")]
+    fn more_than_sixteen_ways_panics() {
+        SetAssocCache::new(1, 17);
     }
 
     /// Which `PageCam` transitions a differential run went through, read
@@ -941,7 +1088,7 @@ mod tests {
     }
 
     /// The same differential over 8 M ops: CI's release leg runs it with
-    /// `-- --ignored`, beside the ring's.
+    /// `-- --ignored`, beside the directory's.
     #[test]
     #[ignore = "8 M-op soak; run in release"]
     fn cam_matches_vec_oracle_soak() {
@@ -964,7 +1111,12 @@ mod tests {
             cam.heads.capacity(),
         ];
         assert_eq!(capacities, [0; 3]);
-        assert!(sc.overflow.dir.sets.iter().all(|s| s.slots.capacity() == 0));
+        assert!(sc
+            .overflow
+            .dir
+            .sets
+            .iter()
+            .all(|s| s.entries.capacity() == 0));
 
         for page in 0..16 {
             sc.access(page, TripFormat::Flat);

@@ -47,6 +47,15 @@ const BANS: &[Ban] = &[
               `LruDirectory` set is at most 16 ways (EXPERIMENTS.md \"PR 23\")",
     },
     Ban {
+        pattern: &["copy_within", "rotate_left"],
+        whole_word: false,
+        roots: &["crates/toleo-core/src/cache.rs"],
+        exempt: None,
+        why: "no shifting set: a resident entry stays in its way, and a hit moves one \
+              nibble of the set's recency list, not the entries between it and the \
+              most-recent one (EXPERIMENTS.md \"Cache sets keep their keys in place\")",
+    },
+    Ban {
         pattern: &["read_run"],
         whole_word: false,
         roots: &["crates", "src", "tests", "examples"],
