@@ -1,8 +1,8 @@
 //! Rule 5 — **lock discipline**.
 //!
 //! The sharded engine holds one mutex class — one lock per shard,
-//! guarding that shard's engine, lost-block ledger and recovery
-//! counters — and stays deadlock-free because nothing that runs under
+//! guarding that shard's engine (its lost-block ledger included), key
+//! generation, quarantine flag and counters — and stays deadlock-free because nothing that runs under
 //! a shard lock takes another: the world-kill, which locks every shard
 //! in turn, and `recover_shard`, which re-locks its own, are only ever
 //! called with none held. `AUDIT.json` declares the classes (in

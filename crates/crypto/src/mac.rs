@@ -212,9 +212,9 @@ impl MacKey {
     /// Computes the 56-bit tag over `(version, address, ciphertext)`.
     ///
     /// The `(version, address)` prefix is fed to SipHash as two
-    /// pre-packed 64-bit words, so no concatenation buffer is allocated —
-    /// this runs twice per protected memory operation (seal + verify) and
-    /// used to be the engine's only hot-path heap allocation.
+    /// pre-packed 64-bit words, so no concatenation buffer is allocated.
+    /// No scheme tags with it: outside this crate's tests, its one caller
+    /// is `benchmark/`, which times it as a PRF-MAC reference point.
     pub fn mac(&self, version: u64, address: u64, ciphertext: &[u8]) -> Tag56 {
         Tag56::from_raw(siphash24_prefixed(
             self.k0,

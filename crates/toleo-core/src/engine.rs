@@ -52,6 +52,7 @@ use crate::fault::{FaultPlan, FaultPlanConfig};
 use crate::layout;
 use crate::seal::LineSealer;
 use crate::version::FullVersion;
+use std::collections::HashSet;
 
 pub use crate::arena::{Block, ReplayCapsule, UntrustedDram};
 
@@ -154,6 +155,11 @@ pub struct ProtectionEngine {
     /// `Some` once the kill switch has engaged; carries the frozen
     /// statistics every getter serves from then on.
     killed: Option<Box<KillSnapshot>>,
+    /// Addresses of lines [`readmit`](Self::readmit) dropped from this
+    /// arena that no write has repopulated since: a read of one refuses
+    /// with [`ToleoError::PageLost`]. It moves with the arena, so a line
+    /// lost in one generation stays lost in the next.
+    lost: HashSet<u64>,
 }
 
 impl ProtectionEngine {
@@ -205,6 +211,7 @@ impl ProtectionEngine {
             mac_cache: MacCache::paper_default(),
             stats: EngineStats::default(),
             killed: None,
+            lost: HashSet::new(),
         })
     }
 
@@ -355,7 +362,8 @@ impl ProtectionEngine {
     /// # Errors
     ///
     /// Propagates [`ToleoError::DeviceFull`] (retryable after the OS frees
-    /// pages) and address-range errors; fails permanently after a kill.
+    /// pages) and address-range errors; fails permanently after a kill. A
+    /// write that lands repopulates a lost address.
     ///
     /// # Panics
     ///
@@ -430,6 +438,9 @@ impl ProtectionEngine {
         let fv = FullVersion::compose(uv, resp.stealth, stealth_bits);
         self.sealer
             .seal(self.dram.slot_mut(id), addr, fv.raw(), plaintext);
+        if !self.lost.is_empty() {
+            self.lost.remove(&addr);
+        }
         Ok(())
     }
 
@@ -440,7 +451,9 @@ impl ProtectionEngine {
     ///
     /// [`ToleoError::IntegrityViolation`] on any MAC mismatch — tampering
     /// or replay. This engages the kill switch: all subsequent operations
-    /// fail.
+    /// fail. [`ToleoError::PageLost`] for a line a recovery dropped, until
+    /// a write repopulates it; the refusal touches no counter, cache or
+    /// device, and whatever untrusted memory now holds there is not read.
     ///
     /// # Panics
     ///
@@ -448,6 +461,9 @@ impl ProtectionEngine {
     pub fn read(&mut self, addr: u64) -> Result<Block> {
         assert_eq!(addr % CACHE_BLOCK_BYTES as u64, 0, "unaligned block read");
         self.check_alive(addr)?;
+        if !self.lost.is_empty() && self.lost.contains(&addr) {
+            return Err(ToleoError::PageLost { address: addr });
+        }
         let page = layout::page_of(addr);
         let line = layout::line_of(addr);
         self.stats.reads += 1;
@@ -492,7 +508,8 @@ impl ProtectionEngine {
     ///
     /// # Errors
     ///
-    /// Address-range errors only; freeing is always safe.
+    /// Address-range errors only; freeing is always safe. A freed page
+    /// answers for its new contents, so its lost addresses are forgotten.
     pub fn free_page(&mut self, page: u64) -> Result<()> {
         self.check_alive(page * PAGE_BYTES as u64)?;
         self.channel
@@ -518,6 +535,7 @@ impl ProtectionEngine {
         }
         self.stealth_cache.invalidate_page(page);
         self.stats.pages_freed += 1;
+        self.lost.retain(|&a| layout::page_of(a) != page);
         Ok(())
     }
 
@@ -555,15 +573,15 @@ impl ProtectionEngine {
     /// before, so every `(version, address)` is fresh. `old`'s device is
     /// read directly: the post-mortem is no victim traffic over the link.
     /// A line that fails to open, or sits on a page outside the protected
-    /// range, is dropped. This engine then adopts the walked arena.
+    /// range, is dropped and joins `old`'s lost lines. This engine then
+    /// adopts the walked arena and that ledger with it.
     ///
-    /// Returns the pages and resident lines walked and the dropped lines'
-    /// addresses.
+    /// Returns the pages and resident lines walked and the lines dropped.
     ///
     /// # Errors
     ///
     /// [`ToleoError::DeviceUnavailable`] from a READ.
-    pub(crate) fn readmit(&mut self, old: &mut ProtectionEngine) -> Result<(u64, u64, Vec<u64>)> {
+    pub(crate) fn readmit(&mut self, old: &mut ProtectionEngine) -> Result<(u64, u64, u64)> {
         let mut pages = Vec::new();
         for (page, id) in old.dram.pages() {
             let version = match old.dram.slot(id).resident() {
@@ -579,7 +597,9 @@ impl ProtectionEngine {
             };
             pages.push((page, id, version));
         }
-        let (bits, mut blocks, mut lost) = (self.cfg.stealth_bits, 0, Vec::new());
+        // Nothing fails from here on: the ledger moves ahead of the arena.
+        self.lost = std::mem::take(&mut old.lost);
+        let (bits, mut blocks, mut dropped) = (self.cfg.stealth_bits, 0, 0);
         for &(page, id, version) in &pages {
             let slot = old.dram.slot_mut(id);
             let (uv, device) = (slot.uv(), old.channel.device_mut());
@@ -598,14 +618,21 @@ impl ProtectionEngine {
                 None => resident.fold(0, |mask, l| mask | 1 << l),
             };
             blocks += slot.resident() as u64;
+            dropped += u64::from(failed.count_ones());
             for line in (0..LINES_PER_PAGE).filter(|&l| failed & 1 << l != 0) {
                 slot.clear_block(line);
                 slot.clear_tag(line);
-                lost.push(page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64);
+                self.lost
+                    .insert(page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64);
             }
         }
         self.dram = std::mem::take(&mut old.dram);
-        Ok((pages.len() as u64, blocks, lost))
+        Ok((pages.len() as u64, blocks, dropped))
+    }
+
+    /// Lines in the lost ledger: dropped by a recovery, not yet rewritten.
+    pub(crate) fn lost_blocks(&self) -> u64 {
+        self.lost.len() as u64
     }
 
     /// Writes a batch of `(address, plaintext)` pairs:

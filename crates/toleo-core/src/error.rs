@@ -54,13 +54,13 @@ pub enum ToleoError {
         /// What the validation rejected.
         detail: String,
     },
-    /// The block was unrecoverable when its shard was scrubbed after a
-    /// quarantine: its ciphertext/MAC/version no longer verified, so the
-    /// re-keyed shard refuses the address instead of serving silent
-    /// zeroes. A fresh write to the address clears the marker.
+    /// The block was unrecoverable when its engine's arena was re-keyed
+    /// after a quarantine: its ciphertext/MAC/version no longer verified,
+    /// so the engine that adopted the arena refuses the address instead of
+    /// serving silent zeroes. A fresh write to the address clears the
+    /// marker. On a sharded engine, `shard_of_addr(address)` names the
+    /// shard.
     PageLost {
-        /// Shard that lost the block during recovery.
-        shard: usize,
         /// Physical address of the unrecoverable cache block.
         address: u64,
     },
@@ -97,11 +97,10 @@ impl std::fmt::Display for ToleoError {
             ToleoError::InvalidConfig { detail } => {
                 write!(f, "invalid ToleoConfig: {detail}")
             }
-            ToleoError::PageLost { shard, address } => {
+            ToleoError::PageLost { address } => {
                 write!(
                     f,
-                    "block {address:#x} lost during shard {shard} recovery: \
-                     rewrite it before reading"
+                    "block {address:#x} lost during recovery: rewrite it before reading"
                 )
             }
         }
@@ -180,12 +179,9 @@ mod tests {
         }
         .to_string()
         .contains("quarantined"));
-        assert!(ToleoError::PageLost {
-            shard: 5,
-            address: 0x1040,
-        }
-        .to_string()
-        .contains("lost during shard 5 recovery"));
+        assert!(ToleoError::PageLost { address: 0x1040 }
+            .to_string()
+            .contains("block 0x1040 lost during recovery"));
     }
 
     #[test]

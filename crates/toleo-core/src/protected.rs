@@ -97,7 +97,7 @@ impl From<ToleoError> for MemoryError {
             // A block the scrub could not re-verify is data the adversary
             // destroyed: the harness must see the integrity failure, not a
             // retryable resource hiccup.
-            ToleoError::PageLost { address, .. } => MemoryError::IntegrityViolation { address },
+            ToleoError::PageLost { address } => MemoryError::IntegrityViolation { address },
             other => MemoryError::Resource {
                 detail: other.to_string(),
             },
@@ -414,10 +414,7 @@ mod tests {
             MemoryError::OutOfRange { .. }
         ));
         assert!(matches!(
-            MemoryError::from(ToleoError::PageLost {
-                shard: 1,
-                address: 0x40
-            }),
+            MemoryError::from(ToleoError::PageLost { address: 0x40 }),
             MemoryError::IntegrityViolation { address: 0x40 }
         ));
         let be = MemoryBatchError {

@@ -12,14 +12,15 @@
 //! bandwidth saturates.
 //!
 //! A shard is one mutex. Everything that belongs to shard *k* — its
-//! engine, its key generation, whether it is quarantined, the ledger of
-//! blocks a recovery scrub lost, its served-op count and its recovery
-//! counters — is one `Shard` behind `shards[k]`, and the handle holds no
-//! other lock: whoever drains, recovers or snapshots a shard already
-//! holds that mutex, so nothing beside it needs synchronisation of its
-//! own, and telemetry is summed when it is read, never pushed. The
-//! module's only atomics are the world-kill flag (`Release` store,
-//! `Acquire` load) and the batch helper's mailbox phase.
+//! engine (with the ledger of blocks a recovery scrub lost, which travels
+//! with its arena), its key generation, whether it is quarantined, its
+//! served-op count and its recovery counters — is one `Shard` behind
+//! `shards[k]`, and the handle holds no other lock: whoever drains,
+//! recovers or snapshots a shard already holds that mutex, so nothing
+//! beside it needs synchronisation of its own, and telemetry is summed
+//! when it is read, never pushed. A drain runs ops without knowing their
+//! kind. The module's only atomics are the world-kill flag (`Release`
+//! store, `Acquire` load) and the batch helper's mailbox phase.
 //!
 //! [`ShardedEngine`] is the thread-safe handle. Single operations route to
 //! the owning shard under its mutex, on the calling thread;
@@ -70,7 +71,6 @@ use crate::engine::{Block, EngineStats, KillSnapshot, ProtectionEngine, Untruste
 use crate::error::{BatchError, Result, ToleoError};
 use crate::fault::FaultPlanConfig;
 use crate::layout;
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -169,9 +169,10 @@ struct Core {
     killed: AtomicBool,
 }
 
-/// Everything one shard's mutex guards. The ledger and counters sit
-/// *beside* the engine, not in it: [`ShardedEngine::recover_shard`]
-/// replaces the engine, and they must outlive that generation.
+/// Everything one shard's mutex guards. The counters sit *beside* the
+/// engine, not in it: [`ShardedEngine::recover_shard`] replaces the
+/// engine, and they must outlive that generation. The ledger of lost
+/// blocks is the engine's own and moves with its arena.
 #[derive(Debug)]
 struct Shard {
     engine: ProtectionEngine,
@@ -183,9 +184,6 @@ struct Shard {
     quarantined: bool,
     /// Ops this shard served, across generations (see [`RobustnessStats`]).
     ops_served: u64,
-    /// Addresses a recovery scrub classified lost and no write has
-    /// repopulated since.
-    lost: HashSet<u64>,
     pages_scrubbed: u64,
     blocks_scrubbed: u64,
     blocks_lost: u64,
@@ -270,7 +268,6 @@ impl ShardedEngine {
                         generation: 0,
                         quarantined: false,
                         ops_served: 0,
-                        lost: HashSet::new(),
                         pages_scrubbed: 0,
                         blocks_scrubbed: 0,
                         blocks_lost: 0,
@@ -353,19 +350,13 @@ impl ShardedEngine {
 
     /// Runs `f` on the shard owning `address` as a batch run of one:
     /// the single-op path is [`drain_shard_guarded`](Core::drain_shard_guarded)
-    /// over the one index `0`, so quarantine refusal, the lost-block
-    /// ledger, the escalation ladder and the fail-closed response to a
-    /// panic exist once, in [`drain_shard`](Core::drain_shard). It never
-    /// involves the batch helper. `access`
-    /// decides how the op interacts with the lost-block ledger a recovery
-    /// may have left behind: reads refuse lost addresses with
-    /// [`ToleoError::PageLost`], successful writes repopulate them
-    /// (clearing the marker), and page frees discard every marker on the
-    /// page.
+    /// over the one index `0`, so quarantine refusal, the escalation
+    /// ladder and the fail-closed response to a panic exist once, in
+    /// [`drain_shard`](Core::drain_shard). It never involves the batch
+    /// helper.
     fn run_on_shard<R>(
         &self,
         address: u64,
-        access: Access,
         mut f: impl FnMut(&mut ProtectionEngine) -> Result<R>,
     ) -> Result<R> {
         self.check_alive(address)?;
@@ -373,7 +364,6 @@ impl ShardedEngine {
         let outcome = self.core.drain_shard_guarded(
             self.shard_of_addr(address),
             &[0],
-            access,
             &|_| address,
             &mut |engine, _| f(engine).map(|value| served = Some(value)),
         );
@@ -395,7 +385,7 @@ impl ShardedEngine {
     /// quarantined, and [`ToleoError::IntegrityViolation`] once the
     /// world-kill has engaged.
     pub fn write(&self, addr: u64, plaintext: &Block) -> Result<()> {
-        self.run_on_shard(addr, Access::Write, |engine| engine.write(addr, plaintext))
+        self.run_on_shard(addr, |engine| engine.write(addr, plaintext))
     }
 
     /// Reads the 64-byte block at `addr` through the owning shard.
@@ -408,7 +398,7 @@ impl ShardedEngine {
     /// classified lost refuses with [`ToleoError::PageLost`] until a
     /// fresh write repopulates it.
     pub fn read(&self, addr: u64) -> Result<Block> {
-        self.run_on_shard(addr, Access::Read, |engine| engine.read(addr))
+        self.run_on_shard(addr, |engine| engine.read(addr))
     }
 
     /// OS page free / remap, routed to the owning shard.
@@ -417,9 +407,7 @@ impl ShardedEngine {
     ///
     /// As [`ProtectionEngine::free_page`].
     pub fn free_page(&self, page: u64) -> Result<()> {
-        self.run_on_shard(page * PAGE_BYTES as u64, Access::Free, |engine| {
-            engine.free_page(page)
-        })
+        self.run_on_shard(page * PAGE_BYTES as u64, |engine| engine.free_page(page))
     }
 
     /// Writes a batch of blocks. The batch is split into per-shard runs,
@@ -513,7 +501,6 @@ impl ShardedEngine {
         let runs = Runs::split(ops.len(), self.shard_count(), |i| {
             self.shard_of_addr(ops.addr(i))
         });
-        let access = ops.access();
         let addr_of = |i: usize| ops.addr(i);
         let mut exec_op = |engine: &mut ProtectionEngine, i: usize| match ops {
             BatchOps::Write(writes) => engine.write(writes[i].0, &writes[i].1),
@@ -533,17 +520,13 @@ impl ShardedEngine {
             &runs.spans[..]
         };
         self.core
-            .drain_spans(&runs, own, access, &addr_of, &mut exec_op, &mut failures);
+            .drain_spans(&runs, own, &addr_of, &mut exec_op, &mut failures);
         if let Some(offer) = &mut offer {
             match offer.settle() {
-                Settled::Reclaimed => self.core.drain_spans(
-                    &runs,
-                    handed,
-                    access,
-                    &addr_of,
-                    &mut exec_op,
-                    &mut failures,
-                ),
+                Settled::Reclaimed => {
+                    self.core
+                        .drain_spans(&runs, handed, &addr_of, &mut exec_op, &mut failures)
+                }
                 Settled::Returned(mut job) => {
                     failures.absorb(std::mem::take(&mut job.failures));
                     if let BatchOps::Read(_) = ops {
@@ -631,7 +614,7 @@ impl ShardedEngine {
             total.recovery.pages_scrubbed += state.pages_scrubbed;
             total.recovery.blocks_scrubbed += state.blocks_scrubbed;
             total.recovery.blocks_lost += state.blocks_lost;
-            total.recovery.blocks_still_lost += state.lost.len() as u64;
+            total.recovery.blocks_still_lost += state.engine.lost_blocks();
             total.recovery.budget_kills += state.budget_kills;
         }
         total.world_killed = self.is_killed();
@@ -708,16 +691,13 @@ impl Core {
         &self,
         runs: &Runs,
         spans: &[Span],
-        access: Access,
         addr_of: &impl Fn(usize) -> u64,
         exec_op: &mut impl FnMut(&mut ProtectionEngine, usize) -> Result<()>,
         failures: &mut Failures,
     ) {
         for span in spans {
             let run = &runs.order[span.start..span.end];
-            if let Err(failure) =
-                self.drain_shard_guarded(span.shard, run, access, addr_of, exec_op)
-            {
+            if let Err(failure) = self.drain_shard_guarded(span.shard, run, addr_of, exec_op) {
                 failures.note(failure);
             }
         }
@@ -733,12 +713,11 @@ impl Core {
         &self,
         shard: usize,
         run: &[usize],
-        access: Access,
         addr_of: &impl Fn(usize) -> u64,
         exec_op: &mut impl FnMut(&mut ProtectionEngine, usize) -> Result<()>,
     ) -> DrainResult {
         catch_unwind(AssertUnwindSafe(|| {
-            self.drain_shard(shard, run, access, addr_of, exec_op)
+            self.drain_shard(shard, run, addr_of, exec_op)
         }))
         .unwrap_or_else(|_| {
             self.killed.store(true, Ordering::Release);
@@ -757,7 +736,6 @@ impl Core {
         &self,
         shard: usize,
         run: &[usize],
-        access: Access,
         addr_of: &impl Fn(usize) -> u64,
         exec_op: &mut impl FnMut(&mut ProtectionEngine, usize) -> Result<()>,
     ) -> DrainResult {
@@ -782,35 +760,12 @@ impl Core {
                 ));
             }
             let failure = chunk.iter().find_map(|&i| {
-                let address = addr_of(i);
-                // Recovery may have left lost-block markers on this
-                // shard (none on any other, so one test skips the
-                // ledger): a read of one refuses, a served write clears
-                // its own, a served page free those of its page — a
-                // freed page answers for its new contents, not for
-                // blocks lost from its previous life.
-                let has_losses = !state.lost.is_empty();
-                if has_losses && matches!(access, Access::Read) && state.lost.contains(&address) {
-                    return Some((i, ToleoError::PageLost { shard, address }));
-                }
                 if let Err(e) = exec_op(&mut state.engine, i) {
                     return Some((i, e));
                 }
                 // Counted as it lands: a failure or an unwind later in
                 // the chunk cannot take it back.
                 state.ops_served += 1;
-                if has_losses {
-                    match access {
-                        Access::Read => {}
-                        Access::Write => {
-                            state.lost.remove(&address);
-                        }
-                        Access::Free => {
-                            let page = layout::page_of(address);
-                            state.lost.retain(|&a| layout::page_of(a) != page);
-                        }
-                    }
-                }
                 None
             });
             if let Some((index, e)) = failure {
@@ -846,13 +801,6 @@ impl BatchOps<'_> {
         match self {
             BatchOps::Write(writes) => writes[i].0,
             BatchOps::Read(addrs) => addrs[i],
-        }
-    }
-
-    fn access(self) -> Access {
-        match self {
-            BatchOps::Write(_) => Access::Write,
-            BatchOps::Read(_) => Access::Read,
         }
     }
 }
@@ -1020,11 +968,9 @@ impl Job {
             failures,
             ..
         } = self;
-        let access = if *write { Access::Write } else { Access::Read };
         core.drain_spans(
             runs,
             &runs.spans,
-            access,
             &|i| addrs[i],
             &mut |engine, i| {
                 if *write {
@@ -1040,16 +986,6 @@ impl Job {
             self.drained += 1;
         }
     }
-}
-
-/// How an operation interacts with the lost-block ledger a recovery may
-/// have left behind (see [`recovery`]): reads refuse lost addresses,
-/// writes repopulate them, page frees discard every marker on the page.
-#[derive(Debug, Clone, Copy)]
-enum Access {
-    Read,
-    Write,
-    Free,
 }
 
 /// A drain's failure: the failing batch index with its error.

@@ -27,12 +27,13 @@
 //! shards never block on it and observe nothing of it, and a caller
 //! routed to the recovering shard waits on that lock and then finds the
 //! shard either still quarantined (the recovery failed) or fully
-//! re-admitted. Recovery has no state of its own to lock. What it leaves behind — the
-//! shard's key generation, the ledger of lost addresses and the scrub
-//! counters — lives in that shard's `Shard`, beside the engine rather
-//! than in it, because recovery replaces the engine and a lost marker
-//! must outlive the generation that lost it. The handle keeps only the
-//! immutable inputs a re-key derives from.
+//! re-admitted. Recovery has no state of its own to lock. The ledger of
+//! lost addresses is the engine's: the fresh engine adopts it with the
+//! arena it describes, so a marker outlives the generation that lost it,
+//! and the engine refuses its own lost lines. The shard's key generation
+//! and scrub counters live in its `Shard`, beside the engine, because
+//! recovery replaces the engine. The handle keeps only the immutable
+//! inputs a re-key derives from.
 
 use super::{derive_shard_key, derive_shard_seed, ShardedEngine};
 use crate::channel::RetryPolicy;
@@ -168,17 +169,15 @@ impl ShardedEngine {
             self.rekey.fault_plan,
             self.rekey.policy,
         )?;
-        let (pages_scrubbed, blocks_scrubbed, lost) = fresh.readmit(&mut state.engine)?;
-        // Re-admit: swap the fresh engine in, add the walk's losses to
-        // the markers still standing from earlier generations (an address
-        // lost in generation k and never rewritten is still lost in k+1,
-        // though the fresh engine never held it), bump the generation,
-        // then clear `quarantined` — all before the shard lock drops, so
-        // the first caller routed here sees a fully re-admitted shard.
-        let blocks_lost = lost.len() as u64;
+        // An address lost in generation k and never rewritten is still
+        // lost in k+1: the fresh engine adopts the old ledger with the
+        // arena, the walk's losses added.
+        let (pages_scrubbed, blocks_scrubbed, blocks_lost) = fresh.readmit(&mut state.engine)?;
+        // Re-admit: swap the fresh engine in, bump the generation, then
+        // clear `quarantined` — all before the shard lock drops, so the
+        // first caller routed here sees a fully re-admitted shard.
         state.engine = fresh;
         state.generation = generation;
-        state.lost.extend(lost);
         state.pages_scrubbed += pages_scrubbed;
         state.blocks_scrubbed += blocks_scrubbed;
         state.blocks_lost += blocks_lost;
@@ -356,6 +355,32 @@ mod tests {
         assert!(matches!(e.read(victim), Err(ToleoError::PageLost { .. })));
     }
 
+    /// A lost address refuses before the read does anything: no counter,
+    /// no cache and no device moves, and a ciphertext the adversary puts
+    /// back into the hole is never opened, so the refusal is `PageLost`
+    /// and not a quarantine.
+    #[test]
+    fn a_lost_line_refuses_before_the_read_touches_anything() {
+        let mut e = sharded(4);
+        for page in 0..8u64 {
+            e.write(page * PAGE_BYTES as u64, &[page as u8 + 1; 64])
+                .unwrap();
+        }
+        let victim = 2 * PAGE_BYTES as u64;
+        let capsule = e.with_adversary(victim, |dram| dram.capture(victim));
+        tamper_and_detect(&e, victim);
+        assert_eq!(e.recover_shard(2).unwrap().blocks_lost, 1);
+        e.with_adversary(victim, |dram| dram.replay(&capsule));
+
+        let before = e.shard_engine_mut(2).snapshot();
+        assert_eq!(
+            e.read(victim),
+            Err(ToleoError::PageLost { address: victim })
+        );
+        assert!(!e.is_shard_quarantined(2));
+        assert_eq!(e.shard_engine_mut(2).snapshot(), before);
+    }
+
     #[test]
     fn recover_readmits_shard_with_intact_data_and_lost_markers() {
         let e = sharded(4);
@@ -375,10 +400,11 @@ mod tests {
         assert_eq!(e.read(6 * PAGE_BYTES as u64).unwrap(), [7u8; 64]);
         // The tampered block is lost — a typed refusal, never silent
         // zeroes.
-        match e.read(victim) {
-            Err(ToleoError::PageLost { shard: 2, address }) => assert_eq!(address, victim),
-            other => panic!("expected PageLost, got {other:?}"),
-        }
+        assert_eq!(
+            e.read(victim),
+            Err(ToleoError::PageLost { address: victim })
+        );
+        assert_eq!(e.shard_of_addr(victim), 2);
         let rs = e.robustness_stats();
         assert_eq!(rs.recovery.recoveries, 1);
         assert_eq!(rs.recovery.blocks_lost, 1);
@@ -404,7 +430,7 @@ mod tests {
             .collect();
         let err = e.read_batch_indexed(&addrs).unwrap_err();
         assert_eq!(err.index, 3);
-        assert!(matches!(err.error, ToleoError::PageLost { shard: 2, .. }));
+        assert_eq!(err.error, ToleoError::PageLost { address: addrs[3] });
         // A write batch covering the lost address clears the marker.
         e.write_batch(&[(victim, [0x33u8; 64])]).unwrap();
         let blocks = e.read_batch(&addrs).unwrap();
@@ -514,10 +540,8 @@ mod tests {
         assert_eq!(out.generation, 2);
         assert_eq!(out.blocks_lost, 1, "the kept marker is no longer resident");
         for lost in [kept, third] {
-            match e.read(lost) {
-                Err(ToleoError::PageLost { shard: 2, address }) => assert_eq!(address, lost),
-                other => panic!("expected PageLost at {lost:#x}, got {other:?}"),
-            }
+            assert_eq!(e.read(lost), Err(ToleoError::PageLost { address: lost }));
+            assert_eq!(e.shard_of_addr(lost), 2);
         }
         assert_eq!(e.read(rewritten).unwrap(), [2u8; 64]);
         assert_eq!(e.read(page(14)).unwrap(), [1u8; 64]);

@@ -148,9 +148,10 @@ impl RacingClient<'_> {
         };
         match result {
             Ok(()) => self.readmitted |= recovering,
-            Err(ToleoError::PageLost { shard, address }) => {
+            Err(ToleoError::PageLost { address }) => {
                 assert!(self.lost, "op {i}: PageLost after the block was rewritten");
-                assert_eq!((shard, address), (self.shard, self.tampered), "op {i}");
+                assert_eq!(address, self.tampered, "op {i}");
+                assert_eq!(self.engine.shard_of_addr(address), self.shard, "op {i}");
                 assert_eq!(addr, self.tampered, "op {i}");
                 self.readmitted = true;
             }

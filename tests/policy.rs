@@ -227,6 +227,17 @@ const BANS: &[Ban] = &[
         why: "no shared counter in the engine: its only atomics are the kill flag and \
               the batch helper's phase, the two rows of AUDIT.json's atomics table",
     },
+    Ban {
+        pattern: &["enum Access", "state.lost"],
+        whole_word: false,
+        roots: &[
+            "crates/toleo-core/src/sharded.rs",
+            "crates/toleo-core/src/sharded/",
+        ],
+        exempt: None,
+        why: "the ledger travels with the arena; the drain does not know op kinds \
+              (EXPERIMENTS.md \"The lost-line ledger travels with the arena\")",
+    },
 ];
 
 /// One former `awk` step: in `file`, a section runs from one line that
