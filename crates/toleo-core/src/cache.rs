@@ -313,7 +313,7 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if `num_sets == 0` or `ways == 0`.
+    /// Panics if `num_sets == 0`, `ways == 0` or `ways > 16`.
     pub fn new(num_sets: usize, ways: usize) -> Self {
         SetAssocCache {
             dir: LruDirectory::new(num_sets, ways),

@@ -17,6 +17,13 @@
 //! full (4 block) side entries are allocated. When the dynamic region is
 //! exhausted, upgrades are rejected with [`ToleoError::DeviceFull`] until
 //! the host frees space via RESET.
+//!
+//! An UPDATE is check → write → count → maybe reset: the page's entry
+//! decides the write once against the region's free blocks
+//! (`PageEntry::record_write_within`), which is the one place a
+//! device-full refusal is made. The stealth reset and the OS RESET share
+//! one routine that swaps a fresh flat entry in; a stealth reset hands the
+//! replaced entry to the host in its [`ResetNotice`].
 
 // audit: allow-file(indexing, entry indices come from the page index that allocated them)
 
@@ -27,14 +34,15 @@ use crate::trip::{PageEntry, TripFormat, UpdateEffect};
 use crate::version::StealthVersion;
 use toleo_crypto::range::DRange;
 
-/// Streamed to the host when a stealth reset fires: the page's pre-reset
-/// versions, which the host needs to decrypt each block before
-/// re-encrypting it under the incremented UV and the fresh stealth base.
+/// Streamed to the host when a stealth reset fires: the page's replaced
+/// Trip entry, which the host asks for each block's pre-reset version to
+/// decrypt it before re-encrypting under the incremented UV and the fresh
+/// stealth base.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResetNotice {
-    /// Per-line stealth versions immediately before the reset (after the
+    /// The page's entry immediately before the reset (after the
     /// triggering write's increment).
-    pub old_stealth: Box<[StealthVersion; crate::config::LINES_PER_PAGE]>,
+    pub old: PageEntry,
     /// The page's fresh shared stealth base after the reset, so the host
     /// can re-encrypt without a follow-up READ round trip.
     pub new_base: StealthVersion,
@@ -205,17 +213,6 @@ impl ToleoDevice {
         Ok(())
     }
 
-    /// Materializes (first touch) and returns the entry for `page`.
-    fn entry(&mut self, page: u64) -> &mut PageEntry {
-        materialize(
-            &mut self.index,
-            &mut self.entries,
-            &mut self.rng,
-            self.cfg.stealth_bits,
-            page,
-        )
-    }
-
     /// READ: the stealth version of cache block `line` in `page`.
     ///
     /// # Errors
@@ -309,66 +306,31 @@ impl ToleoDevice {
             rng,
             stats,
         } = self;
-        let bits = cfg.stealth_bits;
-        let entry = materialize(index, entries, rng, bits, page);
+        let entry = materialize(index, entries, rng, cfg.stealth_bits, page);
         let format = entry.format();
-        // Check allocation headroom against the predicted structural effect
-        // before mutating anything (flat->uneven needs 1 block,
-        // uneven->full needs +3 net).
-        let effect = entry.predict_effect(line);
-        let extra_blocks: u64 = match effect {
-            UpdateEffect::UpgradedToUneven => 1,
-            UpdateEffect::UpgradedToFull => crate::config::FULL_ENTRY_BLOCKS as u64 - 1,
-            _ => 0,
-        };
-        if extra_blocks > 0 && *dynamic_blocks_used + extra_blocks > *dynamic_blocks_cap {
+        let held = entry.dynamic_blocks();
+        let room = *dynamic_blocks_cap - *dynamic_blocks_used;
+        let Some((effect, advanced)) = entry.record_write_within(line, room, cfg) else {
             stats.rejected_full += 1;
             return Err(ToleoError::DeviceFull { page });
-        }
+        };
         stats.updates += 1;
-        let leading_before = entry.leading_version(cfg);
-        let recorded = entry.record_write(line, cfg);
-        debug_assert_eq!(
-            recorded, effect,
-            "predict_effect diverged from record_write"
-        );
-        match recorded {
-            UpdateEffect::UpgradedToUneven => {
-                *dynamic_blocks_used += 1;
-                stats.upgrades_to_uneven += 1;
-            }
-            UpdateEffect::UpgradedToFull => {
-                *dynamic_blocks_used += extra_blocks;
-                stats.upgrades_to_full += 1;
-            }
-            _ => {}
+        *dynamic_blocks_used += (entry.dynamic_blocks() - held) as u64;
+        match effect {
+            UpdateEffect::UpgradedToUneven => stats.upgrades_to_uneven += 1,
+            UpdateEffect::UpgradedToFull => stats.upgrades_to_full += 1,
+            UpdateEffect::None => {}
         }
-
         // Reset check (§4.3): only when the page's leading version advanced.
-        let leading_after = entry.leading_version(cfg);
         let mut reset = None;
-        if PageEntry::leading_advanced(leading_before, leading_after)
-            && rng.one_in_pow2(cfg.reset_log2)
-        {
-            // Stream the pre-reset versions to the host for re-encryption,
-            // then free any side entry and return to flat with a fresh base.
-            let mut old_stealth =
-                Box::new([StealthVersion::default(); crate::config::LINES_PER_PAGE]);
-            for (l, slot) in old_stealth.iter_mut().enumerate() {
-                *slot = entry.version_of(l, cfg);
-            }
-            *dynamic_blocks_used -= entry.dynamic_blocks() as u64;
-            let base = random_base(rng, bits);
-            entry.reset_to_flat(base);
+        if advanced && rng.one_in_pow2(cfg.reset_log2) {
+            let new_base = random_base(rng, cfg.stealth_bits);
+            let old = reset_entry(entry, new_base, dynamic_blocks_used);
             stats.stealth_resets += 1;
-            reset = Some(ResetNotice {
-                old_stealth,
-                new_base: base,
-            });
+            reset = Some(ResetNotice { old, new_base });
         }
-        let stealth = entry.version_of(line, cfg);
         Ok(UpdateResponse {
-            stealth,
+            stealth: entry.version_of(line, cfg),
             format,
             reset,
         })
@@ -387,11 +349,16 @@ impl ToleoDevice {
         self.check_page(page)?;
         self.stats.resets += 1;
         let bits = self.cfg.stealth_bits;
+        // The fresh base is drawn before a first touch materializes the page.
         let base = random_base(&mut self.rng, bits);
-        let entry = self.entry(page);
-        let freed = entry.dynamic_blocks() as u64;
-        entry.reset_to_flat(base);
-        self.dynamic_blocks_used -= freed;
+        let entry = materialize(
+            &mut self.index,
+            &mut self.entries,
+            &mut self.rng,
+            bits,
+            page,
+        );
+        reset_entry(entry, base, &mut self.dynamic_blocks_used);
         Ok(base)
     }
 
@@ -403,6 +370,15 @@ impl ToleoDevice {
             .get(page)
             .map(|i| self.entries[i as usize].base())
     }
+}
+
+/// Swaps a fresh flat entry at `base` in for `entry`, returns the old
+/// side entry's blocks to the dynamic region, and hands back the replaced
+/// entry. The stealth reset and the OS RESET both end here.
+fn reset_entry(entry: &mut PageEntry, base: StealthVersion, used: &mut u64) -> PageEntry {
+    let old = std::mem::replace(entry, PageEntry::new_flat(base));
+    *used -= old.dynamic_blocks() as u64;
+    old
 }
 
 fn random_base(rng: &mut DRange, bits: u32) -> StealthVersion {
@@ -435,7 +411,7 @@ fn materialize<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LINES_PER_PAGE;
+    use crate::config::{LINES_PER_PAGE, MAX_UNEVEN_OFFSET};
 
     fn dev() -> ToleoDevice {
         ToleoDevice::new(ToleoConfig::small()).unwrap()
@@ -609,6 +585,50 @@ mod tests {
             "rejected update must not mutate"
         );
         assert_eq!(d.read_versioned(0, 0).unwrap().1, TripFormat::Flat);
+    }
+
+    /// The uneven → full refusal: a page at offset 127 with MIN 0 needs 3
+    /// more blocks, and with fewer free the UPDATE changes nothing but
+    /// `rejected_full`; once a RESET elsewhere frees blocks it upgrades.
+    #[test]
+    fn device_full_refuses_the_full_upgrade_and_leaves_state_unchanged() {
+        let mut cfg = ToleoConfig::small();
+        // Four dynamic blocks: pages 0 and 1 go uneven, leaving two free.
+        cfg.device_capacity_bytes = cfg.flat_array_bytes() + 4 * DYNAMIC_BLOCK_BYTES as u64;
+        let mut d = ToleoDevice::new(cfg).unwrap();
+        for _ in 0..2 {
+            d.update(1, 0).unwrap();
+        }
+        // Line 7 of page 0 climbs to offset 127 while line 0 stays at 0.
+        let base = d.read(0, 0).unwrap();
+        for _ in 0..MAX_UNEVEN_OFFSET {
+            d.update(0, 7).unwrap();
+        }
+        assert_eq!(d.read(0, 7).unwrap(), base.offset_by(MAX_UNEVEN_OFFSET, 27));
+        assert_eq!(d.read_versioned(0, 0).unwrap().1, TripFormat::Uneven);
+        assert_eq!(d.usage().dynamic_bytes, 2 * DYNAMIC_BLOCK_BYTES as u64);
+
+        let versions = |d: &mut ToleoDevice| -> Vec<StealthVersion> {
+            (0..LINES_PER_PAGE).map(|l| d.read(0, l).unwrap()).collect()
+        };
+        let (before, usage, stats) = (versions(&mut d), d.usage(), d.stats());
+        assert!(matches!(
+            d.update(0, 7),
+            Err(ToleoError::DeviceFull { page: 0 })
+        ));
+        assert_eq!(d.stats().rejected_full, stats.rejected_full + 1);
+        assert_eq!(d.stats().updates, stats.updates);
+        assert_eq!(d.usage(), usage);
+        assert_eq!(d.read_versioned(0, 0).unwrap().1, TripFormat::Uneven);
+        assert_eq!(versions(&mut d), before, "a refused UPDATE must not mutate");
+
+        // Freeing page 1's side entry leaves room for the four-block entry.
+        d.reset(1).unwrap();
+        let r = d.update(0, 7).unwrap();
+        assert_eq!(r.stealth, base.offset_by(MAX_UNEVEN_OFFSET + 1, 27));
+        assert_eq!(d.read_versioned(0, 0).unwrap().1, TripFormat::Full);
+        assert_eq!(d.stats().upgrades_to_full, 1);
+        assert_eq!(d.usage().dynamic_bytes, 4 * DYNAMIC_BLOCK_BYTES as u64);
     }
 
     #[test]

@@ -418,7 +418,7 @@ impl ProtectionEngine {
                 slot,
                 page,
                 Some(line),
-                |l| version(uv, notice.old_stealth[l]),
+                |l| version(uv, notice.old.version_of(l, &self.cfg)),
                 |_| version(new_uv, notice.new_base),
             );
             if failed != 0 {

@@ -18,11 +18,18 @@
 //!
 //! Pages upgrade flat → uneven → full as locality degrades and can be
 //! downgraded back to flat (with a stealth reset + UV bump) by the OS or by
-//! the probabilistic reset policy.
+//! the probabilistic reset policy; the device does that by swapping a fresh
+//! flat entry in.
+//!
+//! A write is decided once, by `PageEntry::record_write_within`: it
+//! refuses an upgrade that does not fit the device's free dynamic blocks
+//! before touching the entry, and otherwise reports the structural effect
+//! and whether the page's leading version advanced (the reset draw's
+//! trigger).
 
 // audit: allow-file(indexing, line indices are bounded by LINES_PER_PAGE at every call site)
 
-use crate::config::{ToleoConfig, LINES_PER_PAGE, MAX_UNEVEN_OFFSET};
+use crate::config::{ToleoConfig, FULL_ENTRY_BLOCKS, LINES_PER_PAGE, MAX_UNEVEN_OFFSET};
 use crate::version::StealthVersion;
 use serde::{Deserialize, Serialize};
 
@@ -47,8 +54,8 @@ impl std::fmt::Display for TripFormat {
     }
 }
 
-/// Events a page update can raise; the device acts on these (allocation,
-/// reset signalling to the host).
+/// The structural change a write makes to its page; the device allocates
+/// dynamic blocks for the upgrades.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateEffect {
     /// Version incremented in place; no structural change.
@@ -57,21 +64,18 @@ pub enum UpdateEffect {
     UpgradedToUneven,
     /// The page upgraded uneven → full (device must allocate 4, free 1).
     UpgradedToFull,
-    /// The probabilistic reset fired: page returned to flat with a fresh
-    /// random base; the host must bump the UV and re-encrypt the page.
-    StealthReset,
 }
 
 /// Per-page Trip state. This is the logical content of the flat entry and
 /// its (optional) side entry.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageEntry {
     format: PageRepr,
     /// Shared stealth base (the "27b base" of the flat entry).
     base: StealthVersion,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum PageRepr {
     Flat {
         /// Bit i set <=> line i written since the last base increment.
@@ -151,84 +155,77 @@ impl PageEntry {
         }
     }
 
-    /// Predicts the structural effect [`record_write`](Self::record_write)
-    /// would have, without mutating the entry. The device uses this to
-    /// check dynamic-region headroom before committing an update, instead
-    /// of cloning the entry and trial-running the write.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line >= 64`.
-    pub fn predict_effect(&self, line: usize) -> UpdateEffect {
-        assert!(line < LINES_PER_PAGE, "line index {line} out of page");
-        match &self.format {
-            PageRepr::Flat { written } => {
-                if *written & (1u64 << line) == 0 {
-                    UpdateEffect::None
-                } else {
-                    UpdateEffect::UpgradedToUneven
-                }
-            }
-            PageRepr::Uneven { offsets } => {
-                if (offsets[line] as u32) < MAX_UNEVEN_OFFSET {
-                    return UpdateEffect::None;
-                }
-                // Offset would overflow: renormalization absorbs it whenever
-                // there is a MIN to fold (mirrors the record_write overflow
-                // arm).
-                if offsets.iter().all(|&o| o > 0) {
-                    UpdateEffect::None
-                } else {
-                    UpdateEffect::UpgradedToFull
-                }
-            }
-            PageRepr::Full { .. } => UpdateEffect::None,
-        }
-    }
-
     /// Records a write to `line`, incrementing its version and upgrading the
-    /// representation if the page's version locality no longer fits.
-    ///
-    /// Returns the structural effect, *excluding* resets — the caller (the
-    /// device) performs the reset draw when [`UpdateEffect`] indicates the
-    /// leading version advanced; see [`PageEntry::leading_advanced`].
+    /// representation if the page's version locality no longer fits — the
+    /// write `record_write_within` admits when the dynamic region has
+    /// unlimited room.
     ///
     /// # Panics
     ///
     /// Panics if `line >= 64`.
     pub fn record_write(&mut self, line: usize, cfg: &ToleoConfig) -> UpdateEffect {
+        // Unlimited room admits every write; the default is never taken.
+        self.record_write_within(line, u64::MAX, cfg)
+            .map_or(UpdateEffect::None, |(effect, _)| effect)
+    }
+
+    /// Records a write to `line` if the upgrade it causes fits in `room`
+    /// free dynamic blocks (flat → uneven takes 1, uneven → full 3 more).
+    /// A write that does not fit returns `None` and leaves the entry as it
+    /// was. An admitted write returns its structural effect and whether it
+    /// advanced the page's leading version — the only writes on which the
+    /// device draws the stealth reset (§4.3).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line >= 64`.
+    pub(crate) fn record_write_within(
+        &mut self,
+        line: usize,
+        room: u64,
+        cfg: &ToleoConfig,
+    ) -> Option<(UpdateEffect, bool)> {
         assert!(line < LINES_PER_PAGE, "line index {line} out of page");
         match &mut self.format {
             PageRepr::Flat { written } => {
                 let bit = 1u64 << line;
                 if *written & bit == 0 {
+                    // The round's first write lifts the leading version to
+                    // base + 1; the rest of the round leaves it there.
+                    let advanced = *written == 0;
                     *written |= bit;
                     if *written == u64::MAX {
                         // Whole page written uniformly: advance base, clear.
                         self.base = self.base.incremented(cfg.stealth_bits);
                         *written = 0;
                     }
-                    UpdateEffect::None
-                } else {
-                    // Second write to the same line before the round
-                    // completes: stride exceeds 1, upgrade to uneven.
-                    let mut offsets = Box::new([0u8; LINES_PER_PAGE]);
-                    for i in 0..LINES_PER_PAGE {
-                        offsets[i] = ((*written >> i) & 1) as u8;
-                    }
-                    offsets[line] += 1; // the triggering write
-                    self.format = PageRepr::Uneven { offsets };
-                    UpdateEffect::UpgradedToUneven
+                    return Some((UpdateEffect::None, advanced));
                 }
+                // Second write to the same line before the round
+                // completes: stride exceeds 1, upgrade to uneven.
+                if room < 1 {
+                    return None;
+                }
+                let mut offsets = Box::new([0u8; LINES_PER_PAGE]);
+                for i in 0..LINES_PER_PAGE {
+                    offsets[i] = ((*written >> i) & 1) as u8;
+                }
+                offsets[line] += 1; // the triggering write
+                self.format = PageRepr::Uneven { offsets };
+                Some((UpdateEffect::UpgradedToUneven, true))
             }
             PageRepr::Uneven { offsets } => {
-                if (offsets[line] as u32) < MAX_UNEVEN_OFFSET {
+                let offset = offsets[line];
+                if (offset as u32) < MAX_UNEVEN_OFFSET {
+                    // A plain `max` vectorises; an early-exit scan does not.
+                    let advanced = offset == offsets.iter().copied().max().unwrap_or(0);
                     offsets[line] += 1;
-                    return UpdateEffect::None;
+                    return Some((UpdateEffect::None, advanced));
                 }
-                // Offset overflow: renormalize by folding MIN into the base.
-                // The overflowing line sits at the maximum, so any MIN > 0
-                // brings its incremented offset back in range.
+                // Offset overflow: the line sits at the maximum, so the
+                // leading version advances whichever way this goes.
+                // Renormalize by folding MIN into the base; any MIN > 0
+                // brings the incremented offset back in range.
                 let min = offsets.iter().copied().min().unwrap_or(0);
                 if min > 0 {
                     for o in offsets.iter_mut() {
@@ -236,15 +233,18 @@ impl PageEntry {
                     }
                     offsets[line] += 1;
                     self.base = self.base.offset_by(min as u32, cfg.stealth_bits);
-                    return UpdateEffect::None;
+                    return Some((UpdateEffect::None, true));
                 }
                 // MIN == 0: stride truly exceeds 127, upgrade to full. The
                 // incremented offset (128) still fits its byte.
+                if room < FULL_ENTRY_BLOCKS as u64 - 1 {
+                    return None;
+                }
                 offsets[line] += 1;
                 let (stealth, leading) = full_from_uneven(self.base, offsets, cfg.stealth_bits);
                 self.format = PageRepr::Full { stealth };
                 self.base = leading;
-                UpdateEffect::UpgradedToFull
+                Some((UpdateEffect::UpgradedToFull, true))
             }
             PageRepr::Full { stealth } => {
                 let v = StealthVersion::new(stealth[line] as u64, cfg.stealth_bits)
@@ -252,29 +252,13 @@ impl PageEntry {
                 stealth[line] = v.raw();
                 // Track the leading version in the flat entry's base field
                 // (§4.3: full format uses the 27-bit base for reset checks).
-                if v.raw() > self.base.raw() {
+                let advanced = v.raw() > self.base.raw();
+                if advanced {
                     self.base = v;
                 }
-                UpdateEffect::None
+                Some((UpdateEffect::None, advanced))
             }
         }
-    }
-
-    /// Whether the most recent [`record_write`](Self::record_write) advanced
-    /// the page's leading version to `after` from a strictly lower value.
-    ///
-    /// The device compares leading versions before/after an update and draws
-    /// the probabilistic reset only when the leading version advanced.
-    pub fn leading_advanced(before: StealthVersion, after: StealthVersion) -> bool {
-        after != before
-    }
-
-    /// Resets the page to flat with a fresh random base. Used by the
-    /// probabilistic reset policy and by OS-initiated downgrades (page free
-    /// or remap). The caller must increment the page's UV.
-    pub fn reset_to_flat(&mut self, new_base: StealthVersion) {
-        self.base = new_base;
-        self.format = PageRepr::Flat { written: 0 };
     }
 
     /// Serialized size of the side entry in Toleo dynamic memory, in
@@ -283,7 +267,7 @@ impl PageEntry {
         match self.format {
             PageRepr::Flat { .. } => 0,
             PageRepr::Uneven { .. } => 1,
-            PageRepr::Full { .. } => crate::config::FULL_ENTRY_BLOCKS,
+            PageRepr::Full { .. } => FULL_ENTRY_BLOCKS,
         }
     }
 }
@@ -460,10 +444,14 @@ mod tests {
         p.record_write(3, &cfg);
         p.record_write(3, &cfg);
         assert_eq!(p.format(), TripFormat::Uneven);
-        p.reset_to_flat(StealthVersion::new(777, 27));
+        // The device's reset: a fresh flat entry in, the old one handed
+        // back so the host can still ask it each line's pre-reset version.
+        let old = std::mem::replace(&mut p, flat(777));
         assert_eq!(p.format(), TripFormat::Flat);
+        assert_eq!(p.dynamic_blocks(), 0);
         for l in 0..LINES_PER_PAGE {
             assert_eq!(p.version_of(l, &cfg).raw(), 777);
+            assert_eq!(old.version_of(l, &cfg).raw(), if l == 3 { 2 } else { 0 });
         }
     }
 
@@ -485,30 +473,63 @@ mod tests {
         flat(0).version_of(64, &cfg);
     }
 
-    /// `predict_effect` must agree with the effect `record_write` actually
-    /// produces, across random write streams that visit all three formats.
+    /// `record_write_within` against the unbounded `record_write` and
+    /// `leading_version`, on seeded write streams through all three formats
+    /// with 0..=4 free blocks: a write is refused exactly when its upgrade
+    /// needs more blocks than are free, and then leaves the entry as it was;
+    /// an admitted one has the effect and leaves the state `record_write`
+    /// would, and reports an advance exactly when the leading version moved.
     #[test]
-    fn predicted_effect_matches_recorded_effect() {
+    fn bounded_write_is_refused_whole_or_matches_record_write() {
         use rand::{Rng, SeedableRng};
         let cfg = cfg();
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let (mut refused, mut advanced, mut upgrades) = ([0u32; 2], 0u32, [0u32; 2]);
         for trial in 0..20 {
+            // Odd trials hammer three lines: their offsets overflow before
+            // the other lines lift MIN, so they reach full.
+            let hot = if trial % 2 == 0 { 0.5 } else { 0.95 };
             let mut p = flat(rng.gen_range(0..1u64 << 27));
             for step in 0..2_000 {
-                let line = if rng.gen_bool(0.5) {
+                let line = if rng.gen_bool(hot) {
                     rng.gen_range(0..3)
                 } else {
                     rng.gen_range(0..LINES_PER_PAGE)
                 };
-                let predicted = p.predict_effect(line);
-                let actual = p.record_write(line, &cfg);
-                assert_eq!(predicted, actual, "trial {trial} step {step} line {line}");
+                let room = rng.gen_range(0..=4u64);
+                let (before, leading) = (p.clone(), p.leading_version(&cfg));
+                let mut oracle = before.clone();
+                let effect = oracle.record_write(line, &cfg);
+                let needed = (oracle.dynamic_blocks() - before.dynamic_blocks()) as u64;
+                let at = format!("trial {trial} step {step} line {line} room {room}");
+                match p.record_write_within(line, room, &cfg) {
+                    None => {
+                        assert!(needed > room, "{at}: refused a write that fits");
+                        assert_eq!(p, before, "{at}: a refusal mutated the entry");
+                        refused[(p.format() == TripFormat::Uneven) as usize] += 1;
+                    }
+                    Some((got, moved)) => {
+                        assert!(needed <= room, "{at}: admitted a write that does not fit");
+                        assert_eq!(got, effect, "{at}");
+                        assert_eq!(p, oracle, "{at}");
+                        assert_eq!(moved, p.leading_version(&cfg) != leading, "{at}");
+                        advanced += moved as u32;
+                        match effect {
+                            UpdateEffect::UpgradedToUneven => upgrades[0] += 1,
+                            UpdateEffect::UpgradedToFull => upgrades[1] += 1,
+                            UpdateEffect::None => {}
+                        }
+                    }
+                }
                 // Occasionally reset so flat is revisited.
                 if rng.gen_bool(0.001) {
-                    p.reset_to_flat(StealthVersion::new(rng.gen_range(0..1 << 27), 27));
+                    p = flat(rng.gen_range(0..1u64 << 27));
                 }
             }
         }
+        assert!(refused.iter().all(|&n| n > 0), "refusals {refused:?}");
+        assert!(upgrades.iter().all(|&n| n > 0), "upgrades {upgrades:?}");
+        assert!(advanced > 0);
     }
 
     /// Versions computed via any representation must agree with a naive

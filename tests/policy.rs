@@ -238,6 +238,21 @@ const BANS: &[Ban] = &[
         why: "the ledger travels with the arena; the drain does not know op kinds \
               (EXPERIMENTS.md \"The lost-line ledger travels with the arena\")",
     },
+    Ban {
+        pattern: &[
+            "predict_effect",
+            "leading_advanced",
+            "old_stealth",
+            "StealthReset",
+        ],
+        whole_word: true,
+        roots: &["crates", "src", "tests", "examples"],
+        exempt: None,
+        why: "one Trip write decision: `PageEntry::record_write_within` refuses a \
+              device-full upgrade before it mutates and reports whether the leading \
+              version advanced, and a reset hands the host the replaced entry \
+              (EXPERIMENTS.md \"A Trip write is decided once\")",
+    },
 ];
 
 /// One former `awk` step: in `file`, a section runs from one line that
