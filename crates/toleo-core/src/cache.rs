@@ -62,6 +62,31 @@
 //! percent of a small working set's `heap_peak_bytes_per_block`
 //! (EXPERIMENTS.md "PR 19", "PR 23").
 //!
+//! # Repeats
+//!
+//! Page-local traffic probes the same page and the same MAC block op
+//! after op. [`StealthCache`] remembers the `(page, format)` it last
+//! probed and [`MacCache`] the last MAC-block key; a repeat counts the
+//! hits the full probe would have counted and returns, one compare in
+//! front of an out-of-line probe. Both memos are exact:
+//!
+//! * After `access(p, f)` returns, `p` is the CAM's most-recent entry, and
+//!   `f`'s overflow keys (none, `p*4`, or `p*4..p*4+3` in that order) were
+//!   the last accesses of their sets, in that order. Repeating the same
+//!   accesses in the same order hits each one and leaves every recency
+//!   order as it was — also when all four Full sub-blocks share one set,
+//!   since a set has at least four ways (the paper's has 16). So a repeat
+//!   adds 1 to the combined hits, 0, 1 or 4 to the overflow's, and
+//!   changes nothing else. `invalidate_page` clears the memo, whichever
+//!   page it drops.
+//! * `MacCache` has no invalidate: the last key is resident and
+//!   most-recent in its set, so a repeat adds one hit. The empty memo is
+//!   `u64::MAX`, which no key (an address over 512) reaches.
+//!
+//! `stealth_cache_memo_matches_the_full_probe` and
+//! `mac_cache_memo_matches_the_full_probe` drive each beside a twin that
+//! always probes.
+//!
 //! What neither may change is the **hit / miss / victim sequence**: it
 //! decides every version fetch, MAC fetch, hit rate and simulator count
 //! this repo pins. The `Vec` stack they replaced survives as the test
@@ -554,6 +579,9 @@ pub struct StealthCache {
     /// `page * 4 + sub-block`.
     overflow: SetAssocCache,
     combined: CacheStats,
+    /// The last `access`, while nothing has been invalidated since (module
+    /// docs, "Repeats").
+    last: Option<(u64, TripFormat)>,
 }
 
 /// L2 TLB entries (paper: 256, fully associative).
@@ -570,13 +598,32 @@ impl StealthCache {
             tlb_ext: PageCam::new(TLB_ENTRIES),
             overflow: SetAssocCache::new(OVERFLOW_BLOCKS / OVERFLOW_WAYS, OVERFLOW_WAYS),
             combined: CacheStats::default(),
+            last: None,
         }
     }
 
     /// Looks up the stealth version(s) for `page` stored in `format`.
     /// Returns `true` when every structure needed to reconstruct the
     /// version was resident (no CXL access needed).
+    #[inline]
     pub fn access(&mut self, page: u64, format: TripFormat) -> bool {
+        if self.last == Some((page, format)) {
+            self.combined.hits += 1;
+            self.overflow.stats.hits += match format {
+                TripFormat::Flat => 0,
+                TripFormat::Uneven => 1,
+                TripFormat::Full => 4,
+            };
+            return true;
+        }
+        self.access_slow(page, format)
+    }
+
+    /// The full probe behind [`access`](Self::access)'s memo, which it
+    /// refills.
+    #[inline(never)]
+    fn access_slow(&mut self, page: u64, format: TripFormat) -> bool {
+        self.last = Some((page, format));
         let flat_hit = self.tlb_ext.access(page);
         let hit = match format {
             TripFormat::Flat => flat_hit,
@@ -604,6 +651,7 @@ impl StealthCache {
 
     /// Drops any cached state for `page` (reset / remap / downgrade).
     pub fn invalidate_page(&mut self, page: u64) {
+        self.last = None;
         self.tlb_ext.invalidate(page);
         for sub in 0..4 {
             self.overflow.invalidate(page * 4 + sub);
@@ -664,6 +712,9 @@ impl StealthCache {
 #[derive(Debug, Clone)]
 pub struct MacCache {
     inner: SetAssocCache,
+    /// The last key accessed; `u64::MAX` while empty (module docs,
+    /// "Repeats").
+    last: u64,
 }
 
 impl MacCache {
@@ -672,6 +723,7 @@ impl MacCache {
         let blocks = kib * 1024 / 64;
         MacCache {
             inner: SetAssocCache::new((blocks / 16).max(1), 16),
+            last: u64::MAX,
         }
     }
 
@@ -686,7 +738,20 @@ impl MacCache {
     pub fn access(&mut self, block_addr: u64) -> bool {
         // Eight 56-bit MACs pack per 64-byte MAC block: the covering MAC
         // block index is block_index / 8.
-        self.inner.access(block_addr / 64 / 8)
+        let key = block_addr / 64 / 8;
+        if key == self.last {
+            self.inner.stats.hits += 1;
+            return true;
+        }
+        self.access_slow(key)
+    }
+
+    /// The full probe behind [`access`](Self::access)'s memo, which it
+    /// refills.
+    #[inline(never)]
+    fn access_slow(&mut self, key: u64) -> bool {
+        self.last = key;
+        self.inner.access(key)
     }
 
     /// Hit/miss statistics.
@@ -1200,6 +1265,7 @@ mod tests {
             tlb_ext: PageCam::new(8),
             overflow: SetAssocCache::new(1, 8),
             combined: CacheStats::default(),
+            last: None,
         };
         assert!(!sc.access(1, TripFormat::Full));
         assert!(sc.access(1, TripFormat::Full));
@@ -1250,6 +1316,166 @@ mod tests {
         mc.access(16 * 64 * 8); // evicts one
         let s = mc.stats();
         assert_eq!(s.misses, 17);
+    }
+
+    /// Every overflow set's recency walk.
+    fn overflow_walks(sc: &mut StealthCache) -> Vec<Vec<u64>> {
+        (0..sc.overflow.dir.num_sets())
+            .map(|set| walk(&mut sc.overflow, set))
+            .collect()
+    }
+
+    /// How often a memo differential took each path.
+    #[derive(Debug, Default)]
+    struct MemoSeen {
+        repeats: [u64; 3],
+        invalidate_memo_page: u64,
+        invalidate_other_page: u64,
+        misses: u64,
+    }
+
+    /// Stealth-cache geometries `(CAM entries, overflow sets, ways)`: the
+    /// paper's, and one-set buffers where a Full page's four sub-blocks
+    /// share a set, down to four ways.
+    const MEMO_GEOMETRIES: [(usize, usize, usize); 4] =
+        [(256, 32, 16), (8, 1, 8), (4, 1, 4), (16, 4, 4)];
+
+    /// Drives a memoized `StealthCache` beside a twin that always takes
+    /// the full probe, over one seeded stream: about half the ops repeat
+    /// the previous `(page, format)`, the rest pick a page just past the
+    /// CAM's reach and any of the three formats, and ~6% invalidate the
+    /// memo page or another. Every answer and both stats are compared
+    /// after every op, the CAM walk and every overflow walk every
+    /// `full_check_every` ops.
+    fn drive_stealth_memo(
+        (cam, sets, ways): (usize, usize, usize),
+        seed: u64,
+        ops: usize,
+        full_check_every: usize,
+        seen: &mut MemoSeen,
+    ) {
+        let build = || StealthCache {
+            tlb_ext: PageCam::new(cam),
+            overflow: SetAssocCache::new(sets, ways),
+            combined: CacheStats::default(),
+            last: None,
+        };
+        let (mut memo, mut twin) = (build(), build());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pages = (cam + cam / 4 + 2) as u64;
+        let formats = [TripFormat::Flat, TripFormat::Uneven, TripFormat::Full];
+        let (mut page, mut format) = (0, TripFormat::Flat);
+        for op in 0..ops {
+            let roll = rng.gen_range(0..100u32);
+            if roll < 6 {
+                let target = if roll < 3 {
+                    page
+                } else {
+                    rng.gen_range(0..pages)
+                };
+                let on_memo = memo.last.is_some_and(|(p, _)| p == target);
+                seen.invalidate_memo_page += u64::from(on_memo);
+                seen.invalidate_other_page += u64::from(!on_memo);
+                memo.invalidate_page(target);
+                twin.invalidate_page(target);
+            } else {
+                if roll >= 50 {
+                    page = rng.gen_range(0..pages);
+                    format = formats[rng.gen_range(0..3usize)];
+                }
+                if memo.last == Some((page, format)) {
+                    seen.repeats[format as usize] += 1;
+                }
+                let got = memo.access(page, format);
+                assert_eq!(got, twin.access_slow(page, format), "op {op}");
+                seen.misses += u64::from(!got);
+            }
+            assert_eq!(memo.stats(), twin.stats(), "op {op}");
+            assert_eq!(memo.overflow.stats(), twin.overflow.stats(), "op {op}");
+            if (op + 1) % full_check_every == 0 {
+                let cam = cam_walk(&twin.tlb_ext);
+                assert_eq!(cam_walk(&memo.tlb_ext), cam, "op {op}");
+                let overflow = overflow_walks(&mut twin);
+                assert_eq!(overflow_walks(&mut memo), overflow, "op {op}");
+            }
+        }
+    }
+
+    #[test]
+    fn stealth_cache_memo_matches_the_full_probe() {
+        for geometry in MEMO_GEOMETRIES {
+            let mut seen = MemoSeen::default();
+            for case in 0..8 {
+                drive_stealth_memo(geometry, 0x45 + case, 1500, 1, &mut seen);
+            }
+            let paths = [
+                seen.invalidate_memo_page,
+                seen.invalidate_other_page,
+                seen.misses,
+            ];
+            assert!(
+                seen.repeats.iter().all(|&n| n > 0),
+                "{geometry:?}: {seen:?}"
+            );
+            assert!(paths.iter().all(|&n| n > 0), "{geometry:?}: {seen:?}");
+        }
+    }
+
+    /// Drives a memoized `MacCache` beside a twin that always probes: about
+    /// half the ops stay in the previous op's MAC block (any of its eight
+    /// lines), the rest go anywhere in a span just past capacity. Answers
+    /// and stats are compared after every op, every set's walk every
+    /// `full_check_every` ops; returns the number of repeats.
+    fn drive_mac_memo(kib: usize, seed: u64, ops: usize, full_check_every: usize) -> u64 {
+        let (mut memo, mut twin) = (MacCache::new(kib), MacCache::new(kib));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keys = (kib * 1024 / 64 + kib * 4 + 2) as u64;
+        let (mut key, mut repeats) = (0, 0);
+        for op in 0..ops {
+            if rng.gen_bool(0.5) {
+                key = rng.gen_range(0..keys);
+            }
+            repeats += u64::from(memo.last == key);
+            let addr = key * 512 + rng.gen_range(0..8u64) * 64;
+            assert_eq!(memo.access(addr), twin.access_slow(key), "op {op}");
+            assert_eq!(memo.stats(), twin.stats(), "op {op}");
+            if (op + 1) % full_check_every == 0 {
+                for set in 0..memo.inner.dir.num_sets() {
+                    let want = walk(&mut twin.inner, set);
+                    assert_eq!(walk(&mut memo.inner, set), want, "op {op}: set {set}");
+                }
+            }
+        }
+        repeats
+    }
+
+    #[test]
+    fn mac_cache_memo_matches_the_full_probe() {
+        for kib in [32, 1] {
+            let repeats: u64 = (0..8)
+                .map(|case| drive_mac_memo(kib, 0x4d + case, 1500, 1))
+                .sum();
+            assert!(repeats > 0, "{kib} KiB: no repeat was taken");
+        }
+    }
+
+    /// Both memo differentials over ~8 M ops: CI's release leg runs them
+    /// with `-- --ignored`, beside the oracle soaks.
+    #[test]
+    #[ignore = "8 M-op soak; run in release"]
+    fn cache_memos_match_the_full_probe_soak() {
+        for (i, geometry) in MEMO_GEOMETRIES.into_iter().enumerate() {
+            drive_stealth_memo(
+                geometry,
+                0x50a4 + i as u64,
+                1_000_000,
+                4096,
+                &mut MemoSeen::default(),
+            );
+        }
+        for (i, kib) in [32, 1].into_iter().enumerate() {
+            drive_mac_memo(kib, 0x50a4 + i as u64, 2_000_000, 4096);
+        }
     }
 
     fn bare_channel(cfg: ToleoConfig) -> DeviceChannel {

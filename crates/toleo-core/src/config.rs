@@ -1,5 +1,6 @@
 //! Configuration for the Toleo device and protection engine.
 
+use crate::error::ToleoError;
 use serde::{Deserialize, Serialize};
 
 /// Bytes per cache block (paper: 64 B).
@@ -76,6 +77,21 @@ impl ToleoConfig {
     /// Number of protected pages.
     pub fn protected_pages(&self) -> u64 {
         self.protected_bytes / PAGE_BYTES as u64
+    }
+
+    /// The address of `page`'s first byte. Every protected page's fits a
+    /// `u64`, so a page number from outside is checked before it is
+    /// multiplied.
+    ///
+    /// # Errors
+    ///
+    /// [`ToleoError::PageOutOfRange`] past the protected pool.
+    pub(crate) fn page_address(&self, page: u64) -> crate::error::Result<u64> {
+        let pages = self.protected_pages();
+        if page >= pages {
+            return Err(ToleoError::PageOutOfRange { page, pages });
+        }
+        Ok(page * PAGE_BYTES as u64)
     }
 
     /// Bytes of Toleo memory statically consumed by the flat-entry array

@@ -24,8 +24,20 @@
 //! device-full refusal is made. The stealth reset and the OS RESET share
 //! one routine that swaps a fresh flat entry in; a stealth reset hands the
 //! replaced entry to the host in its [`ResetNotice`].
+//!
+//! # Repeats
+//!
+//! Page-local traffic asks for the same page op after op, so the device
+//! remembers the `(page, entry index)` its page lookup last returned and
+//! answers a repeat with one compare instead of a hash probe. The memo is
+//! exact: `entries` is only pushed to and replaced in place, never moved
+//! or shrunk, so a remembered index names that page's entry for the
+//! device's lifetime; and a memo hit means the page is already
+//! materialized, so no first-touch base draw is skipped or reordered.
+//! The empty memo is page `u64::MAX`, which `check_page` refuses before
+//! any lookup and the page index never holds.
 
-// audit: allow-file(indexing, entry indices come from the page index that allocated them)
+// audit: allow-file(indexing, entry indices come from the page index that allocated them, or from the one-entry memo of its last answer)
 
 use crate::config::{ToleoConfig, DYNAMIC_BLOCK_BYTES, FLAT_ENTRY_BYTES};
 use crate::error::{Result, ToleoError};
@@ -149,6 +161,9 @@ pub struct ToleoDevice {
     index: PageIndex,
     /// Dense storage for materialized page entries.
     entries: Vec<PageEntry>,
+    /// `(page, index into entries)` of the last lookup; page `u64::MAX`
+    /// while empty (see the module docs, "Repeats").
+    last: (u64, usize),
     /// Allocated dynamic blocks (56 B each).
     dynamic_blocks_used: u64,
     /// Capacity of the dynamic region in blocks.
@@ -173,6 +188,7 @@ impl ToleoDevice {
             cfg,
             index: PageIndex::new(),
             entries: Vec::new(),
+            last: (u64::MAX, 0),
             dynamic_blocks_used: 0,
             dynamic_blocks_cap,
             rng,
@@ -243,10 +259,11 @@ impl ToleoDevice {
             cfg,
             index,
             entries,
+            last,
             rng,
             ..
         } = self;
-        let entry = materialize(index, entries, rng, cfg.stealth_bits, page);
+        let entry = materialize(index, entries, last, rng, cfg.stealth_bits, page);
         Ok((entry.version_of(line, cfg), entry.format()))
     }
 
@@ -276,10 +293,11 @@ impl ToleoDevice {
             cfg,
             index,
             entries,
+            last,
             rng,
             ..
         } = self;
-        let entry = materialize(index, entries, rng, cfg.stealth_bits, page);
+        let entry = materialize(index, entries, last, rng, cfg.stealth_bits, page);
         let format = entry.format();
         out.extend(lines.iter().map(|&l| (entry.version_of(l, cfg), format)));
         Ok(())
@@ -301,12 +319,13 @@ impl ToleoDevice {
             cfg,
             index,
             entries,
+            last,
             dynamic_blocks_used,
             dynamic_blocks_cap,
             rng,
             stats,
         } = self;
-        let entry = materialize(index, entries, rng, cfg.stealth_bits, page);
+        let entry = materialize(index, entries, last, rng, cfg.stealth_bits, page);
         let format = entry.format();
         let held = entry.dynamic_blocks();
         let room = *dynamic_blocks_cap - *dynamic_blocks_used;
@@ -354,6 +373,7 @@ impl ToleoDevice {
         let entry = materialize(
             &mut self.index,
             &mut self.entries,
+            &mut self.last,
             &mut self.rng,
             bits,
             page,
@@ -387,10 +407,29 @@ fn random_base(rng: &mut DRange, bits: u32) -> StealthVersion {
 
 /// First-touch materialization of a page's flat entry, shared by every
 /// request path. A free function over the split borrows so callers holding
-/// other `ToleoDevice` fields can still use it.
+/// other `ToleoDevice` fields can still use it. A repeat of the last page
+/// is answered from `last` (module docs, "Repeats").
+#[inline]
 fn materialize<'a>(
     index: &mut PageIndex,
     entries: &'a mut Vec<PageEntry>,
+    last: &mut (u64, usize),
+    rng: &mut DRange,
+    bits: u32,
+    page: u64,
+) -> &'a mut PageEntry {
+    if last.0 == page {
+        return &mut entries[last.1];
+    }
+    materialize_slow(index, entries, last, rng, bits, page)
+}
+
+/// The index probe behind [`materialize`]'s memo, which it refills.
+#[inline(never)]
+fn materialize_slow<'a>(
+    index: &mut PageIndex,
+    entries: &'a mut Vec<PageEntry>,
+    last: &mut (u64, usize),
     rng: &mut DRange,
     bits: u32,
     page: u64,
@@ -405,6 +444,7 @@ fn materialize<'a>(
             i as usize
         }
     };
+    *last = (page, slot);
     &mut entries[slot]
 }
 
@@ -489,6 +529,30 @@ mod tests {
         let r = d.update(3, 5).unwrap();
         assert_eq!(r.stealth.raw(), v0.incremented(27).raw());
         assert_eq!(d.read(3, 5).unwrap(), r.stealth);
+    }
+
+    /// The memo names the page's entry, not a copy of it: a RESET
+    /// between two lookups of one page is seen by the second.
+    #[test]
+    fn a_memoized_page_sees_its_reset() {
+        let mut d = dev();
+        let r = d.update(4, 9).unwrap();
+        assert_eq!(d.read(4, 9).unwrap(), r.stealth);
+        let base = d.reset(4).unwrap();
+        assert_eq!(d.read(4, 9).unwrap(), base);
+        assert_eq!(d.peek_base(4), Some(base));
+    }
+
+    /// A memo hit draws nothing: page `b`'s first-touch base is the same
+    /// whether page `a` was looked up once or twice before it.
+    #[test]
+    fn a_memo_hit_draws_no_base() {
+        let (mut once, mut twice) = (dev(), dev());
+        once.read(1, 0).unwrap();
+        twice.read(1, 0).unwrap();
+        twice.read(1, 5).unwrap();
+        assert_eq!(once.read(2, 0).unwrap(), twice.read(2, 0).unwrap());
+        assert_eq!(once.peek_base(2), twice.peek_base(2));
     }
 
     #[test]

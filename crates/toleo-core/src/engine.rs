@@ -508,10 +508,12 @@ impl ProtectionEngine {
     ///
     /// # Errors
     ///
-    /// Address-range errors only; freeing is always safe. A freed page
-    /// answers for its new contents, so its lost addresses are forgotten.
+    /// [`ToleoError::PageOutOfRange`] past the protected pool, before the
+    /// kill check and with nothing sent or counted; freeing is otherwise
+    /// always safe. A freed page answers for its new contents, so its
+    /// lost addresses are forgotten.
     pub fn free_page(&mut self, page: u64) -> Result<()> {
-        self.check_alive(page * PAGE_BYTES as u64)?;
+        self.check_alive(self.cfg.page_address(page)?)?;
         self.channel
             .reset(page)
             .map_err(|e| self.note_device_err(e))?;
@@ -529,6 +531,10 @@ impl ProtectionEngine {
         // re-binding a page to a different slot. The regression test
         // `free_write_read_interleaving_keeps_slot_cache_coherent` drives
         // exactly the interleavings that would expose a stale cache.
+        // The device's `(page, entry)` memo follows the same rule (its
+        // entries are replaced in place, never moved), and the stealth
+        // cache's `(page, format)` memo is dropped by `invalidate_page`
+        // below.
         if let Some(id) = self.slot_id_if_resident(page) {
             let slot = self.dram.slot_mut(id);
             slot.set_uv(slot.uv().incremented());
@@ -925,6 +931,24 @@ mod tests {
         assert_eq!(s.device_updates, 1);
         // Second read hits the stealth cache.
         assert!(e.stealth_cache_stats().hits >= 1);
+    }
+
+    /// A page number whose address would overflow is refused as out of
+    /// range before anything is multiplied, sent or counted: no panic
+    /// (tier-1 runs debug builds) and no kill.
+    #[test]
+    fn free_page_of_a_huge_page_is_out_of_range() {
+        let mut e = engine();
+        e.write(0x1000, &[7u8; 64]).unwrap();
+        let before = e.snapshot();
+        let pages = e.config().protected_pages();
+        for page in [1 << 60, u64::MAX, pages] {
+            let refused = e.free_page(page);
+            assert_eq!(refused, Err(ToleoError::PageOutOfRange { page, pages }));
+        }
+        assert!(!e.is_killed());
+        assert_eq!(e.snapshot(), before);
+        assert_eq!(e.read(0x1000).unwrap(), [7u8; 64]);
     }
 
     #[test]

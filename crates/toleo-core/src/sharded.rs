@@ -65,7 +65,7 @@
 
 use crate::cache::CacheStats;
 use crate::channel::{ChannelStats, RetryPolicy};
-use crate::config::{ToleoConfig, CACHE_BLOCK_BYTES, PAGE_BYTES};
+use crate::config::{ToleoConfig, CACHE_BLOCK_BYTES};
 use crate::device::DeviceStats;
 use crate::engine::{Block, EngineStats, KillSnapshot, ProtectionEngine, UntrustedDram};
 use crate::error::{BatchError, Result, ToleoError};
@@ -156,6 +156,9 @@ pub struct ShardedEngine {
     /// What [`recover_shard`](Self::recover_shard) re-keys from.
     rekey: RekeyInputs,
     cfg: ToleoConfig,
+    /// `shard_count - 1` when that is a mask: every op routes by it before
+    /// its lock, and a 64-bit `%` is the slowest instruction on that path.
+    shard_mask: Option<u64>,
 }
 
 /// The shards and the kill flag beside them: what a drain touches,
@@ -288,6 +291,7 @@ impl ShardedEngine {
                 policy,
             },
             cfg,
+            shard_mask: shards.is_power_of_two().then(|| shards as u64 - 1),
         })
     }
 
@@ -311,7 +315,11 @@ impl ShardedEngine {
 
     /// The shard that owns `page`.
     pub fn shard_of_page(&self, page: u64) -> usize {
-        (page % self.shard_count() as u64) as usize
+        let shard = match self.shard_mask {
+            Some(mask) => page & mask,
+            None => page % self.shard_count() as u64,
+        };
+        shard as usize
     }
 
     /// Whether the world-kill switch has engaged (device-level failure or
@@ -348,25 +356,25 @@ impl ShardedEngine {
         self.helper.get()?.as_ref().map(Helper::drained)
     }
 
-    /// Runs `f` on the shard owning `address` as a batch run of one:
-    /// the single-op path is [`drain_shard_guarded`](Core::drain_shard_guarded)
+    /// Runs `f` on `shard`, the owner of `address`, as a batch run of
+    /// one: the single-op path is [`drain_shard_guarded`](Core::drain_shard_guarded)
     /// over the one index `0`, so quarantine refusal, the escalation
     /// ladder and the fail-closed response to a panic exist once, in
     /// [`drain_shard`](Core::drain_shard). It never involves the batch
     /// helper.
     fn run_on_shard<R>(
         &self,
+        shard: usize,
         address: u64,
         mut f: impl FnMut(&mut ProtectionEngine) -> Result<R>,
     ) -> Result<R> {
         self.check_alive(address)?;
         let mut served = None;
-        let outcome = self.core.drain_shard_guarded(
-            self.shard_of_addr(address),
-            &[0],
-            &|_| address,
-            &mut |engine, _| f(engine).map(|value| served = Some(value)),
-        );
+        let outcome = self
+            .core
+            .drain_shard_guarded(shard, &[0], &|_| address, &mut |engine, _| {
+                f(engine).map(|value| served = Some(value))
+            });
         self.core.finish_world_kill();
         match outcome {
             // A drained run of one has served its op; were that ever
@@ -385,7 +393,9 @@ impl ShardedEngine {
     /// quarantined, and [`ToleoError::IntegrityViolation`] once the
     /// world-kill has engaged.
     pub fn write(&self, addr: u64, plaintext: &Block) -> Result<()> {
-        self.run_on_shard(addr, |engine| engine.write(addr, plaintext))
+        self.run_on_shard(self.shard_of_addr(addr), addr, |engine| {
+            engine.write(addr, plaintext)
+        })
     }
 
     /// Reads the 64-byte block at `addr` through the owning shard.
@@ -398,16 +408,20 @@ impl ShardedEngine {
     /// classified lost refuses with [`ToleoError::PageLost`] until a
     /// fresh write repopulates it.
     pub fn read(&self, addr: u64) -> Result<Block> {
-        self.run_on_shard(addr, |engine| engine.read(addr))
+        self.run_on_shard(self.shard_of_addr(addr), addr, |engine| engine.read(addr))
     }
 
     /// OS page free / remap, routed to the owning shard.
     ///
     /// # Errors
     ///
-    /// As [`ProtectionEngine::free_page`].
+    /// As [`ProtectionEngine::free_page`]: a page past the protected pool
+    /// is refused before any shard is locked.
     pub fn free_page(&self, page: u64) -> Result<()> {
-        self.run_on_shard(page * PAGE_BYTES as u64, |engine| engine.free_page(page))
+        let address = self.cfg.page_address(page)?;
+        self.run_on_shard(self.shard_of_page(page), address, |engine| {
+            engine.free_page(page)
+        })
     }
 
     /// Writes a batch of blocks. The batch is split into per-shard runs,
@@ -1046,7 +1060,7 @@ fn derive_shard_seed(root_seed: u64, shard: u64, generation: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LINES_PER_PAGE;
+    use crate::config::{LINES_PER_PAGE, PAGE_BYTES};
 
     fn sharded(shards: usize) -> ShardedEngine {
         ShardedEngine::new(ToleoConfig::small(), shards, [0x5cu8; 48]).unwrap()
@@ -1606,6 +1620,41 @@ mod tests {
         for (i, s) in per_shard.iter().enumerate() {
             assert_eq!(s.writes, 10, "shard {i}");
         }
+    }
+
+    /// The mask kept for power-of-two counts routes as `%` does, and the
+    /// `%` kept for the rest is unchanged.
+    #[test]
+    fn routing_is_page_modulo_shard_count() {
+        let pages: Vec<u64> = (0..300)
+            .chain([u64::MAX, u64::MAX - 1, 1 << 60, (1 << 32) + 7])
+            .collect();
+        for shards in (1..=16).chain([MAX_SHARDS]) {
+            let e = sharded(shards);
+            for &page in &pages {
+                let want = (page % shards as u64) as usize;
+                assert_eq!(e.shard_of_page(page), want, "{shards} shards, page {page}");
+            }
+        }
+    }
+
+    /// A page number whose address would overflow is refused as out of
+    /// range before it is routed: no panic (tier-1 runs debug builds),
+    /// no kill, no quarantine, nothing counted.
+    #[test]
+    fn free_page_of_a_huge_page_is_out_of_range() {
+        let e = sharded(3);
+        e.write(0x5000, &[3u8; 64]).unwrap();
+        let before = e.snapshot();
+        let pages = e.config().protected_pages();
+        for page in [1 << 60, u64::MAX, pages] {
+            let refused = e.free_page(page);
+            assert_eq!(refused, Err(ToleoError::PageOutOfRange { page, pages }));
+        }
+        assert!(!e.is_killed());
+        assert!((0..3).all(|shard| !e.is_shard_quarantined(shard)));
+        assert_eq!(e.snapshot(), before);
+        assert_eq!(e.read(0x5000).unwrap(), [3u8; 64]);
     }
 
     #[test]
