@@ -397,7 +397,11 @@ mod tests {
             "{} / {full_resets}",
             e.stats().reencryption_events
         );
-        assert!(nonces.len() > 500, "only {} nonces observed", nonces.len());
+        let (sealed, blanks) = nonces.len();
+        assert!(
+            sealed > 500 && blanks > 100,
+            "only {sealed} + {blanks} nonces observed"
+        );
     }
 
     #[test]

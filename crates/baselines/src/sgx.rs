@@ -173,6 +173,10 @@ mod tests {
             e.write(block * 64, &[fill; 64]).unwrap();
             nonces.observe(&mut e);
         }
-        assert!(nonces.len() > 500, "only {} nonces observed", nonces.len());
+        let (sealed, blanks) = nonces.len();
+        assert!(
+            sealed > 500 && blanks > 100,
+            "only {sealed} + {blanks} nonces observed"
+        );
     }
 }

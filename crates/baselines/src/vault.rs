@@ -359,7 +359,11 @@ mod tests {
             "resets: {}",
             e.store.overflow_resets
         );
-        assert!(nonces.len() > 500, "only {} nonces observed", nonces.len());
+        let (sealed, blanks) = nonces.len();
+        assert!(
+            sealed > 500 && blanks > 100,
+            "only {sealed} + {blanks} nonces observed"
+        );
     }
 
     #[test]

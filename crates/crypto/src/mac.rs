@@ -34,7 +34,12 @@
 //! within one upper-version epoch; the upper version advances on every
 //! stealth reset and page free; the reset walk re-seals each resident line
 //! exactly once under the new `(UV, base)`; and shard recovery re-keys
-//! (the hash key included). A forgery succeeds with probability at most
+//! (the hash key included). A blank line — one that holds no ciphertext —
+//! carries the tag of the zero block under a third input,
+//! `AES_tweakkey(version ‖ address | 2)`, that neither a tweak nor a data
+//! pad can equal. Blank pads never meet data pads, and one only ever tags
+//! the zero block: a page's birth tags each blank once at its version, and
+//! the walk re-tags each blank once under the new `(UV, base)`. A forgery succeeds with probability at most
 //! about `2^-55` per attempt — `ε = 1/p`, times `2^5` for the 32
 //! residues that share a truncated tag, times 2 for the pad being 61
 //! uniform bits rather than a uniform residue — and the first failed

@@ -15,6 +15,8 @@
 //!   [`decrypt_line_with_tweak`](AesXts::decrypt_line_with_tweak) are one
 //!   backend call each
 //!   ([`Aes128Backend::xts_line`](crate::backend::Aes128Backend::xts_line)).
+//!   A line that holds no ciphertext is tagged under a third input of its
+//!   own, [`Tweak::blank_pad`] (`address | 2`).
 //!   The slice API walks its input as whole lines through that same call,
 //!   then any sub-line tail sector by sector. Every scheme in the
 //!   workspace — Toleo and the three baselines — seals its lines this
@@ -52,6 +54,21 @@ impl Tweak {
     pub fn mac_pad(self) -> Tweak {
         Tweak {
             address: self.address | 1,
+            ..self
+        }
+    }
+
+    /// The tweak-key input whose encryption pads the tag of this line
+    /// while it is blank (holds no ciphertext): address bit 1 set, which
+    /// neither a 64-byte-aligned line address nor its
+    /// [`mac_pad`](Self::mac_pad) has. A blank tag is the line MAC of the
+    /// zero block under this pad. It needs a domain of its own because
+    /// the Carter–Wegman hash of the zero block is zero: under the data
+    /// pad, a blank tag would also be the valid tag of ciphertext
+    /// `[0; 64]`.
+    pub fn blank_pad(self) -> Tweak {
+        Tweak {
+            address: self.address | 2,
             ..self
         }
     }
@@ -369,6 +386,8 @@ mod tests {
             let oracle = RefAes128::new(&tweak_key);
             let mut pad_input = tweak.to_bytes();
             pad_input[8] |= 1;
+            let mut blank_input = tweak.to_bytes();
+            blank_input[8] |= 2;
             let expect = LinePads {
                 tweak: oracle.encrypt_block(&tweak.to_bytes()),
                 mac_pad: oracle.encrypt_block(&pad_input),
@@ -385,6 +404,9 @@ mod tests {
                 prop_assert!(pads == expect, "{} line_pads", kind.name());
                 prop_assert_eq!(pads.tweak, xts.tweak_block(tweak));
                 prop_assert_eq!(pads.mac_pad, xts.tweak_block(tweak.mac_pad()));
+                let blank = xts.tweak_block(tweak.blank_pad());
+                prop_assert_eq!(blank, oracle.encrypt_block(&blank_input));
+                prop_assert!(blank != pads.tweak && blank != pads.mac_pad, "three domains");
                 let mut line = plain;
                 xts.encrypt_line_with_tweak(pads.tweak, &mut line);
                 prop_assert!(line == sealed, "{} encrypt_line_with_tweak", kind.name());

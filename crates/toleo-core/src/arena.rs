@@ -127,6 +127,18 @@ impl PageSlot {
         self.slab.tag_present &= !(1u64 << line);
     }
 
+    /// The lines that hold ciphertext: bit `l` for line `l`.
+    #[inline]
+    pub fn present(&self) -> u64 {
+        self.slab.present
+    }
+
+    /// The lines that hold ciphertext or a tag: bit `l` for line `l`.
+    #[inline]
+    pub fn held(&self) -> u64 {
+        self.slab.present | self.slab.tag_present
+    }
+
     /// The page's shared upper version.
     #[inline]
     pub fn uv(&self) -> UpperVersion {

@@ -18,6 +18,15 @@
 //! exhausted, upgrades are rejected with [`ToleoError::DeviceFull`] until
 //! the host frees space via RESET.
 //!
+//! A page is **born** at the first UPDATE the device accepts after it
+//! materialized the page or RESET it, and the UPDATE's response says so
+//! ([`UpdateResponse::born`]). The host then blanks the page's other lines
+//! instead of trusting whatever untrusted memory holds for them. The bit
+//! lives in the page's entry, a trusted fact the adversary cannot set: a
+//! `DeviceFull` refusal is no birth, a stealth reset's fresh entry is born
+//! already, and the channel replays a dropped response whole, so a page
+//! is born once.
+//!
 //! An UPDATE is check → write → count → maybe reset: the page's entry
 //! decides the write once against the region's free blocks
 //! (`PageEntry::record_write_within`), which is the one place a
@@ -72,12 +81,29 @@ pub struct UpdateResponse {
     /// increment the page's UV and re-encrypt all its cache blocks
     /// (UV_UPDATE in the paper's protocol, §5).
     pub reset: Option<ResetNotice>,
+    /// Whether this is the page's birth: the first UPDATE the device
+    /// accepted since it materialized or RESET the page. The host then
+    /// blanks every other line of the page instead of walking it.
+    pub born: bool,
 }
 
 impl UpdateResponse {
     /// Whether this update fired a stealth reset (UV_UPDATE).
     pub fn uv_update(&self) -> bool {
         self.reset.is_some()
+    }
+
+    /// After a birth, the stealth version of every line but the written
+    /// one; `None` for any other UPDATE. A birth is the first write to a
+    /// fresh flat entry, which lifts the written line to base + 1 and
+    /// leaves the rest at the base; a reset fired by the same UPDATE puts
+    /// every line at its new base.
+    pub fn birth_version(&self, stealth_bits: u32) -> Option<StealthVersion> {
+        self.born.then(|| match &self.reset {
+            Some(notice) => notice.new_base,
+            // `+ (2^32 − 1)` wraps to `− 1` within any width up to 32.
+            None => self.stealth.offset_by(u32::MAX, stealth_bits),
+        })
     }
 }
 
@@ -334,6 +360,8 @@ impl ToleoDevice {
             return Err(ToleoError::DeviceFull { page });
         };
         stats.updates += 1;
+        let born = !entry.is_born();
+        entry.set_born();
         *dynamic_blocks_used += (entry.dynamic_blocks() - held) as u64;
         match effect {
             UpdateEffect::UpgradedToUneven => stats.upgrades_to_uneven += 1,
@@ -345,6 +373,7 @@ impl ToleoDevice {
         if advanced && rng.one_in_pow2(cfg.reset_log2) {
             let new_base = random_base(rng, cfg.stealth_bits);
             let old = reset_entry(entry, new_base, dynamic_blocks_used);
+            entry.set_born();
             stats.stealth_resets += 1;
             reset = Some(ResetNotice { old, new_base });
         }
@@ -352,12 +381,14 @@ impl ToleoDevice {
             stealth: entry.version_of(line, cfg),
             format,
             reset,
+            born,
         })
     }
 
     /// RESET: OS-initiated downgrade of `page` to flat (free / remap). The
-    /// stealth base re-randomizes; the host must also bump the UV, which
-    /// scrambles the old contents (their MACs can no longer verify).
+    /// stealth base re-randomizes and the page is unborn again, so its
+    /// next accepted UPDATE is a birth; the host must also bump the UV,
+    /// which scrambles the old contents (their MACs can no longer verify).
     ///
     /// Returns the page's new shared stealth version.
     ///
@@ -389,6 +420,26 @@ impl ToleoDevice {
         self.index
             .get(page)
             .map(|i| self.entries[i as usize].base())
+    }
+
+    /// Whether `page` is born (see [`UpdateResponse::born`]); an untouched
+    /// page is not. Like [`peek_base`](Self::peek_base), no READ is
+    /// counted and nothing is materialized: recovery asks this of a dead
+    /// shard's device post-mortem.
+    pub fn is_born(&self, page: u64) -> bool {
+        self.index
+            .get(page)
+            .is_some_and(|i| self.entries[i as usize].is_born())
+    }
+
+    /// Marks a page this device has already materialized as born, with no
+    /// UPDATE: recovery carries each page's birth over to a fresh device
+    /// after reading the page through it. An untouched page is left as it
+    /// is.
+    pub(crate) fn mark_born(&mut self, page: u64) {
+        if let Some(i) = self.index.get(page) {
+            self.entries[i as usize].set_born();
+        }
     }
 }
 
@@ -753,6 +804,40 @@ mod tests {
             saw_reset_from_nonflat,
             "test never exercised a non-flat reset"
         );
+    }
+
+    /// Birth is a trusted device fact: the first UPDATE accepted after a
+    /// page materializes or is RESET reports it, and no other does — not
+    /// one that fires a stealth reset, whose fresh entry is born already.
+    /// `birth_version` is what a READ of any other line then returns.
+    #[test]
+    fn a_page_is_born_at_its_first_accepted_update_after_a_reset() {
+        let mut cfg = ToleoConfig::small();
+        cfg.reset_log2 = 2;
+        let bits = cfg.stealth_bits;
+        let mut d = ToleoDevice::new(cfg).unwrap();
+        assert!(!d.is_born(3), "untouched");
+        d.read(3, 0).unwrap();
+        assert!(!d.is_born(3), "materialized by a READ");
+        let (mut births, mut resets) = (0, 0);
+        for round in 0..40usize {
+            if round % 8 == 0 {
+                d.reset(3).unwrap();
+                assert!(!d.is_born(3), "a RESET leaves the page unborn");
+            }
+            let line = round % 5;
+            let r = d.update(3, line).unwrap();
+            assert!(d.is_born(3));
+            assert_eq!(r.born, round % 8 == 0, "round {round}");
+            births += u32::from(r.born);
+            resets += u32::from(r.uv_update());
+            if let Some(others) = r.birth_version(bits) {
+                assert_eq!(d.read(3, line + 1).unwrap(), others, "round {round}");
+                assert_eq!(d.read(3, 63).unwrap(), others, "round {round}");
+            }
+        }
+        assert_eq!(births, 5);
+        assert!(resets > 3, "resets fired on and after births");
     }
 
     #[test]

@@ -12,9 +12,16 @@
 //! * **read** (LLC miss): fetch ciphertext, MAC and UV from untrusted
 //!   memory and the stealth version from Toleo (or the on-chip stealth
 //!   cache), recompute the MAC, and *only if it verifies* decrypt and
-//!   return plaintext. A mismatch — or a resident block whose tag is gone
-//!   — means tampering or replay: the kill switch engages and the engine
-//!   refuses all further service.
+//!   return plaintext. A line with no ciphertext checks its blank tag and
+//!   reads as zeros. A mismatch — or a line whose tag is gone — means
+//!   tampering or replay: the kill switch engages and the engine refuses
+//!   all further service.
+//! * **birth**: the first UPDATE the device accepts for a page since it
+//!   materialized or RESET it says so in its response. The engine then
+//!   clears every other line of the page and blank-tags it at its current
+//!   version, in one pipelined pass, before it seals the written line.
+//!   Stale lines a page free left behind are gone before any reset walk
+//!   can meet them.
 //!
 //! The MAC is the Carter–Wegman line MAC of [`toleo_crypto::mac`]: a
 //! universal hash of the ciphertext plus a one-time pad that
@@ -23,7 +30,8 @@
 //! one key, which is the freshness invariant this engine exists to keep:
 //! [`LineSealer::seal`] is reached only with a stealth version the device
 //! has just advanced, or from the reset walk under a just-incremented UV,
-//! or from recovery's walk into a freshly keyed engine.
+//! or from recovery's walk into a freshly keyed engine. Blank tags use a
+//! pad domain of their own and only ever tag the zero block.
 //!
 //! Both ops issue the untrusted fetch first. The page's slot is looked up
 //! without materialising it, and a read loads the line's ciphertext and
@@ -405,22 +413,30 @@ impl ProtectionEngine {
                 (id, self.dram.slot(id).uv())
             }
         };
-        if let Some(notice) = resp.reset {
+        let version = |uv, stealth| FullVersion::compose(uv, stealth, stealth_bits).raw();
+        if let Some(notice) = &resp.reset {
             // UV_UPDATE (the walk has already dropped the page's cached
-            // entry): bump the shared UV and re-encrypt every resident
-            // line of the page under the fresh stealth base — one slab
-            // walk over the page's slot, its pads in one pipelined pass.
+            // entry): bump the shared UV and move every other line of the
+            // page to the fresh stealth base — one slab walk over the
+            // page's slot, its pads in one pipelined pass. A birth needs
+            // no walk: the blanking below covers every line.
             let new_uv = uv.incremented();
-            let version = |uv, stealth| FullVersion::compose(uv, stealth, stealth_bits).raw();
             let slot = self.dram.slot_mut(id);
-            let failed = self.sealer.reseal_page(
-                &self.sealer,
-                slot,
-                page,
-                Some(line),
-                |l| version(uv, notice.old.version_of(l, &self.cfg)),
-                |_| version(new_uv, notice.new_base),
-            );
+            // A born page's lines each hold ciphertext or a tag, so one
+            // that holds neither is tamper, like one that does not verify.
+            let failed = if resp.born {
+                0
+            } else {
+                !slot.held() & !(1 << line)
+                    | self.sealer.reseal_page(
+                        &self.sealer,
+                        slot,
+                        page,
+                        Some(line),
+                        |l| version(uv, notice.old.version_of(l, &self.cfg)),
+                        |_| version(new_uv, notice.new_base),
+                    )
+            };
             if failed != 0 {
                 // The other lines are already re-sealed under the new UV
                 // while the slot's UV is not bumped: the page is unreadable
@@ -433,6 +449,15 @@ impl ProtectionEngine {
             slot.set_uv(new_uv);
             self.stats.pages_reencrypted += 1;
             uv = new_uv;
+        }
+        if let Some(stealth) = resp.birth_version(stealth_bits) {
+            // Birth: whatever the slot held before — a freed page's stale
+            // lines, an adversary's — gives way to a blank tag on every
+            // other line, at the version the device now holds for it.
+            let mut versions = [Some(version(uv, stealth)); LINES_PER_PAGE];
+            versions[line] = None;
+            self.sealer
+                .blank_page(self.dram.slot_mut(id), page, &versions);
         }
 
         let fv = FullVersion::compose(uv, resp.stealth, stealth_bits);
@@ -488,8 +513,11 @@ impl ProtectionEngine {
         }
 
         let Some((ct, tag, uv)) = fetched else {
-            // Never-written page: treated as zero-filled (the OS scrubs
-            // pages at allocation; no MAC exists yet).
+            // A page with no slot was never born in this arena — the arena
+            // never drops a slot, a birth creates one, and recovery moves
+            // the arena whole — so zeros are its content. (A slot on an
+            // unborn page, which only a free or the adversary leaves,
+            // fails below: its lines hold no valid tag.)
             return Ok([0u8; CACHE_BLOCK_BYTES]);
         };
         let fv = FullVersion::compose(uv, stealth, self.cfg.stealth_bits);
@@ -505,6 +533,9 @@ impl ProtectionEngine {
     /// OS page free / remap: downgrade the page's Toleo entry to flat and
     /// bump its UV *without* re-encrypting (§4.3 "Page free and remap").
     /// Old contents become unreadable — their MACs can no longer verify.
+    /// The device's RESET leaves the page unborn, so its next write is a
+    /// birth that clears those stale lines before any reset walk can meet
+    /// them.
     ///
     /// # Errors
     ///
@@ -569,71 +600,74 @@ impl ProtectionEngine {
     }
 
     /// Re-admits `old`, a quarantined engine, by moving its untrusted
-    /// memory to this freshly keyed engine in place. This device has seen
-    /// no UPDATE, so its pages are flat and unwritten: one READ per page
-    /// with a resident line, through the stealth cache, is the version of
+    /// memory to this freshly keyed engine in place. Only the pages
+    /// `old`'s device reports born are re-keyed: an unborn page holds
+    /// nothing an engine vouches for — a freed page's stale lines, or the
+    /// adversary's — and its next write is a birth that blanks it. This
+    /// device has seen no UPDATE, so its pages are flat and unwritten: one
+    /// READ per born page, through the stealth cache, is the version of
     /// every line of it. All READs come first, so an error leaves `old` as
-    /// it was. Then one [`LineSealer::reseal_page`] per page opens each
-    /// line under `old`'s key at `old`'s device version and seals it under
-    /// this key, keeping the slab's UV; nothing was sealed under this key
-    /// before, so every `(version, address)` is fresh. `old`'s device is
-    /// read directly: the post-mortem is no victim traffic over the link.
-    /// A line that fails to open, or sits on a page outside the protected
-    /// range, is dropped and joins `old`'s lost lines. This engine then
-    /// adopts the walked arena and that ledger with it.
+    /// it was. Then each such page is marked born here — else the first
+    /// write after recovery would be a birth that blanks it — and one
+    /// [`LineSealer::reseal_page`] opens each resident line, and checks
+    /// each blank one, under `old`'s key at `old`'s device version and
+    /// seals or re-tags it under this key, keeping the slab's UV; nothing
+    /// was sealed under this key before, so every `(version, address)` is
+    /// fresh. `old`'s device is asked directly: the post-mortem is no
+    /// victim traffic over the link. A line that fails its check is
+    /// dropped: it joins `old`'s lost lines and is left blank under this
+    /// key, so a later reset walk moves it like any other. This engine
+    /// then adopts the walked arena and that ledger with it.
     ///
-    /// Returns the pages and resident lines walked and the lines dropped.
+    /// Returns the pages walked, the resident lines walked (a failed blank
+    /// counts as one) and the lines dropped.
     ///
     /// # Errors
     ///
     /// [`ToleoError::DeviceUnavailable`] from a READ.
     pub(crate) fn readmit(&mut self, old: &mut ProtectionEngine) -> Result<(u64, u64, u64)> {
-        let mut pages = Vec::new();
-        for (page, id) in old.dram.pages() {
-            let version = match old.dram.slot(id).resident() {
-                0 => None,
-                _ => match self.stealth_cache.read(&mut self.channel, page, 0) {
-                    Ok((stealth, _, hit)) => {
-                        self.stats.device_reads += u64::from(!hit);
-                        Some(stealth)
-                    }
-                    Err(e @ ToleoError::DeviceUnavailable { .. }) => return Err(e),
-                    Err(_) => None,
-                },
-            };
-            pages.push((page, id, version));
+        let device = old.channel.device();
+        let born: Vec<(u64, SlotId)> = old
+            .dram
+            .pages()
+            .filter(|&(page, _)| device.is_born(page))
+            .collect();
+        let mut versions = Vec::with_capacity(born.len());
+        for &(page, _) in &born {
+            let (stealth, _, hit) = self.stealth_cache.read(&mut self.channel, page, 0)?;
+            self.stats.device_reads += u64::from(!hit);
+            versions.push(stealth);
         }
         // Nothing fails from here on: the ledger moves ahead of the arena.
         self.lost = std::mem::take(&mut old.lost);
         let (bits, mut blocks, mut dropped) = (self.cfg.stealth_bits, 0, 0);
-        for &(page, id, version) in &pages {
+        for (&(page, id), stealth) in born.iter().zip(versions) {
+            self.channel.device_mut().mark_born(page);
             let slot = old.dram.slot_mut(id);
-            let (uv, device) = (slot.uv(), old.channel.device_mut());
-            let resident = (0..LINES_PER_PAGE).filter(|&l| slot.has_block(l));
-            let failed = match version {
-                Some(stealth) => {
-                    let mut from = [0; LINES_PER_PAGE];
-                    for line in resident {
-                        let stealth = device.read(page, line).unwrap_or_default();
-                        from[line] = FullVersion::compose(uv, stealth, bits).raw();
-                    }
-                    let into = FullVersion::compose(uv, stealth, bits).raw();
-                    old.sealer
-                        .reseal_page(&self.sealer, slot, page, None, |l| from[l], |_| into)
-                }
-                None => resident.fold(0, |mask, l| mask | 1 << l),
-            };
-            blocks += slot.resident() as u64;
+            let (uv, held, device) = (slot.uv(), slot.held(), old.channel.device_mut());
+            let mut from = [0; LINES_PER_PAGE];
+            for line in (0..LINES_PER_PAGE).filter(|&l| held & 1 << l != 0) {
+                let stealth = device.read(page, line).unwrap_or_default();
+                from[line] = FullVersion::compose(uv, stealth, bits).raw();
+            }
+            let into = FullVersion::compose(uv, stealth, bits).raw();
+            let failed =
+                old.sealer
+                    .reseal_page(&self.sealer, slot, page, None, |l| from[l], |_| into);
+            blocks += u64::from((slot.present() | failed).count_ones());
             dropped += u64::from(failed.count_ones());
+            let mut blanks = [None; LINES_PER_PAGE];
             for line in (0..LINES_PER_PAGE).filter(|&l| failed & 1 << l != 0) {
-                slot.clear_block(line);
-                slot.clear_tag(line);
+                blanks[line] = Some(into);
                 self.lost
                     .insert(page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64);
             }
+            if failed != 0 {
+                self.sealer.blank_page(slot, page, &blanks);
+            }
         }
         self.dram = std::mem::take(&mut old.dram);
-        Ok((pages.len() as u64, blocks, dropped))
+        Ok((born.len() as u64, blocks, dropped))
     }
 
     /// Lines in the lost ledger: dropped by a recovery, not yet rewritten.
@@ -664,6 +698,7 @@ impl ProtectionEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use toleo_crypto::mac::Tag56;
 
     fn engine() -> ProtectionEngine {
         ProtectionEngine::try_new(ToleoConfig::small(), [0x5cu8; 48]).unwrap()
@@ -1037,8 +1072,7 @@ mod tests {
                 get(&mut e, &mut live, page, line);
             }
         }
-        // Uniform random, with a page free every 64 ops. Freed pages hold
-        // one line each (a reset walk must never meet a stale line).
+        // Uniform random, with a page free every 64 ops.
         for op in 0..40_000u64 {
             let (page, line) = (rng.gen_range(0..PAGES), rng.gen_range(0..LINES));
             if rng.gen_bool(0.5) {
@@ -1282,143 +1316,279 @@ mod tests {
         assert_eq!(e.write_batch(&[(0, [0u8; 64])]).unwrap_err().index, 0);
     }
 
-    /// A flipped ciphertext bit and a stale tag under fresh ciphertext are
-    /// each caught by the MAC check in front of every decryption path —
-    /// `read`, a `read_batch` run (failing index reported) and the reset
-    /// re-encryption walk — as `IntegrityViolation` at the victim's
-    /// address, with the engine killed afterwards.
+    /// A page of lines 0..8, written but for line 5 when `blank_victim`
+    /// (then a blank line: no ciphertext, its blank tag), under
+    /// `reset_log2 = 4` so a reset walk runs soon. Returns the engine, the
+    /// page's base address and the victim, line 5.
+    fn victim_page(blank_victim: bool) -> (ProtectionEngine, u64, u64) {
+        let mut cfg = ToleoConfig::small();
+        cfg.reset_log2 = 4;
+        let mut e = ProtectionEngine::try_new(cfg, [4u8; 48]).unwrap();
+        let base = 0x1000u64;
+        for l in (0..8u64).filter(|&l| l != 5 || !blank_victim) {
+            e.write(base + l * 64, &[l as u8 + 1; 64]).unwrap();
+        }
+        (e, base, base + 5 * 64)
+    }
+
+    /// The failure `path` reports for the tampered victim of
+    /// [`victim_page`]: `read`, a `read_batch` of lines 0..8 (failing at
+    /// index 5), or the reset walk that hammering line 9 triggers.
+    fn fail_via(e: &mut ProtectionEngine, base: u64, path: &str) -> ToleoError {
+        match path {
+            "read" => e.read(base + 5 * 64).unwrap_err(),
+            "read_batch" => {
+                let addrs: Vec<u64> = (0..8u64).map(|l| base + l * 64).collect();
+                let err = e.read_batch(&addrs).unwrap_err();
+                assert_eq!(err.index, 5, "{path}");
+                err.error
+            }
+            _ => (0..2000)
+                .find_map(|_| e.write(base + 9 * 64, &[0xee; 64]).err())
+                .expect("a reset walk must reach the victim"),
+        }
+    }
+
+    const PATHS: [&str; 3] = ["read", "read_batch", "reset walk"];
+
+    /// A flipped bit and a stale tag are each caught by the MAC check in
+    /// front of every decryption path — `read`, a `read_batch` run
+    /// (failing index reported) and the reset re-encryption walk — as
+    /// `IntegrityViolation` at the victim's address, with the engine
+    /// killed afterwards. The victim is a resident line (a ciphertext bit;
+    /// a stale tag under fresh ciphertext) or a blank one (a bit of its
+    /// blank tag; the line rolled back to its blank state after a write).
     #[test]
     fn tamper_and_stale_tag_fail_closed_on_every_unseal_path() {
-        #[derive(Debug, Clone, Copy)]
-        enum Attack {
-            FlippedBit,
-            StaleTag,
-        }
-        #[derive(Debug, Clone, Copy)]
-        enum Path {
-            Read,
-            ReadBatch,
-            ResetWalk,
-        }
-        let base = 0x1000u64;
-        let victim = base + 5 * 64;
-        for attack in [Attack::FlippedBit, Attack::StaleTag] {
-            for path in [Path::Read, Path::ReadBatch, Path::ResetWalk] {
-                let mut cfg = ToleoConfig::small();
-                cfg.reset_log2 = 4; // frequent resets, so the walk runs soon
-                let mut e = ProtectionEngine::try_new(cfg, [4u8; 48]).unwrap();
-                for l in 0..8u64 {
-                    e.write(base + l * 64, &[l as u8 + 1; 64]).unwrap();
+        for blank_victim in [false, true] {
+            for stale in [false, true] {
+                for path in PATHS {
+                    let (mut e, base, victim) = victim_page(blank_victim);
+                    let id = e.dram.slot_id(layout::page_of(victim)).unwrap();
+                    let line = layout::line_of(victim);
+                    let tag = e.dram.slot(id).tag(line).unwrap();
+                    match (blank_victim, stale) {
+                        (false, false) => assert!(e.adversary().corrupt_data(victim, 17, 0x04)),
+                        (true, false) => {
+                            let flipped = Tag56::from_raw(tag.as_raw() ^ 0x04);
+                            e.adversary().forge_mac(victim, flipped);
+                        }
+                        (_, true) => {
+                            e.write(victim, &[0x77; 64]).unwrap();
+                            if blank_victim {
+                                e.adversary().slot_mut(id).clear_block(line);
+                            }
+                            e.adversary().forge_mac(victim, tag);
+                        }
+                    }
+                    let error = fail_via(&mut e, base, path);
+                    let case = format!("blank {blank_victim}, stale {stale}, via {path}");
+                    assert!(
+                        matches!(error, ToleoError::IntegrityViolation { address } if address == victim),
+                        "{case}: {error:?}"
+                    );
+                    assert!(e.is_killed(), "{case} must kill");
                 }
-                match attack {
-                    Attack::FlippedBit => {
-                        assert!(e.adversary().corrupt_data(victim, 17, 0x04));
-                    }
-                    Attack::StaleTag => {
-                        let id = e.dram.slot_id(layout::page_of(victim)).unwrap();
-                        let stale = e.dram.slot(id).tag(layout::line_of(victim)).unwrap();
-                        e.write(victim, &[0x77; 64]).unwrap();
-                        e.adversary().forge_mac(victim, stale);
-                    }
-                }
-                let error = match path {
-                    Path::Read => e.read(victim).unwrap_err(),
-                    Path::ReadBatch => {
-                        let addrs: Vec<u64> = (0..8u64).map(|l| base + l * 64).collect();
-                        let err = e.read_batch(&addrs).unwrap_err();
-                        assert_eq!(err.index, 5, "{attack:?} via {path:?}");
-                        err.error
-                    }
-                    // Hammer another line of the page until a reset's
-                    // walk over the resident lines reaches the victim.
-                    Path::ResetWalk => (0..2000)
-                        .find_map(|_| e.write(base + 9 * 64, &[0xee; 64]).err())
-                        .expect("a reset walk must reach the victim"),
-                };
-                assert!(
-                    matches!(error, ToleoError::IntegrityViolation { address } if address == victim),
-                    "{attack:?} via {path:?}: {error:?}"
-                );
-                assert!(e.is_killed(), "{attack:?} via {path:?} must kill");
             }
         }
     }
 
-    /// A resident block whose tag the adversary deleted is tampering like
-    /// any other: `read`, a `read_batch` run and the reset walk each
-    /// report `IntegrityViolation` at the victim's address, kill at once,
-    /// and freeze every counter at the detecting access. (The walk used
-    /// to return the error with the engine alive, lines before the victim
-    /// already re-sealed under a UV the slot never received.)
+    /// A line whose tag the adversary deleted is tampering like any
+    /// other, resident or blank: `read`, a `read_batch` run and the reset
+    /// walk each report `IntegrityViolation` at the victim's address, kill
+    /// at once, and freeze every counter at the detecting access. (The
+    /// walk used to return the error with the engine alive, lines before
+    /// the victim already re-sealed under a UV the slot never received.)
     #[test]
     fn missing_tag_fails_closed_on_every_unseal_path() {
-        let base = 0x1000u64;
-        let victim = base + 5 * 64;
-        for path in ["read", "read_batch", "reset walk"] {
-            let mut cfg = ToleoConfig::small();
-            cfg.reset_log2 = 4;
-            let mut e = ProtectionEngine::try_new(cfg, [4u8; 48]).unwrap();
-            for l in 0..8u64 {
-                e.write(base + l * 64, &[l as u8 + 1; 64]).unwrap();
+        for blank_victim in [false, true] {
+            for path in PATHS {
+                let (mut e, base, victim) = victim_page(blank_victim);
+                let id = e.dram.slot_id(layout::page_of(victim)).unwrap();
+                e.adversary()
+                    .slot_mut(id)
+                    .clear_tag(layout::line_of(victim));
+                let error = fail_via(&mut e, base, path);
+                let case = format!("blank {blank_victim}, via {path}");
+                assert!(
+                    matches!(error, ToleoError::IntegrityViolation { address } if address == victim),
+                    "{case}: {error:?}"
+                );
+                assert!(e.is_killed(), "{case} must kill");
+                let frozen = e.kill_snapshot().unwrap();
+                assert!(e.write(base + 9 * 64, &[1; 64]).is_err(), "{case}");
+                assert!(e.read(base).is_err(), "{case}: untampered line 0");
+                assert_eq!(e.snapshot(), frozen, "{case}: counters frozen at the kill");
             }
-            let id = e.dram.slot_id(layout::page_of(victim)).unwrap();
-            e.adversary()
-                .slot_mut(id)
-                .clear_tag(layout::line_of(victim));
-            let error = match path {
-                "read" => e.read(victim).unwrap_err(),
-                "read_batch" => {
-                    let addrs: Vec<u64> = (0..8u64).map(|l| base + l * 64).collect();
-                    let err = e.read_batch(&addrs).unwrap_err();
-                    assert_eq!(err.index, 5);
-                    err.error
-                }
-                _ => (0..2000)
-                    .find_map(|_| e.write(base + 9 * 64, &[0xee; 64]).err())
-                    .expect("a reset walk must reach the victim"),
-            };
-            assert!(
-                matches!(error, ToleoError::IntegrityViolation { address } if address == victim),
-                "{path}: {error:?}"
+        }
+    }
+
+    /// Ciphertext `[0; 64]` stored on a blank line finds the blank tag
+    /// there. The zero block hashes to zero, so only the blank pad's own
+    /// domain keeps that tag from verifying it: the read fails closed.
+    #[test]
+    fn a_zero_block_on_a_blank_line_is_tamper() {
+        let mut e = engine();
+        e.write(0x1000, &[1u8; 64]).unwrap(); // birth: line 1 is blank
+        assert_eq!(e.read(0x1040).unwrap(), [0; 64]);
+        let id = e.dram.slot_id(1).unwrap();
+        e.adversary().slot_mut(id).set_block(1, [0; 64]);
+        let address = 0x1040;
+        assert_eq!(
+            e.read(address),
+            Err(ToleoError::IntegrityViolation { address })
+        );
+        assert!(e.is_killed());
+    }
+
+    /// A blank capture replayed over a line written since is caught by the
+    /// next reset walk, which checks a blank tag before it re-tags it:
+    /// re-tagging blind would launder the capture into a valid blank.
+    #[test]
+    fn a_reset_walk_checks_a_blank_before_it_moves_it() {
+        let mut cfg = ToleoConfig::small();
+        cfg.reset_log2 = 3;
+        let mut e = ProtectionEngine::try_new(cfg, [8u8; 48]).unwrap();
+        e.write(0x1000, &[1u8; 64]).unwrap();
+        let blank = e.adversary().capture(0x1040);
+        let resets = e.stats().pages_reencrypted;
+        e.write(0x1040, &[2u8; 64]).unwrap();
+        assert_eq!(
+            e.stats().pages_reencrypted,
+            resets,
+            "the captured UV is current"
+        );
+        e.adversary().replay(&blank);
+        let error = (0..2000)
+            .find_map(|_| e.write(0x1080, &[3; 64]).err())
+            .expect("a reset walk must reach the replayed line");
+        let address = 0x1040;
+        assert_eq!(error, ToleoError::IntegrityViolation { address });
+        assert!(e.is_killed());
+    }
+
+    /// The channel replays a dropped response whole and never re-issues
+    /// the UPDATE, so a page whose birth response drops is born once: its
+    /// later writes are no births and blank nothing.
+    #[test]
+    fn a_page_is_born_once_when_every_first_response_drops() {
+        let mut plan = FaultPlanConfig::uniform(9, 0.0);
+        plan.update.dropped = 1.0;
+        let policy = RetryPolicy::default();
+        let cfg = ToleoConfig::small();
+        let mut e =
+            ProtectionEngine::try_new_with_robustness(cfg, [9u8; 48], Some(plan), policy).unwrap();
+        let base = 0x3000u64;
+        for l in 0..4u64 {
+            e.write(base + l * 64, &[l as u8 + 1; 64]).unwrap();
+        }
+        for l in 0..4u64 {
+            assert_eq!(
+                e.read(base + l * 64).unwrap(),
+                [l as u8 + 1; 64],
+                "line {l}"
             );
-            assert!(e.is_killed(), "{path} must kill");
-            let frozen = e.kill_snapshot().unwrap();
-            assert!(e.write(base + 9 * 64, &[1; 64]).is_err(), "{path}");
-            assert!(e.read(base).is_err(), "{path}: untampered line 0");
-            assert_eq!(e.snapshot(), frozen, "{path}: counters frozen at the kill");
+        }
+        assert_eq!(e.read(base + 9 * 64).unwrap(), [0; 64]);
+        assert_eq!(e.channel_stats().replayed_responses, 4);
+        assert_eq!(e.device_stats().updates, 4);
+    }
+
+    /// A freed page's stale lines never meet a reset walk: its next write
+    /// is a birth that blanks them first. Free a multi-line page, write one
+    /// line, force resets, read every line: no kill, and zeros where
+    /// nothing was rewritten.
+    #[test]
+    fn a_freed_page_is_reborn_blank() {
+        let mut cfg = ToleoConfig::small();
+        cfg.reset_log2 = 3;
+        let mut e = ProtectionEngine::try_new(cfg, [5u8; 48]).unwrap();
+        let base = 0x6000u64;
+        for l in 0..16u64 {
+            e.write(base + l * 64, &[l as u8 + 1; 64]).unwrap();
+        }
+        e.free_page(layout::page_of(base)).unwrap();
+        let resets = e.stats().pages_reencrypted;
+        for i in 0..200u8 {
+            e.write(base + 3 * 64, &[i; 64]).unwrap();
+        }
+        assert!(e.stats().pages_reencrypted > resets + 3, "the walks ran");
+        for l in 0..64u64 {
+            let want = if l == 3 { [199u8; 64] } else { [0; 64] };
+            assert_eq!(e.read(base + l * 64).unwrap(), want, "line {l}");
+        }
+        assert!(!e.is_killed());
+    }
+
+    /// A page with no slot reads as zeros and asks nothing trusted: the
+    /// arena never drops a slot and every birth creates one, so such a page
+    /// was never born. A slot the adversary makes on an unborn page — a
+    /// forged tag, a line replayed from another engine under the same keys
+    /// — fails closed on a read of any of its lines, and the page's first
+    /// write blanks every line of it.
+    #[test]
+    fn an_adversary_slot_on_an_unborn_page_fails_closed_and_births_blank() {
+        let (forged, copied, empty) = (0x5040u64, 0x5080u64, 0x50c0u64);
+        let mut donor = engine();
+        donor.write(copied, &[6u8; 64]).unwrap();
+        let capsule = donor.adversary().capture(copied);
+        let plant = |e: &mut ProtectionEngine| {
+            e.adversary().forge_mac(forged, Tag56::from_raw(0x5eed));
+            e.adversary().replay(&capsule);
+        };
+        for address in [forged, copied, empty] {
+            let mut e = engine();
+            assert_eq!(e.read(address).unwrap(), [0; 64], "no slot yet");
+            plant(&mut e);
+            assert_eq!(
+                e.read(address),
+                Err(ToleoError::IntegrityViolation { address })
+            );
+            assert!(e.is_killed());
+        }
+        let mut e = engine();
+        plant(&mut e);
+        e.write(0x5000, &[1u8; 64]).unwrap();
+        assert_eq!(e.read(0x5000).unwrap(), [1u8; 64]);
+        for l in 1..64u64 {
+            assert_eq!(e.read(0x5000 + l * 64).unwrap(), [0; 64], "line {l}");
         }
     }
 
     /// The Carter–Wegman nonce invariant, observed rather than argued: a
     /// seeded mixed trace through a 2-shard engine at `reset_log2 = 3` —
-    /// writes over several pages, hot lines that force reset walks, page
-    /// frees, reads, two tamper + `recover_shard` rounds — and after every
-    /// op each line that verifies under its current `(UV, stealth)` is
-    /// recorded: no `(key generation, full version, address)` is ever
-    /// seen with two different ciphertexts.
+    /// writes over several pages, hot lines that force reset walks, frees
+    /// of multi-line pages, reads, two tamper + `recover_shard` rounds —
+    /// and after every op each line that verifies under its current
+    /// `(UV, stealth)` is recorded: no `(key generation, full version,
+    /// address)` is ever seen with two different ciphertexts. Blank lines
+    /// are recorded under their own domain, the zero block as their
+    /// ciphertext.
     #[test]
     fn no_nonce_ever_seals_two_ciphertexts() {
         use crate::sharded::ShardedEngine;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         use std::collections::HashMap;
 
-        /// Every line of `e` whose stored tag verifies, as
-        /// `((full version, address), ciphertext)`.
-        fn sealed_lines(e: &mut ProtectionEngine) -> Vec<((u64, u64), Block)> {
+        /// Every line of `e` that verifies, as `((full version, address,
+        /// blank), ciphertext)`.
+        fn sealed_lines(e: &mut ProtectionEngine) -> Vec<((u64, u64, bool), Block)> {
             let bits = e.cfg.stealth_bits;
             let pages: Vec<(u64, SlotId)> = e.dram.pages().collect();
             let mut out = Vec::new();
             for (page, id) in pages {
                 for line in 0..LINES_PER_PAGE {
-                    let Some(&ct) = e.dram.slot(id).block(line) else {
-                        continue;
+                    let slot = e.dram.slot(id);
+                    let (blank, ct) = match slot.block(line) {
+                        Some(&ct) => (false, ct),
+                        None => (true, [0; 64]),
                     };
-                    let uv = e.dram.slot(id).uv();
+                    let uv = slot.uv();
                     let stealth = e.channel.device_mut().read(page, line).unwrap();
                     let fv = FullVersion::compose(uv, stealth, bits).raw();
                     let addr = page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64;
                     if e.sealer.unseal(e.dram.slot(id), addr, fv).is_some() {
-                        out.push(((fv, addr), ct));
+                        out.push(((fv, addr, blank), ct));
                     }
                 }
             }
@@ -1437,18 +1607,18 @@ mod tests {
         )
         .unwrap();
         let mut generation = [0u64; SHARDS];
-        let mut seen: HashMap<(usize, u64, u64, u64), Block> = HashMap::new();
-        // Returns how many nonces it saw for the first time.
+        let mut seen: HashMap<(usize, u64, u64, u64, bool), Block> = HashMap::new();
+        // Returns how many resident-line nonces it saw for the first time.
         let mut observe = |e: &mut ShardedEngine, generation: &[u64; SHARDS], op: usize| {
             let mut fresh = 0;
             for (shard, &generation) in generation.iter().enumerate() {
-                for ((fv, addr), ct) in sealed_lines(e.shard_engine_mut(shard)) {
-                    let earlier = seen.insert((shard, generation, fv, addr), ct);
+                for ((fv, addr, blank), ct) in sealed_lines(e.shard_engine_mut(shard)) {
+                    let earlier = seen.insert((shard, generation, fv, addr, blank), ct);
                     assert!(
                         earlier.is_none_or(|old| old == ct),
                         "op {op}: generation {generation} sealed {addr:#x} twice under version {fv:#x}"
                     );
-                    fresh += u64::from(earlier.is_none());
+                    fresh += u64::from(earlier.is_none() && !blank);
                 }
             }
             fresh
@@ -1456,9 +1626,9 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(22);
         let addr = |page: u64, line: u64| page * PAGE_BYTES as u64 + line * 64;
-        // Pages 0..6 take mixed traffic; 6 and 7 (one per shard) hold a
-        // single line and are the ones freed — a reset walk must never
-        // meet a freed page's stale lines (ROADMAP item 2).
+        // Pages 0..6 take mixed traffic; 6 and 7 (one per shard) take a
+        // few lines each and are the ones freed, so births meet a freed
+        // page's stale lines.
         let (mut resets, mut frees, mut recoveries) = (0, 0, 0);
         for op in 0..3_000usize {
             let fill = [rng.gen::<u8>(); 64];
@@ -1472,7 +1642,10 @@ mod tests {
                     e.read(addr(rng.gen_range(0..6), rng.gen_range(0..12)))
                         .unwrap();
                 }
-                85..=94 => e.write(addr(rng.gen_range(6..8), 0), &fill).unwrap(),
+                85..=94 => {
+                    let (page, line) = (rng.gen_range(6..8), rng.gen_range(0..4));
+                    e.write(addr(page, line), &fill).unwrap();
+                }
                 _ => {
                     e.free_page(rng.gen_range(6..8)).unwrap();
                     frees += 1;
@@ -1502,7 +1675,13 @@ mod tests {
             resets > 50 && frees > 50 && recoveries == 2,
             "{resets} {frees}"
         );
-        assert!(seen.len() > 3_000, "only {} nonces observed", seen.len());
+        let blanks = seen.keys().filter(|key| key.4).count();
+        assert!(
+            seen.len() - blanks > 3_000,
+            "only {} nonces observed",
+            seen.len()
+        );
+        assert!(blanks > 3_000, "only {blanks} blank nonces observed");
     }
 
     #[test]

@@ -170,7 +170,8 @@ pub struct MemoryStats {
 /// Implementations must uphold:
 ///
 /// * **Round-trip** — absent tampering, a read returns the latest written
-///   plaintext; never-written blocks read as zeros.
+///   plaintext; never-written blocks read as zeros — on a written page,
+///   only once their blank tag verifies.
 /// * **Detection** — after [`corrupt`](Self::corrupt) of a resident block
 ///   or [`replay`](Self::replay) of a stale capsule over newer data, the
 ///   next read of that address fails with

@@ -9,10 +9,20 @@
 //! [`engine`](crate::engine)), or a Merkle leaf, a VAULT counter or a
 //! Morphable leaf (`toleo-baselines`).
 //!
+//! A line nothing has been written to since its page's birth is **blank**:
+//! it holds no ciphertext, only a blank tag, the line MAC of the zero block
+//! under the pad of `(version, address | 2)` ([`Tweak::blank_pad`]). A
+//! birth ([`blank_page`](LineSealer::blank_page)) writes those tags, the
+//! page walk moves them to new versions like any other line, and a read
+//! answers zeros only when the blank tag verifies. Absence is therefore a
+//! verifiable state: a line with neither ciphertext nor a tag, or a
+//! replayed blank capture, fails like tampered ciphertext does.
+//!
 //! The tag is sound only while `(version, address)` never seals two
 //! ciphertexts under one key. Each scheme argues that for its own versions,
 //! and a test per scheme (`no_nonce_ever_seals_two_ciphertexts`) observes
-//! it over a seeded trace.
+//! it over a seeded trace. Blank pads are a separate domain that only ever
+//! tags the zero block.
 
 use crate::arena::{Block, PageSlot};
 use crate::config::{CACHE_BLOCK_BYTES, LINES_PER_PAGE, PAGE_BYTES};
@@ -38,6 +48,11 @@ pub(crate) fn split_key_material(key_material: &[u8; 48]) -> [[u8; 16]; 3] {
     keys
 }
 
+/// The address of line `line` of `page`.
+fn line_address(page: u64, line: usize) -> u64 {
+    page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64
+}
+
 impl LineSealer {
     /// A sealer keyed by 48 bytes: the XTS data key, the XTS tweak key and
     /// the MAC key, 16 bytes each.
@@ -57,12 +72,12 @@ impl LineSealer {
         self.seal_with(slot, line, self.pads(version, addr), plaintext);
     }
 
-    /// Verifies and decrypts the line at `addr` under `version`. `None` is
-    /// a failed verification — the recomputed tag does not match the
-    /// stored one, or a resident line has no stored tag — which every
-    /// scheme answers as tamper. A line with no ciphertext reads as zeros
-    /// without consulting anything trusted (ROADMAP item 1: a replayed
-    /// blank line rolls a written one back).
+    /// Verifies and decrypts the line at `addr` under `version`. A line
+    /// with ciphertext opens if its tag verifies; a line without
+    /// ciphertext reads as zeros if it holds the blank tag of `(version,
+    /// addr)`. `None` is a failed verification — a tag that does not
+    /// match, a resident line with no tag, a line with neither ciphertext
+    /// nor a tag — which every scheme answers as tamper.
     #[inline]
     pub fn unseal(&self, slot: &PageSlot, addr: u64, version: u64) -> Option<Block> {
         let line = layout::line_of(addr);
@@ -80,19 +95,45 @@ impl LineSealer {
         addr: u64,
         version: u64,
     ) -> Option<Block> {
-        let Some(ct) = ct else {
-            return Some([0u8; CACHE_BLOCK_BYTES]);
-        };
-        self.open(ct, tag, self.pads(version, addr))
+        match ct {
+            Some(ct) => self.open(ct, tag, self.pads(version, addr)),
+            None => {
+                let tweak = Tweak {
+                    version,
+                    address: addr,
+                };
+                let pad = self.xts.tweak_block(tweak.blank_pad());
+                self.is_blank(tag, &pad).then_some([0; CACHE_BLOCK_BYTES])
+            }
+        }
     }
 
-    /// Re-seals every resident line of `page` but `skip` from version
-    /// `old(l)` under this sealer to version `new(l)` under `to`: a stealth
-    /// reset's UV bump, a VAULT group reset, a Morphable leaf re-base (each
-    /// with `to = self`), or a recovered shard's move to its new key. The
-    /// walk's old and new tweaks and MAC pads are encrypted up front, one
-    /// pipelined pass per sealer, so their cost is amortized over the page
-    /// instead of paid as two serial AES passes per line.
+    /// A page's birth: every line `l` with `Some` version in `versions`
+    /// drops its ciphertext and takes the blank tag of `(version,
+    /// address)`, its pads in one pipelined pass. Lines with `None` are
+    /// left as they are.
+    pub fn blank_page(
+        &self,
+        slot: &mut PageSlot,
+        page: u64,
+        versions: &[Option<u64>; LINES_PER_PAGE],
+    ) {
+        let blanks = (0..).zip(versions).filter_map(|(l, v)| Some((l, (*v)?)));
+        for (l, [pad]) in self.pads_of(page, blanks, |t| [t.blank_pad()]) {
+            slot.clear_block(l);
+            slot.set_tag(l, self.blank_tag(&pad));
+        }
+    }
+
+    /// Moves every line of `page` but `skip` that holds ciphertext or a
+    /// tag from version `old(l)` under this sealer to version `new(l)`
+    /// under `to`: a stealth reset's UV bump, a VAULT group reset, a
+    /// Morphable leaf re-base (each with `to = self`), or a recovered
+    /// shard's move to its new key. A resident line opens and re-seals; a
+    /// blank line has its blank tag checked under `old` and is re-tagged
+    /// under `new` — two pads, with no decrypt and no encrypt. Re-tagging
+    /// without the check would launder a replayed blank capture into a
+    /// valid blank.
     ///
     /// Returns the mask of lines (bit `l` for line `l`) that do not verify
     /// under `old`: they are left as they were, and every other line is
@@ -106,41 +147,74 @@ impl LineSealer {
         old: impl Fn(usize) -> u64,
         new: impl Fn(usize) -> u64,
     ) -> u64 {
-        let resident = (0..LINES_PER_PAGE).filter(|&l| Some(l) != skip && slot.has_block(l));
-        // Per resident line, its tweak and MAC pad under `old` for this
-        // sealer's pass, and under `new` for `to`'s.
-        let mut lines = [0usize; LINES_PER_PAGE];
-        let mut inputs = [[[Tweak::default(); 2]; LINES_PER_PAGE]; 2];
-        let mut n = 0;
-        let [from, into] = &mut inputs;
-        for (((line, from), into), l) in lines.iter_mut().zip(from).zip(into).zip(resident) {
-            let address = page * PAGE_BYTES as u64 + (l * CACHE_BLOCK_BYTES) as u64;
-            let [was, now] = [old(l), new(l)].map(|version| Tweak { version, address });
-            (*line, *from, *into) = (l, [was, was.mac_pad()], [now, now.mac_pad()]);
-            n += 1;
-        }
-        let mut pads = [[[[0u8; 16]; 2]; LINES_PER_PAGE]; 2];
-        for ((sealer, inputs), pads) in [self, to].into_iter().zip(&inputs).zip(&mut pads) {
-            let pads = pads.get_mut(..n).unwrap_or_default().as_flattened_mut();
-            let inputs = inputs.get(..n).unwrap_or_default().as_flattened();
-            sealer.xts.tweak_blocks(inputs, pads);
-        }
-        let [from, into] = pads;
-        let pads = |[tweak, mac_pad]: [[u8; 16]; 2]| LinePads { tweak, mac_pad };
+        let held = slot.held() & !skip.map_or(0, |l| 1 << l);
+        let resident = held & slot.present();
+        let lines = |mask: u64| (0..LINES_PER_PAGE).filter(move |&l| mask & 1 << l != 0);
         let mut failed = 0;
-        for ((&l, from), into) in lines.iter().zip(from).zip(into).take(n) {
+        let data = |t: Tweak| [t, t.mac_pad()];
+        let from = self.pads_of(page, lines(resident).map(|l| (l, old(l))), data);
+        let into = to.pads_of(page, lines(resident).map(|l| (l, new(l))), data);
+        let pads = |[tweak, mac_pad]: [[u8; 16]; 2]| LinePads { tweak, mac_pad };
+        for ((l, was), (_, now)) in from.zip(into) {
             let ct = slot.block(l).copied();
-            match ct.and_then(|ct| self.open(ct, slot.tag(l), pads(from))) {
-                Some(plaintext) => to.seal_with(slot, l, pads(into), &plaintext),
+            match ct.and_then(|ct| self.open(ct, slot.tag(l), pads(was))) {
+                Some(plaintext) => to.seal_with(slot, l, pads(now), &plaintext),
                 None => failed |= 1 << l,
+            }
+        }
+        let blank = |t: Tweak| [t.blank_pad()];
+        let from = self.pads_of(page, lines(held & !resident).map(|l| (l, old(l))), blank);
+        let into = to.pads_of(page, lines(held & !resident).map(|l| (l, new(l))), blank);
+        for ((l, [was]), (_, [now])) in from.zip(into) {
+            if self.is_blank(slot.tag(l), &was) {
+                slot.set_tag(l, to.blank_tag(&now));
+            } else {
+                failed |= 1 << l;
             }
         }
         failed
     }
 
+    /// `K` tweak-key inputs per `(line, version)` of `lines`, made by
+    /// `inputs` from the line's tweak, encrypted in one pipelined pass so
+    /// their cost is amortized over the page instead of paid as serial AES
+    /// passes per line. Yields each line with its pads, in order.
+    fn pads_of<const K: usize>(
+        &self,
+        page: u64,
+        lines: impl Iterator<Item = (usize, u64)>,
+        inputs: impl Fn(Tweak) -> [Tweak; K],
+    ) -> impl Iterator<Item = (usize, [[u8; 16]; K])> {
+        let mut walked = [0usize; LINES_PER_PAGE];
+        let mut tweaks = [[Tweak::default(); K]; LINES_PER_PAGE];
+        let mut n = 0;
+        for ((line, tweak), (l, version)) in walked.iter_mut().zip(&mut tweaks).zip(lines) {
+            let address = line_address(page, l);
+            (*line, *tweak) = (l, inputs(Tweak { version, address }));
+            n += 1;
+        }
+        let mut pads = [[[0u8; 16]; K]; LINES_PER_PAGE];
+        let out = pads.get_mut(..n).unwrap_or_default().as_flattened_mut();
+        let tweaks = tweaks.get(..n).unwrap_or_default().as_flattened();
+        self.xts.tweak_blocks(tweaks, out);
+        walked.into_iter().zip(pads).take(n)
+    }
+
     #[inline]
     fn pads(&self, version: u64, address: u64) -> LinePads {
         self.xts.line_pads(Tweak { version, address })
+    }
+
+    /// The blank tag under an encrypted [`Tweak::blank_pad`].
+    #[inline]
+    fn blank_tag(&self, pad: &[u8; 16]) -> Tag56 {
+        self.mac.tag(pad, &[0; CACHE_BLOCK_BYTES])
+    }
+
+    /// Whether `stored` is the blank tag under `pad`; a missing tag is not.
+    #[inline]
+    fn is_blank(&self, stored: Option<Tag56>, pad: &[u8; 16]) -> bool {
+        stored.is_some_and(|stored| self.blank_tag(pad).verify(&stored))
     }
 
     #[inline]
@@ -180,12 +254,25 @@ mod tests {
     }
 
     #[test]
-    fn seal_unseal_roundtrip_and_zero_fill() {
+    fn seal_unseal_roundtrip_and_blank_lines() {
         let (s, mut dram) = (sealer(), UntrustedDram::default());
         s.seal(slot(&mut dram, 0x40), 0x40, 7, &[9u8; 64]);
         assert_ne!(dram.ciphertext(0x40), Some(&[9u8; 64]), "sealed at rest");
         assert_eq!(s.unseal(slot(&mut dram, 0x40), 0x40, 7), Some([9u8; 64]));
-        assert_eq!(s.unseal(slot(&mut dram, 0x80), 0x80, 1), Some([0u8; 64]));
+        assert_eq!(s.unseal(slot(&mut dram, 0x80), 0x80, 3), None, "no tag");
+        // A birth blanks every line but the written one at its version.
+        let mut versions = [Some(3); LINES_PER_PAGE];
+        versions[1] = None;
+        s.blank_page(slot(&mut dram, 0x80), 0, &versions);
+        let page = slot(&mut dram, 0x80);
+        assert_eq!(s.unseal(page, 0x40, 7), Some([9u8; 64]), "skipped");
+        assert_eq!(s.unseal(page, 0x80, 3), Some([0u8; 64]));
+        assert_eq!(s.unseal(page, 0x80, 4), None, "blank tag binds the version");
+        assert!(!page.has_block(2) && page.resident() == 1);
+        // The zero block's hash is zero, so without a domain of its own a
+        // blank tag would verify ciphertext `[0; 64]` too.
+        page.set_block(2, [0; 64]);
+        assert_eq!(s.unseal(page, 0x80, 3), None, "zero ciphertext on a blank");
     }
 
     #[test]
@@ -201,43 +288,68 @@ mod tests {
         assert_eq!(s.unseal(slot(&mut dram, 0x80), 0x80, 7), None);
     }
 
-    /// The page walk moves every resident line but `skip` from its old
-    /// version to its new one, leaves absent lines absent, and reports each
-    /// line that does not verify in its mask while it walks on past it.
+    /// The page walk moves every resident line and every blank line but
+    /// `skip` from its old version to its new one, leaves lines with
+    /// neither ciphertext nor a tag as they are, and reports each line
+    /// that does not verify in its mask while it walks on past it.
     #[test]
     fn reseal_moves_versions_and_detects_tamper() {
         let (s, mut dram) = (sealer(), UntrustedDram::default());
         let page = slot(&mut dram, 0x1000);
+        let mut blanks = [None; LINES_PER_PAGE];
+        blanks[2] = Some(2);
+        blanks[3] = Some(3);
+        s.blank_page(page, 1, &blanks);
         for l in [1usize, 5, 7, 9] {
             s.seal(page, 0x1000 + 64 * l as u64, l as u64, &[l as u8; 64]);
         }
         let old = |l: usize| l as u64;
         let new = |l: usize| 100 + l as u64;
         assert_eq!(s.reseal_page(&s, page, 1, Some(9), old, new), 0);
-        for (l, v) in [(1u64, 101), (5, 105), (7, 107), (9, 9)] {
+        for (l, v, data) in [(1u64, 101, 1u8), (2, 102, 0), (3, 103, 0), (5, 105, 5)] {
             let addr = 0x1000 + 64 * l;
-            assert_eq!(s.unseal(page, addr, v), Some([l as u8; 64]), "line {l}");
-            assert_eq!(s.unseal(page, addr, v ^ 1), None, "line {l}: old version");
+            assert_eq!(s.unseal(page, addr, v), Some([data; 64]), "line {l}");
+            assert_eq!(s.unseal(page, addr, v - 100), None, "line {l}: old version");
         }
-        assert!(!page.has_block(0), "absent lines stay absent");
+        assert_eq!(
+            s.unseal(page, 0x1000 + 64 * 9, 9),
+            Some([9u8; 64]),
+            "skipped"
+        );
+        assert!(
+            !page.has_block(0) && page.tag(0).is_none(),
+            "absent stays absent"
+        );
+        assert!(!page.has_block(2), "a blank stays blank");
+        // A flipped ciphertext bit, and a blank tag replayed from before the
+        // walk: each fails, the rest walk on.
         assert!(page.corrupt(5, 13, 0x20));
         let tampered = *page.block(5).unwrap();
+        let stale = first_blank_tag(&s, 3);
+        page.set_tag(3, stale);
         let moved = |l: usize| 100 + l as u64;
         let failed = s.reseal_page(&s, page, 1, Some(9), moved, |l| 200 + l as u64);
-        assert_eq!(failed, 1 << 5, "tamper caught mid-walk");
+        assert_eq!(failed, 1 << 5 | 1 << 3, "tamper caught mid-walk");
         assert_eq!(
             page.block(5),
             Some(&tampered),
             "a failed line is left as it was"
         );
-        for l in [1u64, 7] {
+        assert_eq!(page.tag(3), Some(stale));
+        for (l, data) in [(1u64, 1u8), (2, 0), (7, 7)] {
             let addr = 0x1000 + 64 * l;
-            assert_eq!(
-                s.unseal(page, addr, 200 + l),
-                Some([l as u8; 64]),
-                "line {l}"
-            );
+            assert_eq!(s.unseal(page, addr, 200 + l), Some([data; 64]), "line {l}");
         }
+    }
+
+    /// The blank tag line `l` of page 1 held at version `l`, before any walk.
+    fn first_blank_tag(s: &LineSealer, l: usize) -> Tag56 {
+        let mut dram = UntrustedDram::default();
+        let mut versions = [None; LINES_PER_PAGE];
+        versions[l] = Some(l as u64);
+        let page = slot(&mut dram, 0x1000);
+        s.blank_page(page, 1, &versions);
+        page.tag(l).unwrap()
     }
 
     /// Across two sealers the walk moves a line to the target's key: it

@@ -120,7 +120,8 @@ impl ShardedEngine {
     /// fresh device seed. Its untrusted memory is re-keyed in place: one
     /// page walk moves every block that still verifies to the new key,
     /// bit-identically, under the version the fresh device already holds
-    /// (one READ per resident page, no UPDATE). Blocks that fail refuse
+    /// (one READ per born page, no UPDATE), blank lines included, and
+    /// each page's birth moves with it. Lines that fail refuse
     /// with [`ToleoError::PageLost`] until rewritten. The quarantined
     /// engine's frozen counters are preserved in the returned
     /// [`RecoveryOutcome::forensic`] snapshot.
@@ -249,7 +250,7 @@ mod tests {
         image.collect()
     }
 
-    /// Re-admission asks the fresh device one READ per resident page and
+    /// Re-admission asks the fresh device one READ per written page and
     /// never UPDATEs it; every intact block reads back bit-identically,
     /// and a line captured before the tamper and replayed after the
     /// re-key is caught.
@@ -274,7 +275,7 @@ mod tests {
 
         let fresh = e.shard_engine_mut(2);
         assert_eq!(fresh.device_stats().updates, 0);
-        assert_eq!(fresh.device_stats().reads, 4, "one READ per resident page");
+        assert_eq!(fresh.device_stats().reads, 4, "one READ per written page");
         assert_eq!(fresh.stats().device_reads, 4);
         assert_eq!(out.pages_scrubbed, 4);
         assert_eq!((out.blocks_scrubbed, out.blocks_lost), (12, 1));
@@ -288,6 +289,35 @@ mod tests {
             Err(ToleoError::IntegrityViolation { address }) if address == stale
         ));
         assert!(e.is_shard_quarantined(2));
+    }
+
+    /// Recovery walks blank lines like resident ones and carries each
+    /// page's birth to the fresh device. A blank capture replayed over a
+    /// written line fails its check in the walk and is dropped as lost;
+    /// the page's next write is no birth, so it blanks nothing: the
+    /// rolled-back line reads `PageLost`, never zeros, and the page's
+    /// other lines read back.
+    #[test]
+    fn recovery_drops_a_replayed_blank_and_keeps_pages_born() {
+        let e = sharded(4);
+        let page = 2 * PAGE_BYTES as u64;
+        let [kept, rolled, later, blank] = [0u64, 1, 2, 3].map(|l| page + l * 64);
+        e.write(kept, &[1; 64]).unwrap();
+        let capsule = e.with_adversary(rolled, |dram| dram.capture(rolled));
+        e.write(rolled, &[2; 64]).unwrap();
+        e.with_adversary(rolled, |dram| dram.replay(&capsule));
+        let tampered = 6 * PAGE_BYTES as u64;
+        e.write(tampered, &[6; 64]).unwrap();
+        tamper_and_detect(&e, tampered);
+        let out = e.recover_shard(2).unwrap();
+        assert_eq!((out.blocks_scrubbed, out.blocks_lost), (3, 2));
+        e.write(later, &[3; 64]).unwrap();
+        let address = rolled;
+        assert_eq!(e.read(rolled), Err(ToleoError::PageLost { address }));
+        assert_eq!(e.read(kept).unwrap(), [1; 64]);
+        assert_eq!(e.read(later).unwrap(), [3; 64]);
+        assert_eq!(e.read(blank).unwrap(), [0; 64]);
+        assert!(!e.is_shard_quarantined(2) && !e.is_killed());
     }
 
     /// A re-key whose READs cannot reach the fresh device fails whole:
@@ -336,12 +366,20 @@ mod tests {
         assert_eq!(state(&mut e), before);
     }
 
-    /// A line the adversary plants on a page outside the protected range
-    /// has a version on neither device: the walk drops it as lost rather
-    /// than let a refused READ fail every recovery of the shard.
+    /// A page that is not born holds nothing to re-key: a line the
+    /// adversary plants outside the protected range (no device ever
+    /// versions it), or a freed page's stale lines. Recovery neither READs
+    /// nor walks such a page and counts none of it lost, so a refused READ
+    /// cannot fail every recovery of the shard. The freed page's next
+    /// write is a birth that blanks it: its other lines read zeros.
     #[test]
-    fn a_line_planted_outside_the_protected_range_is_lost() {
-        let e = sharded(4);
+    fn an_unborn_page_is_neither_read_nor_walked() {
+        let mut e = sharded(4);
+        let freed = 10 * PAGE_BYTES as u64;
+        for l in 0..4u64 {
+            e.write(freed + l * 64, &[l as u8 + 1; 64]).unwrap();
+        }
+        e.free_page(10).unwrap();
         let victim = quarantine_shard2(&e);
         let planted = (e.config().protected_pages() + 2) * PAGE_BYTES as u64;
         assert_eq!(e.shard_of_addr(planted), 2);
@@ -350,9 +388,16 @@ mod tests {
             dram.slot_mut(id).set_block(0, [7; 64]);
         });
         let out = e.recover_shard(2).unwrap();
-        assert_eq!((out.pages_scrubbed, out.blocks_lost), (3, 2));
+        assert_eq!((out.pages_scrubbed, out.blocks_lost), (2, 1));
+        assert_eq!(e.shard_engine_mut(2).device_stats().reads, 2);
         assert_eq!(e.read(6 * PAGE_BYTES as u64).unwrap(), [7u8; 64]);
         assert!(matches!(e.read(victim), Err(ToleoError::PageLost { .. })));
+        e.write(freed + 64, &[9; 64]).unwrap();
+        assert_eq!(e.read(freed + 64).unwrap(), [9; 64]);
+        for l in [0u64, 2, 3, 63] {
+            assert_eq!(e.read(freed + l * 64).unwrap(), [0; 64], "line {l}");
+        }
+        assert!(!e.is_shard_quarantined(2));
     }
 
     /// A lost address refuses before the read does anything: no counter,

@@ -73,6 +73,11 @@ pub struct PageEntry {
     format: PageRepr,
     /// Shared stealth base (the "27b base" of the flat entry).
     base: StealthVersion,
+    /// Whether the device has accepted an UPDATE to the page since it was
+    /// materialized or RESET: the trusted fact behind a page's birth. The
+    /// 12-byte flat entry holds 27 + 64 bits, so this bit sits in its
+    /// spare bits and costs no modeled byte.
+    born: bool,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,12 +97,25 @@ enum PageRepr {
 }
 
 impl PageEntry {
-    /// Creates a fresh flat entry with the given random initial base.
+    /// Creates a fresh, unborn flat entry with the given random initial
+    /// base.
     pub fn new_flat(base: StealthVersion) -> Self {
         PageEntry {
             format: PageRepr::Flat { written: 0 },
             base,
+            born: false,
         }
+    }
+
+    /// Whether the page is born: an UPDATE has been accepted since the
+    /// entry was created.
+    pub fn is_born(&self) -> bool {
+        self.born
+    }
+
+    /// Marks the page born.
+    pub(crate) fn set_born(&mut self) {
+        self.born = true;
     }
 
     /// Current representation format.
@@ -295,6 +313,17 @@ mod tests {
 
     fn flat(base: u64) -> PageEntry {
         PageEntry::new_flat(StealthVersion::new(base, 27))
+    }
+
+    /// The born bit fits `PageEntry`'s padding: the entry stays 24 bytes
+    /// on the host (it models a 12-byte flat entry on the device).
+    #[test]
+    fn the_born_bit_costs_no_host_byte() {
+        assert_eq!(std::mem::size_of::<PageEntry>(), 24);
+        let mut p = flat(7);
+        assert!(!p.is_born());
+        p.set_born();
+        assert!(p.is_born());
     }
 
     #[test]

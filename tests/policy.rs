@@ -253,6 +253,23 @@ const BANS: &[Ban] = &[
               version advanced, and a reset hands the host the replaced entry \
               (EXPERIMENTS.md \"A Trip write is decided once\")",
     },
+    Ban {
+        pattern: &["return Some([0"],
+        whole_word: false,
+        roots: &["crates/toleo-core/src/seal.rs"],
+        exempt: None,
+        why: "no zero-fill arm: a line with no ciphertext reads as zeros only once its \
+              blank tag verifies, so a replayed blank capture fails like any stale line \
+              (EXPERIMENTS.md \"A blank line is its tag\")",
+    },
+    Ban {
+        pattern: &["ignore = \"ROADMAP item 1\""],
+        whole_word: false,
+        roots: &["tests"],
+        exempt: None,
+        why: "the rollback-to-blank pins run in tier-1: both pass since a blank line is \
+              its tag (EXPERIMENTS.md \"A blank line is its tag\")",
+    },
 ];
 
 /// One former `awk` step: in `file`, a section runs from one line that

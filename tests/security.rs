@@ -241,13 +241,12 @@ fn cross_address_splice_detected() {
     }
 }
 
-/// ROADMAP item 1 across the arena: capture a never-written line of a
+/// Rollback to blank across the arena: capture a never-written line of a
 /// written page, write the line, replay the blank capture. Every scheme
-/// unseals through `LineSealer::unseal`, which answers a line with no
-/// ciphertext with zeros, so all five serve the rollback today — and one
-/// fix there closes it for all five.
+/// unseals through `LineSealer::unseal`, where a line with no ciphertext
+/// reads as zeros only if its blank tag verifies at the line's current
+/// version — and the replayed tag is the one of an older version.
 #[test]
-#[ignore = "ROADMAP item 1"]
 fn every_scheme_detects_rollback_to_blank() {
     let missed: Vec<&str> = arena()
         .into_iter()
@@ -395,13 +394,10 @@ fn freed_page_is_scrambled_without_reencryption() {
     assert!(e.is_killed());
 }
 
-/// ROADMAP item 1's rollback-to-blank finding on the engine, asserting
-/// the *correct* behaviour: `LineSealer::unseal` answers an absent line
-/// with zeros without consulting anything trusted, so rolling a written
-/// line back to its never-written state goes undetected — and the engine
-/// is not killed — today.
+/// Rolling a written line back to its never-written state is a replay
+/// like any other on the engine: the blank capture's tag is stale, the
+/// read fails as `IntegrityViolation`, and the engine is killed.
 #[test]
-#[ignore = "ROADMAP item 1"]
 fn rollback_to_the_scrubbed_state_is_detected() {
     let mut e = engine();
     e.write(0x1000, &[1u8; 64]).unwrap(); // materialises the page
