@@ -55,7 +55,7 @@ pub use tree::CounterTree;
 pub use vault::VaultEngine;
 
 use toleo_core::arena::{Block, UntrustedDram};
-use toleo_core::config::{CACHE_BLOCK_BYTES, LINES_PER_PAGE, PAGE_BYTES};
+use toleo_core::config::{LINES_PER_PAGE, PAGE_BYTES};
 use toleo_core::layout;
 use toleo_core::protected::{MemoryError, MemoryStats, ProtectedMemory};
 use toleo_core::seal::LineSealer;
@@ -209,10 +209,8 @@ impl<V: VersionStore> Baseline<V> {
                 .sealer
                 .reseal_page(&self.sealer, slot, page, skip, old, new);
             if failed != 0 {
-                let line = u64::from(failed.trailing_zeros());
-                return Err(tampered(
-                    page * PAGE_BYTES as u64 + line * CACHE_BLOCK_BYTES as u64,
-                ));
+                let line = failed.trailing_zeros() as usize;
+                return Err(tampered(layout::line_address(page, line)));
             }
         }
         Ok(())
@@ -298,7 +296,7 @@ mod tests {
             for (page, id) in e.dram.pages() {
                 let slot = e.dram.slot(id);
                 for line in 0..LINES_PER_PAGE {
-                    let addr = page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64;
+                    let addr = layout::line_address(page, line);
                     if slot.held() & 1 << line == 0 || addr >= e.bytes {
                         continue;
                     }

@@ -75,17 +75,7 @@ pub struct RunCtx {
     pub gen: GenConfig,
     /// Ops per workload for the availability and recovery experiments.
     pub perf_ops: u64,
-    cache: RefCell<HashMap<&'static str, Rc<Vec<RunStats>>>>,
-}
-
-fn protection_key(p: Protection) -> &'static str {
-    match p {
-        Protection::NoProtect => "NoProtect",
-        Protection::C => "C",
-        Protection::Ci => "CI",
-        Protection::Toleo => "Toleo",
-        Protection::InvisiMem => "InvisiMem",
-    }
+    cache: RefCell<HashMap<Protection, Rc<Vec<RunStats>>>>,
 }
 
 impl Default for RunCtx {
@@ -111,12 +101,13 @@ impl RunCtx {
     /// All 12 workloads under `protection`, memoized per protection for
     /// the lifetime of this context.
     pub fn run_all(&self, protection: Protection) -> Rc<Vec<RunStats>> {
-        let key = protection_key(protection);
-        if let Some(hit) = self.cache.borrow().get(key) {
+        if let Some(hit) = self.cache.borrow().get(&protection) {
             return Rc::clone(hit);
         }
         let stats = Rc::new(crate::harness::run_all_with(protection, &self.gen));
-        self.cache.borrow_mut().insert(key, Rc::clone(&stats));
+        self.cache
+            .borrow_mut()
+            .insert(protection, Rc::clone(&stats));
         stats
     }
 }

@@ -3,6 +3,7 @@
 
 use super::RunCtx;
 use crate::report::{Cell, Report, Table};
+use toleo_core::cache::MacCache;
 use toleo_sim::config::{Protection, SimConfig};
 
 fn cfg_table(label: &str, c: &SimConfig) -> Table {
@@ -59,7 +60,10 @@ fn cfg_table(label: &str, c: &SimConfig) -> Table {
     );
     row("Toleo DRAM", format!("HMC-style, {} ns", c.toleo_dram_ns));
     row("AES engine", format!("{} cycles", c.aes_cycles));
-    row("MAC cache", format!("{} KB/core, 16-way", c.mac_cache_kib));
+    row(
+        "MAC cache",
+        format!("{} KB/core, {}-way", MacCache::PAPER_KIB, MacCache::WAYS),
+    );
     row(
         "Remote pages",
         format!("{:.1}%", c.remote_page_fraction * 100.0),

@@ -8,9 +8,9 @@
 //!
 //! [`Aes128`] is a thin dispatcher over the pluggable [`crate::backend`]
 //! layer: at construction it selects the best [`BackendKind`] the host
-//! offers (x86_64 AES-NI, aarch64 crypto extensions, or the portable
-//! [`TtableAes`] software fallback) and every operation — single blocks,
-//! the [`encrypt_blocks`](Aes128::encrypt_blocks) multi-block API for
+//! offers (x86_64 AES-NI, or the portable [`TtableAes`] software
+//! fallback) and every operation — single blocks, the
+//! [`encrypt_blocks`](Aes128::encrypt_blocks) multi-block encrypt for
 //! independent blocks, [`encrypt_pair`](Aes128::encrypt_pair) for two
 //! blocks in registers, and [`xts_line`](Aes128::xts_line), a whole
 //! 64-byte XTS line as one backend call — routes to that backend with a
@@ -23,7 +23,7 @@
 //! InvMixColumns-transformed decryption round keys of the equivalent
 //! inverse cipher — is expanded once at construction. Table lookups are
 //! the classic AES cache-timing side channel, which is one more reason the
-//! hardware backends are preferred whenever the host supports them.
+//! hardware backend is preferred whenever the host supports it.
 //!
 //! The original byte-oriented implementation is retained under
 //! `#[cfg(test)]` as [`reference`] and every backend is property-tested
@@ -237,14 +237,6 @@ impl TtableAes {
         TtableAes { ek, dk }
     }
 
-    /// Raw big-endian (encryption, decryption) round-key words. The
-    /// aarch64 hardware backend reuses this scalar key schedule (ARMv8 has
-    /// no keygen-assist instruction).
-    #[cfg(target_arch = "aarch64")]
-    pub(crate) fn round_key_words(&self) -> (&[u32; 4 * (NR + 1)], &[u32; 4 * (NR + 1)]) {
-        (&self.ek, &self.dk)
-    }
-
     /// Encrypts one 16-byte block.
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
         let rk = &self.ek;
@@ -347,7 +339,7 @@ impl Aes128Backend for TtableAes {
 /// AES-128 with the backend chosen at construction.
 ///
 /// [`Aes128::new`] consults [`crate::backend::default_backend`]: hardware
-/// AES (AES-NI / ARMv8-CE) when the host supports it, the T-table software
+/// AES (AES-NI) when the host supports it, the T-table software
 /// cipher otherwise, overridable through the `TOLEO_AES_BACKEND`
 /// environment variable. The choice is per-instance and immutable, so a
 /// protection engine built with one backend keeps it for life.
@@ -361,8 +353,6 @@ enum Inner {
     Soft(TtableAes),
     #[cfg(target_arch = "x86_64")]
     AesNi(crate::backend::AesNiAes),
-    #[cfg(target_arch = "aarch64")]
-    ArmCe(crate::backend::ArmCeAes),
 }
 
 /// Dispatches `$body` to the selected backend with `$b` bound to it.
@@ -372,8 +362,6 @@ macro_rules! dispatch {
             Inner::Soft($b) => $body,
             #[cfg(target_arch = "x86_64")]
             Inner::AesNi($b) => $body,
-            #[cfg(target_arch = "aarch64")]
-            Inner::ArmCe($b) => $body,
         }
     };
 }
@@ -404,11 +392,6 @@ impl Aes128 {
                 Some(hw) => Inner::AesNi(hw),
                 None => Inner::Soft(TtableAes::new(key)),
             },
-            #[cfg(target_arch = "aarch64")]
-            BackendKind::ArmCe => match crate::backend::ArmCeAes::new(key) {
-                Some(hw) => Inner::ArmCe(hw),
-                None => Inner::Soft(TtableAes::new(key)),
-            },
             _ => Inner::Soft(TtableAes::new(key)),
         };
         Aes128 { inner }
@@ -420,8 +403,6 @@ impl Aes128 {
             Inner::Soft(_) => BackendKind::Software,
             #[cfg(target_arch = "x86_64")]
             Inner::AesNi(_) => BackendKind::AesNi,
-            #[cfg(target_arch = "aarch64")]
-            Inner::ArmCe(_) => BackendKind::ArmCe,
         }
     }
 
@@ -444,24 +425,12 @@ impl Aes128 {
         dispatch!(self, b => b.encrypt_blocks8(blocks))
     }
 
-    /// Decrypts eight independent blocks in place.
-    #[inline]
-    pub fn decrypt_blocks8(&self, blocks: &mut [[u8; 16]; 8]) {
-        dispatch!(self, b => b.decrypt_blocks8(blocks))
-    }
-
     /// Encrypts any number of independent blocks in place, pipelining in
     /// groups of up to eight. The single enum dispatch is paid once per
     /// call, not per block.
     #[inline]
     pub fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
         dispatch!(self, b => b.encrypt_blocks(blocks))
-    }
-
-    /// Decrypts any number of independent blocks in place.
-    #[inline]
-    pub fn decrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
-        dispatch!(self, b => b.decrypt_blocks(blocks))
     }
 
     /// Encrypts two independent blocks given as little-endian integers:

@@ -5,34 +5,33 @@
 //! implementation decides end-to-end throughput. This module provides
 //!
 //! * [`Aes128Backend`] — the backend contract: single-block encrypt and
-//!   decrypt; a multi-block API ([`encrypt_blocks8`] / [`encrypt_blocks`])
-//!   for callers that hold several *independent* blocks — a page walk's
-//!   tweaks, a CTR keystream — so the pipelined AESENC units see eight in
-//!   flight instead of a serial chain at instruction *latency*;
+//!   decrypt; a multi-block encrypt ([`encrypt_blocks8`] /
+//!   [`encrypt_blocks`]) for callers that hold several *independent*
+//!   blocks — a page walk's tweaks — so the pipelined AESENC units see
+//!   eight in flight instead of a serial chain at instruction *latency*;
 //!   [`encrypt_pair`], two blocks handed over and encrypted in registers
 //!   (a line's XTS tweak and its MAC pad); and [`xts_line`], the whole XEX
 //!   of one 64-byte cache line (α-multiples, four sectors) as one call.
 //! * [`TtableAes`](crate::aes::TtableAes) — the portable software
-//!   fallback (re-exported from [`crate::aes`]). T-table lookups are also
-//!   the classic AES cache-timing side channel; prefer hardware.
+//!   fallback (re-exported from [`crate::aes`]), and the only backend on
+//!   every other architecture. T-table lookups are also the classic AES
+//!   cache-timing side channel; prefer hardware.
 //! * `AesNiAes` — x86_64 AES-NI, guarded by
 //!   `is_x86_feature_detected!("aes")`. Its kernels come in fixed shapes
 //!   only — 1, 2, 4 and 8 lanes, and the fused line — with the lane count a
 //!   compile-time constant, so the cipher state is XMM registers from
 //!   load to store; other counts are composed from the 8-, 4- and 1-lane
 //!   kernels.
-//! * `ArmCeAes` — aarch64 crypto extensions, guarded by
-//!   `is_aarch64_feature_detected!("aes")` (each hardware type only
-//!   exists on its architecture). Still on run-time lane counts and the
-//!   default `encrypt_pair` and `xts_line`: there is no aarch64 hardware
-//!   here to time a rewrite on.
+//!
+//! A platform backend is added only with a host that compiles and times
+//! it: the kernels here are the ones CI builds and runs.
 //!
 //! Selection happens **once at cipher construction**
 //! ([`default_backend`]): hardware when detected, overridable for testing
 //! with the `TOLEO_AES_BACKEND` environment variable (`software`, `aesni`,
-//! `armce`, `auto`). CI runs the whole suite once with
-//! `TOLEO_AES_BACKEND=software` so the fallback stays covered on runners
-//! with AES hardware.
+//! `auto`; any other value means detection). CI runs the whole suite once
+//! with `TOLEO_AES_BACKEND=software` so the fallback stays covered on
+//! runners with AES hardware.
 //!
 //! [`encrypt_blocks8`]: Aes128Backend::encrypt_blocks8
 //! [`encrypt_blocks`]: Aes128Backend::encrypt_blocks
@@ -63,13 +62,6 @@ pub trait Aes128Backend {
         }
     }
 
-    /// Decrypts eight independent blocks in place.
-    fn decrypt_blocks8(&self, blocks: &mut [[u8; 16]; 8]) {
-        for b in blocks.iter_mut() {
-            *b = self.decrypt_block(b);
-        }
-    }
-
     /// Encrypts any number of independent blocks in place, pipelining in
     /// groups of up to eight.
     fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
@@ -79,17 +71,6 @@ pub trait Aes128Backend {
         }
         for b in rest {
             *b = self.encrypt_block(b);
-        }
-    }
-
-    /// Decrypts any number of independent blocks in place.
-    fn decrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
-        let (groups, rest) = blocks.as_chunks_mut::<8>();
-        for lanes in groups {
-            self.decrypt_blocks8(lanes);
-        }
-        for b in rest {
-            *b = self.decrypt_block(b);
         }
     }
 
@@ -125,7 +106,9 @@ pub trait Aes128Backend {
         if encrypt {
             self.encrypt_blocks(sectors);
         } else {
-            self.decrypt_blocks(sectors);
+            for sector in sectors.iter_mut() {
+                *sector = self.decrypt_block(sector);
+            }
         }
         for (tj, sector) in tweaks.iter().zip(sectors.iter_mut()) {
             xor16(sector, tj);
@@ -159,8 +142,6 @@ pub enum BackendKind {
     Software,
     /// x86_64 AES-NI instructions.
     AesNi,
-    /// aarch64 (ARMv8) cryptography extensions.
-    ArmCe,
 }
 
 impl BackendKind {
@@ -170,7 +151,6 @@ impl BackendKind {
         match self {
             BackendKind::Software => "software",
             BackendKind::AesNi => "aes-ni",
-            BackendKind::ArmCe => "armv8-ce",
         }
     }
 
@@ -180,10 +160,8 @@ impl BackendKind {
             BackendKind::Software => true,
             #[cfg(target_arch = "x86_64")]
             BackendKind::AesNi => std::arch::is_x86_feature_detected!("aes"),
-            #[cfg(target_arch = "aarch64")]
-            BackendKind::ArmCe => std::arch::is_aarch64_feature_detected!("aes"),
-            #[allow(unreachable_patterns)]
-            _ => false,
+            #[cfg(not(target_arch = "x86_64"))]
+            BackendKind::AesNi => false,
         }
     }
 
@@ -192,8 +170,6 @@ impl BackendKind {
     pub fn detect() -> Self {
         if BackendKind::AesNi.is_available() {
             BackendKind::AesNi
-        } else if BackendKind::ArmCe.is_available() {
-            BackendKind::ArmCe
         } else {
             BackendKind::Software
         }
@@ -204,14 +180,10 @@ impl BackendKind {
 /// listed first. Tests iterate this to property-check each enabled
 /// backend against the reference oracle.
 pub fn available_backends() -> Vec<BackendKind> {
-    [
-        BackendKind::Software,
-        BackendKind::AesNi,
-        BackendKind::ArmCe,
-    ]
-    .into_iter()
-    .filter(|k| k.is_available())
-    .collect()
+    [BackendKind::Software, BackendKind::AesNi]
+        .into_iter()
+        .filter(|k| k.is_available())
+        .collect()
 }
 
 /// Resolves the `TOLEO_AES_BACKEND` override. Unknown values and `auto`
@@ -223,7 +195,6 @@ fn resolve_default() -> BackendKind {
         Ok(v) => match v.to_ascii_lowercase().as_str() {
             "software" | "soft" | "table" | "ttable" => Some(BackendKind::Software),
             "aesni" | "aes-ni" | "ni" => Some(BackendKind::AesNi),
-            "armce" | "armv8-ce" | "ce" | "neon" => Some(BackendKind::ArmCe),
             _ => None,
         },
         Err(_) => None,
@@ -246,10 +217,6 @@ pub fn default_backend() -> BackendKind {
 /// x86_64 AES-NI backend.
 #[cfg(target_arch = "x86_64")]
 pub use hw_x86::AesNiAes;
-
-/// aarch64 crypto-extension backend.
-#[cfg(target_arch = "aarch64")]
-pub use hw_aarch64::ArmCeAes;
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
@@ -515,19 +482,9 @@ mod hw_x86 {
             unsafe { crypt_lanes::<8, true>(&self.ek, blocks) };
         }
 
-        fn decrypt_blocks8(&self, blocks: &mut [[u8; 16]; 8]) {
-            // SAFETY: constructing `AesNiAes` proved the `aes` feature.
-            unsafe { crypt_lanes::<8, false>(&self.dk, blocks) };
-        }
-
         fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
             // SAFETY: constructing `AesNiAes` proved the `aes` feature.
             unsafe { crypt_slice::<true>(&self.ek, blocks) };
-        }
-
-        fn decrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
-            // SAFETY: constructing `AesNiAes` proved the `aes` feature.
-            unsafe { crypt_slice::<false>(&self.dk, blocks) };
         }
 
         fn encrypt_pair(&self, a: u128, b: u128) -> [[u8; 16]; 2] {
@@ -544,169 +501,6 @@ mod hw_x86 {
                 } else {
                     xts_line::<false>(&self.dk, t, line);
                 }
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[allow(unsafe_code)]
-mod hw_aarch64 {
-    //! ARMv8 crypto-extension implementation. Key expansion reuses the
-    //! portable scalar schedule (there is no keygen-assist instruction);
-    //! the round function uses AESE/AESMC and AESD/AESIMC, which fuse on
-    //! every shipping ARMv8 core.
-
-    use super::Aes128Backend;
-    use core::arch::aarch64::{
-        uint8x16_t, vaesdq_u8, vaeseq_u8, vaesimcq_u8, vaesmcq_u8, veorq_u8, vld1q_u8, vst1q_u8,
-    };
-
-    /// AES-128 on the aarch64 cryptography extensions, with an 8-wide
-    /// interleaved multi-block schedule.
-    #[derive(Clone, Copy)]
-    pub struct ArmCeAes {
-        /// Encryption round keys as raw bytes (loaded per call; the loads
-        /// stay in L1 and the form keeps the struct arch-independent).
-        ek: [[u8; 16]; 11],
-        /// Equivalent-inverse-cipher decryption round keys.
-        dk: [[u8; 16]; 11],
-    }
-
-    impl std::fmt::Debug for ArmCeAes {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            // Never print key material.
-            f.debug_struct("ArmCeAes")
-                .field("round_keys", &"<redacted>")
-                .finish()
-        }
-    }
-
-    impl ArmCeAes {
-        /// Expands `key`, or returns `None` when the CPU lacks the AES
-        /// extension.
-        pub fn new(key: &[u8; 16]) -> Option<Self> {
-            if !std::arch::is_aarch64_feature_detected!("aes") {
-                return None;
-            }
-            // Scalar FIPS-197 key schedule, identical to the software
-            // backend's, then AESIMC the middle decryption keys.
-            let soft = crate::aes::TtableAes::new(key);
-            let (ek_words, _) = soft.round_key_words();
-            let mut ek = [[0u8; 16]; 11];
-            for (r, rk) in ek.iter_mut().enumerate() {
-                for c in 0..4 {
-                    rk[4 * c..4 * c + 4].copy_from_slice(&ek_words[4 * r + c].to_be_bytes());
-                }
-            }
-            let mut dk = [[0u8; 16]; 11];
-            dk[0] = ek[10];
-            dk[10] = ek[0];
-            for i in 1..10 {
-                // SAFETY: the `aes` feature was verified above.
-                unsafe {
-                    let k = vld1q_u8(ek[10 - i].as_ptr());
-                    vst1q_u8(dk[i].as_mut_ptr(), vaesimcq_u8(k));
-                }
-            }
-            Some(ArmCeAes { ek, dk })
-        }
-    }
-
-    /// Encrypts up to 8 blocks, rounds interleaved across lanes.
-    ///
-    /// # Safety
-    ///
-    /// The `aes` target feature must be available on the running CPU; an
-    /// `ArmCeAes` value (whose constructor verified it) is proof.
-    #[target_feature(enable = "aes")]
-    unsafe fn enc_chunk(ek: &[[u8; 16]; 11], blocks: &mut [[u8; 16]]) {
-        debug_assert!(blocks.len() <= 8);
-        let n = blocks.len();
-        let mut b: [uint8x16_t; 8] = [vld1q_u8([0u8; 16].as_ptr()); 8];
-        for (lane, block) in b.iter_mut().zip(blocks.iter()) {
-            *lane = vld1q_u8(block.as_ptr());
-        }
-        // AESE = AddRoundKey + SubBytes + ShiftRows; AESMC = MixColumns.
-        for rk in ek.iter().take(9) {
-            let k = vld1q_u8(rk.as_ptr());
-            for lane in b.iter_mut().take(n) {
-                *lane = vaesmcq_u8(vaeseq_u8(*lane, k));
-            }
-        }
-        let k9 = vld1q_u8(ek[9].as_ptr());
-        let k10 = vld1q_u8(ek[10].as_ptr());
-        for (lane, block) in b.iter_mut().zip(blocks.iter_mut()) {
-            *lane = veorq_u8(vaeseq_u8(*lane, k9), k10);
-            vst1q_u8(block.as_mut_ptr(), *lane);
-        }
-    }
-
-    /// Decrypts up to 8 blocks (equivalent inverse cipher), interleaved.
-    ///
-    /// # Safety
-    ///
-    /// As [`enc_chunk`]: the `aes` target feature must be available.
-    #[target_feature(enable = "aes")]
-    unsafe fn dec_chunk(dk: &[[u8; 16]; 11], blocks: &mut [[u8; 16]]) {
-        debug_assert!(blocks.len() <= 8);
-        let n = blocks.len();
-        let mut b: [uint8x16_t; 8] = [vld1q_u8([0u8; 16].as_ptr()); 8];
-        for (lane, block) in b.iter_mut().zip(blocks.iter()) {
-            *lane = vld1q_u8(block.as_ptr());
-        }
-        // AESD = AddRoundKey + InvShiftRows + InvSubBytes; AESIMC folds
-        // the InvMixColumns between rounds (keys 1..=9 are pre-IMC'd).
-        for rk in dk.iter().take(9) {
-            let k = vld1q_u8(rk.as_ptr());
-            for lane in b.iter_mut().take(n) {
-                *lane = vaesimcq_u8(vaesdq_u8(*lane, k));
-            }
-        }
-        let k9 = vld1q_u8(dk[9].as_ptr());
-        let k10 = vld1q_u8(dk[10].as_ptr());
-        for (lane, block) in b.iter_mut().zip(blocks.iter_mut()) {
-            *lane = veorq_u8(vaesdq_u8(*lane, k9), k10);
-            vst1q_u8(block.as_mut_ptr(), *lane);
-        }
-    }
-
-    impl Aes128Backend for ArmCeAes {
-        fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-            let mut out = [*block];
-            // SAFETY: constructing `ArmCeAes` proved the `aes` feature.
-            unsafe { enc_chunk(&self.ek, &mut out) };
-            out[0]
-        }
-
-        fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-            let mut out = [*block];
-            // SAFETY: constructing `ArmCeAes` proved the `aes` feature.
-            unsafe { dec_chunk(&self.dk, &mut out) };
-            out[0]
-        }
-
-        fn encrypt_blocks8(&self, blocks: &mut [[u8; 16]; 8]) {
-            // SAFETY: constructing `ArmCeAes` proved the `aes` feature.
-            unsafe { enc_chunk(&self.ek, blocks) };
-        }
-
-        fn decrypt_blocks8(&self, blocks: &mut [[u8; 16]; 8]) {
-            // SAFETY: constructing `ArmCeAes` proved the `aes` feature.
-            unsafe { dec_chunk(&self.dk, blocks) };
-        }
-
-        fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
-            for chunk in blocks.chunks_mut(8) {
-                // SAFETY: constructing `ArmCeAes` proved the `aes` feature.
-                unsafe { enc_chunk(&self.ek, chunk) };
-            }
-        }
-
-        fn decrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
-            for chunk in blocks.chunks_mut(8) {
-                // SAFETY: constructing `ArmCeAes` proved the `aes` feature.
-                unsafe { dec_chunk(&self.dk, chunk) };
             }
         }
     }
@@ -769,32 +563,34 @@ mod tests {
         assert!(BackendKind::Software.is_available());
     }
 
+    /// A kind the host cannot run — AES-NI on a CPU or an architecture
+    /// without it — degrades to the software cipher. That arm only fires
+    /// on such a host; on one with AES-NI every kind is honoured, and all
+    /// of them must still compute the software cipher's bytes.
     #[test]
     fn unavailable_backend_falls_back_to_software() {
-        // At least one of the two hardware kinds is impossible on any
-        // single host (they belong to different architectures).
-        let foreign = if cfg!(target_arch = "x86_64") {
-            BackendKind::ArmCe
-        } else {
-            BackendKind::AesNi
-        };
-        assert!(!foreign.is_available());
-        let aes = Aes128::with_backend(&[7u8; 16], foreign);
-        assert_eq!(aes.backend(), BackendKind::Software);
-        // Still computes AES correctly.
         let soft = TtableAes::new(&[7u8; 16]);
-        assert_eq!(
-            aes.encrypt_block(&[1u8; 16]),
-            soft.encrypt_block(&[1u8; 16])
-        );
+        for kind in [BackendKind::Software, BackendKind::AesNi] {
+            let aes = Aes128::with_backend(&[7u8; 16], kind);
+            let expect = if kind.is_available() {
+                kind
+            } else {
+                BackendKind::Software
+            };
+            assert_eq!(aes.backend(), expect, "{}", kind.name());
+            assert_eq!(
+                aes.encrypt_block(&[1u8; 16]),
+                soft.encrypt_block(&[1u8; 16])
+            );
+        }
     }
 
     #[test]
     fn detect_prefers_hardware_when_available() {
         let detected = BackendKind::detect();
         assert!(detected.is_available());
-        if BackendKind::AesNi.is_available() || BackendKind::ArmCe.is_available() {
-            assert_ne!(detected, BackendKind::Software);
+        if BackendKind::AesNi.is_available() {
+            assert_eq!(detected, BackendKind::AesNi);
         }
     }
 
@@ -815,7 +611,6 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(BackendKind::Software.name(), "software");
         assert_eq!(BackendKind::AesNi.name(), "aes-ni");
-        assert_eq!(BackendKind::ArmCe.name(), "armv8-ce");
     }
 
     #[test]
@@ -831,8 +626,6 @@ mod tests {
             let mut batch = lanes;
             aes.encrypt_blocks8(&mut batch);
             assert_eq!(batch.to_vec(), singles, "{} encrypt8", kind.name());
-            aes.decrypt_blocks8(&mut batch);
-            assert_eq!(batch, lanes, "{} decrypt8 roundtrip", kind.name());
         }
     }
 
@@ -883,7 +676,7 @@ mod tests {
             }
         }
 
-        /// The multi-block API agrees with single-block calls for every
+        /// The multi-block encrypt agrees with single-block calls for every
         /// enabled backend at every batch length (1..=20 covers full
         /// 8-lane chunks plus ragged remainders).
         #[test]
@@ -898,8 +691,6 @@ mod tests {
                 for (b, orig) in batch.iter().zip(blocks.iter()) {
                     prop_assert_eq!(*b, aes.encrypt_block(orig));
                 }
-                aes.decrypt_blocks(&mut batch);
-                prop_assert_eq!(&batch, &blocks);
             }
         }
     }

@@ -7,10 +7,11 @@
 //! * [`aes`] — AES-128 block cipher (FIPS-197, test vectors included),
 //!   dispatching at construction to the best [`backend`] the host offers.
 //! * [`backend`] — pluggable AES-128 backends: the portable T-table
-//!   software cipher plus hardware AES (x86_64 AES-NI / aarch64 crypto
-//!   extensions) selected by runtime feature detection, all exposing a
-//!   pipelined multi-block API and a one-call 64-byte XTS line so
-//!   hardware instruction-level parallelism is actually exploited.
+//!   software cipher plus x86_64 AES-NI selected by runtime feature
+//!   detection, both exposing a pipelined multi-block encrypt and a
+//!   one-call 64-byte XTS line so hardware instruction-level parallelism
+//!   is actually exploited. Every other architecture runs the software
+//!   cipher, with bit-identical output.
 //! * [`modes`] — AES-XTS (scalable-SGX / Toleo style, with a
 //!   `(version, address)` tweak), the one data cipher of every scheme.
 //! * [`mac`] — 56-bit tags, as packed eight-per-block in the paper's MAC
@@ -44,8 +45,8 @@
 //! assert_eq!(block, [0u8; 64]);
 //! ```
 
-// `unsafe` is denied everywhere except the hardware AES backends, which
-// need `core::arch` intrinsics; `backend::hw` carries the only allow and
+// `unsafe` is denied everywhere except the AES-NI backend, which needs
+// `core::arch` intrinsics; `backend::hw_x86` carries the only allow and
 // every unsafe block there documents its safety contract.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

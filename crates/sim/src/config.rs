@@ -152,8 +152,6 @@ pub struct SimConfig {
     /// Fraction of pages mapped to the remote pool (bandwidth-proportional:
     /// 12.7 / (3*25.6 + 12.7) ≈ 0.142).
     pub remote_page_fraction: f64,
-    /// MAC cache size in KiB (Table 3: 32 KB per core; one core modelled).
-    pub mac_cache_kib: usize,
     /// Protection configuration.
     pub protection: Protection,
 }
@@ -192,7 +190,6 @@ impl SimConfig {
             toleo_dram_ns: 15.0,
             aes_cycles: 40,
             remote_page_fraction: 12.7 / (3.0 * 25.6 + 12.7),
-            mac_cache_kib: 32,
             protection,
         }
     }

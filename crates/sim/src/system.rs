@@ -272,7 +272,7 @@ impl Node {
             pool_link: Link::new(cfg.pool_link),
             toleo_link: Link::new(cfg.toleo_link),
             stealth_cache: StealthCache::paper_default(),
-            mac_cache: MacCache::new(cfg.mac_cache_kib),
+            mac_cache: MacCache::paper_default(),
             now_ns: 0.0,
             instructions: 0,
             stats: RunStats::default(),

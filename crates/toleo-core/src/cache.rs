@@ -718,27 +718,30 @@ pub struct MacCache {
 }
 
 impl MacCache {
+    /// Paper (Table 3) capacity per core, in KiB.
+    pub const PAPER_KIB: usize = 32;
+    /// Associativity at every capacity.
+    pub const WAYS: usize = 16;
+
     /// Creates a MAC cache of `kib` kibibytes, 16-way, 64-byte blocks.
     pub fn new(kib: usize) -> Self {
         let blocks = kib * 1024 / 64;
         MacCache {
-            inner: SetAssocCache::new((blocks / 16).max(1), 16),
+            inner: SetAssocCache::new((blocks / Self::WAYS).max(1), Self::WAYS),
             last: u64::MAX,
         }
     }
 
     /// Paper default: 32 KB per core.
     pub fn paper_default() -> Self {
-        Self::new(32)
+        Self::new(Self::PAPER_KIB)
     }
 
     /// Accesses the MAC block covering data block `block_addr` (a 64-byte-
     /// aligned physical address). Returns `true` on hit.
     #[inline]
     pub fn access(&mut self, block_addr: u64) -> bool {
-        // Eight 56-bit MACs pack per 64-byte MAC block: the covering MAC
-        // block index is block_index / 8.
-        let key = block_addr / 64 / 8;
+        let key = crate::layout::mac_block_index(block_addr);
         if key == self.last {
             self.inner.stats.hits += 1;
             return true;

@@ -155,16 +155,6 @@ impl DeviceChannel {
         self.stats
     }
 
-    /// The retry policy in force.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
-    /// Whether a fault plan is armed.
-    pub fn fault_plan_armed(&self) -> bool {
-        self.plan.is_some()
-    }
-
     /// UPDATE through the fault plane (see [`ToleoDevice::update`]).
     ///
     /// # Errors
@@ -426,6 +416,5 @@ mod tests {
         ch.read_versioned(0, 0).unwrap();
         ch.reset(0).unwrap();
         assert_eq!(ch.stats(), ChannelStats::default());
-        assert!(!ch.fault_plan_armed());
     }
 }

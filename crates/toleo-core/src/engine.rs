@@ -53,7 +53,7 @@
 use crate::arena::SlotId;
 use crate::cache::{CacheStats, MacCache, StealthCache};
 use crate::channel::{ChannelStats, DeviceChannel, RetryPolicy};
-use crate::config::{ToleoConfig, CACHE_BLOCK_BYTES, LINES_PER_PAGE, PAGE_BYTES};
+use crate::config::{ToleoConfig, CACHE_BLOCK_BYTES, LINES_PER_PAGE};
 use crate::device::{DeviceStats, ToleoDevice};
 use crate::error::{BatchError, Result, ToleoError};
 use crate::fault::{FaultPlan, FaultPlanConfig};
@@ -279,11 +279,6 @@ impl ProtectionEngine {
         self.killed.as_deref().copied()
     }
 
-    /// Whether a fault-injection plan is armed on the device channel.
-    pub fn fault_plan_armed(&self) -> bool {
-        self.channel.fault_plan_armed()
-    }
-
     /// The trusted device (for usage/format statistics).
     pub fn device(&self) -> &ToleoDevice {
         self.channel.device()
@@ -443,7 +438,7 @@ impl ProtectionEngine {
                 // either way, and the engine must not serve on.
                 self.kill();
                 let line = failed.trailing_zeros() as usize;
-                let address = page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64;
+                let address = layout::line_address(page, line);
                 return Err(ToleoError::IntegrityViolation { address });
             }
             slot.set_uv(new_uv);
@@ -659,8 +654,7 @@ impl ProtectionEngine {
             let mut blanks = [None; LINES_PER_PAGE];
             for line in (0..LINES_PER_PAGE).filter(|&l| failed & 1 << l != 0) {
                 blanks[line] = Some(into);
-                self.lost
-                    .insert(page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64);
+                self.lost.insert(layout::line_address(page, line));
             }
             if failed != 0 {
                 self.sealer.blank_page(slot, page, &blanks);
@@ -698,6 +692,7 @@ impl ProtectionEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PAGE_BYTES;
     use toleo_crypto::mac::Tag56;
 
     fn engine() -> ProtectionEngine {
@@ -1586,7 +1581,7 @@ mod tests {
                     let uv = slot.uv();
                     let stealth = e.channel.device_mut().read(page, line).unwrap();
                     let fv = FullVersion::compose(uv, stealth, bits).raw();
-                    let addr = page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64;
+                    let addr = layout::line_address(page, line);
                     if e.sealer.unseal(e.dram.slot(id), addr, fv).is_some() {
                         out.push(((fv, addr, blank), ct));
                     }

@@ -120,22 +120,26 @@ pub type Result<T> = std::result::Result<T, ToleoError>;
 /// `index` completed and operations after it were not attempted. The
 /// sharded engine's `*_batch_indexed` run that loop per shard: the same
 /// holds on the failing op's shard, while other shards' ops may have
-/// completed whatever their index.
+/// completed whatever their index: treat `index` as identifying the
+/// failing op, not as a safe resume point. A
+/// [`ProtectedMemory`](crate::protected::ProtectedMemory) batch fails
+/// with `BatchError<MemoryError>`, the same record over the
+/// scheme-agnostic error.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchError {
+pub struct BatchError<E = ToleoError> {
     /// Zero-based index of the failing operation within the batch.
     pub index: usize,
     /// What that operation failed with.
-    pub error: ToleoError,
+    pub error: E,
 }
 
-impl std::fmt::Display for BatchError {
+impl<E: std::fmt::Display> std::fmt::Display for BatchError<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "batch op {}: {}", self.index, self.error)
     }
 }
 
-impl std::error::Error for BatchError {
+impl<E: std::error::Error + 'static> std::error::Error for BatchError<E> {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         Some(&self.error)
     }

@@ -65,6 +65,12 @@ pub fn line_of(addr: u64) -> usize {
     ((addr / CACHE_BLOCK_BYTES as u64) % LINES_PER_PAGE as u64) as usize
 }
 
+/// The address of line `line` (0..64) of page `page`: the inverse of
+/// [`page_of`] and [`line_of`].
+pub fn line_address(page: u64, line: usize) -> u64 {
+    page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64
+}
+
 /// The 64-byte-aligned base of the cache block containing `addr`.
 pub fn block_base(addr: u64) -> u64 {
     addr & !(CACHE_BLOCK_BYTES as u64 - 1)
@@ -99,6 +105,9 @@ mod tests {
         assert_eq!(line_of(64), 1);
         assert_eq!(line_of(4096 + 130), 2);
         assert_eq!(block_base(130), 128);
+        for addr in [0, 64, 4096 + 128, 7 * 4096 + 63 * 64] {
+            assert_eq!(line_address(page_of(addr), line_of(addr)), addr);
+        }
     }
 
     #[test]

@@ -105,39 +105,9 @@ impl From<ToleoError> for MemoryError {
     }
 }
 
-/// Failure of one operation inside a [`ProtectedMemory`] batch: the
-/// scheme-agnostic error plus the batch index that raised it.
-///
-/// For sequential schemes, operations before `index` completed and
-/// operations after it were not attempted. Schemes that execute a batch
-/// out of batch order (e.g. the sharded Toleo engine, which drains it
-/// shard by shard and attempts every shard) still report the smallest
-/// failing index by severity, but operations *after* it that landed on
-/// other shards may have completed — treat `index` as identifying the
-/// failing op, not as a safe resume point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemoryBatchError {
-    /// Zero-based index of the failing operation within the batch.
-    pub index: usize,
-    /// What that operation failed with.
-    pub error: MemoryError,
-}
-
-impl std::fmt::Display for MemoryBatchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "batch op {}: {}", self.index, self.error)
-    }
-}
-
-impl std::error::Error for MemoryBatchError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
-
-impl From<BatchError> for MemoryBatchError {
+impl From<BatchError> for BatchError<MemoryError> {
     fn from(e: BatchError) -> Self {
-        MemoryBatchError {
+        BatchError {
             index: e.index,
             error: e.error.into(),
         }
@@ -208,13 +178,13 @@ pub trait ProtectedMemory {
     ///
     /// # Errors
     ///
-    /// [`MemoryBatchError`] carrying the failing index.
-    fn read_batch(&mut self, addrs: &[u64]) -> Result<Vec<Block>, MemoryBatchError> {
+    /// [`BatchError`] over [`MemoryError`], carrying the failing index.
+    fn read_batch(&mut self, addrs: &[u64]) -> Result<Vec<Block>, BatchError<MemoryError>> {
         let mut out = Vec::with_capacity(addrs.len());
         for (index, &addr) in addrs.iter().enumerate() {
             out.push(
                 self.read(addr)
-                    .map_err(|error| MemoryBatchError { index, error })?,
+                    .map_err(|error| BatchError { index, error })?,
             );
         }
         Ok(out)
@@ -226,11 +196,11 @@ pub trait ProtectedMemory {
     ///
     /// # Errors
     ///
-    /// [`MemoryBatchError`] carrying the failing index.
-    fn write_batch(&mut self, ops: &[(u64, Block)]) -> Result<(), MemoryBatchError> {
+    /// [`BatchError`] over [`MemoryError`], carrying the failing index.
+    fn write_batch(&mut self, ops: &[(u64, Block)]) -> Result<(), BatchError<MemoryError>> {
         for (index, (addr, data)) in ops.iter().enumerate() {
             self.write(*addr, data)
-                .map_err(|error| MemoryBatchError { index, error })?;
+                .map_err(|error| BatchError { index, error })?;
         }
         Ok(())
     }
@@ -307,12 +277,12 @@ impl ProtectedMemory for ShardedEngine {
         ShardedEngine::write(self, addr, data).map_err(MemoryError::from)
     }
 
-    fn read_batch(&mut self, addrs: &[u64]) -> Result<Vec<Block>, MemoryBatchError> {
-        ShardedEngine::read_batch_indexed(self, addrs).map_err(MemoryBatchError::from)
+    fn read_batch(&mut self, addrs: &[u64]) -> Result<Vec<Block>, BatchError<MemoryError>> {
+        ShardedEngine::read_batch_indexed(self, addrs).map_err(BatchError::from)
     }
 
-    fn write_batch(&mut self, ops: &[(u64, Block)]) -> Result<(), MemoryBatchError> {
-        ShardedEngine::write_batch_indexed(self, ops).map_err(MemoryBatchError::from)
+    fn write_batch(&mut self, ops: &[(u64, Block)]) -> Result<(), BatchError<MemoryError>> {
+        ShardedEngine::write_batch_indexed(self, ops).map_err(BatchError::from)
     }
 
     fn stats(&self) -> MemoryStats {
@@ -418,7 +388,7 @@ mod tests {
             MemoryError::from(ToleoError::PageLost { address: 0x40 }),
             MemoryError::IntegrityViolation { address: 0x40 }
         ));
-        let be = MemoryBatchError {
+        let be = BatchError {
             index: 4,
             error: MemoryError::IntegrityViolation { address: 0x80 },
         };

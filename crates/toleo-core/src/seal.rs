@@ -25,7 +25,7 @@
 //! tags the zero block.
 
 use crate::arena::{Block, PageSlot};
-use crate::config::{CACHE_BLOCK_BYTES, LINES_PER_PAGE, PAGE_BYTES};
+use crate::config::{CACHE_BLOCK_BYTES, LINES_PER_PAGE};
 use crate::layout;
 use toleo_crypto::mac::{LineMac, Tag56};
 use toleo_crypto::modes::{AesXts, LinePads, Tweak};
@@ -46,11 +46,6 @@ pub(crate) fn split_key_material(key_material: &[u8; 48]) -> [[u8; 16]; 3] {
         *key = *subkey;
     }
     keys
-}
-
-/// The address of line `line` of `page`.
-fn line_address(page: u64, line: usize) -> u64 {
-    page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64
 }
 
 impl LineSealer {
@@ -189,7 +184,7 @@ impl LineSealer {
         let mut tweaks = [[Tweak::default(); K]; LINES_PER_PAGE];
         let mut n = 0;
         for ((line, tweak), (l, version)) in walked.iter_mut().zip(&mut tweaks).zip(lines) {
-            let address = line_address(page, l);
+            let address = layout::line_address(page, l);
             (*line, *tweak) = (l, inputs(Tweak { version, address }));
             n += 1;
         }

@@ -1099,7 +1099,7 @@ mod tests {
             assert_eq!(e.shard_of_page(page), (page % 4) as usize);
             // Every line of a page routes to the same shard.
             for line in [0usize, 17, 63] {
-                let addr = page * PAGE_BYTES as u64 + (line * CACHE_BLOCK_BYTES) as u64;
+                let addr = crate::layout::line_address(page, line);
                 assert_eq!(e.shard_of_addr(addr), (page % 4) as usize);
             }
         }

@@ -183,7 +183,7 @@ const BANS: &[Ban] = &[
         why: "one slab per page: a page's blocks, tags, bitmaps and UV share one \
               cache-line-aligned allocation, and the engine's early untrusted fetch is a \
               plain load whose value the op uses, not a hint intrinsic, so the `unsafe` \
-              budget stays 26 (EXPERIMENTS.md \"PR 30\")",
+              budget stays at the AES-NI kernels' (EXPERIMENTS.md \"PR 30\")",
     },
     Ban {
         pattern: &["scrub_extract", "ScrubOutcome"],
@@ -269,6 +269,25 @@ const BANS: &[Ban] = &[
         exempt: None,
         why: "the rollback-to-blank pins run in tier-1: both pass since a blank line is \
               its tag (EXPERIMENTS.md \"A blank line is its tag\")",
+    },
+    Ban {
+        pattern: &[
+            "ArmCe",
+            "armce",
+            "hw_aarch64",
+            "decrypt_blocks",
+            "round_key_words",
+            "protection_key",
+            "mac_cache_kib",
+            "fault_plan_armed",
+        ],
+        whole_word: false,
+        roots: &["crates", "src", "tests", "examples"],
+        exempt: None,
+        why: "crypto keeps only the kernels CI builds and runs, and no knob or accessor \
+              has one value or no caller: a platform AES backend comes back with a host \
+              that compiles and times it; the line walk decrypts through `xts_line` \
+              (EXPERIMENTS.md \"Crypto keeps only the kernels that run\")",
     },
 ];
 
